@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per figure of the paper's evaluation
-// (Section 7), plus ablation benchmarks for the design choices DESIGN.md
-// calls out (collective variants, contention on/off, eager threshold).
+// (Section 7), plus ablation benchmarks for the main design choices
+// (collective variants, contention on/off, eager threshold).
 //
 // Each BenchmarkFigN* runs the corresponding harness from
 // internal/experiments and reports the figure's headline quantities as
@@ -8,8 +8,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the entire campaign. EXPERIMENTS.md records the
-// paper-vs-measured comparison; cmd/experiments prints the full tables.
+// regenerates the entire campaign; cmd/experiments prints the full tables.
 package smpigo_test
 
 import (

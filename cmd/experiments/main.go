@@ -22,8 +22,7 @@
 // with a rank-placement axis (block, rr, random), and -collectives selects
 // collective algorithms ("auto" keys them on the topology).
 //
-// Running with -fig all reproduces the whole campaign; EXPERIMENTS.md
-// records paper-vs-measured for each figure.
+// Running with -fig all reproduces the whole campaign.
 //
 // Observability: campaign -stats attaches per-job kernel counters (see
 // internal/obs) and prints the aggregate; -pprof addr serves net/http/pprof

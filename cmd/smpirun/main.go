@@ -211,7 +211,7 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 		cfg.Procs = 2
 		app = func(r *smpi.Rank) {
 			c := r.Comm()
-			buf := make([]byte, chunk)
+			buf := r.SharedMalloc("buf", int(chunk))
 			if r.Rank() == 0 {
 				r.Send(c, buf, 1, 0)
 				r.Recv(c, buf, 1, 0)
@@ -223,7 +223,7 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 	case "ring":
 		app = func(r *smpi.Rank) {
 			c := r.Comm()
-			buf := make([]byte, chunk)
+			buf := r.SharedMalloc("buf", int(chunk))
 			next := (r.Rank() + 1) % r.Size()
 			prev := (r.Rank() - 1 + r.Size()) % r.Size()
 			if r.Rank() == 0 {
@@ -239,17 +239,17 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 			c := r.Comm()
 			var sendbuf []byte
 			if r.Rank() == 0 {
-				sendbuf = make([]byte, int64(r.Size())*chunk)
+				sendbuf = r.SharedMalloc("send", r.Size()*int(chunk))
 			}
-			recvbuf := make([]byte, chunk)
+			recvbuf := r.SharedMalloc("recv", int(chunk))
 			c.Barrier(r)
 			c.Scatter(r, sendbuf, recvbuf, 0)
 		}
 	case "alltoall":
 		app = func(r *smpi.Rank) {
 			c := r.Comm()
-			sendbuf := make([]byte, int64(r.Size())*chunk)
-			recvbuf := make([]byte, int64(r.Size())*chunk)
+			sendbuf := r.SharedMalloc("send", r.Size()*int(chunk))
+			recvbuf := r.SharedMalloc("recv", r.Size()*int(chunk))
 			c.Barrier(r)
 			c.Alltoall(r, sendbuf, recvbuf)
 		}

@@ -29,11 +29,13 @@ const (
 func scatterApp(perRank []float64) func(*smpi.Rank) {
 	return func(r *smpi.Rank) {
 		c := r.Comm()
+		// Timing only: folded buffers (SMPI_SHARED_MALLOC) — one receive
+		// block for all 16 ranks, and no payload is copied.
 		var sendbuf []byte
 		if r.Rank() == 0 {
-			sendbuf = make([]byte, procs*chunk)
+			sendbuf = r.SharedMalloc("send", int(procs*chunk))
 		}
-		recvbuf := make([]byte, chunk)
+		recvbuf := r.SharedMalloc("recv", int(chunk))
 		c.Barrier(r)
 		start := r.Now()
 		c.Scatter(r, sendbuf, recvbuf, 0)

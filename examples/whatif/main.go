@@ -28,8 +28,10 @@ func alltoallTime(plat *platform.Platform, model surf.NetModel) float64 {
 	var total float64
 	app := func(r *smpi.Rank) {
 		c := r.Comm()
-		sendbuf := make([]byte, procs*chunk)
-		recvbuf := make([]byte, procs*chunk)
+		// Timing only: folded buffers (SMPI_SHARED_MALLOC) — 2 x 32 MiB for
+		// the whole job instead of per rank, and no payload is copied.
+		sendbuf := r.SharedMalloc("send", int(procs*chunk))
+		recvbuf := r.SharedMalloc("recv", int(procs*chunk))
 		c.Barrier(r)
 		start := r.Now()
 		c.Alltoall(r, sendbuf, recvbuf)

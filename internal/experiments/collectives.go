@@ -25,7 +25,9 @@ type collectiveRun struct {
 // synchronizes on a barrier, runs op, and records its completion relative
 // to the barrier exit. Buffer allocation inside op is host-side work and
 // does not advance simulated time, so op can set up and call the
-// collective directly.
+// collective directly. Harnesses that only time a collective take their
+// buffers from Rank.SharedMalloc: nobody reads the payload, so it is folded
+// and the simulator moves none of it.
 func measureCollective(cfg smpi.Config, procs int, op func(r *smpi.Rank, c *smpi.Comm)) (*collectiveRun, error) {
 	cfg.Procs = procs
 	out := &collectiveRun{PerRank: make([]float64, procs)}
@@ -54,9 +56,9 @@ func runScatter(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error)
 	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
 		var sendbuf []byte
 		if r.Rank() == 0 {
-			sendbuf = make([]byte, int64(procs)*chunk)
+			sendbuf = r.SharedMalloc("scatter-send", procs*int(chunk))
 		}
-		recvbuf := make([]byte, chunk)
+		recvbuf := r.SharedMalloc("scatter-recv", int(chunk))
 		c.Scatter(r, sendbuf, recvbuf, 0)
 	})
 }
@@ -73,8 +75,8 @@ func checkFloat64Payload(context string, size int64) error {
 // runAlltoall performs one pairwise all-to-all with chunk bytes per pair.
 func runAlltoall(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
 	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		sendbuf := make([]byte, int64(procs)*chunk)
-		recvbuf := make([]byte, int64(procs)*chunk)
+		sendbuf := r.SharedMalloc("alltoall-send", procs*int(chunk))
+		recvbuf := r.SharedMalloc("alltoall-recv", procs*int(chunk))
 		c.Alltoall(r, sendbuf, recvbuf)
 	})
 }

@@ -30,8 +30,7 @@ type SpeedResult struct {
 // (emulated) real execution time. The paper's claim is that on-line
 // simulation runs faster than the real application, increasingly so with
 // message size; with an analytical backend the speedup here is much larger
-// than the paper's 3.6-5.3x (our testbed is itself simulated — see
-// EXPERIMENTS.md).
+// than the paper's 3.6-5.3x (our testbed is itself simulated).
 func Figure17(env *Env) (*SpeedResult, error) {
 	const procs = 16
 	res := &SpeedResult{Table: &Table{

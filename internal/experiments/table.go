@@ -3,8 +3,7 @@
 // workload on the appropriate backends and returns a Table whose rows match
 // the series the paper plots, plus the error summaries quoted in the text.
 // The cmd/experiments binary and the repository's benchmark suite are thin
-// wrappers around these harnesses; EXPERIMENTS.md records paper-vs-measured
-// for each figure.
+// wrappers around these harnesses.
 package experiments
 
 import (

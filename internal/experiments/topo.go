@@ -32,11 +32,12 @@ const TopoCollectivesProcs = 64
 // runBcast measures one broadcast of chunk bytes from rank 0.
 func runBcast(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
 	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		c.Bcast(r, make([]byte, chunk), 0)
+		c.Bcast(r, r.SharedMalloc("bcast", int(chunk)), 0)
 	})
 }
 
-// runAllreduce measures one allreduce of chunk bytes (float64 sums).
+// runAllreduce measures one allreduce of chunk bytes (float64 sums). A
+// reduction combines real bytes, so its buffers stay private.
 func runAllreduce(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
 	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
 		sendbuf := make([]byte, chunk)

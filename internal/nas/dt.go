@@ -63,9 +63,9 @@ func DTProcs(graph DTGraph, class DTClass) (int, error) {
 }
 
 // dtPayload returns the per-edge payload in bytes for a class. These are
-// the repository's scaled equivalents of NPB's num_samples feature arrays
-// (documented in DESIGN.md): large enough that class A/B runtimes on a
-// Gigabit cluster match the paper's seconds-scale measurements.
+// the repository's scaled equivalents of NPB's num_samples feature arrays:
+// large enough that class A/B runtimes on a Gigabit cluster match the
+// paper's seconds-scale measurements.
 func dtPayload(class DTClass) int {
 	switch class {
 	case ClassS:
@@ -111,7 +111,11 @@ type DTConfig struct {
 	// PayloadBytes overrides the class payload (0 = class default).
 	PayloadBytes int
 	// Fold allocates the feature arrays with SharedMalloc (RAM folding,
-	// the paper's Figure 16 "SMPI + RAM Folding" configuration).
+	// the paper's Figure 16 "SMPI + RAM Folding" configuration). Folded
+	// arrays hold undefined bytes — every rank writes the one shared block
+	// and the simulator moves no payload between folded buffers — so with
+	// Fold the run is for its timing and footprint, and Checksum is only
+	// reproducible, not meaningful.
 	Fold bool
 }
 
@@ -119,7 +123,8 @@ type DTConfig struct {
 type DTResult struct {
 	// Checksum is the sink-side payload checksum (BH), the XOR of leaf
 	// checksums (WH), or the XOR over the last layer (SH). It is data
-	// computed by the application itself — on-line simulation.
+	// computed by the application itself — on-line simulation — unless
+	// DTConfig.Fold made that data undefined.
 	Checksum uint64
 }
 

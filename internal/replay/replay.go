@@ -30,17 +30,26 @@ func Run(t *trace.Trace, cfg smpi.Config) (*smpi.Report, error) {
 	}
 	cfg.Procs = t.Procs
 	cfg.Tracer = nil
+	var largest int64
+	for _, stream := range t.Streams {
+		for _, ev := range stream {
+			largest = max(largest, ev.Bytes)
+		}
+	}
 	app := func(r *smpi.Rank) {
 		c := r.Comm()
+		// A trace records sizes, not payloads: every message of every rank
+		// is a prefix of one folded block, so the replay moves no bytes.
+		block := r.SharedMalloc("replay", int(largest))
 		var reqs []*smpi.Request
 		for _, ev := range t.Streams[r.Rank()] {
 			switch ev.Kind {
 			case trace.Compute:
 				r.Elapse(ev.Duration)
 			case trace.Isend:
-				reqs = append(reqs, r.Isend(c, make([]byte, ev.Bytes), ev.Peer, ev.Tag))
+				reqs = append(reqs, r.Isend(c, block[:ev.Bytes], ev.Peer, ev.Tag))
 			case trace.Irecv:
-				reqs = append(reqs, r.Irecv(c, make([]byte, ev.Bytes), ev.Peer, ev.Tag))
+				reqs = append(reqs, r.Irecv(c, block[:ev.Bytes], ev.Peer, ev.Tag))
 			case trace.Wait:
 				r.Wait(reqs[ev.Req])
 			}

@@ -20,7 +20,9 @@ package sampling
 
 import (
 	"fmt"
+	"slices"
 	"time"
+	"unsafe"
 
 	"smpigo/internal/core"
 )
@@ -31,9 +33,12 @@ type Registry struct {
 	// Stopwatch returns monotonic wall-clock time; tests may replace it.
 	Stopwatch func() time.Duration
 
-	ranks  int
-	sites  map[string]*site
-	shared map[string]*sharedBuf
+	ranks int
+	sites map[string]*site
+
+	shared      []*sharedBuf // live folded blocks, in allocation order
+	sharedBytes int64        // running total of their sizes (Figure 16 accounting)
+	scratch     [][]byte     // SharedScratch blocks: folded, never accounted
 
 	private []int64 // current private bytes per rank
 	peak    []float64
@@ -49,6 +54,7 @@ type site struct {
 }
 
 type sharedBuf struct {
+	key  string
 	data []byte
 	refs int
 }
@@ -60,7 +66,6 @@ func NewRegistry(ranks int) *Registry {
 		Stopwatch: func() time.Duration { return time.Since(start) },
 		ranks:     ranks,
 		sites:     make(map[string]*site),
-		shared:    make(map[string]*sharedBuf),
 		private:   make([]int64, ranks),
 		peak:      make([]float64, ranks),
 	}
@@ -142,12 +147,22 @@ func (r *Registry) SiteMean(key string) (core.Duration, int) {
 // use (the SMPI_SHARED_MALLOC macro). All ranks passing the same key and
 // size receive the same backing array. It panics if the same key is
 // requested with a different size.
+//
+// Folding is the paper's contract that the application does not depend on
+// the bytes: memory handed out here is recognized by Shared, and the
+// simulator moves no payload into or out of it.
 func (r *Registry) SharedMalloc(key string, size int) []byte {
-	sb, ok := r.shared[key]
-	if !ok {
-		sb = &sharedBuf{data: make([]byte, size)}
-		r.shared[key] = sb
+	i := r.lookup(key)
+	if i < 0 {
+		i = len(r.shared)
+		r.shared = append(r.shared, &sharedBuf{key: key, data: make([]byte, size)})
+		r.sharedBytes += int64(size)
+		// The folded total grew: every rank's share of it did too.
+		for rank := range r.peak {
+			r.updatePeak(rank)
+		}
 	}
+	sb := r.shared[i]
 	if len(sb.data) != size {
 		panic(fmt.Sprintf("sampling: SharedMalloc(%q) size mismatch: %d vs %d", key, size, len(sb.data)))
 	}
@@ -156,16 +171,74 @@ func (r *Registry) SharedMalloc(key string, size int) []byte {
 }
 
 // SharedFree drops one reference to the shared buffer (the SMPI_FREE
-// macro); the buffer is released when the last rank frees it.
+// macro); the buffer is released when the last rank frees it, after which
+// slices of it no longer count as Shared.
 func (r *Registry) SharedFree(key string) {
-	sb, ok := r.shared[key]
-	if !ok {
+	i := r.lookup(key)
+	if i < 0 {
 		return
 	}
+	sb := r.shared[i]
 	sb.refs--
 	if sb.refs <= 0 {
-		delete(r.shared, key)
+		r.shared = slices.Delete(r.shared, i, i+1)
+		r.sharedBytes -= int64(len(sb.data))
 	}
+}
+
+// lookup returns the index of the live block for key, or -1. Worlds fold a
+// handful of arrays, so a scan beats a map and keeps allocation order for
+// Shared.
+func (r *Registry) lookup(key string) int {
+	return slices.IndexFunc(r.shared, func(sb *sharedBuf) bool { return sb.key == key })
+}
+
+// Shared reports whether buf is folded memory: non-empty and lying wholly
+// inside a live SharedMalloc block or a SharedScratch block. Such bytes are
+// undefined by contract, so copies into or out of them can be skipped.
+func (r *Registry) Shared(buf []byte) bool {
+	if len(buf) == 0 {
+		return false
+	}
+	for _, sb := range r.shared {
+		if within(sb.data, buf) {
+			return true
+		}
+	}
+	for _, blk := range r.scratch {
+		if within(blk, buf) {
+			return true
+		}
+	}
+	return false
+}
+
+// within reports whether the non-empty buf lies inside block. Heap objects
+// do not move, so comparing addresses is stable.
+func within(block, buf []byte) bool {
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(block)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return len(buf) <= len(block) && lo >= base && lo-base <= uintptr(len(block)-len(buf))
+}
+
+// SharedScratch returns n bytes of folded memory for temporaries whose
+// contents nobody reads: a prefix of the first live block that is large
+// enough, else a new registry-owned block that stays outside the Figure 16
+// accounting (it stands for memory the application never asked for).
+func (r *Registry) SharedScratch(n int) []byte {
+	for _, sb := range r.shared {
+		if len(sb.data) >= n {
+			return sb.data[:n]
+		}
+	}
+	for _, blk := range r.scratch {
+		if len(blk) >= n {
+			return blk[:n]
+		}
+	}
+	blk := make([]byte, n)
+	r.scratch = append(r.scratch, blk)
+	return blk
 }
 
 // --- accounting allocator (Figure 16 metric) ---
@@ -185,28 +258,15 @@ func (r *Registry) Free(rank, size int) {
 	}
 }
 
-func (r *Registry) sharedBytes() int64 {
-	var total int64
-	for _, sb := range r.shared {
-		total += int64(len(sb.data))
-	}
-	return total
-}
-
+// updatePeak refreshes rank's peak. It runs wherever the footprint can
+// grow — the rank's own Malloc, and for every rank when a new folded block
+// appears — so the peak never has to be recomputed elsewhere.
 func (r *Registry) updatePeak(rank int) {
 	// A rank's accounted footprint is its private bytes plus its share of
 	// the folded arrays (which exist once for the whole simulation).
-	rss := float64(r.private[rank]) + float64(r.sharedBytes())/float64(r.ranks)
+	rss := float64(r.private[rank]) + float64(r.sharedBytes)/float64(r.ranks)
 	if rss > r.peak[rank] {
 		r.peak[rank] = rss
-	}
-}
-
-// TouchAll refreshes the peak metric of every rank; call after SharedMalloc
-// bursts so shared allocations reach the peak accounting.
-func (r *Registry) TouchAll() {
-	for rank := range r.peak {
-		r.updatePeak(rank)
 	}
 }
 

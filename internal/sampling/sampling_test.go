@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"smpigo/internal/core"
 )
 
 // fakeClock advances a fixed amount per Stopwatch call pair, making timing
@@ -142,6 +144,83 @@ func TestSharedFreeRefCounting(t *testing.T) {
 	r.SharedFree("missing") // no-op
 }
 
+func TestSharedRecognizesFoldedMemory(t *testing.T) {
+	r := newTestRegistry(2, 0)
+	private := make([]byte, 64)
+	if r.Shared(private) || r.Shared(nil) {
+		t.Error("nothing is shared in a registry without blocks")
+	}
+	blk := r.SharedMalloc("arr", 100)
+	r.SharedMalloc("arr", 100)
+	other := r.SharedMalloc("other", 10)
+	for name, buf := range map[string][]byte{
+		"whole block": blk, "prefix": blk[:1], "middle": blk[40:60], "last byte": blk[99:],
+		"second block": other[3:7],
+	} {
+		if !r.Shared(buf) {
+			t.Errorf("%s of a live block must be shared", name)
+		}
+	}
+	for name, buf := range map[string][]byte{
+		"private": private, "nil": nil, "empty sub-slice": blk[50:50], "empty tail": blk[100:],
+	} {
+		if r.Shared(buf) {
+			t.Errorf("%s must not be shared", name)
+		}
+	}
+	r.SharedFree("arr")
+	if !r.Shared(blk[10:20]) {
+		t.Error("block must stay shared while one reference is left")
+	}
+	r.SharedFree("arr")
+	if r.Shared(blk) || r.Shared(blk[10:20]) {
+		t.Error("a freed block is private memory again")
+	}
+	if !r.Shared(other) {
+		t.Error("freeing one block must not unshare another")
+	}
+}
+
+// The range test is exact at both ends: a block carved out of the middle of
+// an array shares none of its neighbours, not even the byte just past it.
+func TestSharedRangeIsExact(t *testing.T) {
+	arena := make([]byte, 30)
+	r := newTestRegistry(1, 0)
+	r.shared = append(r.shared, &sharedBuf{key: "mid", data: arena[10:20:20], refs: 1})
+	for _, tc := range []struct {
+		lo, hi int
+		want   bool
+	}{
+		{10, 20, true}, {10, 11, true}, {19, 20, true}, {12, 17, true},
+		{20, 21, false}, {9, 10, false}, {9, 11, false}, {19, 21, false}, {0, 30, false}, {20, 30, false},
+	} {
+		if got := r.Shared(arena[tc.lo:tc.hi]); got != tc.want {
+			t.Errorf("Shared(arena[%d:%d]) = %v, want %v (block is arena[10:20])", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+}
+
+func TestSharedScratchAliasesFoldedMemory(t *testing.T) {
+	r := newTestRegistry(4, 0)
+	first := r.SharedScratch(100)
+	if len(first) != 100 || !r.Shared(first) {
+		t.Fatalf("scratch must be %d shared bytes, got %d (shared=%v)", 100, len(first), r.Shared(first))
+	}
+	if again := r.SharedScratch(60); &again[0] != &first[0] || len(again) != 60 {
+		t.Error("a smaller request must reuse the existing scratch block")
+	}
+	if r.MaxPeakRSS() != 0 {
+		t.Errorf("scratch is outside the Figure 16 accounting, peak = %v", r.MaxPeakRSS())
+	}
+	blk := r.SharedMalloc("arr", 1000)
+	if got := r.SharedScratch(500); &got[0] != &blk[0] || len(got) != 500 {
+		t.Error("scratch must alias a live block that is large enough")
+	}
+	if big := r.SharedScratch(5000); len(big) != 5000 || !r.Shared(big) || !r.Shared(first) {
+		t.Error("an oversize request gets a new shared block and keeps earlier ones shared")
+	}
+}
+
 func TestAccountingRSSWithoutFolding(t *testing.T) {
 	r := newTestRegistry(4, 0)
 	for rank := 0; rank < 4; rank++ {
@@ -158,9 +237,53 @@ func TestAccountingRSSWithFolding(t *testing.T) {
 	for rank := 0; rank < 4; rank++ {
 		r.SharedMalloc("arr", 1000)
 	}
-	r.TouchAll()
 	if got := r.MaxPeakRSS(); got != 250 {
 		t.Errorf("folded per-rank RSS = %v, want 250", got)
+	}
+}
+
+// The peaks are maintained incrementally (a rank's own Malloc, every rank
+// when a new folded block appears). Check them against the definition —
+// recompute every rank's footprint after every event — under random churn.
+func TestPeakMatchesBruteForce(t *testing.T) {
+	const ranks = 7
+	r := newTestRegistry(ranks, 0)
+	rng := core.NewRNG(42)
+	private := make([]int64, ranks)
+	sizes := map[string]int{"a": 4096, "b": 100, "c": 33333}
+	refs := map[string]int{}
+	want := make([]float64, ranks)
+	for step := 0; step < 5000; step++ {
+		rank := int(rng.Uint64() % ranks)
+		key := string(rune('a' + rng.Uint64()%3))
+		switch rng.Uint64() % 4 {
+		case 0:
+			n := int(rng.Uint64() % 10000)
+			r.Malloc(rank, n)
+			private[rank] += int64(n)
+		case 1:
+			n := int(rng.Uint64() % 10000)
+			r.Free(rank, n)
+			private[rank] = max(private[rank]-int64(n), 0)
+		case 2:
+			r.SharedMalloc(key, sizes[key])
+			refs[key]++
+		case 3:
+			r.SharedFree(key)
+			refs[key] = max(refs[key]-1, 0)
+		}
+		var shared int64
+		for k, n := range refs {
+			if n > 0 {
+				shared += int64(sizes[k])
+			}
+		}
+		for i := range want {
+			want[i] = max(want[i], float64(private[i])+float64(shared)/ranks)
+			if r.peak[i] != want[i] {
+				t.Fatalf("step %d: rank %d peak = %v, want %v", step, i, r.peak[i], want[i])
+			}
+		}
 	}
 }
 

@@ -266,6 +266,13 @@ func (s *Server) runOne(rec *record) {
 		Seed:     &seed,
 		OnResult: func(i int, r campaign.Result) { rec.emit(i, r) },
 	})
+	// finish releases ?wait=1 callers, whose next request may repeat this
+	// key at once. Holding s.mu across it makes that request — it takes
+	// s.mu in cacheGet or submit — see the result cached and the key out of
+	// inflight, never the window between.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.inflight, rec.key)
 	switch {
 	case err != nil:
 		// The spec was validated at submission, so this is unexpected —
@@ -277,25 +284,14 @@ func (s *Server) runOne(rec *record) {
 	default:
 		s.stats.JobsRun.Add(uint64(sum.Jobs))
 		rec.finish(statusDone, sum, sum.Fingerprint(), nil)
-	}
-	s.mu.Lock()
-	if rec.statusNow() == statusDone {
 		s.cache.put(rec.key, rec)
 	}
-	delete(s.inflight, rec.key)
-	s.mu.Unlock()
 }
 
 func (rec *record) setStatus(st string) {
 	rec.mu.Lock()
 	rec.status = st
 	rec.mu.Unlock()
-}
-
-func (rec *record) statusNow() string {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.status
 }
 
 // emit forwards one completed job to the stream subscribers. Subscriber

@@ -182,6 +182,26 @@ func TestCacheHitCollapsesEquivalentSpecs(t *testing.T) {
 	}
 }
 
+// A ?wait=1 caller is released only after its result is cached, so repeating
+// a key the moment the first answer arrives can never miss (the runner used
+// to release waiters before the cache write).
+func TestImmediateRepeatAlwaysHits(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	spec := testSpec()
+	spec.Sizes, spec.Models = spec.Sizes[:1], spec.Models[1:]
+	for seed := uint64(0); seed < 200; seed++ {
+		first := doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(spec, seed))
+		if got := first.Header().Get("X-Smpigod-Cache"); first.Code != http.StatusOK || got != "miss" {
+			t.Fatalf("seed %d: first submit status %d cache %q, want 200 miss", seed, first.Code, got)
+		}
+		repeat := doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(spec, seed))
+		if got := repeat.Header().Get("X-Smpigod-Cache"); got != "hit" {
+			t.Fatalf("seed %d: immediate repeat cache %q, want hit", seed, got)
+		}
+	}
+}
+
 func TestQueueBoundRejectsWith429(t *testing.T) {
 	s := newTestServer(t, Config{QueueDepth: 1})
 	block := make(chan struct{})

@@ -189,7 +189,7 @@ func (c *Comm) Scatter(r *Rank, sendbuf, recvbuf []byte, root int) {
 			for dst := 0; dst < p; dst++ {
 				chunk := sendbuf[dst*bs : (dst+1)*bs]
 				if dst == root {
-					copy(recvbuf, chunk)
+					c.w.move(recvbuf, chunk)
 					continue
 				}
 				reqs = append(reqs, r.Isend(c, chunk, dst, tagScatter))
@@ -218,10 +218,10 @@ func (c *Comm) scatterBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
 			tmp = sendbuf // relative order == world order: no rotation copy
 		} else {
 			// Rotate so the chunk of relative rank j sits at offset j.
-			tmp = make([]byte, p*bs)
+			tmp = c.w.scratch(sendbuf, p*bs)
 			for j := 0; j < p; j++ {
 				world := (j + root) % p
-				copy(tmp[j*bs:(j+1)*bs], sendbuf[world*bs:(world+1)*bs])
+				c.w.move(tmp[j*bs:(j+1)*bs], sendbuf[world*bs:(world+1)*bs])
 			}
 		}
 		mask = 1
@@ -234,7 +234,7 @@ func (c *Comm) scatterBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
 			if rel&mask != 0 {
 				src := (me - mask + p) % p
 				cnt := min(mask, p-rel)
-				tmp = make([]byte, cnt*bs)
+				tmp = c.w.scratch(recvbuf, cnt*bs)
 				r.Recv(c, tmp, src, tagScatter)
 				break
 			}
@@ -253,7 +253,7 @@ func (c *Comm) scatterBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
 		}
 	}
 	r.WaitAll(reqs)
-	copy(recvbuf, tmp[:bs])
+	c.w.move(recvbuf, tmp[:bs])
 }
 
 // Gather collects equal chunks from every rank into root's recvbuf, rank
@@ -273,7 +273,7 @@ func (c *Comm) Gather(r *Rank, sendbuf, recvbuf []byte, root int) {
 			for src := 0; src < p; src++ {
 				chunk := recvbuf[src*bs : (src+1)*bs]
 				if src == root {
-					copy(chunk, sendbuf)
+					c.w.move(chunk, sendbuf)
 					continue
 				}
 				reqs = append(reqs, r.Irecv(c, chunk, src, tagGather))
@@ -295,8 +295,8 @@ func (c *Comm) gatherBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
 	rel := (me - root + p) % p
 
 	subtree := min(subtreeSize(rel, p), p-rel)
-	tmp := make([]byte, subtree*bs)
-	copy(tmp[:bs], sendbuf)
+	tmp := c.w.scratch(sendbuf, subtree*bs)
+	c.w.move(tmp[:bs], sendbuf)
 
 	mask := 1
 	for mask < p {
@@ -315,7 +315,7 @@ func (c *Comm) gatherBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
 	if rel == 0 {
 		for j := 0; j < p; j++ {
 			world := (j + root) % p
-			copy(recvbuf[world*bs:(world+1)*bs], tmp[j*bs:(j+1)*bs])
+			c.w.move(recvbuf[world*bs:(world+1)*bs], tmp[j*bs:(j+1)*bs])
 		}
 	}
 }
@@ -340,7 +340,7 @@ func (c *Comm) Allgather(r *Rank, sendbuf, recvbuf []byte) {
 	}
 	switch c.w.cfg.Algorithms.Allgather {
 	case "ring":
-		copy(recvbuf[me*bs:(me+1)*bs], sendbuf)
+		c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf)
 		if p == 1 {
 			return
 		}
@@ -374,7 +374,7 @@ func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
 	case "pairwise":
 		// The paper's Figure 10: P steps; at step k each process exchanges
 		// with one distinct partner (including itself at step 0).
-		copy(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
+		c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
 		for step := 1; step < p; step++ {
 			dst := (me + step) % p
 			src := (me - step + p) % p
@@ -388,7 +388,7 @@ func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
 		reqs := make([]*Request, 0, 2*(p-1))
 		for peer := 0; peer < p; peer++ {
 			if peer == me {
-				copy(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
+				c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
 				continue
 			}
 			reqs = append(reqs, r.Irecv(c, recvbuf[peer*bs:(peer+1)*bs], peer, tagAlltoall))
@@ -411,13 +411,13 @@ func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte, bs int) {
 	me, p := c.mustRank(r), c.Size()
 	// Phase 1: local rotation — block j of tmp is the block for rank
 	// (me+j) mod p.
-	tmp := make([]byte, p*bs)
+	tmp := c.w.scratch(sendbuf, p*bs)
 	for j := 0; j < p; j++ {
 		src := (me + j) % p
-		copy(tmp[j*bs:(j+1)*bs], sendbuf[src*bs:(src+1)*bs])
+		c.w.move(tmp[j*bs:(j+1)*bs], sendbuf[src*bs:(src+1)*bs])
 	}
 	// Phase 2: log-step exchanges.
-	scratch := make([]byte, p*bs)
+	scratch := c.w.scratch(sendbuf, p*bs)
 	for k := 1; k < p; k <<= 1 {
 		dst := (me + k) % p
 		src := (me - k + p) % p
@@ -425,7 +425,7 @@ func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte, bs int) {
 		n := 0
 		for j := 0; j < p; j++ {
 			if j&k != 0 {
-				copy(scratch[n*bs:(n+1)*bs], tmp[j*bs:(j+1)*bs])
+				c.w.move(scratch[n*bs:(n+1)*bs], tmp[j*bs:(j+1)*bs])
 				n++
 			}
 		}
@@ -436,7 +436,7 @@ func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte, bs int) {
 		m := 0
 		for j := 0; j < p; j++ {
 			if j&k != 0 {
-				copy(tmp[j*bs:(j+1)*bs], scratch[(n+m)*bs:(n+m+1)*bs])
+				c.w.move(tmp[j*bs:(j+1)*bs], scratch[(n+m)*bs:(n+m+1)*bs])
 				m++
 			}
 		}
@@ -445,7 +445,7 @@ func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte, bs int) {
 	// (me-j) mod p.
 	for j := 0; j < p; j++ {
 		src := (me - j + p) % p
-		copy(recvbuf[src*bs:(src+1)*bs], tmp[j*bs:(j+1)*bs])
+		c.w.move(recvbuf[src*bs:(src+1)*bs], tmp[j*bs:(j+1)*bs])
 	}
 }
 
@@ -625,7 +625,7 @@ func (c *Comm) Scatterv(r *Rank, sendbuf []byte, counts []int, recvbuf []byte, r
 			chunk := sendbuf[off : off+counts[dst]]
 			off += counts[dst]
 			if dst == root {
-				copy(recvbuf, chunk)
+				c.w.move(recvbuf, chunk)
 				continue
 			}
 			reqs = append(reqs, r.Isend(c, chunk, dst, tagScatter))
@@ -650,7 +650,7 @@ func (c *Comm) Gatherv(r *Rank, sendbuf []byte, recvbuf []byte, counts []int, ro
 			chunk := recvbuf[off : off+counts[src]]
 			off += counts[src]
 			if src == root {
-				copy(chunk, sendbuf)
+				c.w.move(chunk, sendbuf)
 				continue
 			}
 			reqs = append(reqs, r.Irecv(c, chunk, src, tagGather))
@@ -685,7 +685,7 @@ func (c *Comm) Alltoallv(r *Rank, sendbuf []byte, sendcounts []int, recvbuf []by
 	reqs := make([]*Request, 0, 2*p)
 	for peer := 0; peer < p; peer++ {
 		if peer == me {
-			copy(recvbuf[roff[me]:roff[me+1]], sendbuf[soff[me]:soff[me+1]])
+			c.w.move(recvbuf[roff[me]:roff[me+1]], sendbuf[soff[me]:soff[me+1]])
 			continue
 		}
 		reqs = append(reqs, r.Irecv(c, recvbuf[roff[peer]:roff[peer+1]], peer, tagAlltoall))
@@ -696,11 +696,4 @@ func (c *Comm) Alltoallv(r *Rank, sendbuf []byte, sendcounts []int, recvbuf []by
 		}
 	}
 	r.WaitAll(reqs)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -80,8 +80,8 @@ func (c *Comm) Dup(r *Rank) *Comm {
 
 // Split partitions the communicator by color and orders each partition by
 // key then by current rank (MPI_Comm_split — implemented here although the
-// original SMPI paper lists it as unsupported; see DESIGN.md). Ranks
-// passing Undefined as color receive nil.
+// original SMPI paper lists it as unsupported). Ranks passing Undefined as
+// color receive nil.
 func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	me := c.mustRank(r)
 	// Gather everyone's (color, key) — Split is a synchronizing collective.

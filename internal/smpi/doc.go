@@ -17,6 +17,24 @@
 // execution property of the paper's Section 3 — with CPU-burst sampling
 // and RAM folding available through the Rank sampling API.
 //
+// # Wire-level folding
+//
+// Memory from Rank.SharedMalloc is folded: the application has declared
+// that it does not depend on those bytes. The simulator recognizes such a
+// buffer (any sub-slice of a live block) wherever it is handed one and moves
+// no payload for it: an eager send references the buffer instead of
+// snapshotting it, delivery skips the copy when either side is folded, and
+// collectives stage folded buffers in aliased folded scratch instead of
+// allocating. Lengths are preserved, so matching, truncation checks,
+// Status.Count, Iprobe, traffic counters, traces and every simulated time
+// are bit-identical to a run on private buffers; only the bytes are
+// undefined, and a private buffer on the other side of such a message is
+// left untouched. Private buffers keep the usual semantics: real bytes are
+// delivered. The reduction collectives combine real data and always work
+// on private accumulators. Timing-only harnesses (package experiments,
+// skampi, replay) therefore run on folded buffers; SimGrid's SMPI makes
+// the same choice for its shared mallocs.
+//
 // # Rank placement
 //
 // By default ranks are laid out round-robin over the platform's hosts;

@@ -68,7 +68,7 @@ type mbKey struct {
 type envelope struct {
 	src, tag int
 	eager    bool
-	data     []byte // payload snapshot (eager: at send; rendezvous: at match)
+	data     []byte // payload (eager: snapshot at send, or the folded buffer itself; rendezvous: at match)
 	srcBuf   []byte // rendezvous: sender buffer, snapshotted at match time
 	srcHost  *platform.Host
 	dstHost  *platform.Host
@@ -117,6 +117,29 @@ func clone(buf []byte) []byte {
 	return out
 }
 
+// move is the one place payload bytes travel: it copies src into dst unless
+// either side is folded memory (Rank.SharedMalloc), whose bytes are
+// undefined by contract — SimGrid's smpi_comm_copy_buffer_callback skips
+// its memcpy on smpi_is_shared buffers the same way. Lengths, and so every
+// timing, count and status, are untouched.
+func (w *World) move(dst, src []byte) {
+	if w.reg.Shared(dst) || w.reg.Shared(src) {
+		return
+	}
+	copy(dst, src)
+}
+
+// scratch returns n bytes for a collective's temporary that stages the
+// caller's buffer like: private zeroed memory when like is private, aliased
+// folded memory (allocating nothing once a block is large enough) when like
+// is folded.
+func (w *World) scratch(like []byte, n int) []byte {
+	if w.reg.Shared(like) {
+		return w.reg.SharedScratch(n)
+	}
+	return make([]byte, n)
+}
+
 // deliver wires an envelope to a posted receive: when the transfer
 // completes, the payload lands in the receive buffer and both requests
 // (where applicable) complete.
@@ -126,7 +149,7 @@ func (w *World) deliver(env *envelope, p *posted) {
 			panic(fmt.Sprintf("smpi: message truncation: %d-byte message into %d-byte buffer (src %d, tag %d)",
 				len(env.data), len(p.buf), env.src, env.tag))
 		}
-		copy(p.buf, env.data)
+		w.move(p.buf, env.data)
 		p.req.Status = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
 		if p.req.traceResolve != nil {
 			// Patch the recorded receive with the matched source so that
@@ -171,9 +194,14 @@ func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Reque
 
 	if int64(len(buf)) < w.cfg.EagerThreshold {
 		// Eager: snapshot the payload, push it to the wire immediately,
-		// and complete the send locally (buffered semantics).
+		// and complete the send locally (buffered semantics). A folded
+		// buffer has no defined bytes to snapshot and is referenced.
 		env.eager = true
-		env.data = clone(buf)
+		if w.reg.Shared(buf) {
+			env.data = buf
+		} else {
+			env.data = clone(buf)
+		}
 		env.wire = w.transfer(r.host, dstHost, int64(len(buf)))
 		w.kernel.Fulfill(req.done, nil)
 		if p := mb.takeRecv(env); p != nil {

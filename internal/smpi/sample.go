@@ -61,10 +61,18 @@ func (r *Rank) SampleFlops(flops float64) {
 // SharedMalloc returns the world-shared buffer for id (SMPI_SHARED_MALLOC):
 // every rank asking for the same id gets the same backing array, folding
 // m copies into one (paper Section 3.2, technique #1).
+//
+// Folding declares that the application does not depend on these bytes, and
+// the simulator takes it at its word: a message sent from or received into
+// folded memory (any sub-slice of it, until the last SharedFree) is timed,
+// counted, matched and traced exactly like a private one, but its payload
+// is never copied, and collectives stage folded buffers in aliased folded
+// scratch instead of allocating. What a folded buffer holds after a
+// communication is therefore undefined; a private buffer on the other side
+// of such a message is left untouched. Use private memory (make or
+// Rank.Malloc) for data the application reads back.
 func (r *Rank) SharedMalloc(id string, size int) []byte {
-	buf := r.w.reg.SharedMalloc(id, size)
-	r.w.reg.TouchAll()
-	return buf
+	return r.w.reg.SharedMalloc(id, size)
 }
 
 // SharedFree releases one reference to a shared buffer (SMPI_FREE).
