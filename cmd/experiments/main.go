@@ -220,8 +220,6 @@ func runCampaign(args []string) error {
 	collectivesArg := fs.String("collectives", "", "collective algorithms for every job: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto")
 	dynamicsArg := fs.String("dynamics", "", "comma-separated platform-event axis, each a dynamics schedule (\"none\" or \"@2ms link a-* scale 0.5; ...\"); schedules use ';' between events so they survive this comma-separated list")
 	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	solverWorkers := fs.Int("solver-workers", 0, "per-job LMM solver worker pool (0 or 1 = serial, -1 = GOMAXPROCS); results are bit-identical at any setting")
-	rateTol := fs.Float64("rate-tolerance", 0, "bounded-staleness solver tolerance eps in [0,1); 0 = exact (flows whose rate would move by less than eps keep their stale rate)")
 	shardArg := fs.String("shard", "", "run only shard i/n of the expanded grid (e.g. 0/2); shard summaries merge back to the unsharded fingerprint (smpigod /v1/campaigns/merge)")
 	seed := fs.Uint64("seed", 0, "campaign seed; per-job seeds derive from it")
 	jsonOut := fs.Bool("json", false, "emit the full campaign summary as JSON")
@@ -250,19 +248,17 @@ func runCampaign(args []string) error {
 		return fmt.Errorf("-sizes: %w", err)
 	}
 	spec := experiments.GridSpec{
-		Op:            *op,
-		Procs:         procs,
-		Sizes:         sizes,
-		Models:        splitList(*modelsArg),
-		Backends:      splitList(*backendsArg),
-		Platform:      *platformArg,
-		Topologies:    splitList(*topologiesArg),
-		Placements:    splitList(*placementsArg),
-		Collectives:   *collectivesArg,
-		Dynamics:      splitList(*dynamicsArg),
-		Stats:         *statsOn,
-		SolverWorkers: *solverWorkers,
-		RateTolerance: *rateTol,
+		Op:          *op,
+		Procs:       procs,
+		Sizes:       sizes,
+		Models:      splitList(*modelsArg),
+		Backends:    splitList(*backendsArg),
+		Platform:    *platformArg,
+		Topologies:  splitList(*topologiesArg),
+		Placements:  splitList(*placementsArg),
+		Collectives: *collectivesArg,
+		Dynamics:    splitList(*dynamicsArg),
+		Stats:       *statsOn,
 	}
 	if *shardArg != "" {
 		spec.ShardIndex, spec.ShardCount, err = experiments.ParseShard(*shardArg)

@@ -39,33 +39,59 @@ import (
 	"smpigo/internal/trace"
 )
 
+// options holds the command-line flags.
+type options struct {
+	app            string
+	np             int
+	platform       string
+	backend        string
+	model          string
+	noContention   bool
+	chunk          string
+	graph          string
+	class          string
+	ratio          float64
+	fold           bool
+	placement      string
+	collectives    string
+	seed           uint64
+	traceOut       string
+	replayIn       string
+	stats          bool
+	timeline       string
+	timelineBucket string
+	dynamics       string
+}
+
+// bindFlags registers every flag on fs, storing into o.
+func bindFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.app, "app", "pingpong", "application: pingpong, ring, scatter, alltoall, dt, ep")
+	fs.IntVar(&o.np, "np", 2, "number of MPI processes (ignored by dt, which sets it from -class)")
+	fs.StringVar(&o.platform, "platform", "griffon", "target platform: griffon, gdx, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2), or a platform XML file")
+	fs.StringVar(&o.backend, "backend", "surf", "timing backend: surf (analytical SMPI) or emu (packet-level testbed)")
+	fs.StringVar(&o.model, "model", "piecewise", "surf model: ideal, default, bestfit, piecewise")
+	fs.BoolVar(&o.noContention, "no-contention", false, "disable link contention (surf backend)")
+	fs.StringVar(&o.chunk, "chunk", "4MiB", "per-rank payload for scatter/alltoall/pingpong")
+	fs.StringVar(&o.graph, "graph", "WH", "DT graph: WH, BH, SH")
+	fs.StringVar(&o.class, "class", "S", "NPB class: S, W, A, B, C")
+	fs.Float64Var(&o.ratio, "ratio", 1.0, "EP sampling ratio (0,1]")
+	fs.BoolVar(&o.fold, "fold", false, "DT: use RAM folding (SMPI_SHARED_MALLOC)")
+	fs.StringVar(&o.placement, "placement", "", "rank placement policy: block, rr, random (empty = default layout)")
+	fs.StringVar(&o.collectives, "collectives", "", "collective algorithms: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto")
+	fs.Uint64Var(&o.seed, "seed", 0, "deterministic seed (per-rank RNGs, random placement)")
+	fs.StringVar(&o.traceOut, "trace", "", "record a point-to-point trace to this file (off-line simulation input)")
+	fs.StringVar(&o.replayIn, "replay", "", "replay a recorded trace instead of running an app")
+	fs.BoolVar(&o.stats, "stats", false, "print kernel counters and the link hot-spot report after the run")
+	fs.StringVar(&o.timeline, "timeline", "", "write a per-link/per-host utilization timeline (JSON) to this file")
+	fs.StringVar(&o.timelineBucket, "timeline-bucket", "1ms", "timeline bucket width (simulated time)")
+	fs.StringVar(&o.dynamics, "dynamics", "", "platform event schedule: inline grammar (\"@2ms link a-* scale 0.5; ...\"), inline JSON, or a file; \"none\" disables")
+}
+
 func main() {
-	var (
-		appName   = flag.String("app", "pingpong", "application: pingpong, ring, scatter, alltoall, dt, ep")
-		np        = flag.Int("np", 2, "number of MPI processes (ignored by dt, which sets it from -class)")
-		platName  = flag.String("platform", "griffon", "target platform: griffon, gdx, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2), or a platform XML file")
-		backend   = flag.String("backend", "surf", "timing backend: surf (analytical SMPI) or emu (packet-level testbed)")
-		modelName = flag.String("model", "piecewise", "surf model: ideal, default, bestfit, piecewise")
-		noCont    = flag.Bool("no-contention", false, "disable link contention (surf backend)")
-		chunk     = flag.String("chunk", "4MiB", "per-rank payload for scatter/alltoall/pingpong")
-		graph     = flag.String("graph", "WH", "DT graph: WH, BH, SH")
-		class     = flag.String("class", "S", "NPB class: S, W, A, B, C")
-		ratio     = flag.Float64("ratio", 1.0, "EP sampling ratio (0,1]")
-		fold      = flag.Bool("fold", false, "DT: use RAM folding (SMPI_SHARED_MALLOC)")
-		placeArg  = flag.String("placement", "", "rank placement policy: block, rr, random (empty = default layout)")
-		collArg   = flag.String("collectives", "", "collective algorithms: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto")
-		seed      = flag.Uint64("seed", 0, "deterministic seed (per-rank RNGs, random placement)")
-		traceOut  = flag.String("trace", "", "record a point-to-point trace to this file (off-line simulation input)")
-		replayIn  = flag.String("replay", "", "replay a recorded trace instead of running an app")
-		statsOn   = flag.Bool("stats", false, "print kernel counters and the link hot-spot report after the run")
-		timeline  = flag.String("timeline", "", "write a per-link/per-host utilization timeline (JSON) to this file")
-		tlBucket  = flag.String("timeline-bucket", "1ms", "timeline bucket width (simulated time)")
-		dynArg    = flag.String("dynamics", "", "platform event schedule: inline grammar (\"@2ms link a-* scale 0.5; ...\"), inline JSON, or a file; \"none\" disables")
-		solverW   = flag.Int("solver-workers", 0, "LMM solver worker pool (0 or 1 = serial, -1 = GOMAXPROCS); results are bit-identical at any setting")
-		rateTol   = flag.Float64("rate-tolerance", 0, "bounded-staleness solver tolerance eps in [0,1); 0 = exact (flows whose rate would move by less than eps keep their stale rate)")
-	)
+	var o options
+	bindFlags(flag.CommandLine, &o)
 	flag.Parse()
-	if err := run(*appName, *np, *platName, *backend, *modelName, *noCont, *chunk, *graph, *class, *ratio, *fold, *placeArg, *collArg, *seed, *traceOut, *replayIn, *statsOn, *timeline, *tlBucket, *dynArg, *solverW, *rateTol); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "smpirun:", err)
 		os.Exit(1)
 	}
@@ -118,18 +144,14 @@ func pickModel(name string) (surf.NetModel, error) {
 	return surf.NetModel{}, fmt.Errorf("unknown model %q", name)
 }
 
-func run(appName string, np int, platName, backend, modelName string, noCont bool,
-	chunkStr, graph, class string, ratio float64, fold bool,
-	placeArg, collArg string, seed uint64, traceOut, replayIn string,
-	statsOn bool, timelineOut, tlBucket, dynArg string, solverWorkers int, rateTol float64) error {
-	plat, err := loadPlatform(platName)
+func run(o options) error {
+	plat, err := loadPlatform(o.platform)
 	if err != nil {
 		return err
 	}
-	cfg := smpi.Config{Procs: np, Platform: plat, NoContention: noCont, Seed: seed,
-		SolverWorkers: solverWorkers, RateTolerance: rateTol}
-	if dynArg != "" {
-		sched, err := dynamics.Load(dynArg)
+	cfg := smpi.Config{Procs: o.np, Platform: plat, NoContention: o.noContention, Seed: o.seed}
+	if o.dynamics != "" {
+		sched, err := dynamics.Load(o.dynamics)
 		if err != nil {
 			return fmt.Errorf("bad -dynamics: %w", err)
 		}
@@ -144,18 +166,18 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 	var st *obs.Stats
 	var observer *obs.Observer
 	var tl *obs.Timeline
-	if statsOn || timelineOut != "" {
+	if o.stats || o.timeline != "" {
 		st = &obs.Stats{}
 		cfg.Stats = st
 		observer = obs.NewObserver(plat)
 		cfg.Usage = observer
-		if timelineOut != "" {
-			width, err := core.ParseDuration(tlBucket)
+		if o.timeline != "" {
+			width, err := core.ParseDuration(o.timelineBucket)
 			if err != nil {
-				return fmt.Errorf("bad -timeline-bucket %q: %v", tlBucket, err)
+				return fmt.Errorf("bad -timeline-bucket %q: %v", o.timelineBucket, err)
 			}
 			if width <= 0 {
-				return fmt.Errorf("bad -timeline-bucket %q: width must be positive", tlBucket)
+				return fmt.Errorf("bad -timeline-bucket %q: width must be positive", o.timelineBucket)
 			}
 			tl = obs.NewTimeline(plat, width)
 			cfg.Usage = obs.Multi(observer, tl)
@@ -166,12 +188,12 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 		if st == nil {
 			return nil
 		}
-		if statsOn {
+		if o.stats {
 			fmt.Printf("--- kernel counters ---\n%s", st.Report())
 			fmt.Printf("--- link hot spots ---\n%s", observer.HotSpots(10))
 		}
 		if tl != nil {
-			f, err := os.Create(timelineOut)
+			f, err := os.Create(o.timeline)
 			if err != nil {
 				return err
 			}
@@ -182,31 +204,31 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 			if err := f.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("timeline written   : %s\n", timelineOut)
+			fmt.Printf("timeline written   : %s\n", o.timeline)
 		}
 		return nil
 	}
-	if cfg.Algorithms, err = smpi.ParseAlgorithms(collArg); err != nil {
+	if cfg.Algorithms, err = smpi.ParseAlgorithms(o.collectives); err != nil {
 		return err
 	}
-	switch backend {
+	switch o.backend {
 	case "surf":
 		cfg.Backend = smpi.BackendSurf
-		if cfg.Model, err = pickModel(modelName); err != nil {
+		if cfg.Model, err = pickModel(o.model); err != nil {
 			return err
 		}
 	case "emu":
 		cfg.Backend = smpi.BackendEmu
 	default:
-		return fmt.Errorf("unknown backend %q", backend)
+		return fmt.Errorf("unknown backend %q", o.backend)
 	}
-	chunk, err := core.ParseBytes(chunkStr)
+	chunk, err := core.ParseBytes(o.chunk)
 	if err != nil {
 		return err
 	}
 
 	var app func(*smpi.Rank)
-	switch appName {
+	switch o.app {
 	case "pingpong":
 		cfg.Procs = 2
 		app = func(r *smpi.Rank) {
@@ -254,7 +276,7 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 			c.Alltoall(r, sendbuf, recvbuf)
 		}
 	case "dt":
-		dcfg := nas.DTConfig{Graph: nas.DTGraph(graph), Class: nas.DTClass(class[0]), Fold: fold}
+		dcfg := nas.DTConfig{Graph: nas.DTGraph(o.graph), Class: nas.DTClass(o.class[0]), Fold: o.fold}
 		procs, err := nas.DTProcs(dcfg.Graph, dcfg.Class)
 		if err != nil {
 			return err
@@ -262,31 +284,31 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 		cfg.Procs = procs
 		app, _ = nas.DT(dcfg)
 	case "ep":
-		a, _ := nas.EP(nas.EPConfig{M: 20, Iterations: 64, SampleRatio: ratio})
+		a, _ := nas.EP(nas.EPConfig{M: 20, Iterations: 64, SampleRatio: o.ratio})
 		app = a
 	default:
-		return fmt.Errorf("unknown app %q", appName)
+		return fmt.Errorf("unknown app %q", o.app)
 	}
 
 	// applyPlacement pins ranks via the -placement policy; procs varies by
 	// path (the app's rank count, or the replayed trace's).
 	applyPlacement := func(procs int) error {
-		if placeArg == "" {
+		if o.placement == "" {
 			return nil
 		}
-		hosts, err := placement.Generate(placeArg, plat, procs, seed)
+		hosts, err := placement.Generate(o.placement, plat, procs, o.seed)
 		if err != nil {
 			return err
 		}
 		cfg.Hosts = hosts
 		return nil
 	}
-	if collArg != "" {
+	if o.collectives != "" {
 		fmt.Printf("collectives        : %s\n", cfg.Algorithms.Resolve(plat.Topo).Summary())
 	}
 
-	if replayIn != "" {
-		f, err := os.Open(replayIn)
+	if o.replayIn != "" {
+		f, err := os.Open(o.replayIn)
 		if err != nil {
 			return err
 		}
@@ -303,7 +325,7 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 			return err
 		}
 		fmt.Printf("replayed trace     : %s (np=%d, %d events) on %s [%s backend]\n",
-			replayIn, tr.Procs, tr.Events(), plat.Name, backend)
+			o.replayIn, tr.Procs, tr.Events(), plat.Name, o.backend)
 		fmt.Printf("simulated time     : %v\n", rep.SimulatedTime)
 		fmt.Printf("simulation wall    : %v\n", rep.WallTime)
 		return finishObs()
@@ -312,7 +334,7 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 		return err
 	}
 	var rec *trace.Trace
-	if traceOut != "" {
+	if o.traceOut != "" {
 		rec = trace.New(cfg.Procs)
 		cfg.Tracer = rec
 	}
@@ -322,7 +344,7 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 		return err
 	}
 	if rec != nil {
-		f, err := os.Create(traceOut)
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return err
 		}
@@ -333,11 +355,11 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace written      : %s (%d events)\n", traceOut, rec.Events())
+		fmt.Printf("trace written      : %s (%d events)\n", o.traceOut, rec.Events())
 	}
-	fmt.Printf("application        : %s (np=%d) on %s [%s backend]\n", appName, cfg.Procs, plat.Name, backend)
-	if placeArg != "" {
-		fmt.Printf("placement          : %s (rank 0 on %s)\n", placeArg, cfg.Hosts[0].Name())
+	fmt.Printf("application        : %s (np=%d) on %s [%s backend]\n", o.app, cfg.Procs, plat.Name, o.backend)
+	if o.placement != "" {
+		fmt.Printf("placement          : %s (rank 0 on %s)\n", o.placement, cfg.Hosts[0].Name())
 	}
 	fmt.Printf("simulated time     : %v\n", rep.SimulatedTime)
 	fmt.Printf("simulation wall    : %v\n", rep.WallTime)

@@ -27,10 +27,7 @@ import (
 //
 // Canonicalization validates as it goes (unknown backends, models,
 // placements, malformed dynamics, out-of-range shards fail here, before any
-// job runs). Perf-only knobs that provably cannot move results
-// (SolverWorkers — bit-identical at any setting) are preserved for
-// execution but excluded from CampaignKey; RateTolerance changes simulated
-// times and stays in both.
+// job runs).
 func (spec GridSpec) Canonicalize() (GridSpec, error) {
 	c := spec
 
@@ -147,9 +144,6 @@ func (spec GridSpec) Canonicalize() (GridSpec, error) {
 		c.Dynamics = nil // an explicit all-static axis is no axis
 	}
 
-	if c.RateTolerance < 0 || c.RateTolerance >= 1 {
-		return GridSpec{}, fmt.Errorf("grid: rate tolerance %g outside [0,1)", c.RateTolerance)
-	}
 	// Reuse the shard validation; the points themselves don't matter here.
 	if _, err := shardSlice(nil, c.ShardIndex, c.ShardCount); err != nil {
 		return GridSpec{}, err
@@ -162,19 +156,16 @@ func (spec GridSpec) Canonicalize() (GridSpec, error) {
 
 // CampaignKey returns the campaign's fingerprint-input: a stable hash of
 // the canonicalized spec plus the campaign seed. Identical (spec, seed)
-// pairs produce bit-identical summaries at any -parallel and any
-// SolverWorkers setting (the repo's determinism contract), so a result
-// cache keyed by this value can serve hits without re-simulating and
-// provably never serves a wrong answer. SolverWorkers is masked out of the
-// key for exactly that reason; Stats stays in because it changes what the
-// summary contains (per-job counter maps), even though it never moves the
-// fingerprint.
+// pairs produce bit-identical summaries at any -parallel (the repo's
+// determinism contract), so a result cache keyed by this value can serve
+// hits without re-simulating and provably never serves a wrong answer.
+// Stats is part of the key because it changes what the summary contains
+// (per-job counter maps), even though it never moves the fingerprint.
 func (spec GridSpec) CampaignKey(seed uint64) (string, error) {
 	c, err := spec.Canonicalize()
 	if err != nil {
 		return "", err
 	}
-	c.SolverWorkers = 0
 	blob, err := json.Marshal(struct {
 		Spec GridSpec `json:"spec"`
 		Seed uint64   `json:"seed"`

@@ -47,39 +47,3 @@ func TestEventPathFingerprintUnchanged(t *testing.T) {
 		})
 	}
 }
-
-// TestParallelSolverFingerprintUnchanged re-runs the same campaign with the
-// per-job LMM worker pool turned on (SolverWorkers = 8, crossed with both
-// campaign -parallel settings) and asserts the identical golden fingerprint:
-// farming independent dirty components to a pool must not move a single
-// simulated timestamp, the campaign-level half of the bit-identity contract
-// TestParallelSolveDeterministic pins at the solver level.
-func TestParallelSolverFingerprintUnchanged(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1k-host campaign: skipped in -short runs (covered nightly)")
-	}
-	e := env(t)
-	spec := GridSpec{
-		Op:            "alltoall",
-		Procs:         []int{32},
-		Sizes:         []int64{64 * core.KiB},
-		Backends:      []string{"surf"},
-		Topologies:    []string{"fattree:16x8x8:1x8x8"},
-		SolverWorkers: 8,
-	}
-	for _, workers := range []int{1, 8} {
-		withCampaign(e, workers, 7, func() {
-			sum, err := e.GridCampaign(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sum.Fingerprint(); got != solverSmokeFingerprint {
-				t.Errorf("campaign workers=%d, solver workers=8: fingerprint %s, want %s — the solver pool leaked scheduling into allocations",
-					workers, got, solverSmokeFingerprint)
-			}
-		})
-	}
-}

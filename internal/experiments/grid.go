@@ -70,16 +70,6 @@ type GridSpec struct {
 	// them into Summary.Stats. Counters never enter the fingerprint, so a
 	// stats sweep fingerprints identically to a plain one.
 	Stats bool `json:"stats,omitempty"`
-	// SolverWorkers bounds each job's LMM worker pool (smpi.Config's
-	// SolverWorkers field). Results are bit-identical at any setting, so —
-	// like Stats — it never moves a fingerprint.
-	SolverWorkers int `json:"solver_workers,omitempty"`
-	// RateTolerance opts every surf job into bounded-staleness solving
-	// (smpi.Config's RateTolerance field). 0 is exact. A positive eps
-	// changes simulated times deterministically: fingerprints remain
-	// bit-identical at any -parallel or SolverWorkers setting, but differ
-	// from the exact-mode fingerprints.
-	RateTolerance float64 `json:"rate_tolerance,omitempty"`
 	// ShardIndex/ShardCount split the expanded grid by job-index range so
 	// one sweep can run across several processes or machines: shard i of n
 	// keeps points [i·P/n, (i+1)·P/n) of the P-point grid, with job IDs and
@@ -395,8 +385,6 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 			return nil, err
 		}
 		cfg.Algorithms = algos
-		cfg.SolverWorkers = spec.SolverWorkers
-		cfg.RateTolerance = spec.RateTolerance
 		if pt.dynamics != "" {
 			// Re-parse the canonical form per job: schedules are armed on the
 			// job's own kernel and mutate only its solver state, so concurrent

@@ -169,26 +169,6 @@ func TestCampaignKeySeparates(t *testing.T) {
 		t.Error("different seeds share a campaign key")
 	}
 
-	// Result-identical perf knobs are masked out; result-changing ones are
-	// not.
-	workers := spec
-	workers.SolverWorkers = 8
-	kw, err := workers.CampaignKey(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kw != k1 {
-		t.Error("SolverWorkers moved the campaign key despite bit-identical results")
-	}
-	eps := spec
-	eps.RateTolerance = 1e-3
-	ke, err := eps.CampaignKey(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ke == k1 {
-		t.Error("RateTolerance did not move the campaign key, but it changes simulated times")
-	}
 	shard := spec
 	shard.ShardIndex, shard.ShardCount = 0, 2
 	ks, err := shard.CampaignKey(1)
@@ -221,7 +201,6 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 		{func(s *GridSpec) { s.Models = []string{"cubic"} }, "unknown model"},
 		{func(s *GridSpec) { s.Placements = []string{"diagonal"} }, "unknown policy"},
 		{func(s *GridSpec) { s.Dynamics = []string{"@oops"} }, "dynamics"},
-		{func(s *GridSpec) { s.RateTolerance = 1.5 }, "rate tolerance"},
 		{func(s *GridSpec) { s.ShardIndex = 3; s.ShardCount = 2 }, "out of range"},
 		{func(s *GridSpec) { s.Sizes = nil }, "size"},
 		{func(s *GridSpec) { s.Backends = nil }, "backend"},
@@ -230,6 +209,47 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 		tc.mutate(&spec)
 		if _, err := spec.Canonicalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: err = %v, want mention of %q", spec, err, tc.want)
+		}
+	}
+}
+
+// TestCampaignKeyPinned pins literal campaign keys, so a change to GridSpec's
+// fields or their JSON spelling that would silently invalidate every result
+// cache and shard identity fails here first.
+func TestCampaignKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec GridSpec
+		seed uint64
+		want string
+	}{
+		{"plain alltoall", GridSpec{
+			Op:       "alltoall",
+			Procs:    []int{8, 16},
+			Sizes:    []int64{64 * 1024, 1024 * 1024},
+			Backends: []string{"surf"},
+		}, 1, "f17f0d4fbdeeff7ab4f952de1d08a074fb8967d8e02e7b9711d0e393347b78ac"},
+		{"every axis, stats, shard 1/3", GridSpec{
+			Op:          "alltoall",
+			Procs:       []int{16},
+			Sizes:       []int64{64 * 1024},
+			Models:      []string{"piecewise", "default"},
+			Backends:    []string{"surf"},
+			Topologies:  []string{"fattree16", "torus16"},
+			Placements:  []string{"block", "random"},
+			Collectives: "alltoall=auto",
+			Dynamics:    []string{"", "@2ms link fattree16-l2-* scale 0.5"},
+			Stats:       true,
+			ShardIndex:  1,
+			ShardCount:  3,
+		}, 7, "c6f8fb1974ad5e581f629f65cb076db7c08c714b4376d5d33ad550c220fde360"},
+	} {
+		got, err := tc.spec.CampaignKey(tc.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: campaign key %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

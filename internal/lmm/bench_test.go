@@ -58,9 +58,7 @@ func newFatTreeBench(b *testing.B, shape string) *fatTreeBench {
 	}
 }
 
-// newFlow builds the LMM variable for one src→dst flow without registering
-// it in the churn bookkeeping (the pods benchmark keeps its own).
-func (ft *fatTreeBench) newFlow(src, dst int) *lmm.Variable {
+func (ft *fatTreeBench) addFlow(src, dst int) {
 	route := ft.plat.Route(ft.hosts[src], ft.hosts[dst])
 	v := ft.sys.NewVariable("flow", 1, math.Inf(1))
 	for _, l := range route.Links {
@@ -71,11 +69,7 @@ func (ft *fatTreeBench) newFlow(src, dst int) *lmm.Variable {
 		}
 		ft.sys.Attach(v, c)
 	}
-	return v
-}
-
-func (ft *fatTreeBench) addFlow(src, dst int) {
-	ft.flows = append(ft.flows, ft.newFlow(src, dst))
+	ft.flows = append(ft.flows, v)
 	ft.pairs = append(ft.pairs, [2]int{src, dst})
 }
 
@@ -160,132 +154,5 @@ func BenchmarkLMMIncremental(b *testing.B) {
 				ft.sys.SolveFull()
 			}
 		})
-		if !pat.random {
-			continue
-		}
-		// random512 is the giant-component case the tentpole attacks from
-		// both sides; the two extra sub-benches measure each side alone.
-		//
-		// partial: bounded-staleness intra-component re-solve. eps=1e-3
-		// keeps the re-fair region around the churned flow instead of
-		// cascading across the whole spine-coupled component (1e-9 would
-		// expand to everything and fall back). This is the mode that buys
-		// the headline speedup on a giant component.
-		b.Run(pat.name+"/partial", func(b *testing.B) {
-			ft := setup(b)
-			ft.sys.SetRateTolerance(3e-2)
-			var stats lmm.Stats
-			if os.Getenv("SMPIGO_BENCH_COUNTERS") != "" {
-				ft.sys.Stats = &stats
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ft.churn(pat.random)
-				ft.sys.Solve()
-			}
-			if ft.sys.Stats != nil && b.N > 0 {
-				per := 1 / float64(b.N)
-				b.ReportMetric(float64(stats.PartialRefills)*per, "partialrefills/op")
-				b.ReportMetric(float64(stats.PartialVarsSkipped)*per, "skipped/op")
-				b.ReportMetric(float64(stats.PartialFallbacks)*per, "fallbacks/op")
-			}
-		})
-		// parallel: exact solve with the worker pool armed (0 = GOMAXPROCS,
-		// which CI pins to 2). random512's dirty set is usually one giant
-		// component, so the pool rarely engages — the sub-bench gates the
-		// no-regression half of the contract: arming workers must cost ~0
-		// when there is nothing to farm out.
-		b.Run(pat.name+"/parallel", func(b *testing.B) {
-			ft := setup(b)
-			ft.sys.SetSolverWorkers(0)
-			var stats lmm.Stats
-			if os.Getenv("SMPIGO_BENCH_COUNTERS") != "" {
-				ft.sys.Stats = &stats
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ft.churn(pat.random)
-				ft.sys.Solve()
-			}
-			if ft.sys.Stats != nil && b.N > 0 {
-				per := 1 / float64(b.N)
-				b.ReportMetric(float64(stats.ParallelSolves)*per, "parallelsolves/op")
-				b.ReportMetric(float64(stats.ParallelComponents)*per, "parallelcomps/op")
-			}
-		})
 	}
-
-	// pods8x64: the multi-component counterpart to random512 — 8 independent
-	// 64-flow pods, each pod's pairs drawn from one leaf switch's 16 hosts so
-	// D-mod-k keeps every route under that leaf and the pods never couple.
-	// Churning one flow in every pod per event dirties 8 disjoint 64-var
-	// components at once: the exact shape the cross-component worker pool is
-	// for, and the parallel gate entry that must beat (or match, on few
-	// cores) the serial incremental one.
-	const (
-		pods        = 8
-		flowsPerPod = 64
-		hostsPerPod = 16
-	)
-	podsSetup := func(b *testing.B, workers int) (*fatTreeBench, [][]*lmm.Variable) {
-		ft := newFatTreeBench(b, shape)
-		if workers != 1 {
-			ft.sys.SetSolverWorkers(workers)
-		}
-		podVars := make([][]*lmm.Variable, pods)
-		for p := range podVars {
-			podVars[p] = make([]*lmm.Variable, flowsPerPod)
-			for i := range podVars[p] {
-				src, dst := ft.podPair(p, hostsPerPod)
-				podVars[p][i] = ft.newFlow(src, dst)
-			}
-		}
-		ft.sys.SolveFull()
-		return ft, podVars
-	}
-	podsChurn := func(ft *fatTreeBench, podVars [][]*lmm.Variable) {
-		for p := range podVars {
-			i := ft.rng.Intn(flowsPerPod)
-			ft.sys.RemoveVariable(podVars[p][i])
-			src, dst := ft.podPair(p, hostsPerPod)
-			podVars[p][i] = ft.newFlow(src, dst)
-		}
-	}
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"incremental", 1},
-		{"parallel", 0},
-	} {
-		b.Run("pods8x64/"+mode.name, func(b *testing.B) {
-			ft, podVars := podsSetup(b, mode.workers)
-			var stats lmm.Stats
-			if os.Getenv("SMPIGO_BENCH_COUNTERS") != "" {
-				ft.sys.Stats = &stats
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				podsChurn(ft, podVars)
-				ft.sys.Solve()
-			}
-			if ft.sys.Stats != nil && b.N > 0 {
-				per := 1 / float64(b.N)
-				b.ReportMetric(float64(stats.Components)*per, "components/op")
-				b.ReportMetric(float64(stats.ParallelComponents)*per, "parallelcomps/op")
-			}
-		})
-	}
-}
-
-// podPair draws a random ordered pair of distinct hosts from pod p's leaf
-// (hosts [p*hostsPerPod, (p+1)*hostsPerPod)).
-func (ft *fatTreeBench) podPair(p, hostsPerPod int) (int, int) {
-	base := p * hostsPerPod
-	src := base + ft.rng.Intn(hostsPerPod)
-	dst := base + ft.rng.Intn(hostsPerPod-1)
-	if dst >= src {
-		dst++
-	}
-	return src, dst
 }

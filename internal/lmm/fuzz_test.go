@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The fuzz targets drive the same churn space as
+// The fuzz target drives the same churn space as
 // TestIncrementalMatchesFromScratch — add/remove variables, retune
-// capacities, vary shares and bounds — but let the fuzzer pick the op
+// capacities, vary shares and bounds — but lets the fuzzer pick the op
 // sequence from raw bytes instead of a fixed RNG, so the corpus can walk
 // into dirty-set corners the property test's distribution rarely visits.
 //
@@ -36,12 +36,10 @@ func (r *fuzzReader) next() (byte, bool) {
 	return b, true
 }
 
-// fuzzChurn replays the decoded schedule on an incrementally-solved system.
-// With eps == 0 it asserts full bit-identity against from-scratch rebuilds
-// (plus Check after every op); with eps > 0 it asserts the bounded-staleness
-// feasibility contract: capacities and bounds are never over-committed, no
-// allocation is negative, and zero-weight variables stay at zero.
-func fuzzChurn(t *testing.T, data []byte, eps float64) {
+// fuzzChurn replays the decoded schedule on an incrementally-solved system,
+// asserting Check after every op and full bit-identity against from-scratch
+// rebuilds.
+func fuzzChurn(t *testing.T, data []byte) {
 	r := &fuzzReader{data: data}
 	b, ok := r.next()
 	if !ok {
@@ -54,9 +52,6 @@ func fuzzChurn(t *testing.T, data []byte, eps float64) {
 	}
 	specs := make([]consSpec, nCons)
 	s := New()
-	if eps > 0 {
-		s.SetRateTolerance(eps)
-	}
 	cons := make([]*Constraint, nCons)
 	for i := range cons {
 		cb, ok := r.next()
@@ -110,33 +105,6 @@ func fuzzChurn(t *testing.T, data []byte, eps float64) {
 		}
 		live = append(live, churnRecord{v: v, weight: weight, bound: bound, route: route})
 		return true
-	}
-
-	checkFeasible := func(op int) {
-		for i, c := range cons {
-			if c.Policy != Shared {
-				continue
-			}
-			u := 0.0
-			for _, v := range c.vars {
-				u += v.Value
-			}
-			if u > c.Capacity*(1+checkRelTol)+checkAbsTol {
-				t.Fatalf("op %d: constraint %d over capacity: %g > %g (eps %g)", op, i, u, c.Capacity, eps)
-			}
-		}
-		for i, rec := range live {
-			v := rec.v
-			if v.Value < -checkAbsTol {
-				t.Fatalf("op %d: var %d negative allocation %g", op, i, v.Value)
-			}
-			if v.Weight == 0 && v.Value != 0 {
-				t.Fatalf("op %d: zero-weight var %d has allocation %g", op, i, v.Value)
-			}
-			if b := v.effectiveBound(); !math.IsInf(b, 1) && v.Value > b*(1+checkRelTol)+checkAbsTol {
-				t.Fatalf("op %d: var %d exceeds bound: %g > %g", op, i, v.Value, b)
-			}
-		}
 	}
 
 	crossCheck := func(op int) {
@@ -228,20 +196,14 @@ func fuzzChurn(t *testing.T, data []byte, eps float64) {
 			s.MarkVariableDirty(v)
 		}
 		s.Solve()
-		if eps == 0 {
-			if err := s.Check(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-			if op%4 == 0 {
-				crossCheck(op)
-			}
-		} else {
-			checkFeasible(op)
+		if err := s.Check(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		if op%4 == 0 {
+			crossCheck(op)
 		}
 	}
-	if eps == 0 {
-		crossCheck(maxOps)
-	}
+	crossCheck(maxOps)
 }
 
 // fuzzSeeds is the committed starting corpus (also mirrored under
@@ -256,7 +218,7 @@ var fuzzSeeds = [][]byte{
 	[]byte("lmm-churn: grow, retune, vary, drain; grow, retune, vary, drain"),
 }
 
-// FuzzIncrementalMatchesFromScratch fuzzes the exact incremental solver:
+// FuzzIncrementalMatchesFromScratch fuzzes the incremental solver:
 // after every decoded churn op the incremental allocation must satisfy
 // System.Check and match a from-scratch rebuild bit-for-bit. This is the
 // property test's oracle under fuzzer-chosen schedules.
@@ -265,19 +227,6 @@ func FuzzIncrementalMatchesFromScratch(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzChurn(t, data, 0)
-	})
-}
-
-// FuzzBoundedStalenessFeasible fuzzes the bounded-staleness mode
-// (SetRateTolerance > 0): stale rates may drift from exact max-min by eps,
-// but feasibility must stay hard — no over-committed capacity, no exceeded
-// bound, no negative or zero-weight allocation — under any churn schedule.
-func FuzzBoundedStalenessFeasible(f *testing.F) {
-	for _, s := range fuzzSeeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzChurn(t, data, 1e-3)
+		fuzzChurn(t, data)
 	})
 }

@@ -3,6 +3,7 @@ package lmm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -120,5 +121,96 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestResolvedContract pins the Resolved() ordering surf's event path is
+// built on: components in dirty-set discovery order (dirty constraints before
+// dirty variables), members in creation order within a component, untouched
+// components absent and bit-identical, and a dirty FatPipe constraint seeding
+// each crossing variable as its own component.
+func TestResolvedContract(t *testing.T) {
+	s := New()
+	// Three disjoint chains v0–a–v1–b–v2, their variables created
+	// interleaved across the three so creation order is not contiguous.
+	type chain struct {
+		a, b *Constraint
+		vars []*Variable
+	}
+	comps := make([]chain, 3)
+	for i := range comps {
+		comps[i].a = s.NewConstraint("a", 10+float64(i), Shared)
+		comps[i].b = s.NewConstraint("b", 7+float64(i), Shared)
+	}
+	for j := 0; j < 3; j++ {
+		for i := range comps {
+			v := s.NewVariable("v", 1+float64(j), math.Inf(1))
+			if j <= 1 {
+				s.Attach(v, comps[i].a)
+			}
+			if j >= 1 {
+				s.Attach(v, comps[i].b)
+			}
+			comps[i].vars = append(comps[i].vars, v)
+		}
+	}
+	s.Solve()
+	values := func(c chain) []float64 {
+		out := make([]float64, len(c.vars))
+		for i, v := range c.vars {
+			out[i] = v.Value
+		}
+		return out
+	}
+	expect := func(what string, want ...*Variable) {
+		t.Helper()
+		if got := s.Resolved(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Resolved() = %d variables in the wrong order or set, want %d", what, len(got), len(want))
+		}
+	}
+	third := slices.Clone(comps[2].vars)
+	thirdThenFirst := append(third, comps[0].vars...)
+
+	second := values(comps[1])
+	// Dirtying b walks b → v2, v1 → a → v0: traversal order is the reverse
+	// of creation order.
+	s.SetCapacity(comps[2].b, 5)
+	s.SetCapacity(comps[0].b, 6)
+	s.Solve()
+	expect("third then first", thirdThenFirst...)
+	if got := values(comps[1]); !slices.Equal(got, second) {
+		t.Errorf("untouched component moved: %v -> %v", second, got)
+	}
+
+	// A dirty variable is discovered after every dirty constraint, whatever
+	// order the mutations came in.
+	comps[0].vars[2].Bound = 1
+	s.MarkVariableDirty(comps[0].vars[2])
+	s.SetCapacity(comps[2].a, 9)
+	s.Solve()
+	expect("dirty constraint before dirty variable", thirdThenFirst...)
+	if got := values(comps[1]); !slices.Equal(got, second) {
+		t.Errorf("untouched component moved: %v -> %v", second, got)
+	}
+
+	// A FatPipe constraint caps x and y without coupling them.
+	pipe := s.NewConstraint("pipe", 4, FatPipe)
+	x := s.NewVariable("x", 1, math.Inf(1))
+	y := s.NewVariable("y", 1, math.Inf(1))
+	s.Attach(x, s.NewConstraint("cx", 100, Shared))
+	s.Attach(y, s.NewConstraint("cy", 100, Shared))
+	s.Attach(x, pipe)
+	s.Attach(y, pipe)
+	s.Solve()
+	s.Stats = &Stats{}
+	s.SetCapacity(pipe, 3)
+	s.Solve()
+	expect("fatpipe", x, y)
+	if s.Stats.Components != 2 || s.Stats.MaxComponentVars != 1 {
+		t.Errorf("dirty FatPipe over two independent variables: %d components, largest %d variables; want 2 and 1",
+			s.Stats.Components, s.Stats.MaxComponentVars)
+	}
+	if x.Value != 3 || y.Value != 3 {
+		t.Errorf("fatpipe cap not applied: x=%v y=%v, want 3", x.Value, y.Value)
 	}
 }

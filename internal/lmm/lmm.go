@@ -36,23 +36,11 @@ type Constraint struct {
 
 	dirty bool
 	mark  int // epoch stamp used by component collection
-	// modMark stamps constraints the dirty set directly perturbed this
-	// epoch (bounded-staleness region seeds); rmark stamps membership in
-	// the current partial-refill region, and rpull records that the
-	// constraint was admitted with all of its variables (see partial.go).
-	modMark int
-	rmark   int
-	rpull   int
 
-	// scratch used by the component/region fill
+	// scratch used by the component fill
 	remaining     float64
 	unfixedWeight float64
 	active        bool
-	// partialRem is the frozen-frontier remainder maintained by the
-	// partial-refill region builder: capacity minus the published rates of
-	// the constraint's out-of-region variables, credited back as variables
-	// are admitted (see partial.go). Valid only while rmark is current.
-	partialRem float64
 	// liveVars is the constraint's active list: the attached variables not
 	// yet fixed by the current component solve, compacted (order-preserving)
 	// as filling rounds progress so late rounds only scan surviving work.
@@ -90,12 +78,6 @@ type Variable struct {
 	dirty bool
 	mark  int
 	fixed bool
-	// modMark/rmark mirror the Constraint stamps for the bounded-staleness
-	// partial refill; prev snapshots the published rate when the variable
-	// enters a refill region, for the eps staleness test.
-	modMark int
-	rmark   int
-	prev    float64
 }
 
 // System owns a set of constraints and variables and computes allocations.
@@ -117,25 +99,13 @@ type System struct {
 	stackC []*Constraint
 	stackV []*Variable
 
-	// comps holds the components collected by the current Solve, in
-	// discovery order; slots and their member slices are reused across
-	// solves. panics collects worker panics for deterministic re-raise.
-	// sortComps tells collectPending whether member lists must come out in
-	// creation order (the exact path) or may stay in traversal order (the
-	// bounded-staleness path, which sorts only its re-fill region).
-	comps     []component
-	panics    []any
-	sortComps bool
-
-	// scratches are the per-worker fill scratch areas; index 0 doubles as
-	// the serial path's scratch.
-	scratches []*solveScratch
-
-	// workers bounds the component worker pool (see SetSolverWorkers);
-	// 0 or 1 means serial. rateTol is the bounded-staleness tolerance
-	// (see SetRateTolerance); 0 means exact.
-	workers int
-	rateTol float64
+	// compCons/compVars hold the members of the component being solved and
+	// actCons/actVars its fill's active lists; all four keep their capacity
+	// across solves.
+	compCons []*Constraint
+	compVars []*Variable
+	actCons  []*Constraint
+	actVars  []*Variable
 
 	// resolved accumulates the variables whose components the last Solve
 	// re-solved (see Resolved).
@@ -144,32 +114,6 @@ type System struct {
 	// Stats, when non-nil, accumulates solver counters (solves, dirty-set
 	// sizes, component shapes). Attach before solving; nil costs nothing.
 	Stats *Stats
-}
-
-// component is one connected set of variables coupled through Shared
-// constraints, as collected by a Solve. Member slices are sorted by creation
-// serial and reused across solves; resolved is what the publish phase
-// appends to Resolved() — the full member set after an exact solve, or the
-// re-filled region (backed by partial) after a bounded-staleness one.
-type component struct {
-	cons     []*Constraint
-	vars     []*Variable
-	resolved []*Variable
-	partial  []*Variable
-}
-
-// solveScratch is the per-worker scratch a component or region fill runs
-// on. Each pool worker owns one, so concurrent component solves never share
-// mutable state outside their own (disjoint) members; stats points at the
-// System's Stats on the serial path and at local for pool workers, merged
-// after the barrier.
-type solveScratch struct {
-	actCons    []*Constraint
-	actVars    []*Variable
-	regionCons []*Constraint
-	regionVars []*Variable
-	stats      *Stats
-	local      Stats
 }
 
 // New returns an empty system.

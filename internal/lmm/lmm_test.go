@@ -402,21 +402,3 @@ func TestSolveProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkSolve100Flows(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := New()
-		links := make([]*Constraint, 20)
-		for j := range links {
-			links[j] = s.NewConstraint("l", 125e6, Shared)
-		}
-		for f := 0; f < 100; f++ {
-			v := s.NewVariable("f", 1, math.Inf(1))
-			s.Attach(v, links[f%20])
-			s.Attach(v, links[(f+7)%20])
-		}
-		b.StartTimer()
-		s.Solve()
-	}
-}

@@ -3,10 +3,7 @@ package lmm
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // fixTol is the relative tolerance deciding that a live share or bound is
@@ -21,57 +18,6 @@ const fixTol = 1e-12
 // silently clamped away.
 const overTol = 1e-9
 
-// parallelMinVars is the minimum total variable count (summed over the dirty
-// components of one Solve) before the worker pool is worth its goroutine
-// hand-off cost. Below it — the neighbor-churn regime, where an event
-// re-solves a handful of variables in a few hundred nanoseconds — the solve
-// stays on the caller's stack.
-const parallelMinVars = 96
-
-// partialMaxWaves bounds the region-growing waves of a bounded-staleness
-// partial re-fill before giving up and re-solving the component in full.
-const partialMaxWaves = 8
-
-// SetSolverWorkers bounds the worker pool Solve may use to solve independent
-// dirty components concurrently. n <= 0 selects GOMAXPROCS. The default for
-// a new System is 1 (serial). Any worker count produces bit-identical
-// allocations and an identical Resolved() order: components share no
-// mutable state (that is what makes them components), each is solved by
-// exactly one worker with the same member ordering the serial path uses, and
-// results are merged back in component-discovery order.
-func (s *System) SetSolverWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	s.workers = n
-}
-
-// SolverWorkers reports the configured worker bound (1 = serial).
-func (s *System) SolverWorkers() int {
-	if s.workers <= 0 {
-		return 1
-	}
-	return s.workers
-}
-
-// SetRateTolerance sets the bounded-staleness tolerance eps. Zero (the
-// default) keeps Solve exact. With eps > 0, Solve may re-fill only the
-// perturbed sub-region of a dirty component: variables whose rate would move
-// by less than eps (relative) keep their stale allocation and are omitted
-// from Resolved(). Capacities are never over-committed — frontier variables
-// are frozen at their published rates and charged against their constraints
-// — so feasibility is exact; only max-min pinning drifts, by at most eps per
-// skipped variable. eps must be in [0, 1).
-func (s *System) SetRateTolerance(eps float64) {
-	if eps < 0 || eps >= 1 || math.IsNaN(eps) {
-		panic(fmt.Sprintf("lmm: invalid rate tolerance %v (want [0, 1))", eps))
-	}
-	s.rateTol = eps
-}
-
-// RateTolerance reports the configured bounded-staleness tolerance.
-func (s *System) RateTolerance() float64 { return s.rateTol }
-
 // Solve computes the bounded max-min fair allocation for every component of
 // the system touched since the previous Solve, storing each variable's
 // share in its Value field. Variables in untouched components keep their
@@ -81,13 +27,9 @@ func (s *System) RateTolerance() float64 { return s.rateTol }
 // constraints. FatPipe constraints never couple variables (they only cap
 // each crossing variable individually), so they do not merge components.
 //
-// Solve runs in three phases: collect the dirty components (serial — it
-// consumes the dirty set and the component marks), solve each component
-// (serial, or on the SetSolverWorkers pool when several components carry
-// enough variables), and publish Resolved() in component-discovery order.
-// The phases produce exactly the member sets, member ordering, and resolved
-// ordering of the historical solve-as-you-discover path, at any worker
-// count.
+// Solve walks the dirty set — constraints first, then variables — and for
+// each seed not yet visited collects its component, sorts the members by
+// creation serial, fills it, and appends it to Resolved().
 func (s *System) Solve() {
 	s.epoch++
 	s.resolved = s.resolved[:0]
@@ -97,51 +39,27 @@ func (s *System) Solve() {
 		s.Stats.DirtyConstraints += uint64(len(dirtyCons))
 		s.Stats.DirtyVariables += uint64(len(dirtyVars))
 	}
-	if s.rateTol > 0 {
-		// Stamp the directly-perturbed members: they seed the partial
-		// re-fill region inside each collected component. A dirty FatPipe
-		// constraint perturbs each crossing variable's effective bound, so
-		// it stamps the variables themselves.
-		for _, c := range dirtyCons {
-			if c.Policy == Shared {
-				c.modMark = s.epoch
-			} else {
-				for _, v := range c.vars {
-					v.modMark = s.epoch
-				}
-			}
-		}
-		for _, v := range dirtyVars {
-			if v.sysIdx >= 0 {
-				v.modMark = s.epoch
-			}
-		}
-	}
-	s.comps = s.comps[:0]
-	s.sortComps = s.rateTol == 0
 	for _, c := range dirtyCons {
 		c.dirty = false
-		s.collectSeedCons(c)
+		s.solveSeedCons(c)
 	}
 	for _, v := range dirtyVars {
 		v.dirty = false
 		if v.sysIdx >= 0 {
-			s.collectSeedVar(v)
+			s.solveSeedVar(v)
 		}
 	}
 	s.dirtyCons = dirtyCons[:0]
 	s.dirtyVars = dirtyVars[:0]
-	s.solveCollected(s.rateTol > 0)
 	if CheckAfterSolve {
 		s.mustCheck()
 	}
 }
 
-// SolveFull re-solves every component from scratch, ignoring the dirty set
-// and the bounded-staleness tolerance. It produces exactly the same
-// allocations as exact incremental solving (it runs the same per-component
-// routine over the same partitions); it exists as the reference path for
-// equivalence tests and benchmarks.
+// SolveFull re-solves every component from scratch, ignoring the dirty set.
+// It produces exactly the same allocations as incremental solving (it runs
+// the same per-component routine over the same partitions); it exists as
+// the reference path for equivalence tests and benchmarks.
 func (s *System) SolveFull() {
 	if s.Stats != nil {
 		s.Stats.FullSolves++
@@ -156,15 +74,12 @@ func (s *System) SolveFull() {
 	s.dirtyVars = s.dirtyVars[:0]
 	s.epoch++
 	s.resolved = s.resolved[:0]
-	s.comps = s.comps[:0]
-	s.sortComps = true
 	for _, c := range s.constraints {
-		s.collectSeedCons(c)
+		s.solveSeedCons(c)
 	}
 	for _, v := range s.variables {
-		s.collectSeedVar(v)
+		s.solveSeedVar(v)
 	}
-	s.solveCollected(false)
 	if CheckAfterSolve {
 		s.mustCheck()
 	}
@@ -172,65 +87,58 @@ func (s *System) SolveFull() {
 
 // Resolved returns the variables whose allocations the last Solve (or
 // SolveFull) recomputed: the members of the components the dirty set
-// touched, or — under a non-zero rate tolerance — only the re-filled region
-// of each such component. Callers propagating allocations into their own
-// state (flow rates, task rates) can walk this list instead of every live
-// variable, keeping the per-event cost proportional to the churn.
+// touched. Callers propagating allocations into their own state (flow
+// rates, task rates) can walk this list instead of every live variable,
+// keeping the per-event cost proportional to the churn.
 //
 // Ordering contract: components appear in discovery order (the order the
 // dirty set seeded them), and within a component members appear in creation
 // order. surf's lazy drain relies on this order being a pure function of the
 // mutation history — it decides push order into the action heap for
-// same-date completions — and it is preserved at any SetSolverWorkers count.
-// The slice is valid until the next mutation or solve.
+// same-date completions. The slice is valid until the next mutation or solve.
 func (s *System) Resolved() []*Variable { return s.resolved }
 
-// collectSeedCons collects the component(s) reachable from a seed
-// constraint. A Shared constraint anchors one component; a FatPipe
-// constraint only caps its variables, so each of its still-unvisited
-// variables seeds its own component (they may well be independent of each
-// other).
-func (s *System) collectSeedCons(c *Constraint) {
+// solveSeedCons solves the component(s) reachable from a seed constraint. A
+// Shared constraint anchors one component; a FatPipe constraint only caps
+// its variables, so each of its still-unvisited variables seeds its own
+// component (they may well be independent of each other).
+func (s *System) solveSeedCons(c *Constraint) {
 	if c.Policy == Shared {
 		if c.mark != s.epoch {
 			s.stackC = append(s.stackC, c)
 			c.mark = s.epoch
-			s.collectPending()
+			s.solvePending()
 		}
 		return
 	}
 	for _, v := range c.vars {
-		s.collectSeedVar(v)
+		s.solveSeedVar(v)
 	}
 }
 
-// collectSeedVar collects the component containing v, unless it was already
-// collected this epoch.
-func (s *System) collectSeedVar(v *Variable) {
+// solveSeedVar solves the component containing v, unless it was already
+// solved this epoch.
+func (s *System) solveSeedVar(v *Variable) {
 	if v.mark != s.epoch {
 		s.stackV = append(s.stackV, v)
 		v.mark = s.epoch
-		s.collectPending()
+		s.solvePending()
 	}
 }
 
-// collectPending drains the visit stacks into one connected component —
+// solvePending drains the visit stacks into one connected component —
 // expanding variables to their Shared constraints and Shared constraints to
-// their variables — and appends it to s.comps. On the exact path members are
-// sorted by creation serial, so the later solve depends only on the
+// their variables — then solves it and appends it to Resolved(). Members are
+// sorted by creation serial first, so the solve depends only on the
 // component's membership, never on traversal order or on which mutation
-// dirtied it. A bounded-staleness Solve skips the sort — on a giant
-// component it dominates the whole event — and leaves members in traversal
-// order (itself a pure function of the mutation history): the partial
-// re-fill sorts just its small region, and the fallback path sorts the
-// component lists before handing them to the exact solver.
-func (s *System) collectPending() {
-	comp := s.nextComp()
+// dirtied it.
+func (s *System) solvePending() {
+	cons, vars := s.compCons[:0], s.compVars[:0]
 	for len(s.stackC)+len(s.stackV) > 0 {
 		if n := len(s.stackV); n > 0 {
 			v := s.stackV[n-1]
 			s.stackV = s.stackV[:n-1]
-			comp.vars = append(comp.vars, v)
+			vars = append(vars, v)
 			for _, c := range v.cons {
 				if c.Policy == Shared && c.mark != s.epoch {
 					c.mark = s.epoch
@@ -242,7 +150,7 @@ func (s *System) collectPending() {
 		n := len(s.stackC)
 		c := s.stackC[n-1]
 		s.stackC = s.stackC[:n-1]
-		comp.cons = append(comp.cons, c)
+		cons = append(cons, c)
 		for _, v := range c.vars {
 			if v.mark != s.epoch {
 				v.mark = s.epoch
@@ -250,160 +158,21 @@ func (s *System) collectPending() {
 			}
 		}
 	}
-	if s.sortComps {
-		slices.SortFunc(comp.cons, func(a, b *Constraint) int { return a.id - b.id })
-		slices.SortFunc(comp.vars, func(a, b *Variable) int { return a.id - b.id })
-	}
-}
-
-// nextComp returns a cleared component slot, reusing the backing slices of
-// previous solves.
-func (s *System) nextComp() *component {
-	if len(s.comps) < cap(s.comps) {
-		s.comps = s.comps[:len(s.comps)+1]
-	} else {
-		s.comps = append(s.comps, component{})
-	}
-	c := &s.comps[len(s.comps)-1]
-	c.cons = c.cons[:0]
-	c.vars = c.vars[:0]
-	c.resolved = nil
-	return c
-}
-
-// scratch returns the i-th per-worker scratch, growing the pool on demand.
-func (s *System) scratch(i int) *solveScratch {
-	for len(s.scratches) <= i {
-		s.scratches = append(s.scratches, &solveScratch{})
-	}
-	return s.scratches[i]
-}
-
-// solveCollected solves every collected component — serially, or on the
-// worker pool when it is enabled and the dirty components carry enough
-// variables to amortize the hand-off — then publishes Resolved() in
-// component-discovery order. partial enables the bounded-staleness re-fill.
-func (s *System) solveCollected(partial bool) {
-	if len(s.comps) == 0 {
-		return
-	}
-	workers := s.workers
-	if workers > len(s.comps) {
-		workers = len(s.comps)
-	}
-	if workers > 1 {
-		total := 0
-		for i := range s.comps {
-			total += len(s.comps[i].vars)
-		}
-		if total < parallelMinVars {
-			workers = 1
-		}
-	}
-	if workers > 1 {
-		s.solveParallel(workers, partial)
-	} else {
-		sc := s.scratch(0)
-		sc.stats = s.Stats
-		for i := range s.comps {
-			s.solveOne(&s.comps[i], sc, partial)
-		}
-	}
-	for i := range s.comps {
-		s.resolved = append(s.resolved, s.comps[i].resolved...)
-	}
-}
-
-// solveParallel farms the collected components out to a bounded worker pool.
-// Determinism does not depend on the assignment of components to workers:
-// every component is solved in isolation with the same member ordering the
-// serial path uses, workers write only to component-local state and their
-// own scratch, and the merge in solveCollected reads s.comps in discovery
-// order. Stats are accumulated per worker and merged after the barrier so
-// counters stay exact without atomics on the fill path.
-func (s *System) solveParallel(workers int, partial bool) {
-	if s.Stats != nil {
-		s.Stats.ParallelSolves++
-		s.Stats.ParallelComponents += uint64(len(s.comps))
-	}
-	if cap(s.panics) < len(s.comps) {
-		s.panics = make([]any, len(s.comps))
-	}
-	panics := s.panics[:len(s.comps)]
-	for i := range panics {
-		panics[i] = nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sc := s.scratch(w)
-		if s.Stats != nil {
-			sc.local = Stats{}
-			sc.stats = &sc.local
-		} else {
-			sc.stats = nil
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.comps) {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = r
-						}
-					}()
-					s.solveOne(&s.comps[i], sc, partial)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	// Re-raise the first panic in component order, so a solver bug reports
-	// identically at any worker count.
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	if s.Stats != nil {
-		for w := 0; w < workers; w++ {
-			s.Stats.mergeComponentCounters(&s.scratches[w].local)
-		}
-	}
-}
-
-// solveOne solves a single collected component, attempting a bounded-
-// staleness partial re-fill first when enabled, and records what it
-// resolved for the publish phase.
-func (s *System) solveOne(c *component, sc *solveScratch, partial bool) {
-	if st := sc.stats; st != nil {
+	slices.SortFunc(cons, func(a, b *Constraint) int { return a.id - b.id })
+	slices.SortFunc(vars, func(a, b *Variable) int { return a.id - b.id })
+	s.compCons, s.compVars = cons, vars
+	if st := s.Stats; st != nil {
 		st.Components++
-		if len(c.vars) > st.MaxComponentVars {
-			st.MaxComponentVars = len(c.vars)
+		st.VarsResolved += uint64(len(vars))
+		if len(vars) > st.MaxComponentVars {
+			st.MaxComponentVars = len(vars)
 		}
-		if len(c.cons) > st.MaxComponentCons {
-			st.MaxComponentCons = len(c.cons)
+		if len(cons) > st.MaxComponentCons {
+			st.MaxComponentCons = len(cons)
 		}
 	}
-	if partial {
-		if s.partialRefill(c, sc) {
-			return
-		}
-		// Fallback to the exact component solve: restore the creation-order
-		// member lists the bounded-staleness collection skipped sorting.
-		slices.SortFunc(c.cons, func(a, b *Constraint) int { return a.id - b.id })
-		slices.SortFunc(c.vars, func(a, b *Variable) int { return a.id - b.id })
-	}
-	s.solveComponent(c.cons, c.vars, sc)
-	c.resolved = c.vars
-	if st := sc.stats; st != nil {
-		st.VarsResolved += uint64(len(c.vars))
-	}
+	s.solveComponent(cons, vars)
+	s.resolved = append(s.resolved, vars...)
 }
 
 // effectiveBound is the variable's own bound tightened by the FatPipe caps
@@ -444,7 +213,7 @@ func charge(v *Variable) {
 // determines a fair rate r; variables limited by it are fixed, their usage
 // is subtracted, and the process repeats. cons holds only the component's
 // Shared constraints; FatPipe caps enter through effectiveBound.
-func (s *System) solveComponent(cons []*Constraint, vars []*Variable, sc *solveScratch) {
+func (s *System) solveComponent(cons []*Constraint, vars []*Variable) {
 	for _, v := range vars {
 		v.fixed = false
 		v.Value = 0
@@ -452,13 +221,13 @@ func (s *System) solveComponent(cons []*Constraint, vars []*Variable, sc *solveS
 			v.fixed = true
 		}
 	}
-	actVars := sc.actVars[:0]
+	actVars := s.actVars[:0]
 	for _, v := range vars {
 		if !v.fixed {
 			actVars = append(actVars, v)
 		}
 	}
-	actCons := sc.actCons[:0]
+	actCons := s.actCons[:0]
 	for _, c := range cons {
 		c.remaining = c.Capacity
 		c.active = false
@@ -471,13 +240,12 @@ func (s *System) solveComponent(cons []*Constraint, vars []*Variable, sc *solveS
 		actCons = append(actCons, c)
 	}
 	actCons, actVars = fill(actCons, actVars)
-	sc.actCons, sc.actVars = actCons[:0], actVars[:0]
+	s.actCons, s.actVars = actCons[:0], actVars[:0]
 }
 
-// fill is the progressive-filling round loop shared by the full-component
-// and partial-region solvers. It expects actVars to hold the unfixed
-// variables and every constraint in actCons to carry its remaining capacity
-// and its liveVars compacted to the unfixed members.
+// fill is the progressive-filling round loop. It expects actVars to hold
+// the unfixed variables and every constraint in actCons to carry its
+// remaining capacity and its liveVars compacted to the unfixed members.
 //
 // Active lists keep the rounds cheap: each constraint carries a compacted
 // list of its still-unfixed variables, constraints whose variables are all

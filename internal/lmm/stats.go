@@ -22,35 +22,4 @@ type Stats struct {
 	// play (see ROADMAP).
 	MaxComponentVars int
 	MaxComponentCons int
-	// PartialRefills counts components the bounded-staleness mode
-	// (SetRateTolerance > 0) re-filled partially; PartialVarsSkipped sums
-	// the member variables whose stale rate was kept (the work the mode
-	// avoided); PartialFallbacks counts attempts abandoned for a full
-	// component solve because the perturbation did not decay.
-	PartialRefills     uint64
-	PartialVarsSkipped uint64
-	PartialFallbacks   uint64
-	// ParallelSolves counts solves that engaged the worker pool
-	// (SetSolverWorkers > 1 and enough dirty work); ParallelComponents sums
-	// the components farmed to pool workers.
-	ParallelSolves     uint64
-	ParallelComponents uint64
-}
-
-// mergeComponentCounters folds a worker's per-component counters into st
-// after the pool barrier. Solve-level counters (Solves, dirty-set sizes,
-// ParallelSolves) are recorded by the coordinating goroutine and never
-// appear in worker-local stats.
-func (st *Stats) mergeComponentCounters(o *Stats) {
-	st.Components += o.Components
-	st.VarsResolved += o.VarsResolved
-	st.PartialRefills += o.PartialRefills
-	st.PartialVarsSkipped += o.PartialVarsSkipped
-	st.PartialFallbacks += o.PartialFallbacks
-	if o.MaxComponentVars > st.MaxComponentVars {
-		st.MaxComponentVars = o.MaxComponentVars
-	}
-	if o.MaxComponentCons > st.MaxComponentCons {
-		st.MaxComponentCons = o.MaxComponentCons
-	}
 }

@@ -150,99 +150,6 @@ func TestLinkByteConservation(t *testing.T) {
 	}
 }
 
-// TestConservationBoundedStaleness re-runs the byte-conservation argument
-// with the solver in bounded-staleness mode (SetRateTolerance(1e-9)). The
-// contract under test: staleness may defer re-fairing of rates that moved by
-// less than eps, but it must never touch accounting — the lazy drain records
-// drained amounts from the rates actually applied, so a flow of S bytes over
-// a k-link route still contributes exactly k*S recorded bytes — and the
-// partial solve must never over-commit a Shared link (the frozen frontier
-// keeps boundary capacity reserved). Completion times may drift from the
-// exact run, but only by an eps-bounded amount; at 1e-9 the end-to-end span
-// must agree with exact mode to well under a part per million.
-func TestConservationBoundedStaleness(t *testing.T) {
-	for _, name := range topology.PresetNames() {
-		t.Run(name, func(t *testing.T) {
-			spec, err := topology.ParseSpec(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plat, err := spec.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hosts := plat.Hosts()
-			n := len(hosts)
-			stride := n/2 + 1
-			if stride%n == 0 {
-				stride = 1
-			}
-			dst := func(i int) int { return (i + stride) % n }
-
-			expected := make([]float64, len(plat.Links()))
-			for i := range hosts {
-				for _, l := range plat.Route(hosts[i], hosts[dst(i)]).Links {
-					expected[l.ID] += payload
-				}
-			}
-
-			// Run the same shift pattern once per mode; eps < 0 means exact.
-			run := func(eps float64) (*obs.Observer, core.Time) {
-				k := simix.New()
-				net := surf.NewNetwork(k, surf.Ideal())
-				if eps > 0 {
-					net.SetRateTolerance(eps)
-				}
-				k.AddModel(net)
-				o := obs.NewObserver(plat)
-				net.Instrument(nil, nil, nil, o)
-				k.Spawn("flows", func(p *simix.Proc) {
-					futs := make([]*simix.Future, n)
-					for i := range hosts {
-						futs[i] = simix.NewFuture()
-						net.StartFlow(plat.Route(hosts[i], hosts[dst(i)]), payload, futs[i])
-					}
-					for _, f := range futs {
-						p.Wait(f)
-					}
-				})
-				if err := k.Run(); err != nil {
-					t.Fatal(err)
-				}
-				_, end, ok := o.Span()
-				if !ok {
-					t.Fatal("no traffic observed")
-				}
-				return o, end
-			}
-			_, exactEnd := run(0)
-			o, staleEnd := run(1e-9)
-
-			// Conservation holds exactly: recorded bytes are integrated from
-			// the applied rates, so staleness cannot create or destroy them.
-			for _, l := range plat.Links() {
-				if got := o.LinkBytes(l); !relClose(got, expected[l.ID]) {
-					t.Errorf("link %s: recorded %.6f B under eps=1e-9, routes inject %.0f B", l.Name(), got, expected[l.ID])
-				}
-			}
-			// Feasibility holds hard: the partial solve's frozen frontier
-			// never over-commits a Shared link.
-			for _, u := range o.TopLinks(len(plat.Links())) {
-				if u.Link.Policy == lmm.Shared && u.Utilization > 1+1e-9 {
-					t.Errorf("link %s: utilization %.6f exceeds capacity under eps=1e-9", u.Link.Name(), u.Utilization)
-				}
-			}
-			// Completion drift is eps-bounded: each deferred re-fair leaves a
-			// rate off by at most a 1e-9 relative factor, so the end-to-end
-			// span agrees far inside a part per million.
-			drift := math.Abs(float64(staleEnd)-float64(exactEnd)) / float64(exactEnd)
-			if drift > 1e-6 {
-				t.Errorf("completion span drift %.3e vs exact (stale %v, exact %v), want <= 1e-6", drift, staleEnd, exactEnd)
-			}
-		})
-	}
-}
-
 // TestConservationUnderDynamics re-runs the byte-conservation argument with
 // the platform shifting under the traffic: every trunk link is degraded to a
 // quarter of nominal mid-flight and boosted to double later, through the same

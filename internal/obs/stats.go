@@ -69,11 +69,6 @@ func (s *Stats) Flat() map[string]float64 {
 		"lmm.net.vars_resolved":      float64(s.NetLMM.VarsResolved),
 		"lmm.net.component_vars.max": float64(s.NetLMM.MaxComponentVars),
 		"lmm.net.component_cons.max": float64(s.NetLMM.MaxComponentCons),
-		"lmm.net.partial_refills":    float64(s.NetLMM.PartialRefills),
-		"lmm.net.partial_skipped":    float64(s.NetLMM.PartialVarsSkipped),
-		"lmm.net.partial_fallbacks":  float64(s.NetLMM.PartialFallbacks),
-		"lmm.net.parallel_solves":    float64(s.NetLMM.ParallelSolves),
-		"lmm.net.parallel_comps":     float64(s.NetLMM.ParallelComponents),
 		"lmm.cpu.solves":             float64(s.CPULMM.Solves),
 		"lmm.cpu.full_solves":        float64(s.CPULMM.FullSolves),
 		"lmm.cpu.dirty_cons":         float64(s.CPULMM.DirtyConstraints),
@@ -82,11 +77,6 @@ func (s *Stats) Flat() map[string]float64 {
 		"lmm.cpu.vars_resolved":      float64(s.CPULMM.VarsResolved),
 		"lmm.cpu.component_vars.max": float64(s.CPULMM.MaxComponentVars),
 		"lmm.cpu.component_cons.max": float64(s.CPULMM.MaxComponentCons),
-		"lmm.cpu.partial_refills":    float64(s.CPULMM.PartialRefills),
-		"lmm.cpu.partial_skipped":    float64(s.CPULMM.PartialVarsSkipped),
-		"lmm.cpu.partial_fallbacks":  float64(s.CPULMM.PartialFallbacks),
-		"lmm.cpu.parallel_solves":    float64(s.CPULMM.ParallelSolves),
-		"lmm.cpu.parallel_comps":     float64(s.CPULMM.ParallelComponents),
 		"heap.net.pushes":            float64(s.NetHeap.Pushes),
 		"heap.net.pops":              float64(s.NetHeap.Pops),
 		"heap.net.stale":             float64(s.NetHeap.Stale),

@@ -23,10 +23,7 @@
 // Hand-built platforms install explicit pair routes with AddRoute, which
 // land in a TableRouter — the same interface, with the reverse direction
 // of a symmetric route served by iterating the forward slice backward
-// rather than materializing a copy. An expensive irregular router can be
-// walked once into a TableRouter with MaterializedRouter, which is the old
-// memoization recast as just another Router. RouterFunc adapts a bare
-// func(a, b) Route for mechanical migration.
+// rather than materializing a copy.
 //
 // Host and link storage is compact: array-of-structs slabs (bulk-allocated
 // via Reserve when the builder knows its counts) addressed by dense IDs,

@@ -385,8 +385,7 @@ func (p *Platform) LinkByID(id int) *Link { return p.links[id] }
 // once the platform is in use; it is only consulted for pairs without an
 // explicit AddRoute entry (those live in a TableRouter chained in front).
 // Routes are computed on every lookup — implicit routers are cheap enough
-// that nothing is memoized; wrap an expensive irregular router with
-// MaterializedRouter to trade O(hosts²) memory back for lookup speed.
+// that nothing is memoized.
 // SetRouter is not safe to call concurrently with Route.
 func (p *Platform) SetRouter(r Router) {
 	if p.table != nil && p.table != r {
@@ -395,14 +394,6 @@ func (p *Platform) SetRouter(r Router) {
 	}
 	p.router = r
 }
-
-// SetRouterFunc installs a bare routing function through the RouterFunc
-// adapter.
-//
-// Deprecated: implement Router and call SetRouter instead. A bare function
-// must build a fresh Route per call, so it cannot serve the zero-allocation
-// RouteInto contract; RouterFunc exists for mechanical migration only.
-func (p *Platform) SetRouterFunc(f func(a, b *Host) Route) { p.SetRouter(RouterFunc(f)) }
 
 // Router returns the installed router: the TableRouter when explicit
 // routes were added (with any SetRouter router as its fallback), the

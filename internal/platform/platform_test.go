@@ -247,44 +247,6 @@ func TestXMLErrors(t *testing.T) {
 	}
 }
 
-// TestRouterFuncAdapter checks the deprecated bare-function migration
-// path: SetRouterFunc wraps the function in a RouterFunc, routes flow
-// through it on every lookup (nothing is memoized anymore), and swapping
-// routers takes effect immediately.
-func TestRouterFuncAdapter(t *testing.T) {
-	p := New("adapter")
-	a := p.AddHost("a", 1e9)
-	b := p.AddHost("b", 1e9)
-	l := p.AddLink("l", 1e9, core.Microsecond, lmm.Shared)
-	calls := 0
-	p.SetRouterFunc(func(x, y *Host) Route {
-		calls++
-		return Route{Links: []*Link{l}, Latency: l.Latency}
-	})
-	for i := 0; i < 10; i++ {
-		if got := p.Route(a, b); len(got.Links) != 1 {
-			t.Fatalf("route %v", got)
-		}
-		p.Route(b, a)
-	}
-	if calls != 20 {
-		t.Errorf("router called %d times, want 20 (implicit routing computes every lookup)", calls)
-	}
-	// The adapter must also honor a caller buffer.
-	buf := make([]*Link, 0, 4)
-	if got := p.RouteInto(buf, a, b); len(got.Links) != 1 || got.Links[0] != l || &got.Links[0] != &buf[:1][0] {
-		t.Errorf("RouteInto through adapter did not append into the caller buffer")
-	}
-	// Installing a new router takes effect on the next lookup.
-	l2 := p.AddLink("l2", 1e9, core.Microsecond, lmm.Shared)
-	p.SetRouter(RouterFunc(func(x, y *Host) Route {
-		return Route{Links: []*Link{l2, l2}, Latency: 2 * l2.Latency}
-	}))
-	if got := p.Route(a, b); len(got.Links) != 2 {
-		t.Errorf("stale route served after SetRouter: %v", got)
-	}
-}
-
 // TestTableRouterReverseView checks the symmetric-route storage contract:
 // one stored slice serves both directions, the reverse by backward
 // iteration into the caller's buffer, with no materialized copy.
@@ -361,46 +323,6 @@ func TestRouteIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("RouteInto allocates %v times per run, want 0", allocs)
-	}
-}
-
-// TestMaterializedRouter checks that walking an implicit router into a
-// TableRouter reproduces its routes exactly, stores symmetric pairs once
-// (two directed entries per unordered pair, shared slice), and serves them
-// back link-for-link.
-func TestMaterializedRouter(t *testing.T) {
-	p, err := Griffon().Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := p.Hosts()[:12]
-	sub := New("sub") // small platform sharing griffon's links
-	for _, h := range hosts {
-		sub.AddHost(h.Name(), h.Speed).Cabinet = h.Cabinet
-	}
-	impl := p.Router()
-	tr := MaterializedRouter(sub, RouterFunc(func(a, b *Host) Route {
-		return impl.RouteInto(nil, p.HostByID(a.ID), p.HostByID(b.ID))
-	}))
-	if want := len(hosts) * (len(hosts) - 1); tr.Len() != want {
-		t.Errorf("materialized table has %d directed routes, want %d", tr.Len(), want)
-	}
-	for _, a := range sub.Hosts() {
-		for _, b := range sub.Hosts() {
-			if a == b {
-				continue
-			}
-			got := tr.RouteInto(nil, a, b)
-			want := p.Route(p.HostByID(a.ID), p.HostByID(b.ID))
-			if len(got.Links) != len(want.Links) || got.Latency != want.Latency {
-				t.Fatalf("materialized route %s->%s differs: %d links vs %d", a.Name(), b.Name(), len(got.Links), len(want.Links))
-			}
-			for i := range got.Links {
-				if got.Links[i] != want.Links[i] {
-					t.Fatalf("materialized route %s->%s link %d differs", a.Name(), b.Name(), i)
-				}
-			}
-		}
 	}
 }
 

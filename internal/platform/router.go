@@ -25,30 +25,8 @@ type Router interface {
 	RouteInto(buf []*Link, a, b *Host) Route
 }
 
-// RouterFunc adapts a bare routing function to the Router interface, for
-// mechanical migration of pre-interface code. The function allocates a
-// fresh Route per call, so the adapter cannot offer RouteInto's zero-
-// allocation contract: prefer a real Router implementation anywhere route
-// lookups are hot.
-type RouterFunc func(a, b *Host) Route
-
-// RouteInto implements Router. When buf has no capacity the function's
-// Route is returned as built (sharing its slice); otherwise the links are
-// appended to buf so caller buffer reuse keeps working.
-func (f RouterFunc) RouteInto(buf []*Link, a, b *Host) Route {
-	r := f(a, b)
-	if cap(buf) == 0 {
-		return r
-	}
-	return Route{Links: append(buf, r.Links...), Latency: r.Latency}
-}
-
-// String implements fmt.Stringer for missing-route diagnostics.
-func (f RouterFunc) String() string { return "RouterFunc adapter" }
-
 // TableRouter serves routes from an explicit per-pair table: the manual
-// AddRoute routes of hand-built platforms and the materialized routes of
-// irregular platforms are both just instances of it. Pairs missing from
+// AddRoute routes of hand-built platforms. Pairs missing from
 // the table fall through to Fallback when set; otherwise the lookup panics
 // naming the table. The table is meant to be filled while the platform is
 // built and read-only afterwards (RouteInto is then concurrency-safe).
@@ -133,42 +111,4 @@ func (t *TableRouter) RouteInto(buf []*Link, a, b *Host) Route {
 		buf = append(buf, e.links[i])
 	}
 	return Route{Links: buf, Latency: e.latency}
-}
-
-// MaterializedRouter walks every ordered host pair of p through r once and
-// returns a TableRouter holding the results — the per-pair memoization the
-// platform layer used to do implicitly, recast as just another Router
-// implementation. Memory is O(hosts²): reach for it only on small or
-// irregular platforms (e.g. loaded from a route list file) where computing
-// routes is genuinely expensive; the regular topology builders route
-// implicitly and need no table. Pairs whose reverse route is exactly the
-// forward route backward are stored once and served as a reversed view.
-func MaterializedRouter(p *Platform, r Router) *TableRouter {
-	t := NewTableRouter(p.Name + " materialized")
-	hosts := p.Hosts()
-	for i, a := range hosts {
-		for _, b := range hosts[i+1:] {
-			fwd := r.RouteInto(nil, a, b)
-			rev := r.RouteInto(nil, b, a)
-			if isReverseOf(fwd.Links, rev.Links) {
-				t.AddSymmetric(a, b, fwd.Links)
-			} else {
-				t.add(a, b, fwd.Links, fwd.Latency, false)
-				t.add(b, a, rev.Links, rev.Latency, false)
-			}
-		}
-	}
-	return t
-}
-
-func isReverseOf(fwd, rev []*Link) bool {
-	if len(fwd) != len(rev) {
-		return false
-	}
-	for i, l := range fwd {
-		if rev[len(rev)-1-i] != l {
-			return false
-		}
-	}
-	return true
 }

@@ -6,9 +6,9 @@
 //
 // The cache is the piece the repo's determinism work already paid for:
 // identical (canonical spec, seed) pairs produce bit-identical summaries at
-// any -parallel and any SolverWorkers setting, so serving a repeat what-if
-// query from the cache is provably indistinguishable from re-simulating it
-// — cache hits cost zero simulation and can never be wrong. Requests are
+// any -parallel, so serving a repeat what-if query from the cache is
+// provably indistinguishable from re-simulating it — cache hits cost zero
+// simulation and can never be wrong. Requests are
 // canonicalized before keying AND before running (experiments.Canonicalize),
 // so axis order, duplicates, case, and alias spellings all collapse onto
 // one entry.

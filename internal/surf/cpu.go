@@ -154,15 +154,6 @@ func (c *CPU) HostSpeed(host *platform.Host) float64 {
 	return host.Speed
 }
 
-// SetSolverWorkers bounds the LMM worker pool for the CPU model (the mirror
-// of Network.SetSolverWorkers; host components are per-host and tiny, so
-// the pool rarely engages, but the knob keeps both models symmetric).
-func (c *CPU) SetSolverWorkers(workers int) { c.sys.SetSolverWorkers(workers) }
-
-// SetRateTolerance opts the CPU model's solver into bounded staleness (the
-// mirror of Network.SetRateTolerance).
-func (c *CPU) SetRateTolerance(eps float64) { c.sys.SetRateTolerance(eps) }
-
 // sync drains t's flop count to date to at its current rate.
 func (t *cpuTask) sync(to core.Time) {
 	t.remaining -= t.rate * float64(to-t.lastSync)

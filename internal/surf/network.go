@@ -206,22 +206,6 @@ func (n *Network) LinkBandwidth(l *platform.Link) float64 {
 	return l.Bandwidth
 }
 
-// SetSolverWorkers bounds the LMM worker pool used to solve independent
-// dirty components concurrently (n <= 0 selects GOMAXPROCS; 1, the default,
-// is serial). Safe at any point; rates, completion order, and campaign
-// fingerprints are bit-identical at every setting because the solver merges
-// Resolved() in component-discovery order — the order reshare depends on
-// for same-date heap push ordering.
-func (n *Network) SetSolverWorkers(workers int) { n.sys.SetSolverWorkers(workers) }
-
-// SetRateTolerance opts the network's solver into bounded staleness: after
-// a churn event, flows whose rate would move by less than eps (relative)
-// keep their stale rate and stamped completion date. Byte conservation is
-// unaffected — drains always record the rate actually flown — and link
-// capacities are never over-committed; only completion dates drift, by at
-// most eps per skipped reshare. eps = 0 (the default) is exact.
-func (n *Network) SetRateTolerance(eps float64) { n.sys.SetRateTolerance(eps) }
-
 // sync drains f's byte count to date to at its current rate. It is the lazy
 // replacement of the former every-step drain loop: called when the flow's
 // rate is about to change (so the old rate stops applying) and when the
