@@ -34,8 +34,6 @@ import (
 	"smpigo/internal/platform"
 	"smpigo/internal/replay"
 	"smpigo/internal/smpi"
-	"smpigo/internal/surf"
-	"smpigo/internal/topology"
 	"smpigo/internal/trace"
 )
 
@@ -97,25 +95,18 @@ func main() {
 	}
 }
 
-func loadPlatform(name string) (*platform.Platform, error) {
-	switch name {
-	case "griffon":
-		return platform.Griffon().Build()
-	case "gdx":
-		return platform.Gdx().Build()
-	}
-	spec, topoErr := topology.ParseSpec(name)
-	if topoErr == nil {
-		return spec.Build()
-	}
-	if strings.Contains(name, ":") {
-		// The topology shape grammar, just malformed: surface the parse
-		// diagnostic rather than a pointless file-open failure.
-		return nil, topoErr
+// loadPlatform resolves -platform: every name experiments.Env knows (the
+// paper's clusters, topology presets and shapes), else a platform XML file.
+func loadPlatform(env *experiments.Env, name string) (*platform.Platform, error) {
+	plat, nameErr := env.Platform(name)
+	if nameErr == nil || strings.Contains(name, ":") {
+		// A colon means the topology shape grammar, just malformed: surface
+		// the parse diagnostic rather than a pointless file-open failure.
+		return plat, nameErr
 	}
 	f, err := os.Open(name)
 	if err != nil {
-		return nil, fmt.Errorf("platform %q is neither a known name nor a readable file (%v; %v)", name, topoErr, err)
+		return nil, fmt.Errorf("%v, nor a readable file (%v)", nameErr, err)
 	}
 	defer f.Close()
 	specs, err := platform.ReadXML(f)
@@ -125,27 +116,12 @@ func loadPlatform(name string) (*platform.Platform, error) {
 	return specs[0].Build()
 }
 
-func pickModel(name string) (surf.NetModel, error) {
-	if name == "ideal" {
-		return surf.Ideal(), nil
-	}
+func run(o options) error {
 	env, err := experiments.NewEnv()
 	if err != nil {
-		return surf.NetModel{}, fmt.Errorf("calibration: %w", err)
+		return fmt.Errorf("calibration: %w", err)
 	}
-	switch name {
-	case "default":
-		return env.Default, nil
-	case "bestfit":
-		return env.BestFit, nil
-	case "piecewise":
-		return env.Piecewise, nil
-	}
-	return surf.NetModel{}, fmt.Errorf("unknown model %q", name)
-}
-
-func run(o options) error {
-	plat, err := loadPlatform(o.platform)
+	plat, err := loadPlatform(env, o.platform)
 	if err != nil {
 		return err
 	}
@@ -214,7 +190,7 @@ func run(o options) error {
 	switch o.backend {
 	case "surf":
 		cfg.Backend = smpi.BackendSurf
-		if cfg.Model, err = pickModel(o.model); err != nil {
+		if cfg.Model, err = env.Model(o.model); err != nil {
 			return err
 		}
 	case "emu":
@@ -276,6 +252,9 @@ func run(o options) error {
 			c.Alltoall(r, sendbuf, recvbuf)
 		}
 	case "dt":
+		if o.class == "" {
+			return fmt.Errorf(`bad -class "": want S, W, A, B or C`)
+		}
 		dcfg := nas.DTConfig{Graph: nas.DTGraph(o.graph), Class: nas.DTClass(o.class[0]), Fold: o.fold}
 		procs, err := nas.DTProcs(dcfg.Graph, dcfg.Class)
 		if err != nil {

@@ -31,10 +31,19 @@ func TestRun(t *testing.T) {
 }
 
 func TestRunRejectsUnknownValues(t *testing.T) {
-	for _, flagName := range []string{"-app", "-model", "-backend"} {
-		err := run(parse(t, flagName, "bogus"))
-		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
-			t.Errorf("smpirun %s bogus: err = %v, want one naming the bad value", flagName, err)
+	for _, tc := range []struct {
+		args []string
+		want string // the error must name the bad value, or the flag when the value is empty
+	}{
+		{[]string{"-app", "bogus"}, `"bogus"`},
+		{[]string{"-model", "bogus"}, `"bogus"`},
+		{[]string{"-backend", "bogus"}, `"bogus"`},
+		{[]string{"-platform", "bogus"}, `"bogus"`},
+		{[]string{"-app", "dt", "-class", ""}, "-class"},
+	} {
+		err := run(parse(t, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("smpirun %s: err = %v, want one naming %s", strings.Join(tc.args, " "), err, tc.want)
 		}
 	}
 }

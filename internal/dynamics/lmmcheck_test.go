@@ -1,7 +1,6 @@
 package dynamics
 
 import (
-	"flag"
 	"os"
 	"testing"
 
@@ -13,9 +12,6 @@ import (
 // component in an invalid allocation, so every solve they trigger is
 // validated at the source (see the hook's doc in internal/lmm).
 func TestMain(m *testing.M) {
-	flag.Parse()
-	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
-		lmm.CheckAfterSolve = true
-	}
+	lmm.CheckAfterSolve = true
 	os.Exit(m.Run())
 }

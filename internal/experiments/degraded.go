@@ -51,7 +51,7 @@ func DegradedSweep(env *Env, chunk int64) (*DegradedSweepResult, error) {
 	var points []point
 	var jobs []campaign.Job
 	for _, tp := range degradedSweepTopos() {
-		plat, err := env.gridPlatform(tp.topo)
+		plat, err := env.Platform(tp.topo)
 		if err != nil {
 			return nil, err
 		}

@@ -93,7 +93,10 @@ type gridPoint struct {
 	model     string // empty for emulated backends
 }
 
-func (e *Env) gridModel(name string) (surf.NetModel, error) {
+// Model resolves a point-to-point model name: the three calibrated
+// candidates or the uncalibrated ideal model. It is the module's one switch
+// over model names (campaign axes and smpirun -model both land here).
+func (e *Env) Model(name string) (surf.NetModel, error) {
 	switch strings.ToLower(name) {
 	case "piecewise":
 		return e.Piecewise, nil
@@ -108,11 +111,11 @@ func (e *Env) gridModel(name string) (surf.NetModel, error) {
 	}
 }
 
-// gridPlatform resolves a platform-axis value: the paper's clusters by
-// name, then topology presets and shape strings. Generated platforms are
-// cached on the env so every job of a sweep shares one instance (and its
-// memoized route table).
-func (e *Env) gridPlatform(name string) (*platform.Platform, error) {
+// Platform resolves a platform name — a campaign axis value or smpirun's
+// -platform: the paper's clusters, then topology presets and shape strings.
+// Generated platforms are cached on the env so every job of a sweep shares
+// one instance.
+func (e *Env) Platform(name string) (*platform.Platform, error) {
 	switch strings.ToLower(name) {
 	case "", "griffon":
 		return e.Griffon, nil
@@ -376,7 +379,7 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 		if platName == "" {
 			platName = spec.Platform
 		}
-		plat, err := e.gridPlatform(platName)
+		plat, err := e.Platform(platName)
 		if err != nil {
 			return nil, err
 		}
@@ -437,7 +440,7 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 func (e *Env) gridConfig(plat *platform.Platform, pt gridPoint) (smpi.Config, error) {
 	switch pt.backend {
 	case "surf":
-		m, err := e.gridModel(pt.model)
+		m, err := e.Model(pt.model)
 		if err != nil {
 			return smpi.Config{}, err
 		}

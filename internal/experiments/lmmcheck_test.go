@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"flag"
 	"os"
 	"testing"
 
@@ -12,11 +11,7 @@ import (
 // fingerprint tests and figure reproductions drive millions of solver steps
 // through realistic traffic, so invariant checking here is the broadest
 // net for solver regressions (see the hook's doc in internal/lmm).
-// Benchmark runs are exempt — gate baselines assume uninstrumented solves.
 func TestMain(m *testing.M) {
-	flag.Parse()
-	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
-		lmm.CheckAfterSolve = true
-	}
+	lmm.CheckAfterSolve = true
 	os.Exit(m.Run())
 }

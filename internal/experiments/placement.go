@@ -70,7 +70,7 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 	var points []point
 	jobs := make([]campaign.Job, 0, len(placementSweepTopos())*len(ops)*3)
 	for _, topo := range placementSweepTopos() {
-		plat, err := env.gridPlatform(topo)
+		plat, err := env.Platform(topo)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +110,7 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 		}
 	}
 	for _, topo := range placementSweepTopos() {
-		plat, err := env.gridPlatform(topo)
+		plat, err := env.Platform(topo)
 		if err != nil {
 			return nil, err
 		}

@@ -77,7 +77,7 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 
 	jobs := make([]campaign.Job, 0, len(points))
 	for _, pt := range points {
-		plat, err := env.gridPlatform(pt.topo)
+		plat, err := env.Platform(pt.topo)
 		if err != nil {
 			return nil, err
 		}

@@ -1,9 +1,6 @@
 package lmm
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // CheckAfterSolve, when true, runs System.Check after every Solve and
 // SolveFull and panics on the first invariant violation. It exists so test
@@ -11,12 +8,9 @@ import (
 // bugs at the solve that caused them instead of three packages later as a
 // wrong completion date. It is a test hook, not a production mode: the check
 // is O(variables + constraints + attachments) per solve and allocates.
-//
-// Enable it from a TestMain (the surf, dynamics, and experiments suites do)
-// or by setting SMPIGO_LMM_CHECK=1 in the environment. Benchmark runs should
-// leave it off — the gate baselines in BENCH_*.json assume uninstrumented
-// solves.
-var CheckAfterSolve = os.Getenv("SMPIGO_LMM_CHECK") == "1"
+// The surf, dynamics and experiments suites set it from their TestMain;
+// nothing else does.
+var CheckAfterSolve bool
 
 // mustCheck enforces the CheckAfterSolve contract.
 func (s *System) mustCheck() {

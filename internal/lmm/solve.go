@@ -59,7 +59,7 @@ func (s *System) Solve() {
 // SolveFull re-solves every component from scratch, ignoring the dirty set.
 // It produces exactly the same allocations as incremental solving (it runs
 // the same per-component routine over the same partitions); it exists as
-// the reference path for equivalence tests and benchmarks.
+// the reference path for equivalence tests.
 func (s *System) SolveFull() {
 	if s.Stats != nil {
 		s.Stats.FullSolves++

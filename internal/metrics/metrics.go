@@ -4,13 +4,11 @@
 // ordinary mean/max, and converts back to a familiar percentage with
 // exp(err)-1.
 //
-// Every metric has two forms: a Checked variant returning a descriptive
-// error (for validating measured data, where a bad point should fail one
-// series, not the process) and the plain variant that panics with the same
-// message (for programmatic inputs, where a bad value is a caller bug).
-// Validity checks are written as !(x > 0) rather than x <= 0 so that NaN —
-// for which every comparison is false — is rejected instead of flowing
-// silently through math.Log and poisoning the aggregate.
+// A bad input is a caller bug and panics with a message naming the value
+// (and, in a series, its index). Validity checks are written as !(x > 0)
+// rather than x <= 0 so that NaN — for which every comparison is false — is
+// rejected instead of flowing silently through math.Log and poisoning the
+// aggregate.
 package metrics
 
 import (
@@ -18,9 +16,17 @@ import (
 	"math"
 )
 
-// LogErrorChecked returns |ln(x) - ln(ref)|, or an error unless both values
-// are positive and non-NaN.
-func LogErrorChecked(x, ref float64) (float64, error) {
+// LogError returns |ln(x) - ln(ref)|. Both values must be positive and
+// non-NaN; anything else panics.
+func LogError(x, ref float64) float64 {
+	e, err := logError(x, ref)
+	if err != nil {
+		panic(err.Error())
+	}
+	return e
+}
+
+func logError(x, ref float64) (float64, error) {
 	if !(x > 0) {
 		return 0, fmt.Errorf("metrics: log error needs a positive prediction, got %v (reference %v)", x, ref)
 	}
@@ -28,16 +34,6 @@ func LogErrorChecked(x, ref float64) (float64, error) {
 		return 0, fmt.Errorf("metrics: log error needs a positive reference, got %v (prediction %v)", ref, x)
 	}
 	return math.Abs(math.Log(x) - math.Log(ref)), nil
-}
-
-// LogError returns |ln(x) - ln(ref)|. Both values must be positive and
-// non-NaN; anything else panics.
-func LogError(x, ref float64) float64 {
-	e, err := LogErrorChecked(x, ref)
-	if err != nil {
-		panic(err.Error())
-	}
-	return e
 }
 
 // ToPercent converts a logarithmic error to the percentage the paper
@@ -68,21 +64,21 @@ func (s Summary) String() string {
 	return fmt.Sprintf("%.2f%% avg (worst %.2f%%, n=%d)", s.MeanPct(), s.WorstPct(), s.N)
 }
 
-// SummarizeChecked computes the error summary of predictions against
-// references. The slices must have equal nonzero length and every point
-// must be positive and non-NaN; the error names the offending index.
-func SummarizeChecked(pred, ref []float64) (Summary, error) {
+// Summarize computes the error summary of predictions against references.
+// The slices must have equal nonzero length and every point must be
+// positive and non-NaN; anything else panics, naming the offending index.
+func Summarize(pred, ref []float64) Summary {
 	if len(pred) != len(ref) {
-		return Summary{}, fmt.Errorf("metrics: summarize on mismatched series: %d predictions vs %d references", len(pred), len(ref))
+		panic(fmt.Sprintf("metrics: summarize on mismatched series: %d predictions vs %d references", len(pred), len(ref)))
 	}
 	if len(pred) == 0 {
-		return Summary{}, fmt.Errorf("metrics: summarize on empty series")
+		panic("metrics: summarize on empty series")
 	}
 	var s Summary
 	for i := range pred {
-		e, err := LogErrorChecked(pred[i], ref[i])
+		e, err := logError(pred[i], ref[i])
 		if err != nil {
-			return Summary{}, fmt.Errorf("%w (point %d of %d)", err, i, len(pred))
+			panic(fmt.Sprintf("%v (point %d of %d)", err, i, len(pred)))
 		}
 		s.MeanLog += e
 		if e > s.MaxLog {
@@ -91,38 +87,5 @@ func SummarizeChecked(pred, ref []float64) (Summary, error) {
 	}
 	s.MeanLog /= float64(len(pred))
 	s.N = len(pred)
-	return s, nil
-}
-
-// Summarize computes the error summary of predictions against references,
-// panicking where SummarizeChecked would error.
-func Summarize(pred, ref []float64) Summary {
-	s, err := SummarizeChecked(pred, ref)
-	if err != nil {
-		panic(err.Error())
-	}
 	return s
-}
-
-// RelativeErrorChecked returns (x-ref)/ref, the biased metric the paper's
-// Section 7.1 discusses before adopting the logarithmic error, or an error
-// for a zero or NaN reference or a NaN prediction.
-func RelativeErrorChecked(x, ref float64) (float64, error) {
-	if ref == 0 || math.IsNaN(ref) {
-		return 0, fmt.Errorf("metrics: relative error needs a nonzero reference, got %v (prediction %v)", ref, x)
-	}
-	if math.IsNaN(x) {
-		return 0, fmt.Errorf("metrics: relative error on NaN prediction (reference %v)", ref)
-	}
-	return (x - ref) / ref, nil
-}
-
-// RelativeError returns (x-ref)/ref, panicking where RelativeErrorChecked
-// would error.
-func RelativeError(x, ref float64) float64 {
-	e, err := RelativeErrorChecked(x, ref)
-	if err != nil {
-		panic(err.Error())
-	}
-	return e
 }

@@ -14,9 +14,6 @@ func TestLogErrorSymmetry(t *testing.T) {
 	if LogError(2, 1) != LogError(1, 2) {
 		t.Error("log error must be symmetric")
 	}
-	if RelativeError(2, 1) == -RelativeError(0.5, 1) {
-		t.Error("relative error is expected to be asymmetric (sanity)")
-	}
 }
 
 func TestLogErrorExactValues(t *testing.T) {
@@ -47,67 +44,61 @@ func TestLogErrorPanicsOnNonPositive(t *testing.T) {
 	LogError(0, 1)
 }
 
+// panicMessage runs f and returns what it panicked with ("" if it returned).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
 // TestCheckedRejections pins the validity checks across the full table of
 // bad inputs. NaN is the regression case: the old x <= 0 guard let it
 // through (every NaN comparison is false) and math.Log silently poisoned
 // the aggregate.
 func TestCheckedRejections(t *testing.T) {
 	nan := math.NaN()
-	logCases := []struct {
+	for _, tc := range []struct {
 		name   string
 		x, ref float64
-		ok     bool
+		want   string // substring of the panic message; "" means no panic
 	}{
-		{"valid", 2, 1, true},
-		{"zero prediction", 0, 1, false},
-		{"zero reference", 1, 0, false},
-		{"negative prediction", -3, 1, false},
-		{"negative reference", 1, -3, false},
-		{"NaN prediction", nan, 1, false},
-		{"NaN reference", 1, nan, false},
-		{"both NaN", nan, nan, false},
-	}
-	for _, tc := range logCases {
-		_, err := LogErrorChecked(tc.x, tc.ref)
-		if (err == nil) != tc.ok {
-			t.Errorf("LogErrorChecked(%v, %v) [%s]: err = %v, want ok=%v", tc.x, tc.ref, tc.name, err, tc.ok)
-		}
-	}
-	relCases := []struct {
-		name   string
-		x, ref float64
-		ok     bool
-	}{
-		{"valid", 2, 1, true},
-		{"negative allowed", -2, -1, true},
-		{"zero reference", 1, 0, false},
-		{"NaN reference", 1, nan, false},
-		{"NaN prediction", nan, 1, false},
-	}
-	for _, tc := range relCases {
-		_, err := RelativeErrorChecked(tc.x, tc.ref)
-		if (err == nil) != tc.ok {
-			t.Errorf("RelativeErrorChecked(%v, %v) [%s]: err = %v, want ok=%v", tc.x, tc.ref, tc.name, err, tc.ok)
+		{"valid", 2, 1, ""},
+		{"zero prediction", 0, 1, "positive prediction, got 0"},
+		{"zero reference", 1, 0, "positive reference, got 0"},
+		{"negative prediction", -3, 1, "positive prediction, got -3"},
+		{"negative reference", 1, -3, "positive reference, got -3"},
+		{"NaN prediction", nan, 1, "positive prediction, got NaN"},
+		{"NaN reference", 1, nan, "positive reference, got NaN"},
+		{"both NaN", nan, nan, "positive prediction, got NaN"},
+	} {
+		got := panicMessage(func() { LogError(tc.x, tc.ref) })
+		if (got == "") != (tc.want == "") || !strings.Contains(got, tc.want) {
+			t.Errorf("LogError(%v, %v) [%s]: panic %q, want %q", tc.x, tc.ref, tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestSummarizeCheckedContext verifies the error variants carry enough
-// context to locate a bad point in a measured series.
+// TestSummarizeCheckedContext verifies the panics carry enough context to
+// locate a bad point in a measured series.
 func TestSummarizeCheckedContext(t *testing.T) {
-	if _, err := SummarizeChecked([]float64{1}, []float64{1, 2}); err == nil || !strings.Contains(err.Error(), "1 predictions vs 2 references") {
-		t.Errorf("mismatch error lacks lengths: %v", err)
+	for _, tc := range []struct {
+		pred, ref []float64
+		want      string
+	}{
+		{[]float64{1}, []float64{1, 2}, "1 predictions vs 2 references"},
+		{nil, nil, "empty"},
+		{[]float64{1, 2, math.NaN(), 4}, []float64{1, 1, 1, 1}, "point 2 of 4"},
+	} {
+		if got := panicMessage(func() { Summarize(tc.pred, tc.ref) }); !strings.Contains(got, tc.want) {
+			t.Errorf("Summarize(%v, %v): panic %q, want one containing %q", tc.pred, tc.ref, got, tc.want)
+		}
 	}
-	if _, err := SummarizeChecked(nil, nil); err == nil || !strings.Contains(err.Error(), "empty") {
-		t.Errorf("empty error: %v", err)
-	}
-	_, err := SummarizeChecked([]float64{1, 2, math.NaN(), 4}, []float64{1, 1, 1, 1})
-	if err == nil || !strings.Contains(err.Error(), "point 2 of 4") {
-		t.Errorf("NaN point error lacks index context: %v", err)
-	}
-	s, err := SummarizeChecked([]float64{1, 2}, []float64{1, 1})
-	if err != nil || s.N != 2 {
-		t.Errorf("valid series: %v, %v", s, err)
+	if s := Summarize([]float64{1, 2}, []float64{1, 1}); s.N != 2 {
+		t.Errorf("valid series: %v", s)
 	}
 }
 

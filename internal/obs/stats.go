@@ -44,7 +44,7 @@ type Stats struct {
 }
 
 // Flat returns the counters as a flat metric map. Keys are stable (they
-// appear in campaign summaries and benchgate -counters output); keys with
+// appear in campaign summaries and in bench/'s per-op ledger); keys with
 // the ".max" suffix are high-water marks and aggregate by maximum, all
 // others by sum (see campaign.MergeStats).
 func (s *Stats) Flat() map[string]float64 {

@@ -182,6 +182,23 @@ func TestCacheHitCollapsesEquivalentSpecs(t *testing.T) {
 	}
 }
 
+// A negative CacheSize disables the result cache: a repeat simulates again
+// and reproduces the fingerprint.
+func TestCacheDisabledRepeatMisses(t *testing.T) {
+	h := newTestServer(t, Config{CacheSize: -1}).Handler()
+	var fps [2]string
+	for i := range fps {
+		w := doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(testSpec(), 31))
+		if got := w.Header().Get("X-Smpigod-Cache"); w.Code != http.StatusOK || got != "miss" {
+			t.Fatalf("submit %d: status %d cache %q, want 200 miss", i, w.Code, got)
+		}
+		fps[i] = decodeView(t, w).Fingerprint
+	}
+	if fps[0] == "" || fps[0] != fps[1] {
+		t.Errorf("fingerprints %q, %q: want equal and non-empty", fps[0], fps[1])
+	}
+}
+
 // A ?wait=1 caller is released only after its result is cached, so repeating
 // a key the moment the first answer arrives can never miss (the runner used
 // to release waiters before the cache write).

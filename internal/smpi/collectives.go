@@ -8,11 +8,11 @@ import (
 // Algorithms selects the implementation variant of each collective. As in
 // MPICH2/OpenMPI (paper Section 5.3), no variant is universally best; SMPI
 // originally shipped one per operation and planned multiple — this
-// reproduction provides the main alternatives so the choice can be studied
-// (see the ablation benchmarks). Besides the concrete variants listed per
-// field, every field accepts "auto" (AlgoAuto), which picks the variant
-// from the target platform's interconnect family at Run time — ring
-// schedules on tori, trees on fat-trees/dragonflies/clusters; see Resolve.
+// reproduction provides the main alternatives so the choice can be
+// studied. Besides the concrete variants listed per field, every field
+// accepts "auto" (AlgoAuto), which picks the variant from the target
+// platform's interconnect family at Run time — ring schedules on tori,
+// trees on fat-trees/dragonflies/clusters; see Resolve.
 type Algorithms struct {
 	// Bcast: "binomial" (default), "ring" (store-and-forward chain, the
 	// neighbor-friendly schedule on ring-like topologies), or "flat".

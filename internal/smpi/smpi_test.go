@@ -482,3 +482,44 @@ func TestSpeedFactorScalesElapse(t *testing.T) {
 		t.Errorf("simulated %v", rep.SimulatedTime)
 	}
 }
+
+// TestDesignChoicesMoveThePrediction pins the direction of the two model
+// switches an application cannot see but its predicted time depends on:
+// sharing links slows a 16-rank 256 KiB alltoall down, and sending 128 KiB
+// eagerly beats the rendezvous when the receivers post 10 ms late.
+func TestDesignChoicesMoveThePrediction(t *testing.T) {
+	alltoall := func(r *Rank) {
+		sendbuf := make([]byte, 16*256*core.KiB)
+		recvbuf := make([]byte, 16*256*core.KiB)
+		r.Comm().Alltoall(r, sendbuf, recvbuf)
+	}
+	lateRecv := func(r *Rank) {
+		c := r.Comm()
+		buf := make([]byte, 128*core.KiB)
+		if r.Rank() == 0 {
+			for dst := 1; dst < r.Size(); dst++ {
+				r.Send(c, buf, dst, 0)
+			}
+		} else {
+			r.Elapse(0.01)
+			r.Recv(c, buf, 0, 0)
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		procs      int
+		app        func(*Rank)
+		slow, fast Config
+	}{
+		{"contention on vs off", 16, alltoall, Config{}, Config{NoContention: true}},
+		{"rendezvous vs eager", 8, lateRecv, Config{EagerThreshold: 64 * core.KiB}, Config{EagerThreshold: core.MiB}},
+	} {
+		run := func(cfg Config) core.Time {
+			cfg.Procs, cfg.Platform = tc.procs, testConfig(tc.procs).Platform
+			return mustRun(t, cfg, tc.app).SimulatedTime
+		}
+		if slow, fast := run(tc.slow), run(tc.fast); !(slow > fast) {
+			t.Errorf("%s: simulated %v vs %v, want the first slower", tc.name, slow, fast)
+		}
+	}
+}

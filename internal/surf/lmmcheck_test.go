@@ -1,7 +1,6 @@
 package surf
 
 import (
-	"flag"
 	"os"
 	"testing"
 
@@ -12,12 +11,8 @@ import (
 // either model triggers is validated against the max-min invariants at the
 // solve that produced it, so a solver bug fails here as a panic with the
 // violated invariant instead of three layers later as a wrong completion
-// date. Benchmark runs are exempt — the BENCH_event.json gate baselines
-// assume uninstrumented solves.
+// date.
 func TestMain(m *testing.M) {
-	flag.Parse()
-	if f := flag.Lookup("test.bench"); f == nil || f.Value.String() == "" {
-		lmm.CheckAfterSolve = true
-	}
+	lmm.CheckAfterSolve = true
 	os.Exit(m.Run())
 }
