@@ -190,7 +190,7 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 				key: fmt.Sprintf("%s-%c", graph, class), plainIdx: -1,
 			}
 			base := nas.DTConfig{Graph: graph, Class: class}
-			payload := int(payloadScale * float64(dtClassPayload(class)))
+			payload := int(payloadScale * float64(nas.DTPayload(class)))
 
 			fold := base
 			fold.Fold = true
@@ -200,7 +200,7 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 
 			// Classify OM against the unscaled footprint: only runs that fit
 			// in hostRAM execute unfolded.
-			if unscaled := float64(procs) * 2 * float64(dtClassPayload(class)); unscaled <= hostRAM {
+			if unscaled := float64(procs) * 2 * float64(nas.DTPayload(class)); unscaled <= hostRAM {
 				plain := base
 				plain.PayloadBytes = payload
 				pt.plainIdx = len(jobs)
@@ -231,21 +231,4 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 	res.Table.Note("host RAM budget: %s; OM = out of memory without folding (paper's OM labels)",
 		core.FormatBytes(int64(hostRAM)))
 	return res, nil
-}
-
-// dtClassPayload mirrors the nas package's class payload table for OM
-// classification.
-func dtClassPayload(class nas.DTClass) int {
-	switch class {
-	case nas.ClassS:
-		return 64 * int(core.KiB)
-	case nas.ClassW:
-		return 256 * int(core.KiB)
-	case nas.ClassA:
-		return 4 * int(core.MiB)
-	case nas.ClassB:
-		return 6 * int(core.MiB)
-	default:
-		return 8 * int(core.MiB)
-	}
 }

@@ -20,9 +20,6 @@ const solverSmokeFingerprint = "a8c5d1ab336ca9be"
 // asserts the pre-heap golden fingerprint, at two worker counts (so it also
 // covers the usual any-parallel determinism property on the way).
 func TestEventPathFingerprintUnchanged(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1k-host campaign: skipped in -short runs (covered nightly and by CI's solver-smoke job)")
-	}
 	e := env(t)
 	spec := GridSpec{
 		Op:         "alltoall",

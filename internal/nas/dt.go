@@ -62,11 +62,11 @@ func DTProcs(graph DTGraph, class DTClass) (int, error) {
 	return 0, fmt.Errorf("nas: no DT configuration for graph %s class %c", graph, class)
 }
 
-// dtPayload returns the per-edge payload in bytes for a class. These are
+// DTPayload returns the per-edge payload in bytes for a class. These are
 // the repository's scaled equivalents of NPB's num_samples feature arrays:
 // large enough that class A/B runtimes on a Gigabit cluster match the
 // paper's seconds-scale measurements.
-func dtPayload(class DTClass) int {
+func DTPayload(class DTClass) int {
 	switch class {
 	case ClassS:
 		return 64 * int(core.KiB)
@@ -179,7 +179,7 @@ const tagDT = 77
 func dtTree(cfg DTConfig, res *DTResult) func(*smpi.Rank) {
 	payload := cfg.PayloadBytes
 	if payload == 0 {
-		payload = dtPayload(cfg.Class)
+		payload = DTPayload(cfg.Class)
 	}
 	return func(r *smpi.Rank) {
 		c := r.Comm()
@@ -247,7 +247,7 @@ func dtTree(cfg DTConfig, res *DTResult) func(*smpi.Rank) {
 func dtShuffle(cfg DTConfig, res *DTResult) func(*smpi.Rank) {
 	payload := cfg.PayloadBytes
 	if payload == 0 {
-		payload = dtPayload(cfg.Class)
+		payload = DTPayload(cfg.Class)
 	}
 	payload &^= 31 // keep quarters 8-byte aligned
 	return func(r *smpi.Rank) {

@@ -148,7 +148,7 @@ func TestMulti(t *testing.T) {
 
 func TestStatsFlatAndFormat(t *testing.T) {
 	var s Stats
-	s.Net.FlowsStarted = 3
+	s.Net.Started = 3
 	s.NetLMM.MaxComponentVars = 9
 	s.Routes = 12
 	flat := s.Flat()

@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: kernel counters and
 // resource-utilization accounting that attach to the simix kernel and the
 // surf models through the nil-guarded hooks those packages expose
-// (simix.Stats, surf.NetworkStats/CPUStats, lmm.Stats, actionheap.Stats,
+// (simix.Stats, surf.EventStats, lmm.Stats, actionheap.Stats,
 // surf.UsageRecorder). Everything here is strictly additive: attaching the
 // layer never changes a simulation's outcome, and leaving it detached — the
 // default — costs a nil check per hook, nothing more.
@@ -29,8 +29,8 @@ import (
 // the run (smpi.Config.Stats wires all of them); read after.
 type Stats struct {
 	Kernel simix.Stats
-	Net    surf.NetworkStats
-	CPU    surf.CPUStats
+	Net    surf.EventStats
+	CPU    surf.EventStats
 	// NetLMM/CPULMM are the solver counters of the network and compute
 	// models' independent LMM systems.
 	NetLMM lmm.Stats
@@ -52,12 +52,12 @@ func (s *Stats) Flat() map[string]float64 {
 		"kernel.rounds":              float64(s.Kernel.Rounds),
 		"kernel.actor_runs":          float64(s.Kernel.ActorRuns),
 		"kernel.timer_fires":         float64(s.Kernel.TimerFires),
-		"net.flows":                  float64(s.Net.FlowsStarted),
+		"net.flows":                  float64(s.Net.Started),
 		"net.loopbacks":              float64(s.Net.Loopbacks),
 		"net.completions":            float64(s.Net.Completions),
 		"net.syncs":                  float64(s.Net.Syncs),
 		"net.restamps":               float64(s.Net.Restamps),
-		"cpu.tasks":                  float64(s.CPU.TasksStarted),
+		"cpu.tasks":                  float64(s.CPU.Started),
 		"cpu.completions":            float64(s.CPU.Completions),
 		"cpu.syncs":                  float64(s.CPU.Syncs),
 		"cpu.restamps":               float64(s.CPU.Restamps),

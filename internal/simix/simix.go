@@ -150,7 +150,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Actor {
 		defer func() {
 			if r := recover(); r != nil {
 				if k.failure == nil {
-					k.failure = fmt.Errorf("actor %q panicked: %v", a.Name, r)
+					k.failure = fmt.Errorf("actor %q panicked: %w", a.Name, panicError(r))
 				}
 			}
 			a.done = true
@@ -161,6 +161,16 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Actor {
 	}()
 	k.enqueue(a)
 	return a
+}
+
+// panicError returns a recovered panic value as an error to wrap: a typed
+// error a model panicked with (surf.StallError) stays reachable by errors.As
+// from Run's result; any other value is formatted as before.
+func panicError(r any) error {
+	if err, ok := r.(error); ok {
+		return err
+	}
+	return fmt.Errorf("%v", r)
 }
 
 func (k *Kernel) enqueue(a *Actor) {
@@ -234,7 +244,7 @@ func (k *Kernel) Run() (err error) {
 		// Panics raised outside actor goroutines (model code, completion
 		// callbacks) surface as errors rather than crashing the caller.
 		if r := recover(); r != nil {
-			err = fmt.Errorf("simix: kernel panicked: %v", r)
+			err = fmt.Errorf("simix: kernel panicked: %w", panicError(r))
 		}
 	}()
 

@@ -1,5 +1,5 @@
 // Package surf implements the analytical resource models of the simulation
-// kernel, mirroring SimGrid's SURF layer (paper Sections 4 and 5.1):
+// kernel, after SimGrid's SURF layer (paper Sections 4 and 5.1):
 //
 //   - a flow-level network model where concurrent transfers share link
 //     bandwidth max-min fairly (the validated SimGrid contention model), and
@@ -19,11 +19,13 @@
 // dirty components and reports which variables changed, so the models
 // refresh rates and completion estimates for those alone.
 //
-// The event path is sublinear in the action population: completion dates
-// live in the lazily-invalidated min-heap of package actionheap, NextEvent
-// is an O(1) peek, and lmm.Solve's Resolved() set is the only thing that
-// re-stamps a date — an action's bytes (or flops) drain lazily between rate
-// changes rather than being walked every kernel step. See
-// docs/ARCHITECTURE.md ("The event path") for the full design and the
+// The event path exists once, in the unexported engine both models embed
+// (engine.go), as SimGrid's SURF shares generic_update_actions_state_lazy
+// between its CPU and network models. It is sublinear in the action
+// population: next dates live in the lazily-invalidated min-heap of package
+// actionheap, NextEvent is an O(1) peek, and lmm.Solve's Resolved() set is
+// the only thing that re-stamps a date — an action's bytes (or flops) drain
+// lazily between rate changes rather than being walked every kernel step.
+// See docs/ARCHITECTURE.md ("The event path") for the full design and the
 // determinism argument.
 package surf

@@ -7,31 +7,22 @@ import (
 	"smpigo/internal/surf/actionheap"
 )
 
-// NetworkStats accumulates event-path counters of a Network when attached
-// via Instrument. Every hook is a nil check; an uninstrumented network pays
-// nothing.
-type NetworkStats struct {
-	// FlowsStarted counts routed flows; Loopbacks counts empty-route
-	// transfers served by the loopback fast path (they never join sharing).
-	FlowsStarted uint64
-	Loopbacks    uint64
-	// Completions counts flows delivered.
+// EventStats accumulates the event-path counters of a Network or a CPU
+// model when attached via Instrument.
+type EventStats struct {
+	// Started counts routed flows, or compute tasks; Loopbacks counts the
+	// empty-route transfers a Network serves by its loopback fast path (they
+	// never join sharing).
+	Started   uint64
+	Loopbacks uint64
+	// Completions counts actions delivered.
 	Completions uint64
-	// Syncs counts lazy byte-drain syncs — one per flow whose rate a reshare
+	// Syncs counts lazy drain syncs — one per action whose rate a reshare
 	// changed, plus the overdue-restamp drains.
 	Syncs uint64
 	// Restamps counts overdue completion entries that were re-stamped
-	// instead of completed (floating-point drift on huge transfers).
+	// instead of completed (floating-point drift on huge actions).
 	Restamps uint64
-}
-
-// CPUStats accumulates event-path counters of a CPU model, mirroring
-// NetworkStats for compute tasks.
-type CPUStats struct {
-	TasksStarted uint64
-	Completions  uint64
-	Syncs        uint64
-	Restamps     uint64
 }
 
 // UsageRecorder receives the byte and flop segments the lazy drain already
@@ -54,23 +45,14 @@ type UsageRecorder interface {
 	RecordHost(h *platform.Host, from, to core.Time, flops float64)
 }
 
-// Instrument attaches observability sinks to the network: event-path
+// Instrument attaches observability sinks to the model: event-path
 // counters, the underlying LMM solver's counters, the action heap's
-// counters, and a usage recorder receiving drained byte segments. Any of
-// them may be nil; with all nil the network is back to zero overhead.
-// Attach before the simulation runs.
-func (n *Network) Instrument(stats *NetworkStats, lmmStats *lmm.Stats, heapStats *actionheap.Stats, usage UsageRecorder) {
-	n.stats = stats
-	n.sys.Stats = lmmStats
-	n.heap.Stats = heapStats
-	n.usage = usage
-}
-
-// Instrument attaches observability sinks to the CPU model, mirroring
-// Network.Instrument for compute tasks.
-func (c *CPU) Instrument(stats *CPUStats, lmmStats *lmm.Stats, heapStats *actionheap.Stats, usage UsageRecorder) {
-	c.stats = stats
-	c.sys.Stats = lmmStats
-	c.heap.Stats = heapStats
-	c.usage = usage
+// counters, and a usage recorder receiving drained segments. Any of them may
+// be nil; with all nil the model is back to zero overhead. Attach before the
+// simulation runs.
+func (e *engine[T]) Instrument(stats *EventStats, lmmStats *lmm.Stats, heapStats *actionheap.Stats, usage UsageRecorder) {
+	e.stats = stats
+	e.sys.Stats = lmmStats
+	e.heap.Stats = heapStats
+	e.usage = usage
 }
