@@ -38,7 +38,10 @@ func (r *fuzzReader) next() (byte, bool) {
 
 // fuzzChurn replays the decoded schedule on an incrementally-solved system,
 // asserting Check after every op and full bit-identity against from-scratch
-// rebuilds.
+// rebuilds. A twin system takes the same mutation history with its free list
+// emptied after every removal, so it never gives a Variable a second life:
+// every Solve must resolve the same variables, in the same order, to the
+// same values on both.
 func fuzzChurn(t *testing.T, data []byte) {
 	r := &fuzzReader{data: data}
 	b, ok := r.next()
@@ -51,8 +54,8 @@ func fuzzChurn(t *testing.T, data []byte) {
 		policy   SharingPolicy
 	}
 	specs := make([]consSpec, nCons)
-	s := New()
-	cons := make([]*Constraint, nCons)
+	s, twin := New(), New()
+	cons, twinCons := make([]*Constraint, nCons), make([]*Constraint, nCons)
 	for i := range cons {
 		cb, ok := r.next()
 		if !ok {
@@ -63,6 +66,7 @@ func fuzzChurn(t *testing.T, data []byte) {
 			specs[i].policy = FatPipe
 		}
 		cons[i] = s.NewConstraint("c", specs[i].capacity, specs[i].policy)
+		twinCons[i] = twin.NewConstraint("c", specs[i].capacity, specs[i].policy)
 	}
 
 	weights := [4]float64{0, 0.5, 1, 2}
@@ -99,12 +103,19 @@ func fuzzChurn(t *testing.T, data []byte) {
 		if len(route) == 0 {
 			route = append(route, int(hb)%nCons)
 		}
-		v := s.NewVariable("v", weight, bound)
+		v, tv := s.NewVariable("v", weight, bound), twin.NewVariable("v", weight, bound)
 		for _, h := range route {
 			s.Attach(v, cons[h])
+			twin.Attach(tv, twinCons[h])
 		}
-		live = append(live, churnRecord{v: v, weight: weight, bound: bound, route: route})
+		live = append(live, churnRecord{v: v, weight: weight, bound: bound, route: route, twin: tv})
 		return true
+	}
+	remove := func(i int) {
+		s.RemoveVariable(live[i].v)
+		twin.RemoveVariable(live[i].twin)
+		twin.freeVars = nil
+		live = append(live[:i], live[i+1:]...)
 	}
 
 	crossCheck := func(op int) {
@@ -149,55 +160,71 @@ func fuzzChurn(t *testing.T, data []byte) {
 		if !ok {
 			break
 		}
-		switch ob % 6 {
+		switch ob % 7 {
 		case 0, 1:
 			if len(live) >= 40 || !addVar() {
 				if len(live) == 0 {
 					return
 				}
 				ib, _ := r.next()
-				i := int(ib) % len(live)
-				s.RemoveVariable(live[i].v)
-				live = append(live[:i], live[i+1:]...)
+				remove(int(ib) % len(live))
 			}
-		case 2:
+		case 2, 6:
 			if len(live) == 0 {
 				continue
 			}
 			ib, _ := r.next()
-			i := int(ib) % len(live)
-			s.RemoveVariable(live[i].v)
-			live = append(live[:i], live[i+1:]...)
+			remove(int(ib) % len(live))
+			if ob%7 == 6 {
+				// Remove and create in the same step: the new variable is
+				// the removed one's second life.
+				addVar()
+			}
 		case 3:
 			ib, _ := r.next()
 			cb, _ := r.next()
 			s.SetCapacity(cons[int(ib)%nCons], float64(cb%100)/2)
+			twin.SetCapacity(twinCons[int(ib)%nCons], float64(cb%100)/2)
 		case 4:
 			if len(live) == 0 {
 				continue
 			}
 			ib, _ := r.next()
 			wb, _ := r.next()
-			v := live[int(ib)%len(live)].v
-			v.Weight = weights[wb%4]
-			s.MarkVariableDirty(v)
+			rec := live[int(ib)%len(live)]
+			rec.v.Weight, rec.twin.Weight = weights[wb%4], weights[wb%4]
+			s.MarkVariableDirty(rec.v)
+			twin.MarkVariableDirty(rec.twin)
 		case 5:
 			if len(live) == 0 {
 				continue
 			}
 			ib, _ := r.next()
 			bb, _ := r.next()
-			v := live[int(ib)%len(live)].v
+			rec := live[int(ib)%len(live)]
 			if bb%3 == 0 {
-				v.Bound = math.Inf(1)
+				rec.v.Bound = math.Inf(1)
 			} else {
-				v.Bound = float64(bb%120) / 4
+				rec.v.Bound = float64(bb%120) / 4
 			}
-			s.MarkVariableDirty(v)
+			rec.twin.Bound = rec.v.Bound
+			s.MarkVariableDirty(rec.v)
+			twin.MarkVariableDirty(rec.twin)
 		}
 		s.Solve()
 		if err := s.Check(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
+		}
+		twin.Solve()
+		got, want := s.Resolved(), twin.Resolved()
+		if len(got) != len(want) {
+			t.Fatalf("op %d: %d variables resolved, %d without recycling", op, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].id != want[i].id || got[i].Value != want[i].Value {
+				t.Fatalf("op %d: resolved[%d] is variable %d = %v, without recycling variable %d = %v",
+					op, i, got[i].id, got[i].Value, want[i].id, want[i].Value)
+			}
 		}
 		if op%4 == 0 {
 			crossCheck(op)
@@ -216,6 +243,10 @@ var fuzzSeeds = [][]byte{
 	[]byte("\x09\x04\x13\x22\x31\x40\x4f\x5e\x6d\x7cadd00add11add22rm3cap4w5b6add77add88rm9capAwBbCaddDDrmEcapF"),
 	[]byte("\x03\x63\x63\x63000000333333333333444444444444555555555555000000222222"),
 	[]byte("lmm-churn: grow, retune, vary, drain; grow, retune, vary, drain"),
+	// Six variables over four constraints, then twenty times op 6 — one
+	// leaves and one arrives in the same step, on the leaver's recycled
+	// object — with a capacity retuned every fifth.
+	[]byte("\x01bba`\x00\x02\x01\x01\x00\x01\x00\x02\x01\x01\x01\x02\x00\x02\x01\x01\x02\x03\x00\x02\x01\x01\x03\x04\x00\x02\x01\x01\x04\x05\x00\x02\x01\x01\x05\x06\x06*\x02\x01\x02\x00\x02\x03\x062\x02\x01\x02\x01\x03\x04\x06:\x02\x01\x02\x02\x04\x05\x06B\x02\x01\x02\x03\x05\x06\x06J\x02\x01\x02\x04\x06\a\x03\x04,\x06U\x02\x01\x02\x05\a\b\x06]\x02\x01\x02\x06\b\t\x06e\x02\x01\x02\a\t\n\x06m\x02\x01\x02\b\n\v\x06u\x02\x01\x02\t\v\f\x03\t1\x06\x80\x02\x01\x02\n\f\r\x06\x88\x02\x01\x02\v\r\x0e\x06\x90\x02\x01\x02\f\x0e\x0f\x06\x98\x02\x01\x02\r\x0f\x10\x06\xa0\x02\x01\x02\x0e\x10\x11\x03\x0e6\x06\xab\x02\x01\x02\x0f\x11\x12\x06\xb3\x02\x01\x02\x10\x12\x13\x06\xbb\x02\x01\x02\x11\x13\x14\x06\xc3\x02\x01\x02\x12\x14\x15\x06\xcb\x02\x01\x02\x13\x15\x16\x03\x13;"),
 }
 
 // FuzzIncrementalMatchesFromScratch fuzzes the incremental solver:

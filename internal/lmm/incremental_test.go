@@ -14,6 +14,8 @@ type churnRecord struct {
 	weight float64
 	bound  float64
 	route  []int // constraint indices, in attach order
+	// twin is the same variable in fuzzChurn's system without recycling.
+	twin *Variable
 }
 
 // TestIncrementalMatchesFromScratch drives a randomized add/remove churn

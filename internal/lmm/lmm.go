@@ -89,6 +89,9 @@ type System struct {
 	variables []*Variable
 
 	nextVarID int
+	// freeVars holds removed variables for NewVariable to reuse, each with
+	// the capacity of its cons slice (see RemoveVariable).
+	freeVars []*Variable
 
 	// Dirty set consumed by the next Solve.
 	dirtyCons []*Constraint
@@ -138,7 +141,16 @@ func (s *System) NewVariable(name string, weight, bound float64) *Variable {
 	if bound < 0 || math.IsNaN(bound) {
 		panic(fmt.Sprintf("lmm: invalid bound %v for variable %q", bound, name))
 	}
-	v := &Variable{Weight: weight, Bound: bound, Name: name, id: s.nextVarID, sysIdx: len(s.variables)}
+	var v *Variable
+	if n := len(s.freeVars); n > 0 {
+		v = s.freeVars[n-1]
+		s.freeVars = s.freeVars[:n-1]
+		*v = Variable{cons: v.cons}
+	} else {
+		v = new(Variable)
+	}
+	v.Weight, v.Bound, v.Name = weight, bound, name
+	v.id, v.sysIdx = s.nextVarID, len(s.variables)
 	s.nextVarID++
 	s.variables = append(s.variables, v)
 	s.MarkVariableDirty(v)
@@ -166,6 +178,12 @@ func (s *System) Attach(v *Variable, c *Constraint) {
 // detach is an order-preserving delete per crossed constraint, so the whole
 // operation is O(degree) in attached-list sizes rather than the former
 // O(total variables) scan.
+//
+// The system owns v from here on and hands it out again from a later
+// NewVariable, under a fresh id, so that a flow's variable and its cons
+// slice are not garbage: the caller must drop its pointer. A variable
+// removed while still in the dirty set is left to the GC instead — its slot
+// there seeds component discovery order, which a second life would move.
 func (s *System) RemoveVariable(v *Variable) {
 	if v.sysIdx < 0 {
 		return
@@ -179,7 +197,7 @@ func (s *System) RemoveVariable(v *Variable) {
 		}
 		s.MarkDirty(c)
 	}
-	v.cons = nil
+	v.cons = v.cons[:0]
 	last := len(s.variables) - 1
 	moved := s.variables[last]
 	s.variables[v.sysIdx] = moved
@@ -187,6 +205,9 @@ func (s *System) RemoveVariable(v *Variable) {
 	s.variables[last] = nil
 	s.variables = s.variables[:last]
 	v.sysIdx = -1
+	if !v.dirty {
+		s.freeVars = append(s.freeVars, v)
+	}
 }
 
 // MarkDirty records that c's capacity, policy, or attachments changed, so

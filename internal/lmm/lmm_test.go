@@ -174,6 +174,44 @@ func TestRemoveVariableRedistributes(t *testing.T) {
 	}
 }
 
+// TestRemovedVariableSecondLife: a removed variable comes back from the next
+// NewVariable as a blank one under a fresh id, with the storage of its
+// constraint list — unless it was removed while still in the dirty set,
+// where its slot seeds the order components are discovered in: a second life
+// there would move the new variable ahead of the ones created in between.
+func TestRemovedVariableSecondLife(t *testing.T) {
+	s := New()
+	l := s.NewConstraint("l", 100, Shared)
+	// Unattached bounded variables are components of their own, discovered
+	// through the dirty set alone.
+	a := s.NewVariable("a", 1, 1)
+	b := s.NewVariable("b", 1, 2)
+	s.RemoveVariable(a) // still dirty
+	c := s.NewVariable("c", 1, 3)
+	if c == a {
+		t.Fatal("a variable removed while dirty was given a second life")
+	}
+	s.Solve()
+	if got := s.Resolved(); len(got) != 2 || got[0] != b || got[1] != c {
+		t.Fatalf("resolved %v, want b then c", got)
+	}
+
+	s.Attach(b, l)
+	s.Solve()
+	s.RemoveVariable(b) // clean
+	d := s.NewVariable("d", 2, 4)
+	if d != b {
+		t.Fatal("a removed variable was not reused")
+	}
+	if d.id != 3 || d.Name != "d" || d.Weight != 2 || d.Bound != 4 || d.Value != 0 || len(d.cons) != 0 || cap(d.cons) == 0 {
+		t.Errorf("second life is not a blank variable 3 with its cons storage: %+v", d)
+	}
+	s.Solve()
+	if got := s.Resolved(); len(got) != 1 || got[0] != d || d.Value != 4 {
+		t.Errorf("resolved %v, d = %v, want d alone at its bound 4", got, d.Value)
+	}
+}
+
 func TestAttachIsIdempotent(t *testing.T) {
 	s := New()
 	l := s.NewConstraint("l", 100, Shared)

@@ -43,10 +43,21 @@ type Model interface {
 
 // Future is a one-shot completion handle. Models fulfill futures; actors
 // block on them via Proc.Wait and friends.
+//
+// The zero value is an unfulfilled future, so an owner may embed a Future by
+// value and re-arm it for its next life by assigning Future{} — once the
+// previous life's Fulfill has run its last callback, which is the last time
+// the kernel touches it. The first waiter and the first callback are stored
+// inline: nearly every future has at most one of each (the actor blocked on
+// it, the delivery hook of a message), so waiting on a future allocates
+// nothing, re-armed or not.
 type Future struct {
-	done      bool
-	value     any
-	waiters   []*Actor
+	done  bool
+	value any
+
+	waiter    *Actor   // first registered waiter
+	waiters   []*Actor // later ones, in registration order
+	callback  func(any)
 	callbacks []func(any)
 }
 
@@ -70,6 +81,9 @@ type Actor struct {
 	proc   *Proc
 	done   bool
 	queued bool
+	// sleep is the future of Proc.Sleep: an actor sleeps on at most one at
+	// a time, so it is re-armed per call instead of allocated.
+	sleep Future
 }
 
 // Proc is the execution context handed to actor functions. All methods must
@@ -190,14 +204,31 @@ func (k *Kernel) Fulfill(f *Future, value any) {
 	}
 	f.done = true
 	f.value = value
-	for _, a := range f.waiters {
-		k.enqueue(a)
+	if f.waiter != nil {
+		k.enqueue(f.waiter)
+		for _, a := range f.waiters {
+			k.enqueue(a)
+		}
+		f.waiter, f.waiters = nil, nil
 	}
-	f.waiters = nil
-	cbs := f.callbacks
-	f.callbacks = nil
-	for _, cb := range cbs {
+	// Detach the callbacks before running any: the last one may recycle f's
+	// owner, f included.
+	cb, cbs := f.callback, f.callbacks
+	f.callback, f.callbacks = nil, nil
+	if cb != nil {
 		cb(value)
+		for _, cb := range cbs {
+			cb(value)
+		}
+	}
+}
+
+// addWaiter registers a to be woken by f's Fulfill.
+func (f *Future) addWaiter(a *Actor) {
+	if f.waiter == nil {
+		f.waiter = a
+	} else {
+		f.waiters = append(f.waiters, a)
 	}
 }
 
@@ -209,7 +240,11 @@ func (k *Kernel) OnFulfill(f *Future, fn func(value any)) {
 		fn(f.value)
 		return
 	}
-	f.callbacks = append(f.callbacks, fn)
+	if f.callback == nil {
+		f.callback = fn
+	} else {
+		f.callbacks = append(f.callbacks, fn)
+	}
 }
 
 // FulfillAt schedules f to be fulfilled with value at absolute date t,
@@ -249,10 +284,12 @@ func (k *Kernel) Run() (err error) {
 	}()
 
 	for {
-		// Scheduling round: run every ready actor, one at a time.
-		for len(k.runq) > 0 {
-			a := k.runq[0]
-			k.runq = k.runq[1:]
+		// Scheduling round: run every ready actor, one at a time. The queue
+		// is drained by index — an actor enqueued during the round runs in
+		// it, after those already queued — and then emptied in place, so its
+		// backing array serves every round.
+		for i := 0; i < len(k.runq); i++ {
+			a := k.runq[i]
 			a.queued = false
 			if a.done {
 				continue
@@ -266,6 +303,7 @@ func (k *Kernel) Run() (err error) {
 				return k.failure
 			}
 		}
+		k.runq = k.runq[:0]
 
 		if k.live == 0 {
 			return nil
@@ -347,7 +385,7 @@ func (p *Proc) Yield() {
 // Wait blocks until f is fulfilled and returns its value.
 func (p *Proc) Wait(f *Future) any {
 	for !f.done {
-		f.waiters = append(f.waiters, p.actor)
+		f.addWaiter(p.actor)
 		p.yield()
 	}
 	return f.value
@@ -368,7 +406,7 @@ func (p *Proc) WaitAny(fs []*Future) (int, any) {
 		}
 		for _, f := range fs {
 			if f != nil {
-				f.waiters = append(f.waiters, p.actor)
+				f.addWaiter(p.actor)
 			}
 		}
 		p.yield()
@@ -389,7 +427,8 @@ func (p *Proc) Sleep(d core.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	f := NewFuture()
+	f := &p.actor.sleep
+	*f = Future{}
 	k := p.actor.kernel
 	k.FulfillAt(f, nil, k.now+d)
 	p.Wait(f)

@@ -239,6 +239,65 @@ func TestYieldCooperative(t *testing.T) {
 	}
 }
 
+// TestFulfillWakesInRegistrationOrderWithinTheRound pins what a future's
+// inline first waiter and callback, and the index-drained run queue, must
+// not change: waiters wake and callbacks run in registration order, and an
+// actor woken during a round runs in that round, behind those already
+// queued.
+func TestFulfillWakesInRegistrationOrderWithinTheRound(t *testing.T) {
+	k := New()
+	k.Stats = new(Stats)
+	f := NewFuture()
+	var order []string
+	for _, name := range []string{"w1", "w2", "w3"} {
+		k.Spawn(name, func(p *Proc) {
+			p.Wait(f)
+			order = append(order, p.Name())
+		})
+	}
+	k.Spawn("a", func(p *Proc) {
+		p.Yield() // the waiters have registered, and "b" is queued ahead of them
+		for _, name := range []string{"cb1", "cb2", "cb3"} {
+			k.OnFulfill(f, func(any) { order = append(order, name) })
+		}
+		k.Fulfill(f, nil)
+		order = append(order, "a")
+	})
+	k.Spawn("b", func(p *Proc) {
+		p.Yield()
+		order = append(order, "b")
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "cb1,cb2,cb3,a,b,w1,w2,w3"
+	if got := strings.Join(order, ","); got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+	if k.Stats.Rounds != 0 {
+		t.Errorf("the clock advanced %d times, want everything in the first round", k.Stats.Rounds)
+	}
+}
+
+// TestSleepFutureIsReused: consecutive sleeps of one actor re-arm the same
+// future, each for its own duration.
+func TestSleepFutureIsReused(t *testing.T) {
+	k := New()
+	var woke []core.Time
+	a := k.Spawn("a", func(p *Proc) {
+		for _, d := range []core.Duration{3, 0, 2} {
+			p.Sleep(d)
+			woke = append(woke, p.Now())
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(woke) != 3 || woke[0] != 3 || woke[1] != 3 || woke[2] != 5 || !a.sleep.Done() {
+		t.Errorf("woke at %v, want [3 3 5]", woke)
+	}
+}
+
 func TestFulfillAtPastClampedToNow(t *testing.T) {
 	k := New()
 	var woke core.Time

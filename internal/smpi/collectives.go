@@ -111,10 +111,10 @@ func (c *Comm) Bcast(r *Rank, buf []byte, root int) {
 			reqs := make([]*Request, 0, c.Size()-1)
 			for dst := 0; dst < c.Size(); dst++ {
 				if dst != root {
-					reqs = append(reqs, r.Isend(c, buf, dst, tagBcast))
+					reqs = append(reqs, r.isend(c, buf, dst, tagBcast))
 				}
 			}
-			r.WaitAll(reqs)
+			r.waitAllFree(reqs)
 		} else {
 			r.Recv(c, buf, root, tagBcast)
 		}
@@ -192,9 +192,9 @@ func (c *Comm) Scatter(r *Rank, sendbuf, recvbuf []byte, root int) {
 					c.w.move(recvbuf, chunk)
 					continue
 				}
-				reqs = append(reqs, r.Isend(c, chunk, dst, tagScatter))
+				reqs = append(reqs, r.isend(c, chunk, dst, tagScatter))
 			}
-			r.WaitAll(reqs)
+			r.waitAllFree(reqs)
 		} else {
 			r.Recv(c, recvbuf, root, tagScatter)
 		}
@@ -249,10 +249,10 @@ func (c *Comm) scatterBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
 		if rel+mask < p {
 			dst := (me + mask) % p
 			cnt := min(mask, p-(rel+mask))
-			reqs = append(reqs, r.Isend(c, tmp[mask*bs:(mask+cnt)*bs], dst, tagScatter))
+			reqs = append(reqs, r.isend(c, tmp[mask*bs:(mask+cnt)*bs], dst, tagScatter))
 		}
 	}
-	r.WaitAll(reqs)
+	r.waitAllFree(reqs)
 	c.w.move(recvbuf, tmp[:bs])
 }
 
@@ -276,9 +276,9 @@ func (c *Comm) Gather(r *Rank, sendbuf, recvbuf []byte, root int) {
 					c.w.move(chunk, sendbuf)
 					continue
 				}
-				reqs = append(reqs, r.Irecv(c, chunk, src, tagGather))
+				reqs = append(reqs, r.irecv(c, chunk, src, tagGather))
 			}
-			r.WaitAll(reqs)
+			r.waitAllFree(reqs)
 		} else {
 			r.Send(c, sendbuf, root, tagGather)
 		}
@@ -391,14 +391,14 @@ func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
 				c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
 				continue
 			}
-			reqs = append(reqs, r.Irecv(c, recvbuf[peer*bs:(peer+1)*bs], peer, tagAlltoall))
+			reqs = append(reqs, r.irecv(c, recvbuf[peer*bs:(peer+1)*bs], peer, tagAlltoall))
 		}
 		for peer := 0; peer < p; peer++ {
 			if peer != me {
-				reqs = append(reqs, r.Isend(c, sendbuf[peer*bs:(peer+1)*bs], peer, tagAlltoall))
+				reqs = append(reqs, r.isend(c, sendbuf[peer*bs:(peer+1)*bs], peer, tagAlltoall))
 			}
 		}
-		r.WaitAll(reqs)
+		r.waitAllFree(reqs)
 	default:
 		badAlgo("alltoall", c.w.cfg.Algorithms.Alltoall)
 	}
@@ -429,9 +429,9 @@ func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte, bs int) {
 				n++
 			}
 		}
-		rq := r.Irecv(c, scratch[n*bs:2*n*bs], src, tagAlltoall)
+		rq := r.irecv(c, scratch[n*bs:2*n*bs], src, tagAlltoall)
 		r.Send(c, scratch[:n*bs], dst, tagAlltoall)
-		r.Wait(rq)
+		r.waitFree(rq)
 		// Unpack received blocks into the same positions.
 		m := 0
 		for j := 0; j < p; j++ {
@@ -628,9 +628,9 @@ func (c *Comm) Scatterv(r *Rank, sendbuf []byte, counts []int, recvbuf []byte, r
 				c.w.move(recvbuf, chunk)
 				continue
 			}
-			reqs = append(reqs, r.Isend(c, chunk, dst, tagScatter))
+			reqs = append(reqs, r.isend(c, chunk, dst, tagScatter))
 		}
-		r.WaitAll(reqs)
+		r.waitAllFree(reqs)
 	} else {
 		r.Recv(c, recvbuf[:counts[me]], root, tagScatter)
 	}
@@ -653,9 +653,9 @@ func (c *Comm) Gatherv(r *Rank, sendbuf []byte, recvbuf []byte, counts []int, ro
 				c.w.move(chunk, sendbuf)
 				continue
 			}
-			reqs = append(reqs, r.Irecv(c, chunk, src, tagGather))
+			reqs = append(reqs, r.irecv(c, chunk, src, tagGather))
 		}
-		r.WaitAll(reqs)
+		r.waitAllFree(reqs)
 	} else {
 		r.Send(c, sendbuf[:counts[me]], root, tagGather)
 	}
@@ -688,12 +688,12 @@ func (c *Comm) Alltoallv(r *Rank, sendbuf []byte, sendcounts []int, recvbuf []by
 			c.w.move(recvbuf[roff[me]:roff[me+1]], sendbuf[soff[me]:soff[me+1]])
 			continue
 		}
-		reqs = append(reqs, r.Irecv(c, recvbuf[roff[peer]:roff[peer+1]], peer, tagAlltoall))
+		reqs = append(reqs, r.irecv(c, recvbuf[roff[peer]:roff[peer+1]], peer, tagAlltoall))
 	}
 	for peer := 0; peer < p; peer++ {
 		if peer != me {
-			reqs = append(reqs, r.Isend(c, sendbuf[soff[peer]:soff[peer+1]], peer, tagAlltoall))
+			reqs = append(reqs, r.isend(c, sendbuf[soff[peer]:soff[peer+1]], peer, tagAlltoall))
 		}
 	}
-	r.WaitAll(reqs)
+	r.waitAllFree(reqs)
 }

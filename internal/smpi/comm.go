@@ -16,6 +16,21 @@ type Comm struct {
 	w     *World
 	id    int
 	group []int // group[commRank] = worldRank
+	ranks []int // the inverse: ranks[worldRank] = commRank, -1 for non-members
+}
+
+// newComm registers a communicator over group under the next id.
+func (w *World) newComm(group []int) *Comm {
+	ranks := make([]int, w.cfg.Procs)
+	for i := range ranks {
+		ranks[i] = -1
+	}
+	for i, wr := range group {
+		ranks[wr] = i
+	}
+	c := &Comm{w: w, id: w.commSeq, group: group, ranks: ranks}
+	w.commSeq++
+	return c
 }
 
 // Size returns the number of ranks in the communicator.
@@ -23,14 +38,7 @@ func (c *Comm) Size() int { return len(c.group) }
 
 // RankOf returns r's rank within the communicator, or -1 if r is not a
 // member.
-func (c *Comm) RankOf(r *Rank) int {
-	for i, wr := range c.group {
-		if wr == r.rank {
-			return i
-		}
-	}
-	return -1
-}
+func (c *Comm) RankOf(r *Rank) int { return c.ranks[r.rank] }
 
 func (c *Comm) mustRank(r *Rank) int {
 	if i := c.RankOf(r); i >= 0 {
@@ -62,7 +70,7 @@ func (w *World) getOrCreateComm(key string, group []int) *Comm {
 	if c, ok := w.comms[key]; ok {
 		return c
 	}
-	c := &Comm{w: w, id: w.nextCommID(), group: group}
+	c := w.newComm(group)
 	w.comms[key] = c
 	return c
 }

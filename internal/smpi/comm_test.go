@@ -1,6 +1,7 @@
 package smpi
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -129,19 +130,33 @@ func TestWorldRankTranslation(t *testing.T) {
 }
 
 func TestRankOfNonMember(t *testing.T) {
+	// Every rank looks itself up in every rank's half of the split.
+	subs := make([]*Comm, 4)
+	split := func(r *Rank) {
+		subs[r.Rank()] = r.Comm().Split(r, r.Rank()%2, 0)
+		r.Comm().Barrier(r)
+	}
 	mustRun(t, testConfig(4), func(r *Rank) {
-		sub := r.Comm().Split(r, r.Rank()%2, 0)
-		// A rank of opposite parity is not a member.
-		if r.Rank()%2 == 0 {
-			// all members of sub have even world rank
-			for _, wr := range sub.Group() {
-				if wr%2 != 0 {
-					t.Error("unexpected member")
-				}
+		split(r)
+		for wr, sub := range subs {
+			want := -1 // a rank of opposite parity is not a member
+			if wr%2 == r.Rank()%2 {
+				want = r.Rank() / 2
+			}
+			if got := sub.RankOf(r); got != want {
+				t.Errorf("rank %d in the communicator of rank %d: RankOf = %d, want %d", r.Rank(), wr, got, want)
 			}
 		}
-		_ = sub
 	})
+	_, err := Run(testConfig(4), func(r *Rank) {
+		split(r)
+		if r.Rank() == 0 {
+			r.Send(subs[1], nil, 0, 0)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "smpi: rank 0 is not a member of communicator ") {
+		t.Errorf("send on a communicator of others: got %v, want the not-a-member panic", err)
+	}
 }
 
 func TestSampleLocalIntegration(t *testing.T) {

@@ -37,17 +37,20 @@ const (
 type Request struct {
 	owner *Rank
 	kind  reqKind
-	done  *simix.Future
+	done  simix.Future
 	// Status is filled when the request completes (receives only).
 	Status Status
 
 	// Persistent-request state (SendInit/RecvInit/Start).
 	persistent bool
 	active     bool
-	comm       *Comm
-	buf        []byte
-	peer       int
-	tag        int
+	// The operation's arguments: what Start restarts a persistent request
+	// with, and what a receive posted in its mailbox is matched and
+	// delivered by.
+	comm *Comm
+	buf  []byte
+	peer int
+	tag  int
 
 	// Tracing state: the rank-local request index assigned by the
 	// recorder (-1 when tracing is off) and the wildcard-source resolver.
@@ -57,14 +60,15 @@ type Request struct {
 
 // Done reports whether the request has completed (like a successful
 // MPI_Test without status).
-func (q *Request) Done() bool { return q != nil && q.done != nil && q.done.Done() }
+func (q *Request) Done() bool { return q != nil && q.done.Done() }
 
 type mbKey struct {
 	comm int
 	rank int // receiver's rank in the communicator
 }
 
-// envelope is a message in flight or queued as unexpected.
+// envelope is a message in flight or queued as unexpected. The object
+// outlives the message: arrive puts it on the World's free list.
 type envelope struct {
 	src, tag int
 	eager    bool
@@ -72,20 +76,17 @@ type envelope struct {
 	srcBuf   []byte // rendezvous: sender buffer, snapshotted at match time
 	srcHost  *platform.Host
 	dstHost  *platform.Host
-	wire     *simix.Future
-	sendReq  *Request
-}
-
-// posted is a receive waiting for a matching send.
-type posted struct {
-	src, tag int
-	buf      []byte
-	req      *Request
+	wire     simix.Future
+	sendReq  *Request // rendezvous only: completes at delivery
+	recvReq  *Request // the matched receive, from deliver on
+	// onWire is the wire future's callback, w.arrive bound to this envelope
+	// once for all its lives.
+	onWire func(any)
 }
 
 type mailbox struct {
 	sends   []*envelope
-	recvs   []*posted
+	recvs   []*Request // posted receives waiting for a matching send
 	probers []*simix.Future
 }
 
@@ -140,27 +141,50 @@ func (w *World) scratch(like []byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// deliver wires an envelope to a posted receive: when the transfer
+// newEnvelope returns a blank envelope, a delivered one when there is one.
+func (w *World) newEnvelope() *envelope {
+	if n := len(w.freeEnvs); n > 0 {
+		env := w.freeEnvs[n-1]
+		w.freeEnvs = w.freeEnvs[:n-1]
+		return env
+	}
+	env := new(envelope)
+	env.onWire = func(any) { w.arrive(env) }
+	return env
+}
+
+// deliver wires an envelope to its matched receive: when the transfer
 // completes, the payload lands in the receive buffer and both requests
 // (where applicable) complete.
-func (w *World) deliver(env *envelope, p *posted) {
-	w.kernel.OnFulfill(env.wire, func(any) {
-		if len(env.data) > len(p.buf) {
-			panic(fmt.Sprintf("smpi: message truncation: %d-byte message into %d-byte buffer (src %d, tag %d)",
-				len(env.data), len(p.buf), env.src, env.tag))
-		}
-		w.move(p.buf, env.data)
-		p.req.Status = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
-		if p.req.traceResolve != nil {
-			// Patch the recorded receive with the matched source so that
-			// wildcard receives replay deterministically.
-			p.req.traceResolve(p.req.comm.group[env.src])
-		}
-		w.kernel.Fulfill(p.req.done, nil)
-		if !env.eager {
-			w.kernel.Fulfill(env.sendReq.done, nil)
-		}
-	})
+func (w *World) deliver(env *envelope, q *Request) {
+	env.recvReq = q
+	w.kernel.OnFulfill(&env.wire, env.onWire)
+}
+
+// arrive completes env's delivery and frees the envelope. It runs as the
+// last act of the wire future's Fulfill (or from deliver itself, for an
+// unexpected message already off the wire), so nothing refers to env
+// afterwards; freeing it last keeps it from a send started by anything
+// arrive wakes.
+func (w *World) arrive(env *envelope) {
+	q := env.recvReq
+	if len(env.data) > len(q.buf) {
+		panic(fmt.Sprintf("smpi: message truncation: %d-byte message into %d-byte buffer (src %d, tag %d)",
+			len(env.data), len(q.buf), env.src, env.tag))
+	}
+	w.move(q.buf, env.data)
+	q.Status = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
+	if q.traceResolve != nil {
+		// Patch the recorded receive with the matched source so that
+		// wildcard receives replay deterministically.
+		q.traceResolve(q.comm.group[env.src])
+	}
+	w.kernel.Fulfill(&q.done, nil)
+	if !env.eager {
+		w.kernel.Fulfill(&env.sendReq.done, nil)
+	}
+	*env = envelope{onWire: env.onWire}
+	w.freeEnvs = append(w.freeEnvs, env)
 }
 
 // startRendezvous begins the payload transfer of a rendezvous send that
@@ -169,11 +193,11 @@ func (w *World) deliver(env *envelope, p *posted) {
 // completes exactly when this transfer delivers, so referencing the buffer
 // directly is safe and keeps large transfers zero-copy (one copy into the
 // receive buffer at delivery).
-func (w *World) startRendezvous(env *envelope, p *posted) {
+func (w *World) startRendezvous(env *envelope, q *Request) {
 	env.data = env.srcBuf
 	env.srcBuf = nil
-	env.wire = w.transfer(env.srcHost, env.dstHost, int64(len(env.data)))
-	w.deliver(env, p)
+	w.transfer(env)
+	w.deliver(env, q)
 }
 
 // isendInto performs the send protocol, completing req accordingly.
@@ -182,14 +206,9 @@ func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Reque
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("smpi: send to invalid rank %d in communicator of size %d", dst, c.Size()))
 	}
-	dstHost := w.ranks[c.group[dst]].host
-	env := &envelope{
-		src:     myRank,
-		tag:     tag,
-		srcHost: r.host,
-		dstHost: dstHost,
-		sendReq: req,
-	}
+	env := w.newEnvelope()
+	env.src, env.tag = myRank, tag
+	env.srcHost, env.dstHost = r.host, w.ranks[c.group[dst]].host
 	mb := w.mailbox(mbKey{comm: c.id, rank: dst})
 
 	if int64(len(buf)) < w.cfg.EagerThreshold {
@@ -202,10 +221,10 @@ func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Reque
 		} else {
 			env.data = clone(buf)
 		}
-		env.wire = w.transfer(r.host, dstHost, int64(len(buf)))
-		w.kernel.Fulfill(req.done, nil)
-		if p := mb.takeRecv(env); p != nil {
-			w.deliver(env, p)
+		w.transfer(env)
+		w.kernel.Fulfill(&req.done, nil)
+		if q := mb.takeRecv(env); q != nil {
+			w.deliver(env, q)
 		} else {
 			mb.sends = append(mb.sends, env)
 			mb.wakeProbers(w)
@@ -217,8 +236,9 @@ func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Reque
 	// send completes only when the payload has been delivered
 	// (synchronous-mode semantics above the eager threshold).
 	env.srcBuf = buf
-	if p := mb.takeRecv(env); p != nil {
-		w.startRendezvous(env, p)
+	env.sendReq = req
+	if q := mb.takeRecv(env); q != nil {
+		w.startRendezvous(env, q)
 	} else {
 		mb.sends = append(mb.sends, env)
 		mb.wakeProbers(w)
@@ -233,24 +253,24 @@ func (w *World) irecvInto(r *Rank, c *Comm, buf []byte, src, tag int, req *Reque
 		panic(fmt.Sprintf("smpi: receive from invalid rank %d in communicator of size %d", src, c.Size()))
 	}
 	mb := w.mailbox(mbKey{comm: c.id, rank: myRank})
-	p := &posted{src: src, tag: tag, buf: buf, req: req}
+	req.comm, req.buf, req.peer, req.tag = c, buf, src, tag
 	if env := mb.takeSend(src, tag); env != nil {
 		if env.eager {
-			w.deliver(env, p)
+			w.deliver(env, req)
 		} else {
-			w.startRendezvous(env, p)
+			w.startRendezvous(env, req)
 		}
 		return
 	}
-	mb.recvs = append(mb.recvs, p)
+	mb.recvs = append(mb.recvs, req)
 }
 
 // takeRecv removes and returns the earliest posted receive matching env.
-func (mb *mailbox) takeRecv(env *envelope) *posted {
-	for i, p := range mb.recvs {
-		if matches(env.src, env.tag, p.src, p.tag) {
+func (mb *mailbox) takeRecv(env *envelope) *Request {
+	for i, q := range mb.recvs {
+		if matches(env.src, env.tag, q.peer, q.tag) {
 			mb.recvs = append(mb.recvs[:i], mb.recvs[i+1:]...)
-			return p
+			return q
 		}
 	}
 	return nil
@@ -272,47 +292,98 @@ func (mb *mailbox) takeSend(src, tag int) *envelope {
 // Isend starts a non-blocking send of buf to rank dst with the given tag
 // (MPI_Isend). The buffer must not be modified until the request completes.
 func (r *Rank) Isend(c *Comm, buf []byte, dst, tag int) *Request {
-	req := &Request{owner: r, kind: sendKind, done: simix.NewFuture(), traceIdx: -1}
-	if tr := r.w.cfg.Tracer; tr != nil {
-		req.traceIdx = tr.RecordIsend(r.rank, c.group[dst], tag, int64(len(buf)))
-	}
-	r.w.isendInto(r, c, buf, dst, tag, req)
-	return req
+	return r.startSend(new(Request), c, buf, dst, tag)
 }
 
 // Irecv starts a non-blocking receive into buf from rank src (or AnySource)
 // with the given tag (or AnyTag) — MPI_Irecv.
 func (r *Rank) Irecv(c *Comm, buf []byte, src, tag int) *Request {
-	req := &Request{owner: r, kind: recvKind, done: simix.NewFuture(), comm: c, traceIdx: -1}
+	return r.startRecv(new(Request), c, buf, src, tag)
+}
+
+// startSend starts a send on the blank request q.
+func (r *Rank) startSend(q *Request, c *Comm, buf []byte, dst, tag int) *Request {
+	q.owner, q.kind, q.traceIdx = r, sendKind, -1
+	if tr := r.w.cfg.Tracer; tr != nil {
+		q.traceIdx = tr.RecordIsend(r.rank, c.group[dst], tag, int64(len(buf)))
+	}
+	r.w.isendInto(r, c, buf, dst, tag, q)
+	return q
+}
+
+// startRecv starts a receive on the blank request q.
+func (r *Rank) startRecv(q *Request, c *Comm, buf []byte, src, tag int) *Request {
+	q.owner, q.kind, q.traceIdx = r, recvKind, -1
 	if tr := r.w.cfg.Tracer; tr != nil {
 		peer := src
 		if src >= 0 {
 			peer = c.group[src]
 		}
-		req.traceIdx, req.traceResolve = tr.RecordIrecv(r.rank, peer, tag, int64(len(buf)))
+		q.traceIdx, q.traceResolve = tr.RecordIrecv(r.rank, peer, tag, int64(len(buf)))
 	}
-	r.w.irecvInto(r, c, buf, src, tag, req)
-	return req
+	r.w.irecvInto(r, c, buf, src, tag, q)
+	return q
+}
+
+// A Request handed to the application stays readable after it completes
+// (Done, Status, WaitSome) for as long as the application keeps it, so
+// those are left to the GC. The requests of the blocking calls and of the
+// built-in collectives never leave this package: they are made by isend and
+// irecv on a recycled object, and waitFree gives it back.
+
+// newRequest returns a blank request that must not reach the application.
+func (w *World) newRequest() *Request {
+	if n := len(w.freeReqs); n > 0 {
+		q := w.freeReqs[n-1]
+		w.freeReqs = w.freeReqs[:n-1]
+		return q
+	}
+	return new(Request)
+}
+
+// isend is Isend for this package's own use; the request goes to waitFree.
+func (r *Rank) isend(c *Comm, buf []byte, dst, tag int) *Request {
+	return r.startSend(r.w.newRequest(), c, buf, dst, tag)
+}
+
+// irecv is Irecv for this package's own use; the request goes to waitFree.
+func (r *Rank) irecv(c *Comm, buf []byte, src, tag int) *Request {
+	return r.startRecv(r.w.newRequest(), c, buf, src, tag)
+}
+
+// waitFree is Wait for a request made by isend or irecv, which it frees.
+func (r *Rank) waitFree(q *Request) Status {
+	st := r.Wait(q)
+	*q = Request{}
+	r.w.freeReqs = append(r.w.freeReqs, q)
+	return st
+}
+
+// waitAllFree is WaitAll for requests made by isend or irecv.
+func (r *Rank) waitAllFree(qs []*Request) {
+	for _, q := range qs {
+		r.waitFree(q)
+	}
 }
 
 // Send performs a blocking send (MPI_Send): buffered below the eager
 // threshold, synchronous above it.
 func (r *Rank) Send(c *Comm, buf []byte, dst, tag int) {
-	r.Wait(r.Isend(c, buf, dst, tag))
+	r.waitFree(r.isend(c, buf, dst, tag))
 }
 
 // Recv performs a blocking receive (MPI_Recv) and returns its status.
 func (r *Rank) Recv(c *Comm, buf []byte, src, tag int) Status {
-	return r.Wait(r.Irecv(c, buf, src, tag))
+	return r.waitFree(r.irecv(c, buf, src, tag))
 }
 
 // Sendrecv performs the combined send+receive (MPI_Sendrecv).
 func (r *Rank) Sendrecv(c *Comm, sendbuf []byte, dst, sendtag int,
 	recvbuf []byte, src, recvtag int) Status {
-	rq := r.Irecv(c, recvbuf, src, recvtag)
-	sq := r.Isend(c, sendbuf, dst, sendtag)
-	r.Wait(sq)
-	return r.Wait(rq)
+	rq := r.irecv(c, recvbuf, src, recvtag)
+	sq := r.isend(c, sendbuf, dst, sendtag)
+	r.waitFree(sq)
+	return r.waitFree(rq)
 }
 
 // Wait blocks until the request completes and returns its status
@@ -324,7 +395,7 @@ func (r *Rank) Wait(q *Request) Status {
 	if tr := r.w.cfg.Tracer; tr != nil && q.traceIdx >= 0 {
 		tr.RecordWait(r.rank, q.traceIdx)
 	}
-	r.proc.Wait(q.done)
+	r.proc.Wait(&q.done)
 	if q.persistent {
 		q.active = false
 	}
@@ -341,14 +412,17 @@ func (r *Rank) WaitAll(qs []*Request) {
 // WaitAny blocks until at least one request completes and returns its index
 // and status (MPI_Waitany). It returns -1 if every request is nil.
 func (r *Rank) WaitAny(qs []*Request) (int, Status) {
-	futures := make([]*simix.Future, len(qs))
+	futures := r.anyScratch[:0]
 	all := true
-	for i, q := range qs {
+	for _, q := range qs {
+		var f *simix.Future
 		if q != nil {
-			futures[i] = q.done
+			f = &q.done
 			all = false
 		}
+		futures = append(futures, f)
 	}
+	r.anyScratch = futures
 	if all {
 		return -1, Status{}
 	}
@@ -465,22 +539,11 @@ func (r *Rank) Start(q *Request) {
 		panic("smpi: Start on an already-active persistent request")
 	}
 	q.active = true
-	q.done = simix.NewFuture()
-	q.traceIdx = -1
+	q.done = simix.Future{}
 	if q.kind == sendKind {
-		if tr := r.w.cfg.Tracer; tr != nil {
-			q.traceIdx = tr.RecordIsend(r.rank, q.comm.group[q.peer], q.tag, int64(len(q.buf)))
-		}
-		r.w.isendInto(r, q.comm, q.buf, q.peer, q.tag, q)
+		r.startSend(q, q.comm, q.buf, q.peer, q.tag)
 	} else {
-		if tr := r.w.cfg.Tracer; tr != nil {
-			peer := q.peer
-			if peer >= 0 {
-				peer = q.comm.group[peer]
-			}
-			q.traceIdx, q.traceResolve = tr.RecordIrecv(r.rank, peer, q.tag, int64(len(q.buf)))
-		}
-		r.w.irecvInto(r, q.comm, q.buf, q.peer, q.tag, q)
+		r.startRecv(q, q.comm, q.buf, q.peer, q.tag)
 	}
 }
 

@@ -145,6 +145,15 @@ type World struct {
 
 	bytesOnWire int64
 	messages    int64
+
+	// The message path's recycled objects. They belong to this run alone:
+	// nothing here is shared with, or survives into, another World.
+	freeEnvs []*envelope
+	freeReqs []*Request // only requests that never reached the application
+	// routeBuf is where transfer resolves each route; StartFlow copies the
+	// links out. It starts with capacity so that no router ever answers
+	// with its own storage (see platform.TableRouter.RouteInto).
+	routeBuf []*platform.Link
 }
 
 // Rank is the per-process handle passed to application functions: it
@@ -157,6 +166,8 @@ type Rank struct {
 	rng  *core.RNG
 
 	dupSeq map[int]int // per-source-comm Dup call counters
+
+	anyScratch []*simix.Future // WaitAny's view of its requests
 }
 
 // Run simulates app on cfg.Procs ranks and returns the report.
@@ -169,6 +180,7 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 		kernel:    simix.New(),
 		mailboxes: make(map[mbKey]*mailbox),
 		comms:     make(map[string]*Comm),
+		routeBuf:  make([]*platform.Link, 0, 8),
 	}
 	w.kernel.SetDeadline(cfg.Deadline)
 	w.cpu = surf.NewCPU(w.kernel)
@@ -221,7 +233,7 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 	for i := range group {
 		group[i] = i
 	}
-	w.world = &Comm{w: w, id: w.nextCommID(), group: group}
+	w.world = w.newComm(group)
 
 	seedRNG := core.NewRNG(cfg.Seed + 0x5eed)
 	for i := 0; i < cfg.Procs; i++ {
@@ -281,30 +293,25 @@ func validateHosts(hosts []*platform.Host, procs int, plat *platform.Platform) e
 	return nil
 }
 
-func (w *World) nextCommID() int {
-	id := w.commSeq
-	w.commSeq++
-	return id
-}
-
-// transfer starts moving size bytes between hosts on the active backend and
-// returns the delivery future.
-func (w *World) transfer(src, dst *platform.Host, size int64) *simix.Future {
-	f := simix.NewFuture()
+// transfer starts moving env's payload between its hosts on the active
+// backend; env.wire is fulfilled at delivery.
+func (w *World) transfer(env *envelope) {
+	size := int64(len(env.data))
 	w.bytesOnWire += size
 	w.messages++
 	if w.snet != nil {
 		if w.cfg.Stats != nil {
 			w.cfg.Stats.Routes++
 		}
-		w.snet.StartFlow(w.cfg.Platform.Route(src, dst), size, f)
+		route := w.cfg.Platform.RouteInto(w.routeBuf[:0], env.srcHost, env.dstHost)
+		w.routeBuf = route.Links
+		w.snet.StartFlow(route, size, &env.wire)
 	} else {
 		if w.cfg.Stats != nil {
 			w.cfg.Stats.Routes += 2 // forward and return routes per transfer
 		}
-		w.enet.Transfer(src, dst, size, f)
+		w.enet.Transfer(env.srcHost, env.dstHost, size, &env.wire)
 	}
-	return f
 }
 
 // --- Rank basics ---

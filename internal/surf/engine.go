@@ -43,7 +43,9 @@ type action struct {
 	// is unchanged.
 	seq uint64
 	// gen is the actionheap generation stamp; bumped on every restamp and at
-	// completion, invalidating older heap entries.
+	// completion, invalidating older heap entries. It only ever counts up,
+	// across the lives of a recycled flow too: entries outlive the life
+	// that pushed them.
 	gen uint64
 }
 

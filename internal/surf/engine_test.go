@@ -13,9 +13,12 @@ import (
 // TestActionSizeClasses holds the two action types in their Go allocator
 // size classes (112 and 64 bytes). Growing past them — two more words in the
 // shared action, or a single struct carrying both a route and a host — moves
-// every flow to the 128-byte class: 16 B on each of the 67 328 flows of
-// bench's fattree_a2a256 is 1.45 % of its 74.4 MB/op, past the benchmark's
-// 1 % alloc_mb_per_op bound.
+// every flow to the 128-byte class and every compute task to the 80-byte
+// one. A task is allocated per Execute, so there the class is paid per
+// burst. A flow is recycled, so its class is paid once per flow in flight at
+// the same time, when the network's free list first fills: that is what is
+// left of a run's allocation once messages cost nothing, and what this
+// holds.
 func TestActionSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(flow{}); got > 112 {
 		t.Errorf("flow is %d bytes, want <= 112", got)

@@ -33,11 +33,18 @@ type Network struct {
 	LoopbackBandwidth float64
 
 	cons map[*platform.Link]*lmm.Constraint
+
+	// free holds delivered flows for StartFlow to reuse (see Advance).
+	free []*flow
 }
 
+// flow is one transfer. The object outlives it: a delivered flow goes on
+// its network's free list and serves a later StartFlow, keeping the storage
+// of route.Links and counting gen on — heap entries left behind by an
+// earlier life stay stale, and evaporate on contact as they always did.
 type flow struct {
 	action
-	route   platform.Route
+	route   platform.Route // Links is the flow's own storage, not the caller's
 	bound   float64
 	started bool // latency phase over, transfer phase entered
 }
@@ -77,9 +84,11 @@ func NewNetwork(kernel *simix.Kernel, model NetModel) *Network {
 	}
 }
 
-// StartFlow begins transferring size bytes along route and returns a future
-// fulfilled (with nil) at delivery time. An empty route is a loopback
-// transfer. Must be called from actor context (i.e. at the current date).
+// StartFlow begins transferring size bytes along route; future is fulfilled
+// (with nil) at delivery time. The route's links are copied, so the caller
+// may resolve its next route into the same buffer. An empty route is a
+// loopback transfer. Must be called from actor context (i.e. at the current
+// date).
 func (n *Network) StartFlow(route platform.Route, size int64, future *simix.Future) {
 	n.now = n.kernel.Now()
 	if len(route.Links) == 0 {
@@ -91,15 +100,28 @@ func (n *Network) StartFlow(route platform.Route, size int64, future *simix.Futu
 		return
 	}
 	seg := n.model.Segment(size)
-	f := &flow{
-		action: action{future: future, remaining: float64(size)},
-		route:  route,
-		bound:  seg.BwFactor * route.Bottleneck(),
-	}
+	f := n.newFlow()
+	f.future, f.remaining = future, float64(size)
+	f.route.Links = append(f.route.Links, route.Links...)
+	f.route.Latency = route.Latency
+	f.bound = seg.BwFactor * route.Bottleneck()
 	n.admit(f)
 	// The flow consumes no bandwidth during its latency phase; it joins the
 	// sharing system when its latency entry pops in Advance.
 	n.heap.Push(f, n.now+core.Duration(seg.LatFactor)*route.Latency, f.gen)
+}
+
+// newFlow returns a blank flow: a delivered one, with its links storage and
+// its generation count, when there is one.
+func (n *Network) newFlow() *flow {
+	k := len(n.free)
+	if k == 0 {
+		return new(flow)
+	}
+	f := n.free[k-1]
+	n.free = n.free[:k-1]
+	*f = flow{action: action{gen: f.gen}, route: platform.Route{Links: f.route.Links[:0]}}
+	return f
 }
 
 func (n *Network) constraint(l *platform.Link) *lmm.Constraint {
@@ -174,6 +196,9 @@ func (n *Network) Advance(to core.Time) {
 		}
 	}
 	n.complete(to)
+	// Every future of this step has been fulfilled and its callbacks have
+	// returned; a flow one of them started took an object freed earlier.
+	n.free = append(n.free, n.completed...)
 	if n.Contention {
 		n.reshare(to)
 	}
