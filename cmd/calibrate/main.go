@@ -12,11 +12,9 @@ import (
 
 	"smpigo/internal/calibrate"
 	"smpigo/internal/core"
+	"smpigo/internal/experiments"
 	"smpigo/internal/metrics"
 	"smpigo/internal/platform"
-	"smpigo/internal/skampi"
-	"smpigo/internal/smpi"
-	"smpigo/internal/surf"
 )
 
 func main() {
@@ -56,14 +54,10 @@ func run(platName string, cross bool) error {
 	fmt.Printf("calibrating on %s between %s and %s (%d switch(es))\n",
 		plat.Name, a.Name(), b.Name(), platform.SwitchHops(a, b))
 
-	samples, err := skampi.PingPong(skampi.PingPongConfig{
-		Base: smpi.Config{Platform: plat, Backend: smpi.BackendEmu},
-		A:    a, B: b,
-	})
+	samples, info, fits, err := experiments.Calibrate(plat, a, b)
 	if err != nil {
 		return err
 	}
-	info := skampi.RouteInfo(plat, a, b)
 	fmt.Printf("route: latency %.3gus, bottleneck %s\n\n",
 		info.Latency*1e6, core.FormatRate(info.Bandwidth))
 	fmt.Printf("%-10s %14s\n", "size", "one-way (us)")
@@ -71,20 +65,8 @@ func run(platName string, cross bool) error {
 		fmt.Printf("%-10s %14.2f\n", core.FormatBytes(s.Size), s.Time*1e6)
 	}
 
-	def, err := calibrate.DefaultAffine(samples, info)
-	if err != nil {
-		return err
-	}
-	fit, err := calibrate.BestFitAffine(samples, info)
-	if err != nil {
-		return err
-	}
-	pwl, err := calibrate.FitPiecewise(samples, info)
-	if err != nil {
-		return err
-	}
 	fmt.Println()
-	for _, m := range []surf.NetModel{def, fit, pwl} {
+	for _, m := range fits {
 		var pred, ref []float64
 		for _, s := range samples {
 			pred = append(pred, calibrate.Predict(m, info, s.Size))

@@ -209,7 +209,7 @@ func runFigures(args []string) error {
 
 func runCampaign(args []string) error {
 	fs := flag.NewFlagSet("experiments campaign", flag.ExitOnError)
-	op := fs.String("op", "scatter", "operation to sweep: scatter, alltoall, bcast, allreduce, pingpong")
+	op := fs.String("op", "scatter", "operation to sweep: "+strings.Join(experiments.AppNames(), ", "))
 	procsArg := fs.String("procs", "16", "comma-separated process counts, e.g. 4,8,16,32")
 	sizesArg := fs.String("sizes", "64KiB,1MiB,4MiB", "comma-separated message sizes, e.g. 64KiB,1MiB")
 	modelsArg := fs.String("models", "piecewise", "comma-separated surf models: piecewise,bestfit,default,ideal")
@@ -240,9 +240,6 @@ func runCampaign(args []string) error {
 	if err != nil {
 		return fmt.Errorf("-procs: %w", err)
 	}
-	if strings.EqualFold(*op, "pingpong") && len(procs) > 1 {
-		fmt.Fprintln(os.Stderr, "note: pingpong always runs between two fixed endpoints; ignoring the extra -procs values")
-	}
 	sizes, err := parseSizes(*sizesArg)
 	if err != nil {
 		return fmt.Errorf("-sizes: %w", err)
@@ -267,6 +264,10 @@ func runCampaign(args []string) error {
 		}
 	}
 
+	// A bad axis value fails here, before anything is calibrated or run.
+	if _, err := spec.Jobs(); err != nil {
+		return err
+	}
 	env, err := experiments.NewEnv()
 	if err != nil {
 		return err

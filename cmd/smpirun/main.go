@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,7 +31,6 @@ import (
 	"smpigo/internal/experiments"
 	"smpigo/internal/nas"
 	"smpigo/internal/obs"
-	"smpigo/internal/placement"
 	"smpigo/internal/platform"
 	"smpigo/internal/replay"
 	"smpigo/internal/smpi"
@@ -63,10 +63,10 @@ type options struct {
 
 // bindFlags registers every flag on fs, storing into o.
 func bindFlags(fs *flag.FlagSet, o *options) {
-	fs.StringVar(&o.app, "app", "pingpong", "application: pingpong, ring, scatter, alltoall, dt, ep")
+	fs.StringVar(&o.app, "app", "pingpong", "application: "+strings.Join(experiments.AppNames(), ", ")+", dt, ep")
 	fs.IntVar(&o.np, "np", 2, "number of MPI processes (ignored by dt, which sets it from -class)")
 	fs.StringVar(&o.platform, "platform", "griffon", "target platform: griffon, gdx, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2), or a platform XML file")
-	fs.StringVar(&o.backend, "backend", "surf", "timing backend: surf (analytical SMPI) or emu (packet-level testbed)")
+	fs.StringVar(&o.backend, "backend", "surf", "timing backend: surf (analytical SMPI), or the packet-level testbed as openmpi (also spelled emu) or mpich2")
 	fs.StringVar(&o.model, "model", "piecewise", "surf model: ideal, default, bestfit, piecewise")
 	fs.BoolVar(&o.noContention, "no-contention", false, "disable link contention (surf backend)")
 	fs.StringVar(&o.chunk, "chunk", "4MiB", "per-rank payload for scatter/alltoall/pingpong")
@@ -89,7 +89,7 @@ func main() {
 	var o options
 	bindFlags(flag.CommandLine, &o)
 	flag.Parse()
-	if err := run(o); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "smpirun:", err)
 		os.Exit(1)
 	}
@@ -116,7 +116,8 @@ func loadPlatform(env *experiments.Env, name string) (*platform.Platform, error)
 	return specs[0].Build()
 }
 
-func run(o options) error {
+// run executes the command, printing its report to w.
+func run(o options, w io.Writer) error {
 	env, err := experiments.NewEnv()
 	if err != nil {
 		return fmt.Errorf("calibration: %w", err)
@@ -125,7 +126,11 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	cfg := smpi.Config{Procs: o.np, Platform: plat, NoContention: o.noContention, Seed: o.seed}
+	cfg, err := env.Config(plat, o.backend, o.model)
+	if err != nil {
+		return err
+	}
+	cfg.Procs, cfg.NoContention, cfg.Seed = o.np, o.noContention, o.seed
 	if o.dynamics != "" {
 		sched, err := dynamics.Load(o.dynamics)
 		if err != nil {
@@ -133,7 +138,7 @@ func run(o options) error {
 		}
 		cfg.Dynamics = sched
 		if sched != nil {
-			fmt.Printf("dynamics           : %d platform events\n", len(sched.Events))
+			fmt.Fprintf(w, "dynamics           : %d platform events\n", len(sched.Events))
 		}
 	}
 
@@ -165,8 +170,8 @@ func run(o options) error {
 			return nil
 		}
 		if o.stats {
-			fmt.Printf("--- kernel counters ---\n%s", st.Report())
-			fmt.Printf("--- link hot spots ---\n%s", observer.HotSpots(10))
+			fmt.Fprintf(w, "--- kernel counters ---\n%s", st.Report())
+			fmt.Fprintf(w, "--- link hot spots ---\n%s", observer.HotSpots(10))
 		}
 		if tl != nil {
 			f, err := os.Create(o.timeline)
@@ -180,23 +185,12 @@ func run(o options) error {
 			if err := f.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("timeline written   : %s\n", o.timeline)
+			fmt.Fprintf(w, "timeline written   : %s\n", o.timeline)
 		}
 		return nil
 	}
 	if cfg.Algorithms, err = smpi.ParseAlgorithms(o.collectives); err != nil {
 		return err
-	}
-	switch o.backend {
-	case "surf":
-		cfg.Backend = smpi.BackendSurf
-		if cfg.Model, err = env.Model(o.model); err != nil {
-			return err
-		}
-	case "emu":
-		cfg.Backend = smpi.BackendEmu
-	default:
-		return fmt.Errorf("unknown backend %q", o.backend)
 	}
 	chunk, err := core.ParseBytes(o.chunk)
 	if err != nil {
@@ -205,85 +199,30 @@ func run(o options) error {
 
 	var app func(*smpi.Rank)
 	switch o.app {
-	case "pingpong":
-		cfg.Procs = 2
-		app = func(r *smpi.Rank) {
-			c := r.Comm()
-			buf := r.SharedMalloc("buf", int(chunk))
-			if r.Rank() == 0 {
-				r.Send(c, buf, 1, 0)
-				r.Recv(c, buf, 1, 0)
-			} else {
-				r.Recv(c, buf, 0, 0)
-				r.Send(c, buf, 0, 0)
-			}
-		}
-	case "ring":
-		app = func(r *smpi.Rank) {
-			c := r.Comm()
-			buf := r.SharedMalloc("buf", int(chunk))
-			next := (r.Rank() + 1) % r.Size()
-			prev := (r.Rank() - 1 + r.Size()) % r.Size()
-			if r.Rank() == 0 {
-				r.Send(c, buf, next, 0)
-				r.Recv(c, buf, prev, 0)
-			} else {
-				r.Recv(c, buf, prev, 0)
-				r.Send(c, buf, next, 0)
-			}
-		}
-	case "scatter":
-		app = func(r *smpi.Rank) {
-			c := r.Comm()
-			var sendbuf []byte
-			if r.Rank() == 0 {
-				sendbuf = r.SharedMalloc("send", r.Size()*int(chunk))
-			}
-			recvbuf := r.SharedMalloc("recv", int(chunk))
-			c.Barrier(r)
-			c.Scatter(r, sendbuf, recvbuf, 0)
-		}
-	case "alltoall":
-		app = func(r *smpi.Rank) {
-			c := r.Comm()
-			sendbuf := r.SharedMalloc("send", r.Size()*int(chunk))
-			recvbuf := r.SharedMalloc("recv", r.Size()*int(chunk))
-			c.Barrier(r)
-			c.Alltoall(r, sendbuf, recvbuf)
-		}
 	case "dt":
 		if o.class == "" {
 			return fmt.Errorf(`bad -class "": want S, W, A, B or C`)
 		}
 		dcfg := nas.DTConfig{Graph: nas.DTGraph(o.graph), Class: nas.DTClass(o.class[0]), Fold: o.fold}
-		procs, err := nas.DTProcs(dcfg.Graph, dcfg.Class)
-		if err != nil {
+		if cfg.Procs, err = nas.DTProcs(dcfg.Graph, dcfg.Class); err != nil {
 			return err
 		}
-		cfg.Procs = procs
 		app, _ = nas.DT(dcfg)
 	case "ep":
-		a, _ := nas.EP(nas.EPConfig{M: 20, Iterations: 64, SampleRatio: o.ratio})
-		app = a
+		app, _ = nas.EP(nas.EPConfig{M: 20, Iterations: 64, SampleRatio: o.ratio})
 	default:
-		return fmt.Errorf("unknown app %q", o.app)
-	}
-
-	// applyPlacement pins ranks via the -placement policy; procs varies by
-	// path (the app's rank count, or the replayed trace's).
-	applyPlacement := func(procs int) error {
-		if o.placement == "" {
-			return nil
-		}
-		hosts, err := placement.Generate(o.placement, plat, procs, o.seed)
-		if err != nil {
+		// Everything else is a name in the experiments app table, shared
+		// with the campaign grid's ops.
+		var procs int
+		if app, procs, err = experiments.AppRank(o.app, chunk); err != nil {
 			return err
 		}
-		cfg.Hosts = hosts
-		return nil
+		if procs != 0 {
+			cfg.Procs = procs
+		}
 	}
 	if o.collectives != "" {
-		fmt.Printf("collectives        : %s\n", cfg.Algorithms.Resolve(plat.Topo).Summary())
+		fmt.Fprintf(w, "collectives        : %s\n", cfg.Algorithms.Resolve(plat.Topo).Summary())
 	}
 
 	if o.replayIn != "" {
@@ -296,20 +235,22 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		if err := applyPlacement(tr.Procs); err != nil {
+		// The replayed trace, not -np, says how many ranks to place.
+		cfg.Procs = tr.Procs
+		if err := experiments.Place(&cfg, o.placement, o.seed); err != nil {
 			return err
 		}
 		rep, err := replay.Run(tr, cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("replayed trace     : %s (np=%d, %d events) on %s [%s backend]\n",
+		fmt.Fprintf(w, "replayed trace     : %s (np=%d, %d events) on %s [%s backend]\n",
 			o.replayIn, tr.Procs, tr.Events(), plat.Name, o.backend)
-		fmt.Printf("simulated time     : %v\n", rep.SimulatedTime)
-		fmt.Printf("simulation wall    : %v\n", rep.WallTime)
+		fmt.Fprintf(w, "simulated time     : %v\n", rep.SimulatedTime)
+		fmt.Fprintf(w, "simulation wall    : %v\n", rep.WallTime)
 		return finishObs()
 	}
-	if err := applyPlacement(cfg.Procs); err != nil {
+	if err := experiments.Place(&cfg, o.placement, o.seed); err != nil {
 		return err
 	}
 	var rec *trace.Trace
@@ -334,20 +275,20 @@ func run(o options) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace written      : %s (%d events)\n", o.traceOut, rec.Events())
+		fmt.Fprintf(w, "trace written      : %s (%d events)\n", o.traceOut, rec.Events())
 	}
-	fmt.Printf("application        : %s (np=%d) on %s [%s backend]\n", o.app, cfg.Procs, plat.Name, o.backend)
+	fmt.Fprintf(w, "application        : %s (np=%d) on %s [%s backend]\n", o.app, cfg.Procs, plat.Name, o.backend)
 	if o.placement != "" {
-		fmt.Printf("placement          : %s (rank 0 on %s)\n", o.placement, cfg.Hosts[0].Name())
+		fmt.Fprintf(w, "placement          : %s (rank 0 on %s)\n", o.placement, cfg.Hosts[0].Name())
 	}
-	fmt.Printf("simulated time     : %v\n", rep.SimulatedTime)
-	fmt.Printf("simulation wall    : %v\n", rep.WallTime)
-	fmt.Printf("messages / bytes   : %d / %s\n", rep.Messages, core.FormatBytes(rep.BytesOnWire))
+	fmt.Fprintf(w, "simulated time     : %v\n", rep.SimulatedTime)
+	fmt.Fprintf(w, "simulation wall    : %v\n", rep.WallTime)
+	fmt.Fprintf(w, "messages / bytes   : %d / %s\n", rep.Messages, core.FormatBytes(rep.BytesOnWire))
 	if rep.MaxPeakRSS > 0 {
-		fmt.Printf("max RSS per rank   : %.1f MiB\n", rep.MaxPeakRSS/float64(core.MiB))
+		fmt.Fprintf(w, "max RSS per rank   : %.1f MiB\n", rep.MaxPeakRSS/float64(core.MiB))
 	}
 	if rep.BurstsExecuted+rep.BurstsReplayed > 0 {
-		fmt.Printf("bursts exec/replay : %d / %d\n", rep.BurstsExecuted, rep.BurstsReplayed)
+		fmt.Fprintf(w, "bursts exec/replay : %d / %d\n", rep.BurstsExecuted, rep.BurstsReplayed)
 	}
 	return finishObs()
 }

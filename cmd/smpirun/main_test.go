@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -23,8 +28,11 @@ func TestRun(t *testing.T) {
 		{"-app", "pingpong"},
 		{"-app", "alltoall", "-np", "8", "-platform", "fattree16", "-stats"},
 		{"-app", "dt", "-class", "S", "-fold"},
+		{"-app", "ring", "-np", "8", "-platform", "torus16"},
+		{"-app", "bcast", "-np", "8", "-backend", "mpich2"},
+		{"-app", "allreduce", "-np", "8", "-chunk", "64KiB", "-platform", "FatTree16", "-backend", "emu"},
 	} {
-		if err := run(parse(t, args...)); err != nil {
+		if err := run(parse(t, args...), io.Discard); err != nil {
 			t.Errorf("smpirun %s: %v", strings.Join(args, " "), err)
 		}
 	}
@@ -41,9 +49,43 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		{[]string{"-platform", "bogus"}, `"bogus"`},
 		{[]string{"-app", "dt", "-class", ""}, "-class"},
 	} {
-		err := run(parse(t, tc.args...))
+		err := run(parse(t, tc.args...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("smpirun %s: err = %v, want one naming %s", strings.Join(tc.args, " "), err, tc.want)
+		}
+	}
+}
+
+var wallLine = regexp.MustCompile(`(?m)^(simulation wall    : ).*$`)
+
+// TestGoldenOutput pins what smpirun prints for the invocations CI's
+// topology-smoke job runs (the wall-clock line masked). The goldens were
+// generated by the smpirun of the commit before the app switch, the
+// back-end switch and the placement closure moved into package experiments,
+// so they prove that move changed no output.
+func TestGoldenOutput(t *testing.T) {
+	cases := map[string]string{
+		"alltoall_dragonfly_shape": "-app alltoall -np 8 -chunk 64KiB -platform dragonfly:3x2x2",
+		"alltoall_torus16_rr_auto": "-app alltoall -np 16 -chunk 64KiB -platform torus16 -placement rr -collectives auto -seed 2",
+		"alltoall_fattree64_stats": "-app alltoall -np 32 -chunk 256KiB -platform fattree64 -placement rr -collectives auto -model ideal -stats",
+		"dt_S_fold":                "-app dt -class S -fold",
+		"ep_quarter":               "-app ep -np 4 -ratio 0.25",
+	}
+	for _, preset := range []string{"fattree16", "fattree64", "torus16", "torus64", "dragonfly72"} {
+		cases["pingpong_"+preset] = "-app pingpong -chunk 64KiB -platform " + preset
+	}
+	for name, args := range cases {
+		want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(parse(t, strings.Fields(args)...), &out); err != nil {
+			t.Errorf("smpirun %s: %v", args, err)
+			continue
+		}
+		if got := wallLine.ReplaceAll(out.Bytes(), []byte("${1}<masked>")); !bytes.Equal(got, want) {
+			t.Errorf("smpirun %s printed\n%s\nwant\n%s", args, got, want)
 		}
 	}
 }

@@ -2,127 +2,20 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"smpigo/internal/campaign"
 	"smpigo/internal/core"
 	"smpigo/internal/metrics"
-	"smpigo/internal/placement"
 	"smpigo/internal/smpi"
 )
 
-// collectiveRun measures a collective operation: per-rank completion times
-// (relative to the synchronized start), the overall completion time, the
-// report, and the wall-clock duration of the simulation itself.
-type collectiveRun struct {
-	PerRank []float64
-	Total   float64
-	Report  *smpi.Report
-	Wall    time.Duration
-}
-
-// measureCollective times one collective operation: every rank
-// synchronizes on a barrier, runs op, and records its completion relative
-// to the barrier exit. Buffer allocation inside op is host-side work and
-// does not advance simulated time, so op can set up and call the
-// collective directly. Harnesses that only time a collective take their
-// buffers from Rank.SharedMalloc: nobody reads the payload, so it is folded
-// and the simulator moves none of it.
-func measureCollective(cfg smpi.Config, procs int, op func(r *smpi.Rank, c *smpi.Comm)) (*collectiveRun, error) {
+// collectiveJob wraps one timed run of the named app (see apps) as a
+// campaign job whose payload is the *collectiveRun; policy is a rank
+// placement (empty means the smpi default layout).
+func collectiveJob(id, op string, cfg smpi.Config, policy string, procs int, chunk int64) campaign.Job {
 	cfg.Procs = procs
-	out := &collectiveRun{PerRank: make([]float64, procs)}
-	rep, err := smpi.Run(cfg, func(r *smpi.Rank) {
-		c := r.Comm()
-		c.Barrier(r)
-		start := r.Now()
-		op(r, c)
-		out.PerRank[r.Rank()] = float64(r.Now() - start)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Report = rep
-	out.Wall = rep.WallTime
-	for _, t := range out.PerRank {
-		if t > out.Total {
-			out.Total = t
-		}
-	}
-	return out, nil
-}
-
-// runScatter performs one binomial-tree scatter of chunk bytes per rank.
-func runScatter(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
-	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		var sendbuf []byte
-		if r.Rank() == 0 {
-			sendbuf = r.SharedMalloc("scatter-send", procs*int(chunk))
-		}
-		recvbuf := r.SharedMalloc("scatter-recv", int(chunk))
-		c.Scatter(r, sendbuf, recvbuf, 0)
-	})
-}
-
-// checkFloat64Payload rejects payloads the float64-sum collectives
-// (allreduce) cannot slice into elements; context prefixes the error.
-func checkFloat64Payload(context string, size int64) error {
-	if size%8 != 0 {
-		return fmt.Errorf("%s: payload %d not a multiple of the float64 size", context, size)
-	}
-	return nil
-}
-
-// runAlltoall performs one pairwise all-to-all with chunk bytes per pair.
-func runAlltoall(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
-	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		sendbuf := r.SharedMalloc("alltoall-send", procs*int(chunk))
-		recvbuf := r.SharedMalloc("alltoall-recv", procs*int(chunk))
-		c.Alltoall(r, sendbuf, recvbuf)
-	})
-}
-
-// collectiveJob wraps one collective run as a campaign job whose payload is
-// the *collectiveRun. The job's derived seed flows into the simulation
-// config, so every scenario point is reproducible in isolation.
-func collectiveJob(id string, cfg smpi.Config, procs int, chunk int64,
-	run func(smpi.Config, int, int64) (*collectiveRun, error)) campaign.Job {
-	return placedCollectiveJob(id, cfg, "", procs, chunk, run)
-}
-
-// placedCollectiveJob is collectiveJob with a rank-placement policy (see
-// package placement; empty means the smpi default layout). The mapping is
-// generated inside the job from its derived seed, so a random placement is
-// a pure function of (campaign seed, job ID) and sweeps stay bit-identical
-// at any worker count.
-func placedCollectiveJob(id string, cfg smpi.Config, policy string, procs int, chunk int64,
-	run func(smpi.Config, int, int64) (*collectiveRun, error)) campaign.Job {
-	return campaign.Job{
-		ID:   id,
-		Tags: map[string]string{"procs": fmt.Sprint(procs), "size": core.FormatBytes(chunk)},
-		Run: func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
-			cfg.Seed = ctx.Seed
-			if policy != "" {
-				hosts, err := placement.Generate(policy, cfg.Platform, procs, ctx.Seed)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Hosts = hosts
-			}
-			out, err := run(cfg, procs, chunk)
-			if err != nil {
-				return nil, err
-			}
-			vals := make(map[string]float64, procs)
-			for i, t := range out.PerRank {
-				vals[fmt.Sprintf("rank_%d", i)] = t
-			}
-			return &campaign.Outcome{
-				SimulatedTime: core.Time(out.Total),
-				Values:        vals,
-				Payload:       out,
-			}, nil
-		},
-	}
+	tags := map[string]string{"procs": fmt.Sprint(procs), "size": core.FormatBytes(chunk)}
+	return simJob(id, tags, cfg, policy, measureCollective(apps[op], chunk))
 }
 
 // collectiveRuns fans the given jobs out on the env's pool and unwraps the
@@ -155,13 +48,11 @@ func Figure7(env *Env) (*PerRankResult, error) {
 
 	noCfg := surfConfig(env.Griffon, env.Piecewise)
 	noCfg.NoContention = true
-	mpichCfg := emuConfig(env.Griffon)
-	mpichCfg.Impl = mpich2()
 	runs, err := collectiveRuns(env, []campaign.Job{
-		collectiveJob("fig7/scatter/smpi", surfConfig(env.Griffon, env.Piecewise), procs, chunk, runScatter),
-		collectiveJob("fig7/scatter/smpi-nocontention", noCfg, procs, chunk, runScatter),
-		collectiveJob("fig7/scatter/openmpi", emuConfig(env.Griffon), procs, chunk, runScatter),
-		collectiveJob("fig7/scatter/mpich2", mpichCfg, procs, chunk, runScatter),
+		collectiveJob("fig7/scatter/smpi", "scatter", surfConfig(env.Griffon, env.Piecewise), "", procs, chunk),
+		collectiveJob("fig7/scatter/smpi-nocontention", "scatter", noCfg, "", procs, chunk),
+		collectiveJob("fig7/scatter/openmpi", "scatter", emuConfig(env.Griffon), "", procs, chunk),
+		collectiveJob("fig7/scatter/mpich2", "scatter", mpich2Config(env.Griffon), "", procs, chunk),
 	})
 	if err != nil {
 		return nil, err
@@ -199,9 +90,9 @@ func Figure11(env *Env) (*PerRankResult, error) {
 	noCfg := surfConfig(env.Griffon, env.Piecewise)
 	noCfg.NoContention = true
 	runs, err := collectiveRuns(env, []campaign.Job{
-		collectiveJob("fig11/alltoall/smpi", surfConfig(env.Griffon, env.Piecewise), procs, chunk, runAlltoall),
-		collectiveJob("fig11/alltoall/smpi-nocontention", noCfg, procs, chunk, runAlltoall),
-		collectiveJob("fig11/alltoall/openmpi", emuConfig(env.Griffon), procs, chunk, runAlltoall),
+		collectiveJob("fig11/alltoall/smpi", "alltoall", surfConfig(env.Griffon, env.Piecewise), "", procs, chunk),
+		collectiveJob("fig11/alltoall/smpi-nocontention", "alltoall", noCfg, "", procs, chunk),
+		collectiveJob("fig11/alltoall/openmpi", "alltoall", emuConfig(env.Griffon), "", procs, chunk),
 	})
 	if err != nil {
 		return nil, err
@@ -249,19 +140,16 @@ func sweepSizes() []int64 {
 // Figure8 reproduces Figure 8: binomial scatter accuracy vs message size,
 // 16 processes, SMPI vs OpenMPI.
 func Figure8(env *Env) (*SweepResult, error) {
-	return sweepCollective(env, "Figure 8: scatter time vs message size (16 procs)",
-		runScatter)
+	return sweepCollective(env, "Figure 8: scatter time vs message size (16 procs)", "scatter")
 }
 
 // Figure12 reproduces Figure 12: pairwise all-to-all accuracy vs message
 // size, 16 processes.
 func Figure12(env *Env) (*SweepResult, error) {
-	return sweepCollective(env, "Figure 12: all-to-all time vs message size (16 procs)",
-		runAlltoall)
+	return sweepCollective(env, "Figure 12: all-to-all time vs message size (16 procs)", "alltoall")
 }
 
-func sweepCollective(env *Env, title string,
-	run func(smpi.Config, int, int64) (*collectiveRun, error)) (*SweepResult, error) {
+func sweepCollective(env *Env, title, op string) (*SweepResult, error) {
 	const procs = 16
 	res := &SweepResult{Table: &Table{
 		Title:  title,
@@ -272,10 +160,10 @@ func sweepCollective(env *Env, title string,
 	var jobs []campaign.Job
 	for _, size := range sizes {
 		jobs = append(jobs,
-			collectiveJob(fmt.Sprintf("%s/size=%s/smpi", title, core.FormatBytes(size)),
-				surfConfig(env.Griffon, env.Piecewise), procs, size, run),
-			collectiveJob(fmt.Sprintf("%s/size=%s/openmpi", title, core.FormatBytes(size)),
-				emuConfig(env.Griffon), procs, size, run),
+			collectiveJob(fmt.Sprintf("%s/size=%s/smpi", title, core.FormatBytes(size)), op,
+				surfConfig(env.Griffon, env.Piecewise), "", procs, size),
+			collectiveJob(fmt.Sprintf("%s/size=%s/openmpi", title, core.FormatBytes(size)), op,
+				emuConfig(env.Griffon), "", procs, size),
 		)
 	}
 	runs, err := collectiveRuns(env, jobs)
@@ -308,15 +196,13 @@ func Figure9(env *Env) (*SweepResult, error) {
 	procCounts := []int{4, 8, 16, 32}
 	var jobs []campaign.Job
 	for _, procs := range procCounts {
-		mpichCfg := emuConfig(env.Griffon)
-		mpichCfg.Impl = mpich2()
 		jobs = append(jobs,
-			collectiveJob(fmt.Sprintf("fig9/procs=%d/smpi", procs),
-				surfConfig(env.Griffon, env.Piecewise), procs, chunk, runScatter),
-			collectiveJob(fmt.Sprintf("fig9/procs=%d/openmpi", procs),
-				emuConfig(env.Griffon), procs, chunk, runScatter),
-			collectiveJob(fmt.Sprintf("fig9/procs=%d/mpich2", procs),
-				mpichCfg, procs, chunk, runScatter),
+			collectiveJob(fmt.Sprintf("fig9/procs=%d/smpi", procs), "scatter",
+				surfConfig(env.Griffon, env.Piecewise), "", procs, chunk),
+			collectiveJob(fmt.Sprintf("fig9/procs=%d/openmpi", procs), "scatter",
+				emuConfig(env.Griffon), "", procs, chunk),
+			collectiveJob(fmt.Sprintf("fig9/procs=%d/mpich2", procs), "scatter",
+				mpich2Config(env.Griffon), "", procs, chunk),
 		)
 	}
 	runs, err := collectiveRuns(env, jobs)

@@ -66,8 +66,8 @@ func DegradedSweep(env *Env, chunk int64) (*DegradedSweepResult, error) {
 			}
 			points = append(points, point{tp.topo, frac})
 			jobs = append(jobs, collectiveJob(
-				fmt.Sprintf("degraded/%s/frac=%g", tp.topo, frac),
-				cfg, len(plat.Hosts()), chunk, runAlltoall))
+				fmt.Sprintf("degraded/%s/frac=%g", tp.topo, frac), "alltoall",
+				cfg, "", len(plat.Hosts()), chunk))
 		}
 	}
 	runs, err := collectiveRuns(env, jobs)

@@ -19,42 +19,15 @@ type DTResult struct {
 	Summary       metrics.Summary
 }
 
-// dtRun executes one DT instance.
-func dtRun(env *Env, cfg nas.DTConfig, backend smpi.Backend, payload int, seed uint64) (*smpi.Report, error) {
-	procs, err := nas.DTProcs(cfg.Graph, cfg.Class)
-	if err != nil {
-		return nil, err
-	}
-	cfg.PayloadBytes = payload
-	app, _ := nas.DT(cfg)
-	var run smpi.Config
-	if backend == smpi.BackendSurf {
-		run = surfConfig(env.Griffon, env.Piecewise)
-	} else {
-		run = emuConfig(env.Griffon)
-	}
-	run.Procs = procs
-	run.Seed = seed
-	return smpi.Run(run, app)
-}
-
-// dtJob wraps one DT instance as a campaign job with the report as payload.
-func dtJob(id string, env *Env, cfg nas.DTConfig, backend smpi.Backend, payload int) campaign.Job {
-	return campaign.Job{
-		ID:   id,
-		Tags: map[string]string{"app": "dt", "graph": string(cfg.Graph), "class": string(cfg.Class)},
-		Run: func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
-			rep, err := dtRun(env, cfg, backend, payload, ctx.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return &campaign.Outcome{
-				SimulatedTime: rep.SimulatedTime,
-				Values:        map[string]float64{"max_rss": rep.MaxPeakRSS},
-				Payload:       rep,
-			}, nil
-		},
-	}
+// dtJob wraps one DT instance as a campaign job with the report as
+// payload; procs must be nas.DTProcs of the instance's graph and class.
+func dtJob(id string, cfg smpi.Config, dcfg nas.DTConfig, procs int) campaign.Job {
+	cfg.Procs = procs
+	app, _ := nas.DT(dcfg)
+	tags := map[string]string{"app": "dt", "graph": string(dcfg.Graph), "class": string(dcfg.Class)}
+	return simJob(id, tags, cfg, "", reportRun(app, func(rep *smpi.Report) map[string]float64 {
+		return map[string]float64{"max_rss": rep.MaxPeakRSS}
+	}))
 }
 
 // Figure15 reproduces Figure 15: DT WH and BH for classes A and B, SMPI
@@ -80,11 +53,15 @@ func Figure15(env *Env, payload int) (*DTResult, error) {
 	for _, class := range []nas.DTClass{nas.ClassA, nas.ClassB} {
 		for _, graph := range []nas.DTGraph{nas.WH, nas.BH} {
 			points = append(points, point{graph, class})
-			cfg := nas.DTConfig{Graph: graph, Class: class}
+			dcfg := nas.DTConfig{Graph: graph, Class: class, PayloadBytes: payload}
+			procs, err := nas.DTProcs(graph, class)
+			if err != nil {
+				return nil, err
+			}
 			id := fmt.Sprintf("fig15/%s-%c", graph, class)
 			jobs = append(jobs,
-				dtJob(id+"/smpi", env, cfg, smpi.BackendSurf, payload),
-				dtJob(id+"/openmpi", env, cfg, smpi.BackendEmu, payload),
+				dtJob(id+"/smpi", surfConfig(env.Griffon, env.Piecewise), dcfg, procs),
+				dtJob(id+"/openmpi", emuConfig(env.Griffon), dcfg, procs),
 			)
 		}
 	}
@@ -156,27 +133,6 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 		foldIdx  int
 		plainIdx int // -1 when the unfolded run would not fit (paper's OM)
 	}
-	runJob := func(id string, dcfg nas.DTConfig, procs int) campaign.Job {
-		return campaign.Job{
-			ID:   id,
-			Tags: map[string]string{"app": "dt", "graph": string(dcfg.Graph), "class": string(dcfg.Class)},
-			Run: func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
-				run := cfgRun
-				run.Procs = procs
-				run.Seed = ctx.Seed
-				app, _ := nas.DT(dcfg)
-				rep, err := smpi.Run(run, app)
-				if err != nil {
-					return nil, err
-				}
-				return &campaign.Outcome{
-					SimulatedTime: rep.SimulatedTime,
-					Values:        map[string]float64{"max_rss": rep.MaxPeakRSS},
-					Payload:       rep,
-				}, nil
-			},
-		}
-	}
 	var points []cfgPoint
 	var jobs []campaign.Job
 	for _, class := range []nas.DTClass{nas.ClassA, nas.ClassB, nas.ClassC} {
@@ -196,7 +152,7 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 			fold.Fold = true
 			fold.PayloadBytes = payload
 			pt.foldIdx = len(jobs)
-			jobs = append(jobs, runJob("fig16/"+pt.key+"/folded", fold, procs))
+			jobs = append(jobs, dtJob("fig16/"+pt.key+"/folded", cfgRun, fold, procs))
 
 			// Classify OM against the unscaled footprint: only runs that fit
 			// in hostRAM execute unfolded.
@@ -204,7 +160,7 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 				plain := base
 				plain.PayloadBytes = payload
 				pt.plainIdx = len(jobs)
-				jobs = append(jobs, runJob("fig16/"+pt.key+"/plain", plain, procs))
+				jobs = append(jobs, dtJob("fig16/"+pt.key+"/plain", cfgRun, plain, procs))
 			}
 			points = append(points, pt)
 		}

@@ -6,10 +6,8 @@ import (
 
 	"smpigo/internal/calibrate"
 	"smpigo/internal/campaign"
-	"smpigo/internal/emu"
 	"smpigo/internal/platform"
 	"smpigo/internal/skampi"
-	"smpigo/internal/smpi"
 	"smpigo/internal/surf"
 )
 
@@ -57,6 +55,27 @@ func NewEnv() (*Env, error) {
 	return envVal, envErr
 }
 
+// Calibrate performs the paper's Section 6 instantiation between hosts a
+// and b of plat: the SKaMPI ping-pong on the emulated testbed, the route's
+// physical parameters, and the three models fitted to the samples —
+// default affine, best-fit affine, piece-wise linear, in that order.
+func Calibrate(plat *platform.Platform, a, b *platform.Host) (
+	samples []calibrate.Sample, info calibrate.RouteInfo, fits [3]surf.NetModel, err error) {
+	samples, err = skampi.PingPong(skampi.PingPongConfig{Base: emuConfig(plat), A: a, B: b})
+	if err != nil {
+		return nil, info, fits, fmt.Errorf("calibration ping-pong: %w", err)
+	}
+	info = skampi.RouteInfo(plat, a, b)
+	for i, fit := range []func([]calibrate.Sample, calibrate.RouteInfo) (surf.NetModel, error){
+		calibrate.DefaultAffine, calibrate.BestFitAffine, calibrate.FitPiecewise,
+	} {
+		if fits[i], err = fit(samples, info); err != nil {
+			return nil, info, fits, err
+		}
+	}
+	return samples, info, fits, nil
+}
+
 func buildEnv() (*Env, error) {
 	griffon, err := platform.Griffon().Build()
 	if err != nil {
@@ -66,24 +85,7 @@ func buildEnv() (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, b := griffon.HostByID(0), griffon.HostByID(1)
-	samples, err := skampi.PingPong(skampi.PingPongConfig{
-		Base: smpi.Config{Platform: griffon, Backend: smpi.BackendEmu},
-		A:    a, B: b,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("calibration ping-pong: %w", err)
-	}
-	info := skampi.RouteInfo(griffon, a, b)
-	def, err := calibrate.DefaultAffine(samples, info)
-	if err != nil {
-		return nil, err
-	}
-	fit, err := calibrate.BestFitAffine(samples, info)
-	if err != nil {
-		return nil, err
-	}
-	pwl, err := calibrate.FitPiecewise(samples, info)
+	samples, info, fits, err := Calibrate(griffon, griffon.HostByID(0), griffon.HostByID(1))
 	if err != nil {
 		return nil, err
 	}
@@ -92,9 +94,9 @@ func buildEnv() (*Env, error) {
 		Gdx:        gdx,
 		CalSamples: samples,
 		CalInfo:    info,
-		Default:    def,
-		BestFit:    fit,
-		Piecewise:  pwl,
+		Default:    fits[0],
+		BestFit:    fits[1],
+		Piecewise:  fits[2],
 	}, nil
 }
 
@@ -105,17 +107,3 @@ func (e *Env) runCampaign(jobs []campaign.Job) ([]*campaign.Outcome, error) {
 	sum := campaign.Run(campaign.Options{Workers: e.Workers, Seed: e.Seed}, jobs)
 	return sum.Outcomes()
 }
-
-// surfConfig returns an SMPI (analytical backend) config on plat with the
-// given model.
-func surfConfig(plat *platform.Platform, model surf.NetModel) smpi.Config {
-	return smpi.Config{Platform: plat, Backend: smpi.BackendSurf, Model: model}
-}
-
-// emuConfig returns a "real run" config on plat (emulated OpenMPI).
-func emuConfig(plat *platform.Platform) smpi.Config {
-	return smpi.Config{Platform: plat, Backend: smpi.BackendEmu}
-}
-
-// mpich2 returns the emulated MPICH2 parameter set.
-func mpich2() emu.MPIImpl { return emu.MPICH2() }

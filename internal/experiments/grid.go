@@ -3,19 +3,17 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
+	"smpigo/internal/calibrate"
 	"smpigo/internal/campaign"
 	"smpigo/internal/core"
 	"smpigo/internal/dynamics"
 	"smpigo/internal/obs"
 	"smpigo/internal/placement"
-	"smpigo/internal/platform"
-	"smpigo/internal/skampi"
 	"smpigo/internal/smpi"
-	"smpigo/internal/surf"
-	"smpigo/internal/topology"
 )
 
 // GridSpec describes an arbitrary scenario campaign beyond the paper's
@@ -24,21 +22,23 @@ import (
 // 3 models is 240 independent simulations — exactly the kind of sweep the
 // serial harness could never afford and the campaign pool makes routine.
 type GridSpec struct {
-	// Op is the measured operation: "scatter", "alltoall", "bcast",
-	// "allreduce", or "pingpong".
+	// Op is the measured operation, a key of the app table (AppNames):
+	// "scatter", "alltoall", "bcast", "allreduce", "ring", or "pingpong".
+	// Names on every axis are matched without regard to case or
+	// surrounding whitespace.
 	Op string `json:"op"`
 	// Procs are the process counts to sweep (pingpong always uses 2).
 	Procs []int `json:"procs"`
 	// Sizes are the per-rank message sizes in bytes.
 	Sizes []int64 `json:"sizes"`
 	// Models are the analytical point-to-point models to sweep for the
-	// surf backend: "piecewise", "bestfit", "default", "ideal".
+	// surf backend: "piecewise" (the default), "bestfit", "default", "ideal".
 	Models []string `json:"models,omitempty"`
 	// Backends selects timing backends: "surf" (analytical; crossed with
 	// Models) and/or "openmpi", "mpich2" (packet-level testbed emulation).
 	Backends []string `json:"backends,omitempty"`
-	// Platform is "griffon" (default) or "gdx". Ignored when Topologies is
-	// set.
+	// Platform is any name Env.Platform resolves, "griffon" by default.
+	// Ignored when Topologies is set.
 	Platform string `json:"platform,omitempty"`
 	// Topologies optionally adds a platform axis to the sweep: each entry
 	// is "griffon", "gdx", a topology preset (fattree64, torus64,
@@ -89,150 +89,192 @@ type gridPoint struct {
 	placement string // canonical placement policy; empty means unpinned
 	procs     int
 	size      int64
-	backend   string
-	model     string // empty for emulated backends
+	variant
 }
 
-// Model resolves a point-to-point model name: the three calibrated
-// candidates or the uncalibrated ideal model. It is the module's one switch
-// over model names (campaign axes and smpirun -model both land here).
-func (e *Env) Model(name string) (surf.NetModel, error) {
-	switch strings.ToLower(name) {
-	case "piecewise":
-		return e.Piecewise, nil
-	case "bestfit":
-		return e.BestFit, nil
-	case "default":
-		return e.Default, nil
-	case "ideal":
-		return surf.Ideal(), nil
-	default:
-		return surf.NetModel{}, fmt.Errorf("unknown model %q (want piecewise, bestfit, default, ideal)", name)
-	}
+// variant is one timing column of the grid: a back-end and, for surf, the
+// model it is crossed with (empty for the emulated back-ends).
+type variant struct{ backend, model string }
+
+// grid is a validated GridSpec, the result of the one pass every front end
+// shares. The embedded spec holds every axis normalized — trimmed,
+// lower-cased, aliases and defaults resolved — in the caller's order,
+// repeats included: points is its expansion (the order job IDs, and so
+// fingerprints, follow) and canonical its sorted, compacted view (what
+// cache keys hash), so the two cannot disagree about what a spec means.
+type grid struct {
+	GridSpec
+	app      app
+	algos    smpi.Algorithms
+	variants []variant // Backends × Models in caller order
 }
 
-// Platform resolves a platform name — a campaign axis value or smpirun's
-// -platform: the paper's clusters, then topology presets and shape strings.
-// Generated platforms are cached on the env so every job of a sweep shares
-// one instance.
-func (e *Env) Platform(name string) (*platform.Platform, error) {
-	switch strings.ToLower(name) {
-	case "", "griffon":
-		return e.Griffon, nil
-	case "gdx":
-		return e.Gdx, nil
+// validate is the one normalization pass over a GridSpec: every axis is
+// checked here, once, and every "grid: ..." error has its source here.
+// Nothing is built — platform names are resolved, not instantiated.
+func (spec GridSpec) validate() (g grid, err error) {
+	fail := func(format string, args ...any) (grid, error) {
+		return grid{}, fmt.Errorf("grid: "+format, args...)
 	}
-	e.topoMu.Lock()
-	defer e.topoMu.Unlock()
-	if p, ok := e.topoPlatforms[name]; ok {
-		return p, nil
+	g.GridSpec = spec
+	if g.Op, g.app, err = lookup("op", apps, spec.Op); err != nil {
+		return fail("%w", err)
 	}
-	spec, err := topology.ParseSpec(name)
-	if err != nil {
-		return nil, fmt.Errorf("unknown platform %q (want griffon, gdx, or a topology: %w)", name, err)
+	if g.app.procs != 0 {
+		// A fixed-size app (pingpong's two endpoints) ignores the procs
+		// axis, so every procs list is equivalent to its one count.
+		g.Procs = []int{g.app.procs}
 	}
-	p, err := spec.Build()
-	if err != nil {
-		return nil, err
+	if len(g.Procs) == 0 {
+		return fail("need at least one process count")
 	}
-	if e.topoPlatforms == nil {
-		e.topoPlatforms = make(map[string]*platform.Platform)
+	for _, procs := range g.Procs {
+		if procs < 2 {
+			return fail("process count %d below 2", procs)
+		}
 	}
-	e.topoPlatforms[name] = p
-	return p, nil
-}
-
-// expand validates the spec and returns the scenario points in grid order.
-// Repeated list elements are deduplicated, and pingpong — which always runs
-// between two fixed endpoints — collapses the procs dimension.
-func (spec GridSpec) expand() ([]gridPoint, error) {
-	if len(spec.Procs) == 0 || len(spec.Sizes) == 0 {
-		return nil, fmt.Errorf("grid: need at least one process count and one size")
+	if len(g.Sizes) == 0 {
+		return fail("need at least one size")
 	}
-	if len(spec.Backends) == 0 {
-		return nil, fmt.Errorf("grid: need at least one backend")
-	}
-	procCounts := spec.Procs
-	op := strings.ToLower(spec.Op)
-	if op == "pingpong" {
-		procCounts = []int{2}
-	}
-	if op == "allreduce" {
-		for _, size := range spec.Sizes {
-			if err := checkFloat64Payload("grid: allreduce", size); err != nil {
-				return nil, err
+	for _, size := range g.Sizes {
+		if size <= 0 {
+			return fail("non-positive size %d", size)
+		}
+		if g.app.check != nil {
+			if err := g.app.check("grid: "+g.Op, size); err != nil {
+				return grid{}, err
 			}
 		}
 	}
-	topos := spec.Topologies
-	if len(topos) == 0 {
-		topos = []string{""}
-	}
-	places := make([]string, 0, len(spec.Placements))
-	for _, pl := range spec.Placements {
-		canonical, err := placement.Normalize(pl)
+
+	// Models only cross with the surf backend; without it they are inert
+	// and drop out. With it, the implicit default becomes explicit.
+	modelAxis := make([]string, 0, max(len(spec.Models), 1))
+	for _, m := range spec.Models {
+		name, _, err := lookup("model", models, m)
 		if err != nil {
-			return nil, fmt.Errorf("grid: %w", err)
+			return fail("%w", err)
 		}
-		places = append(places, canonical)
+		modelAxis = append(modelAxis, name)
 	}
-	if len(places) == 0 {
-		places = []string{""}
+	if len(modelAxis) == 0 {
+		modelAxis = append(modelAxis, "piecewise")
 	}
-	// Canonicalize the dynamics axis up front so "2ms" and "0.002s" variants
-	// of one schedule collapse to one grid point.
-	dyns := make([]string, 0, len(spec.Dynamics))
+	g.Backends, g.Models = make([]string, 0, len(spec.Backends)), nil
+	emulated := ""
+	for _, b := range spec.Backends {
+		name, cfg, err := backendConfig(b, nil)
+		if err != nil {
+			return fail("%w", err)
+		}
+		g.Backends = append(g.Backends, name)
+		if cfg.Backend != smpi.BackendSurf {
+			emulated = name
+			g.variants = append(g.variants, variant{backend: name})
+			continue
+		}
+		g.Models = modelAxis
+		for _, m := range modelAxis {
+			g.variants = append(g.variants, variant{name, m})
+		}
+	}
+	if len(g.Backends) == 0 {
+		return fail("need at least one backend")
+	}
+
+	g.Topologies = nil
+	for _, topo := range spec.Topologies {
+		if normName(topo) == "" {
+			continue
+		}
+		name, _, err := platformSpec(topo)
+		if err != nil {
+			return fail("%w", err)
+		}
+		g.Topologies = append(g.Topologies, name)
+	}
+	g.Platform = "" // ignored beside a topology axis
+	if len(g.Topologies) == 0 {
+		if g.Platform, _, err = platformSpec(spec.Platform); err != nil {
+			return fail("%w", err)
+		}
+	}
+
+	g.Placements = nil
+	for _, pl := range spec.Placements {
+		name, err := placement.Normalize(strings.TrimSpace(pl))
+		if err != nil {
+			return fail("%w", err)
+		}
+		g.Placements = append(g.Placements, name)
+	}
+
+	if g.algos, err = smpi.ParseAlgorithms(spec.Collectives); err != nil {
+		return fail("%w", err)
+	}
+	// Summary renders the non-default fields as space-separated "op=algo"
+	// pairs in a fixed field order; re-joined with commas it round-trips
+	// through ParseAlgorithms, making it the canonical spelling ("auto"
+	// becomes every collective pinned to auto, "default" becomes "").
+	g.Collectives = strings.ReplaceAll(g.algos.Summary(), " ", ",")
+	if again, err := smpi.ParseAlgorithms(g.Collectives); err != nil || again != g.algos {
+		return fail("collectives %q: an algorithm name cannot contain spaces or commas", spec.Collectives)
+	}
+
+	// Schedules are kept in their canonical spelling so "2ms" and "0.002s"
+	// variants of one schedule collapse to one grid point.
+	g.Dynamics = nil
 	for _, d := range spec.Dynamics {
 		sched, err := dynamics.Parse(d)
 		if err != nil {
-			return nil, fmt.Errorf("grid: dynamics %q: %w", d, err)
+			return fail("dynamics %q: %w", d, err)
 		}
-		if sched == nil {
-			dyns = append(dyns, "")
-		} else {
-			dyns = append(dyns, sched.String())
+		canonical := ""
+		if sched != nil {
+			if canonical = sched.String(); emulated != "" {
+				return fail("dynamics require the surf backend, got %q", emulated)
+			}
 		}
+		g.Dynamics = append(g.Dynamics, canonical)
 	}
-	if len(dyns) == 0 {
-		dyns = []string{""}
+
+	switch {
+	case g.ShardCount == 0 && g.ShardIndex != 0:
+		return fail("shard index %d without a shard count", g.ShardIndex)
+	case g.ShardCount < 0:
+		return fail("negative shard count %d", g.ShardCount)
+	case g.ShardCount > math.MaxInt32: // keeps points' index·P/n from overflowing
+		return fail("shard count %d above %d", g.ShardCount, math.MaxInt32)
+	case g.ShardCount > 0 && (g.ShardIndex < 0 || g.ShardIndex >= g.ShardCount):
+		return fail("shard index %d out of range [0,%d)", g.ShardIndex, g.ShardCount)
+	}
+	return g, nil
+}
+
+// points expands the grid in the caller's axis order. Repeated entries are
+// deduplicated, and a shard keeps its contiguous job-index range: the
+// balanced split (lo = i·P/n) makes the n ranges tile [0, P) exactly — every
+// point lands in precisely one shard, shards differ in size by at most one
+// point, and a shard count beyond the grid size leaves some shards empty.
+func (g *grid) points() []gridPoint {
+	orStatic := func(axis []string) []string {
+		if len(axis) == 0 {
+			return []string{""}
+		}
+		return axis
 	}
 	seen := make(map[gridPoint]bool)
 	var points []gridPoint
-	add := func(pt gridPoint) {
-		if !seen[pt] {
-			seen[pt] = true
-			points = append(points, pt)
-		}
-	}
-	for _, topo := range topos {
-		for _, dyn := range dyns {
-			for _, place := range places {
-				for _, procs := range procCounts {
-					if procs < 2 {
-						return nil, fmt.Errorf("grid: process count %d below 2", procs)
-					}
-					for _, size := range spec.Sizes {
-						if size <= 0 {
-							return nil, fmt.Errorf("grid: non-positive size %d", size)
-						}
-						for _, backend := range spec.Backends {
-							backend = strings.ToLower(backend)
-							switch backend {
-							case "surf":
-								models := spec.Models
-								if len(models) == 0 {
-									models = []string{"piecewise"}
-								}
-								for _, m := range models {
-									add(gridPoint{topo, dyn, place, procs, size, backend, strings.ToLower(m)})
-								}
-							case "openmpi", "mpich2":
-								if dyn != "" {
-									return nil, fmt.Errorf("grid: dynamics require the surf backend, got %q", backend)
-								}
-								add(gridPoint{topo, dyn, place, procs, size, backend, ""})
-							default:
-								return nil, fmt.Errorf("grid: unknown backend %q (want surf, openmpi, mpich2)", backend)
+	for _, topo := range orStatic(g.Topologies) {
+		for _, dyn := range orStatic(g.Dynamics) {
+			for _, place := range orStatic(g.Placements) {
+				for _, procs := range g.Procs {
+					for _, size := range g.Sizes {
+						for _, v := range g.variants {
+							pt := gridPoint{topo, dyn, place, procs, size, v}
+							if !seen[pt] {
+								seen[pt] = true
+								points = append(points, pt)
 							}
 						}
 					}
@@ -240,30 +282,12 @@ func (spec GridSpec) expand() ([]gridPoint, error) {
 			}
 		}
 	}
-	return shardSlice(points, spec.ShardIndex, spec.ShardCount)
-}
-
-// shardSlice keeps shard index's contiguous job-index range of the expanded
-// grid. The balanced-split arithmetic (lo = i·P/n) guarantees the n ranges
-// tile [0, P) exactly — every point lands in precisely one shard, shards
-// differ in size by at most one point, and a shard count beyond the grid
-// size yields empty shards rather than an error.
-func shardSlice(points []gridPoint, index, count int) ([]gridPoint, error) {
-	if count == 0 {
-		if index != 0 {
-			return nil, fmt.Errorf("grid: shard index %d without a shard count", index)
-		}
-		return points, nil
+	if g.ShardCount > 0 {
+		lo := g.ShardIndex * len(points) / g.ShardCount
+		hi := (g.ShardIndex + 1) * len(points) / g.ShardCount
+		points = points[lo:hi]
 	}
-	if count < 0 {
-		return nil, fmt.Errorf("grid: negative shard count %d", count)
-	}
-	if index < 0 || index >= count {
-		return nil, fmt.Errorf("grid: shard index %d out of range [0,%d)", index, count)
-	}
-	lo := index * len(points) / count
-	hi := (index + 1) * len(points) / count
-	return points[lo:hi], nil
+	return points
 }
 
 // ParseShard parses the "i/n" shard shorthand (e.g. "0/2") used by the
@@ -324,16 +348,14 @@ func (pt gridPoint) tags(op string) map[string]string {
 	return t
 }
 
-// Jobs expands the spec and returns how many simulations it holds (after
-// shard slicing), validating every axis on the way — the pre-flight check
-// the campaign service runs before accepting a request, so malformed specs
-// fail with a 400 instead of a queued failure.
+// Jobs validates the spec and returns how many simulations it holds (after
+// shard slicing).
 func (spec GridSpec) Jobs() (int, error) {
-	points, err := spec.expand()
+	g, err := spec.validate()
 	if err != nil {
 		return 0, err
 	}
-	return len(points), nil
+	return len(g.points()), nil
 }
 
 // CampaignOptions adjusts how GridCampaignOpts executes an expanded grid.
@@ -364,63 +386,16 @@ func (e *Env) GridCampaign(spec GridSpec) (*campaign.Summary, error) {
 // seed, and result-streaming control — the entry point the campaign service
 // uses, where one shared Env serves many concurrent requests.
 func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summary, error) {
-	points, err := spec.expand()
+	g, err := spec.validate()
 	if err != nil {
 		return nil, err
 	}
-	algos, err := smpi.ParseAlgorithms(spec.Collectives)
-	if err != nil {
-		return nil, fmt.Errorf("grid: %w", err)
-	}
-	op := strings.ToLower(spec.Op)
-	jobs := make([]campaign.Job, 0, len(points))
-	for _, pt := range points {
-		platName := pt.topo
-		if platName == "" {
-			platName = spec.Platform
-		}
-		plat, err := e.Platform(platName)
-		if err != nil {
+	points := g.points()
+	jobs := make([]campaign.Job, len(points))
+	for i, pt := range points {
+		if jobs[i], err = e.gridJob(&g, pt); err != nil {
 			return nil, err
 		}
-		cfg, err := e.gridConfig(plat, pt)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Algorithms = algos
-		if pt.dynamics != "" {
-			// Re-parse the canonical form per job: schedules are armed on the
-			// job's own kernel and mutate only its solver state, so concurrent
-			// jobs sharing the cached platform never observe each other.
-			sched, err := dynamics.Parse(pt.dynamics)
-			if err != nil {
-				return nil, fmt.Errorf("grid: dynamics %q: %w", pt.dynamics, err)
-			}
-			cfg.Dynamics = sched
-		}
-		// Each job gets its own Stats sink: jobs run concurrently, and the
-		// wrapped Run flattens the counters into the outcome after the
-		// simulation finishes (the sink is quiescent by then).
-		var st *obs.Stats
-		if spec.Stats {
-			st = new(obs.Stats)
-			cfg.Stats = st
-		}
-		job, err := gridJob(op, pt, plat, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			inner := job.Run
-			job.Run = func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
-				out, err := inner(ctx)
-				if out != nil {
-					out.Stats = obs.NonZero(st.Flat())
-				}
-				return out, err
-			}
-		}
-		jobs = append(jobs, job)
 	}
 	ctx := o.Ctx
 	if ctx == nil {
@@ -437,72 +412,47 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 	return campaign.RunAll(ctx, campaign.Options{Workers: workers, Seed: seed, OnResult: o.OnResult}, jobs), nil
 }
 
-func (e *Env) gridConfig(plat *platform.Platform, pt gridPoint) (smpi.Config, error) {
-	switch pt.backend {
-	case "surf":
-		m, err := e.Model(pt.model)
-		if err != nil {
-			return smpi.Config{}, err
+// gridJob builds the job of one scenario point.
+func (e *Env) gridJob(g *grid, pt gridPoint) (campaign.Job, error) {
+	platName := pt.topo
+	if platName == "" {
+		platName = g.Platform
+	}
+	plat, err := e.Platform(platName)
+	if err != nil {
+		return campaign.Job{}, err
+	}
+	cfg, err := e.Config(plat, pt.backend, pt.model)
+	if err != nil {
+		return campaign.Job{}, err
+	}
+	cfg.Procs = pt.procs
+	cfg.Algorithms = g.algos
+	if pt.dynamics != "" {
+		// Re-parse the canonical form per job: schedules are armed on the
+		// job's own kernel and mutate only its solver state, so concurrent
+		// jobs sharing the cached platform never observe each other.
+		if cfg.Dynamics, err = dynamics.Parse(pt.dynamics); err != nil {
+			return campaign.Job{}, err
 		}
-		return surfConfig(plat, m), nil
-	case "mpich2":
-		cfg := emuConfig(plat)
-		cfg.Impl = mpich2()
-		return cfg, nil
-	default: // openmpi
-		return emuConfig(plat), nil
 	}
-}
-
-func gridJob(op string, pt gridPoint, plat *platform.Platform, cfg smpi.Config) (campaign.Job, error) {
-	runs := map[string]func(smpi.Config, int, int64) (*collectiveRun, error){
-		"scatter":   runScatter,
-		"alltoall":  runAlltoall,
-		"bcast":     runBcast,
-		"allreduce": runAllreduce,
+	if g.Stats {
+		// Each job gets its own sink: jobs run concurrently (simJob flattens
+		// it into the outcome once the simulation is over).
+		cfg.Stats = new(obs.Stats)
 	}
-	if run, ok := runs[op]; ok {
-		j := placedCollectiveJob(pt.id(op), cfg, pt.placement, pt.procs, pt.size, run)
-		j.Tags = pt.tags(op)
-		return j, nil
-	}
-	if op != "pingpong" {
-		return campaign.Job{}, fmt.Errorf("grid: unknown op %q (want scatter, alltoall, bcast, allreduce, pingpong)", op)
-	}
-	size := pt.size
-	place := pt.placement
-	return campaign.Job{
-		ID:   pt.id(op),
-		Tags: pt.tags(op),
-		Run: func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
-			base := cfg
-			base.Seed = ctx.Seed
-			// A placed ping-pong runs between the first two ranks of the
-			// mapping (e.g. same leaf under "block", distinct leaves under
-			// "rr") instead of the platform's first two hosts.
-			a, b := plat.HostByID(0), plat.HostByID(1)
-			if place != "" {
-				hosts, err := placement.Generate(place, plat, 2, ctx.Seed)
-				if err != nil {
-					return nil, err
-				}
-				a, b = hosts[0], hosts[1]
-			}
-			samples, err := skampi.PingPong(skampi.PingPongConfig{
-				Base: base,
-				A:    a, B: b,
-				Sizes: []int64{size},
-			})
-			if err != nil {
-				return nil, err
-			}
+	run := measureCollective(g.app, pt.size)
+	if g.app.skampi {
+		// A placed ping-pong runs between the first two ranks of the mapping
+		// (same leaf under "block", distinct leaves under "rr").
+		run = pingPongRun([]int64{pt.size}, func(samples []calibrate.Sample) *campaign.Outcome {
 			return &campaign.Outcome{
 				SimulatedTime: core.Time(samples[0].Time),
 				Values:        map[string]float64{"oneway_s": samples[0].Time},
-				Payload:       samples,
-			}, nil
-		},
-	}, nil
+			}
+		})
+	}
+	return simJob(pt.id(g.Op), pt.tags(g.Op), cfg, pt.placement, run), nil
 }
 
 // GridTable renders a grid campaign summary as an aligned table, one row
@@ -520,9 +470,7 @@ func GridTable(spec GridSpec, sum *campaign.Summary) *Table {
 		}
 		topo := r.Tags["topo"]
 		if topo == "" {
-			if topo = spec.Platform; topo == "" {
-				topo = "griffon"
-			}
+			topo, _, _ = platformSpec(spec.Platform) // it ran, so it resolves
 		}
 		place := r.Tags["placement"]
 		if place == "" {

@@ -8,7 +8,6 @@ import (
 	"smpigo/internal/core"
 	"smpigo/internal/metrics"
 	"smpigo/internal/platform"
-	"smpigo/internal/skampi"
 	"smpigo/internal/smpi"
 	"smpigo/internal/surf"
 )
@@ -41,29 +40,20 @@ func (r *PingPongResult) PiecewiseBest() bool {
 		pwl < r.Summaries["default-affine"].MeanLog
 }
 
-// pingPongJob wraps one SKaMPI ping-pong run (on either backend) as a
-// campaign job whose payload is the calibration sample set.
+// pingPongJob wraps one SKaMPI ping-pong sweep (on either backend) between
+// hosts a and b as a campaign job: one t_<size> value per sample, their sum
+// as the simulated time, the sample set as payload.
 func pingPongJob(id string, base smpi.Config, a, b *platform.Host) campaign.Job {
-	return campaign.Job{
-		ID:   id,
-		Tags: map[string]string{"op": "pingpong"},
-		Run: func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
-			base.Seed = ctx.Seed
-			samples, err := skampi.PingPong(skampi.PingPongConfig{Base: base, A: a, B: b})
-			if err != nil {
-				return nil, err
-			}
-			out := &campaign.Outcome{
-				Values:  make(map[string]float64, len(samples)),
-				Payload: samples,
-			}
+	base.Procs, base.Hosts = 2, []*platform.Host{a, b}
+	return simJob(id, map[string]string{"op": "pingpong"}, base, "",
+		pingPongRun(nil, func(samples []calibrate.Sample) *campaign.Outcome {
+			out := &campaign.Outcome{Values: make(map[string]float64, len(samples))}
 			for _, s := range samples {
 				out.Values[fmt.Sprintf("t_%d", s.Size)] = s.Time
 				out.SimulatedTime += core.Time(s.Time)
 			}
-			return out, nil
-		},
-	}
+			return out
+		}))
 }
 
 // pingPongFigure runs the SKaMPI reference on the emulator and each model

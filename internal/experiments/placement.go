@@ -56,13 +56,12 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 	// under the leaf switches while "rr" pushes every hop through the
 	// D-mod-k spine (on tori the auto mode picks ring itself).
 	ops := []struct {
-		name  string
-		algos smpi.Algorithms
-		run   func(smpi.Config, int, int64) (*collectiveRun, error)
+		name, app string
+		algos     smpi.Algorithms
 	}{
-		{"allreduce(auto)", smpi.Auto(), runAllreduce},
-		{"allreduce(ring)", smpi.Algorithms{Allreduce: "ring"}, runAllreduce},
-		{"alltoall", smpi.Auto(), runAlltoall},
+		{"allreduce(auto)", "allreduce", smpi.Auto()},
+		{"allreduce(ring)", "allreduce", smpi.Algorithms{Allreduce: "ring"}},
+		{"alltoall", "alltoall", smpi.Auto()},
 	}
 	type point struct {
 		topo, op, place string
@@ -79,9 +78,9 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 				points = append(points, point{topo, op.name, place})
 				cfg := surfConfig(plat, env.Piecewise)
 				cfg.Algorithms = op.algos
-				jobs = append(jobs, placedCollectiveJob(
-					fmt.Sprintf("placement/%s/%s/%s", topo, op.name, place),
-					cfg, place, len(plat.Hosts()), chunk, op.run))
+				jobs = append(jobs, collectiveJob(
+					fmt.Sprintf("placement/%s/%s/%s", topo, op.name, place), op.app,
+					cfg, place, len(plat.Hosts()), chunk))
 			}
 		}
 	}

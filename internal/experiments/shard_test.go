@@ -100,16 +100,18 @@ func TestShardExpansionEdgeCases(t *testing.T) {
 	}
 }
 
-func TestCanonicalizeCollapsesEquivalentSpecs(t *testing.T) {
-	a := GridSpec{
+// equivalentSpecs are two spellings of one campaign: axis order, duplicates,
+// case, a spelled-out default and a placement alias differ.
+var equivalentSpecs = [2]GridSpec{
+	{
 		Op:         "Alltoall",
 		Procs:      []int{16, 8, 16},
 		Sizes:      []int64{1 << 20, 1 << 16},
 		Backends:   []string{"surf"},
 		Topologies: []string{"torus16", "fattree16"},
 		Placements: []string{"round-robin", "block"},
-	}
-	b := GridSpec{
+	},
+	{
 		Op:         "alltoall",
 		Procs:      []int{8, 16},
 		Sizes:      []int64{1 << 16, 1 << 20},
@@ -117,7 +119,11 @@ func TestCanonicalizeCollapsesEquivalentSpecs(t *testing.T) {
 		Backends:   []string{"SURF"},
 		Topologies: []string{"fattree16", "torus16"},
 		Placements: []string{"block", "rr"},
-	}
+	},
+}
+
+func TestCanonicalizeCollapsesEquivalentSpecs(t *testing.T) {
+	a, b := equivalentSpecs[0], equivalentSpecs[1]
 	ca, err := a.Canonicalize()
 	if err != nil {
 		t.Fatal(err)
@@ -191,20 +197,34 @@ func TestCampaignKeySeparates(t *testing.T) {
 	}
 }
 
+// invalidSpecs are shardSpec mutations no front end may accept, each with
+// what the error must mention.
+var invalidSpecs = []struct {
+	mutate func(*GridSpec)
+	want   string
+}{
+	{func(s *GridSpec) { s.Op = "gather" }, "unknown op"},
+	{func(s *GridSpec) { s.Backends = []string{"mpi"} }, "unknown backend"},
+	{func(s *GridSpec) { s.Models = []string{"cubic"} }, "unknown model"},
+	{func(s *GridSpec) { s.Placements = []string{"diagonal"} }, "unknown policy"},
+	{func(s *GridSpec) { s.Dynamics = []string{"@oops"} }, "dynamics"},
+	{func(s *GridSpec) { s.ShardIndex = 3; s.ShardCount = 2 }, "out of range"},
+	{func(s *GridSpec) { s.Sizes = nil }, "size"},
+	{func(s *GridSpec) { s.Backends = nil }, "backend"},
+	{func(s *GridSpec) { s.Topologies = []string{"torus16", "nonsense"} }, `"nonsense"`},
+	{func(s *GridSpec) { s.Topologies = []string{"fattree:4x"} }, `"fattree:4x"`},
+	{func(s *GridSpec) { s.Platform = "bogus" }, `"bogus"`},
+	{func(s *GridSpec) { s.Op, s.Procs = "scatter", []int{1} }, "below 2"},
+	{func(s *GridSpec) { s.Sizes = []int64{0} }, "non-positive size"},
+	{func(s *GridSpec) { s.Op, s.Sizes = "allreduce", []int64{12} }, "float64"},
+	{func(s *GridSpec) {
+		s.Backends = []string{"surf", "mpich2"}
+		s.Dynamics = []string{"@1ms link griffon-* scale 0.5"}
+	}, "require the surf backend"},
+}
+
 func TestCanonicalizeRejectsInvalid(t *testing.T) {
-	for _, tc := range []struct {
-		mutate func(*GridSpec)
-		want   string
-	}{
-		{func(s *GridSpec) { s.Op = "gather" }, "unknown op"},
-		{func(s *GridSpec) { s.Backends = []string{"mpi"} }, "unknown backend"},
-		{func(s *GridSpec) { s.Models = []string{"cubic"} }, "unknown model"},
-		{func(s *GridSpec) { s.Placements = []string{"diagonal"} }, "unknown policy"},
-		{func(s *GridSpec) { s.Dynamics = []string{"@oops"} }, "dynamics"},
-		{func(s *GridSpec) { s.ShardIndex = 3; s.ShardCount = 2 }, "out of range"},
-		{func(s *GridSpec) { s.Sizes = nil }, "size"},
-		{func(s *GridSpec) { s.Backends = nil }, "backend"},
-	} {
+	for _, tc := range invalidSpecs {
 		spec := shardSpec()
 		tc.mutate(&spec)
 		if _, err := spec.Canonicalize(); err == nil || !strings.Contains(err.Error(), tc.want) {

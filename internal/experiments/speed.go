@@ -47,11 +47,11 @@ func Figure17(env *Env) (*SpeedResult, error) {
 	var emuJobs, surfJobs []campaign.Job
 	for _, size := range sizes {
 		emuJobs = append(emuJobs, collectiveJob(
-			fmt.Sprintf("fig17/size=%s/openmpi", core.FormatBytes(size)),
-			emuConfig(env.Griffon), procs, size, runScatter))
+			fmt.Sprintf("fig17/size=%s/openmpi", core.FormatBytes(size)), "scatter",
+			emuConfig(env.Griffon), "", procs, size))
 		surfJobs = append(surfJobs, collectiveJob(
-			fmt.Sprintf("fig17/size=%s/smpi", core.FormatBytes(size)),
-			surfConfig(env.Griffon, env.Piecewise), procs, size, runScatter))
+			fmt.Sprintf("fig17/size=%s/smpi", core.FormatBytes(size)), "scatter",
+			surfConfig(env.Griffon, env.Piecewise), "", procs, size))
 	}
 	emuRuns, err := collectiveRuns(env, emuJobs)
 	if err != nil {
@@ -102,29 +102,17 @@ func Figure18(env *Env, m, iterations int) (*SamplingResult, error) {
 	ratios := []float64{1.0, 0.75, 0.5, 0.25}
 	var jobs []campaign.Job
 	for _, ratio := range ratios {
-		ratio := ratio
-		jobs = append(jobs, campaign.Job{
-			ID:   fmt.Sprintf("fig18/ratio=%g", ratio),
-			Tags: map[string]string{"app": "ep", "ratio": fmt.Sprint(ratio)},
-			Run: func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
-				app, _ := nas.EP(nas.EPConfig{M: m, Iterations: iterations, SampleRatio: ratio})
-				cfg := surfConfig(env.Griffon, env.Piecewise)
-				cfg.Procs = procs
-				cfg.Seed = ctx.Seed
-				rep, err := smpi.Run(cfg, app)
-				if err != nil {
-					return nil, err
+		app, _ := nas.EP(nas.EPConfig{M: m, Iterations: iterations, SampleRatio: ratio})
+		cfg := surfConfig(env.Griffon, env.Piecewise)
+		cfg.Procs = procs
+		jobs = append(jobs, simJob(fmt.Sprintf("fig18/ratio=%g", ratio),
+			map[string]string{"app": "ep", "ratio": fmt.Sprint(ratio)}, cfg, "",
+			reportRun(app, func(rep *smpi.Report) map[string]float64 {
+				return map[string]float64{
+					"bursts_executed": float64(rep.BurstsExecuted),
+					"bursts_replayed": float64(rep.BurstsReplayed),
 				}
-				return &campaign.Outcome{
-					SimulatedTime: rep.SimulatedTime,
-					Values: map[string]float64{
-						"bursts_executed": float64(rep.BurstsExecuted),
-						"bursts_replayed": float64(rep.BurstsReplayed),
-					},
-					Payload: rep,
-				}, nil
-			},
-		})
+			})))
 	}
 	// Like Figure 17's SMPI runs, the wall-clock column is the figure's
 	// measured quantity, so the ratio sweep runs serially on one worker:

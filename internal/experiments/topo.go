@@ -29,23 +29,6 @@ func topoCollectivesTopos() []string {
 // fattree64 and torus64 exactly, so every host link is exercised.
 const TopoCollectivesProcs = 64
 
-// runBcast measures one broadcast of chunk bytes from rank 0.
-func runBcast(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
-	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		c.Bcast(r, r.SharedMalloc("bcast", int(chunk)), 0)
-	})
-}
-
-// runAllreduce measures one allreduce of chunk bytes (float64 sums). A
-// reduction combines real bytes, so its buffers stay private.
-func runAllreduce(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
-	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		sendbuf := make([]byte, chunk)
-		recvbuf := make([]byte, chunk)
-		c.Allreduce(r, sendbuf, recvbuf, smpi.Float64, smpi.OpSum)
-	})
-}
-
 // TopoCollectives compares ring against tree collectives across
 // interconnect shapes: a ring schedule only talks to neighbors (which tori
 // absorb on local cables), while binomial trees and recursive doubling jump
@@ -61,17 +44,14 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 	if err := checkFloat64Payload("topo collectives", chunk); err != nil {
 		return nil, err
 	}
-	type point struct {
-		topo, op, algo string
-		run            func(smpi.Config, int, int64) (*collectiveRun, error)
-	}
+	type point struct{ topo, op, algo string }
 	var points []point
 	for _, topo := range topoCollectivesTopos() {
 		for _, algo := range []string{"binomial", "ring"} {
-			points = append(points, point{topo, "bcast", algo, runBcast})
+			points = append(points, point{topo, "bcast", algo})
 		}
 		for _, algo := range []string{"recursive-doubling", "ring"} {
-			points = append(points, point{topo, "allreduce", algo, runAllreduce})
+			points = append(points, point{topo, "allreduce", algo})
 		}
 	}
 
@@ -82,14 +62,11 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 			return nil, err
 		}
 		cfg := surfConfig(plat, env.Piecewise)
-		switch pt.op {
-		case "bcast":
-			cfg.Algorithms.Bcast = pt.algo
-		default:
-			cfg.Algorithms.Allreduce = pt.algo
+		if cfg.Algorithms, err = smpi.ParseAlgorithms(pt.op + "=" + pt.algo); err != nil {
+			return nil, err
 		}
-		j := collectiveJob(fmt.Sprintf("topo/%s/%s/%s", pt.topo, pt.op, pt.algo),
-			cfg, TopoCollectivesProcs, chunk, pt.run)
+		j := collectiveJob(fmt.Sprintf("topo/%s/%s/%s", pt.topo, pt.op, pt.algo), pt.op,
+			cfg, "", TopoCollectivesProcs, chunk)
 		j.Tags["topo"], j.Tags["op"], j.Tags["algo"] = pt.topo, pt.op, pt.algo
 		jobs = append(jobs, j)
 	}

@@ -9,7 +9,7 @@
 // any -parallel, so serving a repeat what-if query from the cache is
 // provably indistinguishable from re-simulating it — cache hits cost zero
 // simulation and can never be wrong. Requests are
-// canonicalized before keying AND before running (experiments.Canonicalize),
+// canonicalized before keying AND before running (GridSpec.Resolve),
 // so axis order, duplicates, case, and alias spellings all collapse onto
 // one entry.
 //

@@ -142,17 +142,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Spec.ShardIndex, req.Spec.ShardCount = idx, count
 	}
-	spec, err := req.Spec.Canonicalize()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	jobs, err := spec.Jobs()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := spec.CampaignKey(req.Seed)
+	spec, key, jobs, err := req.Spec.Resolve(req.Seed)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return

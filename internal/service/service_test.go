@@ -395,23 +395,33 @@ func TestCancelEndpoint(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
+	// valid but for its platform names: those rows must fail on the name alone.
+	const surfPingPong = `"op": "pingpong", "sizes": [64], "backends": ["surf"]`
 	cases := []struct {
-		name string
-		body string
+		name    string
+		body    string
+		mention string // the error must name the bad value
 	}{
-		{"empty", ``},
-		{"unknown field", `{"spec": {"op": "pingpong", "procs": [2], "sizes": [64]}, "sed": 1}`},
-		{"bad op", `{"spec": {"op": "gossip", "procs": [2], "sizes": [64]}, "seed": 1}`},
-		{"bad shard", `{"spec": {"op": "pingpong", "procs": [2], "sizes": [64]}, "seed": 1, "shard": "2"}`},
-		{"shard out of range", `{"spec": {"op": "pingpong", "procs": [2], "sizes": [64]}, "seed": 1, "shard": "3/2"}`},
+		{"empty", ``, ""},
+		{"unknown field", `{"spec": {"op": "pingpong", "procs": [2], "sizes": [64]}, "sed": 1}`, "sed"},
+		{"bad op", `{"spec": {"op": "gossip", "procs": [2], "sizes": [64]}, "seed": 1}`, "gossip"},
+		{"bad shard", `{"spec": {"op": "pingpong", "procs": [2], "sizes": [64]}, "seed": 1, "shard": "2"}`, ""},
+		{"shard out of range", `{"spec": {` + surfPingPong + `}, "seed": 1, "shard": "3/2"}`, "out of range"},
+		{"shard count overflows", `{"spec": {` + surfPingPong + `}, "seed": 1, "shard": "2305843009213693952/4611686018427387904"}`, "shard count"},
+		{"unknown topology", `{"spec": {` + surfPingPong + `, "topologies": ["torus16", "nonsense"]}, "seed": 1}`, "nonsense"},
+		{"unknown platform", `{"spec": {` + surfPingPong + `, "platform": "bogus"}, "seed": 1}`, "bogus"},
+		{"malformed shape", `{"spec": {` + surfPingPong + `, "topologies": ["fattree:4x"]}, "seed": 1}`, "fattree:4x"},
 	}
 	for _, tc := range cases {
-		req := httptest.NewRequest("POST", "/v1/campaigns", strings.NewReader(tc.body))
+		req := httptest.NewRequest("POST", "/v1/campaigns?wait=1", strings.NewReader(tc.body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
-		if w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, w.Code, w.Body.String())
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.mention) {
+			t.Errorf("%s: status %d body %s, want 400 mentioning %q", tc.name, w.Code, w.Body.String(), tc.mention)
 		}
+	}
+	if n := s.Stats().Campaigns.Load(); n != 0 {
+		t.Errorf("rejected requests enqueued %d campaigns", n)
 	}
 	if w := doJSON(t, h, "GET", "/v1/campaigns/zzz", nil); w.Code != http.StatusNotFound {
 		t.Errorf("get unknown id: status %d, want 404", w.Code)
