@@ -39,6 +39,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"reflect"
 	"runtime/metrics"
 	"strconv"
 	"strings"
@@ -47,6 +48,7 @@ import (
 	"smpigo/internal/core"
 	"smpigo/internal/experiments"
 	"smpigo/internal/obs"
+	"smpigo/internal/smpi"
 )
 
 func main() {
@@ -87,89 +89,35 @@ func runFigures(args []string) error {
 	}
 	env.Workers = *parallel
 	env.Seed = *seed
-	dtPayload := 0 // class defaults
-	epM := 22
-	figScale := 1.0
+	// Zero payloads mean each figure's default.
+	dtPayload, epM, figScale := 0, 22, 1.0
+	var sweepChunk, degradedChunk int64
 	if *fast {
-		dtPayload = 512 * 1024
-		epM = 19
-		figScale = 1.0 / 16
+		dtPayload, epM, figScale = 512*1024, 19, 1.0/16
+		sweepChunk, degradedChunk = 64*core.KiB, 16*core.KiB
 	}
 
-	type figure struct {
+	// Every figure returns a pointer to its own result struct; all of them
+	// carry the rendered table in a field named Table.
+	figures := []struct {
 		id  string
-		run func() (*experiments.Table, error)
-	}
-	figures := []figure{
-		{"3", func() (*experiments.Table, error) { r, err := experiments.Figure3(env); return tbl(r, err) }},
-		{"4", func() (*experiments.Table, error) { r, err := experiments.Figure4(env); return tbl(r, err) }},
-		{"5", func() (*experiments.Table, error) { r, err := experiments.Figure5(env); return tbl(r, err) }},
-		{"7", func() (*experiments.Table, error) { r, err := experiments.Figure7(env); return tblP(r, err) }},
-		{"8", func() (*experiments.Table, error) { r, err := experiments.Figure8(env); return tblS(r, err) }},
-		{"9", func() (*experiments.Table, error) { r, err := experiments.Figure9(env); return tblS(r, err) }},
-		{"11", func() (*experiments.Table, error) { r, err := experiments.Figure11(env); return tblP(r, err) }},
-		{"12", func() (*experiments.Table, error) { r, err := experiments.Figure12(env); return tblS(r, err) }},
-		{"15", func() (*experiments.Table, error) {
-			r, err := experiments.Figure15(env, dtPayload)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"16", func() (*experiments.Table, error) {
-			r, err := experiments.Figure16(env, figScale, 2*float64(core.GiB))
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"17", func() (*experiments.Table, error) {
-			r, err := experiments.Figure17(env)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"18", func() (*experiments.Table, error) {
-			r, err := experiments.Figure18(env, epM, 64)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"topo", func() (*experiments.Table, error) {
-			chunk := int64(0) // default payload
-			if *fast {
-				chunk = 64 * core.KiB
-			}
-			r, err := experiments.TopoCollectives(env, chunk)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"placement", func() (*experiments.Table, error) {
-			chunk := int64(0) // default payload
-			if *fast {
-				chunk = 64 * core.KiB
-			}
-			r, err := experiments.PlacementSweep(env, chunk)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"degraded", func() (*experiments.Table, error) {
-			chunk := int64(0) // default payload
-			if *fast {
-				chunk = 16 * core.KiB
-			}
-			r, err := experiments.DegradedSweep(env, chunk)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
+		run func() (any, error)
+	}{
+		{"3", func() (any, error) { return experiments.Figure3(env) }},
+		{"4", func() (any, error) { return experiments.Figure4(env) }},
+		{"5", func() (any, error) { return experiments.Figure5(env) }},
+		{"7", func() (any, error) { return experiments.Figure7(env) }},
+		{"8", func() (any, error) { return experiments.Figure8(env) }},
+		{"9", func() (any, error) { return experiments.Figure9(env) }},
+		{"11", func() (any, error) { return experiments.Figure11(env) }},
+		{"12", func() (any, error) { return experiments.Figure12(env) }},
+		{"15", func() (any, error) { return experiments.Figure15(env, dtPayload) }},
+		{"16", func() (any, error) { return experiments.Figure16(env, figScale, 2*float64(core.GiB)) }},
+		{"17", func() (any, error) { return experiments.Figure17(env) }},
+		{"18", func() (any, error) { return experiments.Figure18(env, epM, 64) }},
+		{"topo", func() (any, error) { return experiments.TopoCollectives(env, sweepChunk) }},
+		{"placement", func() (any, error) { return experiments.PlacementSweep(env, sweepChunk) }},
+		{"degraded", func() (any, error) { return experiments.DegradedSweep(env, degradedChunk) }},
 	}
 
 	want := strings.Split(*fig, ",")
@@ -189,10 +137,11 @@ func runFigures(args []string) error {
 		if !match(f.id) {
 			continue
 		}
-		t, err := f.run()
+		r, err := f.run()
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", f.id, err)
 		}
+		t := reflect.ValueOf(r).Elem().FieldByName("Table").Interface().(*experiments.Table)
 		tables = append(tables, t)
 		if !*jsonOut {
 			fmt.Println(t.String())
@@ -217,7 +166,7 @@ func runCampaign(args []string) error {
 	platformArg := fs.String("platform", "griffon", "target platform: griffon or gdx (ignored when -topologies is set)")
 	topologiesArg := fs.String("topologies", "", "comma-separated topology axis: griffon,gdx, presets (fattree16,fattree64,torus16,torus64,dragonfly72), or shapes (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
 	placementsArg := fs.String("placements", "", "comma-separated rank-placement axis: block,rr,random (empty = default layout)")
-	collectivesArg := fs.String("collectives", "", "collective algorithms for every job: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto")
+	collectivesArg := fs.String("collectives", "", "collective algorithms for every job: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto from "+smpi.CollectivesUsage()+" (the first is the default)")
 	dynamicsArg := fs.String("dynamics", "", "comma-separated platform-event axis, each a dynamics schedule (\"none\" or \"@2ms link a-* scale 0.5; ...\"); schedules use ';' between events so they survive this comma-separated list")
 	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
 	shardArg := fs.String("shard", "", "run only shard i/n of the expanded grid (e.g. 0/2); shard summaries merge back to the unsharded fingerprint (smpigod /v1/campaigns/merge)")
@@ -379,25 +328,4 @@ func emitJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-func tbl(r *experiments.PingPongResult, err error) (*experiments.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r.Table, nil
-}
-
-func tblP(r *experiments.PerRankResult, err error) (*experiments.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r.Table, nil
-}
-
-func tblS(r *experiments.SweepResult, err error) (*experiments.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r.Table, nil
 }

@@ -28,7 +28,6 @@ import (
 func main() {
 	var (
 		topo     = flag.String("topo", "griffon", "preset or shape: griffon, gdx, custom, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), or a shape string (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
-		cluster  = flag.String("cluster", "", "deprecated alias for -topo")
 		out      = flag.String("o", "-", "output file (- for stdout)")
 		metrics  = flag.Bool("metrics", false, "print structural metrics (hosts, links, diameter, bisection) as a trailing XML comment")
 		cabinets = flag.String("cabinets", "16,16", "custom: nodes per cabinet, comma separated")
@@ -37,10 +36,6 @@ func main() {
 		lat      = flag.String("lat", "20us", "custom: node link latency")
 	)
 	flag.Parse()
-	name := *topo
-	if *cluster != "" {
-		name = *cluster
-	}
 	w := io.Writer(os.Stdout)
 	if *out != "-" {
 		f, err := os.Create(*out)
@@ -51,7 +46,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := run(w, name, *metrics, *cabinets, *speed, *bw, *lat); err != nil {
+	if err := run(w, *topo, *metrics, *cabinets, *speed, *bw, *lat); err != nil {
 		fmt.Fprintln(os.Stderr, "platformgen:", err)
 		os.Exit(1)
 	}

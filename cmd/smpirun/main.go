@@ -75,7 +75,7 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.Float64Var(&o.ratio, "ratio", 1.0, "EP sampling ratio (0,1]")
 	fs.BoolVar(&o.fold, "fold", false, "DT: use RAM folding (SMPI_SHARED_MALLOC)")
 	fs.StringVar(&o.placement, "placement", "", "rank placement policy: block, rr, random (empty = default layout)")
-	fs.StringVar(&o.collectives, "collectives", "", "collective algorithms: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto")
+	fs.StringVar(&o.collectives, "collectives", "", "collective algorithms: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto from "+smpi.CollectivesUsage()+" (the first is the default)")
 	fs.Uint64Var(&o.seed, "seed", 0, "deterministic seed (per-rank RNGs, random placement)")
 	fs.StringVar(&o.traceOut, "trace", "", "record a point-to-point trace to this file (off-line simulation input)")
 	fs.StringVar(&o.replayIn, "replay", "", "replay a recorded trace instead of running an app")

@@ -48,10 +48,16 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		{[]string{"-backend", "bogus"}, `"bogus"`},
 		{[]string{"-platform", "bogus"}, `"bogus"`},
 		{[]string{"-app", "dt", "-class", ""}, "-class"},
+		{[]string{"-app", "bcast", "-np", "4", "-collectives", "bcast=bogus"}, `"bogus" (want auto, binomial, flat, ring)`},
+		{[]string{"-app", "alltoall", "-np", "4", "-collectives", "scatter=Ring"}, `"Ring" (want auto, binomial, flat)`},
 	} {
-		err := run(parse(t, tc.args...), io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
+		var out bytes.Buffer
+		err := run(parse(t, tc.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "panicked") {
 			t.Errorf("smpirun %s: err = %v, want one naming %s", strings.Join(tc.args, " "), err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("smpirun %s printed %q before refusing", strings.Join(tc.args, " "), out.String())
 		}
 	}
 }

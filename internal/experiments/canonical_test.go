@@ -73,8 +73,8 @@ func TestBatchAndServiceAgree(t *testing.T) {
 
 // respell returns the spec with every axis reversed and then repeated, and
 // every name axis upper-cased and padded: a different spelling of the same
-// campaign. Schedules and collective overrides carry case-sensitive link
-// globs and algorithm names, so those keep their spelling.
+// campaign. Schedules carry case-sensitive link globs, so those keep their
+// spelling.
 func respell(spec GridSpec) GridSpec {
 	shout := func(s string) string { return " \t" + strings.ToUpper(s) + " " }
 	names := func(axis []string) []string {
@@ -84,7 +84,7 @@ func respell(spec GridSpec) GridSpec {
 		}
 		return twice(out)
 	}
-	spec.Op, spec.Platform = shout(spec.Op), shout(spec.Platform)
+	spec.Op, spec.Platform, spec.Collectives = shout(spec.Op), shout(spec.Platform), shout(spec.Collectives)
 	spec.Procs, spec.Sizes = twice(spec.Procs), twice(spec.Sizes)
 	spec.Models, spec.Backends = names(spec.Models), names(spec.Backends)
 	spec.Topologies, spec.Placements = names(spec.Topologies), names(spec.Placements)

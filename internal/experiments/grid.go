@@ -213,13 +213,10 @@ func (spec GridSpec) validate() (g grid, err error) {
 		return fail("%w", err)
 	}
 	// Summary renders the non-default fields as space-separated "op=algo"
-	// pairs in a fixed field order; re-joined with commas it round-trips
-	// through ParseAlgorithms, making it the canonical spelling ("auto"
-	// becomes every collective pinned to auto, "default" becomes "").
+	// pairs in table order and table spelling; re-joined with commas it
+	// round-trips through ParseAlgorithms, making it the canonical spelling
+	// ("auto" becomes every collective pinned to auto, "default" becomes "").
 	g.Collectives = strings.ReplaceAll(g.algos.Summary(), " ", ",")
-	if again, err := smpi.ParseAlgorithms(g.Collectives); err != nil || again != g.algos {
-		return fail("collectives %q: an algorithm name cannot contain spaces or commas", spec.Collectives)
-	}
 
 	// Schedules are kept in their canonical spelling so "2ms" and "0.002s"
 	// variants of one schedule collapse to one grid point.

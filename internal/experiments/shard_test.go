@@ -214,6 +214,8 @@ var invalidSpecs = []struct {
 	{func(s *GridSpec) { s.Topologies = []string{"torus16", "nonsense"} }, `"nonsense"`},
 	{func(s *GridSpec) { s.Topologies = []string{"fattree:4x"} }, `"fattree:4x"`},
 	{func(s *GridSpec) { s.Platform = "bogus" }, `"bogus"`},
+	{func(s *GridSpec) { s.Collectives = "bcast=bogus" }, `unknown bcast algorithm "bogus" (want auto, binomial, flat, ring)`},
+	{func(s *GridSpec) { s.Collectives = "frobnicate=yes" }, `unknown collective "frobnicate"`},
 	{func(s *GridSpec) { s.Op, s.Procs = "scatter", []int{1} }, "below 2"},
 	{func(s *GridSpec) { s.Sizes = []int64{0} }, "non-positive size"},
 	{func(s *GridSpec) { s.Op, s.Sizes = "allreduce", []int64{12} }, "float64"},

@@ -44,14 +44,14 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 	if err := checkFloat64Payload("topo collectives", chunk); err != nil {
 		return nil, err
 	}
+	// Each operation's tree variant is its default; the ring is forced.
+	def := smpi.DefaultAlgorithms()
+	ops := []struct{ name, tree string }{{"bcast", def.Bcast}, {"allreduce", def.Allreduce}}
 	type point struct{ topo, op, algo string }
 	var points []point
 	for _, topo := range topoCollectivesTopos() {
-		for _, algo := range []string{"binomial", "ring"} {
-			points = append(points, point{topo, "bcast", algo})
-		}
-		for _, algo := range []string{"recursive-doubling", "ring"} {
-			points = append(points, point{topo, "allreduce", algo})
+		for _, op := range ops {
+			points = append(points, point{topo, op.name, op.tree}, point{topo, op.name, "ring"})
 		}
 	}
 
@@ -87,14 +87,10 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 		res.Times[pt.topo+"/"+pt.op+"/"+pt.algo] = runs[i].Total
 	}
 	for _, topo := range topoCollectivesTopos() {
-		for _, op := range []string{"bcast", "allreduce"} {
-			tree := "binomial"
-			if op == "allreduce" {
-				tree = "recursive-doubling"
-			}
-			tt := res.Times[topo+"/"+op+"/"+tree]
-			rt := res.Times[topo+"/"+op+"/ring"]
-			res.Table.Add(topo, op, tt, rt, rt/tt)
+		for _, op := range ops {
+			tt := res.Times[topo+"/"+op.name+"/"+op.tree]
+			rt := res.Times[topo+"/"+op.name+"/ring"]
+			res.Table.Add(topo, op.name, tt, rt, rt/tt)
 		}
 	}
 	for _, topo := range topoCollectivesTopos()[1:] {

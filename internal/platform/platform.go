@@ -248,12 +248,9 @@ func (p *Platform) Reserve(hosts, links int) {
 	}
 }
 
-// NewHost creates a host whose name is derived on demand from the slab
-// index ("<platform>-<ID>"), storing nothing per name. This is the scalable
-// path every builder uses; hand-built platforms wanting arbitrary names use
-// AddHost instead.
-func (p *Platform) NewHost(speed float64) *Host {
-	checkSpeed(speed, "host", len(p.hosts))
+// appendHost stores a new host in the current slab, opening a slab when the
+// last one is full so that no host ever moves, and indexes it by ID.
+func (p *Platform) appendHost(speed float64) *Host {
 	if n := len(p.hostSlabs); n == 0 || len(p.hostSlabs[n-1]) == cap(p.hostSlabs[n-1]) {
 		p.hostSlabs = append(p.hostSlabs, make([]Host, 0, slabSize))
 	}
@@ -261,6 +258,28 @@ func (p *Platform) NewHost(speed float64) *Host {
 	*slab = append(*slab, Host{ID: len(p.hosts), Speed: speed, Cabinet: -1, p: p})
 	h := &(*slab)[len(*slab)-1]
 	p.hosts = append(p.hosts, h)
+	return h
+}
+
+// appendLink is appendHost for links.
+func (p *Platform) appendLink(bandwidth float64, latency core.Duration, policy lmm.SharingPolicy) *Link {
+	if n := len(p.linkSlabs); n == 0 || len(p.linkSlabs[n-1]) == cap(p.linkSlabs[n-1]) {
+		p.linkSlabs = append(p.linkSlabs, make([]Link, 0, slabSize))
+	}
+	slab := &p.linkSlabs[len(p.linkSlabs)-1]
+	*slab = append(*slab, Link{ID: len(p.links), Bandwidth: bandwidth, Latency: latency, Policy: policy, p: p})
+	l := &(*slab)[len(*slab)-1]
+	p.links = append(p.links, l)
+	return l
+}
+
+// NewHost creates a host whose name is derived on demand from the slab
+// index ("<platform>-<ID>"), storing nothing per name. This is the scalable
+// path every builder uses; hand-built platforms wanting arbitrary names use
+// AddHost instead.
+func (p *Platform) NewHost(speed float64) *Host {
+	checkSpeed(speed, "host", len(p.hosts))
+	h := p.appendHost(speed)
 	if p.hostNames != nil {
 		// Explicit mode was already entered: record the derived name so
 		// hostNames keeps covering every host.
@@ -281,13 +300,7 @@ func (p *Platform) AddHost(name string, speed float64) *Host {
 	if _, dup := p.byName[name]; dup {
 		panic(fmt.Sprintf("platform: duplicate host %q", name))
 	}
-	if n := len(p.hostSlabs); n == 0 || len(p.hostSlabs[n-1]) == cap(p.hostSlabs[n-1]) {
-		p.hostSlabs = append(p.hostSlabs, make([]Host, 0, slabSize))
-	}
-	slab := &p.hostSlabs[len(p.hostSlabs)-1]
-	*slab = append(*slab, Host{ID: len(p.hosts), Speed: speed, Cabinet: -1, p: p})
-	h := &(*slab)[len(*slab)-1]
-	p.hosts = append(p.hosts, h)
+	h := p.appendHost(speed)
 	p.hostNames = append(p.hostNames, name)
 	p.byName[name] = h
 	return h
@@ -298,13 +311,7 @@ func (p *Platform) AddHost(name string, speed float64) *Host {
 // one), storing nothing per name.
 func (p *Platform) NewLink(bandwidth float64, latency core.Duration, policy lmm.SharingPolicy) *Link {
 	checkBandwidth(bandwidth, "link", len(p.links))
-	if n := len(p.linkSlabs); n == 0 || len(p.linkSlabs[n-1]) == cap(p.linkSlabs[n-1]) {
-		p.linkSlabs = append(p.linkSlabs, make([]Link, 0, slabSize))
-	}
-	slab := &p.linkSlabs[len(p.linkSlabs)-1]
-	*slab = append(*slab, Link{ID: len(p.links), Bandwidth: bandwidth, Latency: latency, Policy: policy, p: p})
-	l := &(*slab)[len(*slab)-1]
-	p.links = append(p.links, l)
+	l := p.appendLink(bandwidth, latency, policy)
 	if p.linkNames != nil {
 		name := p.Name + "-link-" + strconv.Itoa(l.ID)
 		if p.linkNamer != nil {
@@ -321,13 +328,7 @@ func (p *Platform) NewLink(bandwidth float64, latency core.Duration, policy lmm.
 func (p *Platform) AddLink(name string, bandwidth float64, latency core.Duration, policy lmm.SharingPolicy) *Link {
 	checkBandwidth(bandwidth, "link", name)
 	p.materializeLinkNames()
-	if n := len(p.linkSlabs); n == 0 || len(p.linkSlabs[n-1]) == cap(p.linkSlabs[n-1]) {
-		p.linkSlabs = append(p.linkSlabs, make([]Link, 0, slabSize))
-	}
-	slab := &p.linkSlabs[len(p.linkSlabs)-1]
-	*slab = append(*slab, Link{ID: len(p.links), Bandwidth: bandwidth, Latency: latency, Policy: policy, p: p})
-	l := &(*slab)[len(*slab)-1]
-	p.links = append(p.links, l)
+	l := p.appendLink(bandwidth, latency, policy)
 	p.linkNames = append(p.linkNames, name)
 	return l
 }

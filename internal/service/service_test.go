@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -428,6 +429,39 @@ func TestBadRequests(t *testing.T) {
 	}
 	if w := doJSON(t, h, "GET", "/healthz", nil); w.Code != http.StatusOK {
 		t.Errorf("healthz: status %d, want 200", w.Code)
+	}
+}
+
+// TestUnknownCollectiveIs400 holds the collectives vocabulary to the door
+// every other axis has: an unknown operation or variant is refused by
+// Resolve with the accepted names, so no record is created, nothing is
+// queued, no actor is spawned and no goroutine is left behind — it used to
+// be accepted, run, and leak procs−1 parked actors per failed job.
+func TestUnknownCollectiveIs400(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	doJSON(t, h, "GET", "/healthz", nil) // the runner and the handler are warm
+	baseline := runtime.NumGoroutine()
+	for _, tc := range []struct{ collectives, mention string }{
+		{"bcast=bogus", `unknown bcast algorithm \"bogus\" (want auto, binomial, flat, ring)`},
+		{"scatter=Bogus", `unknown scatter algorithm \"Bogus\" (want auto, binomial, flat)`},
+		{"frobnicate=yes", `unknown collective \"frobnicate\"`},
+	} {
+		spec := experiments.GridSpec{Op: "scatter", Procs: []int{8}, Sizes: []int64{1024},
+			Backends: []string{"surf"}, Collectives: tc.collectives}
+		w := doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(spec, 1))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), tc.mention) {
+			t.Errorf("%s: status %d body %s, want 400 mentioning %s", tc.collectives, w.Code, w.Body.String(), tc.mention)
+		}
+	}
+	if w := doJSON(t, h, "GET", "/v1/campaigns", nil); strings.TrimSpace(w.Body.String()) != "[]" {
+		t.Errorf("refused requests left records: %s", w.Body.String())
+	}
+	if n, q := s.Stats().Campaigns.Load(), len(s.queue); n != 0 || q != 0 {
+		t.Errorf("refused requests enqueued %d campaigns, %d still queued", n, q)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after the refused requests, %d before", n, baseline)
 	}
 }
 

@@ -9,66 +9,35 @@ import (
 // MPICH2/OpenMPI (paper Section 5.3), no variant is universally best; SMPI
 // originally shipped one per operation and planned multiple — this
 // reproduction provides the main alternatives so the choice can be
-// studied. Besides the concrete variants listed per field, every field
-// accepts "auto" (AlgoAuto), which picks the variant from the target
-// platform's interconnect family at Run time — ring schedules on tori,
-// trees on fat-trees/dragonflies/clusters; see Resolve.
+// studied. A field holds one of the names in its collective's variant list
+// (bcastVariants and so on, below; the first entry is the default and what
+// an empty field means) or AlgoAuto. Names are matched without regard to
+// case or surrounding whitespace, and one its collective does not list
+// fails Run and ParseAlgorithms before any rank starts.
 type Algorithms struct {
-	// Bcast: "binomial" (default), "ring" (store-and-forward chain, the
-	// neighbor-friendly schedule on ring-like topologies), or "flat".
-	Bcast string
-	// Scatter: "binomial" (default, the paper's Figure 6 tree) or "flat".
-	Scatter string
-	// Gather: "binomial" (default) or "flat".
-	Gather string
-	// Allgather: "ring" (default) or "gather-bcast".
-	Allgather string
-	// Alltoall: "pairwise" (default, the paper's Figure 10), "bruck"
-	// (log-step algorithm, better for small messages), or "flat".
-	Alltoall string
-	// Reduce: "binomial" (default) or "flat".
-	Reduce string
-	// Allreduce: "recursive-doubling" (default; falls back to
-	// reduce+bcast for non-power-of-two sizes), "ring" (chunked
-	// reduce-scatter + allgather ring, bandwidth-optimal and
-	// neighbor-friendly; falls back to reduce+bcast when the buffer has
-	// fewer elements than ranks), or "reduce-bcast".
-	Allreduce string
-	// Barrier: "dissemination" (default) or "tree".
-	Barrier string
+	Bcast, Scatter, Gather, Allgather, Alltoall, Reduce, Allreduce, Barrier string
 }
 
-// DefaultAlgorithms returns the per-collective package defaults — the
-// variants listed first on each Algorithms field. Empty fields fill from it
-// at Run time, and the "auto" selection (Resolve) starts from it.
-func DefaultAlgorithms() Algorithms {
-	return Algorithms{
-		Bcast:     "binomial",
-		Scatter:   "binomial",
-		Gather:    "binomial",
-		Allgather: "ring",
-		Alltoall:  "pairwise",
-		Reduce:    "binomial",
-		Allreduce: "recursive-doubling",
-		Barrier:   "dissemination",
-	}
+// variants lists one collective's implementations, the default first: both
+// its vocabulary (the collectives table in select.go reads the names off it)
+// and its dispatch, so a variant is spelled once. auto names the
+// interconnect family (platform.TopoInfo.Kind) on which "auto" selects the
+// variant instead of the default.
+type variants[F any] []struct {
+	name, auto string
+	run        F
 }
 
-func (a *Algorithms) fillDefaults() {
-	def := func(s *string, v string) {
-		if *s == "" {
-			*s = v
+// named returns the body of the variant called name, the first one for the
+// empty name; Config.fillDefaults has checked every Algorithms field against
+// these lists before a rank runs.
+func (vs variants[F]) named(name string) F {
+	for _, v := range vs {
+		if name == "" || v.name == name {
+			return v.run
 		}
 	}
-	d := DefaultAlgorithms()
-	def(&a.Bcast, d.Bcast)
-	def(&a.Scatter, d.Scatter)
-	def(&a.Gather, d.Gather)
-	def(&a.Allgather, d.Allgather)
-	def(&a.Alltoall, d.Alltoall)
-	def(&a.Reduce, d.Reduce)
-	def(&a.Allreduce, d.Allreduce)
-	def(&a.Barrier, d.Barrier)
+	panic("smpi: collective algorithm " + name + " was never checked")
 }
 
 // Reserved internal tags. Collectives on the same communicator execute in
@@ -87,16 +56,11 @@ const (
 	tagReduceScatter
 )
 
-func badAlgo(op, algo string) {
-	panic(fmt.Sprintf("smpi: unknown %s algorithm %q", op, algo))
-}
-
-// Bcast broadcasts root's buf to every rank (MPI_Bcast).
-func (c *Comm) Bcast(r *Rank, buf []byte, root int) {
-	switch c.w.cfg.Algorithms.Bcast {
-	case "binomial":
-		c.bcastBinomial(r, buf, root, tagBcast)
-	case "ring":
+// "ring" is a store-and-forward chain, the neighbor-friendly schedule on
+// ring-like topologies.
+var bcastVariants = variants[func(c *Comm, r *Rank, buf []byte, root int)]{
+	{name: "binomial", run: func(c *Comm, r *Rank, buf []byte, root int) { c.bcastBinomial(r, buf, root, tagBcast) }},
+	{name: "ring", auto: "torus", run: func(c *Comm, r *Rank, buf []byte, root int) {
 		me, p := c.mustRank(r), c.Size()
 		rel := (me - root + p) % p
 		if rel > 0 {
@@ -105,22 +69,25 @@ func (c *Comm) Bcast(r *Rank, buf []byte, root int) {
 		if rel < p-1 {
 			r.Send(c, buf, (me+1)%p, tagBcast)
 		}
-	case "flat":
-		me := c.mustRank(r)
-		if me == root {
-			reqs := make([]*Request, 0, c.Size()-1)
-			for dst := 0; dst < c.Size(); dst++ {
-				if dst != root {
-					reqs = append(reqs, r.isend(c, buf, dst, tagBcast))
-				}
-			}
-			r.waitAllFree(reqs)
-		} else {
+	}},
+	{name: "flat", run: func(c *Comm, r *Rank, buf []byte, root int) {
+		if c.mustRank(r) != root {
 			r.Recv(c, buf, root, tagBcast)
+			return
 		}
-	default:
-		badAlgo("bcast", c.w.cfg.Algorithms.Bcast)
-	}
+		reqs := make([]*Request, 0, c.Size()-1)
+		for dst := 0; dst < c.Size(); dst++ {
+			if dst != root {
+				reqs = append(reqs, r.isend(c, buf, dst, tagBcast))
+			}
+		}
+		r.waitAllFree(reqs)
+	}},
+}
+
+// Bcast broadcasts root's buf to every rank (MPI_Bcast).
+func (c *Comm) Bcast(r *Rank, buf []byte, root int) {
+	bcastVariants.named(c.w.cfg.Algorithms.Bcast)(c, r, buf, root)
 }
 
 // bcastBinomial is the classic binomial-tree broadcast used by MPICH2.
@@ -146,61 +113,42 @@ func (c *Comm) bcastBinomial(r *Rank, buf []byte, root, tag int) {
 	}
 }
 
-// Barrier blocks until every rank of the communicator has entered it
-// (MPI_Barrier).
-func (c *Comm) Barrier(r *Rank) {
-	switch c.w.cfg.Algorithms.Barrier {
-	case "dissemination":
+var barrierVariants = variants[func(c *Comm, r *Rank)]{
+	{name: "dissemination", run: func(c *Comm, r *Rank) {
 		me, p := c.mustRank(r), c.Size()
-		if p == 1 {
-			return
-		}
-		var empty []byte
 		for step := 1; step < p; step <<= 1 {
 			dst := (me + step) % p
 			src := (me - step + p) % p
-			r.Sendrecv(c, empty, dst, tagBarrier, nil, src, tagBarrier)
+			r.Sendrecv(c, nil, dst, tagBarrier, nil, src, tagBarrier)
 		}
-	case "tree":
-		// Gather-to-0 then broadcast, both binomial, with empty payloads.
+	}},
+	// Gather-to-0 then broadcast, both binomial, with empty payloads.
+	{name: "tree", run: func(c *Comm, r *Rank) {
 		c.reduceBinomial(r, nil, nil, Byte, OpSum, 0, tagBarrier)
 		c.bcastBinomial(r, nil, 0, tagBarrier)
-	default:
-		badAlgo("barrier", c.w.cfg.Algorithms.Barrier)
-	}
+	}},
+}
+
+// Barrier blocks until every rank of the communicator has entered it
+// (MPI_Barrier).
+func (c *Comm) Barrier(r *Rank) {
+	barrierVariants.named(c.w.cfg.Algorithms.Barrier)(c, r)
+}
+
+// "binomial" is the paper's Figure 6 tree.
+var scatterVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, root int)]{
+	{name: "binomial", run: (*Comm).scatterBinomial},
+	{name: "flat", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte, root int) { c.Scatterv(r, sendbuf, nil, recvbuf, root) }},
 }
 
 // Scatter distributes equal chunks of root's sendbuf: rank i receives
 // chunk i into recvbuf (MPI_Scatter). len(sendbuf) must equal
 // Size()*len(recvbuf) on the root and is ignored elsewhere.
 func (c *Comm) Scatter(r *Rank, sendbuf, recvbuf []byte, root int) {
-	p := c.Size()
-	me := c.mustRank(r)
-	bs := len(recvbuf)
-	if me == root && len(sendbuf) != p*bs {
+	if p, bs := c.Size(), len(recvbuf); c.mustRank(r) == root && len(sendbuf) != p*bs {
 		panic(fmt.Sprintf("smpi: Scatter sendbuf %d bytes, want %d*%d", len(sendbuf), p, bs))
 	}
-	switch c.w.cfg.Algorithms.Scatter {
-	case "binomial":
-		c.scatterBinomial(r, sendbuf, recvbuf, root)
-	case "flat":
-		if me == root {
-			reqs := make([]*Request, 0, p-1)
-			for dst := 0; dst < p; dst++ {
-				chunk := sendbuf[dst*bs : (dst+1)*bs]
-				if dst == root {
-					c.w.move(recvbuf, chunk)
-					continue
-				}
-				reqs = append(reqs, r.isend(c, chunk, dst, tagScatter))
-			}
-			r.waitAllFree(reqs)
-		} else {
-			r.Recv(c, recvbuf, root, tagScatter)
-		}
-	default:
-		badAlgo("scatter", c.w.cfg.Algorithms.Scatter)
-	}
+	scatterVariants.named(c.w.cfg.Algorithms.Scatter)(c, r, sendbuf, recvbuf, root)
 }
 
 // scatterBinomial is MPICH2's binomial-tree scatter — the algorithm of the
@@ -229,17 +177,9 @@ func (c *Comm) scatterBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
 			mask <<= 1
 		}
 	} else {
-		mask = 1
-		for mask < p {
-			if rel&mask != 0 {
-				src := (me - mask + p) % p
-				cnt := min(mask, p-rel)
-				tmp = c.w.scratch(recvbuf, cnt*bs)
-				r.Recv(c, tmp, src, tagScatter)
-				break
-			}
-			mask <<= 1
-		}
+		mask = rel & -rel // the lowest set bit names the parent and bounds the subtree
+		tmp = c.w.scratch(recvbuf, min(mask, p-rel)*bs)
+		r.Recv(c, tmp, (me-mask+p)%p, tagScatter)
 	}
 	// Subtree chunks are pushed with non-blocking sends so the transfers
 	// to all children proceed concurrently — this is what makes network
@@ -256,35 +196,18 @@ func (c *Comm) scatterBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
 	c.w.move(recvbuf, tmp[:bs])
 }
 
+var gatherVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, root int)]{
+	{name: "binomial", run: (*Comm).gatherBinomial},
+	{name: "flat", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte, root int) { c.Gatherv(r, sendbuf, recvbuf, nil, root) }},
+}
+
 // Gather collects equal chunks from every rank into root's recvbuf, rank
 // i's contribution landing at chunk i (MPI_Gather).
 func (c *Comm) Gather(r *Rank, sendbuf, recvbuf []byte, root int) {
-	me, p := c.mustRank(r), c.Size()
-	bs := len(sendbuf)
-	if me == root && len(recvbuf) != p*bs {
+	if p, bs := c.Size(), len(sendbuf); c.mustRank(r) == root && len(recvbuf) != p*bs {
 		panic(fmt.Sprintf("smpi: Gather recvbuf %d bytes, want %d*%d", len(recvbuf), p, bs))
 	}
-	switch c.w.cfg.Algorithms.Gather {
-	case "binomial":
-		c.gatherBinomial(r, sendbuf, recvbuf, root)
-	case "flat":
-		if me == root {
-			reqs := make([]*Request, 0, p-1)
-			for src := 0; src < p; src++ {
-				chunk := recvbuf[src*bs : (src+1)*bs]
-				if src == root {
-					c.w.move(chunk, sendbuf)
-					continue
-				}
-				reqs = append(reqs, r.irecv(c, chunk, src, tagGather))
-			}
-			r.waitAllFree(reqs)
-		} else {
-			r.Send(c, sendbuf, root, tagGather)
-		}
-	default:
-		badAlgo("gather", c.w.cfg.Algorithms.Gather)
-	}
+	gatherVariants.named(c.w.cfg.Algorithms.Gather)(c, r, sendbuf, recvbuf, root)
 }
 
 // gatherBinomial mirrors scatterBinomial: subtree data flows towards the
@@ -330,20 +253,11 @@ func subtreeSize(rel, p int) int {
 	return rel & (-rel)
 }
 
-// Allgather concatenates every rank's sendbuf into everyone's recvbuf
-// (MPI_Allgather). len(recvbuf) must be Size()*len(sendbuf).
-func (c *Comm) Allgather(r *Rank, sendbuf, recvbuf []byte) {
-	me, p := c.mustRank(r), c.Size()
-	bs := len(sendbuf)
-	if len(recvbuf) != p*bs {
-		panic(fmt.Sprintf("smpi: Allgather recvbuf %d bytes, want %d*%d", len(recvbuf), p, bs))
-	}
-	switch c.w.cfg.Algorithms.Allgather {
-	case "ring":
+var allgatherVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte)]{
+	{name: "ring", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte) {
+		me, p := c.mustRank(r), c.Size()
+		bs := len(sendbuf)
 		c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf)
-		if p == 1 {
-			return
-		}
 		right := (me + 1) % p
 		left := (me - 1 + p) % p
 		for step := 0; step < p-1; step++ {
@@ -353,27 +267,29 @@ func (c *Comm) Allgather(r *Rank, sendbuf, recvbuf []byte) {
 				recvbuf[sendIdx*bs:(sendIdx+1)*bs], right, tagAllgather,
 				recvbuf[recvIdx*bs:(recvIdx+1)*bs], left, tagAllgather)
 		}
-	case "gather-bcast":
+	}},
+	{name: "gather-bcast", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte) {
 		c.Gather(r, sendbuf, recvbuf, 0)
 		c.Bcast(r, recvbuf, 0)
-	default:
-		badAlgo("allgather", c.w.cfg.Algorithms.Allgather)
-	}
+	}},
 }
 
-// Alltoall exchanges equal blocks between all pairs: the i-th block of
-// sendbuf goes to rank i, which stores it as its j-th received block
-// (MPI_Alltoall). Both buffers hold Size() blocks.
-func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
-	me, p := c.mustRank(r), c.Size()
-	if len(sendbuf) != len(recvbuf) || len(sendbuf)%p != 0 {
-		panic(fmt.Sprintf("smpi: Alltoall buffers %d/%d bytes for %d ranks", len(sendbuf), len(recvbuf), p))
+// Allgather concatenates every rank's sendbuf into everyone's recvbuf
+// (MPI_Allgather). len(recvbuf) must be Size()*len(sendbuf).
+func (c *Comm) Allgather(r *Rank, sendbuf, recvbuf []byte) {
+	if p, bs := c.Size(), len(sendbuf); len(recvbuf) != p*bs {
+		panic(fmt.Sprintf("smpi: Allgather recvbuf %d bytes, want %d*%d", len(recvbuf), p, bs))
 	}
-	bs := len(sendbuf) / p
-	switch c.w.cfg.Algorithms.Alltoall {
-	case "pairwise":
-		// The paper's Figure 10: P steps; at step k each process exchanges
-		// with one distinct partner (including itself at step 0).
+	allgatherVariants.named(c.w.cfg.Algorithms.Allgather)(c, r, sendbuf, recvbuf)
+}
+
+// "bruck" is the log-step algorithm, better for small messages.
+var alltoallVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte)]{
+	// The paper's Figure 10: P steps; at step k each process exchanges
+	// with one distinct partner (including itself at step 0).
+	{name: "pairwise", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte) {
+		me, p := c.mustRank(r), c.Size()
+		bs := len(sendbuf) / p
 		c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
 		for step := 1; step < p; step++ {
 			dst := (me + step) % p
@@ -382,33 +298,27 @@ func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
 				sendbuf[dst*bs:(dst+1)*bs], dst, tagAlltoall,
 				recvbuf[src*bs:(src+1)*bs], src, tagAlltoall)
 		}
-	case "bruck":
-		c.alltoallBruck(r, sendbuf, recvbuf, bs)
-	case "flat":
-		reqs := make([]*Request, 0, 2*(p-1))
-		for peer := 0; peer < p; peer++ {
-			if peer == me {
-				c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
-				continue
-			}
-			reqs = append(reqs, r.irecv(c, recvbuf[peer*bs:(peer+1)*bs], peer, tagAlltoall))
-		}
-		for peer := 0; peer < p; peer++ {
-			if peer != me {
-				reqs = append(reqs, r.isend(c, sendbuf[peer*bs:(peer+1)*bs], peer, tagAlltoall))
-			}
-		}
-		r.waitAllFree(reqs)
-	default:
-		badAlgo("alltoall", c.w.cfg.Algorithms.Alltoall)
+	}},
+	{name: "bruck", run: (*Comm).alltoallBruck},
+	{name: "flat", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte) { c.Alltoallv(r, sendbuf, nil, recvbuf, nil) }},
+}
+
+// Alltoall exchanges equal blocks between all pairs: the i-th block of
+// sendbuf goes to rank i, which stores it as its j-th received block
+// (MPI_Alltoall). Both buffers hold Size() blocks.
+func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
+	if p := c.Size(); len(sendbuf) != len(recvbuf) || len(sendbuf)%p != 0 {
+		panic(fmt.Sprintf("smpi: Alltoall buffers %d/%d bytes for %d ranks", len(sendbuf), len(recvbuf), p))
 	}
+	alltoallVariants.named(c.w.cfg.Algorithms.Alltoall)(c, r, sendbuf, recvbuf)
 }
 
 // alltoallBruck is the log-step Bruck (1997) algorithm used by MPICH2 and
 // OpenMPI for small messages: ceil(log2 P) rounds, each moving the blocks
 // whose rotated index has bit k set, followed by a local inversion.
-func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte, bs int) {
+func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte) {
 	me, p := c.mustRank(r), c.Size()
+	bs := len(sendbuf) / p
 	// Phase 1: local rotation — block j of tmp is the block for rank
 	// (me+j) mod p.
 	tmp := c.w.scratch(sendbuf, p*bs)
@@ -449,31 +359,31 @@ func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte, bs int) {
 	}
 }
 
-// Reduce combines every rank's sendbuf with op, leaving the result in
-// root's recvbuf (MPI_Reduce).
-func (c *Comm) Reduce(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root int) {
-	switch c.w.cfg.Algorithms.Reduce {
-	case "binomial":
+var reduceVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root int)]{
+	{name: "binomial", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root int) {
 		c.reduceBinomial(r, sendbuf, recvbuf, dt, op, root, tagReduce)
-	case "flat":
-		me, p := c.mustRank(r), c.Size()
-		if me == root {
-			acc := clone(sendbuf)
-			scratch := make([]byte, len(sendbuf))
-			for src := 0; src < p; src++ {
-				if src == root {
-					continue
-				}
+	}},
+	{name: "flat", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root int) {
+		if c.mustRank(r) != root {
+			r.Send(c, sendbuf, root, tagReduce)
+			return
+		}
+		acc := clone(sendbuf)
+		scratch := make([]byte, len(sendbuf))
+		for src := 0; src < c.Size(); src++ {
+			if src != root {
 				r.Recv(c, scratch, src, tagReduce)
 				op.Apply(acc, scratch, dt)
 			}
-			copy(recvbuf, acc)
-		} else {
-			r.Send(c, sendbuf, root, tagReduce)
 		}
-	default:
-		badAlgo("reduce", c.w.cfg.Algorithms.Reduce)
-	}
+		copy(recvbuf, acc)
+	}},
+}
+
+// Reduce combines every rank's sendbuf with op, leaving the result in
+// root's recvbuf (MPI_Reduce).
+func (c *Comm) Reduce(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root int) {
+	reduceVariants.named(c.w.cfg.Algorithms.Reduce)(c, r, sendbuf, recvbuf, dt, op, root)
 }
 
 // reduceBinomial combines up a binomial tree (commutative operators).
@@ -500,13 +410,15 @@ func (c *Comm) reduceBinomial(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op 
 	copy(recvbuf, acc)
 }
 
-// Allreduce combines every rank's sendbuf with op and leaves the result in
-// every rank's recvbuf (MPI_Allreduce).
-func (c *Comm) Allreduce(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
-	p := c.Size()
-	switch algo := c.w.cfg.Algorithms.Allreduce; {
-	case algo == "recursive-doubling" && bits.OnesCount(uint(p)) == 1:
-		me := c.mustRank(r)
+// "recursive-doubling" needs a power-of-two size and "ring" at least one
+// element per rank; where they do not apply they run "reduce-bcast".
+var allreduceVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op)]{
+	{name: "recursive-doubling", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
+		me, p := c.mustRank(r), c.Size()
+		if bits.OnesCount(uint(p)) != 1 {
+			c.allreduceReduceBcast(r, sendbuf, recvbuf, dt, op)
+			return
+		}
 		acc := clone(sendbuf)
 		scratch := make([]byte, len(sendbuf))
 		for mask := 1; mask < p; mask <<= 1 {
@@ -515,14 +427,20 @@ func (c *Comm) Allreduce(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
 			op.Apply(acc, scratch, dt)
 		}
 		copy(recvbuf, acc)
-	case algo == "ring" && p > 1 && dt.Size() > 0 && len(sendbuf)/dt.Size() >= p:
-		c.allreduceRing(r, sendbuf, recvbuf, dt, op)
-	case algo == "recursive-doubling" || algo == "reduce-bcast" || algo == "ring":
-		c.reduceBinomial(r, sendbuf, recvbuf, dt, op, 0, tagAllreduce)
-		c.Bcast(r, recvbuf, 0)
-	default:
-		badAlgo("allreduce", algo)
-	}
+	}},
+	{name: "ring", auto: "torus", run: (*Comm).allreduceRing},
+	{name: "reduce-bcast", run: (*Comm).allreduceReduceBcast},
+}
+
+// Allreduce combines every rank's sendbuf with op and leaves the result in
+// every rank's recvbuf (MPI_Allreduce).
+func (c *Comm) Allreduce(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
+	allreduceVariants.named(c.w.cfg.Algorithms.Allreduce)(c, r, sendbuf, recvbuf, dt, op)
+}
+
+func (c *Comm) allreduceReduceBcast(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
+	c.reduceBinomial(r, sendbuf, recvbuf, dt, op, 0, tagAllreduce)
+	c.Bcast(r, recvbuf, 0)
 }
 
 // allreduceRing is the bandwidth-optimal ring allreduce: the buffer is cut
@@ -533,6 +451,10 @@ func (c *Comm) Allreduce(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
 func (c *Comm) allreduceRing(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
 	me, p := c.mustRank(r), c.Size()
 	es := dt.Size()
+	if p == 1 || es == 0 || len(sendbuf)/es < p {
+		c.allreduceReduceBcast(r, sendbuf, recvbuf, dt, op)
+		return
+	}
 	elems := len(sendbuf) / es
 	// Chunk boundaries in elements: the first elems%p chunks get one extra.
 	off := make([]int, p+1)
@@ -611,54 +533,66 @@ func (c *Comm) ReduceScatter(r *Rank, sendbuf, recvbuf []byte, counts []int, dt 
 
 // --- v-variants (per-rank counts) ---
 
+// blockLen returns counts[i], or equal when counts is nil: the whole
+// per-rank buffer, which is how the "flat" variants of Scatter, Gather and
+// Alltoall run.
+func blockLen(counts []int, equal, i int) int {
+	if counts == nil {
+		return equal
+	}
+	return counts[i]
+}
+
 // Scatterv distributes counts[i] bytes to rank i from root's sendbuf,
-// packed contiguously (MPI_Scatterv with implicit displacements).
+// packed contiguously (MPI_Scatterv with implicit displacements); nil counts
+// mean len(recvbuf) bytes each.
 func (c *Comm) Scatterv(r *Rank, sendbuf []byte, counts []int, recvbuf []byte, root int) {
 	me, p := c.mustRank(r), c.Size()
-	if len(counts) != p {
+	if counts != nil && len(counts) != p {
 		panic(fmt.Sprintf("smpi: Scatterv counts has %d entries for %d ranks", len(counts), p))
 	}
-	if me == root {
-		reqs := make([]*Request, 0, p-1)
-		off := 0
-		for dst := 0; dst < p; dst++ {
-			chunk := sendbuf[off : off+counts[dst]]
-			off += counts[dst]
-			if dst == root {
-				c.w.move(recvbuf, chunk)
-				continue
-			}
-			reqs = append(reqs, r.isend(c, chunk, dst, tagScatter))
-		}
-		r.waitAllFree(reqs)
-	} else {
-		r.Recv(c, recvbuf[:counts[me]], root, tagScatter)
+	if me != root {
+		r.Recv(c, recvbuf[:blockLen(counts, len(recvbuf), me)], root, tagScatter)
+		return
 	}
+	reqs := make([]*Request, 0, p-1)
+	off := 0
+	for dst := 0; dst < p; dst++ {
+		chunk := sendbuf[off : off+blockLen(counts, len(recvbuf), dst)]
+		off += len(chunk)
+		if dst == root {
+			c.w.move(recvbuf, chunk)
+			continue
+		}
+		reqs = append(reqs, r.isend(c, chunk, dst, tagScatter))
+	}
+	r.waitAllFree(reqs)
 }
 
 // Gatherv collects counts[i] bytes from rank i into root's recvbuf, packed
-// contiguously (MPI_Gatherv with implicit displacements).
+// contiguously (MPI_Gatherv with implicit displacements); nil counts mean
+// len(sendbuf) bytes each.
 func (c *Comm) Gatherv(r *Rank, sendbuf []byte, recvbuf []byte, counts []int, root int) {
 	me, p := c.mustRank(r), c.Size()
-	if len(counts) != p {
+	if counts != nil && len(counts) != p {
 		panic(fmt.Sprintf("smpi: Gatherv counts has %d entries for %d ranks", len(counts), p))
 	}
-	if me == root {
-		reqs := make([]*Request, 0, p-1)
-		off := 0
-		for src := 0; src < p; src++ {
-			chunk := recvbuf[off : off+counts[src]]
-			off += counts[src]
-			if src == root {
-				c.w.move(chunk, sendbuf)
-				continue
-			}
-			reqs = append(reqs, r.irecv(c, chunk, src, tagGather))
-		}
-		r.waitAllFree(reqs)
-	} else {
-		r.Send(c, sendbuf[:counts[me]], root, tagGather)
+	if me != root {
+		r.Send(c, sendbuf[:blockLen(counts, len(sendbuf), me)], root, tagGather)
+		return
 	}
+	reqs := make([]*Request, 0, p-1)
+	off := 0
+	for src := 0; src < p; src++ {
+		chunk := recvbuf[off : off+blockLen(counts, len(sendbuf), src)]
+		off += len(chunk)
+		if src == root {
+			c.w.move(chunk, sendbuf)
+			continue
+		}
+		reqs = append(reqs, r.irecv(c, chunk, src, tagGather))
+	}
+	r.waitAllFree(reqs)
 }
 
 // Allgatherv concatenates variable-size contributions on every rank
@@ -670,30 +604,34 @@ func (c *Comm) Allgatherv(r *Rank, sendbuf []byte, recvbuf []byte, counts []int)
 
 // Alltoallv exchanges variable-size blocks (MPI_Alltoallv with implicit
 // displacements): sendcounts[i] bytes go to rank i; recvcounts[j] bytes
-// arrive from rank j, both packed contiguously.
+// arrive from rank j, both packed contiguously; nil counts mean equal
+// blocks. Every receive is posted, then every send, then all are awaited.
 func (c *Comm) Alltoallv(r *Rank, sendbuf []byte, sendcounts []int, recvbuf []byte, recvcounts []int) {
 	me, p := c.mustRank(r), c.Size()
-	if len(sendcounts) != p || len(recvcounts) != p {
+	if sendcounts != nil && len(sendcounts) != p || recvcounts != nil && len(recvcounts) != p {
 		panic(fmt.Sprintf("smpi: Alltoallv counts %d/%d entries for %d ranks", len(sendcounts), len(recvcounts), p))
 	}
-	soff := make([]int, p+1)
-	roff := make([]int, p+1)
-	for i := 0; i < p; i++ {
-		soff[i+1] = soff[i] + sendcounts[i]
-		roff[i+1] = roff[i] + recvcounts[i]
-	}
-	reqs := make([]*Request, 0, 2*p)
+	reqs := make([]*Request, 0, 2*(p-1))
+	var own []byte // where this rank's block of sendbuf lands
+	off := 0
 	for peer := 0; peer < p; peer++ {
+		chunk := recvbuf[off : off+blockLen(recvcounts, len(recvbuf)/p, peer)]
+		off += len(chunk)
 		if peer == me {
-			c.w.move(recvbuf[roff[me]:roff[me+1]], sendbuf[soff[me]:soff[me+1]])
+			own = chunk
 			continue
 		}
-		reqs = append(reqs, r.irecv(c, recvbuf[roff[peer]:roff[peer+1]], peer, tagAlltoall))
+		reqs = append(reqs, r.irecv(c, chunk, peer, tagAlltoall))
 	}
+	off = 0
 	for peer := 0; peer < p; peer++ {
-		if peer != me {
-			reqs = append(reqs, r.isend(c, sendbuf[soff[peer]:soff[peer+1]], peer, tagAlltoall))
+		chunk := sendbuf[off : off+blockLen(sendcounts, len(sendbuf)/p, peer)]
+		off += len(chunk)
+		if peer == me {
+			c.w.move(own, chunk)
+			continue
 		}
+		reqs = append(reqs, r.isend(c, chunk, peer, tagAlltoall))
 	}
 	r.waitAllFree(reqs)
 }

@@ -3,6 +3,7 @@ package smpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"smpigo/internal/core"
@@ -404,11 +405,16 @@ func TestAlltoallv(t *testing.T) {
 func TestUnknownAlgorithmPanics(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Algorithms.Bcast = "quantum"
+	ran := false
 	_, err := Run(cfg, func(r *Rank) {
+		ran = true
 		r.Comm().Bcast(r, make([]byte, 8), 0)
 	})
-	if err == nil {
-		t.Error("unknown algorithm should fail the run")
+	if err == nil || !strings.Contains(err.Error(), `unknown bcast algorithm "quantum" (want auto, binomial, flat, ring)`) {
+		t.Errorf("unknown algorithm: got %v, want an error listing bcast's variants", err)
+	}
+	if ran {
+		t.Error("a rank body ran although the algorithm name is unknown")
 	}
 }
 

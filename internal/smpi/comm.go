@@ -2,6 +2,7 @@ package smpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -57,11 +58,7 @@ func (c *Comm) WorldRank(commRank int) int {
 }
 
 // Group returns a copy of the communicator's group as world ranks.
-func (c *Comm) Group() []int {
-	out := make([]int, len(c.group))
-	copy(out, c.group)
-	return out
-}
+func (c *Comm) Group() []int { return slices.Clone(c.group) }
 
 // getOrCreateComm returns the communicator registered under key, creating
 // it with the given group on first use. Collective communicator creation
@@ -91,7 +88,7 @@ func (c *Comm) Dup(r *Rank) *Comm {
 // original SMPI paper lists it as unsupported). Ranks passing Undefined as
 // color receive nil.
 func (c *Comm) Split(r *Rank, color, key int) *Comm {
-	me := c.mustRank(r)
+	c.mustRank(r)
 	// Gather everyone's (color, key) — Split is a synchronizing collective.
 	mine := Int32sToBytes([]int32{int32(color), int32(key)})
 	all := make([]byte, 8*c.Size())
@@ -122,7 +119,6 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	for i, m := range mates {
 		group[i] = c.group[m.rank]
 	}
-	_ = me
 	commKey := fmt.Sprintf("split:%d:%d:%d", c.id, seq, color)
 	return c.w.getOrCreateComm(commKey, group)
 }

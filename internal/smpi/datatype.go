@@ -120,13 +120,13 @@ var (
 		func(a, b float32) float32 { return a * b },
 		func(a, b float64) float64 { return a * b })
 	OpMax = numericOp("MPI_MAX",
-		func(a, b int32) int32 { return max32(a, b) },
-		func(a, b int64) int64 { return max64(a, b) },
+		func(a, b int32) int32 { return max(a, b) },
+		func(a, b int64) int64 { return max(a, b) },
 		func(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) },
 		math.Max)
 	OpMin = numericOp("MPI_MIN",
-		func(a, b int32) int32 { return -max32(-a, -b) },
-		func(a, b int64) int64 { return -max64(-a, -b) },
+		func(a, b int32) int32 { return min(a, b) },
+		func(a, b int64) int64 { return min(a, b) },
 		func(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) },
 		math.Min)
 	OpBAnd = numericOp("MPI_BAND",
@@ -146,20 +146,6 @@ var (
 		func(a, b int64) int64 { return int64(b2i(a != 0 || b != 0)) },
 		nanOp32, nanOp64)
 )
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 func b2i(b bool) int32 {
 	if b {

@@ -472,8 +472,7 @@ func (r *Rank) Test(q *Request) (bool, Status) {
 func (r *Rank) TestAny(qs []*Request) (int, Status) {
 	for i, q := range qs {
 		if ok, st := r.Test(q); ok {
-			_ = st
-			return i, q.Status
+			return i, st
 		}
 	}
 	return -1, Status{}

@@ -2,6 +2,7 @@ package smpi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"smpigo/internal/platform"
@@ -15,62 +16,97 @@ import (
 // auto-selects the broadcast but forces the ring allreduce everywhere.
 const AlgoAuto = "auto"
 
-// Auto returns an Algorithms with every collective set to AlgoAuto.
-func Auto() Algorithms {
-	return Algorithms{
-		Bcast:     AlgoAuto,
-		Scatter:   AlgoAuto,
-		Gather:    AlgoAuto,
-		Allgather: AlgoAuto,
-		Alltoall:  AlgoAuto,
-		Reduce:    AlgoAuto,
-		Allreduce: AlgoAuto,
-		Barrier:   AlgoAuto,
-	}
+// collective is one row of the collectives table: an operation's name, its
+// Algorithms field, its variant names (the first is the default) and what
+// "auto" picks per interconnect family where that is not the default.
+type collective struct {
+	name     string
+	field    func(*Algorithms) *string
+	variants []string
+	auto     map[string]string
 }
 
-// Resolve replaces every AlgoAuto field with the algorithm selected for the
-// given interconnect, leaving concrete (and empty) fields untouched. The
-// selection keys on the structural family recorded by the platform builders
-// (topology generators, the cluster builder):
-//
-//   - torus: ring broadcast and ring allreduce. A ring schedule only talks
-//     to rank neighbors, which dimension-order routing maps onto single
-//     neighbor cables, while binomial trees and recursive doubling jump
-//     half the machine per step and pay the torus diameter on every hop.
-//   - fattree, dragonfly, cluster: binomial-tree broadcast and
-//     recursive-doubling allreduce. Tree schedules finish in log2(P) steps,
-//     and the spine/backbone/global links that make far hops expensive on a
-//     torus are exactly what these topologies provision (D-mod-k fat-trees
-//     and dragonfly global cables are built for cross-machine traffic), so
-//     the step count dominates.
-//   - nil/unknown interconnects fall back to the package defaults, which
-//     equal the fat-tree selection.
-//
-// The remaining collectives resolve to their defaults on every family: the
-// pairwise alltoall, binomial scatter/gather/reduce, ring allgather, and
-// dissemination barrier are family-neutral in this model (allgather's
-// default already is the neighbor-friendly ring).
-func (a Algorithms) Resolve(topo *platform.TopoInfo) Algorithms {
-	resolved := DefaultAlgorithms()
-	if topo != nil && topo.Kind == "torus" {
-		resolved.Bcast = "ring"
-		resolved.Allreduce = "ring"
-	}
-	pick := func(field *string, sel string) {
-		if *field == AlgoAuto {
-			*field = sel
+// row reads a table row off the variant list the collective dispatches on.
+func row[F any](name string, field func(*Algorithms) *string, vs variants[F]) collective {
+	c := collective{name: name, field: field, auto: map[string]string{}}
+	for _, v := range vs {
+		c.variants = append(c.variants, v.name)
+		if v.auto != "" {
+			c.auto[v.auto] = v.name
 		}
 	}
-	pick(&a.Bcast, resolved.Bcast)
-	pick(&a.Scatter, resolved.Scatter)
-	pick(&a.Gather, resolved.Gather)
-	pick(&a.Allgather, resolved.Allgather)
-	pick(&a.Alltoall, resolved.Alltoall)
-	pick(&a.Reduce, resolved.Reduce)
-	pick(&a.Allreduce, resolved.Allreduce)
-	pick(&a.Barrier, resolved.Barrier)
+	return c
+}
+
+// collectives is the one table of collective names: everything below —
+// hence Config.fillDefaults and each front end's -collectives help — is a
+// loop over it. Its order is Summary's. A new variant is one entry in its
+// collective's list in collectives.go; a new collective is that list, its
+// Algorithms field and one row here.
+var collectives = []collective{
+	row("bcast", func(a *Algorithms) *string { return &a.Bcast }, bcastVariants),
+	row("scatter", func(a *Algorithms) *string { return &a.Scatter }, scatterVariants),
+	row("gather", func(a *Algorithms) *string { return &a.Gather }, gatherVariants),
+	row("allgather", func(a *Algorithms) *string { return &a.Allgather }, allgatherVariants),
+	row("alltoall", func(a *Algorithms) *string { return &a.Alltoall }, alltoallVariants),
+	row("reduce", func(a *Algorithms) *string { return &a.Reduce }, reduceVariants),
+	row("allreduce", func(a *Algorithms) *string { return &a.Allreduce }, allreduceVariants),
+	row("barrier", func(a *Algorithms) *string { return &a.Barrier }, barrierVariants),
+}
+
+// DefaultAlgorithms returns the per-collective package defaults, the first
+// variant of each: what an empty field means, and what "auto" selects when
+// nothing is known about the interconnect.
+func DefaultAlgorithms() Algorithms { return Auto().Resolve(nil) }
+
+// Auto returns an Algorithms with every collective set to AlgoAuto.
+func Auto() Algorithms {
+	var a Algorithms
+	for _, c := range collectives {
+		*c.field(&a) = AlgoAuto
+	}
 	return a
+}
+
+// Resolve replaces every AlgoAuto field with the variant its collective's
+// list marks for the interconnect's structural family (recorded by the
+// topology generators and the cluster builder), else with the default;
+// concrete and empty fields are left untouched. Tori select the ring
+// variants: a ring schedule only talks to rank neighbors, which
+// dimension-order routing maps onto single cables, while trees and recursive
+// doubling jump half the machine per step and pay the torus diameter on every
+// hop. Fat-trees, dragonflies and clusters provision exactly those far hops
+// (spines, global cables, backbones), so there the log2(P) step count of the
+// defaults wins; docs/ARCHITECTURE.md, "Collective selection", has more.
+func (a Algorithms) Resolve(topo *platform.TopoInfo) Algorithms {
+	for _, c := range collectives {
+		if f := c.field(&a); *f == AlgoAuto {
+			*f = c.variants[0]
+			if topo != nil && c.auto[topo.Kind] != "" {
+				*f = c.auto[topo.Kind]
+			}
+		}
+	}
+	return a
+}
+
+// normName is the spelling rule of every name a front end accepts.
+func normName(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
+
+// checked returns a with every field in the table's spelling — case and
+// surrounding whitespace are ignored, as for every other name a front end
+// accepts — or an error listing what the first unknown name could have been.
+func (a Algorithms) checked() (Algorithms, error) {
+	for _, c := range collectives {
+		f := c.field(&a)
+		name := normName(*f)
+		if name != "" && name != AlgoAuto && !slices.Contains(c.variants, name) {
+			want := slices.Sorted(slices.Values(append([]string{AlgoAuto}, c.variants...)))
+			return Algorithms{}, fmt.Errorf("smpi: unknown %s algorithm %q (want %s)", c.name, *f, strings.Join(want, ", "))
+		}
+		*f = name
+	}
+	return a, nil
 }
 
 // ParseAlgorithms parses the -collectives flag grammar shared by smpirun
@@ -82,27 +118,16 @@ func (a Algorithms) Resolve(topo *platform.TopoInfo) Algorithms {
 //	"<op>=<algo>[,<op>=<algo>...]"   per-collective overrides, e.g.
 //	    "bcast=ring,allreduce=auto" — unnamed collectives keep defaults
 //
-// Ops are the lower-case Algorithms field names (bcast, scatter, gather,
-// allgather, alltoall, reduce, allreduce, barrier); algorithm names are
-// validated at Run time by the collective implementations, except that
-// "auto" is resolved against the platform first.
+// Ops and algorithms are the collectives table's names (CollectivesUsage
+// lists them), matched without regard to case or surrounding whitespace; an
+// unknown one is an error naming the accepted values.
 func ParseAlgorithms(s string) (Algorithms, error) {
 	var a Algorithms
-	switch strings.ToLower(strings.TrimSpace(s)) {
+	switch normName(s) {
 	case "", "default":
 		return a, nil
 	case AlgoAuto:
 		return Auto(), nil
-	}
-	fields := map[string]*string{
-		"bcast":     &a.Bcast,
-		"scatter":   &a.Scatter,
-		"gather":    &a.Gather,
-		"allgather": &a.Allgather,
-		"alltoall":  &a.Alltoall,
-		"reduce":    &a.Reduce,
-		"allreduce": &a.Allreduce,
-		"barrier":   &a.Barrier,
 	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -110,34 +135,36 @@ func ParseAlgorithms(s string) (Algorithms, error) {
 			continue
 		}
 		op, algo, found := strings.Cut(part, "=")
-		if !found || algo == "" {
+		if !found || normName(algo) == "" {
 			return Algorithms{}, fmt.Errorf("smpi: collectives entry %q: want <op>=<algo>, \"auto\", or \"default\"", part)
 		}
-		field, ok := fields[strings.ToLower(strings.TrimSpace(op))]
-		if !ok {
-			return Algorithms{}, fmt.Errorf("smpi: unknown collective %q in %q (want bcast, scatter, gather, allgather, alltoall, reduce, allreduce, barrier)", op, s)
+		i := slices.IndexFunc(collectives, func(c collective) bool { return c.name == normName(op) })
+		if i < 0 {
+			return Algorithms{}, fmt.Errorf("smpi: unknown collective %q in %q (want %s)", op, s, CollectivesUsage())
 		}
-		*field = strings.TrimSpace(algo)
+		*collectives[i].field(&a) = algo
 	}
-	return a, nil
+	return a.checked()
 }
 
-// Summary renders the non-empty fields as "op=algo" pairs in a fixed order,
+// Summary renders the non-empty fields as "op=algo" pairs in table order,
 // for experiment notes and smpirun output.
 func (a Algorithms) Summary() string {
 	var parts []string
-	add := func(op, algo string) {
-		if algo != "" {
-			parts = append(parts, op+"="+algo)
+	for _, c := range collectives {
+		if algo := *c.field(&a); algo != "" {
+			parts = append(parts, c.name+"="+algo)
 		}
 	}
-	add("bcast", a.Bcast)
-	add("scatter", a.Scatter)
-	add("gather", a.Gather)
-	add("allgather", a.Allgather)
-	add("alltoall", a.Alltoall)
-	add("reduce", a.Reduce)
-	add("allreduce", a.Allreduce)
-	add("barrier", a.Barrier)
 	return strings.Join(parts, " ")
+}
+
+// CollectivesUsage lists every collective with its variants, the default
+// first, for the -collectives help of the front ends.
+func CollectivesUsage() string {
+	parts := make([]string, len(collectives))
+	for i, c := range collectives {
+		parts[i] = c.name + "=" + strings.Join(c.variants, "|")
+	}
+	return strings.Join(parts, ", ")
 }

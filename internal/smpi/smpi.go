@@ -100,11 +100,11 @@ func (cfg *Config) fillDefaults() error {
 	if cfg.SpeedFactor == 0 {
 		cfg.SpeedFactor = 1
 	}
-	// Resolve "auto" collective algorithms against the platform's
-	// interconnect before filling the family-independent defaults.
-	cfg.Algorithms = cfg.Algorithms.Resolve(cfg.Platform.Topo)
-	cfg.Algorithms.fillDefaults()
-	return nil
+	// Check the collective algorithm names, then resolve "auto" against the
+	// platform's interconnect; fields left empty dispatch to the defaults.
+	algos, err := cfg.Algorithms.checked()
+	cfg.Algorithms = algos.Resolve(cfg.Platform.Topo)
+	return err
 }
 
 // Report summarizes a completed simulation.
