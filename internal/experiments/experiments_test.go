@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -551,6 +552,36 @@ func TestPlacementSweep(t *testing.T) {
 	}
 	if tb, trr := a.Times["torus:4x4x4/allreduce(ring)/block"], a.Times["torus:4x4x4/allreduce(ring)/rr"]; tb != trr {
 		t.Errorf("torus ring allreduce: block %v vs rr %v, want an exact tie (vertex transitivity)", tb, trr)
+	}
+}
+
+// TestDegradedSweep runs the degraded-fabric experiment and checks its
+// claims on every topology: the healthy run is its own baseline (slowdown
+// exactly 1), cutting the trunk further always costs more, and the slowdown
+// stays below 1/fraction because part of the all-to-all rides healthy links.
+func TestDegradedSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("degraded-fabric sweep is slow; run without -short")
+	}
+	res, err := DegradedSweep(env(t), 16*core.KiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range degradedSweepTopos() {
+		healthy := res.Times[tp.topo+"/1"]
+		prev := 0.0
+		for _, frac := range degradedSweepFractions() {
+			slowdown := res.Times[fmt.Sprintf("%s/%g", tp.topo, frac)] / healthy
+			switch {
+			case frac == 1 && slowdown != 1:
+				t.Errorf("%s: slowdown %v at fraction 1, want exactly 1", tp.topo, slowdown)
+			case frac < 1 && slowdown <= prev:
+				t.Errorf("%s: slowdown %v at fraction %g does not exceed %v at the previous fraction", tp.topo, slowdown, frac, prev)
+			case frac < 1 && slowdown >= 1/frac:
+				t.Errorf("%s: slowdown %v at fraction %g not below 1/fraction", tp.topo, slowdown, frac)
+			}
+			prev = slowdown
+		}
 	}
 }
 
