@@ -162,7 +162,7 @@ func runCampaign(args []string) error {
 	procsArg := fs.String("procs", "16", "comma-separated process counts, e.g. 4,8,16,32")
 	sizesArg := fs.String("sizes", "64KiB,1MiB,4MiB", "comma-separated message sizes, e.g. 64KiB,1MiB")
 	modelsArg := fs.String("models", "piecewise", "comma-separated surf models: piecewise,bestfit,default,ideal")
-	backendsArg := fs.String("backends", "surf", "comma-separated backends: surf,openmpi,mpich2")
+	backendsArg := fs.String("backends", "surf", "comma-separated backends: surf,nocontention,openmpi,mpich2")
 	platformArg := fs.String("platform", "griffon", "target platform: griffon or gdx (ignored when -topologies is set)")
 	topologiesArg := fs.String("topologies", "", "comma-separated topology axis: griffon,gdx, presets (fattree16,fattree64,torus16,torus64,dragonfly72), or shapes (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
 	placementsArg := fs.String("placements", "", "comma-separated rank-placement axis: block,rr,random (empty = default layout)")
@@ -214,7 +214,9 @@ func runCampaign(args []string) error {
 	}
 
 	// A bad axis value fails here, before anything is calibrated or run.
-	if _, err := spec.Jobs(); err != nil {
+	// The canonical form is what smpigod runs, so a spec fingerprints alike
+	// on both front ends however its axes are ordered or spelled.
+	if spec, err = spec.Canonicalize(); err != nil {
 		return err
 	}
 	env, err := experiments.NewEnv()

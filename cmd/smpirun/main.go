@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"smpigo/internal/core"
@@ -44,7 +45,6 @@ type options struct {
 	platform       string
 	backend        string
 	model          string
-	noContention   bool
 	chunk          string
 	graph          string
 	class          string
@@ -63,12 +63,11 @@ type options struct {
 
 // bindFlags registers every flag on fs, storing into o.
 func bindFlags(fs *flag.FlagSet, o *options) {
-	fs.StringVar(&o.app, "app", "pingpong", "application: "+strings.Join(experiments.AppNames(), ", ")+", dt, ep")
+	fs.StringVar(&o.app, "app", "pingpong", "application: "+strings.Join(appNames(), ", "))
 	fs.IntVar(&o.np, "np", 2, "number of MPI processes (ignored by dt, which sets it from -class)")
 	fs.StringVar(&o.platform, "platform", "griffon", "target platform: griffon, gdx, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2), or a platform XML file")
-	fs.StringVar(&o.backend, "backend", "surf", "timing backend: surf (analytical SMPI), or the packet-level testbed as openmpi (also spelled emu) or mpich2")
+	fs.StringVar(&o.backend, "backend", "surf", "timing backend: surf (analytical SMPI), nocontention (surf with link sharing off), or the packet-level testbed as openmpi (also spelled emu) or mpich2")
 	fs.StringVar(&o.model, "model", "piecewise", "surf model: ideal, default, bestfit, piecewise")
-	fs.BoolVar(&o.noContention, "no-contention", false, "disable link contention (surf backend)")
 	fs.StringVar(&o.chunk, "chunk", "4MiB", "per-rank payload for scatter/alltoall/pingpong")
 	fs.StringVar(&o.graph, "graph", "WH", "DT graph: WH, BH, SH")
 	fs.StringVar(&o.class, "class", "S", "NPB class: S, W, A, B, C")
@@ -116,8 +115,17 @@ func loadPlatform(env *experiments.Env, name string) (*platform.Platform, error)
 	return specs[0].Build()
 }
 
+// appNames lists every -app value, sorted: the experiments app table plus
+// the two NAS benchmarks, which take their own flags.
+func appNames() []string {
+	return slices.Sorted(slices.Values(append(experiments.AppNames(), "dt", "ep")))
+}
+
 // run executes the command, printing its report to w.
 func run(o options, w io.Writer) error {
+	if !(o.ratio > 0 && o.ratio <= 1) { // NaN fails both comparisons
+		return fmt.Errorf("bad -ratio %v: want a sampling ratio in (0, 1]", o.ratio)
+	}
 	env, err := experiments.NewEnv()
 	if err != nil {
 		return fmt.Errorf("calibration: %w", err)
@@ -130,7 +138,7 @@ func run(o options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.Procs, cfg.NoContention, cfg.Seed = o.np, o.noContention, o.seed
+	cfg.Procs, cfg.Seed = o.np, o.seed
 	if o.dynamics != "" {
 		sched, err := dynamics.Load(o.dynamics)
 		if err != nil {
@@ -197,13 +205,17 @@ func run(o options, w io.Writer) error {
 		return err
 	}
 
+	// Like every name, -app, -graph and -class ignore case and padding.
 	var app func(*smpi.Rank)
-	switch o.app {
+	name := strings.ToLower(strings.TrimSpace(o.app))
+	switch name {
 	case "dt":
-		if o.class == "" {
+		class := strings.ToUpper(strings.TrimSpace(o.class))
+		if class == "" {
 			return fmt.Errorf(`bad -class "": want S, W, A, B or C`)
 		}
-		dcfg := nas.DTConfig{Graph: nas.DTGraph(o.graph), Class: nas.DTClass(o.class[0]), Fold: o.fold}
+		graph := nas.DTGraph(strings.ToUpper(strings.TrimSpace(o.graph)))
+		dcfg := nas.DTConfig{Graph: graph, Class: nas.DTClass(class[0]), Fold: o.fold}
 		if cfg.Procs, err = nas.DTProcs(dcfg.Graph, dcfg.Class); err != nil {
 			return err
 		}
@@ -213,8 +225,11 @@ func run(o options, w io.Writer) error {
 	default:
 		// Everything else is a name in the experiments app table, shared
 		// with the campaign grid's ops.
+		if !slices.Contains(experiments.AppNames(), name) {
+			return fmt.Errorf("unknown app %q (want %s)", o.app, strings.Join(appNames(), ", "))
+		}
 		var procs int
-		if app, procs, err = experiments.AppRank(o.app, chunk); err != nil {
+		if app, procs, err = experiments.AppRank(name, chunk); err != nil {
 			return err
 		}
 		if procs != 0 {
@@ -277,7 +292,7 @@ func run(o options, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "trace written      : %s (%d events)\n", o.traceOut, rec.Events())
 	}
-	fmt.Fprintf(w, "application        : %s (np=%d) on %s [%s backend]\n", o.app, cfg.Procs, plat.Name, o.backend)
+	fmt.Fprintf(w, "application        : %s (np=%d) on %s [%s backend]\n", name, cfg.Procs, plat.Name, o.backend)
 	if o.placement != "" {
 		fmt.Fprintf(w, "placement          : %s (rank 0 on %s)\n", o.placement, cfg.Hosts[0].Name())
 	}

@@ -31,6 +31,10 @@ func TestRun(t *testing.T) {
 		{"-app", "ring", "-np", "8", "-platform", "torus16"},
 		{"-app", "bcast", "-np", "8", "-backend", "mpich2"},
 		{"-app", "allreduce", "-np", "8", "-chunk", "64KiB", "-platform", "FatTree16", "-backend", "emu"},
+		{"-app", "scatter", "-np", "4", "-chunk", "64KiB", "-backend", " NoContention "},
+		// -app, -graph and -class ignore case and padding like every name.
+		{"-app", "DT", "-class", "A"},
+		{"-app", "dt", "-graph", "bh", "-class", "a"},
 	} {
 		if err := run(parse(t, args...), io.Discard); err != nil {
 			t.Errorf("smpirun %s: %v", strings.Join(args, " "), err)
@@ -43,11 +47,15 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		args []string
 		want string // the error must name the bad value, or the flag when the value is empty
 	}{
-		{[]string{"-app", "bogus"}, `"bogus"`},
+		{[]string{"-app", "bogus"}, `"bogus" (want allreduce, alltoall, bcast, dt, ep, pingpong, ring, scatter)`},
 		{[]string{"-model", "bogus"}, `"bogus"`},
 		{[]string{"-backend", "bogus"}, `"bogus"`},
 		{[]string{"-platform", "bogus"}, `"bogus"`},
 		{[]string{"-app", "dt", "-class", ""}, "-class"},
+		{[]string{"-app", "ep", "-np", "4", "-ratio", "0"}, "-ratio 0: want a sampling ratio in (0, 1]"},
+		{[]string{"-app", "ep", "-np", "4", "-ratio", "-1"}, "-ratio -1: want a sampling ratio in (0, 1]"},
+		{[]string{"-app", "ep", "-np", "4", "-ratio", "1.5"}, "-ratio 1.5: want a sampling ratio in (0, 1]"},
+		{[]string{"-app", "ep", "-np", "4", "-ratio", "NaN"}, "-ratio NaN: want a sampling ratio in (0, 1]"},
 		{[]string{"-app", "bcast", "-np", "4", "-collectives", "bcast=bogus"}, `"bogus" (want auto, binomial, flat, ring)`},
 		{[]string{"-app", "alltoall", "-np", "4", "-collectives", "scatter=Ring"}, `"Ring" (want auto, binomial, flat)`},
 	} {

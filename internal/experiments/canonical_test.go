@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+
+	"smpigo/internal/campaign"
+	"smpigo/internal/core"
 )
 
 // driftSpecs are three spellings the batch CLI (which runs the spec as
@@ -31,22 +35,24 @@ func tableSpecs() []GridSpec {
 	return append(specs, driftSpecs...)
 }
 
-// TestBatchAndServiceAgree holds the batch CLI's view of a spec (Jobs and
-// GridCampaign on the spec as given) against the service's (the same on its
-// canonical form): both accept it or both refuse it, both count the same
-// jobs, and a respelled single-point spec runs the very campaign its
-// canonical form runs.
+// TestBatchAndServiceAgree holds a library caller's view of a spec (its
+// job count and GridCampaign on the spec as given, as the figures run it)
+// against the front ends' (the same on its canonical form, which smpigod
+// and the batch CLI run): both accept it or both refuse it, both count the
+// same jobs, a respelled single-point spec runs the very campaign its
+// canonical form runs, and Figure 11's spec served as a campaign holds the
+// figure's three series bit for bit.
 func TestBatchAndServiceAgree(t *testing.T) {
 	for _, spec := range tableSpecs() {
-		n, err := spec.Jobs()
+		_, _, n, err := spec.Resolve(0)
 		c, cerr := spec.Canonicalize()
 		if (err == nil) != (cerr == nil) {
-			t.Errorf("%+v: Jobs err = %v but Canonicalize err = %v", spec, err, cerr)
+			t.Errorf("%+v: Resolve err = %v but Canonicalize err = %v", spec, err, cerr)
 		}
 		if cerr != nil {
 			continue
 		}
-		if cn, err := c.Jobs(); err != nil || cn != n {
+		if _, _, cn, err := c.Resolve(0); err != nil || cn != n {
 			t.Errorf("%+v: %d jobs as given, %d (err %v) in canonical form", spec, n, cn, err)
 		}
 	}
@@ -67,6 +73,34 @@ func TestBatchAndServiceAgree(t *testing.T) {
 		if given.Jobs != 1 || given.Failed != 0 || given.Fingerprint() != canonical.Fingerprint() {
 			t.Errorf("%+v: %d jobs (%d failed), fingerprint %s as given, %s in canonical form",
 				spec, given.Jobs, given.Failed, given.Fingerprint(), canonical.Fingerprint())
+		}
+	}
+
+	if testing.Short() {
+		return // a 16-process 4 MiB all-to-all, twice
+	}
+	fig11, err := GridSpec{Op: "alltoall", Procs: []int{16}, Sizes: []int64{4 * core.MiB},
+		Backends: []string{"surf", "nocontention", "openmpi"}}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := e.GridCampaign(fig11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Figure11(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range perRankColumns[:3] {
+		i := slices.IndexFunc(served.Results, func(r campaign.Result) bool { return r.Tags["backend"] == c.backend })
+		if i < 0 || served.Results[i].Outcome == nil {
+			t.Fatalf("no %s result in the served Figure 11 campaign", c.backend)
+		}
+		for rank, want := range res.Series[c.series] {
+			if got := served.Results[i].Outcome.Values[fmt.Sprintf("rank_%d", rank)]; got != want {
+				t.Errorf("%s rank %d: served %v, Figure 11 %v", c.backend, rank, got, want)
+			}
 		}
 	}
 }
@@ -99,8 +133,8 @@ func twice[T any](axis []T) []T {
 }
 
 // FuzzCanonicalize feeds GridSpec JSON — what smpigod parses on every
-// request — to the one validation pass: no input panics; Jobs, Canonicalize
-// and Resolve accept the same specs and agree with each other;
+// request — to the one validation pass: no input panics; Canonicalize and
+// Resolve accept the same specs and agree with each other;
 // Canonicalize is idempotent; the canonical form holds the same number of
 // jobs; and CampaignKey does not move under axis permutation, duplication,
 // case or surrounding whitespace.
@@ -117,13 +151,16 @@ func FuzzCanonicalize(f *testing.F) {
 			(len(spec.Topologies) + 1) * (len(spec.Placements) + 1) * (len(spec.Dynamics) + 1); points > 1<<12 {
 			return
 		}
-		n, jerr := spec.Jobs()
+		rc, key, n, rerr := spec.Resolve(1)
 		c, err := spec.Canonicalize()
-		if (err == nil) != (jerr == nil) {
-			t.Fatalf("Jobs err = %v but Canonicalize err = %v", jerr, err)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("Resolve err = %v but Canonicalize err = %v", rerr, err)
 		}
 		if err != nil {
 			return
+		}
+		if mustJSON(t, rc) != mustJSON(t, c) {
+			t.Fatalf("Resolve = %+v, Canonicalize = %+v", rc, c)
 		}
 		cc, err := c.Canonicalize()
 		if err != nil {
@@ -132,12 +169,8 @@ func FuzzCanonicalize(f *testing.F) {
 		if a, b := mustJSON(t, c), mustJSON(t, cc); a != b {
 			t.Fatalf("Canonicalize is not idempotent:\n once  %s\n twice %s", a, b)
 		}
-		if cn, err := c.Jobs(); err != nil || cn != n {
+		if _, _, cn, err := c.Resolve(1); err != nil || cn != n {
 			t.Fatalf("%d jobs as given, %d (err %v) in canonical form %+v", n, cn, err, c)
-		}
-		rc, key, rn, err := spec.Resolve(1)
-		if err != nil || rn != n || mustJSON(t, rc) != mustJSON(t, c) {
-			t.Fatalf("Resolve = %+v, %d jobs, err %v; Canonicalize and Jobs say %+v, %d", rc, rn, err, c, n)
 		}
 		if k, err := spec.CampaignKey(1); err != nil || k != key {
 			t.Fatalf("CampaignKey = %s (err %v), Resolve's key %s", k, err, key)

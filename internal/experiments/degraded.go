@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"smpigo/internal/campaign"
 	"smpigo/internal/core"
-	"smpigo/internal/dynamics"
 )
 
 // DegradedSweepResult holds the degraded-fabric experiment: how collective
@@ -28,8 +26,9 @@ func degradedSweepTopos() []struct{ topo, trunk string } {
 	}
 }
 
-// degradedSweepFractions is the swept trunk-capacity axis: 1 is the healthy
-// baseline (no dynamics armed at all), the rest degrade the trunk at t=0.
+// degradedSweepFractions is the swept trunk-capacity axis: 1, first, is the
+// healthy baseline (no dynamics armed at all), the rest degrade the trunk at
+// t=0.
 func degradedSweepFractions() []float64 { return []float64{1, 0.5, 0.25, 0.1} }
 
 // DegradedSweep sweeps trunk-link degradation against interconnect shape
@@ -44,33 +43,26 @@ func DegradedSweep(env *Env, chunk int64) (*DegradedSweepResult, error) {
 	if chunk == 0 {
 		chunk = 64 * core.KiB
 	}
-	type point struct {
-		topo     string
-		fraction float64
-	}
-	var points []point
-	var jobs []campaign.Job
+	var specs []GridSpec
 	for _, tp := range degradedSweepTopos() {
 		plat, err := env.Platform(tp.topo)
 		if err != nil {
 			return nil, err
 		}
-		for _, frac := range degradedSweepFractions() {
-			cfg := surfConfig(plat, env.Piecewise)
-			if frac < 1 {
-				sched, err := dynamics.Parse(fmt.Sprintf("@0s link %s scale %g", tp.trunk, frac))
-				if err != nil {
-					return nil, err
-				}
-				cfg.Dynamics = sched
-			}
-			points = append(points, point{tp.topo, frac})
-			jobs = append(jobs, collectiveJob(
-				fmt.Sprintf("degraded/%s/frac=%g", tp.topo, frac), "alltoall",
-				cfg, "", len(plat.Hosts()), chunk))
+		spec := GridSpec{
+			Op: "alltoall", Procs: []int{len(plat.Hosts())}, Sizes: []int64{chunk},
+			Backends: []string{"surf"}, Topologies: []string{tp.topo},
 		}
+		for _, frac := range degradedSweepFractions() {
+			sched := "" // the healthy baseline arms no dynamics at all
+			if frac < 1 {
+				sched = fmt.Sprintf("@0s link %s scale %g", tp.trunk, frac)
+			}
+			spec.Dynamics = append(spec.Dynamics, sched)
+		}
+		specs = append(specs, spec)
 	}
-	runs, err := collectiveRuns(env, jobs)
+	runs, err := env.gridRuns(CampaignOptions{}, specs...)
 	if err != nil {
 		return nil, err
 	}
@@ -81,15 +73,14 @@ func DegradedSweep(env *Env, chunk int64) (*DegradedSweepResult, error) {
 				core.FormatBytes(chunk)),
 			Header: []string{"topo", "trunk", "fraction", "alltoall_s", "slowdown"},
 		},
-		Times: make(map[string]float64, len(points)),
+		Times: make(map[string]float64, len(runs)),
 	}
-	for i, pt := range points {
-		res.Times[fmt.Sprintf("%s/%g", pt.topo, pt.fraction)] = runs[i].Total
-	}
-	for _, tp := range degradedSweepTopos() {
-		healthy := res.Times[tp.topo+"/1"]
-		for _, frac := range degradedSweepFractions() {
-			t := res.Times[fmt.Sprintf("%s/%g", tp.topo, frac)]
+	fractions := degradedSweepFractions()
+	for i, tp := range degradedSweepTopos() {
+		healthy := runs[i*len(fractions)].Total
+		for j, frac := range fractions {
+			t := runs[i*len(fractions)+j].Total
+			res.Times[fmt.Sprintf("%s/%g", tp.topo, frac)] = t
 			res.Table.Add(tp.topo, tp.trunk, frac, t, t/healthy)
 		}
 	}

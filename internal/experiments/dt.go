@@ -102,8 +102,9 @@ type RAMResult struct {
 // Figure16 reproduces Figure 16: per-process memory footprint of DT with
 // and without RAM folding, classes A-C, all three graphs. Runs use the
 // no-contention analytical backend (the RSS metric does not depend on
-// network timing) and the class payload scaled by payloadScale in (0,1]
-// to keep test runs fast; OM classification always uses the class scale.
+// network timing, and blind flows skip the O(flows²) sharing) and the class
+// payload scaled by payloadScale in (0,1] to keep test runs fast; OM
+// classification always uses the class scale.
 func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, error) {
 	if payloadScale <= 0 || payloadScale > 1 {
 		payloadScale = 1
@@ -120,8 +121,10 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 		Folded:  make(map[string]float64),
 		HostRAM: hostRAM,
 	}
-	cfgRun := surfConfig(env.Griffon, env.Piecewise)
-	cfgRun.NoContention = true // timing-irrelevant; avoids O(flows^2) sharing cost
+	cfgRun, err := env.Config(env.Griffon, "nocontention", "piecewise")
+	if err != nil {
+		return nil, err
+	}
 
 	// One campaign covers every configuration: a folded run for each
 	// (graph, class), plus an unfolded run when it fits in hostRAM.

@@ -639,6 +639,14 @@ func TestDynamicsFingerprintDeterministic(t *testing.T) {
 	}); err == nil {
 		t.Error("dynamics on an emulated backend should fail expansion")
 	}
+	// Contention-blind links ignore capacities, so a schedule would only fail
+	// later, inside the job: the axis refuses it at the door too.
+	if _, err := e.GridCampaign(GridSpec{
+		Op: "alltoall", Procs: []int{4}, Sizes: []int64{1024},
+		Backends: []string{"nocontention"}, Dynamics: []string{"@0s link griffon-* scale 0.5"},
+	}); err == nil {
+		t.Error("dynamics on the nocontention backend should fail expansion")
+	}
 	// A malformed schedule fails expansion, not the job.
 	if _, err := e.GridCampaign(GridSpec{
 		Op: "scatter", Procs: []int{4}, Sizes: []int64{1024},

@@ -31,11 +31,12 @@ type GridSpec struct {
 	Procs []int `json:"procs"`
 	// Sizes are the per-rank message sizes in bytes.
 	Sizes []int64 `json:"sizes"`
-	// Models are the analytical point-to-point models to sweep for the
-	// surf backend: "piecewise" (the default), "bestfit", "default", "ideal".
+	// Models are the point-to-point models the analytical backends sweep:
+	// "piecewise" (the default), "bestfit", "default", "ideal".
 	Models []string `json:"models,omitempty"`
-	// Backends selects timing backends: "surf" (analytical; crossed with
-	// Models) and/or "openmpi", "mpich2" (packet-level testbed emulation).
+	// Backends selects timing backends: "surf" and "nocontention"
+	// (analytical, with and without link sharing; crossed with Models)
+	// and/or "openmpi", "mpich2" (packet-level testbed emulation).
 	Backends []string `json:"backends,omitempty"`
 	// Platform is any name Env.Platform resolves, "griffon" by default.
 	// Ignored when Topologies is set.
@@ -92,8 +93,8 @@ type gridPoint struct {
 	variant
 }
 
-// variant is one timing column of the grid: a back-end and, for surf, the
-// model it is crossed with (empty for the emulated back-ends).
+// variant is one timing column of the grid: a back-end and, for the
+// analytical ones, the model it is crossed with (empty for emulators).
 type variant struct{ backend, model string }
 
 // grid is a validated GridSpec, the result of the one pass every front end
@@ -147,8 +148,8 @@ func (spec GridSpec) validate() (g grid, err error) {
 		}
 	}
 
-	// Models only cross with the surf backend; without it they are inert
-	// and drop out. With it, the implicit default becomes explicit.
+	// Models only cross with the analytical backends; without one they are
+	// inert and drop out. With one, the implicit default becomes explicit.
 	modelAxis := make([]string, 0, max(len(spec.Models), 1))
 	for _, m := range spec.Models {
 		name, _, err := lookup("model", models, m)
@@ -161,15 +162,17 @@ func (spec GridSpec) validate() (g grid, err error) {
 		modelAxis = append(modelAxis, "piecewise")
 	}
 	g.Backends, g.Models = make([]string, 0, len(spec.Backends)), nil
-	emulated := ""
+	static := "" // a back-end whose links ignore platform events
 	for _, b := range spec.Backends {
 		name, cfg, err := backendConfig(b, nil)
 		if err != nil {
 			return fail("%w", err)
 		}
 		g.Backends = append(g.Backends, name)
+		if cfg.Backend != smpi.BackendSurf || cfg.NoContention {
+			static = name
+		}
 		if cfg.Backend != smpi.BackendSurf {
-			emulated = name
 			g.variants = append(g.variants, variant{backend: name})
 			continue
 		}
@@ -228,8 +231,8 @@ func (spec GridSpec) validate() (g grid, err error) {
 		}
 		canonical := ""
 		if sched != nil {
-			if canonical = sched.String(); emulated != "" {
-				return fail("dynamics require the surf backend, got %q", emulated)
+			if canonical = sched.String(); static != "" {
+				return fail("dynamics require the surf backend, got %q", static)
 			}
 		}
 		g.Dynamics = append(g.Dynamics, canonical)
@@ -345,16 +348,6 @@ func (pt gridPoint) tags(op string) map[string]string {
 	return t
 }
 
-// Jobs validates the spec and returns how many simulations it holds (after
-// shard slicing).
-func (spec GridSpec) Jobs() (int, error) {
-	g, err := spec.validate()
-	if err != nil {
-		return 0, err
-	}
-	return len(g.points()), nil
-}
-
 // CampaignOptions adjusts how GridCampaignOpts executes an expanded grid.
 // The zero value reproduces GridCampaign exactly.
 type CampaignOptions struct {
@@ -407,6 +400,34 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 		seed = *o.Seed
 	}
 	return campaign.RunAll(ctx, campaign.Options{Workers: workers, Seed: seed, OnResult: o.OnResult}, jobs), nil
+}
+
+// gridRuns runs each spec as a campaign of its own and returns every job's
+// *collectiveRun, spec by spec in grid order, for a figure to read back by
+// position. All specs are validated before the first one runs. They cannot
+// share one campaign: job IDs do not encode Collectives, so two specs that
+// differ only there would give two jobs one ID.
+func (e *Env) gridRuns(o CampaignOptions, specs ...GridSpec) ([]*collectiveRun, error) {
+	for _, spec := range specs {
+		if _, err := spec.validate(); err != nil {
+			return nil, err
+		}
+	}
+	var runs []*collectiveRun
+	for _, spec := range specs {
+		sum, err := e.GridCampaignOpts(spec, o)
+		if err != nil {
+			return nil, err
+		}
+		outs, err := sum.Outcomes()
+		if err != nil {
+			return nil, err
+		}
+		for _, out := range outs {
+			runs = append(runs, out.Payload.(*collectiveRun))
+		}
+	}
+	return runs, nil
 }
 
 // gridJob builds the job of one scenario point.

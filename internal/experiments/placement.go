@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"smpigo/internal/campaign"
 	"smpigo/internal/core"
 	"smpigo/internal/smpi"
 )
@@ -47,67 +46,25 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 	if chunk == 0 {
 		chunk = 256 * core.KiB
 	}
-	if err := checkFloat64Payload("placement sweep", chunk); err != nil {
-		return nil, err
-	}
 	// The ops pair the auto-selected algorithms with a forced ring
 	// allreduce: ring schedules only talk to rank neighbors, so they are
 	// maximally placement-sensitive on fat-trees — "block" keeps most hops
 	// under the leaf switches while "rr" pushes every hop through the
 	// D-mod-k spine (on tori the auto mode picks ring itself).
-	ops := []struct {
-		name, app string
-		algos     smpi.Algorithms
-	}{
-		{"allreduce(auto)", "allreduce", smpi.Auto()},
-		{"allreduce(ring)", "allreduce", smpi.Algorithms{Allreduce: "ring"}},
-		{"alltoall", "alltoall", smpi.Auto()},
+	ops := []struct{ name, app, collectives string }{
+		{"allreduce(auto)", "allreduce", "auto"},
+		{"allreduce(ring)", "allreduce", "allreduce=ring"},
+		{"alltoall", "alltoall", "auto"},
 	}
-	type point struct {
-		topo, op, place string
-	}
-	var points []point
-	jobs := make([]campaign.Job, 0, len(placementSweepTopos())*len(ops)*3)
-	for _, topo := range placementSweepTopos() {
-		plat, err := env.Platform(topo)
-		if err != nil {
-			return nil, err
-		}
-		for _, op := range ops {
-			for _, place := range placementSweepPolicies() {
-				points = append(points, point{topo, op.name, place})
-				cfg := surfConfig(plat, env.Piecewise)
-				cfg.Algorithms = op.algos
-				jobs = append(jobs, collectiveJob(
-					fmt.Sprintf("placement/%s/%s/%s", topo, op.name, place), op.app,
-					cfg, place, len(plat.Hosts()), chunk))
-			}
-		}
-	}
-	runs, err := collectiveRuns(env, jobs)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &PlacementSweepResult{
 		Table: &Table{
 			Title: fmt.Sprintf("Placement sweep: block vs round-robin vs random, machine-filling ranks, %s per rank (seconds)",
 				core.FormatBytes(chunk)),
 			Header: []string{"topo", "op", "block_s", "rr_s", "random_s", "rr/block"},
 		},
-		Times: make(map[string]float64, len(points)),
+		Times: make(map[string]float64),
 	}
-	for i, pt := range points {
-		res.Times[pt.topo+"/"+pt.op+"/"+pt.place] = runs[i].Total
-	}
-	for _, topo := range placementSweepTopos() {
-		for _, op := range ops {
-			bl := res.Times[topo+"/"+op.name+"/block"]
-			rr := res.Times[topo+"/"+op.name+"/rr"]
-			rnd := res.Times[topo+"/"+op.name+"/random"]
-			res.Table.Add(topo, op.name, bl, rr, rnd, rr/bl)
-		}
-	}
+	var specs []GridSpec
 	for _, topo := range placementSweepTopos() {
 		plat, err := env.Platform(topo)
 		if err != nil {
@@ -116,6 +73,29 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 		resolved := smpi.Auto().Resolve(plat.Topo)
 		res.Table.Note("%s: %d ranks, -collectives auto -> bcast=%s allreduce=%s",
 			topo, len(plat.Hosts()), resolved.Bcast, resolved.Allreduce)
+		for _, op := range ops {
+			specs = append(specs, GridSpec{
+				Op: op.app, Procs: []int{len(plat.Hosts())}, Sizes: []int64{chunk}, Backends: []string{"surf"},
+				Topologies: []string{topo}, Placements: placementSweepPolicies(), Collectives: op.collectives,
+			})
+		}
+	}
+	runs, err := env.gridRuns(CampaignOptions{}, specs...)
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	for _, topo := range placementSweepTopos() {
+		for _, op := range ops {
+			for _, place := range placementSweepPolicies() {
+				res.Times[topo+"/"+op.name+"/"+place] = runs[i].Total
+				i++
+			}
+			bl := res.Times[topo+"/"+op.name+"/block"]
+			rr := res.Times[topo+"/"+op.name+"/rr"]
+			rnd := res.Times[topo+"/"+op.name+"/random"]
+			res.Table.Add(topo, op.name, bl, rr, rnd, rr/bl)
+		}
 	}
 	res.Table.Note("block keeps ring traffic under the leaf switches; rr forces it through the spine, where D-mod-k converges flows onto shared cables")
 	res.Table.Note("on the torus block and rr tie exactly: dealing ranks across rows only renames the dimensions of a vertex-transitive graph")

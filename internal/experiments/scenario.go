@@ -103,23 +103,23 @@ func (e *Env) Platform(name string) (*platform.Platform, error) {
 
 // backendConfig is the one switch over timing back-end names: it returns
 // the name's canonical spelling and the config a run on plat starts from
-// (a surf config still needs its Model; see Env.Config). "emu" is smpirun's
-// spelling of "openmpi".
+// (a surf config still needs its Model; see Env.Config). "nocontention" is
+// surf with link sharing off; "emu" is smpirun's spelling of "openmpi".
 func backendConfig(name string, plat *platform.Platform) (string, smpi.Config, error) {
 	switch name = normName(name); name {
-	case "surf":
-		return name, smpi.Config{Platform: plat, Backend: smpi.BackendSurf}, nil
+	case "surf", "nocontention":
+		return name, smpi.Config{Platform: plat, Backend: smpi.BackendSurf, NoContention: name == "nocontention"}, nil
 	case "openmpi", "emu":
 		return "openmpi", emuConfig(plat), nil
 	case "mpich2":
-		return name, mpich2Config(plat), nil
+		return name, smpi.Config{Platform: plat, Backend: smpi.BackendEmu, Impl: emu.MPICH2()}, nil
 	}
-	return "", smpi.Config{}, fmt.Errorf("unknown backend %q (want surf, openmpi, mpich2)", name)
+	return "", smpi.Config{}, fmt.Errorf("unknown backend %q (want surf, nocontention, openmpi, mpich2)", name)
 }
 
-// Config turns a back-end name and — for surf — a model name into the
-// smpi.Config a run on plat starts from: the one config builder behind the
-// campaign grid and smpirun.
+// Config turns a back-end name and — for surf and nocontention — a model
+// name into the smpi.Config a run on plat starts from: the one config
+// builder behind the campaign grid and smpirun.
 func (e *Env) Config(plat *platform.Platform, backend, model string) (smpi.Config, error) {
 	_, cfg, err := backendConfig(backend, plat)
 	if err != nil || cfg.Backend != smpi.BackendSurf {
@@ -142,12 +142,6 @@ func surfConfig(plat *platform.Platform, model surf.NetModel) smpi.Config {
 // emuConfig returns a "real run" config on plat (emulated OpenMPI).
 func emuConfig(plat *platform.Platform) smpi.Config {
 	return smpi.Config{Platform: plat, Backend: smpi.BackendEmu}
-}
-
-// mpich2Config returns a "real run" config on plat under the emulated
-// MPICH2 parameter set.
-func mpich2Config(plat *platform.Platform) smpi.Config {
-	return smpi.Config{Platform: plat, Backend: smpi.BackendEmu, Impl: emu.MPICH2()}
 }
 
 // Place pins cfg's ranks to hosts under a placement policy (see package

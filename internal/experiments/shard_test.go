@@ -101,13 +101,13 @@ func TestShardExpansionEdgeCases(t *testing.T) {
 }
 
 // equivalentSpecs are two spellings of one campaign: axis order, duplicates,
-// case, a spelled-out default and a placement alias differ.
+// case, padding, a spelled-out default and a placement alias differ.
 var equivalentSpecs = [2]GridSpec{
 	{
 		Op:         "Alltoall",
 		Procs:      []int{16, 8, 16},
 		Sizes:      []int64{1 << 20, 1 << 16},
-		Backends:   []string{"surf"},
+		Backends:   []string{"surf", " NoContention "},
 		Topologies: []string{"torus16", "fattree16"},
 		Placements: []string{"round-robin", "block"},
 	},
@@ -116,7 +116,7 @@ var equivalentSpecs = [2]GridSpec{
 		Procs:      []int{8, 16},
 		Sizes:      []int64{1 << 16, 1 << 20},
 		Models:     []string{"piecewise"}, // the implicit surf default, spelled out
-		Backends:   []string{"SURF"},
+		Backends:   []string{"nocontention", "SURF"},
 		Topologies: []string{"fattree16", "torus16"},
 		Placements: []string{"block", "rr"},
 	},
@@ -223,6 +223,10 @@ var invalidSpecs = []struct {
 		s.Backends = []string{"surf", "mpich2"}
 		s.Dynamics = []string{"@1ms link griffon-* scale 0.5"}
 	}, "require the surf backend"},
+	{func(s *GridSpec) {
+		s.Backends = []string{"surf", "NoContention"}
+		s.Dynamics = []string{"@0s link griffon-* scale 0.5"}
+	}, `require the surf backend, got "nocontention"`},
 }
 
 func TestCanonicalizeRejectsInvalid(t *testing.T) {

@@ -38,34 +38,26 @@ func Figure17(env *Env) (*SpeedResult, error) {
 		Header: []string{"msg_size", "smpi_wall_s", "smpi_simulated_s", "real_s (emu)", "speedup_vs_real"},
 	}}
 	sizes := []int64{4 * core.MiB, 8 * core.MiB, 16 * core.MiB, 32 * core.MiB, 64 * core.MiB}
+	spec := func(backend string) GridSpec {
+		return GridSpec{Op: "scatter", Procs: []int{procs}, Sizes: sizes, Backends: []string{backend}}
+	}
 	// The "real" (emulated testbed) runs fan out on the campaign pool: only
 	// their simulated times matter. The SMPI runs are the figure's measured
 	// quantity — their wall clock IS the result — so they execute serially
 	// on a single worker, after a GC flushes the garbage the testbed runs
 	// left behind; otherwise pool contention and GC debt are charged to the
 	// measurement.
-	var emuJobs, surfJobs []campaign.Job
-	for _, size := range sizes {
-		emuJobs = append(emuJobs, collectiveJob(
-			fmt.Sprintf("fig17/size=%s/openmpi", core.FormatBytes(size)), "scatter",
-			emuConfig(env.Griffon), "", procs, size))
-		surfJobs = append(surfJobs, collectiveJob(
-			fmt.Sprintf("fig17/size=%s/smpi", core.FormatBytes(size)), "scatter",
-			surfConfig(env.Griffon, env.Piecewise), "", procs, size))
-	}
-	emuRuns, err := collectiveRuns(env, emuJobs)
+	emuRuns, err := env.gridRuns(CampaignOptions{}, spec("openmpi"))
 	if err != nil {
 		return nil, err
 	}
 	runtime.GC()
-	surfSum := campaign.Run(campaign.Options{Workers: 1, Seed: env.Seed}, surfJobs)
-	surfOuts, err := surfSum.Outcomes()
+	surfRuns, err := env.gridRuns(CampaignOptions{Workers: 1}, spec("surf"))
 	if err != nil {
 		return nil, err
 	}
 	for i, size := range sizes {
-		s := surfOuts[i].Payload.(*collectiveRun)
-		o := emuRuns[i]
+		s, o := surfRuns[i], emuRuns[i]
 		res.Sizes = append(res.Sizes, size)
 		res.SimWall = append(res.SimWall, s.Wall)
 		res.SimTime = append(res.SimTime, s.Total)

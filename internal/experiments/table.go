@@ -1,9 +1,11 @@
-// Package experiments contains one harness per figure of the paper's
-// evaluation (Section 7). Each FigureN function runs the corresponding
-// workload on the appropriate backends and returns a Table whose rows match
-// the series the paper plots, plus the error summaries quoted in the text.
-// The cmd/experiments binary and the repository's benchmark suite are thin
-// wrappers around these harnesses.
+// Package experiments reproduces the figures of the paper's evaluation
+// (Section 7) and runs scenario grids (GridSpec) beyond them, all as
+// campaigns. The collective figures are short lists of GridSpecs whose
+// reducers read the campaign back by position; the ping-pong, DT and EP
+// figures still build their jobs directly. Each FigureN function returns a
+// Table whose rows match the series the paper plots, plus the error
+// summaries quoted in the text. cmd/experiments, smpigod and the
+// repository's benchmark suite are thin wrappers around this package.
 package experiments
 
 import (

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"smpigo/internal/campaign"
 	"smpigo/internal/core"
 	"smpigo/internal/smpi"
 	"smpigo/internal/topology"
@@ -35,42 +34,28 @@ const TopoCollectivesProcs = 64
 // across the machine (which fat-tree spines and dragonfly global links must
 // carry). The flat cluster routes everything through the same backbone, so
 // it cannot express these differences — the point of the topology axis.
-// Every (topology, op, algorithm) point is one campaign job; chunk is the
-// per-rank payload in bytes (must be a multiple of 8; 0 means 256 KiB).
+// Every (op, algorithm) pair is one grid over the topology axis; chunk is
+// the per-rank payload in bytes (must be a multiple of 8; 0 means 256 KiB).
 func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 	if chunk == 0 {
 		chunk = 256 * core.KiB
 	}
-	if err := checkFloat64Payload("topo collectives", chunk); err != nil {
-		return nil, err
-	}
 	// Each operation's tree variant is its default; the ring is forced.
 	def := smpi.DefaultAlgorithms()
 	ops := []struct{ name, tree string }{{"bcast", def.Bcast}, {"allreduce", def.Allreduce}}
-	type point struct{ topo, op, algo string }
-	var points []point
-	for _, topo := range topoCollectivesTopos() {
-		for _, op := range ops {
-			points = append(points, point{topo, op.name, op.tree}, point{topo, op.name, "ring"})
+	topos := topoCollectivesTopos()
+	var keys []string // "<op>/<algo>" of each spec
+	var specs []GridSpec
+	for _, op := range ops {
+		for _, algo := range []string{op.tree, "ring"} {
+			keys = append(keys, op.name+"/"+algo)
+			specs = append(specs, GridSpec{
+				Op: op.name, Procs: []int{TopoCollectivesProcs}, Sizes: []int64{chunk},
+				Backends: []string{"surf"}, Topologies: topos, Collectives: op.name + "=" + algo,
+			})
 		}
 	}
-
-	jobs := make([]campaign.Job, 0, len(points))
-	for _, pt := range points {
-		plat, err := env.Platform(pt.topo)
-		if err != nil {
-			return nil, err
-		}
-		cfg := surfConfig(plat, env.Piecewise)
-		if cfg.Algorithms, err = smpi.ParseAlgorithms(pt.op + "=" + pt.algo); err != nil {
-			return nil, err
-		}
-		j := collectiveJob(fmt.Sprintf("topo/%s/%s/%s", pt.topo, pt.op, pt.algo), pt.op,
-			cfg, "", TopoCollectivesProcs, chunk)
-		j.Tags["topo"], j.Tags["op"], j.Tags["algo"] = pt.topo, pt.op, pt.algo
-		jobs = append(jobs, j)
-	}
-	runs, err := collectiveRuns(env, jobs)
+	runs, err := env.gridRuns(CampaignOptions{}, specs...)
 	if err != nil {
 		return nil, err
 	}
@@ -81,19 +66,21 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 				TopoCollectivesProcs, core.FormatBytes(chunk)),
 			Header: []string{"topo", "op", "tree_s", "ring_s", "ring/tree"},
 		},
-		Times: make(map[string]float64, len(points)),
+		Times: make(map[string]float64, len(runs)),
 	}
-	for i, pt := range points {
-		res.Times[pt.topo+"/"+pt.op+"/"+pt.algo] = runs[i].Total
+	for i, key := range keys {
+		for j, topo := range topos {
+			res.Times[topo+"/"+key] = runs[i*len(topos)+j].Total
+		}
 	}
-	for _, topo := range topoCollectivesTopos() {
+	for _, topo := range topos {
 		for _, op := range ops {
 			tt := res.Times[topo+"/"+op.name+"/"+op.tree]
 			rt := res.Times[topo+"/"+op.name+"/ring"]
 			res.Table.Add(topo, op.name, tt, rt, rt/tt)
 		}
 	}
-	for _, topo := range topoCollectivesTopos()[1:] {
+	for _, topo := range topos[1:] {
 		spec, err := topology.ParseSpec(topo)
 		if err != nil {
 			return nil, err

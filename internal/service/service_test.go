@@ -412,6 +412,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown topology", `{"spec": {` + surfPingPong + `, "topologies": ["torus16", "nonsense"]}, "seed": 1}`, "nonsense"},
 		{"unknown platform", `{"spec": {` + surfPingPong + `, "platform": "bogus"}, "seed": 1}`, "bogus"},
 		{"malformed shape", `{"spec": {` + surfPingPong + `, "topologies": ["fattree:4x"]}, "seed": 1}`, "fattree:4x"},
+		{"dynamics on nocontention", `{"spec": {"op": "alltoall", "procs": [4], "sizes": [1024], "backends": ["nocontention"], "dynamics": ["@0s link griffon-* scale 0.5"]}, "seed": 1}`, "require the surf backend"},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest("POST", "/v1/campaigns?wait=1", strings.NewReader(tc.body))
