@@ -213,6 +213,7 @@ var invalidSpecs = []struct {
 	{func(s *GridSpec) { s.Backends = nil }, "backend"},
 	{func(s *GridSpec) { s.Topologies = []string{"torus16", "nonsense"} }, `"nonsense"`},
 	{func(s *GridSpec) { s.Topologies = []string{"fattree:4x"} }, `"fattree:4x"`},
+	{func(s *GridSpec) { s.Topologies = []string{"torus:4294967296x4294967296"} }, "host count overflows int"},
 	{func(s *GridSpec) { s.Platform = "bogus" }, `"bogus"`},
 	{func(s *GridSpec) { s.Collectives = "bcast=bogus" }, `unknown bcast algorithm "bogus" (want auto, binomial, flat, ring)`},
 	{func(s *GridSpec) { s.Collectives = "frobnicate=yes" }, `unknown collective "frobnicate"`},

@@ -88,6 +88,26 @@ func (s ClusterSpec) Validate() error {
 	return nil
 }
 
+func init() { RegisterXMLSpec("cluster", (*ClusterSpec).bindXML) }
+
+// bindXML lists the attributes of the <cluster> element.
+func (s *ClusterSpec) bindXML(b *XMLBinder) {
+	b.Text("id", &s.Name)
+	b.Flops("speed", &s.NodeSpeed)
+	b.Ints("cabinets", &s.Cabinets, ",")
+	b.Rate("bw", &s.NodeLinkBandwidth)
+	b.Duration("lat", &s.NodeLinkLatency)
+	b.Rate("bp_bw", &s.CabinetBackplaneBandwidth)
+	b.Duration("bp_lat", &s.CabinetBackplaneLatency)
+	b.Rate("uplink_bw", &s.UplinkBandwidth)
+	b.Duration("uplink_lat", &s.UplinkLatency)
+	b.Rate("bb_bw", &s.BackboneBandwidth)
+	b.Duration("bb_lat", &s.BackboneLatency)
+	b.Sharing("bb_sharing", &s.BackboneFatPipe)
+	b.Profile("cab_speed", &s.CabinetSpeed)
+	b.Profile("cab_width", &s.CabinetUplinkWidth)
+}
+
 // Build instantiates the platform for the spec: per-node up/down links,
 // per-cabinet up/down uplinks, one backbone link, and the implicit
 // hierarchical router (closed-form link indices, no per-pair storage).

@@ -9,8 +9,10 @@
 // cabinets per switch, 1 Gbps links throughout) — and an XML serialization
 // of cluster descriptions in the spirit of SimGrid's DTD. The XML spec
 // registry is open: package topology registers <fattree>, <torus>, and
-// <dragonfly> elements alongside <cluster>, so ReadXML/WriteXML round-trip
-// every builder's spec.
+// <dragonfly> elements alongside <cluster>. Each element lists its
+// attributes once, in one bind function per spec (one XMLBinder call per
+// attribute: name, field, unit, optional or not), and WriteXML and ReadXML
+// both walk that list, so every builder's spec round-trips.
 //
 // Routing is pluggable behind the Router interface, whose single method
 // RouteInto(buf, a, b) appends the route's links into a caller-owned
@@ -20,10 +22,13 @@
 // implicit routers: closed-form functions of the host coordinates with
 // O(1) state, which is what lets a 65536-host platform route in O(hosts)
 // total memory (the former per-ordered-pair memo map was O(hosts²)).
-// Hand-built platforms install explicit pair routes with AddRoute, which
-// land in a TableRouter — the same interface, with the reverse direction
-// of a symmetric route served by iterating the forward slice backward
-// rather than materializing a copy.
+//
+// A platform is built in exactly one of two ways. Builders work from a
+// spec: NewHost, NewLink, SetLinkNamer and SetRouter, with derived names
+// and an implicit router. Test fixtures are built by hand: AddHost,
+// AddLink and AddRoute, with explicit names and a private table of
+// symmetric pair routes (the reverse direction iterates the forward slice
+// backward). A call from the other mode panics.
 //
 // Host and link storage is compact: array-of-structs slabs (bulk-allocated
 // via Reserve when the builder knows its counts) addressed by dense IDs,

@@ -1,13 +1,13 @@
 package platform
 
-// Tests for lazy name materialization: NewHost/NewLink store no names
-// (derived from the slab index and the registered link namer), AddHost/
-// AddLink switch to explicit mode by materializing what exists, and the
-// derived-mode Host() lookup inverts the prefix scheme with a strict
-// round-trip check.
+// Tests for derived names: NewHost/NewLink store no names (derived from the
+// slab index and the registered link namer), the derived-mode Host() lookup
+// inverts the prefix scheme with a strict round-trip check, and a platform
+// is built from a spec or by hand, never both.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"smpigo/internal/lmm"
@@ -58,42 +58,40 @@ func TestDerivedLinkNamer(t *testing.T) {
 	}
 }
 
-func TestMixedExplicitAndDerivedHosts(t *testing.T) {
-	p := New("mix")
-	h0 := p.NewHost(1e9)
-	h1 := p.AddHost("gateway", 2e9) // materializes h0's derived name
-	h2 := p.NewHost(1e9)            // derived name recorded in explicit mode
-	cases := []struct {
-		h    *Host
-		want string
-	}{{h0, "mix-0"}, {h1, "gateway"}, {h2, "mix-2"}}
-	for _, c := range cases {
-		if c.h.Name() != c.want {
-			t.Errorf("host %d name = %q, want %q", c.h.ID, c.h.Name(), c.want)
-		}
-		if got := p.Host(c.want); got != c.h {
-			t.Errorf("Host(%q) = %v, want host %d", c.want, got, c.h.ID)
-		}
+// TestMixedConstructionPanics pins the two exclusive construction modes:
+// after a call of one mode, every call of the other panics naming itself,
+// whichever mode came first.
+func TestMixedConstructionPanics(t *testing.T) {
+	fromSpec := map[string]func(*Platform){
+		"NewHost":      func(p *Platform) { p.NewHost(1e9) },
+		"NewLink":      func(p *Platform) { p.NewLink(1e9, 0, lmm.Shared) },
+		"SetLinkNamer": func(p *Platform) { p.SetLinkNamer(func(int) string { return "" }) },
+		"SetRouter":    func(p *Platform) { p.SetRouter(nil) },
 	}
-	if got := p.Host("mix-1"); got != nil {
-		t.Errorf("Host(\"mix-1\") = %s; explicit names must not shadow-resolve", got.Name())
+	byHand := map[string]func(*Platform){
+		"AddHost":  func(p *Platform) { p.AddHost("h", 1e9) },
+		"AddLink":  func(p *Platform) { p.AddLink("l", 1e9, 0, lmm.Shared) },
+		"AddRoute": func(p *Platform) { h := New("other").AddHost("a", 1e9); p.AddRoute(h, h, nil) },
 	}
-}
-
-func TestMixedExplicitAndDerivedLinks(t *testing.T) {
-	p := New("mix")
-	p.SetLinkNamer(func(id int) string { return fmt.Sprintf("mix-wire%d", id) })
-	l0 := p.NewLink(1e9, 0, lmm.Shared)
-	l1 := p.AddLink("uplink", 1e9, 0, lmm.FatPipe) // materializes l0
-	l2 := p.NewLink(1e9, 0, lmm.Shared)
-	for _, c := range []struct {
-		l    *Link
-		want string
-	}{{l0, "mix-wire0"}, {l1, "uplink"}, {l2, "mix-wire2"}} {
-		if c.l.Name() != c.want {
-			t.Errorf("link %d name = %q, want %q", c.l.ID, c.l.Name(), c.want)
+	check := func(first, then map[string]func(*Platform)) {
+		for fname, f := range first {
+			for name, call := range then {
+				p := New("mix")
+				f(p)
+				func() {
+					defer func() {
+						msg := fmt.Sprint(recover())
+						if !strings.Contains(msg, name+" mixes the two construction modes") {
+							t.Errorf("%s after %s: panic %q, want one naming %s and the modes", name, fname, msg, name)
+						}
+					}()
+					call(p)
+				}()
+			}
 		}
 	}
+	check(fromSpec, byHand)
+	check(byHand, fromSpec)
 }
 
 // TestDerivedModeStoresNoNames pins the memory contract: a platform built

@@ -44,10 +44,10 @@ type Host struct {
 	p *Platform
 }
 
-// Name returns the unique host name, e.g. "griffon-12". Hosts created with
-// NewHost derive it on demand from the platform name and the slab index
-// ("<platform>-<ID>", the scheme every builder uses) so nothing is stored
-// per host; hosts created with AddHost return their explicit name.
+// Name returns the unique host name, e.g. "griffon-12". On a platform built
+// from a spec it is derived on demand from the platform name and the slab
+// index ("<platform>-<ID>") so nothing is stored per host; on a hand-built
+// platform it is the name given to AddHost.
 func (h *Host) Name() string { return h.p.hostName(h.ID) }
 
 // Link is a network resource with a capacity and a traversal latency.
@@ -65,11 +65,11 @@ type Link struct {
 	p *Platform
 }
 
-// Name returns the unique link name, e.g. "griffon-up-12". Links created
-// with NewLink derive it on demand from the installed link namer (builders
-// register the inverse of their build-order link-ID arithmetic via
-// SetLinkNamer) so nothing is stored per link; links created with AddLink
-// return their explicit name.
+// Name returns the unique link name, e.g. "griffon-up-12". On a platform
+// built from a spec it is derived on demand from the installed link namer
+// (builders register the inverse of their build-order link-ID arithmetic
+// via SetLinkNamer) so nothing is stored per link; on a hand-built platform
+// it is the name given to AddLink.
 func (l *Link) Name() string { return l.p.linkName(l.ID) }
 
 // TopoInfo describes the structural family and metrics of a built platform.
@@ -94,9 +94,8 @@ type TopoInfo struct {
 }
 
 // Route is an ordered list of links connecting two hosts, with the
-// aggregate latency precomputed. Routes returned by Platform.Route and
-// Router.RouteInto may share storage with the router (table routers) or
-// with a caller buffer; treat Links as read-only.
+// aggregate latency precomputed. Routes returned by Platform.RouteInto share
+// storage with the caller's buffer; treat Links as read-only.
 type Route struct {
 	Links   []*Link
 	Latency core.Duration
@@ -127,12 +126,18 @@ const slabSize = 1 << 12
 // Hosts and links live in contiguous array-of-structs slabs — one bulk
 // allocation per Reserve call or per slabSize objects — and are addressed
 // internally by dense IDs; the *Host/*Link pointers handed to callers are
-// stable views into the slabs. Builders create hosts and links through
-// NewHost/NewLink, whose names are derived on demand from the slab index
-// (hosts) or the registered link namer (links) — nothing is stored per
-// name, so a 65536-host platform costs a couple hundred bytes per host with
-// no per-object or per-pair bookkeeping: routes are computed on demand by
-// the installed Router, never stored per pair.
+// stable views into the slabs.
+//
+// A platform is built in exactly one of two ways, and a call from the other
+// way panics:
+//
+//   - from a spec: NewHost, NewLink, SetLinkNamer and SetRouter. Names are
+//     derived on demand from the slab index (hosts) or the link namer
+//     (links), and routes are computed by the implicit router, so a
+//     65536-host platform costs a couple hundred bytes per host with no
+//     per-name or per-pair bookkeeping;
+//   - by hand: AddHost, AddLink and AddRoute, with explicit names and a
+//     table of symmetric pair routes. Test fixtures (dumbbells, stars) use it.
 type Platform struct {
 	Name string
 	// Topo describes the interconnect family and structural metrics when the
@@ -149,27 +154,38 @@ type Platform struct {
 	hostPrefix string
 	// linkNamer derives NewLink names from the link ID (see SetLinkNamer).
 	linkNamer func(id int) string
-	// hostNames/linkNames hold explicit names; nil while every host/link is
-	// derived (the scalable mode). The first AddHost/AddLink materializes the
-	// derived names of earlier objects, so the two modes can mix.
+	// hostNames/linkNames hold a hand-built platform's names, and byName
+	// indexes its hosts; all three are nil on a platform built from a spec,
+	// where Host() inverts the prefix scheme instead.
 	hostNames []string
 	linkNames []string
-	// byName indexes explicitly named hosts; nil in derived mode, where
-	// Host() inverts the prefix scheme instead.
-	byName map[string]*Host
+	byName    map[string]*Host
+	// fromSpec records that a spec-mode call was made (see construct).
+	fromSpec bool
 
-	// router computes routes between distinct hosts. The cluster builder
-	// and the topology generators install implicit routers (closed-form,
-	// O(1) state); AddRoute installs (and chains in front) a TableRouter.
+	// router computes routes between distinct hosts: the implicit router a
+	// builder installs with SetRouter (closed-form, O(1) state), or the
+	// routeTable of a hand-built platform.
 	router Router
-	// table is the TableRouter AddRoute created, if any; kept so explicit
-	// pair routes keep precedence when SetRouter is called afterwards.
-	table *TableRouter
 }
 
 // New returns an empty platform.
 func New(name string) *Platform {
 	return &Platform{Name: name, hostPrefix: name + "-"}
+}
+
+// construct fixes the platform's construction mode on the first call and
+// panics when call belongs to the other mode (see Platform).
+func (p *Platform) construct(byHand bool, call string) {
+	if byHand && p.byName == nil && !p.fromSpec {
+		p.byName = make(map[string]*Host)
+		p.router = &routeTable{platform: p.Name, routes: make(map[[2]int]tableRoute)}
+	}
+	if byHand != (p.byName != nil) {
+		panic(fmt.Sprintf("platform %q: %s mixes the two construction modes: a platform is built from a spec "+
+			"(NewHost, NewLink, SetLinkNamer, SetRouter) or by hand (AddHost, AddLink, AddRoute)", p.Name, call))
+	}
+	p.fromSpec = !byHand
 }
 
 // hostName resolves a host ID to its name (see Host.Name).
@@ -196,32 +212,9 @@ func (p *Platform) linkName(id int) string {
 // The namer must be pure and must keep answering for every existing derived
 // link; it is consulted only when a link's name is actually wanted (error
 // messages, reports, lookups), never on the routing or event hot paths.
-func (p *Platform) SetLinkNamer(fn func(id int) string) { p.linkNamer = fn }
-
-// materializeHostNames switches host naming to explicit mode, capturing the
-// derived names of every existing host. Called by the first AddHost.
-func (p *Platform) materializeHostNames() {
-	if p.hostNames != nil {
-		return
-	}
-	p.hostNames = make([]string, len(p.hosts), cap(p.hosts))
-	p.byName = make(map[string]*Host, cap(p.hosts))
-	for i := range p.hosts {
-		p.hostNames[i] = p.hostPrefix + strconv.Itoa(i)
-		p.byName[p.hostNames[i]] = p.hosts[i]
-	}
-}
-
-// materializeLinkNames is materializeHostNames for links.
-func (p *Platform) materializeLinkNames() {
-	if p.linkNames != nil {
-		return
-	}
-	names := make([]string, len(p.links), cap(p.links))
-	for i := range names {
-		names[i] = p.linkName(i) // still derived: linkNames is nil here
-	}
-	p.linkNames = names
+func (p *Platform) SetLinkNamer(fn func(id int) string) {
+	p.construct(false, "SetLinkNamer")
+	p.linkNamer = fn
 }
 
 // Reserve pre-allocates storage for the given numbers of additional hosts
@@ -273,30 +266,20 @@ func (p *Platform) appendLink(bandwidth float64, latency core.Duration, policy l
 	return l
 }
 
-// NewHost creates a host whose name is derived on demand from the slab
-// index ("<platform>-<ID>"), storing nothing per name. This is the scalable
-// path every builder uses; hand-built platforms wanting arbitrary names use
-// AddHost instead.
+// NewHost creates a host of a platform built from a spec. Its name is
+// derived on demand from the slab index ("<platform>-<ID>"), storing
+// nothing per name.
 func (p *Platform) NewHost(speed float64) *Host {
 	checkSpeed(speed, "host", len(p.hosts))
-	h := p.appendHost(speed)
-	if p.hostNames != nil {
-		// Explicit mode was already entered: record the derived name so
-		// hostNames keeps covering every host.
-		name := p.hostPrefix + strconv.Itoa(h.ID)
-		p.hostNames = append(p.hostNames, name)
-		p.byName[name] = h
-	}
-	return h
+	p.construct(false, "NewHost")
+	return p.appendHost(speed)
 }
 
-// AddHost creates a host with an explicit name. Host names must be unique.
-// The first AddHost on a platform materializes the derived names of any
-// NewHost-created hosts, so mixing the two modes is allowed — but a
-// platform that never calls AddHost stores no names at all.
+// AddHost creates a host of a hand-built platform, with an explicit name.
+// Host names must be unique.
 func (p *Platform) AddHost(name string, speed float64) *Host {
 	checkSpeed(speed, "host", name)
-	p.materializeHostNames()
+	p.construct(true, "AddHost")
 	if _, dup := p.byName[name]; dup {
 		panic(fmt.Sprintf("platform: duplicate host %q", name))
 	}
@@ -306,46 +289,30 @@ func (p *Platform) AddHost(name string, speed float64) *Host {
 	return h
 }
 
-// NewLink creates a link whose name is derived on demand from the link
-// namer registered with SetLinkNamer (or "<platform>-link-<ID>" without
-// one), storing nothing per name.
+// NewLink creates a link of a platform built from a spec. Its name is
+// derived on demand from the link namer registered with SetLinkNamer (or
+// "<platform>-link-<ID>" without one), storing nothing per name.
 func (p *Platform) NewLink(bandwidth float64, latency core.Duration, policy lmm.SharingPolicy) *Link {
 	checkBandwidth(bandwidth, "link", len(p.links))
-	l := p.appendLink(bandwidth, latency, policy)
-	if p.linkNames != nil {
-		name := p.Name + "-link-" + strconv.Itoa(l.ID)
-		if p.linkNamer != nil {
-			name = p.linkNamer(l.ID)
-		}
-		p.linkNames = append(p.linkNames, name)
-	}
-	return l
+	p.construct(false, "NewLink")
+	return p.appendLink(bandwidth, latency, policy)
 }
 
-// AddLink creates a link with an explicit name. The first AddLink
-// materializes the derived names of any NewLink-created links (mirroring
-// AddHost).
+// AddLink creates a link of a hand-built platform, with an explicit name.
 func (p *Platform) AddLink(name string, bandwidth float64, latency core.Duration, policy lmm.SharingPolicy) *Link {
 	checkBandwidth(bandwidth, "link", name)
-	p.materializeLinkNames()
+	p.construct(true, "AddLink")
 	l := p.appendLink(bandwidth, latency, policy)
 	p.linkNames = append(p.linkNames, name)
 	return l
 }
 
-// AddRoute installs a symmetric explicit route between two hosts (used by
-// hand-built platforms; generated platforms install implicit routers). The
-// routes live in a TableRouter that is created on first use and takes
-// precedence over any router installed with SetRouter, which serves as its
-// fallback. Only the forward link slice is stored; the reverse direction
+// AddRoute installs a symmetric route between two hosts of a hand-built
+// platform. Only the forward link slice is stored; the reverse direction
 // iterates it backward.
 func (p *Platform) AddRoute(a, b *Host, links []*Link) {
-	if p.table == nil {
-		p.table = NewTableRouter(p.Name)
-		p.table.Fallback = p.router
-		p.router = p.table
-	}
-	p.table.AddSymmetric(a, b, links)
+	p.construct(true, "AddRoute")
+	p.router.(*routeTable).add(a, b, links)
 }
 
 // Hosts returns all hosts in ID order.
@@ -354,11 +321,11 @@ func (p *Platform) Hosts() []*Host { return p.hosts }
 // Links returns all links in ID order.
 func (p *Platform) Links() []*Link { return p.links }
 
-// Host returns the host with the given name, or nil. On a platform whose
-// hosts were all created with NewHost there is no name index to consult:
-// the lookup inverts the derived scheme instead, with a strict round-trip
-// check so only the one spelling Name() produces resolves ("<prefix>007"
-// and "<prefix>+7" are not hosts even when "<prefix>7" is).
+// Host returns the host with the given name, or nil. On a platform built
+// from a spec there is no name index to consult: the lookup inverts the
+// derived scheme instead, with a strict round-trip check so only the one
+// spelling Name() produces resolves ("<prefix>007" and "<prefix>+7" are not
+// hosts even when "<prefix>7" is).
 func (p *Platform) Host(name string) *Host {
 	if p.byName != nil {
 		return p.byName[name]
@@ -381,25 +348,15 @@ func (p *Platform) HostByID(id int) *Host { return p.hosts[id] }
 // it to turn closed-form link indices into link handles.
 func (p *Platform) LinkByID(id int) *Link { return p.links[id] }
 
-// SetRouter installs the router computing routes between distinct hosts.
+// SetRouter installs the implicit router of a platform built from a spec.
 // The router must be deterministic (same pair, same route) and read-only
-// once the platform is in use; it is only consulted for pairs without an
-// explicit AddRoute entry (those live in a TableRouter chained in front).
-// Routes are computed on every lookup — implicit routers are cheap enough
-// that nothing is memoized.
+// once the platform is in use. Routes are computed on every lookup —
+// implicit routers are cheap enough that nothing is memoized.
 // SetRouter is not safe to call concurrently with Route.
 func (p *Platform) SetRouter(r Router) {
-	if p.table != nil && p.table != r {
-		p.table.Fallback = r
-		return
-	}
+	p.construct(false, "SetRouter")
 	p.router = r
 }
-
-// Router returns the installed router: the TableRouter when explicit
-// routes were added (with any SetRouter router as its fallback), the
-// SetRouter router otherwise, or nil.
-func (p *Platform) Router() Router { return p.router }
 
 // RouteInto resolves the route from a to b, appending its links to buf —
 // normally the empty prefix of a caller-owned buffer — and returning the

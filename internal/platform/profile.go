@@ -3,8 +3,6 @@ package platform
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Heterogeneity profiles are optional multiplier slices on the spec types:
@@ -40,27 +38,4 @@ func ProfileAt(vs []float64, i int) float64 {
 		return 1
 	}
 	return vs[i%len(vs)]
-}
-
-// ParseFloatList parses a separator-joined list of floats, as used by the
-// profile attributes of the XML dialect.
-func ParseFloatList(s, sep string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, sep) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// JoinFloats renders a float list with %g, the inverse of ParseFloatList.
-func JoinFloats(vs []float64, sep string) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, sep)
 }

@@ -27,40 +27,185 @@ import (
 
 // Spec describes a buildable platform: a cluster description or a generated
 // interconnect topology. Implementations are plain value types that can be
-// validated, instantiated, and round-tripped through the XML dialect.
+// validated and instantiated; those registered with RegisterXMLSpec also
+// round-trip through the XML dialect.
 type Spec interface {
 	// Validate reports the first structural problem with the spec, if any.
 	Validate() error
 	// Build instantiates the platform.
 	Build() (*Platform, error)
-	// XMLElement returns the spec's element name and attribute list for
-	// serialization. The name must match the spec's RegisterXMLSpec entry.
-	XMLElement() (name string, attrs []xml.Attr)
 }
 
-// xmlSpecDecoders maps element names to decoders; populated at init time by
-// RegisterXMLSpec, read-only afterwards.
-var xmlSpecDecoders = map[string]func(attrs map[string]string) (Spec, error){}
+// xmlElement is one registered element of the dialect: its spec type's bind
+// function, wrapped to decode a fresh spec or to encode a given one (write
+// reports false for a spec of another type).
+type xmlElement struct {
+	read  func(*XMLBinder) Spec
+	write func(Spec, *XMLBinder) bool
+}
 
-// RegisterXMLSpec registers the decoder for a platform-file element. It is
-// meant to be called from init functions of spec-defining packages;
-// registering the same element twice panics.
-func RegisterXMLSpec(element string, decode func(attrs map[string]string) (Spec, error)) {
-	if _, dup := xmlSpecDecoders[element]; dup {
+// xmlElements maps element names to their bind functions; populated at init
+// time by RegisterXMLSpec, read-only afterwards.
+var xmlElements = map[string]xmlElement{}
+
+// RegisterXMLSpec registers a platform-file element and the one function
+// that lists its attributes: bind calls one XMLBinder method per attribute,
+// in document order, and WriteXML and ReadXML both walk it. It is meant to
+// be called from init functions of spec-defining packages; registering the
+// same element twice panics.
+func RegisterXMLSpec[S Spec](element string, bind func(*S, *XMLBinder)) {
+	if _, dup := xmlElements[element]; dup {
 		panic(fmt.Sprintf("platform: xml element %q registered twice", element))
 	}
-	xmlSpecDecoders[element] = decode
+	xmlElements[element] = xmlElement{
+		read: func(b *XMLBinder) Spec {
+			var s S
+			bind(&s, b)
+			return s
+		},
+		write: func(spec Spec, b *XMLBinder) bool {
+			s, ok := spec.(S)
+			if ok {
+				bind(&s, b)
+			}
+			return ok
+		},
+	}
 }
 
-// Attr builds an xml.Attr, keeping XMLElement implementations terse.
-func Attr(name, format string, args ...any) xml.Attr {
-	return xml.Attr{Name: xml.Name{Local: name}, Value: fmt.Sprintf(format, args...)}
+// XMLBinder is the visitor a spec's bind function walks, one method per
+// attribute kind. Writing, each call formats its field as the attribute's
+// value. Reading, each call parses the attribute into its field, and the
+// first failure is kept as `<element> "<id>": attribute <name>: <cause>`.
+type XMLBinder struct {
+	element string
+	in      map[string]string // the element's attributes when reading; nil when writing
+	out     []xml.Attr
+	err     error
+}
+
+// attr binds one attribute: format renders the field when writing, parse
+// stores the attribute's value into it when reading.
+func (b *XMLBinder) attr(name string, format func() string, parse func(string) error) {
+	if b.in == nil {
+		b.out = append(b.out, xml.Attr{Name: xml.Name{Local: name}, Value: format()})
+	} else if err := parse(b.in[name]); err != nil && b.err == nil {
+		b.err = fmt.Errorf("%s %q: attribute %s: %w", b.element, b.in["id"], name, err)
+	}
+}
+
+// Text binds a string, verbatim.
+func (b *XMLBinder) Text(name string, v *string) {
+	b.attr(name, func() string { return *v }, func(s string) error { *v = s; return nil })
+}
+
+// Flops binds a compute speed, written in flop/s ("1e+09f").
+func (b *XMLBinder) Flops(name string, v *float64) {
+	b.attr(name, func() string { return fmt.Sprintf("%gf", *v) },
+		func(s string) (err error) { *v, err = core.ParseFlops(s); return err })
+}
+
+// Rate binds a bandwidth, written in bytes/s ("1.25e+08Bps").
+func (b *XMLBinder) Rate(name string, v *float64) {
+	b.attr(name, func() string { return fmt.Sprintf("%gBps", *v) },
+		func(s string) (err error) { *v, err = core.ParseRate(s); return err })
+}
+
+// Duration binds a latency, written in seconds ("2e-06s").
+func (b *XMLBinder) Duration(name string, v *core.Duration) {
+	b.attr(name, func() string { return fmt.Sprintf("%gs", float64(*v)) },
+		func(s string) (err error) { *v, err = core.ParseDuration(s); return err })
+}
+
+// Int binds an integer, parsed untrimmed.
+func (b *XMLBinder) Int(name string, v *int) {
+	b.attr(name, func() string { return strconv.Itoa(*v) },
+		func(s string) (err error) { *v, err = strconv.Atoi(s); return err })
+}
+
+// Ints binds a list of integers joined by sep; entries are trimmed.
+func (b *XMLBinder) Ints(name string, v *[]int, sep string) {
+	b.attr(name, func() string { return joinList(*v, sep, strconv.Itoa) },
+		func(s string) (err error) { *v, err = parseList(s, sep, strconv.Atoi); return err })
+}
+
+// Profile binds an optional multiplier profile (see CheckProfile), joined by
+// commas. An empty profile is not written, and an absent or empty attribute
+// reads as the empty profile.
+func (b *XMLBinder) Profile(name string, v *[]float64) {
+	if b.in == nil && len(*v) == 0 || b.in != nil && b.in[name] == "" {
+		return
+	}
+	format := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	parse := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+	b.attr(name, func() string { return joinList(*v, ",", format) },
+		func(s string) (err error) { *v, err = parseList(s, ",", parse); return err })
+}
+
+// Sharing binds a link sharing policy: FATPIPE when *fatPipe, SHARED
+// otherwise. Reading ignores case and surrounding space, and an absent
+// attribute reads as SHARED.
+func (b *XMLBinder) Sharing(name string, fatPipe *bool) {
+	b.attr(name, func() string {
+		if *fatPipe {
+			return "FATPIPE"
+		}
+		return "SHARED"
+	}, func(s string) error {
+		switch strings.ToUpper(strings.TrimSpace(s)) {
+		case "", "SHARED":
+			*fatPipe = false
+		case "FATPIPE":
+			*fatPipe = true
+		default:
+			return fmt.Errorf("unknown policy %q", s)
+		}
+		return nil
+	})
+}
+
+// parseList splits s at sep and parses each trimmed entry.
+func parseList[T any](s, sep string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, part := range strings.Split(s, sep) {
+		v, err := parse(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// joinList renders vs with format, joined by sep: the inverse of parseList.
+func joinList[T any](vs []T, sep string, format func(T) string) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = format(v)
+	}
+	return strings.Join(parts, sep)
+}
+
+// startElement renders a spec as its registered element.
+func startElement(s Spec) (xml.StartElement, error) {
+	for name, e := range xmlElements {
+		var b XMLBinder
+		if e.write(s, &b) {
+			return xml.StartElement{Name: xml.Name{Local: name}, Attr: b.out}, nil
+		}
+	}
+	return xml.StartElement{}, fmt.Errorf("platform xml: no element registered for %T", s)
 }
 
 // WriteXML serializes one or more specs as a platform file.
 func WriteXML(w io.Writer, specs ...Spec) error {
-	for _, s := range specs {
+	els := make([]xml.StartElement, len(specs))
+	for i, s := range specs {
 		if err := s.Validate(); err != nil {
+			return err
+		}
+		var err error
+		if els[i], err = startElement(s); err != nil {
 			return err
 		}
 	}
@@ -71,14 +216,12 @@ func WriteXML(w io.Writer, specs ...Spec) error {
 	enc.Indent("", "  ")
 	root := xml.StartElement{
 		Name: xml.Name{Local: "platform"},
-		Attr: []xml.Attr{Attr("version", "1")},
+		Attr: []xml.Attr{{Name: xml.Name{Local: "version"}, Value: "1"}},
 	}
 	if err := enc.EncodeToken(root); err != nil {
 		return err
 	}
-	for _, s := range specs {
-		name, attrs := s.XMLElement()
-		el := xml.StartElement{Name: xml.Name{Local: name}, Attr: attrs}
+	for _, el := range els {
 		if err := enc.EncodeToken(el); err != nil {
 			return err
 		}
@@ -123,17 +266,17 @@ func ReadXML(r io.Reader) ([]Spec, error) {
 			sawRoot = true
 			continue
 		}
-		decode := xmlSpecDecoders[start.Name.Local]
-		if decode == nil {
+		e, ok := xmlElements[start.Name.Local]
+		if !ok {
 			return nil, fmt.Errorf("platform xml: unknown element <%s>", start.Name.Local)
 		}
-		attrs := make(map[string]string, len(start.Attr))
+		b := XMLBinder{element: start.Name.Local, in: make(map[string]string, len(start.Attr))}
 		for _, a := range start.Attr {
-			attrs[a.Name.Local] = a.Value
+			b.in[a.Name.Local] = a.Value
 		}
-		spec, err := decode(attrs)
-		if err != nil {
-			return nil, err
+		spec := e.read(&b)
+		if b.err != nil {
+			return nil, b.err
 		}
 		if err := spec.Validate(); err != nil {
 			return nil, err
@@ -150,118 +293,4 @@ func ReadXML(r io.Reader) ([]Spec, error) {
 		return nil, fmt.Errorf("platform xml: no spec element inside <platform>")
 	}
 	return specs, nil
-}
-
-// Clusters filters the ClusterSpec entries out of a mixed spec list.
-func Clusters(specs []Spec) []ClusterSpec {
-	var out []ClusterSpec
-	for _, s := range specs {
-		if c, ok := s.(ClusterSpec); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func init() {
-	RegisterXMLSpec("cluster", decodeClusterXML)
-}
-
-// XMLElement implements Spec.
-func (s ClusterSpec) XMLElement() (string, []xml.Attr) {
-	cabinets := make([]string, len(s.Cabinets))
-	for i, c := range s.Cabinets {
-		cabinets[i] = strconv.Itoa(c)
-	}
-	sharing := "SHARED"
-	if s.BackboneFatPipe {
-		sharing = "FATPIPE"
-	}
-	attrs := []xml.Attr{
-		Attr("id", "%s", s.Name),
-		Attr("speed", "%gf", s.NodeSpeed),
-		Attr("cabinets", "%s", strings.Join(cabinets, ",")),
-		Attr("bw", "%gBps", s.NodeLinkBandwidth),
-		Attr("lat", "%gs", float64(s.NodeLinkLatency)),
-		Attr("bp_bw", "%gBps", s.CabinetBackplaneBandwidth),
-		Attr("bp_lat", "%gs", float64(s.CabinetBackplaneLatency)),
-		Attr("uplink_bw", "%gBps", s.UplinkBandwidth),
-		Attr("uplink_lat", "%gs", float64(s.UplinkLatency)),
-		Attr("bb_bw", "%gBps", s.BackboneBandwidth),
-		Attr("bb_lat", "%gs", float64(s.BackboneLatency)),
-		Attr("bb_sharing", "%s", sharing),
-	}
-	// Profile attributes appear only on heterogeneous specs, so platform
-	// files for homogeneous machines are byte-identical to the pre-profile
-	// dialect.
-	if len(s.CabinetSpeed) > 0 {
-		attrs = append(attrs, Attr("cab_speed", "%s", JoinFloats(s.CabinetSpeed, ",")))
-	}
-	if len(s.CabinetUplinkWidth) > 0 {
-		attrs = append(attrs, Attr("cab_width", "%s", JoinFloats(s.CabinetUplinkWidth, ",")))
-	}
-	return "cluster", attrs
-}
-
-func decodeClusterXML(attrs map[string]string) (Spec, error) {
-	var spec ClusterSpec
-	var err error
-	id := attrs["id"]
-	fail := func(field string, e error) (Spec, error) {
-		return nil, fmt.Errorf("cluster %q: attribute %s: %w", id, field, e)
-	}
-	spec.Name = id
-	if spec.NodeSpeed, err = core.ParseFlops(attrs["speed"]); err != nil {
-		return fail("speed", err)
-	}
-	for _, part := range strings.Split(attrs["cabinets"], ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fail("cabinets", err)
-		}
-		spec.Cabinets = append(spec.Cabinets, n)
-	}
-	if spec.NodeLinkBandwidth, err = core.ParseRate(attrs["bw"]); err != nil {
-		return fail("bw", err)
-	}
-	if spec.NodeLinkLatency, err = core.ParseDuration(attrs["lat"]); err != nil {
-		return fail("lat", err)
-	}
-	if spec.CabinetBackplaneBandwidth, err = core.ParseRate(attrs["bp_bw"]); err != nil {
-		return fail("bp_bw", err)
-	}
-	if spec.CabinetBackplaneLatency, err = core.ParseDuration(attrs["bp_lat"]); err != nil {
-		return fail("bp_lat", err)
-	}
-	if spec.UplinkBandwidth, err = core.ParseRate(attrs["uplink_bw"]); err != nil {
-		return fail("uplink_bw", err)
-	}
-	if spec.UplinkLatency, err = core.ParseDuration(attrs["uplink_lat"]); err != nil {
-		return fail("uplink_lat", err)
-	}
-	if spec.BackboneBandwidth, err = core.ParseRate(attrs["bb_bw"]); err != nil {
-		return fail("bb_bw", err)
-	}
-	if spec.BackboneLatency, err = core.ParseDuration(attrs["bb_lat"]); err != nil {
-		return fail("bb_lat", err)
-	}
-	switch strings.ToUpper(strings.TrimSpace(attrs["bb_sharing"])) {
-	case "", "SHARED":
-		spec.BackboneFatPipe = false
-	case "FATPIPE":
-		spec.BackboneFatPipe = true
-	default:
-		return fail("bb_sharing", fmt.Errorf("unknown policy %q", attrs["bb_sharing"]))
-	}
-	if v := attrs["cab_speed"]; v != "" {
-		if spec.CabinetSpeed, err = ParseFloatList(v, ","); err != nil {
-			return fail("cab_speed", err)
-		}
-	}
-	if v := attrs["cab_width"]; v != "" {
-		if spec.CabinetUplinkWidth, err = ParseFloatList(v, ","); err != nil {
-			return fail("cab_width", err)
-		}
-	}
-	return spec, nil
 }

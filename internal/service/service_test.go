@@ -411,6 +411,7 @@ func TestBadRequests(t *testing.T) {
 		{"shard count overflows", `{"spec": {` + surfPingPong + `}, "seed": 1, "shard": "2305843009213693952/4611686018427387904"}`, "shard count"},
 		{"unknown topology", `{"spec": {` + surfPingPong + `, "topologies": ["torus16", "nonsense"]}, "seed": 1}`, "nonsense"},
 		{"unknown platform", `{"spec": {` + surfPingPong + `, "platform": "bogus"}, "seed": 1}`, "bogus"},
+		{"overflowing shape", `{"spec": {` + surfPingPong + `, "topologies": ["torus:4294967296x4294967296"]}, "seed": 1}`, "host count overflows int"},
 		{"malformed shape", `{"spec": {` + surfPingPong + `, "topologies": ["fattree:4x"]}, "seed": 1}`, "fattree:4x"},
 		{"dynamics on nocontention", `{"spec": {"op": "alltoall", "procs": [4], "sizes": [1024], "backends": ["nocontention"], "dynamics": ["@0s link griffon-* scale 0.5"]}, "seed": 1}`, "require the surf backend"},
 	}
@@ -463,6 +464,33 @@ func TestUnknownCollectiveIs400(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Errorf("%d goroutines after the refused requests, %d before", n, baseline)
+	}
+}
+
+// TestStalledJobsLeaveNoGoroutine POSTs a 50-job grid whose dynamics fail
+// a fat-tree's trunk links mid-alltoall: every job stalls, and once the
+// campaign answers, the goroutine count is back at its baseline — each
+// job's parked ranks unwound with their run.
+func TestStalledJobsLeaveNoGoroutine(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	doJSON(t, h, "GET", "/healthz", nil) // the runner and the handler are warm
+	baseline := runtime.NumGoroutine()
+	sizes := make([]int64, 50)
+	for i := range sizes {
+		sizes[i] = int64(64+i) << 10
+	}
+	spec := experiments.GridSpec{Op: "alltoall", Procs: []int{16}, Sizes: sizes, Backends: []string{"surf"},
+		Topologies: []string{"fattree16"}, Dynamics: []string{"@1ms link fattree16-l2-* fail"}}
+	v := decodeView(t, doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(spec, 1)))
+	if v.Summary == nil || v.Summary.Failed != len(sizes) {
+		t.Fatalf("campaign %s: want all %d jobs stalled, got %+v", v.Status, len(sizes), v.Summary)
+	}
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after %d stalled jobs, %d before", n, len(sizes), baseline)
 	}
 }
 

@@ -1,6 +1,7 @@
 package simix
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -121,14 +122,15 @@ type Kernel struct {
 	// Stats, when non-nil, accumulates kernel counters.
 	Stats *Stats
 
-	actors  []*Actor
-	runq    []*Actor
-	live    int
-	yielded chan struct{}
-	running bool
-	failure error
-	nextID  int
-	maxt    core.Time
+	actors   []*Actor
+	runq     []*Actor
+	live     int
+	yielded  chan struct{}
+	running  bool
+	aborting bool // Run returned early: a resumed actor unwinds (see yield)
+	failure  error
+	nextID   int
+	maxt     core.Time
 }
 
 // New returns an empty kernel at simulated time zero.
@@ -162,16 +164,16 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Actor {
 	go func() {
 		<-a.resume
 		defer func() {
-			if r := recover(); r != nil {
-				if k.failure == nil {
-					k.failure = fmt.Errorf("actor %q panicked: %w", a.Name, panicError(r))
-				}
+			if r := recover(); r != nil && r != errAborted && k.failure == nil {
+				k.failure = fmt.Errorf("actor %q panicked: %w", a.Name, panicError(r))
 			}
 			a.done = true
 			k.live--
 			k.yielded <- struct{}{}
 		}()
-		fn(a.proc)
+		if !k.aborting {
+			fn(a.proc)
+		}
 	}()
 	k.enqueue(a)
 	return a
@@ -281,6 +283,14 @@ func (k *Kernel) Run() (err error) {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("simix: kernel panicked: %w", panicError(r))
 		}
+		// A failed run unwinds every parked actor: no goroutine outlives it.
+		for i := 0; err != nil && i < len(k.actors); i++ {
+			if a := k.actors[i]; !a.done {
+				k.aborting = true
+				a.resume <- struct{}{}
+				<-k.yielded
+			}
+		}
 	}()
 
 	for {
@@ -360,10 +370,19 @@ func (k *Kernel) deadlockError() error {
 
 // --- Proc (actor-side) API ---
 
+// errAborted unwinds an actor resumed after its run failed (see Run).
+var errAborted = errors.New("simix: run aborted")
+
 // yield suspends the actor and returns control to the kernel.
 func (p *Proc) yield() {
-	p.actor.kernel.yielded <- struct{}{}
-	<-p.actor.resume
+	k := p.actor.kernel
+	if !k.aborting {
+		k.yielded <- struct{}{}
+		<-p.actor.resume
+	}
+	if k.aborting {
+		panic(errAborted)
+	}
 }
 
 // Kernel returns the kernel this actor belongs to.

@@ -1,8 +1,10 @@
 package simix
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"smpigo/internal/core"
 )
@@ -192,6 +194,55 @@ func TestDeadlineExceeded(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Errorf("want deadline error, got %v", err)
 	}
+}
+
+// TestFailedRunsLeaveNoGoroutine fails 50 runs of each kind with one actor
+// parked in Wait and one spawned but, in the panic case, never started:
+// every actor goroutine ends with its run, after its defers ran.
+func TestFailedRunsLeaveNoGoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*Kernel)
+	}{
+		{"deadlock", func(*Kernel) {}},
+		{"deadline", func(k *Kernel) {
+			k.SetDeadline(10)
+			k.Spawn("slow", func(p *Proc) { p.Sleep(100) })
+		}},
+		{"actor panic", func(k *Kernel) { k.Spawn("boom", func(*Proc) { panic("kaboom") }) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			unwound := 0
+			for i := 0; i < 50; i++ {
+				k := New()
+				k.Spawn("stuck", func(p *Proc) {
+					defer func() { unwound++ }()
+					p.Wait(NewFuture())
+				})
+				tc.arm(k)
+				k.Spawn("late", func(p *Proc) { p.Wait(NewFuture()) })
+				if err := k.Run(); err == nil {
+					t.Fatal("run succeeded")
+				}
+			}
+			if unwound != 50 {
+				t.Errorf("%d of 50 parked actors ran their defers", unwound)
+			}
+			if n := goroutinesSettle(baseline); n > baseline {
+				t.Errorf("%d goroutines after 50 failed runs, %d before", n, baseline)
+			}
+		})
+	}
+}
+
+// goroutinesSettle gives exiting goroutines a moment to end and returns
+// the goroutine count, as soon as it is at most baseline.
+func goroutinesSettle(baseline int) int {
+	for i := 0; i < 200 && runtime.NumGoroutine() > baseline; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
 }
 
 func TestManyActorsDeterministicOrder(t *testing.T) {

@@ -151,8 +151,7 @@ type World struct {
 	freeEnvs []*envelope
 	freeReqs []*Request // only requests that never reached the application
 	// routeBuf is where transfer resolves each route; StartFlow copies the
-	// links out. It starts with capacity so that no router ever answers
-	// with its own storage (see platform.TableRouter.RouteInto).
+	// links out.
 	routeBuf []*platform.Link
 }
 

@@ -19,17 +19,19 @@
 //
 // Builders use no randomness: the same spec always yields the same hosts,
 // links, and routes, which keeps campaign sweeps over the topology axis
-// bit-identical at any worker count. Routes are memoized by
-// platform.Platform, so the per-message hot path is a cache hit.
+// bit-identical at any worker count. Routers are closed-form functions of
+// the host IDs, so routes are computed on demand and never stored.
 //
-// Specs implement platform.Spec and register their XML elements, so
-// WriteXML/ReadXML round-trip <fattree>, <torus>, and <dragonfly> alongside
-// <cluster>.
+// Specs implement platform.Spec and build through its spec mode (NewHost,
+// NewLink, SetLinkNamer, SetRouter). Each registers its XML element with
+// one bind function listing its attributes once, so WriteXML/ReadXML
+// round-trip <fattree>, <torus>, and <dragonfly> alongside <cluster>.
 //
 // Every builder also annotates its result for the layers above: the spec's
-// structural Metrics (hosts, links, diameter, bisection bandwidth) land on
-// platform.Platform.Topo together with the family name, which is what the
-// smpi layer's "auto" collective selection keys on, and each host's
+// Metrics, a platform.TopoInfo (family, hosts, links, diameter, bisection
+// bandwidth) computed without a build, is the value Build attaches to
+// platform.Platform.Topo, which is what the smpi layer's "auto" collective
+// selection keys on, and each host's
 // Cabinet field records its lowest-level group — the leaf switch of a
 // fat-tree, the dimension-0 ring of a torus, the router of a dragonfly —
 // which is what package placement's round-robin mapper deals ranks across.

@@ -1,9 +1,7 @@
 package topology
 
 import (
-	"encoding/xml"
 	"fmt"
-	"strconv"
 
 	"smpigo/internal/core"
 	"smpigo/internal/lmm"
@@ -48,7 +46,10 @@ type DragonflySpec struct {
 }
 
 // Hosts returns the number of hosts.
-func (s DragonflySpec) Hosts() int { return s.Groups * s.RoutersPerGroup * s.HostsPerRouter }
+func (s DragonflySpec) Hosts() int {
+	n, _ := hostCount(s.Groups, s.RoutersPerGroup, s.HostsPerRouter)
+	return n
+}
 
 // Validate implements platform.Spec.
 func (s DragonflySpec) Validate() error {
@@ -65,6 +66,9 @@ func (s DragonflySpec) Validate() error {
 		return fmt.Errorf("dragonfly spec %q: non-positive host speed", s.Name)
 	case s.HostLinkBandwidth <= 0 || s.LocalBandwidth <= 0 || s.GlobalBandwidth <= 0:
 		return fmt.Errorf("dragonfly spec %q: non-positive bandwidth", s.Name)
+	}
+	if _, err := hostCount(s.Groups, s.RoutersPerGroup, s.HostsPerRouter); err != nil {
+		return fmt.Errorf("dragonfly spec %q: %w", s.Name, err)
 	}
 	if err := platform.CheckProfile(s.GroupSpeeds, -1); err != nil {
 		return fmt.Errorf("dragonfly spec %q: group speeds: %w", s.Name, err)
@@ -182,7 +186,8 @@ func (s DragonflySpec) Build() (*platform.Platform, error) {
 		localBase:  2 * n,
 		globalBase: 2*n + g*a*(a-1),
 	})
-	p.Topo = topoInfo("dragonfly", s.Metrics())
+	m := s.Metrics()
+	p.Topo = &m
 	return p, nil
 }
 
@@ -268,10 +273,11 @@ func (r *dragonflyRouter) RouteInto(buf []*platform.Link, ha, hb *platform.Host)
 
 // Metrics implements Spec. The bisection cut splits the groups into halves;
 // only global cables cross it, each at the width of its slower endpoint.
-func (s DragonflySpec) Metrics() Metrics {
+func (s DragonflySpec) Metrics() platform.TopoInfo {
 	g, a := s.Groups, s.RoutersPerGroup
 	n := s.Hosts()
-	m := Metrics{
+	m := platform.TopoInfo{
+		Kind:  "dragonfly",
 		Hosts: n,
 		Links: 2*n + g*a*(a-1) + g*(g-1),
 	}
@@ -288,80 +294,21 @@ func (s DragonflySpec) Metrics() Metrics {
 	return m
 }
 
-// XMLElement implements platform.Spec. Profile attributes appear only on
-// heterogeneous specs, keeping homogeneous platform files byte-identical to
-// the pre-profile dialect.
-func (s DragonflySpec) XMLElement() (string, []xml.Attr) {
-	attrs := []xml.Attr{
-		platform.Attr("id", "%s", s.Name),
-		platform.Attr("speed", "%gf", s.HostSpeed),
-		platform.Attr("groups", "%d", s.Groups),
-		platform.Attr("routers", "%d", s.RoutersPerGroup),
-		platform.Attr("hosts", "%d", s.HostsPerRouter),
-		platform.Attr("bw", "%gBps", s.HostLinkBandwidth),
-		platform.Attr("lat", "%gs", float64(s.HostLinkLatency)),
-		platform.Attr("local_bw", "%gBps", s.LocalBandwidth),
-		platform.Attr("local_lat", "%gs", float64(s.LocalLatency)),
-		platform.Attr("global_bw", "%gBps", s.GlobalBandwidth),
-		platform.Attr("global_lat", "%gs", float64(s.GlobalLatency)),
-	}
-	if len(s.GroupSpeeds) > 0 {
-		attrs = append(attrs, platform.Attr("group_speeds", "%s", platform.JoinFloats(s.GroupSpeeds, ",")))
-	}
-	if len(s.GroupWidths) > 0 {
-		attrs = append(attrs, platform.Attr("group_widths", "%s", platform.JoinFloats(s.GroupWidths, ",")))
-	}
-	return "dragonfly", attrs
-}
-
-func decodeDragonflyXML(attrs map[string]string) (platform.Spec, error) {
-	var spec DragonflySpec
-	var err error
-	fail := func(field string, e error) (platform.Spec, error) {
-		return nil, fmt.Errorf("dragonfly %q: attribute %s: %w", attrs["id"], field, e)
-	}
-	spec.Name = attrs["id"]
-	if spec.HostSpeed, err = core.ParseFlops(attrs["speed"]); err != nil {
-		return fail("speed", err)
-	}
-	if spec.Groups, err = strconv.Atoi(attrs["groups"]); err != nil {
-		return fail("groups", err)
-	}
-	if spec.RoutersPerGroup, err = strconv.Atoi(attrs["routers"]); err != nil {
-		return fail("routers", err)
-	}
-	if spec.HostsPerRouter, err = strconv.Atoi(attrs["hosts"]); err != nil {
-		return fail("hosts", err)
-	}
-	if spec.HostLinkBandwidth, err = core.ParseRate(attrs["bw"]); err != nil {
-		return fail("bw", err)
-	}
-	if spec.HostLinkLatency, err = core.ParseDuration(attrs["lat"]); err != nil {
-		return fail("lat", err)
-	}
-	if spec.LocalBandwidth, err = core.ParseRate(attrs["local_bw"]); err != nil {
-		return fail("local_bw", err)
-	}
-	if spec.LocalLatency, err = core.ParseDuration(attrs["local_lat"]); err != nil {
-		return fail("local_lat", err)
-	}
-	if spec.GlobalBandwidth, err = core.ParseRate(attrs["global_bw"]); err != nil {
-		return fail("global_bw", err)
-	}
-	if spec.GlobalLatency, err = core.ParseDuration(attrs["global_lat"]); err != nil {
-		return fail("global_lat", err)
-	}
-	if v := attrs["group_speeds"]; v != "" {
-		if spec.GroupSpeeds, err = platform.ParseFloatList(v, ","); err != nil {
-			return fail("group_speeds", err)
-		}
-	}
-	if v := attrs["group_widths"]; v != "" {
-		if spec.GroupWidths, err = platform.ParseFloatList(v, ","); err != nil {
-			return fail("group_widths", err)
-		}
-	}
-	return spec, nil
+// bindXML lists the attributes of the <dragonfly> element.
+func (s *DragonflySpec) bindXML(b *platform.XMLBinder) {
+	b.Text("id", &s.Name)
+	b.Flops("speed", &s.HostSpeed)
+	b.Int("groups", &s.Groups)
+	b.Int("routers", &s.RoutersPerGroup)
+	b.Int("hosts", &s.HostsPerRouter)
+	b.Rate("bw", &s.HostLinkBandwidth)
+	b.Duration("lat", &s.HostLinkLatency)
+	b.Rate("local_bw", &s.LocalBandwidth)
+	b.Duration("local_lat", &s.LocalLatency)
+	b.Rate("global_bw", &s.GlobalBandwidth)
+	b.Duration("global_lat", &s.GlobalLatency)
+	b.Profile("group_speeds", &s.GroupSpeeds)
+	b.Profile("group_widths", &s.GroupWidths)
 }
 
 // Dragonfly72 is a balanced dragonfly with 9 groups of 4 routers and 2
@@ -398,6 +345,6 @@ func parseDragonfly(rest string) (Spec, error) {
 }
 
 func init() {
-	platform.RegisterXMLSpec("dragonfly", decodeDragonflyXML)
+	platform.RegisterXMLSpec("dragonfly", (*DragonflySpec).bindXML)
 	registerPreset("dragonfly72", func() Spec { return Dragonfly72() })
 }

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"encoding/xml"
 	"fmt"
 	"strings"
 
@@ -42,7 +41,10 @@ type FatTreeSpec struct {
 }
 
 // Hosts returns the number of hosts (the product of Down).
-func (s FatTreeSpec) Hosts() int { return product(s.Down) }
+func (s FatTreeSpec) Hosts() int {
+	n, _ := hostCount(s.Down...)
+	return n
+}
 
 // Validate implements platform.Spec.
 func (s FatTreeSpec) Validate() error {
@@ -65,6 +67,9 @@ func (s FatTreeSpec) Validate() error {
 		if s.Up[l] < 1 {
 			return fmt.Errorf("fattree spec %q: level %d has %d up ports, want >= 1", s.Name, l, s.Up[l])
 		}
+	}
+	if _, err := hostCount(s.Down...); err != nil {
+		return fmt.Errorf("fattree spec %q: %w", s.Name, err)
 	}
 	if err := platform.CheckProfile(s.LevelWidths, len(s.Down)); err != nil {
 		return fmt.Errorf("fattree spec %q: level widths: %w", s.Name, err)
@@ -162,7 +167,8 @@ func (s FatTreeSpec) Build() (*platform.Platform, error) {
 		prodUp:    prodUp,
 		levelBase: levelBase,
 	})
-	p.Topo = topoInfo("fattree", s.Metrics())
+	m := s.Metrics()
+	p.Topo = &m
 	return p, nil
 }
 
@@ -228,11 +234,11 @@ func (r *fatTreeRouter) RouteInto(buf []*platform.Link, a, b *platform.Host) pla
 // level; its capacity is half the thinnest level's aggregate up-bandwidth
 // (cable count times per-cable width), so an unoversubscribed homogeneous
 // tree reports (hosts/2)*Up[0]*LinkBandwidth.
-func (s FatTreeSpec) Metrics() Metrics {
+func (s FatTreeSpec) Metrics() platform.TopoInfo {
 	h := len(s.Down)
 	prodDown, prodUp := s.products()
 	n := prodDown[h]
-	m := Metrics{Hosts: n, Diameter: 2 * h}
+	m := platform.TopoInfo{Kind: "fattree", Hosts: n, Diameter: 2 * h}
 	minAgg := 0.0
 	for l := 1; l <= h; l++ {
 		cables := (n / prodDown[l-1]) * prodUp[l-1] * s.Up[l-1]
@@ -249,60 +255,16 @@ func (s FatTreeSpec) Metrics() Metrics {
 	return m
 }
 
-// XMLElement implements platform.Spec. Profile attributes appear only on
-// heterogeneous specs, keeping homogeneous platform files byte-identical to
-// the pre-profile dialect.
-func (s FatTreeSpec) XMLElement() (string, []xml.Attr) {
-	attrs := []xml.Attr{
-		platform.Attr("id", "%s", s.Name),
-		platform.Attr("speed", "%gf", s.HostSpeed),
-		platform.Attr("down", "%s", joinInts(s.Down, ",")),
-		platform.Attr("up", "%s", joinInts(s.Up, ",")),
-		platform.Attr("bw", "%gBps", s.LinkBandwidth),
-		platform.Attr("lat", "%gs", float64(s.LinkLatency)),
-	}
-	if len(s.LevelWidths) > 0 {
-		attrs = append(attrs, platform.Attr("level_widths", "%s", platform.JoinFloats(s.LevelWidths, ",")))
-	}
-	if len(s.LeafSpeeds) > 0 {
-		attrs = append(attrs, platform.Attr("leaf_speeds", "%s", platform.JoinFloats(s.LeafSpeeds, ",")))
-	}
-	return "fattree", attrs
-}
-
-func decodeFatTreeXML(attrs map[string]string) (platform.Spec, error) {
-	var spec FatTreeSpec
-	var err error
-	fail := func(field string, e error) (platform.Spec, error) {
-		return nil, fmt.Errorf("fattree %q: attribute %s: %w", attrs["id"], field, e)
-	}
-	spec.Name = attrs["id"]
-	if spec.HostSpeed, err = core.ParseFlops(attrs["speed"]); err != nil {
-		return fail("speed", err)
-	}
-	if spec.Down, err = parseIntList(attrs["down"], ","); err != nil {
-		return fail("down", err)
-	}
-	if spec.Up, err = parseIntList(attrs["up"], ","); err != nil {
-		return fail("up", err)
-	}
-	if spec.LinkBandwidth, err = core.ParseRate(attrs["bw"]); err != nil {
-		return fail("bw", err)
-	}
-	if spec.LinkLatency, err = core.ParseDuration(attrs["lat"]); err != nil {
-		return fail("lat", err)
-	}
-	if v := attrs["level_widths"]; v != "" {
-		if spec.LevelWidths, err = platform.ParseFloatList(v, ","); err != nil {
-			return fail("level_widths", err)
-		}
-	}
-	if v := attrs["leaf_speeds"]; v != "" {
-		if spec.LeafSpeeds, err = platform.ParseFloatList(v, ","); err != nil {
-			return fail("leaf_speeds", err)
-		}
-	}
-	return spec, nil
+// bindXML lists the attributes of the <fattree> element.
+func (s *FatTreeSpec) bindXML(b *platform.XMLBinder) {
+	b.Text("id", &s.Name)
+	b.Flops("speed", &s.HostSpeed)
+	b.Ints("down", &s.Down, ",")
+	b.Ints("up", &s.Up, ",")
+	b.Rate("bw", &s.LinkBandwidth)
+	b.Duration("lat", &s.LinkLatency)
+	b.Profile("level_widths", &s.LevelWidths)
+	b.Profile("leaf_speeds", &s.LeafSpeeds)
 }
 
 // FatTree16 is the classic non-oversubscribed two-level fat-tree: 16 hosts
@@ -352,7 +314,7 @@ func parseFatTree(rest string) (Spec, error) {
 }
 
 func init() {
-	platform.RegisterXMLSpec("fattree", decodeFatTreeXML)
+	platform.RegisterXMLSpec("fattree", (*FatTreeSpec).bindXML)
 	registerPreset("fattree16", func() Spec { return FatTree16() })
 	registerPreset("fattree64", func() Spec { return FatTree64() })
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -9,47 +10,13 @@ import (
 	"smpigo/internal/platform"
 )
 
-// Metrics are structural properties of a topology, computed analytically
-// from the spec (no platform build needed).
-type Metrics struct {
-	// Hosts is the number of compute nodes.
-	Hosts int
-	// Links is the number of directed network links the builder emits.
-	Links int
-	// Diameter is the maximum route length between two hosts, in links
-	// traversed (not switch hops).
-	Diameter int
-	// BisectionBandwidth is the aggregate one-way bandwidth in bytes/s
-	// crossing the topology's balanced structural cut: the top-level split
-	// for fat-trees, a cut across the largest dimension for tori, and a
-	// group-balanced cut for dragonflies.
-	BisectionBandwidth float64
-}
-
-// Spec is the topology-side view of platform.Spec with structural metrics.
+// Spec is the topology-side view of platform.Spec: a shape whose structural
+// metrics (hosts, links, diameter, bisection bandwidth, and the family in
+// Kind) are computed analytically, without a platform build. Build attaches
+// the same value to platform.Platform.Topo.
 type Spec interface {
 	platform.Spec
-	Metrics() Metrics
-}
-
-// topoInfo converts a spec's structural metrics into the platform-level
-// annotation that collective auto-selection (smpi) and rank placement
-// (package placement) key on. Builders attach it to Platform.Topo.
-func topoInfo(kind string, m Metrics) *platform.TopoInfo {
-	return &platform.TopoInfo{
-		Kind:               kind,
-		Hosts:              m.Hosts,
-		Links:              m.Links,
-		Diameter:           m.Diameter,
-		BisectionBandwidth: m.BisectionBandwidth,
-	}
-}
-
-// Hops returns the number of links a message between the two hosts
-// traverses — the per-topology hop count the structural tests check against
-// Metrics.Diameter.
-func Hops(p *platform.Platform, a, b *platform.Host) int {
-	return len(p.Route(a, b).Links)
+	Metrics() platform.TopoInfo
 }
 
 // presets maps preset names to spec constructors. Populated at init time by
@@ -71,16 +38,6 @@ func PresetNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Preset returns the named preset spec, or an error naming the known ones.
-func Preset(name string) (Spec, error) {
-	build, ok := presets[name]
-	if !ok {
-		return nil, fmt.Errorf("topology: unknown preset %q (have %s)",
-			name, strings.Join(PresetNames(), ", "))
-	}
-	return build(), nil
 }
 
 // ParseSpec resolves a topology description string: either a preset name
@@ -133,18 +90,15 @@ func parseIntList(s, sep string) ([]int, error) {
 	return out, nil
 }
 
-func joinInts(vs []int, sep string) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, sep)
-}
-
-func product(vs []int) int {
+// hostCount multiplies a shape's extents into its host count, failing when
+// the product overflows int.
+func hostCount(extents ...int) (int, error) {
 	n := 1
-	for _, v := range vs {
-		n *= v
+	for _, e := range extents {
+		if e > 0 && n > math.MaxInt/e {
+			return 0, fmt.Errorf("host count overflows int, want at most %d", math.MaxInt)
+		}
+		n *= e
 	}
-	return n
+	return n, nil
 }

@@ -89,11 +89,11 @@ func TestFatTreeStructure(t *testing.T) {
 		t.Errorf("bisection = %g, want full %g", m.BisectionBandwidth, want)
 	}
 	// Same leaf switch: one hop up, one hop down.
-	if got := Hops(p, p.HostByID(0), p.HostByID(3)); got != 2 {
+	if got := len(p.Route(p.HostByID(0), p.HostByID(3)).Links); got != 2 {
 		t.Errorf("same-leaf route has %d links, want 2", got)
 	}
 	// Different leaf switches: up to the spine and back down.
-	if got := Hops(p, p.HostByID(0), p.HostByID(15)); got != 4 {
+	if got := len(p.Route(p.HostByID(0), p.HostByID(15)).Links); got != 4 {
 		t.Errorf("cross-pod route has %d links, want 4", got)
 	}
 	if got := maxHops(t, p); got != m.Diameter {
@@ -175,7 +175,7 @@ func TestTorusStructure(t *testing.T) {
 		{15, 15, 0}, // self
 	}
 	for _, c := range cases {
-		if got := Hops(p, p.HostByID(c.a), p.HostByID(c.b)); got != c.hops {
+		if got := len(p.Route(p.HostByID(c.a), p.HostByID(c.b)).Links); got != c.hops {
 			t.Errorf("hops(%d,%d) = %d, want %d", c.a, c.b, got, c.hops)
 		}
 	}
@@ -222,13 +222,13 @@ func TestDragonflyStructure(t *testing.T) {
 		t.Errorf("links = %d, metrics say %d", got, m.Links)
 	}
 	// Minimal path lengths: 2 within a router, 3 within a group, <= 5 across.
-	if got := Hops(p, p.HostByID(0), p.HostByID(1)); got != 2 {
+	if got := len(p.Route(p.HostByID(0), p.HostByID(1)).Links); got != 2 {
 		t.Errorf("same-router route has %d links, want 2", got)
 	}
-	if got := Hops(p, p.HostByID(0), p.HostByID(3)); got != 3 {
+	if got := len(p.Route(p.HostByID(0), p.HostByID(3)).Links); got != 3 {
 		t.Errorf("same-group route has %d links, want 3", got)
 	}
-	cross := Hops(p, p.HostByID(0), p.HostByID(71))
+	cross := len(p.Route(p.HostByID(0), p.HostByID(71)).Links)
 	if cross < 3 || cross > 5 {
 		t.Errorf("cross-group route has %d links, want 3..5", cross)
 	}
@@ -253,7 +253,7 @@ func TestDragonflyStructure(t *testing.T) {
 
 func TestDeterministicRoutes(t *testing.T) {
 	for _, name := range PresetNames() {
-		spec, err := Preset(name)
+		spec, err := ParseSpec(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestDeterministicRoutes(t *testing.T) {
 
 func TestPresetsAndParse(t *testing.T) {
 	for _, name := range PresetNames() {
-		spec, err := Preset(name)
+		spec, err := ParseSpec(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,6 +302,25 @@ func TestPresetsAndParse(t *testing.T) {
 			t.Errorf("ParseSpec(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseSpec feeds arbitrary strings to the shape grammar: no input
+// panics, and every shape it accepts has at least two hosts. (It builds
+// nothing: dragonfly Metrics is quadratic in the group count.)
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"fattree16", "fattree:4x4:1x4", "fattree:2,2,2:1,2,2", "torus:4x4x4",
+		"dragonfly:9x4x2", "torus:4294967296x4294967296", "fattree:4294967296x4294967296:1x1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if n := spec.(interface{ Hosts() int }).Hosts(); n < 2 {
+			t.Fatalf("ParseSpec(%q) accepted a shape with %d hosts", s, n)
+		}
+	})
 }
 
 // TestXMLRoundTripTopologies writes every topology element alongside a

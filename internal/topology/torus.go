@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"encoding/xml"
 	"fmt"
 
 	"smpigo/internal/core"
@@ -36,7 +35,10 @@ type TorusSpec struct {
 }
 
 // Hosts returns the number of hosts (the product of Dims).
-func (s TorusSpec) Hosts() int { return product(s.Dims) }
+func (s TorusSpec) Hosts() int {
+	n, _ := hostCount(s.Dims...)
+	return n
+}
 
 // Validate implements platform.Spec.
 func (s TorusSpec) Validate() error {
@@ -54,6 +56,9 @@ func (s TorusSpec) Validate() error {
 		if k < 2 {
 			return fmt.Errorf("torus spec %q: dimension %d has extent %d, want >= 2", s.Name, d, k)
 		}
+	}
+	if _, err := hostCount(s.Dims...); err != nil {
+		return fmt.Errorf("torus spec %q: %w", s.Name, err)
 	}
 	if err := platform.CheckProfile(s.DimWidths, len(s.Dims)); err != nil {
 		return fmt.Errorf("torus spec %q: dim widths: %w", s.Name, err)
@@ -102,7 +107,8 @@ func (s TorusSpec) Build() (*platform.Platform, error) {
 	}
 
 	p.SetRouter(&torusRouter{p: p, dims: append([]int(nil), s.Dims...)})
-	p.Topo = topoInfo("torus", s.Metrics())
+	m := s.Metrics()
+	p.Topo = &m
 	return p, nil
 }
 
@@ -163,9 +169,9 @@ func (r *torusRouter) RouteInto(buf []*platform.Link, a, b *platform.Host) platf
 // least crossing bandwidth — the largest extent when widths are uniform;
 // wrap-around doubles the crossing cables, giving the classic 2*N/k value
 // for a homogeneous k-ary n-cube.
-func (s TorusSpec) Metrics() Metrics {
+func (s TorusSpec) Metrics() platform.TopoInfo {
 	n := s.Hosts()
-	m := Metrics{Hosts: n, Links: 2 * n * len(s.Dims)}
+	m := platform.TopoInfo{Kind: "torus", Hosts: n, Links: 2 * n * len(s.Dims)}
 	for d, k := range s.Dims {
 		m.Diameter += k / 2
 		cut := float64(2*n/k) * s.LinkBandwidth
@@ -179,56 +185,15 @@ func (s TorusSpec) Metrics() Metrics {
 	return m
 }
 
-// XMLElement implements platform.Spec. Profile attributes appear only on
-// heterogeneous specs, keeping homogeneous platform files byte-identical to
-// the pre-profile dialect.
-func (s TorusSpec) XMLElement() (string, []xml.Attr) {
-	attrs := []xml.Attr{
-		platform.Attr("id", "%s", s.Name),
-		platform.Attr("speed", "%gf", s.HostSpeed),
-		platform.Attr("dims", "%s", joinInts(s.Dims, "x")),
-		platform.Attr("bw", "%gBps", s.LinkBandwidth),
-		platform.Attr("lat", "%gs", float64(s.LinkLatency)),
-	}
-	if len(s.DimWidths) > 0 {
-		attrs = append(attrs, platform.Attr("dim_widths", "%s", platform.JoinFloats(s.DimWidths, ",")))
-	}
-	if len(s.RowSpeeds) > 0 {
-		attrs = append(attrs, platform.Attr("row_speeds", "%s", platform.JoinFloats(s.RowSpeeds, ",")))
-	}
-	return "torus", attrs
-}
-
-func decodeTorusXML(attrs map[string]string) (platform.Spec, error) {
-	var spec TorusSpec
-	var err error
-	fail := func(field string, e error) (platform.Spec, error) {
-		return nil, fmt.Errorf("torus %q: attribute %s: %w", attrs["id"], field, e)
-	}
-	spec.Name = attrs["id"]
-	if spec.HostSpeed, err = core.ParseFlops(attrs["speed"]); err != nil {
-		return fail("speed", err)
-	}
-	if spec.Dims, err = parseIntList(attrs["dims"], "x"); err != nil {
-		return fail("dims", err)
-	}
-	if spec.LinkBandwidth, err = core.ParseRate(attrs["bw"]); err != nil {
-		return fail("bw", err)
-	}
-	if spec.LinkLatency, err = core.ParseDuration(attrs["lat"]); err != nil {
-		return fail("lat", err)
-	}
-	if v := attrs["dim_widths"]; v != "" {
-		if spec.DimWidths, err = platform.ParseFloatList(v, ","); err != nil {
-			return fail("dim_widths", err)
-		}
-	}
-	if v := attrs["row_speeds"]; v != "" {
-		if spec.RowSpeeds, err = platform.ParseFloatList(v, ","); err != nil {
-			return fail("row_speeds", err)
-		}
-	}
-	return spec, nil
+// bindXML lists the attributes of the <torus> element.
+func (s *TorusSpec) bindXML(b *platform.XMLBinder) {
+	b.Text("id", &s.Name)
+	b.Flops("speed", &s.HostSpeed)
+	b.Ints("dims", &s.Dims, "x")
+	b.Rate("bw", &s.LinkBandwidth)
+	b.Duration("lat", &s.LinkLatency)
+	b.Profile("dim_widths", &s.DimWidths)
+	b.Profile("row_speeds", &s.RowSpeeds)
 }
 
 // Torus64 is a 4x4x4 3D torus, 64 hosts with 6 neighbor cables each.
@@ -253,7 +218,7 @@ func parseTorus(rest string) (Spec, error) {
 }
 
 func init() {
-	platform.RegisterXMLSpec("torus", decodeTorusXML)
+	platform.RegisterXMLSpec("torus", (*TorusSpec).bindXML)
 	registerPreset("torus16", func() Spec {
 		s := Torus64()
 		s.Name = "torus16"
