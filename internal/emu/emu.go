@@ -108,12 +108,11 @@ type Net struct {
 
 	now core.Time
 	// events shares the surf models' completion-date heap. Packet-hop
-	// events are immutable once scheduled, so the lazy-invalidation half is
-	// unused (every entry is pushed at generation zero and stays valid);
-	// what the emulator gets from actionheap is the same O(1) NextEvent /
-	// O(log n) churn event path and the same date-then-push-order
-	// determinism contract as the analytical models — one event-path
-	// implementation across backends.
+	// events are immutable once scheduled, so they are pushed without a
+	// position and never re-keyed; what the emulator gets from actionheap
+	// is the same O(1) NextEvent / O(log n) churn event path and the same
+	// date-then-push-order determinism contract as the analytical models —
+	// one event-path implementation across backends.
 	events actionheap.Heap[hopEvent]
 	ports  map[*platform.Link]*port
 	rng    *core.RNG
@@ -123,10 +122,13 @@ type port struct {
 	busyUntil core.Time
 }
 
-// message is one wire transfer (control or payload) in flight.
+// message is one wire transfer (control or payload) in flight. It is cut
+// into packets of MSS payload bytes, the last one carrying the rest; a
+// zero-byte message is one empty packet.
 type message struct {
 	route     platform.Route
-	packets   []int64 // payload bytes per packet
+	size      int64
+	packets   int
 	delivered int
 	wireScale float64 // per-message jitter on effective wire time
 	onDone    func(at core.Time)
@@ -138,10 +140,6 @@ type hopEvent struct {
 	pkt int
 	hop int
 }
-
-// Generation implements actionheap.Stamped: hop events are never re-stamped,
-// so every entry stays at generation zero.
-func (hopEvent) Generation() uint64 { return 0 }
 
 // NewNet creates an emulated network over plat with the given MPI
 // implementation parameters.
@@ -214,21 +212,15 @@ func (n *Net) Transfer(src, dst *platform.Host, size int64, future *simix.Future
 // starting at date start. ramp selects whether the slow-start window ramp
 // gates frame injection.
 func (n *Net) inject(route platform.Route, size int64, start core.Time, ramp bool, onDone func(core.Time)) {
-	m := &message{route: route, onDone: onDone, wireScale: n.jitterScale()}
-	if size == 0 {
-		m.packets = []int64{0}
-	} else {
-		for rem := size; rem > 0; rem -= n.impl.MSS {
-			m.packets = append(m.packets, minI64(rem, n.impl.MSS))
-		}
-	}
+	m := &message{route: route, size: size, onDone: onDone, wireScale: n.jitterScale()}
+	m.packets = max(1, int((size+n.impl.MSS-1)/n.impl.MSS))
 	rtt := 2 * route.Latency
 	for i := range m.packets {
 		at := start + core.Duration(i)*n.impl.PerFrameCPU
 		if ramp {
 			at += core.Duration(n.rampRound(i)) * rtt
 		}
-		n.events.Push(hopEvent{msg: m, pkt: i, hop: 0}, at, 0)
+		n.events.Push(hopEvent{msg: m, pkt: i, hop: 0}, at, nil)
 	}
 }
 
@@ -245,13 +237,6 @@ func (n *Net) rampRound(i int) int {
 		r = n.impl.RampRounds
 	}
 	return r
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func (n *Net) port(l *platform.Link) *port {
@@ -294,16 +279,17 @@ func (n *Net) processHop(he hopEvent, at core.Time) {
 	if p.busyUntil > startTx {
 		startTx = p.busyUntil
 	}
-	wire := float64(he.msg.packets[he.pkt]+n.impl.FrameOverhead) * he.msg.wireScale
+	payload := min(he.msg.size-int64(he.pkt)*n.impl.MSS, n.impl.MSS)
+	wire := float64(payload+n.impl.FrameOverhead) * he.msg.wireScale
 	txEnd := startTx + core.Duration(wire/link.Bandwidth)
 	p.busyUntil = txEnd
 	arrive := txEnd + link.Latency
 	if he.hop+1 < len(he.msg.route.Links) {
-		n.events.Push(hopEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive, 0)
+		n.events.Push(hopEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive, nil)
 		return
 	}
 	he.msg.delivered++
-	if he.msg.delivered == len(he.msg.packets) {
+	if he.msg.delivered == he.msg.packets {
 		he.msg.onDone(arrive)
 	}
 }

@@ -34,8 +34,8 @@
 // more than a convenience: it is the contract the surf models' sublinear
 // event path is built on. A flow or task's rate can only change when its
 // component is re-solved, so walking Resolved() — and nothing else — is
-// sufficient to drain lazily-accounted progress and re-stamp completion
-// dates in the models' actionheap. A variable whose component was not
+// sufficient to drain lazily-accounted progress and re-key completion dates
+// in the models' actionheap. A variable whose component was not
 // touched keeps its Value, its rate, and therefore its stamped date,
 // bit-for-bit.
 //

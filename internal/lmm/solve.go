@@ -94,8 +94,8 @@ func (s *System) SolveFull() {
 // Ordering contract: components appear in discovery order (the order the
 // dirty set seeded them), and within a component members appear in creation
 // order. surf's lazy drain relies on this order being a pure function of the
-// mutation history — it decides push order into the action heap for
-// same-date completions. The slice is valid until the next mutation or solve.
+// mutation history — it decides the order completions are re-keyed in the
+// action heap, hence the tie order of same-date completions. The slice is valid until the next mutation or solve.
 func (s *System) Resolved() []*Variable { return s.resolved }
 
 // solveSeedCons solves the component(s) reachable from a seed constraint. A

@@ -35,8 +35,10 @@ type Stats struct {
 	// models' independent LMM systems.
 	NetLMM lmm.Stats
 	CPULMM lmm.Stats
-	// NetHeap/CPUHeap are the completion-date heap counters. On the emulator
-	// backend NetHeap counts packet-hop events instead of flow completions.
+	// NetHeap/CPUHeap are the completion-date heap counters: pushes count
+	// every date given (a re-key too), len.max the most actions in flight
+	// at once. On the emulator backend NetHeap counts packet-hop events
+	// instead of flow completions.
 	NetHeap actionheap.Stats
 	CPUHeap actionheap.Stats
 	// Routes counts route lookups performed by the MPI transfer path.
@@ -79,11 +81,9 @@ func (s *Stats) Flat() map[string]float64 {
 		"lmm.cpu.component_cons.max": float64(s.CPULMM.MaxComponentCons),
 		"heap.net.pushes":            float64(s.NetHeap.Pushes),
 		"heap.net.pops":              float64(s.NetHeap.Pops),
-		"heap.net.stale":             float64(s.NetHeap.Stale),
 		"heap.net.len.max":           float64(s.NetHeap.MaxLen),
 		"heap.cpu.pushes":            float64(s.CPUHeap.Pushes),
 		"heap.cpu.pops":              float64(s.CPUHeap.Pops),
-		"heap.cpu.stale":             float64(s.CPUHeap.Stale),
 		"heap.cpu.len.max":           float64(s.CPUHeap.MaxLen),
 		"routes":                     float64(s.Routes),
 	}

@@ -24,10 +24,6 @@ import (
 //     calls every model's Advance with that date, in registration order.
 //   - NextEvent must never return a date earlier than the last Advance
 //     target (the kernel treats an event in the past as a fatal model bug).
-//     It need not be a pure function: models backed by a lazily-invalidated
-//     heap (see surf, emu, and package actionheap) discard stale entries
-//     while peeking, mutating internal bookkeeping but never observable
-//     simulation state.
 //   - Advance is prefix-monotone: processing everything up to t1 and then
 //     up to t2 >= t1 must be equivalent to processing up to t2 directly.
 //     The kernel relies on this to hand every model the same step date
@@ -115,9 +111,8 @@ type Kernel struct {
 	models []Model
 	// timers is the built-in timer queue, on the same heap implementation as
 	// the resource models' event paths (date order, FIFO on ties by push
-	// sequence). Entries are never invalidated — Generation is constant —
-	// so every pushed timer fires.
-	timers actionheap.Heap[*timerEntry]
+	// sequence). Timers are never re-keyed, so every pushed timer fires.
+	timers actionheap.Heap[timerEntry]
 
 	// Stats, when non-nil, accumulates kernel counters.
 	Stats *Stats
@@ -255,18 +250,13 @@ func (k *Kernel) FulfillAt(f *Future, value any, t core.Time) {
 	if t < k.now {
 		t = k.now
 	}
-	k.timers.Push(&timerEntry{f: f, value: value}, t, 0)
+	k.timers.Push(timerEntry{f: f, value: value}, t, nil)
 }
 
 type timerEntry struct {
 	f     *Future
 	value any
 }
-
-// Generation implements actionheap.Stamped: timer entries are never
-// restamped or cancelled (Fulfill on a done future is a no-op), so every
-// entry stays valid until popped.
-func (*timerEntry) Generation() uint64 { return 0 }
 
 // Run executes the simulation until every actor has terminated. It returns
 // an error if an actor panicked, if the deadline was exceeded, or if live

@@ -1,91 +1,74 @@
-// Package actionheap provides the completion-time min-heap with lazy
-// invalidation shared by the kernel's resource models (surf.Network,
-// surf.CPU, emu.Net). It is the data structure that makes the event path
-// sublinear in population: a model answers NextEvent with an O(1) peek at
-// the earliest stamped date instead of scanning every in-flight action, and
-// each churn event (an action starting, completing, or changing rate) costs
-// one O(log n) heap operation.
+// Package actionheap provides the completion-time min-heap shared by the
+// kernel's resource models (surf.Network, surf.CPU, emu.Net) and the simix
+// timer queue. It is the data structure that makes the event path sublinear
+// in population: a model answers NextEvent with an O(1) peek at the earliest
+// date instead of scanning every in-flight action, and each churn event (an
+// action starting, completing, or changing rate) costs one O(log n) heap
+// operation.
 //
-// # Lazy invalidation
+// # One entry per action
 //
-// Entries are never removed or re-keyed in place. An action carries a
-// generation stamp (its Generation method); every entry records the stamp it
-// was pushed with. When an action's date changes — in surf, exactly when
-// lmm.Solve's Resolved() set hands the model a new rate — the model bumps
-// the action's generation and pushes a fresh entry; the old entry stays in
-// the heap and is discarded when it surfaces, because its recorded stamp no
-// longer matches the action's. Completion likewise bumps the generation, so
-// any remaining entries for a finished action evaporate on contact.
-//
-// This is the classical SimGrid SURF "lazy heap" design: invalidation costs
-// nothing at mutation time, and stale entries are paid for once, O(log n)
-// each, when they reach the top.
+// The heap is indexed, as SimGrid SURF's action heap is: it holds at most
+// one entry per action and re-keys it in place. A caller that will change
+// an action's date passes Push a pointer to an int; the heap keeps the
+// entry's 1-based position there while the entry is stored and writes 0
+// when it is popped, so the zero value means "no entry". When the date
+// changes — in surf, exactly when lmm.Solve's Resolved() set hands the model
+// a new rate — the model calls Update with that position. Entries whose
+// date never changes (emu's packet hops, simix timers) pass nil and pay
+// nothing for the index but a nil check per sift step.
 //
 // # Determinism
 //
-// Ties on the date are broken by push sequence, so pop order — and therefore
-// everything downstream of it: model wakeup order, actor scheduling, the
-// simulated timestamps of a whole campaign — depends only on the order of
-// Push calls, never on heap internals. Models that need a different tie
-// order among simultaneous events (surf completes flows in start order, not
-// restamp order) collect the qualifying pops first and sort them by their
-// own serial.
+// Ties on the date are broken by sequence number, taken from one counter by
+// Push and Update alike, so an updated entry ties exactly like a fresh push
+// would. Pop order — and therefore everything downstream of it: model wakeup
+// order, actor scheduling, the simulated timestamps of a whole campaign —
+// depends only on the order of Push and Update calls, never on heap
+// internals. Models that need a different tie order among simultaneous
+// events (surf completes flows in start order, not restamp order) collect
+// the qualifying pops first and sort them by their own serial.
 package actionheap
 
 import "smpigo/internal/core"
 
-// Stamped is an action whose heap entries can be lazily invalidated. An
-// entry pushed with generation g is valid while the action's Generation()
-// still returns g; bumping the generation invalidates every entry pushed
-// before the bump. Actions whose dates are immutable (e.g. emu's packet-hop
-// events) can return a constant.
-type Stamped interface {
-	Generation() uint64
-}
-
-// entry is one (date, action, stamp) record in the heap.
-type entry[T Stamped] struct {
+// entry is one (date, sequence, action) record in the heap. pos, when
+// non-nil, receives the entry's 1-based position.
+type entry[T any] struct {
 	due    core.Time
 	seq    uint64
-	gen    uint64
 	action T
+	pos    *int
 }
 
-// Stats accumulates heap counters when attached via the Stats field. Stale
-// counts the lazily discarded entries — the price of lazy invalidation —
-// and MaxLen the raw high-water entry count including stale ones, which
-// together say how much dead weight the heap carried. Every hook is a nil
-// check; a heap without stats attached pays nothing.
+// Stats accumulates heap counters when attached via the Stats field. Every
+// hook is a nil check; a heap without stats attached pays nothing.
 type Stats struct {
+	// Pushes counts Push and Update calls: every date the heap was given.
 	Pushes uint64
-	// Pops counts valid entries handed to the model (Pop with ok == true).
+	// Pops counts entries handed to the model (Pop with ok == true).
 	Pops uint64
-	// Stale counts invalidated entries discarded by lazy pruning.
-	Stale uint64
-	// MaxLen is the high-water raw entry count, stale entries included.
+	// MaxLen is the high-water entry count.
 	MaxLen int
 }
 
-// Heap is a binary min-heap of stamped actions ordered by date, then push
-// sequence. The zero value is ready to use. Len counts raw entries
-// including stale ones; Peek, Pop, and NextDue prune stale entries from the
-// top before answering, so their results always describe a live action.
-type Heap[T Stamped] struct {
+// Heap is a binary min-heap of actions ordered by date, then sequence
+// number. The zero value is ready to use.
+type Heap[T any] struct {
 	items []entry[T]
 	seq   uint64
 
-	// Stats, when non-nil, accumulates push/pop/stale counters.
+	// Stats, when non-nil, accumulates push/pop counters.
 	Stats *Stats
 }
 
-// Len reports the number of entries currently stored, including stale ones
-// awaiting lazy discard (for tests and stats).
+// Len reports the number of entries currently stored (for tests and stats).
 func (h *Heap[T]) Len() int { return len(h.items) }
 
-// Push schedules action at date due under generation gen. The entry is
-// valid while action.Generation() == gen.
-func (h *Heap[T]) Push(action T, due core.Time, gen uint64) {
-	h.items = append(h.items, entry[T]{due: due, seq: h.seq, gen: gen, action: action})
+// Push schedules action at date due. If pos is non-nil the heap keeps the
+// entry's 1-based position in *pos until the entry is popped, for Update.
+func (h *Heap[T]) Push(action T, due core.Time, pos *int) {
+	h.items = append(h.items, entry[T]{due: due, seq: h.seq, action: action, pos: pos})
 	h.seq++
 	h.up(len(h.items) - 1)
 	if h.Stats != nil {
@@ -96,21 +79,22 @@ func (h *Heap[T]) Push(action T, due core.Time, gen uint64) {
 	}
 }
 
-// prune discards stale entries from the top until the heap is empty or the
-// top entry is valid.
-func (h *Heap[T]) prune() {
-	for len(h.items) > 0 && h.items[0].gen != h.items[0].action.Generation() {
-		h.popTop()
-		if h.Stats != nil {
-			h.Stats.Stale++
-		}
+// Update re-keys the entry at 1-based position pos (as kept by Push) to
+// date due, under a fresh sequence number: the entry then ties like a Push
+// made now.
+func (h *Heap[T]) Update(pos int, due core.Time) {
+	i := pos - 1
+	h.items[i].due, h.items[i].seq = due, h.seq
+	h.seq++
+	h.down(h.up(i))
+	if h.Stats != nil {
+		h.Stats.Pushes++
 	}
 }
 
-// Peek returns the earliest valid action and its date without removing it.
-// ok is false when no valid entry remains.
+// Peek returns the earliest action and its date without removing it. ok is
+// false when the heap is empty.
 func (h *Heap[T]) Peek() (action T, due core.Time, ok bool) {
-	h.prune()
 	if len(h.items) == 0 {
 		var zero T
 		return zero, 0, false
@@ -118,76 +102,85 @@ func (h *Heap[T]) Peek() (action T, due core.Time, ok bool) {
 	return h.items[0].action, h.items[0].due, true
 }
 
-// Pop removes and returns the earliest valid action and its date. ok is
-// false when no valid entry remains.
+// Pop removes and returns the earliest action and its date. ok is false
+// when the heap is empty.
 func (h *Heap[T]) Pop() (action T, due core.Time, ok bool) {
-	h.prune()
 	if len(h.items) == 0 {
 		var zero T
 		return zero, 0, false
 	}
 	top := h.items[0]
-	h.popTop()
+	if top.pos != nil {
+		*top.pos = 0
+	}
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items[last] = entry[T]{} // release the action for GC
+	h.items = h.items[:last]
+	if last > 0 {
+		h.down(0)
+	}
 	if h.Stats != nil {
 		h.Stats.Pops++
 	}
 	return top.action, top.due, true
 }
 
-// NextDue returns the date of the earliest valid entry, or core.TimeForever
-// when none remains — exactly the simix.Model NextEvent contract.
+// NextDue returns the date of the earliest entry, or core.TimeForever when
+// the heap is empty — exactly the simix.Model NextEvent contract.
 func (h *Heap[T]) NextDue() core.Time {
-	h.prune()
 	if len(h.items) == 0 {
 		return core.TimeForever
 	}
 	return h.items[0].due
 }
 
-func (h *Heap[T]) popTop() {
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	var zero entry[T]
-	h.items[last] = zero // release the action for GC
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
-	}
-}
-
-func (h *Heap[T]) less(i, j int) bool {
-	a, b := &h.items[i], &h.items[j]
+func (h *Heap[T]) less(a, b *entry[T]) bool {
 	if a.due != b.due {
 		return a.due < b.due
 	}
 	return a.seq < b.seq
 }
 
-func (h *Heap[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
+// place stores e at index i and records the position for its owner.
+func (h *Heap[T]) place(i int, e entry[T]) {
+	h.items[i] = e
+	if e.pos != nil {
+		*e.pos = i + 1
 	}
 }
 
-func (h *Heap[T]) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.items) && h.less(l, smallest) {
-			smallest = l
+// up sifts the entry at i toward the root and returns where it settled.
+func (h *Heap[T]) up(i int) int {
+	e := h.items[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(&e, &h.items[parent]) {
+			break
 		}
-		if r < len(h.items) && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		h.place(i, h.items[parent])
+		i = parent
 	}
+	h.place(i, e)
+	return i
+}
+
+// down sifts the entry at i toward the leaves.
+func (h *Heap[T]) down(i int) {
+	e := h.items[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h.items) {
+			break
+		}
+		if r := child + 1; r < len(h.items) && h.less(&h.items[r], &h.items[child]) {
+			child = r
+		}
+		if !h.less(&h.items[child], &e) {
+			break
+		}
+		h.place(i, h.items[child])
+		i = child
+	}
+	h.place(i, e)
 }

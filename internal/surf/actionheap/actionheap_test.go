@@ -8,20 +8,19 @@ import (
 	"smpigo/internal/core"
 )
 
-// stampedAction is the test double: a mutable action whose current (due,
-// gen) pair is the reference state the heap must agree with.
-type stampedAction struct {
+// testAction is the test double: a mutable action whose current due date
+// is the reference state the heap must agree with, and whose pos the heap
+// keeps.
+type testAction struct {
 	id   int
 	due  core.Time
-	gen  uint64
+	pos  int
 	dead bool
 }
 
-func (a *stampedAction) Generation() uint64 { return a.gen }
-
-// scanMin is the exhaustive reference: the earliest (due, restamp-order)
-// live action, the linear scan the heap replaces.
-func scanMin(live []*stampedAction) core.Time {
+// scanMin is the exhaustive reference: the earliest live due date, the
+// linear scan the heap replaces.
+func scanMin(live []*testAction) core.Time {
 	next := core.TimeForever
 	for _, a := range live {
 		if !a.dead && a.due < next {
@@ -31,24 +30,43 @@ func scanMin(live []*stampedAction) core.Time {
 	return next
 }
 
-// TestHeapMatchesScanUnderChurn is the property test of the tentpole: after
-// every mutation (start, restamp, completion) of a fuzzed churn sequence,
-// the heap's NextDue equals the exhaustive scan over the live population.
+// checkPositions fails unless every stored entry's owner records the
+// entry's own position, and every action outside the heap records 0.
+func checkPositions(t *testing.T, step int, h *Heap[*testAction], all []*testAction) {
+	t.Helper()
+	stored := make(map[*testAction]bool, h.Len())
+	for i, e := range h.items {
+		if e.pos != &e.action.pos || e.action.pos != i+1 {
+			t.Fatalf("step %d: entry %d of action %d records position %d", step, i+1, e.action.id, e.action.pos)
+		}
+		stored[e.action] = true
+	}
+	for _, a := range all {
+		if !stored[a] && a.pos != 0 {
+			t.Fatalf("step %d: action %d has no entry but records position %d", step, a.id, a.pos)
+		}
+	}
+}
+
+// TestHeapMatchesScanUnderChurn is the property test of the event path:
+// after every mutation (start, restamp, completion) of a fuzzed churn
+// sequence, the heap's NextDue equals the exhaustive scan over the live
+// population. Completion pops the earliest entry, as the models do.
 func TestHeapMatchesScanUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var h Heap[*stampedAction]
-	var all []*stampedAction
+	var h Heap[*testAction]
+	var all []*testAction
 	now := core.Time(0)
 	nextID := 0
 
 	start := func() {
-		a := &stampedAction{id: nextID, due: now + core.Time(rng.Float64())}
+		a := &testAction{id: nextID, due: now + core.Time(rng.Float64())}
 		nextID++
 		all = append(all, a)
-		h.Push(a, a.due, a.gen)
+		h.Push(a, a.due, &a.pos)
 	}
-	liveActions := func() []*stampedAction {
-		var live []*stampedAction
+	liveActions := func() []*testAction {
+		var live []*testAction
 		for _, a := range all {
 			if !a.dead {
 				live = append(live, a)
@@ -67,44 +85,53 @@ func TestHeapMatchesScanUnderChurn(t *testing.T) {
 			start()
 		case op == 1: // restamp a random live action (rate change)
 			a := live[rng.Intn(len(live))]
-			a.gen++
 			a.due = now + core.Time(rng.Float64())
-			h.Push(a, a.due, a.gen)
-		default: // complete a random live action
-			a := live[rng.Intn(len(live))]
-			a.gen++ // completion invalidates any remaining entries
+			h.Update(a.pos, a.due)
+		default: // complete the earliest action
+			a, due, _ := h.Pop()
+			if due != a.due {
+				t.Fatalf("step %d: popped action %d at %v, its date is %v", step, a.id, due, a.due)
+			}
 			a.dead = true
 		}
 		if got, want := h.NextDue(), scanMin(liveActions()); got != want {
 			t.Fatalf("step %d: heap NextDue %v, exhaustive scan %v", step, got, want)
 		}
+		if h.Len() != len(liveActions()) {
+			t.Fatalf("step %d: %d entries for %d live actions", step, h.Len(), len(liveActions()))
+		}
 	}
 }
 
-// TestLazyInvalidationStress restamps a fixed population thousands of times
-// without any completions — the pure rate-churn case. The heap must keep
-// answering the scan's minimum, and the stale entries must actually be
-// discarded once they surface (bounded growth across drains).
-func TestLazyInvalidationStress(t *testing.T) {
+// TestRekeyStress restamps a fixed population thousands of times, then
+// drains it with restamps mixed in — the pure rate-churn case. After every
+// operation each live action's position names its own entry, the heap
+// holds exactly one entry per live action, and it answers the scan's
+// minimum.
+func TestRekeyStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var h Heap[*stampedAction]
+	var h Heap[*testAction]
 	const population = 64
-	live := make([]*stampedAction, population)
+	live := make([]*testAction, population)
 	for i := range live {
-		live[i] = &stampedAction{id: i, due: core.Time(rng.Float64())}
-		h.Push(live[i], live[i].due, live[i].gen)
+		live[i] = &testAction{id: i, due: core.Time(rng.Float64())}
+		h.Push(live[i], live[i].due, &live[i].pos)
+		checkPositions(t, -1, &h, live[:i+1])
 	}
 	for step := 0; step < 20000; step++ {
 		a := live[rng.Intn(population)]
-		a.gen++
 		a.due = core.Time(rng.Float64())
-		h.Push(a, a.due, a.gen)
+		h.Update(a.pos, a.due)
+		checkPositions(t, step, &h, live)
 		if got, want := h.NextDue(), scanMin(live); got != want {
 			t.Fatalf("step %d: heap NextDue %v, scan %v", step, got, want)
 		}
+		if h.Len() != population {
+			t.Fatalf("step %d: %d entries for %d actions", step, h.Len(), population)
+		}
 	}
-	// Drain: every live action pops exactly once, in due order, and every
-	// stale entry is discarded on the way.
+	// Drain: every action pops exactly once, in due order, while the
+	// actions still stored keep being re-keyed to later dates.
 	prev := core.Time(-1)
 	for popped := 0; popped < population; popped++ {
 		a, due, ok := h.Pop()
@@ -112,34 +139,62 @@ func TestLazyInvalidationStress(t *testing.T) {
 			t.Fatalf("heap empty after %d pops, want %d", popped, population)
 		}
 		if due != a.due || due < prev {
-			t.Fatalf("pop %d: got (%v, action due %v), prev %v — stale entry leaked", popped, due, a.due, prev)
+			t.Fatalf("pop %d: got (%v, action due %v), prev %v", popped, due, a.due, prev)
 		}
 		prev = due
-		a.gen++ // completed: invalidate anything left for it
+		a.dead = true
+		if b := live[rng.Intn(population)]; !b.dead {
+			b.due += core.Time(rng.Float64())
+			h.Update(b.pos, b.due)
+		}
+		checkPositions(t, popped, &h, live)
+		if got, want := h.NextDue(), scanMin(live); got != want {
+			t.Fatalf("pop %d: heap NextDue %v, scan %v", popped, got, want)
+		}
 	}
 	if _, _, ok := h.Pop(); ok {
-		t.Error("heap should be empty after all live actions popped")
+		t.Error("heap should be empty after every action popped")
 	}
-	if h.Len() != 0 {
-		t.Errorf("heap holds %d entries after full drain, want 0", h.Len())
+}
+
+// TestUpdateTiesLikeAFreshPush: an Update takes a fresh sequence number, so
+// an entry re-keyed to a date others already hold pops after them — in the
+// order a fresh push would have — and an entry re-keyed away and back loses
+// its place.
+func TestUpdateTiesLikeAFreshPush(t *testing.T) {
+	var h Heap[*testAction]
+	actions := make([]*testAction, 4)
+	for i := range actions {
+		actions[i] = &testAction{id: i}
+		h.Push(actions[i], core.Time(1+i%2), &actions[i].pos) // dates 1, 2, 1, 2
+	}
+	h.Update(actions[1].pos, 1) // joins 0 and 2 at date 1, behind them
+	h.Update(actions[0].pos, 1) // same date, but now behind 2 and 1
+	for _, want := range []int{2, 1, 0, 3} {
+		a, _, ok := h.Pop()
+		if !ok || a.id != want {
+			t.Fatalf("popped %+v, want action %d", a, want)
+		}
+		if a.pos != 0 {
+			t.Errorf("popped action %d records position %d, want 0", a.id, a.pos)
+		}
 	}
 }
 
 // TestPopTieBreak: equal dates pop in push order, the determinism contract
 // the models' wakeup ordering builds on.
 func TestPopTieBreak(t *testing.T) {
-	var h Heap[*stampedAction]
-	actions := make([]*stampedAction, 8)
+	var h Heap[*testAction]
+	actions := make([]*testAction, 8)
 	for i := range actions {
-		actions[i] = &stampedAction{id: i, due: 1.5}
-		h.Push(actions[i], 1.5, 0)
+		actions[i] = &testAction{id: i, due: 1.5}
+		h.Push(actions[i], 1.5, nil)
 	}
 	for i := range actions {
 		a, _, ok := h.Pop()
 		if !ok || a.id != i {
 			t.Fatalf("pop %d: got action %+v, want id %d (push order)", i, a, i)
 		}
-		a.gen++
 	}
 }
 
@@ -149,9 +204,9 @@ func TestPopTieBreak(t *testing.T) {
 
 // TestOrdering: pops come out in date order regardless of push order.
 func TestOrdering(t *testing.T) {
-	var h Heap[*stampedAction]
+	var h Heap[*testAction]
 	for _, due := range []core.Time{3, 1, 2} {
-		h.Push(&stampedAction{id: int(due)}, due, 0)
+		h.Push(&testAction{id: int(due)}, due, nil)
 	}
 	for _, want := range []int{1, 2, 3} {
 		a, due, ok := h.Pop()
@@ -168,9 +223,9 @@ func TestOrdering(t *testing.T) {
 // guarantee (two futures scheduled for the same date fulfill in the order
 // FulfillAt was called).
 func TestFIFOTies(t *testing.T) {
-	var h Heap[*stampedAction]
+	var h Heap[*testAction]
 	for i := 0; i < 10; i++ {
-		h.Push(&stampedAction{id: i}, 1, 0)
+		h.Push(&testAction{id: i}, 1, nil)
 	}
 	for i := 0; i < 10; i++ {
 		if a, _, ok := h.Pop(); !ok || a.id != i {
@@ -181,9 +236,9 @@ func TestFIFOTies(t *testing.T) {
 
 // TestPeekDoesNotConsume: Peek returns the earliest entry and leaves it.
 func TestPeekDoesNotConsume(t *testing.T) {
-	var h Heap[*stampedAction]
-	h.Push(&stampedAction{id: 5}, 5, 0)
-	h.Push(&stampedAction{id: 4}, 4, 0)
+	var h Heap[*testAction]
+	h.Push(&testAction{id: 5}, 5, nil)
+	h.Push(&testAction{id: 4}, 4, nil)
 	if a, due, ok := h.Peek(); !ok || a.id != 4 || due != 4 {
 		t.Errorf("Peek = (%+v, %v, %v), want id 4 at date 4", a, due, ok)
 	}
@@ -193,29 +248,26 @@ func TestPeekDoesNotConsume(t *testing.T) {
 }
 
 // Property: popping a randomly-filled heap yields dates in non-decreasing
-// order, with and without interleaved invalidations (the heap's analog of
-// the EventQueue's removals).
+// order, with and without interleaved re-keys to the date's mirror image.
 func TestHeapProperty(t *testing.T) {
-	f := func(dates []uint16, invalidateMask []bool) bool {
-		var h Heap[*stampedAction]
-		var actions []*stampedAction
+	f := func(dates []uint16, rekeyMask []bool) bool {
+		var h Heap[*testAction]
+		var actions []*testAction
 		for _, d := range dates {
-			a := &stampedAction{due: core.Time(d)}
+			a := &testAction{due: core.Time(d)}
 			actions = append(actions, a)
-			h.Push(a, a.due, a.gen)
+			h.Push(a, a.due, &a.pos)
 		}
 		for i, a := range actions {
-			if i < len(invalidateMask) && invalidateMask[i] {
-				a.gen++ // invalidate without re-pushing: entry must vanish
+			if i < len(rekeyMask) && rekeyMask[i] {
+				a.due = core.Time(65535 - a.due)
+				h.Update(a.pos, a.due)
 			}
 		}
 		last := core.Time(-1)
-		for {
+		for range actions {
 			a, due, ok := h.Pop()
-			if !ok {
-				break
-			}
-			if due < last || a.gen != 0 {
+			if !ok || due < last || due != a.due || a.pos != 0 {
 				return false
 			}
 			last = due
@@ -229,7 +281,7 @@ func TestHeapProperty(t *testing.T) {
 
 // TestEmptyHeap: zero-value heap answers the no-pending-event sentinel.
 func TestEmptyHeap(t *testing.T) {
-	var h Heap[*stampedAction]
+	var h Heap[*testAction]
 	if got := h.NextDue(); got != core.TimeForever {
 		t.Errorf("empty heap NextDue %v, want TimeForever", got)
 	}

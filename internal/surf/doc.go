@@ -22,10 +22,11 @@
 // The event path exists once, in the unexported engine both models embed
 // (engine.go), as SimGrid's SURF shares generic_update_actions_state_lazy
 // between its CPU and network models. It is sublinear in the action
-// population: next dates live in the lazily-invalidated min-heap of package
-// actionheap, NextEvent is an O(1) peek, and lmm.Solve's Resolved() set is
-// the only thing that re-stamps a date — an action's bytes (or flops) drain
-// lazily between rate changes rather than being walked every kernel step.
+// population: next dates live in the min-heap of package actionheap, one
+// entry per action re-keyed in place, NextEvent is an O(1) peek, and
+// lmm.Solve's Resolved() set is the only thing that re-stamps a date — an
+// action's bytes (or flops) drain lazily between rate changes rather than
+// being walked every kernel step.
 // See docs/ARCHITECTURE.md ("The event path") for the full design and the
 // determinism argument.
 package surf

@@ -42,15 +42,10 @@ type action struct {
 	// start order, like the scan implementation did, so actor wakeup order
 	// is unchanged.
 	seq uint64
-	// gen is the actionheap generation stamp; bumped on every restamp and at
-	// completion, invalidating older heap entries. It only ever counts up,
-	// across the lives of a recycled flow too: entries outlive the life
-	// that pushed them.
-	gen uint64
+	// pos is the 1-based position of the action's heap entry, kept by the
+	// heap; 0 while the action has none.
+	pos int
 }
-
-// Generation implements actionheap.Stamped.
-func (a *action) Generation() uint64 { return a.gen }
 
 func (a *action) act() *action { return a }
 
@@ -58,7 +53,6 @@ func (a *action) act() *action { return a }
 // embedded action: the three things that differ between a flow and a
 // compute task.
 type drainable interface {
-	actionheap.Stamped
 	act() *action
 	// latent reports whether the action's heap entry is a start date (a
 	// flow's latency end) rather than a stamped completion date.
@@ -71,12 +65,12 @@ type drainable interface {
 }
 
 // engine is the lazily-drained sharing engine both models embed: an LMM
-// system allocating rates, one lazy min-heap holding every action's next
-// date, and the event path over them (see the package comment). T is the
-// model's action pointer type: what differs between the models arrives
-// through its methods and the two tolerances, never as a branch. The engine
-// is generic rather than built on one struct with both a route and a host,
-// which would push every flow into the next allocator size class.
+// system allocating rates, one min-heap holding every action's next date,
+// and the event path over them (see the package comment). T is the model's
+// action pointer type: what differs between the models arrives through its
+// methods and the two tolerances, never as a branch. The engine is generic
+// rather than built on one struct with both a route and a host, which would
+// push every flow into the next allocator size class.
 type engine[T drainable] struct {
 	kernel *simix.Kernel
 	now    core.Time
@@ -87,9 +81,9 @@ type engine[T drainable] struct {
 	// absTol + relTol*rate of zero.
 	absTol, relTol float64
 
-	// heap holds one valid entry per in-flight action: its start date while
-	// latent, then its stamped completion date. Restamps push fresh entries;
-	// stale ones are discarded lazily (see actionheap).
+	// heap holds at most one entry per in-flight action: its start date
+	// while latent, then its stamped completion date. A restamp re-keys the
+	// entry in place (see actionheap).
 	heap     actionheap.Heap[T]
 	inFlight int
 	startSeq uint64
@@ -107,7 +101,7 @@ type engine[T drainable] struct {
 // InFlight returns the number of active actions (for tests and stats).
 func (e *engine[T]) InFlight() int { return e.inFlight }
 
-// NextEvent implements simix.Model: an O(1) peek at the earliest valid entry.
+// NextEvent implements simix.Model: an O(1) peek at the earliest entry.
 func (e *engine[T]) NextEvent() core.Time { return e.heap.NextDue() }
 
 // admit counts a in flight under the next start serial.
@@ -142,17 +136,22 @@ func (e *engine[T]) drain(a T, to core.Time) {
 }
 
 // stamp records a's completion date — date at plus the time to drain the
-// remaining amount at the current rate — as a fresh heap entry, invalidating
-// any earlier entry. It fails loudly when a was allocated rate 0 with work
-// left: the amount would never drain, NextEvent would report TimeForever,
-// and the simulation would hang (or deadlock-error with no hint of why).
+// remaining amount at the current rate — re-keying a's heap entry, or
+// pushing one if a has none. It fails loudly when a was allocated rate 0
+// with work left: the amount would never drain, NextEvent would report
+// TimeForever, and the simulation would hang (or deadlock-error with no
+// hint of why).
 func (e *engine[T]) stamp(a T, at core.Time) {
 	act := a.act()
 	if act.rate <= 0 && act.remaining > 0 {
 		panic(a.stall())
 	}
-	act.gen++
-	e.heap.Push(a, at+core.Duration(act.remaining/act.rate), act.gen)
+	due := at + core.Duration(act.remaining/act.rate)
+	if act.pos > 0 {
+		e.heap.Update(act.pos, due)
+	} else {
+		e.heap.Push(a, due, &act.pos)
+	}
 }
 
 // StallError is the panic value of an action allocated rate 0 with work
@@ -293,7 +292,6 @@ func (e *engine[T]) complete(to core.Time) {
 			// totals conserve the amount with no tolerance at all.
 			a.record(e.usage, act.lastSync, to, act.remaining)
 		}
-		act.gen++ // invalidate any remaining heap entries
 		e.inFlight--
 		e.kernel.Fulfill(act.future, nil)
 	}

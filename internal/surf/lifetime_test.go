@@ -30,21 +30,19 @@ func trunkPlatform(n int) (routes []platform.Route, side platform.Route) {
 	return routes, route("src", p.AddLink("side", 1e6, 1e-3, lmm.Shared))
 }
 
-// TestRecycledFlowLeavesItsStaleEntriesStale reuses a flow object while the
-// heap still holds an entry of its first life. Flows 0 and 1 share the
-// trunk, flow 2 arrives and leaves, and each change of the sharing restamps
-// the others: flow 0 is stamped three times, and the entry of its second
-// stamp (due 2.751 s) is still in the heap when it completes at 2.501 s.
-// Its object then carries flow 3 from 2.6 s on, which flow 4 restamps once
-// when it joins the sharing at 2.6015 s: flow 3 is then on its second stamp
-// as well. Stale entries are discarded when they reach the top of the heap,
-// and until 2.7 s the top is held by entries due earlier — the two latency
-// ends, then the side flow, alone on its link and so never restamped. When
-// the old entry surfaces after that, a generation count reset with the
-// object would read equal to flow 3's and the entry would be taken for an
-// event. The heap counters and the number of kernel rounds are those of the
-// same schedule before flows were recycled.
-func TestRecycledFlowLeavesItsStaleEntriesStale(t *testing.T) {
+// TestRecycledFlowHasNoEntry reuses a flow object that carried an earlier
+// flow restamped several times. Flows 0 and 1 share the trunk, flow 2
+// arrives and leaves, and each change of the sharing restamps the others:
+// flow 0 is stamped three times, each stamp re-keying its one heap entry,
+// and it completes at 2.501 s. Its object then carries flow 3 from 2.6 s
+// on, which flow 4 restamps once when it joins the sharing at 2.6015 s. A
+// delivered flow has no heap entry, so the recycled object starts with
+// none, and nothing of flow 0 is left to be taken for an event of flow 3.
+// The delivery dates, the number of pushes (Push and Update) and pops, and
+// the number of kernel rounds are those of the same schedule before flows
+// were recycled; the heap never holds more than one entry per flow in
+// flight.
+func TestRecycledFlowHasNoEntry(t *testing.T) {
 	routes, side := trunkPlatform(3)
 	k := simix.New()
 	var rounds simix.Stats
@@ -66,6 +64,9 @@ func TestRecycledFlowLeavesItsStaleEntriesStale(t *testing.T) {
 		pr.Sleep(2.6 - pr.Now())
 		// Last freed, first reused: the object of flow 0, not of flow 2.
 		first := n.free[len(n.free)-1]
+		if first.pos != 0 {
+			t.Errorf("the flow delivered at 2.501 s still holds heap entry %d", first.pos)
+		}
 		f := simix.NewFuture()
 		n.StartFlow(routes[0], 1e5, f)
 		if len(n.free) != 1 || first.future != f {
@@ -90,7 +91,7 @@ func TestRecycledFlowLeavesItsStaleEntriesStale(t *testing.T) {
 			t.Errorf("flow %d delivered at %v, want %v", i, done[i], want)
 		}
 	}
-	if want := (actionheap.Stats{Pushes: 23, Pops: 12, Stale: 11, MaxLen: 11}); heap != want {
+	if want := (actionheap.Stats{Pushes: 23, Pops: 12, MaxLen: 4}); heap != want {
 		t.Errorf("heap counters %+v, want %+v", heap, want)
 	}
 	if rounds.Rounds != 13 {

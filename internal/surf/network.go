@@ -28,20 +28,21 @@ type Network struct {
 	// Contention selects whether concurrent flows share link bandwidth.
 	Contention bool
 
-	// Loopback parameters for host-local transfers (rank to itself).
-	LoopbackLatency   core.Duration
-	LoopbackBandwidth float64
-
 	cons map[*platform.Link]*lmm.Constraint
 
 	// free holds delivered flows for StartFlow to reuse (see Advance).
 	free []*flow
 }
 
-// flow is one transfer. The object outlives it: a delivered flow goes on
-// its network's free list and serves a later StartFlow, keeping the storage
-// of route.Links and counting gen on — heap entries left behind by an
-// earlier life stay stale, and evaporate on contact as they always did.
+// Loopback parameters for host-local transfers (rank to itself).
+const (
+	loopbackLatency   core.Duration = 500 * 1e-9
+	loopbackBandwidth               = 4e9
+)
+
+// flow is one transfer. The object outlives it: a delivered flow, which has
+// no heap entry, goes on its network's free list and serves a later
+// StartFlow, keeping the storage of route.Links.
 type flow struct {
 	action
 	route   platform.Route // Links is the flow's own storage, not the caller's
@@ -75,12 +76,10 @@ func NewNetwork(kernel *simix.Kernel, model NetModel) *Network {
 		panic(err)
 	}
 	return &Network{
-		engine:            engine[*flow]{kernel: kernel, sys: lmm.New(), absTol: byteTol},
-		model:             model,
-		Contention:        true,
-		LoopbackLatency:   500 * 1e-9,
-		LoopbackBandwidth: 4e9,
-		cons:              make(map[*platform.Link]*lmm.Constraint),
+		engine:     engine[*flow]{kernel: kernel, sys: lmm.New(), absTol: byteTol},
+		model:      model,
+		Contention: true,
+		cons:       make(map[*platform.Link]*lmm.Constraint),
 	}
 }
 
@@ -95,7 +94,7 @@ func (n *Network) StartFlow(route platform.Route, size int64, future *simix.Futu
 		if n.stats != nil {
 			n.stats.Loopbacks++
 		}
-		d := n.LoopbackLatency + core.Duration(float64(size)/n.LoopbackBandwidth)
+		d := loopbackLatency + core.Duration(float64(size)/loopbackBandwidth)
 		n.kernel.FulfillAt(future, nil, n.now+d)
 		return
 	}
@@ -108,11 +107,11 @@ func (n *Network) StartFlow(route platform.Route, size int64, future *simix.Futu
 	n.admit(f)
 	// The flow consumes no bandwidth during its latency phase; it joins the
 	// sharing system when its latency entry pops in Advance.
-	n.heap.Push(f, n.now+core.Duration(seg.LatFactor)*route.Latency, f.gen)
+	n.heap.Push(f, n.now+core.Duration(seg.LatFactor)*route.Latency, &f.pos)
 }
 
-// newFlow returns a blank flow: a delivered one, with its links storage and
-// its generation count, when there is one.
+// newFlow returns a blank flow: a delivered one, with its links storage,
+// when there is one.
 func (n *Network) newFlow() *flow {
 	k := len(n.free)
 	if k == 0 {
@@ -120,7 +119,7 @@ func (n *Network) newFlow() *flow {
 	}
 	f := n.free[k-1]
 	n.free = n.free[:k-1]
-	*f = flow{action: action{gen: f.gen}, route: platform.Route{Links: f.route.Links[:0]}}
+	*f = flow{route: platform.Route{Links: f.route.Links[:0]}}
 	return f
 }
 
