@@ -71,6 +71,8 @@ func TestParseBytes(t *testing.T) {
 		{"1GiB", GiB},
 		{"1kB", 1000},
 		{"2MB", 2000000},
+		{"9007199254740993B", 1<<53 + 1}, // a float64 would round it down
+		{"9223372036854775807", math.MaxInt64},
 	}
 	for _, c := range cases {
 		got, err := ParseBytes(c.in)
@@ -86,6 +88,11 @@ func TestParseBytes(t *testing.T) {
 	}
 	if _, err := ParseBytes(""); err == nil {
 		t.Error("ParseBytes(empty) should fail")
+	}
+	for _, in := range []string{"9223372036854775808", "1e300GB", "10000000000GiB", "-1e19"} {
+		if got, err := ParseBytes(in); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, want an out-of-range error", in, got)
+		}
 	}
 }
 

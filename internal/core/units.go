@@ -9,8 +9,17 @@ import (
 // ParseBytes parses a human-readable byte count such as "64KiB", "4MiB",
 // "1500B" or a bare number. Binary suffixes (KiB/MiB/GiB) are powers of two;
 // decimal suffixes (kB/MB/GB) are powers of ten, matching SimGrid's platform
-// DTD conventions.
+// DTD conventions. A whole number of bytes ("1500", "1500B") parses exactly,
+// also beyond 2^53 where a float64 would round it; a count that does not
+// fit an int64 is an error.
 func ParseBytes(s string) (int64, error) {
+	whole := strings.TrimSpace(s)
+	if n := len(whole); n > 0 && (whole[n-1] == 'b' || whole[n-1] == 'B') {
+		whole = whole[:n-1]
+	}
+	if n, err := strconv.ParseInt(whole, 10, 64); err == nil {
+		return n, nil
+	}
 	v, err := parseSuffixed(s, map[string]float64{
 		"":    1,
 		"b":   1,
@@ -23,6 +32,9 @@ func ParseBytes(s string) (int64, error) {
 	})
 	if err != nil {
 		return 0, fmt.Errorf("parse bytes %q: %w", s, err)
+	}
+	if !(v >= -1<<63 && v < 1<<63) {
+		return 0, fmt.Errorf("parse bytes %q: out of range", s)
 	}
 	return int64(v), nil
 }

@@ -51,6 +51,7 @@ import (
 	"path"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"smpigo/internal/core"
 	"smpigo/internal/platform"
@@ -103,6 +104,11 @@ func (e Event) validate() error {
 	case KindLink, KindHost:
 		if e.Target == "" {
 			return fmt.Errorf("dynamics: %s event without a target pattern", e.Kind)
+		}
+		// The grammar splits events at ";" and fields at spaces: a target
+		// holding either would not survive String.
+		if strings.IndexFunc(e.Target, func(c rune) bool { return c == ';' || unicode.IsSpace(c) }) >= 0 {
+			return fmt.Errorf("dynamics: %s pattern %q holds a space or \";\"", e.Kind, e.Target)
 		}
 		if _, err := path.Match(e.Target, ""); err != nil {
 			return fmt.Errorf("dynamics: bad %s pattern %q: %w", e.Kind, e.Target, err)

@@ -82,6 +82,43 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// FuzzParse feeds the same bytes to both readers of a schedule: neither
+// may panic, and whatever either accepts must print as grammar that
+// re-parses to the same print.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"@2ms link fattree64-l3-* degrade 0.25; @8ms link fattree64-l3-* restore",
+		"@0s host griffon-5 scale 0.5; @1ms host torus64-* fail",
+		"@500us flow 0->12 4MiB every 1ms x8; @0s flow 3->4 1kB",
+		"@2ms link [a-* restore",
+		"@2ms flow 0->1 1kB every 0s x4",
+		"none",
+		`{"events": [{"at": 0.002, "kind": "link", "target": "a-*", "factor": 0.25}]}`,
+		`[{"at": 0.001, "kind": "flow", "src": 0, "dst": 1, "bytes": 4194304, "every": 0.001, "count": 3}]`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		for _, parse := range []func(string) (*Schedule, error){
+			Parse,
+			func(s string) (*Schedule, error) { return ParseJSON([]byte(s)) },
+		} {
+			s, err := parse(in)
+			if err != nil || s == nil {
+				continue
+			}
+			canon := s.String()
+			back, err := Parse(canon)
+			if err != nil {
+				t.Fatalf("%q was accepted, but its canonical form %q does not parse: %v", in, canon, err)
+			}
+			if again := back.String(); again != canon {
+				t.Fatalf("%q: canonical form %q re-parses as %q", in, canon, again)
+			}
+		}
+	})
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	s, err := Parse("@2ms link a-* scale 0.25; @1ms flow 0->1 4MiB every 1ms x3; @5ms host h-* fail")
 	if err != nil {

@@ -12,6 +12,9 @@
 //     ranks live in one address space, m ranks allocating the same logical
 //     array of size s can share a single buffer, cutting the footprint from
 //     m*s to s (technique #1 of [Adve et al. 2002], used by the paper).
+//     A folded block is not a Go heap object but an anonymous mapping, as
+//     in SimGrid's smpi_shared_malloc: the OS commits its pages only when
+//     they are touched, and Release unmaps every block of the world at once.
 //
 // The package also provides the accounting allocator used to reproduce the
 // paper's Figure 16 (maximum resident set size per process, with and
@@ -39,6 +42,7 @@ type Registry struct {
 	shared      []*sharedBuf // live folded blocks, in allocation order
 	sharedBytes int64        // running total of their sizes (Figure 16 accounting)
 	scratch     [][]byte     // SharedScratch blocks: folded, never accounted
+	mapped      [][]byte     // every block mapped so far, freed or not, for Release
 
 	private []int64 // current private bytes per rank
 	peak    []float64
@@ -150,12 +154,18 @@ func (r *Registry) SiteMean(key string) (core.Duration, int) {
 //
 // Folding is the paper's contract that the application does not depend on
 // the bytes: memory handed out here is recognized by Shared, and the
-// simulator moves no payload into or out of it.
+// simulator moves no payload into or out of it. A new block reads zero and
+// stays mapped until Release; a block the OS cannot map panics with key
+// and size, which a simulation reports as a failed rank.
 func (r *Registry) SharedMalloc(key string, size int) []byte {
 	i := r.lookup(key)
 	if i < 0 {
+		data, err := r.newBlock(size)
+		if err != nil {
+			panic(fmt.Sprintf("sampling: SharedMalloc(%q, %d bytes): %v", key, size, err))
+		}
 		i = len(r.shared)
-		r.shared = append(r.shared, &sharedBuf{key: key, data: make([]byte, size)})
+		r.shared = append(r.shared, &sharedBuf{key: key, data: data})
 		r.sharedBytes += int64(size)
 		// The folded total grew: every rank's share of it did too.
 		for rank := range r.peak {
@@ -172,7 +182,9 @@ func (r *Registry) SharedMalloc(key string, size int) []byte {
 
 // SharedFree drops one reference to the shared buffer (the SMPI_FREE
 // macro); the buffer is released when the last rank frees it, after which
-// slices of it no longer count as Shared.
+// slices of it no longer count as Shared. Its mapping stays until Release:
+// an eager message in flight may still reference it, and a later
+// SharedMalloc of the same key maps a fresh block rather than reusing it.
 func (r *Registry) SharedFree(key string) {
 	i := r.lookup(key)
 	if i < 0 {
@@ -213,8 +225,9 @@ func (r *Registry) Shared(buf []byte) bool {
 	return false
 }
 
-// within reports whether the non-empty buf lies inside block. Heap objects
-// do not move, so comparing addresses is stable.
+// within reports whether the non-empty buf lies inside block. Blocks are
+// mappings outside the Go heap, which never move, so comparing addresses is
+// stable.
 func within(block, buf []byte) bool {
 	base := uintptr(unsafe.Pointer(unsafe.SliceData(block)))
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
@@ -223,7 +236,7 @@ func within(block, buf []byte) bool {
 
 // SharedScratch returns n bytes of folded memory for temporaries whose
 // contents nobody reads: a prefix of the first live block that is large
-// enough, else a new registry-owned block that stays outside the Figure 16
+// enough, else a new registry-owned mapping that stays outside the Figure 16
 // accounting (it stands for memory the application never asked for).
 func (r *Registry) SharedScratch(n int) []byte {
 	for _, sb := range r.shared {
@@ -236,9 +249,32 @@ func (r *Registry) SharedScratch(n int) []byte {
 			return blk[:n]
 		}
 	}
-	blk := make([]byte, n)
+	blk, err := r.newBlock(n)
+	if err != nil {
+		panic(fmt.Sprintf("sampling: SharedScratch(%d bytes): %v", n, err))
+	}
 	r.scratch = append(r.scratch, blk)
 	return blk
+}
+
+// newBlock maps a fresh zeroed block of n bytes and records it for Release.
+func (r *Registry) newBlock(n int) ([]byte, error) {
+	b, err := mapBlock(n)
+	if err == nil && len(b) > 0 {
+		r.mapped = append(r.mapped, b)
+	}
+	return b, err
+}
+
+// Release unmaps every block SharedMalloc and SharedScratch have mapped,
+// freed or not; afterwards no former block counts as Shared, and touching
+// one faults. Call it once nothing can reach the world's folded memory —
+// smpi.Run does when its kernel has returned.
+func (r *Registry) Release() {
+	for _, b := range r.mapped {
+		unmap(b)
+	}
+	r.mapped, r.shared, r.scratch, r.sharedBytes = nil, nil, nil, 0
 }
 
 // --- accounting allocator (Figure 16 metric) ---

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,6 +219,73 @@ func TestSharedScratchAliasesFoldedMemory(t *testing.T) {
 	}
 	if big := r.SharedScratch(5000); len(big) != 5000 || !r.Shared(big) || !r.Shared(first) {
 		t.Error("an oversize request gets a new shared block and keeps earlier ones shared")
+	}
+}
+
+// TestMappedBlockLifetime: a block reads zero when it is mapped, a fresh
+// mapping serves the key after its last SharedFree, the dropped one stays
+// readable until Release, and Release leaves nothing Shared.
+func TestMappedBlockLifetime(t *testing.T) {
+	zero := func(b []byte) bool {
+		for _, c := range b {
+			if c != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	r := newTestRegistry(2, 0)
+	first := r.SharedMalloc("arr", 3<<20)
+	if !zero(first) {
+		t.Fatal("a fresh block must read zero")
+	}
+	for i := range first {
+		first[i] = 0xAB
+	}
+	r.SharedFree("arr")
+	second := r.SharedMalloc("arr", 3<<20)
+	if &second[0] == &first[0] || !zero(second) {
+		t.Error("a block re-allocated after its last free must be a fresh zeroed block")
+	}
+	if first[0] != 0xAB || first[len(first)-1] != 0xAB {
+		t.Error("a freed block must stay readable until Release")
+	}
+	scratch := r.SharedScratch(4 << 20)
+	empty := r.SharedMalloc("empty", 0)
+	if len(empty) != 0 || r.Shared(empty) {
+		t.Error("a zero-size block is empty and never Shared")
+	}
+	r.Release()
+	for name, b := range map[string][]byte{"freed": first, "live": second, "scratch": scratch} {
+		if r.Shared(b) || r.Shared(b[:1]) {
+			t.Errorf("after Release the %s block must not be Shared", name)
+		}
+	}
+	r.Release() // a second Release has nothing left to unmap
+	if again := r.SharedMalloc("arr", 100); !zero(again) || !r.Shared(again) {
+		t.Error("a released registry maps fresh blocks")
+	}
+	r.Release()
+}
+
+// TestUnmappableBlockPanicsWithKeyAndSize: a block the OS refuses to map
+// is a panic naming what was asked for, not a dead process.
+func TestUnmappableBlockPanicsWithKeyAndSize(t *testing.T) {
+	r := newTestRegistry(1, 0)
+	defer r.Release()
+	for name, alloc := range map[string]func(){
+		`SharedMalloc("neg", -1 bytes)`: func() { r.SharedMalloc("neg", -1) },
+		`SharedScratch(-1 bytes)`:       func() { r.SharedScratch(-1) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, name) {
+					t.Errorf("panic %q does not name %s", msg, name)
+				}
+			}()
+			alloc()
+		}()
 	}
 }
 

@@ -35,6 +35,14 @@
 // skampi, replay) therefore run on folded buffers; SimGrid's SMPI makes
 // the same choice for its shared mallocs.
 //
+// A folded block is an anonymous memory mapping, not a Go heap object: the
+// OS commits a page only when something touches it, so a folded array
+// nobody writes costs no memory. Folded memory is valid until Run returns,
+// which unmaps every block of the world (also one dropped by the last
+// SharedFree, which an in-flight message may still reference); a slice of
+// it must not be kept past Run. A block the OS refuses to map fails the
+// run with the block's id and size instead of killing the process.
+//
 // # Rank placement
 //
 // By default ranks are laid out round-robin over the platform's hosts;

@@ -294,10 +294,11 @@ func TestFoldedSubSliceAndFree(t *testing.T) {
 
 // TestFoldedAlltoallAllocatesNoPayload is the allocation guard: 32 ranks
 // exchanging 128 KiB blocks (the a2a_payload benchmark's larger job) used
-// to allocate ~270 MB per run from private buffers; folded, what remains is
-// the two 4 MiB blocks plus kernel objects, and it is an exact function of
-// the inputs. The eager and Bruck rows pin the two allocations inside smpi:
-// the per-message snapshot (31 MB here) and the collective's scratch (64 MB).
+// to allocate ~270 MB per run from private buffers; folded, the two 4 MiB
+// blocks are mappings outside the Go heap, what remains is kernel objects
+// (~100 KB), and it is an exact function of the inputs. The eager and Bruck
+// rows pin the two allocations inside smpi: the per-message snapshot (31 MB
+// here) and the collective's scratch (64 MB).
 func TestFoldedAlltoallAllocatesNoPayload(t *testing.T) {
 	const p = 32
 	for _, tc := range []struct {
@@ -317,12 +318,13 @@ func TestFoldedAlltoallAllocatesNoPayload(t *testing.T) {
 			return after.TotalAlloc - before.TotalAlloc
 		}
 		run() // warm-up: routes, goroutine structs
+		run()
 		// The Go runtime adds a few KB of its own now and then (sudog and
 		// goroutine refills), so compare the floors of two batches of runs.
-		floor := func() uint64 { return min(run(), run(), run()) }
+		floor := func() uint64 { return min(run(), run(), run(), run(), run()) }
 		a := floor()
-		if a >= 16<<20 {
-			t.Errorf("%s %d: folded alltoall allocated %.1f MB, want < 16 MB", tc.algo, tc.bs, float64(a)/(1<<20))
+		if a >= 1<<20 {
+			t.Errorf("%s %d: folded alltoall allocated %.2f MB, want < 1 MB", tc.algo, tc.bs, float64(a)/(1<<20))
 		}
 		// The race detector allocates on its own, so the run-to-run
 		// comparison skips under -short (the race job); CI's build job runs

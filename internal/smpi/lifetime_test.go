@@ -3,7 +3,10 @@ package smpi
 import (
 	"bytes"
 	"math"
+	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"smpigo/internal/topology"
@@ -244,4 +247,67 @@ func TestProbeThenRecvThenEnvelopeReuse(t *testing.T) {
 			t.Errorf("sizes %v: a free envelope still holds its last message: %+v", sizes, env)
 		}
 	}
+}
+
+// TestOversizedFoldIsAnError: a folded block the OS will not map fails the
+// job with the block's key instead of killing the process. Where the kernel
+// overcommits without limit the untouched terabyte maps and the run passes.
+func TestOversizedFoldIsAnError(t *testing.T) {
+	_, err := Run(testConfig(2), func(r *Rank) {
+		r.SharedMalloc("huge", 1<<40)
+	})
+	if err != nil && !strings.Contains(err.Error(), `"huge"`) {
+		t.Errorf("want nil or an error naming the block, got %v", err)
+	}
+}
+
+// TestFailedRunsLeaveNoMapping: the folded memory of a run is unmapped when
+// Run returns, also when a rank panicked and the others were unwound, so
+// a service running failed jobs back to back does not grow.
+func TestFailedRunsLeaveNoMapping(t *testing.T) {
+	const runs, block = 50, 64 << 20
+	before, ok := vmSize(t)
+	if !ok {
+		t.Skip("no /proc/self/status")
+	}
+	for i := 0; i < runs; i++ {
+		_, err := Run(testConfig(8), func(r *Rank) {
+			if r.Rank() != 0 {
+				r.Recv(r.Comm(), nil, 0, 0) // parked until the run unwinds
+				return
+			}
+			buf := r.SharedMalloc("big", block)
+			for j := 0; j < len(buf); j += 4096 {
+				buf[j] = 1
+			}
+			panic("rank 0 fails")
+		})
+		if err == nil || !strings.Contains(err.Error(), "rank 0 fails") {
+			t.Fatalf("run %d: want rank 0's panic, got %v", i, err)
+		}
+	}
+	after, _ := vmSize(t)
+	if grown := after - before; grown >= 1<<30 {
+		t.Errorf("VmSize grew by %.2f GiB over %d failed runs of a %d MiB folded block",
+			float64(grown)/(1<<30), runs, block>>20)
+	}
+}
+
+// vmSize returns the process's virtual size in bytes from /proc/self/status.
+func vmSize(t *testing.T) (int64, bool) {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmSize:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(rest), "kB")), 10, 64)
+			if err != nil {
+				t.Fatalf("VmSize line %q: %v", line, err)
+			}
+			return kb << 10, true
+		}
+	}
+	t.Fatal("/proc/self/status has no VmSize line")
+	return 0, false
 }

@@ -71,6 +71,9 @@ func (r *Rank) SampleFlops(flops float64) {
 // communication is therefore undefined; a private buffer on the other side
 // of such a message is left untouched. Use private memory (make or
 // Rank.Malloc) for data the application reads back.
+//
+// The block is mapped on first use and reads zero; it is valid until Run
+// returns, which unmaps it, so no slice of it may outlive the run.
 func (r *Rank) SharedMalloc(id string, size int) []byte {
 	return r.w.reg.SharedMalloc(id, size)
 }

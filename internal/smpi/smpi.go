@@ -216,6 +216,7 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 		}
 	}
 	w.reg = sampling.NewRegistry(cfg.Procs)
+	defer w.reg.Release()
 
 	hosts := cfg.Hosts
 	if hosts == nil {
