@@ -411,8 +411,8 @@ func (s *Schedule) Arm(k *simix.Kernel, plat *platform.Platform, net *surf.Netwo
 // ties), so the schedule's list order is the tiebreak.
 func armAt(k *simix.Kernel, at core.Time, fn func()) {
 	f := simix.NewFuture()
-	k.OnFulfill(f, func(any) { fn() })
-	k.FulfillAt(f, nil, at)
+	k.OnFulfill(f, fn)
+	k.FulfillAt(f, at)
 }
 
 // matchLinks returns the links whose names match the glob, in ID order.

@@ -10,6 +10,7 @@ import (
 	"smpigo/internal/core"
 	"smpigo/internal/lmm"
 	"smpigo/internal/platform"
+	"smpigo/internal/platform/platformtest"
 	"smpigo/internal/simix"
 	"smpigo/internal/surf"
 )
@@ -173,13 +174,11 @@ func TestLoadFromFile(t *testing.T) {
 
 // dumbbell builds two hosts joined by one shared link pair.
 func dumbbell(bw float64) (*platform.Platform, *platform.Link) {
-	p := platform.New("dumb")
-	a := p.AddHost("dumb-0", 1e9)
-	b := p.AddHost("dumb-1", 1e9)
-	up := p.AddLink("dumb-up", bw, 1e-3, lmm.Shared)
-	down := p.AddLink("dumb-down", bw, 1e-3, lmm.Shared)
-	p.AddRoute(a, b, []*platform.Link{up, down})
-	return p, up
+	f := platformtest.New("dumb")
+	a, b := f.Platform.NewHost(1e9), f.Platform.NewHost(1e9)
+	up := f.Link("dumb-up", bw, 1e-3, lmm.Shared)
+	f.Route(a, b, up, f.Link("dumb-down", bw, 1e-3, lmm.Shared))
+	return f.Platform, up
 }
 
 // TestArmDegradeAnalytic drives a transfer through an armed schedule and
@@ -258,7 +257,7 @@ func TestArmFlowInjection(t *testing.T) {
 // TestArmHostSlowdown checks host events through the CPU model.
 func TestArmHostSlowdown(t *testing.T) {
 	p := platform.New("m")
-	p.AddHost("m-0", 1e9)
+	p.NewHost(1e9)
 	k := simix.New()
 	cpu := surf.NewCPU(k)
 	k.AddModel(cpu)

@@ -179,7 +179,7 @@ func (n *Net) Transfer(src, dst *platform.Host, size int64, future *simix.Future
 	if src == dst {
 		d := n.impl.SendOverhead + n.impl.RecvOverhead +
 			core.Duration(float64(size)/n.impl.CopyBandwidth)
-		n.kernel.FulfillAt(future, nil, n.now+d)
+		n.kernel.FulfillAt(future, n.now+d)
 		return
 	}
 	route := n.plat.Route(src, dst)
@@ -191,7 +191,7 @@ func (n *Net) Transfer(src, dst *platform.Host, size int64, future *simix.Future
 		copyCost := core.Duration(float64(size) / n.impl.CopyBandwidth)
 		start := n.now + n.impl.SendOverhead + copyCost
 		n.inject(route, size, start, true, func(at core.Time) {
-			n.kernel.FulfillAt(future, nil, at+n.impl.RecvOverhead+copyCost)
+			n.kernel.FulfillAt(future, at+n.impl.RecvOverhead+copyCost)
 		})
 		return
 	}
@@ -202,7 +202,7 @@ func (n *Net) Transfer(src, dst *platform.Host, size int64, future *simix.Future
 	n.inject(route, 0, rtsStart, false, func(rtsAt core.Time) {
 		n.inject(back, 0, rtsAt, false, func(ctsAt core.Time) {
 			n.inject(route, size, ctsAt, false, func(at core.Time) {
-				n.kernel.FulfillAt(future, nil, at+n.impl.RecvOverhead)
+				n.kernel.FulfillAt(future, at+n.impl.RecvOverhead)
 			})
 		})
 	})

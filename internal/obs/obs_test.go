@@ -7,6 +7,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,12 +20,13 @@ import (
 func testPlatform(t *testing.T) *platform.Platform {
 	t.Helper()
 	p := platform.New("t")
+	p.SetLinkNamer(func(id int) string { return "l" + strconv.Itoa(id) })
 	for i := 0; i < 3; i++ {
-		p.AddHost("h"+string(rune('0'+i)), 1e9)
+		p.NewHost(1e9)
 	}
-	p.AddLink("l0", 1e9, 0, lmm.Shared)
-	p.AddLink("l1", 2e9, 0, lmm.Shared)
-	p.AddLink("l2", 1e9, 0, lmm.FatPipe)
+	p.NewLink(1e9, 0, lmm.Shared)
+	p.NewLink(2e9, 0, lmm.Shared)
+	p.NewLink(1e9, 0, lmm.FatPipe)
 	return p
 }
 

@@ -179,11 +179,11 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 func TestFlatPlatformDegeneratesToHostOrder(t *testing.T) {
-	// A hand-built platform without group structure: rr falls back to the
-	// host order (documented degeneration into block).
+	// A platform without group structure: rr falls back to the host order
+	// (documented degeneration into block).
 	p := platform.New("flat")
 	for i := 0; i < 4; i++ {
-		p.AddHost("flat-"+string(rune('a'+i)), 1e9)
+		p.NewHost(1e9)
 	}
 	hosts, err := Generate("rr", p, 4, 0)
 	if err != nil {

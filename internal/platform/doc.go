@@ -23,12 +23,11 @@
 // O(1) state, which is what lets a 65536-host platform route in O(hosts)
 // total memory (the former per-ordered-pair memo map was O(hosts²)).
 //
-// A platform is built in exactly one of two ways. Builders work from a
-// spec: NewHost, NewLink, SetLinkNamer and SetRouter, with derived names
-// and an implicit router. Test fixtures are built by hand: AddHost,
-// AddLink and AddRoute, with explicit names and a private table of
-// symmetric pair routes (the reverse direction iterates the forward slice
-// backward). A call from the other mode panics.
+// A platform is built one way: NewHost, NewLink, SetLinkNamer and
+// SetRouter, with derived names and an implicit router. Test fixtures
+// (dumbbells, stars) go through the same calls; package platformtest
+// builds them with the link names a test gives and a table router of
+// symmetric pair routes.
 //
 // Host and link storage is compact: array-of-structs slabs (bulk-allocated
 // via Reserve when the builder knows its counts) addressed by dense IDs,

@@ -2,12 +2,10 @@ package platform
 
 // Tests for derived names: NewHost/NewLink store no names (derived from the
 // slab index and the registered link namer), the derived-mode Host() lookup
-// inverts the prefix scheme with a strict round-trip check, and a platform
-// is built from a spec or by hand, never both.
+// inverts the prefix scheme with a strict round-trip check.
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"smpigo/internal/lmm"
@@ -58,63 +56,22 @@ func TestDerivedLinkNamer(t *testing.T) {
 	}
 }
 
-// TestMixedConstructionPanics pins the two exclusive construction modes:
-// after a call of one mode, every call of the other panics naming itself,
-// whichever mode came first.
-func TestMixedConstructionPanics(t *testing.T) {
-	fromSpec := map[string]func(*Platform){
-		"NewHost":      func(p *Platform) { p.NewHost(1e9) },
-		"NewLink":      func(p *Platform) { p.NewLink(1e9, 0, lmm.Shared) },
-		"SetLinkNamer": func(p *Platform) { p.SetLinkNamer(func(int) string { return "" }) },
-		"SetRouter":    func(p *Platform) { p.SetRouter(nil) },
-	}
-	byHand := map[string]func(*Platform){
-		"AddHost":  func(p *Platform) { p.AddHost("h", 1e9) },
-		"AddLink":  func(p *Platform) { p.AddLink("l", 1e9, 0, lmm.Shared) },
-		"AddRoute": func(p *Platform) { h := New("other").AddHost("a", 1e9); p.AddRoute(h, h, nil) },
-	}
-	check := func(first, then map[string]func(*Platform)) {
-		for fname, f := range first {
-			for name, call := range then {
-				p := New("mix")
-				f(p)
-				func() {
-					defer func() {
-						msg := fmt.Sprint(recover())
-						if !strings.Contains(msg, name+" mixes the two construction modes") {
-							t.Errorf("%s after %s: panic %q, want one naming %s and the modes", name, fname, msg, name)
-						}
-					}()
-					call(p)
-				}()
+// TestDerivedModeStoresNoNames pins the memory contract: a platform built
+// through NewHost/NewLink keeps no per-name storage at all, so building it
+// costs the same number of allocations at any size.
+func TestDerivedModeStoresNoNames(t *testing.T) {
+	build := func(n int) func() {
+		return func() {
+			p := New("lean")
+			p.SetLinkNamer(func(id int) string { return fmt.Sprintf("lean-l%d", id) })
+			p.Reserve(n, n)
+			for i := 0; i < n; i++ {
+				p.NewHost(1e9)
+				p.NewLink(1e9, 0, lmm.Shared)
 			}
 		}
 	}
-	check(fromSpec, byHand)
-	check(byHand, fromSpec)
-}
-
-// TestDerivedModeStoresNoNames pins the memory contract: a platform built
-// entirely through NewHost/NewLink keeps no per-name storage at all.
-func TestDerivedModeStoresNoNames(t *testing.T) {
-	p := New("lean")
-	p.SetLinkNamer(func(id int) string { return fmt.Sprintf("lean-l%d", id) })
-	for i := 0; i < 100; i++ {
-		p.NewHost(1e9)
-		p.NewLink(1e9, 0, lmm.Shared)
-	}
-	if p.hostNames != nil || p.linkNames != nil || p.byName != nil {
-		t.Error("derived-only platform materialized name storage")
-	}
-	// Forcing every name out does not change that: naming is a pure
-	// function of the ID, consulted per call.
-	for _, h := range p.Hosts() {
-		_ = h.Name()
-	}
-	for _, l := range p.Links() {
-		_ = l.Name()
-	}
-	if p.hostNames != nil || p.linkNames != nil {
-		t.Error("Name() calls materialized name storage")
+	if small, large := testing.AllocsPerRun(10, build(10)), testing.AllocsPerRun(10, build(1000)); small != large {
+		t.Errorf("building 10 hosts and links allocates %v times, 1000 allocate %v: storage grows per name", small, large)
 	}
 }

@@ -10,23 +10,6 @@ import (
 	"smpigo/internal/lmm"
 )
 
-// checkSpeed and checkBandwidth validate resource capacities at build time,
-// mirroring lmm.NewConstraint (zero is legal — a failed resource — negative
-// and NaN panic). Catching bad values here names the offending resource;
-// letting them through used to fail much later, deep inside the solver or at
-// flow start, with no hint of which host or link was misbuilt.
-func checkSpeed(speed float64, what string, id any) {
-	if speed < 0 || math.IsNaN(speed) {
-		panic(fmt.Sprintf("platform: invalid speed %v for %s %v", speed, what, id))
-	}
-}
-
-func checkBandwidth(bw float64, what string, id any) {
-	if bw < 0 || math.IsNaN(bw) {
-		panic(fmt.Sprintf("platform: invalid bandwidth %v for %s %v", bw, what, id))
-	}
-}
-
 // Host is a compute node of the target platform.
 type Host struct {
 	// ID is the dense index of the host inside its platform.
@@ -44,10 +27,9 @@ type Host struct {
 	p *Platform
 }
 
-// Name returns the unique host name, e.g. "griffon-12". On a platform built
-// from a spec it is derived on demand from the platform name and the slab
-// index ("<platform>-<ID>") so nothing is stored per host; on a hand-built
-// platform it is the name given to AddHost.
+// Name returns the unique host name, e.g. "griffon-12". It is derived on
+// demand from the platform name and the slab index ("<platform>-<ID>"), so
+// nothing is stored per host.
 func (h *Host) Name() string { return h.p.hostName(h.ID) }
 
 // Link is a network resource with a capacity and a traversal latency.
@@ -65,17 +47,16 @@ type Link struct {
 	p *Platform
 }
 
-// Name returns the unique link name, e.g. "griffon-up-12". On a platform
-// built from a spec it is derived on demand from the installed link namer
-// (builders register the inverse of their build-order link-ID arithmetic
-// via SetLinkNamer) so nothing is stored per link; on a hand-built platform
-// it is the name given to AddLink.
+// Name returns the unique link name, e.g. "griffon-up-12". It is derived on
+// demand from the installed link namer (builders register the inverse of
+// their build-order link-ID arithmetic via SetLinkNamer), so nothing is
+// stored per link.
 func (l *Link) Name() string { return l.p.linkName(l.ID) }
 
 // TopoInfo describes the structural family and metrics of a built platform.
 // Builders that know their interconnect shape (the cluster builder here, the
-// generators in package topology) attach one to Platform.Topo; hand-built
-// platforms leave it nil. Consumers use it for policy decisions that depend
+// generators in package topology) attach one to Platform.Topo; test
+// fixtures leave it nil. Consumers use it for policy decisions that depend
 // on the interconnect — the smpi layer keys its "auto" collective-algorithm
 // selection on Kind, and the placement mappers read the lowest-level group
 // structure off Host.Cabinet, which every TopoInfo-setting builder fills.
@@ -128,20 +109,16 @@ const slabSize = 1 << 12
 // internally by dense IDs; the *Host/*Link pointers handed to callers are
 // stable views into the slabs.
 //
-// A platform is built in exactly one of two ways, and a call from the other
-// way panics:
-//
-//   - from a spec: NewHost, NewLink, SetLinkNamer and SetRouter. Names are
-//     derived on demand from the slab index (hosts) or the link namer
-//     (links), and routes are computed by the implicit router, so a
-//     65536-host platform costs a couple hundred bytes per host with no
-//     per-name or per-pair bookkeeping;
-//   - by hand: AddHost, AddLink and AddRoute, with explicit names and a
-//     table of symmetric pair routes. Test fixtures (dumbbells, stars) use it.
+// A platform is built from a spec with NewHost, NewLink, SetLinkNamer and
+// SetRouter. Names are derived on demand from the slab index (hosts) or the
+// link namer (links), and routes are computed by the implicit router, so a
+// 65536-host platform costs a couple hundred bytes per host with no
+// per-name or per-pair bookkeeping. Test fixtures (dumbbells, stars) are
+// built the same way by package platformtest.
 type Platform struct {
 	Name string
 	// Topo describes the interconnect family and structural metrics when the
-	// builder knows them; nil for hand-built platforms.
+	// builder knows them; nil for test fixtures.
 	Topo *TopoInfo
 
 	hostSlabs [][]Host
@@ -154,18 +131,9 @@ type Platform struct {
 	hostPrefix string
 	// linkNamer derives NewLink names from the link ID (see SetLinkNamer).
 	linkNamer func(id int) string
-	// hostNames/linkNames hold a hand-built platform's names, and byName
-	// indexes its hosts; all three are nil on a platform built from a spec,
-	// where Host() inverts the prefix scheme instead.
-	hostNames []string
-	linkNames []string
-	byName    map[string]*Host
-	// fromSpec records that a spec-mode call was made (see construct).
-	fromSpec bool
 
 	// router computes routes between distinct hosts: the implicit router a
-	// builder installs with SetRouter (closed-form, O(1) state), or the
-	// routeTable of a hand-built platform.
+	// builder installs with SetRouter (closed-form, O(1) state).
 	router Router
 }
 
@@ -174,33 +142,11 @@ func New(name string) *Platform {
 	return &Platform{Name: name, hostPrefix: name + "-"}
 }
 
-// construct fixes the platform's construction mode on the first call and
-// panics when call belongs to the other mode (see Platform).
-func (p *Platform) construct(byHand bool, call string) {
-	if byHand && p.byName == nil && !p.fromSpec {
-		p.byName = make(map[string]*Host)
-		p.router = &routeTable{platform: p.Name, routes: make(map[[2]int]tableRoute)}
-	}
-	if byHand != (p.byName != nil) {
-		panic(fmt.Sprintf("platform %q: %s mixes the two construction modes: a platform is built from a spec "+
-			"(NewHost, NewLink, SetLinkNamer, SetRouter) or by hand (AddHost, AddLink, AddRoute)", p.Name, call))
-	}
-	p.fromSpec = !byHand
-}
-
 // hostName resolves a host ID to its name (see Host.Name).
-func (p *Platform) hostName(id int) string {
-	if p.hostNames != nil {
-		return p.hostNames[id]
-	}
-	return p.hostPrefix + strconv.Itoa(id)
-}
+func (p *Platform) hostName(id int) string { return p.hostPrefix + strconv.Itoa(id) }
 
 // linkName resolves a link ID to its name (see Link.Name).
 func (p *Platform) linkName(id int) string {
-	if p.linkNames != nil {
-		return p.linkNames[id]
-	}
 	if p.linkNamer != nil {
 		return p.linkNamer(id)
 	}
@@ -213,7 +159,6 @@ func (p *Platform) linkName(id int) string {
 // link; it is consulted only when a link's name is actually wanted (error
 // messages, reports, lookups), never on the routing or event hot paths.
 func (p *Platform) SetLinkNamer(fn func(id int) string) {
-	p.construct(false, "SetLinkNamer")
 	p.linkNamer = fn
 }
 
@@ -266,53 +211,28 @@ func (p *Platform) appendLink(bandwidth float64, latency core.Duration, policy l
 	return l
 }
 
-// NewHost creates a host of a platform built from a spec. Its name is
-// derived on demand from the slab index ("<platform>-<ID>"), storing
-// nothing per name.
+// NewHost creates a host. Its name is derived on demand from the slab index
+// ("<platform>-<ID>"), storing nothing per name.
+//
+// NewHost and NewLink validate capacities at build time, mirroring
+// lmm.NewConstraint: zero is legal (a failed resource), negative and NaN
+// panic naming the resource, instead of failing much later, deep inside the
+// solver or at flow start.
 func (p *Platform) NewHost(speed float64) *Host {
-	checkSpeed(speed, "host", len(p.hosts))
-	p.construct(false, "NewHost")
+	if speed < 0 || math.IsNaN(speed) {
+		panic(fmt.Sprintf("platform: invalid speed %v for host %d", speed, len(p.hosts)))
+	}
 	return p.appendHost(speed)
 }
 
-// AddHost creates a host of a hand-built platform, with an explicit name.
-// Host names must be unique.
-func (p *Platform) AddHost(name string, speed float64) *Host {
-	checkSpeed(speed, "host", name)
-	p.construct(true, "AddHost")
-	if _, dup := p.byName[name]; dup {
-		panic(fmt.Sprintf("platform: duplicate host %q", name))
-	}
-	h := p.appendHost(speed)
-	p.hostNames = append(p.hostNames, name)
-	p.byName[name] = h
-	return h
-}
-
-// NewLink creates a link of a platform built from a spec. Its name is
-// derived on demand from the link namer registered with SetLinkNamer (or
-// "<platform>-link-<ID>" without one), storing nothing per name.
+// NewLink creates a link. Its name is derived on demand from the link namer
+// registered with SetLinkNamer (or "<platform>-link-<ID>" without one),
+// storing nothing per name.
 func (p *Platform) NewLink(bandwidth float64, latency core.Duration, policy lmm.SharingPolicy) *Link {
-	checkBandwidth(bandwidth, "link", len(p.links))
-	p.construct(false, "NewLink")
+	if bandwidth < 0 || math.IsNaN(bandwidth) {
+		panic(fmt.Sprintf("platform: invalid bandwidth %v for link %d", bandwidth, len(p.links)))
+	}
 	return p.appendLink(bandwidth, latency, policy)
-}
-
-// AddLink creates a link of a hand-built platform, with an explicit name.
-func (p *Platform) AddLink(name string, bandwidth float64, latency core.Duration, policy lmm.SharingPolicy) *Link {
-	checkBandwidth(bandwidth, "link", name)
-	p.construct(true, "AddLink")
-	l := p.appendLink(bandwidth, latency, policy)
-	p.linkNames = append(p.linkNames, name)
-	return l
-}
-
-// AddRoute installs a symmetric route between two hosts of a hand-built
-// platform. Only the forward link slice is stored; the reverse direction
-// iterates it backward.
-func (p *Platform) AddRoute(a, b *Host, links []*Link) {
-	p.construct(true, "AddRoute")
-	p.router.(*routeTable).add(a, b, links)
 }
 
 // Hosts returns all hosts in ID order.
@@ -321,15 +241,11 @@ func (p *Platform) Hosts() []*Host { return p.hosts }
 // Links returns all links in ID order.
 func (p *Platform) Links() []*Link { return p.links }
 
-// Host returns the host with the given name, or nil. On a platform built
-// from a spec there is no name index to consult: the lookup inverts the
-// derived scheme instead, with a strict round-trip check so only the one
-// spelling Name() produces resolves ("<prefix>007" and "<prefix>+7" are not
-// hosts even when "<prefix>7" is).
+// Host returns the host with the given name, or nil. There is no name index
+// to consult: the lookup inverts the derived scheme, with a strict
+// round-trip check so only the one spelling Name() produces resolves
+// ("<prefix>007" and "<prefix>+7" are not hosts even when "<prefix>7" is).
 func (p *Platform) Host(name string) *Host {
-	if p.byName != nil {
-		return p.byName[name]
-	}
 	suffix, ok := strings.CutPrefix(name, p.hostPrefix)
 	if !ok {
 		return nil
@@ -348,13 +264,11 @@ func (p *Platform) HostByID(id int) *Host { return p.hosts[id] }
 // it to turn closed-form link indices into link handles.
 func (p *Platform) LinkByID(id int) *Link { return p.links[id] }
 
-// SetRouter installs the implicit router of a platform built from a spec.
-// The router must be deterministic (same pair, same route) and read-only
+// SetRouter installs the platform's implicit router. The router must be deterministic (same pair, same route) and read-only
 // once the platform is in use. Routes are computed on every lookup —
 // implicit routers are cheap enough that nothing is memoized.
 // SetRouter is not safe to call concurrently with Route.
 func (p *Platform) SetRouter(r Router) {
-	p.construct(false, "SetRouter")
 	p.router = r
 }
 

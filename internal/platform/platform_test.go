@@ -2,69 +2,17 @@ package platform
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"smpigo/internal/core"
 	"smpigo/internal/lmm"
 )
 
-func TestAddHostAndLookup(t *testing.T) {
-	p := New("test")
-	h := p.AddHost("n0", 1e9)
-	if p.Host("n0") != h {
-		t.Error("lookup by name failed")
-	}
-	if p.HostByID(0) != h {
-		t.Error("lookup by ID failed")
-	}
-	if h.Cabinet != -1 {
-		t.Error("hand-built host should have cabinet -1")
-	}
-}
-
-func TestDuplicateHostPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate host name should panic")
-		}
-	}()
-	p := New("test")
-	p.AddHost("n0", 1e9)
-	p.AddHost("n0", 1e9)
-}
-
-func TestManualRouteSymmetry(t *testing.T) {
-	p := New("test")
-	a := p.AddHost("a", 1e9)
-	b := p.AddHost("b", 1e9)
-	l1 := p.AddLink("l1", 125e6, 10*core.Microsecond, lmm.Shared)
-	l2 := p.AddLink("l2", 250e6, 5*core.Microsecond, lmm.Shared)
-	p.AddRoute(a, b, []*Link{l1, l2})
-
-	fwd := p.Route(a, b)
-	if len(fwd.Links) != 2 || fwd.Links[0] != l1 {
-		t.Errorf("forward route wrong: %v", fwd.Links)
-	}
-	rev := p.Route(b, a)
-	if len(rev.Links) != 2 || rev.Links[0] != l2 {
-		t.Errorf("reverse route should be reversed: %v", rev.Links)
-	}
-	wantLat := 15 * core.Microsecond
-	if math.Abs(float64(fwd.Latency-wantLat)) > 1e-12 {
-		t.Errorf("latency %v, want %v", fwd.Latency, wantLat)
-	}
-	if fwd.Bottleneck() != 125e6 {
-		t.Errorf("bottleneck %v, want 125e6", fwd.Bottleneck())
-	}
-}
-
 func TestSelfRouteIsEmpty(t *testing.T) {
 	p := New("test")
-	a := p.AddHost("a", 1e9)
+	a := p.NewHost(1e9)
 	r := p.Route(a, a)
 	if len(r.Links) != 0 || r.Latency != 0 {
 		t.Errorf("self route should be empty, got %v", r)
@@ -78,8 +26,8 @@ func TestMissingRoutePanics(t *testing.T) {
 		}
 	}()
 	p := New("test")
-	a := p.AddHost("a", 1e9)
-	b := p.AddHost("b", 1e9)
+	a := p.NewHost(1e9)
+	b := p.NewHost(1e9)
 	p.Route(a, b)
 }
 
@@ -252,59 +200,6 @@ func TestXMLErrors(t *testing.T) {
 	}
 }
 
-// TestTableRouterReverseView checks the symmetric-route storage contract:
-// one stored slice serves both directions, the reverse by backward
-// iteration into the caller's buffer, with no materialized copy.
-func TestTableRouterReverseView(t *testing.T) {
-	p := New("table")
-	a := p.AddHost("a", 1e9)
-	b := p.AddHost("b", 1e9)
-	l1 := p.AddLink("l1", 1e9, core.Microsecond, lmm.Shared)
-	l2 := p.AddLink("l2", 1e9, core.Microsecond, lmm.Shared)
-	p.AddRoute(a, b, []*Link{l1, l2})
-
-	buf := make([]*Link, 0, 8)
-	fwd := p.RouteInto(buf[:0], a, b)
-	if len(fwd.Links) != 2 || fwd.Links[0] != l1 || fwd.Links[1] != l2 {
-		t.Errorf("forward route wrong: %v", fwd.Links)
-	}
-	rev := p.RouteInto(buf[:0], b, a)
-	if len(rev.Links) != 2 || rev.Links[0] != l2 || rev.Links[1] != l1 {
-		t.Errorf("reverse route wrong: %v", rev.Links)
-	}
-	// Reverse lookups into a reused buffer must not allocate: the stored
-	// forward slice is iterated backward, never copied.
-	allocs := testing.AllocsPerRun(100, func() {
-		p.RouteInto(buf[:0], b, a)
-		p.RouteInto(buf[:0], a, b)
-	})
-	if allocs != 0 {
-		t.Errorf("RouteInto with reused buffer allocates %v times per lookup pair, want 0", allocs)
-	}
-}
-
-// TestMissingRoutePanicNamesRouter checks the one-code-path diagnostic:
-// a pair missing from a hand-built platform's route table panics naming
-// the table that failed, not a generic message.
-func TestMissingRoutePanicNamesRouter(t *testing.T) {
-	p := New("gap")
-	a := p.AddHost("a", 1e9)
-	b := p.AddHost("b", 1e9)
-	c := p.AddHost("c", 1e9)
-	l := p.AddLink("l", 1e9, core.Microsecond, lmm.Shared)
-	p.AddRoute(a, b, []*Link{l})
-	defer func() {
-		msg := recover()
-		if msg == nil {
-			t.Fatal("missing table route should panic")
-		}
-		if s := fmt.Sprint(msg); !strings.Contains(s, "table router") || !strings.Contains(s, "gap") {
-			t.Errorf("panic %q does not name the failing router", s)
-		}
-	}()
-	p.Route(a, c)
-}
-
 // TestRouteIntoZeroAlloc checks the hot-path contract of the implicit
 // cluster router: resolving routes into a reused buffer performs no
 // allocations at all.
@@ -386,9 +281,7 @@ func TestBuildTimeValidation(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			build := map[string]func(){
 				"NewHost": func() { New("p").NewHost(c.value) },
-				"AddHost": func() { New("p").AddHost("h", c.value) },
 				"NewLink": func() { New("p").NewLink(c.value, 1e-6, lmm.Shared) },
-				"AddLink": func() { New("p").AddLink("l", c.value, 1e-6, lmm.Shared) },
 			}
 			for name, fn := range build {
 				if c.ok {

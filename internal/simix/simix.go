@@ -49,13 +49,12 @@ type Model interface {
 // it, the delivery hook of a message), so waiting on a future allocates
 // nothing, re-armed or not.
 type Future struct {
-	done  bool
-	value any
+	done bool
 
 	waiter    *Actor   // first registered waiter
 	waiters   []*Actor // later ones, in registration order
-	callback  func(any)
-	callbacks []func(any)
+	callback  func()
+	callbacks []func()
 }
 
 // NewFuture returns an unfulfilled future.
@@ -63,9 +62,6 @@ func NewFuture() *Future { return &Future{} }
 
 // Done reports whether the future has been fulfilled.
 func (f *Future) Done() bool { return f.done }
-
-// Value returns the fulfillment value (nil until fulfilled).
-func (f *Future) Value() any { return f.value }
 
 // Actor is a simulated process. Application code never touches Actor
 // directly; it receives a *Proc context instead.
@@ -112,7 +108,7 @@ type Kernel struct {
 	// timers is the built-in timer queue, on the same heap implementation as
 	// the resource models' event paths (date order, FIFO on ties by push
 	// sequence). Timers are never re-keyed, so every pushed timer fires.
-	timers actionheap.Heap[timerEntry]
+	timers actionheap.Heap[*Future]
 
 	// Stats, when non-nil, accumulates kernel counters.
 	Stats *Stats
@@ -192,15 +188,15 @@ func (k *Kernel) enqueue(a *Actor) {
 	k.runq = append(k.runq, a)
 }
 
-// Fulfill completes f with value, waking every actor blocked on it. It is
-// safe to call from models (between scheduling rounds) and from actors
-// (the awakened actor runs later in the same round).
-func (k *Kernel) Fulfill(f *Future, value any) {
+// Fulfill completes f, waking every actor blocked on it. It is safe to call
+// from models (between scheduling rounds) and from actors (the awakened
+// actor runs later in the same round). Fulfilling a done future does
+// nothing.
+func (k *Kernel) Fulfill(f *Future) {
 	if f.done {
 		return
 	}
 	f.done = true
-	f.value = value
 	if f.waiter != nil {
 		k.enqueue(f.waiter)
 		for _, a := range f.waiters {
@@ -213,9 +209,9 @@ func (k *Kernel) Fulfill(f *Future, value any) {
 	cb, cbs := f.callback, f.callbacks
 	f.callback, f.callbacks = nil, nil
 	if cb != nil {
-		cb(value)
+		cb()
 		for _, cb := range cbs {
-			cb(value)
+			cb()
 		}
 	}
 }
@@ -232,9 +228,9 @@ func (f *Future) addWaiter(a *Actor) {
 // OnFulfill registers fn to run when f is fulfilled (immediately if it
 // already is). Callbacks run synchronously inside Fulfill, at the fulfilled
 // simulated date; they may fulfill other futures or start new activities.
-func (k *Kernel) OnFulfill(f *Future, fn func(value any)) {
+func (k *Kernel) OnFulfill(f *Future, fn func()) {
 	if f.done {
-		fn(f.value)
+		fn()
 		return
 	}
 	if f.callback == nil {
@@ -244,18 +240,13 @@ func (k *Kernel) OnFulfill(f *Future, fn func(value any)) {
 	}
 }
 
-// FulfillAt schedules f to be fulfilled with value at absolute date t,
-// using the kernel's built-in timer queue.
-func (k *Kernel) FulfillAt(f *Future, value any, t core.Time) {
+// FulfillAt schedules f to be fulfilled at absolute date t, using the
+// kernel's built-in timer queue.
+func (k *Kernel) FulfillAt(f *Future, t core.Time) {
 	if t < k.now {
 		t = k.now
 	}
-	k.timers.Push(timerEntry{f: f, value: value}, t, nil)
-}
-
-type timerEntry struct {
-	f     *Future
-	value any
+	k.timers.Push(f, t, nil)
 }
 
 // Run executes the simulation until every actor has terminated. It returns
@@ -331,7 +322,7 @@ func (k *Kernel) Run() (err error) {
 		}
 
 		for {
-			te, due, ok := k.timers.Peek()
+			f, due, ok := k.timers.Peek()
 			if !ok || due > k.now {
 				break
 			}
@@ -339,7 +330,7 @@ func (k *Kernel) Run() (err error) {
 			if k.Stats != nil {
 				k.Stats.TimerFires++
 			}
-			k.Fulfill(te.f, te.value)
+			k.Fulfill(f)
 		}
 		for _, m := range k.models {
 			m.Advance(k.now)
@@ -391,26 +382,25 @@ func (p *Proc) Yield() {
 	p.yield()
 }
 
-// Wait blocks until f is fulfilled and returns its value.
-func (p *Proc) Wait(f *Future) any {
+// Wait blocks until f is fulfilled.
+func (p *Proc) Wait(f *Future) {
 	for !f.done {
 		f.addWaiter(p.actor)
 		p.yield()
 	}
-	return f.value
 }
 
 // WaitAny blocks until at least one future in fs is fulfilled and returns
-// the index of the first fulfilled one (lowest index wins) plus its value.
-// It panics if fs is empty.
-func (p *Proc) WaitAny(fs []*Future) (int, any) {
+// the index of the first fulfilled one (lowest index wins). It panics if fs
+// is empty.
+func (p *Proc) WaitAny(fs []*Future) int {
 	if len(fs) == 0 {
 		panic("simix: WaitAny on empty set")
 	}
 	for {
 		for i, f := range fs {
 			if f != nil && f.done {
-				return i, f.value
+				return i
 			}
 		}
 		for _, f := range fs {
@@ -439,6 +429,6 @@ func (p *Proc) Sleep(d core.Duration) {
 	f := &p.actor.sleep
 	*f = Future{}
 	k := p.actor.kernel
-	k.FulfillAt(f, nil, k.now+d)
+	k.FulfillAt(f, k.now+d)
 	p.Wait(f)
 }

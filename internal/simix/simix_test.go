@@ -63,54 +63,57 @@ func TestSequentialInterleaving(t *testing.T) {
 func TestFutureHandoffBetweenActors(t *testing.T) {
 	k := New()
 	f := NewFuture()
-	var got any
+	woke := core.Time(-1)
 	k.Spawn("consumer", func(p *Proc) {
-		got = p.Wait(f)
+		p.Wait(f)
+		woke = p.Now()
 	})
 	k.Spawn("producer", func(p *Proc) {
 		p.Sleep(1)
-		p.Kernel().Fulfill(f, 42)
+		p.Kernel().Fulfill(f)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != 42 {
-		t.Errorf("consumer got %v, want 42", got)
+	if woke != 1 || !f.Done() {
+		t.Errorf("consumer woke at %v (done %v), want 1", woke, f.Done())
 	}
 }
 
 func TestWaitOnFulfilledFutureDoesNotBlock(t *testing.T) {
 	k := New()
 	f := NewFuture()
-	k.Fulfill(f, "x")
-	var got any
-	k.Spawn("a", func(p *Proc) { got = p.Wait(f) })
+	k.Fulfill(f)
+	returned := false
+	k.Spawn("a", func(p *Proc) {
+		p.Wait(f)
+		returned = p.Now() == 0
+	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != "x" {
-		t.Errorf("got %v", got)
+	if !returned {
+		t.Error("Wait on a fulfilled future did not return at once")
 	}
 }
 
 func TestWaitAnyReturnsLowestReadyIndex(t *testing.T) {
 	k := New()
 	f1, f2, f3 := NewFuture(), NewFuture(), NewFuture()
-	var idx int
-	var val any
+	idx := -1
 	k.Spawn("waiter", func(p *Proc) {
-		idx, val = p.WaitAny([]*Future{f1, f2, f3})
+		idx = p.WaitAny([]*Future{f1, f2, f3})
 	})
 	k.Spawn("producer", func(p *Proc) {
 		p.Sleep(1)
-		k.Fulfill(f3, "three")
-		k.Fulfill(f2, "two")
+		k.Fulfill(f3)
+		k.Fulfill(f2)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if idx != 1 || val != "two" {
-		t.Errorf("WaitAny = %d, %v; want 1, two", idx, val)
+	if idx != 1 {
+		t.Errorf("WaitAny = %d, want 1", idx)
 	}
 }
 
@@ -133,9 +136,9 @@ func TestWaitAllWithNils(t *testing.T) {
 	})
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(1)
-		k.Fulfill(f1, nil)
+		k.Fulfill(f1)
 		p.Sleep(1)
-		k.Fulfill(f2, nil)
+		k.Fulfill(f2)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -174,7 +177,7 @@ func TestSpawnFromActor(t *testing.T) {
 		k.Spawn("child", func(c *Proc) {
 			c.Sleep(1)
 			childRan = true
-			k.Fulfill(f, nil)
+			k.Fulfill(f)
 		})
 		p.Wait(f)
 	})
@@ -309,9 +312,9 @@ func TestFulfillWakesInRegistrationOrderWithinTheRound(t *testing.T) {
 	k.Spawn("a", func(p *Proc) {
 		p.Yield() // the waiters have registered, and "b" is queued ahead of them
 		for _, name := range []string{"cb1", "cb2", "cb3"} {
-			k.OnFulfill(f, func(any) { order = append(order, name) })
+			k.OnFulfill(f, func() { order = append(order, name) })
 		}
-		k.Fulfill(f, nil)
+		k.Fulfill(f)
 		order = append(order, "a")
 	})
 	k.Spawn("b", func(p *Proc) {
@@ -355,7 +358,7 @@ func TestFulfillAtPastClampedToNow(t *testing.T) {
 	k.Spawn("a", func(p *Proc) {
 		p.Sleep(5)
 		f := NewFuture()
-		k.FulfillAt(f, nil, 1) // in the past
+		k.FulfillAt(f, 1) // in the past
 		p.Wait(f)
 		woke = p.Now()
 	})
@@ -367,13 +370,25 @@ func TestFulfillAtPastClampedToNow(t *testing.T) {
 	}
 }
 
+// TestDoubleFulfillKeepsFirstValue: the first fulfillment stands. A second
+// Fulfill, or a pending FulfillAt timer firing later, runs no callback again.
 func TestDoubleFulfillKeepsFirstValue(t *testing.T) {
 	k := New()
 	f := NewFuture()
-	k.Fulfill(f, 1)
-	k.Fulfill(f, 2)
-	if f.Value() != 1 {
-		t.Errorf("value = %v, want 1", f.Value())
+	var fired []core.Time
+	k.OnFulfill(f, func() { fired = append(fired, k.Now()) })
+	k.FulfillAt(f, 5)
+	k.Spawn("a", func(p *Proc) {
+		p.Sleep(1)
+		k.Fulfill(f)
+		k.Fulfill(f)
+		p.Sleep(9)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0] != 1 {
+		t.Errorf("callback fired at %v, want once at 1", fired)
 	}
 }
 
@@ -396,7 +411,7 @@ func (m *stubModel) NextEvent() core.Time {
 func (m *stubModel) Advance(to core.Time) {
 	if !m.used && to >= m.at {
 		m.used = true
-		m.k.Fulfill(m.f, "model-done")
+		m.k.Fulfill(m.f)
 	}
 }
 
@@ -404,16 +419,15 @@ func TestModelDrivesCompletion(t *testing.T) {
 	k := New()
 	f := NewFuture()
 	k.AddModel(&stubModel{k: k, at: 3, f: f})
-	var got any
 	var at core.Time
 	k.Spawn("a", func(p *Proc) {
-		got = p.Wait(f)
+		p.Wait(f)
 		at = p.Now()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != "model-done" || at != 3 {
-		t.Errorf("got %v at %v, want model-done at 3", got, at)
+	if !f.Done() || at != 3 {
+		t.Errorf("woke at %v (done %v), want 3", at, f.Done())
 	}
 }

@@ -35,9 +35,8 @@ const (
 // Request is a communication handle (MPI_Request), returned by the
 // non-blocking and persistent operations and completed through Wait/Test.
 type Request struct {
-	owner *Rank
-	kind  reqKind
-	done  simix.Future
+	kind reqKind
+	done simix.Future
 	// Status is filled when the request completes (receives only).
 	Status Status
 
@@ -81,7 +80,7 @@ type envelope struct {
 	recvReq  *Request // the matched receive, from deliver on
 	// onWire is the wire future's callback, w.arrive bound to this envelope
 	// once for all its lives.
-	onWire func(any)
+	onWire func()
 }
 
 type mailbox struct {
@@ -93,7 +92,7 @@ type mailbox struct {
 // wakeProbers releases every actor blocked in Probe on this mailbox.
 func (mb *mailbox) wakeProbers(w *World) {
 	for _, f := range mb.probers {
-		w.kernel.Fulfill(f, nil)
+		w.kernel.Fulfill(f)
 	}
 	mb.probers = nil
 }
@@ -149,7 +148,7 @@ func (w *World) newEnvelope() *envelope {
 		return env
 	}
 	env := new(envelope)
-	env.onWire = func(any) { w.arrive(env) }
+	env.onWire = func() { w.arrive(env) }
 	return env
 }
 
@@ -179,9 +178,9 @@ func (w *World) arrive(env *envelope) {
 		// wildcard receives replay deterministically.
 		q.traceResolve(q.comm.group[env.src])
 	}
-	w.kernel.Fulfill(&q.done, nil)
+	w.kernel.Fulfill(&q.done)
 	if !env.eager {
-		w.kernel.Fulfill(&env.sendReq.done, nil)
+		w.kernel.Fulfill(&env.sendReq.done)
 	}
 	*env = envelope{onWire: env.onWire}
 	w.freeEnvs = append(w.freeEnvs, env)
@@ -211,7 +210,7 @@ func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Reque
 	env.srcHost, env.dstHost = r.host, w.ranks[c.group[dst]].host
 	mb := w.mailbox(mbKey{comm: c.id, rank: dst})
 
-	if int64(len(buf)) < w.cfg.EagerThreshold {
+	if int64(len(buf)) < eagerThreshold {
 		// Eager: snapshot the payload, push it to the wire immediately,
 		// and complete the send locally (buffered semantics). A folded
 		// buffer has no defined bytes to snapshot and is referenced.
@@ -222,7 +221,7 @@ func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Reque
 			env.data = clone(buf)
 		}
 		w.transfer(env)
-		w.kernel.Fulfill(&req.done, nil)
+		w.kernel.Fulfill(&req.done)
 		if q := mb.takeRecv(env); q != nil {
 			w.deliver(env, q)
 		} else {
@@ -303,7 +302,7 @@ func (r *Rank) Irecv(c *Comm, buf []byte, src, tag int) *Request {
 
 // startSend starts a send on the blank request q.
 func (r *Rank) startSend(q *Request, c *Comm, buf []byte, dst, tag int) *Request {
-	q.owner, q.kind, q.traceIdx = r, sendKind, -1
+	q.kind, q.traceIdx = sendKind, -1
 	if tr := r.w.cfg.Tracer; tr != nil {
 		q.traceIdx = tr.RecordIsend(r.rank, c.group[dst], tag, int64(len(buf)))
 	}
@@ -313,7 +312,7 @@ func (r *Rank) startSend(q *Request, c *Comm, buf []byte, dst, tag int) *Request
 
 // startRecv starts a receive on the blank request q.
 func (r *Rank) startRecv(q *Request, c *Comm, buf []byte, src, tag int) *Request {
-	q.owner, q.kind, q.traceIdx = r, recvKind, -1
+	q.kind, q.traceIdx = recvKind, -1
 	if tr := r.w.cfg.Tracer; tr != nil {
 		peer := src
 		if src >= 0 {
@@ -426,7 +425,7 @@ func (r *Rank) WaitAny(qs []*Request) (int, Status) {
 	if all {
 		return -1, Status{}
 	}
-	i, _ := r.proc.WaitAny(futures)
+	i := r.proc.WaitAny(futures)
 	if tr := r.w.cfg.Tracer; tr != nil && qs[i].traceIdx >= 0 {
 		tr.RecordWait(r.rank, qs[i].traceIdx)
 	}
@@ -516,7 +515,7 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 // SendInit creates an inactive persistent send request.
 func (r *Rank) SendInit(c *Comm, buf []byte, dst, tag int) *Request {
 	return &Request{
-		owner: r, kind: sendKind, persistent: true,
+		kind: sendKind, persistent: true,
 		comm: c, buf: buf, peer: dst, tag: tag,
 	}
 }
@@ -524,7 +523,7 @@ func (r *Rank) SendInit(c *Comm, buf []byte, dst, tag int) *Request {
 // RecvInit creates an inactive persistent receive request.
 func (r *Rank) RecvInit(c *Comm, buf []byte, src, tag int) *Request {
 	return &Request{
-		owner: r, kind: recvKind, persistent: true,
+		kind: recvKind, persistent: true,
 		comm: c, buf: buf, peer: src, tag: tag,
 	}
 }

@@ -2,8 +2,6 @@ package smpi
 
 import (
 	"fmt"
-
-	"smpigo/internal/core"
 )
 
 // This file exposes the paper's scalability macros (Section 5.2, Figure 2)
@@ -14,11 +12,11 @@ import (
 // rank, measuring its wall-clock duration each time; later occurrences are
 // bypassed and replaced by the mean measured duration (SMPI_SAMPLE_LOCAL).
 // The burst's duration — measured or replayed — is charged to simulated
-// time, scaled by Config.SpeedFactor.
+// time.
 func (r *Rank) SampleLocal(id string, n int, fn func()) {
 	key := fmt.Sprintf("%s@rank%d", id, r.rank)
 	d, _ := r.w.reg.Sample(key, n, fn)
-	r.Elapse(d * core.Duration(r.w.cfg.SpeedFactor))
+	r.Elapse(d)
 }
 
 // SampleGlobal is like SampleLocal but the n measurements are shared across
@@ -26,7 +24,7 @@ func (r *Rank) SampleLocal(id string, n int, fn func()) {
 // cost is independent of the rank count (paper Section 3.1).
 func (r *Rank) SampleGlobal(id string, n int, fn func()) {
 	d, _ := r.w.reg.Sample(id, n, fn)
-	r.Elapse(d * core.Duration(r.w.cfg.SpeedFactor))
+	r.Elapse(d)
 }
 
 // SampleLocalFlops runs the CPU burst identified by id at most n times on

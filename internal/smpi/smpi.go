@@ -25,6 +25,10 @@ const (
 	BackendEmu
 )
 
+// eagerThreshold is the size (bytes) at which sends switch from eager
+// (buffered) to rendezvous (synchronous) semantics.
+const eagerThreshold = 64 * core.KiB
+
 // Config parameterizes a simulated MPI job.
 type Config struct {
 	// Procs is the number of MPI ranks.
@@ -45,12 +49,6 @@ type Config struct {
 	// Impl is the emulated MPI implementation for BackendEmu; defaults to
 	// emu.OpenMPI().
 	Impl emu.MPIImpl
-	// EagerThreshold is the size (bytes) at which sends switch from eager
-	// (buffered) to rendezvous (synchronous) semantics. Default 64 KiB.
-	EagerThreshold int64
-	// SpeedFactor scales wall-clock-measured CPU bursts into target-node
-	// durations (paper Section 3.1); default 1 (host == target).
-	SpeedFactor float64
 	// Seed seeds the per-rank deterministic RNGs.
 	Seed uint64
 	// Algorithms selects collective implementation variants.
@@ -93,12 +91,6 @@ func (cfg *Config) fillDefaults() error {
 	}
 	if cfg.Impl.Name == "" {
 		cfg.Impl = emu.OpenMPI()
-	}
-	if cfg.EagerThreshold == 0 {
-		cfg.EagerThreshold = 64 * core.KiB
-	}
-	if cfg.SpeedFactor == 0 {
-		cfg.SpeedFactor = 1
 	}
 	// Check the collective algorithm names, then resolve "auto" against the
 	// platform's interconnect; fields left empty dispatch to the defaults.

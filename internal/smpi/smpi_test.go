@@ -461,9 +461,8 @@ func TestReportTrafficStats(t *testing.T) {
 func TestOversubscriptionPlacement(t *testing.T) {
 	// More ranks than hosts wraps round-robin without error.
 	plat := platform.New("tiny")
-	h := plat.AddHost("only", 1e9)
-	_ = h
-	plat.AddHost("other", 1e9)
+	plat.NewHost(1e9)
+	plat.NewHost(1e9)
 	// two hosts, no links needed if all traffic is loopback on same host
 	cfg := Config{Procs: 4, Platform: plat}
 	mustRun(t, cfg, func(r *Rank) {
@@ -471,52 +470,46 @@ func TestOversubscriptionPlacement(t *testing.T) {
 	})
 }
 
-func TestSpeedFactorScalesElapse(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.SpeedFactor = 2 // target nodes twice as slow as host measurements
-	rep := mustRun(t, cfg, func(r *Rank) {
-		r.SampleLocal("burst", 0, nil) // no samples: zero replay
-		r.Elapse(1)
-	})
-	if rep.SimulatedTime < 1 {
-		t.Errorf("simulated %v", rep.SimulatedTime)
-	}
-}
-
 // TestDesignChoicesMoveThePrediction pins the direction of the two model
 // switches an application cannot see but its predicted time depends on:
-// sharing links slows a 16-rank 256 KiB alltoall down, and sending 128 KiB
-// eagerly beats the rendezvous when the receivers post 10 ms late.
+// sharing links slows a 16-rank 256 KiB alltoall down, and a message one
+// byte under the eager threshold beats one at it (the rendezvous) when the
+// receivers post 10 ms late.
 func TestDesignChoicesMoveThePrediction(t *testing.T) {
 	alltoall := func(r *Rank) {
 		sendbuf := make([]byte, 16*256*core.KiB)
 		recvbuf := make([]byte, 16*256*core.KiB)
 		r.Comm().Alltoall(r, sendbuf, recvbuf)
 	}
-	lateRecv := func(r *Rank) {
-		c := r.Comm()
-		buf := make([]byte, 128*core.KiB)
-		if r.Rank() == 0 {
-			for dst := 1; dst < r.Size(); dst++ {
-				r.Send(c, buf, dst, 0)
+	lateRecv := func(size int64) func(*Rank) {
+		return func(r *Rank) {
+			c := r.Comm()
+			buf := make([]byte, size)
+			if r.Rank() == 0 {
+				for dst := 1; dst < r.Size(); dst++ {
+					r.Send(c, buf, dst, 0)
+				}
+			} else {
+				r.Elapse(0.01)
+				r.Recv(c, buf, 0, 0)
 			}
-		} else {
-			r.Elapse(0.01)
-			r.Recv(c, buf, 0, 0)
 		}
+	}
+	type setup struct {
+		cfg Config
+		app func(*Rank)
 	}
 	for _, tc := range []struct {
 		name       string
 		procs      int
-		app        func(*Rank)
-		slow, fast Config
+		slow, fast setup
 	}{
-		{"contention on vs off", 16, alltoall, Config{}, Config{NoContention: true}},
-		{"rendezvous vs eager", 8, lateRecv, Config{EagerThreshold: 64 * core.KiB}, Config{EagerThreshold: core.MiB}},
+		{"contention on vs off", 16, setup{Config{}, alltoall}, setup{Config{NoContention: true}, alltoall}},
+		{"rendezvous vs eager", 8, setup{Config{}, lateRecv(eagerThreshold)}, setup{Config{}, lateRecv(eagerThreshold - 1)}},
 	} {
-		run := func(cfg Config) core.Time {
-			cfg.Procs, cfg.Platform = tc.procs, testConfig(tc.procs).Platform
-			return mustRun(t, cfg, tc.app).SimulatedTime
+		run := func(s setup) core.Time {
+			s.cfg.Procs, s.cfg.Platform = tc.procs, testConfig(tc.procs).Platform
+			return mustRun(t, s.cfg, s.app).SimulatedTime
 		}
 		if slow, fast := run(tc.slow), run(tc.fast); !(slow > fast) {
 			t.Errorf("%s: simulated %v vs %v, want the first slower", tc.name, slow, fast)

@@ -53,8 +53,8 @@ func TestSetLinkBandwidthAnalytic(t *testing.T) {
 	// Halve the up link 2 s into the transfer phase.
 	at := core.Time(2*lat) + 2
 	tf := simix.NewFuture()
-	k.OnFulfill(tf, func(any) { n.SetLinkBandwidth(up, bw/2) })
-	k.FulfillAt(tf, nil, at)
+	k.OnFulfill(tf, func() { n.SetLinkBandwidth(up, bw/2) })
+	k.FulfillAt(tf, at)
 
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -104,8 +104,8 @@ func TestSetLinkBandwidthRestore(t *testing.T) {
 	}{{0.2, bw / 4}, {0.5, bw}} {
 		ev := ev
 		f := simix.NewFuture()
-		k.OnFulfill(f, func(any) { n.SetLinkBandwidth(up, ev.bw) })
-		k.FulfillAt(f, nil, ev.at)
+		k.OnFulfill(f, func() { n.SetLinkBandwidth(up, ev.bw) })
+		k.FulfillAt(f, ev.at)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestSetLinkBandwidthRestore(t *testing.T) {
 // host mid-task and the completion date must match the closed form.
 func TestSetHostSpeedAnalytic(t *testing.T) {
 	p := platform.New("mini")
-	h := p.AddHost("h", 1e9)
+	h := p.NewHost(1e9)
 
 	k := simix.New()
 	c := NewCPU(k)
@@ -132,8 +132,8 @@ func TestSetHostSpeedAnalytic(t *testing.T) {
 		done = pr.Now()
 	})
 	f := simix.NewFuture()
-	k.OnFulfill(f, func(any) { c.SetHostSpeed(h, 0.5e9) })
-	k.FulfillAt(f, nil, 1)
+	k.OnFulfill(f, func() { c.SetHostSpeed(h, 0.5e9) })
+	k.FulfillAt(f, 1)
 
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -65,12 +65,12 @@ func (c *CPU) Execute(host *platform.Host, flops float64) *simix.Future {
 	f := simix.NewFuture()
 	c.now = c.kernel.Now()
 	if flops <= 0 {
-		c.kernel.FulfillAt(f, nil, c.now)
+		c.kernel.FulfillAt(f, c.now)
 		return f
 	}
 	t := &cpuTask{action: action{future: f, remaining: flops, lastSync: c.now}, host: host}
 	c.admit(t)
-	t.v = c.sys.NewVariable(host.Name(), 1, math.Inf(1))
+	t.v = c.sys.NewVariable("task", 1, math.Inf(1))
 	t.v.Data = t
 	c.sys.Attach(t.v, c.constraint(host))
 	c.reshare(c.now)

@@ -293,6 +293,6 @@ func (e *engine[T]) complete(to core.Time) {
 			a.record(e.usage, act.lastSync, to, act.remaining)
 		}
 		e.inFlight--
-		e.kernel.Fulfill(act.future, nil)
+		e.kernel.Fulfill(act.future)
 	}
 }

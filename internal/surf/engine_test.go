@@ -36,7 +36,7 @@ func TestActionSizeClasses(t *testing.T) {
 // test instead of hanging the suite.
 func TestOverdueTaskBelowClockResolutionCompletes(t *testing.T) {
 	p := platform.New("far")
-	h := p.AddHost("h", 1e9)
+	h := p.NewHost(1e9)
 	k := simix.New()
 	cpu := NewCPU(k)
 	k.AddModel(cpu)

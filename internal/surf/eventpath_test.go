@@ -22,6 +22,7 @@ import (
 	"smpigo/internal/core"
 	"smpigo/internal/lmm"
 	"smpigo/internal/platform"
+	"smpigo/internal/platform/platformtest"
 	"smpigo/internal/simix"
 	"smpigo/internal/surf"
 	"smpigo/internal/topology"
@@ -135,7 +136,7 @@ func (n *scanNet) Advance(to core.Time) {
 			if f.v != nil {
 				n.sys.RemoveVariable(f.v)
 			}
-			n.kernel.Fulfill(f.future, nil)
+			n.kernel.Fulfill(f.future)
 			changed = true
 			continue
 		}
@@ -197,12 +198,10 @@ func churnSchedule(t *testing.T, plat *platform.Platform, mk func(*simix.Kernel)
 // live flow; the lazy drain then syncs at exactly the dates the reference
 // drains at, and completion times must be bit-identical.
 func TestHeapMatchesScanExactSingleComponent(t *testing.T) {
-	p := platform.New("dumbbell")
-	a := p.AddHost("a", 1e9)
-	b := p.AddHost("b", 1e9)
-	up := p.AddLink("up", 125e6, 10*core.Microsecond, lmm.Shared)
-	down := p.AddLink("down", 125e6, 10*core.Microsecond, lmm.Shared)
-	p.AddRoute(a, b, []*platform.Link{up, down})
+	f := platformtest.New("dumbbell")
+	p := f.Platform
+	a, b := p.NewHost(1e9), p.NewHost(1e9)
+	f.Route(a, b, f.Link("up", 125e6, 10*core.Microsecond, lmm.Shared), f.Link("down", 125e6, 10*core.Microsecond, lmm.Shared))
 
 	pairs := func(*rand.Rand) (int, int) { return 0, 1 }
 	const actors, steps = 8, 40

@@ -2,12 +2,12 @@ package surf
 
 import (
 	"math"
-	"strconv"
 	"testing"
 
 	"smpigo/internal/core"
 	"smpigo/internal/lmm"
 	"smpigo/internal/platform"
+	"smpigo/internal/platform/platformtest"
 	"smpigo/internal/simix"
 	"smpigo/internal/surf/actionheap"
 )
@@ -16,18 +16,18 @@ import (
 // shared 1 MB/s, 1 ms link, and returns the route of each, plus the route of
 // one more host that has a link of the same kind to itself.
 func trunkPlatform(n int) (routes []platform.Route, side platform.Route) {
-	p := platform.New("trunk")
-	sink := p.AddHost("sink", 1e9)
-	route := func(host string, link *platform.Link) platform.Route {
-		src := p.AddHost(host, 1e9)
-		p.AddRoute(src, sink, []*platform.Link{link})
-		return p.Route(src, sink)
+	f := platformtest.New("trunk")
+	sink := f.Platform.NewHost(1e9)
+	route := func(link *platform.Link) platform.Route {
+		src := f.Platform.NewHost(1e9)
+		f.Route(src, sink, link)
+		return f.Platform.Route(src, sink)
 	}
-	trunk := p.AddLink("trunk", 1e6, 1e-3, lmm.Shared)
+	trunk := f.Link("trunk", 1e6, 1e-3, lmm.Shared)
 	for i := 0; i < n; i++ {
-		routes = append(routes, route("src"+strconv.Itoa(i), trunk))
+		routes = append(routes, route(trunk))
 	}
-	return routes, route("src", p.AddLink("side", 1e6, 1e-3, lmm.Shared))
+	return routes, route(f.Link("side", 1e6, 1e-3, lmm.Shared))
 }
 
 // TestRecycledFlowHasNoEntry reuses a flow object that carried an earlier
@@ -122,7 +122,7 @@ func TestFlowStartedFromCallbackGetsAnotherObject(t *testing.T) {
 
 		first, second := simix.NewFuture(), simix.NewFuture()
 		n.StartFlow(routes[0], 1e6, first)
-		k.OnFulfill(first, func(any) {
+		k.OnFulfill(first, func() {
 			var completing *flow
 			for _, f := range n.completed {
 				if f.future == first {

@@ -95,7 +95,7 @@ func (n *Network) StartFlow(route platform.Route, size int64, future *simix.Futu
 			n.stats.Loopbacks++
 		}
 		d := loopbackLatency + core.Duration(float64(size)/loopbackBandwidth)
-		n.kernel.FulfillAt(future, nil, n.now+d)
+		n.kernel.FulfillAt(future, n.now+d)
 		return
 	}
 	seg := n.model.Segment(size)

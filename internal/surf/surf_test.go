@@ -9,19 +9,28 @@ import (
 	"smpigo/internal/core"
 	"smpigo/internal/lmm"
 	"smpigo/internal/platform"
+	"smpigo/internal/platform/platformtest"
 	"smpigo/internal/simix"
 )
 
 // twoHostPlatform builds a minimal platform: two hosts connected by a pair
 // of directed links with the given bandwidth and one-way latency per link.
 func twoHostPlatform(bw float64, lat core.Duration) (*platform.Platform, *platform.Host, *platform.Host) {
-	p := platform.New("mini")
-	a := p.AddHost("a", 1e9)
-	b := p.AddHost("b", 1e9)
-	up := p.AddLink("up", bw, lat, lmm.Shared)
-	down := p.AddLink("down", bw, lat, lmm.Shared)
-	p.AddRoute(a, b, []*platform.Link{up, down})
-	return p, a, b
+	f := platformtest.New("mini")
+	a, b := f.Platform.NewHost(1e9), f.Platform.NewHost(1e9)
+	f.Route(a, b, f.Link("up", bw, lat, lmm.Shared), f.Link("down", bw, lat, lmm.Shared))
+	return f.Platform, a, b
+}
+
+// starPlatform builds a source host with one up-link and two destination
+// hosts behind their own down-links.
+func starPlatform() (p *platform.Platform, src, d1, d2 *platform.Host) {
+	f := platformtest.New("star")
+	src, d1, d2 = f.Platform.NewHost(1e9), f.Platform.NewHost(1e9), f.Platform.NewHost(1e9)
+	up := f.Link("up", 125e6, 10*core.Microsecond, lmm.Shared)
+	f.Route(src, d1, up, f.Link("down1", 125e6, 10*core.Microsecond, lmm.Shared))
+	f.Route(src, d2, up, f.Link("down2", 125e6, 10*core.Microsecond, lmm.Shared))
+	return f.Platform, src, d1, d2
 }
 
 func runTransfer(t *testing.T, net func(*simix.Kernel) *Network, p *platform.Platform,
@@ -122,15 +131,7 @@ func TestModelValidation(t *testing.T) {
 func TestTwoFlowsContendOnSharedLink(t *testing.T) {
 	// Two flows from the same source share its up-link: each should get
 	// half the bandwidth, so both finish at lat + 2*size/bw.
-	p := platform.New("star")
-	src := p.AddHost("src", 1e9)
-	d1 := p.AddHost("d1", 1e9)
-	d2 := p.AddHost("d2", 1e9)
-	up := p.AddLink("up", 125e6, 10*core.Microsecond, lmm.Shared)
-	down1 := p.AddLink("down1", 125e6, 10*core.Microsecond, lmm.Shared)
-	down2 := p.AddLink("down2", 125e6, 10*core.Microsecond, lmm.Shared)
-	p.AddRoute(src, d1, []*platform.Link{up, down1})
-	p.AddRoute(src, d2, []*platform.Link{up, down2})
+	p, src, d1, d2 := starPlatform()
 
 	k := simix.New()
 	n := NewNetwork(k, Ideal())
@@ -156,15 +157,7 @@ func TestTwoFlowsContendOnSharedLink(t *testing.T) {
 }
 
 func TestContentionDisabledIgnoresSharing(t *testing.T) {
-	p := platform.New("star")
-	src := p.AddHost("src", 1e9)
-	d1 := p.AddHost("d1", 1e9)
-	d2 := p.AddHost("d2", 1e9)
-	up := p.AddLink("up", 125e6, 10*core.Microsecond, lmm.Shared)
-	down1 := p.AddLink("down1", 125e6, 10*core.Microsecond, lmm.Shared)
-	down2 := p.AddLink("down2", 125e6, 10*core.Microsecond, lmm.Shared)
-	p.AddRoute(src, d1, []*platform.Link{up, down1})
-	p.AddRoute(src, d2, []*platform.Link{up, down2})
+	p, src, d1, d2 := starPlatform()
 
 	k := simix.New()
 	n := NewNetwork(k, Ideal())
@@ -223,7 +216,7 @@ func TestStaggeredFlowsDynamicResharing(t *testing.T) {
 
 func TestLoopbackFlow(t *testing.T) {
 	p := platform.New("solo")
-	a := p.AddHost("a", 1e9)
+	a := p.NewHost(1e9)
 	k := simix.New()
 	n := NewNetwork(k, Ideal())
 	k.AddModel(n)
@@ -275,7 +268,7 @@ func TestInFlightAccounting(t *testing.T) {
 
 func TestCPUExecuteTiming(t *testing.T) {
 	p := platform.New("c")
-	h := p.AddHost("h", 1e9)
+	h := p.NewHost(1e9)
 	k := simix.New()
 	cpu := NewCPU(k)
 	k.AddModel(cpu)
@@ -294,7 +287,7 @@ func TestCPUExecuteTiming(t *testing.T) {
 
 func TestCPUSharingOnOversubscribedHost(t *testing.T) {
 	p := platform.New("c")
-	h := p.AddHost("h", 1e9)
+	h := p.NewHost(1e9)
 	k := simix.New()
 	cpu := NewCPU(k)
 	k.AddModel(cpu)
@@ -318,7 +311,7 @@ func TestCPUSharingOnOversubscribedHost(t *testing.T) {
 
 func TestCPUDelayScalesWithSpeed(t *testing.T) {
 	p := platform.New("c")
-	h := p.AddHost("h", 2e9)
+	h := p.NewHost(2e9)
 	k := simix.New()
 	cpu := NewCPU(k)
 	k.AddModel(cpu)
@@ -337,7 +330,7 @@ func TestCPUDelayScalesWithSpeed(t *testing.T) {
 
 func TestCPUZeroFlops(t *testing.T) {
 	p := platform.New("c")
-	h := p.AddHost("h", 1e9)
+	h := p.NewHost(1e9)
 	k := simix.New()
 	cpu := NewCPU(k)
 	k.AddModel(cpu)
@@ -358,12 +351,10 @@ func TestCPUZeroFlops(t *testing.T) {
 // fail loudly, naming the route.
 func TestZeroBandwidthLinkFailsLoudly(t *testing.T) {
 	for _, contention := range []bool{true, false} {
-		p := platform.New("dead")
-		a := p.AddHost("a", 1e9)
-		b := p.AddHost("b", 1e9)
-		up := p.AddLink("dead-up", 0, 10*core.Microsecond, lmm.Shared)
-		down := p.AddLink("dead-down", 125e6, 10*core.Microsecond, lmm.Shared)
-		p.AddRoute(a, b, []*platform.Link{up, down})
+		f := platformtest.New("dead")
+		p := f.Platform
+		a, b := p.NewHost(1e9), p.NewHost(1e9)
+		f.Route(a, b, f.Link("dead-up", 0, 10*core.Microsecond, lmm.Shared), f.Link("dead-down", 125e6, 10*core.Microsecond, lmm.Shared))
 		k := simix.New()
 		n := NewNetwork(k, Ideal())
 		n.Contention = contention
@@ -399,8 +390,8 @@ func TestZeroSpeedHostFailsLoudly(t *testing.T) {
 		{"delay", func(c *CPU, h *platform.Host) *simix.Future { return c.Delay(h, 1.5) }},
 	}
 	for _, op := range ops {
-		p := platform.New("c")
-		h := p.AddHost("powerless", 0)
+		p := platform.New("powerless")
+		h := p.NewHost(0)
 		k := simix.New()
 		cpu := NewCPU(k)
 		k.AddModel(cpu)
@@ -411,7 +402,7 @@ func TestZeroSpeedHostFailsLoudly(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s on a zero-speed host did not fail", op.name)
 		}
-		if !strings.Contains(err.Error(), "powerless") {
+		if !strings.Contains(err.Error(), "powerless-0") {
 			t.Errorf("%s error does not name the host: %v", op.name, err)
 		}
 	}
