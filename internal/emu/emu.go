@@ -107,38 +107,56 @@ type Net struct {
 	impl   MPIImpl
 
 	now core.Time
-	// events shares the surf models' completion-date heap. Packet-hop
-	// events are immutable once scheduled, so they are pushed without a
-	// position and never re-keyed; what the emulator gets from actionheap
-	// is the same O(1) NextEvent / O(log n) churn event path and the same
-	// date-then-push-order determinism contract as the analytical models —
-	// one event-path implementation across backends.
+	// events shares the surf models' completion-date heap, holding the
+	// head of each sorted stream of hop events (a message's injection, a
+	// port's FIFO) rather than every event. Each event keeps the sequence
+	// number a Push at its scheduling would have taken, so this k-way merge
+	// pops in exactly the order a heap of every event would: one event-path
+	// implementation and one determinism contract across backends.
 	events actionheap.Heap[hopEvent]
-	ports  map[*platform.Link]*port
+	ports  []port    // by Link.ID
+	nodes  []hopNode // the ports' FIFOs; nodes[0] is the empty sentinel
+	free   int32     // unused nodes, chained through next
+	msgs   *message  // recycled messages, chained through next
 	rng    *core.RNG
 }
 
+// port is a link's output: its serialization horizon and the FIFO of
+// packets sent down the link that have not yet reached the next hop. The
+// FIFO's head is the port's stream entry in the heap.
 type port struct {
-	busyUntil core.Time
+	busyUntil  core.Time
+	head, tail int32
+}
+
+// hopNode is one event of a port's FIFO.
+type hopNode struct {
+	ev   hopEvent
+	due  core.Time
+	seq  uint64
+	next int32
 }
 
 // message is one wire transfer (control or payload) in flight. It is cut
 // into packets of MSS payload bytes, the last one carrying the rest; a
-// zero-byte message is one empty packet.
+// zero-byte message is one empty packet. It is also its own injection
+// stream: frame i is due at frameDue(i) under sequence number seq+i.
 type message struct {
-	route     platform.Route
-	size      int64
-	packets   int
-	delivered int
-	wireScale float64 // per-message jitter on effective wire time
-	onDone    func(at core.Time)
+	route              platform.Route
+	size               int64
+	packets, delivered int32
+	wireScale          float64 // per-message jitter on effective wire time
+	onDone             func(at core.Time)
+	start              core.Time
+	ramp               bool
+	seq                uint64
+	next               *message // free list
 }
 
 // hopEvent is a packet arriving at the input of route link index hop.
 type hopEvent struct {
-	msg *message
-	pkt int
-	hop int
+	msg      *message
+	pkt, hop int32
 }
 
 // NewNet creates an emulated network over plat with the given MPI
@@ -148,7 +166,8 @@ func NewNet(kernel *simix.Kernel, plat *platform.Platform, impl MPIImpl) *Net {
 		kernel: kernel,
 		plat:   plat,
 		impl:   impl,
-		ports:  make(map[*platform.Link]*port),
+		ports:  make([]port, len(plat.Links())),
+		nodes:  make([]hopNode, 1),
 		rng:    core.NewRNG(0x7e57bed ^ uint64(len(impl.Name))),
 	}
 }
@@ -182,15 +201,12 @@ func (n *Net) Transfer(src, dst *platform.Host, size int64, future *simix.Future
 		n.kernel.FulfillAt(future, n.now+d)
 		return
 	}
-	route := n.plat.Route(src, dst)
-	back := n.plat.Route(dst, src)
-
 	if size < n.impl.EagerThreshold {
 		// Eager: copy into the send buffer, push to the wire immediately,
 		// copy out on the receive side.
 		copyCost := core.Duration(float64(size) / n.impl.CopyBandwidth)
 		start := n.now + n.impl.SendOverhead + copyCost
-		n.inject(route, size, start, true, func(at core.Time) {
+		n.inject(src, dst, size, start, true, func(at core.Time) {
 			n.kernel.FulfillAt(future, at+n.impl.RecvOverhead+copyCost)
 		})
 		return
@@ -199,29 +215,40 @@ func (n *Net) Transfer(src, dst *platform.Host, size int64, future *simix.Future
 	// Rendezvous: RTS to the receiver, CTS back, then the (zero-copy)
 	// payload rides a warmed-up connection with no window ramp.
 	rtsStart := n.now + n.impl.SendOverhead
-	n.inject(route, 0, rtsStart, false, func(rtsAt core.Time) {
-		n.inject(back, 0, rtsAt, false, func(ctsAt core.Time) {
-			n.inject(route, size, ctsAt, false, func(at core.Time) {
+	n.inject(src, dst, 0, rtsStart, false, func(rtsAt core.Time) {
+		n.inject(dst, src, 0, rtsAt, false, func(ctsAt core.Time) {
+			n.inject(src, dst, size, ctsAt, false, func(at core.Time) {
 				n.kernel.FulfillAt(future, at+n.impl.RecvOverhead)
 			})
 		})
 	})
 }
 
-// inject schedules the frames of a message onto the first port of route
-// starting at date start. ramp selects whether the slow-start window ramp
-// gates frame injection.
-func (n *Net) inject(route platform.Route, size int64, start core.Time, ramp bool, onDone func(core.Time)) {
-	m := &message{route: route, size: size, onDone: onDone, wireScale: n.jitterScale()}
-	m.packets = max(1, int((size+n.impl.MSS-1)/n.impl.MSS))
-	rtt := 2 * route.Latency
-	for i := range m.packets {
-		at := start + core.Duration(i)*n.impl.PerFrameCPU
-		if ramp {
-			at += core.Duration(n.rampRound(i)) * rtt
-		}
-		n.events.Push(hopEvent{msg: m, pkt: i, hop: 0}, at, nil)
+// inject schedules the frames of a message from src to dst onto the first
+// port of its route starting at date start, reserving their sequence
+// numbers; ramp selects whether the slow-start window ramp gates frame
+// injection.
+func (n *Net) inject(src, dst *platform.Host, size int64, start core.Time, ramp bool, onDone func(core.Time)) {
+	m := n.msgs
+	if m != nil {
+		n.msgs = m.next
+	} else {
+		m = &message{}
 	}
+	*m = message{route: n.plat.RouteInto(m.route.Links[:0], src, dst), size: size,
+		packets: int32(max(1, (size+n.impl.MSS-1)/n.impl.MSS)), wireScale: n.jitterScale(),
+		onDone: onDone, start: start, ramp: ramp}
+	m.seq = n.events.Reserve(int(m.packets))
+	n.events.PushSeq(hopEvent{msg: m}, n.frameDue(m, 0), m.seq, nil)
+}
+
+// frameDue returns the date frame i of m enters the first port.
+func (n *Net) frameDue(m *message, i int32) core.Time {
+	at := m.start + core.Duration(i)*n.impl.PerFrameCPU
+	if m.ramp {
+		at += core.Duration(n.rampRound(int(i))) * (2 * m.route.Latency)
+	}
+	return at
 }
 
 // rampRound returns the slow-start round frame i falls into: the window
@@ -237,15 +264,6 @@ func (n *Net) rampRound(i int) int {
 		r = n.impl.RampRounds
 	}
 	return r
-}
-
-func (n *Net) port(l *platform.Link) *port {
-	p, ok := n.ports[l]
-	if !ok {
-		p = &port{}
-		n.ports[l] = p
-	}
-	return p
 }
 
 // NextEvent implements simix.Model: an O(1) peek at the earliest scheduled
@@ -265,6 +283,7 @@ func (n *Net) Advance(to core.Time) {
 		}
 		n.events.Pop()
 		n.now = at
+		n.next(he)
 		n.processHop(he, at)
 	}
 	if to > n.now {
@@ -272,24 +291,69 @@ func (n *Net) Advance(to core.Time) {
 	}
 }
 
+// next pushes the successor of the popped event he in its stream: the
+// message's next frame, or the next packet in its port's FIFO.
+func (n *Net) next(he hopEvent) {
+	m := he.msg
+	if he.hop == 0 {
+		if i := he.pkt + 1; i < m.packets {
+			n.events.PushSeq(hopEvent{msg: m, pkt: i}, n.frameDue(m, i), m.seq+uint64(i), nil)
+		}
+		return
+	}
+	p := &n.ports[m.route.Links[he.hop-1].ID]
+	i := p.head
+	p.head, n.nodes[i].next, n.free = n.nodes[i].next, n.free, i
+	if p.head == 0 {
+		p.tail = 0
+		return
+	}
+	nd := &n.nodes[p.head]
+	n.events.PushSeq(nd.ev, nd.due, nd.seq, nil)
+}
+
 func (n *Net) processHop(he hopEvent, at core.Time) {
-	link := he.msg.route.Links[he.hop]
-	p := n.port(link)
+	m := he.msg
+	link := m.route.Links[he.hop]
+	p := &n.ports[link.ID]
 	startTx := at
 	if p.busyUntil > startTx {
 		startTx = p.busyUntil
 	}
-	payload := min(he.msg.size-int64(he.pkt)*n.impl.MSS, n.impl.MSS)
-	wire := float64(payload+n.impl.FrameOverhead) * he.msg.wireScale
+	payload := min(m.size-int64(he.pkt)*n.impl.MSS, n.impl.MSS)
+	wire := float64(payload+n.impl.FrameOverhead) * m.wireScale
 	txEnd := startTx + core.Duration(wire/link.Bandwidth)
 	p.busyUntil = txEnd
 	arrive := txEnd + link.Latency
-	if he.hop+1 < len(he.msg.route.Links) {
-		n.events.Push(hopEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive, nil)
+	if int(he.hop)+1 < len(m.route.Links) {
+		n.forward(p, hopEvent{msg: m, pkt: he.pkt, hop: he.hop + 1}, arrive)
 		return
 	}
-	he.msg.delivered++
-	if he.msg.delivered == he.msg.packets {
-		he.msg.onDone(arrive)
+	m.delivered++
+	if m.delivered == m.packets {
+		done := m.onDone
+		m.onDone, m.next, n.msgs = nil, n.msgs, m
+		done(arrive)
 	}
+}
+
+// forward appends he, due at at, to port p's FIFO under the sequence number
+// a Push now would take. busyUntil only grows and every frame has wire time,
+// so the FIFO stays sorted.
+func (n *Net) forward(p *port, he hopEvent, at core.Time) {
+	nd := hopNode{ev: he, due: at, seq: n.events.Reserve(1)}
+	i := n.free
+	if i != 0 {
+		n.free, n.nodes[i] = n.nodes[i].next, nd
+	} else {
+		i = int32(len(n.nodes))
+		n.nodes = append(n.nodes, nd)
+	}
+	if p.tail == 0 {
+		p.head = i
+		n.events.PushSeq(he, at, nd.seq, nil)
+	} else {
+		n.nodes[p.tail].next = i
+	}
+	p.tail = i
 }

@@ -2,11 +2,14 @@ package emu
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"smpigo/internal/core"
 	"smpigo/internal/platform"
 	"smpigo/internal/simix"
+	"smpigo/internal/surf/actionheap"
 )
 
 // transferTime runs a single emulated transfer and returns its duration.
@@ -193,5 +196,172 @@ func TestZeroByteControlMessage(t *testing.T) {
 	d := transferTime(t, OpenMPI(), 0, "near")
 	if d <= 0 || d > 150*core.Microsecond {
 		t.Errorf("0-byte message took %v", d)
+	}
+}
+
+// eagerNet is the reference event scheme the stream heads must reproduce
+// bit for bit: every frame of a message is pushed when it is injected, and
+// every forward is one Push. It shares Net's parameters, jitter stream and
+// window ramp, and nothing of its event path.
+type eagerNet struct {
+	*Net
+	heap actionheap.Heap[hopEvent]
+	busy map[*platform.Link]core.Time
+}
+
+func (r *eagerNet) inject(src, dst *platform.Host, size int64, start core.Time, ramp bool, onDone func(core.Time)) {
+	m := &message{route: r.plat.Route(src, dst), size: size, onDone: onDone, wireScale: r.jitterScale()}
+	m.packets = int32(max(1, (size+r.impl.MSS-1)/r.impl.MSS))
+	rtt := 2 * m.route.Latency
+	for i := range m.packets {
+		at := start + core.Duration(i)*r.impl.PerFrameCPU
+		if ramp {
+			at += core.Duration(r.rampRound(int(i))) * rtt
+		}
+		r.heap.Push(hopEvent{msg: m, pkt: i}, at, nil)
+	}
+}
+
+func (r *eagerNet) Advance(to core.Time) {
+	for he, at, ok := r.heap.Peek(); ok && at <= to+1e-15; he, at, ok = r.heap.Peek() {
+		r.heap.Pop()
+		m, link := he.msg, he.msg.route.Links[he.hop]
+		startTx := at
+		if r.busy[link] > startTx {
+			startTx = r.busy[link]
+		}
+		payload := min(m.size-int64(he.pkt)*r.impl.MSS, r.impl.MSS)
+		r.busy[link] = startTx + core.Duration(float64(payload+r.impl.FrameOverhead)*m.wireScale/link.Bandwidth)
+		if arrive := r.busy[link] + link.Latency; int(he.hop)+1 < len(m.route.Links) {
+			r.heap.Push(hopEvent{msg: m, pkt: he.pkt, hop: he.hop + 1}, arrive, nil)
+		} else if m.delivered++; m.delivered == m.packets {
+			m.onDone(arrive)
+		}
+	}
+}
+
+// injector is an event scheme under test: Net, or the eagerNet reference.
+type injector interface {
+	inject(src, dst *platform.Host, size int64, start core.Time, ramp bool, onDone func(core.Time))
+	Advance(to core.Time)
+}
+
+// send is one point-to-point transfer of an oracle scenario.
+type send struct {
+	src, dst *platform.Host
+	size     int64
+	start    core.Time
+}
+
+// drive runs sends, sorted by start date, through inj with Transfer's
+// protocol switch (eager below impl.EagerThreshold, else RTS, CTS and the
+// payload). Like Transfer, it issues each send SendOverhead before its first
+// frame is due, so sends that start together are all issued before any of
+// their frames is processed. It returns
+// every onDone date in call order and the most transfers in flight at once.
+func drive(inj injector, impl MPIImpl, sends []send) (dates []core.Time, maxActive int) {
+	active := 0
+	record := func(at core.Time) { dates = append(dates, at) }
+	finish := func(at core.Time) { record(at); active-- }
+	for _, s := range sends {
+		inj.Advance(s.start - impl.SendOverhead)
+		active++
+		maxActive = max(maxActive, active)
+		if s.size < impl.EagerThreshold {
+			inj.inject(s.src, s.dst, s.size, s.start, true, finish)
+			continue
+		}
+		inj.inject(s.src, s.dst, 0, s.start, false, func(rts core.Time) {
+			record(rts)
+			inj.inject(s.dst, s.src, 0, rts, false, func(cts core.Time) {
+				record(cts)
+				inj.inject(s.src, s.dst, s.size, cts, false, finish)
+			})
+		})
+	}
+	inj.Advance(core.TimeForever)
+	return dates, maxActive
+}
+
+// TestStreamHeadsMatchEagerReference is the exactness oracle of the event
+// path: on seeded random scenarios (eager and rendezvous sizes around the
+// 64 KiB switch, several messages sharing ports, ties on start dates, both
+// clusters and both MPI parameter sets), Net and the eager reference fire
+// every onDone at bit-identical dates after the same number of pushes, and
+// Net's heap never holds more than one entry per transfer in flight plus
+// one per link.
+//
+// Measured dates rarely tie, so a third cluster and parameter set make them
+// tie on purpose: with no per-frame cost, no jitter, start dates on a grid,
+// and frame times and latencies that are powers of two, dates add up
+// exactly, and only the sequence numbers order the packets that different
+// streams bring to a port at the same date.
+func TestStreamHeadsMatchEagerReference(t *testing.T) {
+	tied := OpenMPI()
+	tied.PerFrameCPU, tied.Jitter = 0, 0
+	frame := float64(tied.MSS + tied.FrameOverhead)
+	dyadic := platform.ClusterSpec{Name: "dyadic", Cabinets: []int{4, 4}, NodeSpeed: 1e9,
+		NodeLinkBandwidth: frame * (1 << 17), NodeLinkLatency: 1.0 / (1 << 15),
+		CabinetBackplaneBandwidth: frame * (1 << 19), CabinetBackplaneLatency: 1.0 / (1 << 18),
+		UplinkBandwidth: frame * (1 << 18), UplinkLatency: 1.0 / (1 << 17),
+		BackboneBandwidth: frame * (1 << 20), BackboneLatency: 1.0 / (1 << 18)}
+	specs := []platform.ClusterSpec{platform.Griffon(), platform.Gdx(), dyadic}
+	impls := []MPIImpl{OpenMPI(), MPICH2(), tied}
+	plats := make([]*platform.Platform, len(specs))
+	for i, spec := range specs {
+		p, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plats[i] = p
+	}
+	for seed := int64(0); seed < 180; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		plat, impl := plats[seed%3], impls[seed/3%3]
+		hosts := []*platform.Host{plat.HostByID(0), plat.HostByID(1), plat.HostByID(2)}
+		for range 3 {
+			hosts = append(hosts, plat.HostByID(rng.Intn(len(plat.Hosts()))))
+		}
+		sizes := []int64{0, 1, 1448, 64*core.KiB - 1, 64 * core.KiB, 64*core.KiB + 1}
+		sends := make([]send, 2+rng.Intn(10))
+		for i := range sends {
+			s := send{src: hosts[rng.Intn(len(hosts))], dst: hosts[rng.Intn(len(hosts))], size: sizes[rng.Intn(len(sizes))]}
+			for s.dst == s.src {
+				s.dst = hosts[rng.Intn(len(hosts))]
+			}
+			switch rng.Intn(4) {
+			case 0:
+				s.size = 1 + rng.Int63n(256*core.KiB)
+			case 1:
+				s.size = core.MiB
+			}
+			if s.start = core.Time(rng.Intn(256)) / (1 << 17); i > 0 && rng.Intn(4) == 0 {
+				s.start = sends[i-1].start // a tie
+			}
+			sends[i] = s
+		}
+		sort.SliceStable(sends, func(i, j int) bool { return sends[i].start < sends[j].start })
+
+		var netStats, refStats actionheap.Stats
+		net := NewNet(simix.New(), plat, impl)
+		net.InstrumentHeap(&netStats)
+		ref := &eagerNet{Net: NewNet(simix.New(), plat, impl), busy: map[*platform.Link]core.Time{}}
+		ref.heap.Stats = &refStats
+		got, maxActive := drive(net, impl, sends)
+		want, _ := drive(ref, impl, sends)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d onDone calls, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d (%s on %s): onDone %d at %v, reference %v", seed, impl.Name, plat.Name, i, got[i], want[i])
+			}
+		}
+		if netStats.Pushes != refStats.Pushes {
+			t.Errorf("seed %d: %d pushes, reference %d", seed, netStats.Pushes, refStats.Pushes)
+		}
+		if bound := maxActive + len(plat.Links()); netStats.MaxLen > bound {
+			t.Errorf("seed %d: heap held %d entries, want <= %d transfers in flight + %d links", seed, netStats.MaxLen, maxActive, len(plat.Links()))
+		}
 	}
 }

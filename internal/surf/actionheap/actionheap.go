@@ -15,16 +15,18 @@
 // when it is popped, so the zero value means "no entry". When the date
 // changes — in surf, exactly when lmm.Solve's Resolved() set hands the model
 // a new rate — the model calls Update with that position. Entries whose
-// date never changes (emu's packet hops, simix timers) pass nil and pay
+// date never changes (emu's hop events, simix timers) pass nil and pay
 // nothing for the index but a nil check per sift step.
 //
 // # Determinism
 //
 // Ties on the date are broken by sequence number, taken from one counter by
-// Push and Update alike, so an updated entry ties exactly like a fresh push
-// would. Pop order — and therefore everything downstream of it: model wakeup
-// order, actor scheduling, the simulated timestamps of a whole campaign —
-// depends only on the order of Push and Update calls, never on heap
+// Push, Update and Reserve alike: an updated entry ties like a fresh push,
+// and an entry pushed with PushSeq under a reserved number ties like a push
+// made at the reservation (emu.Net holds only the head of each sorted stream
+// of hop events that way). Pop order — and therefore everything downstream
+// of it: model wakeup order, actor scheduling, the simulated timestamps of a
+// whole campaign — depends only on the order of those calls, never on heap
 // internals. Models that need a different tie order among simultaneous
 // events (surf completes flows in start order, not restamp order) collect
 // the qualifying pops first and sort them by their own serial.
@@ -44,7 +46,8 @@ type entry[T any] struct {
 // Stats accumulates heap counters when attached via the Stats field. Every
 // hook is a nil check; a heap without stats attached pays nothing.
 type Stats struct {
-	// Pushes counts Push and Update calls: every date the heap was given.
+	// Pushes counts Push, PushSeq and Update calls: every date the heap
+	// was given.
 	Pushes uint64
 	// Pops counts entries handed to the model (Pop with ok == true).
 	Pops uint64
@@ -68,8 +71,20 @@ func (h *Heap[T]) Len() int { return len(h.items) }
 // Push schedules action at date due. If pos is non-nil the heap keeps the
 // entry's 1-based position in *pos until the entry is popped, for Update.
 func (h *Heap[T]) Push(action T, due core.Time, pos *int) {
-	h.items = append(h.items, entry[T]{due: due, seq: h.seq, action: action, pos: pos})
-	h.seq++
+	h.PushSeq(action, due, h.Reserve(1), pos)
+}
+
+// Reserve takes n consecutive sequence numbers from the counter Push and
+// Update draw on and returns the first. An entry pushed under one with
+// PushSeq ties exactly like a Push made at the time of the reservation.
+func (h *Heap[T]) Reserve(n int) uint64 {
+	h.seq += uint64(n)
+	return h.seq - uint64(n)
+}
+
+// PushSeq is Push under a sequence number taken earlier from Reserve.
+func (h *Heap[T]) PushSeq(action T, due core.Time, seq uint64, pos *int) {
+	h.items = append(h.items, entry[T]{due: due, seq: seq, action: action, pos: pos})
 	h.up(len(h.items) - 1)
 	if h.Stats != nil {
 		h.Stats.Pushes++

@@ -292,3 +292,73 @@ func TestEmptyHeap(t *testing.T) {
 		t.Error("Pop on empty heap reported ok")
 	}
 }
+
+// TestStreamHeadsMergeLikeAFlatHeap is the property the packet emulator
+// builds on: sorted runs of entries, each entry keeping a sequence number
+// reserved when it was scheduled, merge through a heap of run heads (pop a
+// head, push the run's next entry under its reserved number) in exactly the
+// (date, seq) order of pushing every entry into one flat heap. Runs are
+// scheduled in chunks, either whole (Reserve(len)) or one entry at a time
+// (Reserve(1)) interleaved with other runs, and dates tie inside and across
+// runs.
+func TestStreamHeadsMergeLikeAFlatHeap(t *testing.T) {
+	type elem struct{ run, idx int }
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		runs := make([][]core.Time, 1+rng.Intn(8))
+		for r := range runs {
+			due := core.Time(rng.Intn(4))
+			for range rng.Intn(12) {
+				runs[r] = append(runs[r], due)
+				due += core.Time(rng.Intn(3)) // ties inside a run
+			}
+		}
+		var flat, heads Heap[elem]
+		var stats Stats
+		heads.Stats = &stats
+		seqs := make([][]uint64, len(runs))
+		next := make([]int, len(runs)) // entries of each run scheduled so far
+		total := 0
+		for scheduled := true; scheduled; {
+			scheduled = false
+			for _, r := range rng.Perm(len(runs)) {
+				n := len(runs[r]) - next[r]
+				if n == 0 {
+					continue
+				}
+				if r%2 == 1 || rng.Intn(3) > 0 {
+					n = 1 // trickle: one entry now, the rest in later rounds
+				}
+				seq := heads.Reserve(n)
+				for i := next[r]; i < next[r]+n; i++ {
+					flat.Push(elem{r, i}, runs[r][i], nil)
+					seqs[r] = append(seqs[r], seq+uint64(i-next[r]))
+				}
+				next[r] += n
+				total += n
+				scheduled = true
+			}
+		}
+		for r := range runs {
+			if len(runs[r]) > 0 {
+				heads.PushSeq(elem{r, 0}, runs[r][0], seqs[r][0], nil)
+			}
+		}
+		for i := 0; i < total; i++ {
+			want, wantDue, _ := flat.Pop()
+			got, due, ok := heads.Pop()
+			if !ok || got != want || due != wantDue {
+				t.Fatalf("trial %d pop %d: merge gave %+v at %v, flat heap %+v at %v", trial, i, got, due, want, wantDue)
+			}
+			if j := got.idx + 1; j < len(runs[got.run]) {
+				heads.PushSeq(elem{got.run, j}, runs[got.run][j], seqs[got.run][j], nil)
+			}
+			if heads.Len() > len(runs) {
+				t.Fatalf("trial %d: %d entries for %d runs", trial, heads.Len(), len(runs))
+			}
+		}
+		if heads.Len() != 0 || stats.Pushes != uint64(total) {
+			t.Fatalf("trial %d: %d left over, %d pushes for %d entries", trial, heads.Len(), stats.Pushes, total)
+		}
+	}
+}

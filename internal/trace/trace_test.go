@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -139,4 +142,86 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	if back.Procs != 4 || back.Events() != 0 {
 		t.Errorf("empty roundtrip: procs=%d events=%d", back.Procs, back.Events())
 	}
+}
+
+// TestReadBoundsProcCount: the header's proc count sizes Read's per-rank
+// slices, so a 19-byte file claiming 10^11 ranks used to take the
+// machine's memory. Read refuses counts above MaxProcs, naming line 1, and
+// still accepts MaxProcs itself.
+func TestReadBoundsProcCount(t *testing.T) {
+	for _, in := range []string{"procs 100000000000", fmt.Sprintf("procs %d\n", MaxProcs+1), "procs 0\n", "procs -3\n"} {
+		if _, err := Read(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("Read(%q) = %v, want an error naming line 1", in, err)
+		}
+	}
+	tr, err := Read(strings.NewReader(fmt.Sprintf("procs %d\n0 W 0\n", MaxProcs)))
+	if err != nil || tr.Procs != MaxProcs || tr.Events() != 1 {
+		t.Fatalf("Read at MaxProcs: %v", err)
+	}
+}
+
+// sameTrace reports whether a and b hold the same ranks and events, with
+// durations compared bit for bit (a NaN burst reads back as itself).
+func sameTrace(a, b *Trace) bool {
+	if a.Procs != b.Procs || len(a.Streams) != len(b.Streams) {
+		return false
+	}
+	for rank, stream := range a.Streams {
+		if len(stream) != len(b.Streams[rank]) {
+			return false
+		}
+		for i, ev := range stream {
+			other := b.Streams[rank][i]
+			if math.Float64bits(float64(ev.Duration)) != math.Float64bits(float64(other.Duration)) {
+				return false
+			}
+			ev.Duration, other.Duration = 0, 0
+			if ev != other {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzReadTrace: Read takes user bytes (smpirun -replay). It never panics,
+// and every trace it accepts writes back to bytes that read as the same
+// trace: Read(Write(Read(b))) == Read(b).
+func FuzzReadTrace(f *testing.F) {
+	rec := New(2)
+	rec.RecordCompute(0, 0.125)
+	rec.RecordWait(0, rec.RecordIsend(0, 1, 3, 1024))
+	req, _ := rec.RecordIrecv(1, 0, 3, 1024)
+	rec.RecordWait(1, req)
+	var buf bytes.Buffer
+	if err := rec.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		buf.String(),
+		"procs 100000000000",
+		"procs 1\n0 C 1e-3",
+		"procs 3\n2 S 0 -1 +5\n1 R 2 7 0\n0 C NaN\n0 C -0\n",
+		"procs 2\n\n",
+		"procs 2\n0 X 1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := Read(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := tr.Write(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("%q was accepted, but its rewrite %q does not read: %v", in, out.Bytes(), err)
+		}
+		if !sameTrace(tr, back) {
+			t.Fatalf("%q reads differently once rewritten as %q", in, out.Bytes())
+		}
+	})
 }
