@@ -2,7 +2,9 @@
 // it runs the SKaMPI ping-pong benchmark between two nodes of the emulated
 // testbed, fits the default-affine, best-fit-affine and piece-wise linear
 // models, and prints the measurements, the fitted parameters, and each
-// model's accuracy against the calibration data.
+// model's accuracy against the calibration data. The front ends read the
+// griffon result from internal/experiments/calibration_data.go; regenerate it
+// with go test ./internal/experiments/ -run CalibrationIsCurrent -update.
 package main
 
 import (

@@ -213,7 +213,7 @@ func runCampaign(args []string) error {
 		}
 	}
 
-	// A bad axis value fails here, before anything is calibrated or run.
+	// A bad axis value fails here, before anything is built or run.
 	// The canonical form is what smpigod runs, so a spec fingerprints alike
 	// on both front ends however its axes are ordered or spelled.
 	if spec, err = spec.Canonicalize(); err != nil {

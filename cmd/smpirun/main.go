@@ -128,7 +128,7 @@ func run(o options, w io.Writer) error {
 	}
 	env, err := experiments.NewEnv()
 	if err != nil {
-		return fmt.Errorf("calibration: %w", err)
+		return fmt.Errorf("environment: %w", err)
 	}
 	plat, err := loadPlatform(env, o.platform)
 	if err != nil {

@@ -12,17 +12,11 @@ import (
 )
 
 // Env is the shared experimental environment: both clusters and the three
-// point-to-point models, calibrated once on the emulated griffon cluster
-// exactly as the paper calibrates on the real griffon (Section 6).
+// point-to-point models. As the paper calibrates once (Section 6), the models
+// are data: Calibrate's result on the emulated griffon, in calibration_data.go.
 type Env struct {
 	Griffon *platform.Platform
 	Gdx     *platform.Platform
-
-	// CalSamples is the SKaMPI ping-pong dataset measured on the emulated
-	// griffon cluster between two same-cabinet nodes.
-	CalSamples []calibrate.Sample
-	// CalInfo is the calibration route's physical parameters.
-	CalInfo calibrate.RouteInfo
 
 	// The three candidate models of Figures 3-5.
 	Default   surf.NetModel
@@ -42,18 +36,10 @@ type Env struct {
 	topoPlatforms map[string]*platform.Platform
 }
 
-var (
-	envOnce sync.Once
-	envVal  *Env
-	envErr  error
-)
+var envOnce = sync.OnceValues(buildEnv)
 
-// NewEnv builds (and caches) the environment. Calibration is deterministic,
-// so sharing the cached value across figures and benchmarks is sound.
-func NewEnv() (*Env, error) {
-	envOnce.Do(func() { envVal, envErr = buildEnv() })
-	return envVal, envErr
-}
+// NewEnv builds the environment once per process; it runs no simulation.
+func NewEnv() (*Env, error) { return envOnce() }
 
 // Calibrate performs the paper's Section 6 instantiation between hosts a
 // and b of plat: the SKaMPI ping-pong on the emulated testbed, the route's
@@ -85,19 +71,8 @@ func buildEnv() (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	samples, info, fits, err := Calibrate(griffon, griffon.HostByID(0), griffon.HostByID(1))
-	if err != nil {
-		return nil, err
-	}
-	return &Env{
-		Griffon:    griffon,
-		Gdx:        gdx,
-		CalSamples: samples,
-		CalInfo:    info,
-		Default:    fits[0],
-		BestFit:    fits[1],
-		Piecewise:  fits[2],
-	}, nil
+	return &Env{Griffon: griffon, Gdx: gdx,
+		Default: calibration[0], BestFit: calibration[1], Piecewise: calibration[2]}, nil
 }
 
 // runCampaign fans the jobs out over the env's worker pool and returns

@@ -11,7 +11,7 @@ import (
 	"smpigo/internal/core"
 )
 
-var updateFigures = flag.Bool("update", false, "rewrite testdata/figures.golden from this build")
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden and calibration_data.go from this build")
 
 // TestFigureTablesGolden renders the tables of the ping-pong figures (3, 4,
 // 5), the collective figures (7, 8, 9, 11, 12), the DT figures (15, 16) and
@@ -56,7 +56,7 @@ func TestFigureTablesGolden(t *testing.T) {
 	})
 
 	const path = "testdata/figures.golden"
-	if *updateFigures {
+	if *update {
 		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
