@@ -1,6 +1,7 @@
 package simix
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -429,5 +430,182 @@ func TestModelDrivesCompletion(t *testing.T) {
 	}
 	if !f.Done() || at != 3 {
 		t.Errorf("woke at %v (done %v), want 3", at, f.Done())
+	}
+}
+
+// queueModel fulfills each scheduled future at its date; futures due at one
+// date fulfill in scheduling order.
+type queueModel struct {
+	k  *Kernel
+	at []core.Time
+	fs []*Future
+}
+
+func (m *queueModel) schedule(f *Future, t core.Time) {
+	m.at = append(m.at, t)
+	m.fs = append(m.fs, f)
+}
+
+func (m *queueModel) NextEvent() core.Time {
+	next := core.TimeForever
+	for _, t := range m.at {
+		if t < next {
+			next = t
+		}
+	}
+	return next
+}
+
+func (m *queueModel) Advance(to core.Time) {
+	for i := 0; i < len(m.at); {
+		if m.at[i] > to {
+			i++
+			continue
+		}
+		f := m.fs[i]
+		m.at = append(m.at[:i], m.at[i+1:]...)
+		m.fs = append(m.fs[:i], m.fs[i+1:]...)
+		m.k.Fulfill(f)
+	}
+}
+
+// TestDispatchOrderPinned records the simulated date and the actor at every
+// resumption of a scenario that mixes every way an actor blocks, wakes,
+// spawns and exits, and compares it, with the kernel's counters, against a
+// literal: the order in which the kernel dispatches actors is part of every
+// simulated number above it.
+func TestDispatchOrderPinned(t *testing.T) {
+	k := New()
+	k.Stats = new(Stats)
+	m := &queueModel{k: k}
+	k.AddModel(m)
+
+	var got []string
+	rec := func(p *Proc) { got = append(got, fmt.Sprintf("%g %s", float64(p.Now()), p.Name())) }
+	gate, cbDone := NewFuture(), NewFuture()
+	mf := []*Future{NewFuture(), NewFuture(), NewFuture()}
+	m.schedule(mf[0], 1.5)
+	m.schedule(mf[1], 3)
+	m.schedule(mf[2], 3)
+
+	k.Spawn("root", func(p *Proc) {
+		rec(p)
+		k.Spawn("child0", func(p *Proc) {
+			rec(p)
+			p.Sleep(1)
+			rec(p)
+			k.Spawn("grandchild", func(p *Proc) {
+				rec(p)
+				p.WaitAll([]*Future{mf[1], gate})
+				rec(p)
+			})
+		})
+		k.Spawn("child1", func(p *Proc) {
+			rec(p)
+			p.Wait(gate)
+			rec(p)
+		})
+		p.Yield()
+		rec(p)
+		p.Sleep(1)
+		rec(p)
+	})
+	k.Spawn("yielder", func(p *Proc) {
+		rec(p)
+		for i := 0; i < 3; i++ {
+			p.Yield()
+			rec(p)
+		}
+	})
+	k.Spawn("sleeper", func(p *Proc) {
+		rec(p)
+		for _, d := range []core.Duration{2, 0, 5, 0} {
+			p.Sleep(d)
+			rec(p)
+		}
+	})
+	k.Spawn("napper", func(p *Proc) {
+		rec(p)
+		p.Sleep(0.5)
+		rec(p)
+	})
+	k.Spawn("any", func(p *Proc) {
+		rec(p)
+		i := p.WaitAny([]*Future{mf[1], gate, nil})
+		rec(p)
+		got = append(got, fmt.Sprintf("any woke on %d", i))
+	})
+	k.Spawn("all", func(p *Proc) {
+		rec(p)
+		p.WaitAll([]*Future{mf[0], nil, mf[2]})
+		rec(p)
+	})
+	k.Spawn("model", func(p *Proc) {
+		rec(p)
+		p.Wait(mf[0])
+		rec(p)
+		f := NewFuture()
+		m.schedule(f, p.Now()+1)
+		p.Wait(f)
+		rec(p)
+	})
+	k.Spawn("timer", func(p *Proc) {
+		rec(p)
+		k.FulfillAt(gate, 2)
+		p.Wait(gate)
+		rec(p)
+	})
+	k.Spawn("callback", func(p *Proc) {
+		rec(p)
+		k.OnFulfill(mf[0], func() {
+			got = append(got, fmt.Sprintf("%g callback fires", float64(k.Now())))
+			k.Spawn("cb-child", func(p *Proc) {
+				rec(p)
+				p.Yield()
+				rec(p)
+				p.Sleep(0.25)
+				rec(p)
+			})
+			k.Fulfill(cbDone)
+		})
+		p.Wait(cbDone)
+		rec(p)
+	})
+	k.Spawn("cb-waiter", func(p *Proc) {
+		rec(p)
+		p.Wait(cbDone)
+		rec(p)
+		p.Yield()
+		rec(p)
+	})
+	k.Spawn("quitter", func(p *Proc) { rec(p) })
+	k.Spawn("lingerer", func(p *Proc) {
+		rec(p)
+		p.Yield()
+		rec(p)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, fmt.Sprintf("stats %+v", *k.Stats))
+
+	want := []string{
+		"0 root", "0 yielder", "0 sleeper", "0 napper", "0 any", "0 all",
+		"0 model", "0 timer", "0 callback", "0 cb-waiter", "0 quitter",
+		"0 lingerer", "0 child0", "0 child1", "0 root", "0 yielder",
+		"0 lingerer", "0 yielder", "0 yielder",
+		"0.5 napper",
+		"1 child0", "1 root", "1 grandchild",
+		"1.5 callback fires", "1.5 model", "1.5 cb-child", "1.5 callback",
+		"1.5 cb-waiter", "1.5 cb-child", "1.5 cb-waiter",
+		"1.75 cb-child",
+		"2 sleeper", "2 any", "any woke on 1", "2 timer", "2 child1", "2 sleeper",
+		"2.5 model",
+		"3 grandchild", "3 all",
+		"7 sleeper", "7 sleeper",
+		"stats {Rounds:10 ActorRuns:41 TimerFires:9}",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("dispatch order moved; got:\n%#v", got)
 	}
 }
