@@ -4,10 +4,16 @@
 // time under the control of the kernel, which alone advances simulated time.
 //
 // In the original SMPI, actors are threads multiplexed by SimGrid's SIMIX
-// layer; here each actor is a goroutine that the kernel resumes and that
-// yields back whenever it performs a blocking simulation call. At most one
-// goroutine is ever runnable, so the simulation is deterministic and safe
-// without locks.
+// layer; here each actor is a goroutine. There is no scheduler goroutine:
+// the kernel loop is a function run by whichever goroutine holds the baton.
+// An actor that performs a blocking simulation call runs the loop itself —
+// picks the next ready actor, advancing the clock first when none is ready —
+// and hands that actor the baton, as SimGrid's raw contexts switch straight from one
+// actor to the next in serial mode. One actor run thus costs one goroutine
+// switch, and none when the blocking actor is its own successor. The baton
+// goes back to Run only when the run is over. At most one goroutine is ever
+// runnable, so the simulation is deterministic and safe without locks, at
+// any GOMAXPROCS.
 //
 // Resource models (the analytical SURF network/CPU models, or the
 // packet-level testbed emulator) plug in through the Model interface: the

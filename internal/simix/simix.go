@@ -86,15 +86,16 @@ type Proc struct {
 }
 
 // Stats accumulates kernel counters when attached via the Stats field:
-// scheduling rounds (clock advances), actor resumptions, and timer
+// scheduling rounds (clock advances), actor dispatches, and timer
 // fulfillments. Every hook is a nil check; a kernel without stats attached
 // pays nothing.
 type Stats struct {
 	// Rounds counts clock advances — one per scheduling round in which every
 	// actor was blocked and time moved to the next event.
 	Rounds uint64
-	// ActorRuns counts actor resumptions (an actor may resume many times per
-	// round as futures fulfill).
+	// ActorRuns counts dispatches (an actor may be dispatched many times per
+	// round as futures fulfill). An actor dispatched as its own successor
+	// continues without a goroutine switch, and still counts.
 	ActorRuns uint64
 	// TimerFires counts futures fulfilled by the built-in timer queue.
 	TimerFires uint64
@@ -115,8 +116,9 @@ type Kernel struct {
 
 	actors   []*Actor
 	runq     []*Actor
+	pos      int // next runq index to dispatch
 	live     int
-	yielded  chan struct{}
+	done     chan struct{} // the baton back to Run: the run is over
 	running  bool
 	aborting bool // Run returned early: a resumed actor unwinds (see yield)
 	failure  error
@@ -126,7 +128,7 @@ type Kernel struct {
 
 // New returns an empty kernel at simulated time zero.
 func New() *Kernel {
-	return &Kernel{yielded: make(chan struct{})}
+	return &Kernel{done: make(chan struct{})}
 }
 
 // Now returns the current simulated time.
@@ -160,7 +162,11 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Actor {
 			}
 			a.done = true
 			k.live--
-			k.yielded <- struct{}{}
+			var next *Actor
+			if !k.aborting && k.failure == nil {
+				next = k.dispatch()
+			}
+			k.handOff(next)
 		}()
 		if !k.aborting {
 			fn(a.proc)
@@ -252,35 +258,60 @@ func (k *Kernel) FulfillAt(f *Future, t core.Time) {
 // Run executes the simulation until every actor has terminated. It returns
 // an error if an actor panicked, if the deadline was exceeded, or if live
 // actors remain but no model has a pending event (deadlock).
-func (k *Kernel) Run() (err error) {
+//
+// There is no scheduler goroutine: the kernel loop is dispatch, run by
+// whichever goroutine holds the baton — Run to start, then each actor as it
+// blocks or exits, handing the baton straight to the next actor to run. The
+// baton comes back to Run only when the run is over.
+func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("simix: kernel already running")
 	}
 	k.running = true
-	defer func() {
-		k.running = false
-		// Panics raised outside actor goroutines (model code, completion
-		// callbacks) surface as errors rather than crashing the caller.
-		if r := recover(); r != nil {
-			err = fmt.Errorf("simix: kernel panicked: %w", panicError(r))
+	defer func() { k.running = false }()
+	if next := k.dispatch(); next != nil {
+		next.resume <- struct{}{}
+		<-k.done
+	}
+	// A failed run unwinds every parked actor: no goroutine outlives it.
+	for i := 0; k.failure != nil && i < len(k.actors); i++ {
+		if a := k.actors[i]; !a.done {
+			k.aborting = true
+			a.resume <- struct{}{}
+			<-k.done
 		}
-		// A failed run unwinds every parked actor: no goroutine outlives it.
-		for i := 0; err != nil && i < len(k.actors); i++ {
-			if a := k.actors[i]; !a.done {
-				k.aborting = true
-				a.resume <- struct{}{}
-				<-k.yielded
-			}
+	}
+	return k.failure
+}
+
+// handOff passes the baton to a, or back to Run when a is nil.
+func (k *Kernel) handOff(a *Actor) {
+	if a == nil {
+		k.done <- struct{}{}
+	} else {
+		a.resume <- struct{}{}
+	}
+}
+
+// dispatch runs the kernel loop until an actor is ready and returns it,
+// counted as one actor run, or returns nil when the run is over, with
+// k.failure saying why if it failed. Panics raised by model code and
+// completion callbacks during a time step surface as k.failure rather than
+// crashing the goroutine that holds the baton.
+func (k *Kernel) dispatch() *Actor {
+	defer func() {
+		if r := recover(); r != nil {
+			k.failure = fmt.Errorf("simix: kernel panicked: %w", panicError(r))
 		}
 	}()
-
 	for {
-		// Scheduling round: run every ready actor, one at a time. The queue
-		// is drained by index — an actor enqueued during the round runs in
-		// it, after those already queued — and then emptied in place, so its
-		// backing array serves every round.
-		for i := 0; i < len(k.runq); i++ {
-			a := k.runq[i]
+		// Scheduling round: dispatch every ready actor, one at a time. The
+		// queue is drained by index — an actor enqueued during the round runs
+		// in it, after those already queued — and then emptied in place, so
+		// its backing array serves every round.
+		for k.pos < len(k.runq) {
+			a := k.runq[k.pos]
+			k.pos++
 			a.queued = false
 			if a.done {
 				continue
@@ -288,13 +319,9 @@ func (k *Kernel) Run() (err error) {
 			if k.Stats != nil {
 				k.Stats.ActorRuns++
 			}
-			a.resume <- struct{}{}
-			<-k.yielded
-			if k.failure != nil {
-				return k.failure
-			}
+			return a
 		}
-		k.runq = k.runq[:0]
+		k.runq, k.pos = k.runq[:0], 0
 
 		if k.live == 0 {
 			return nil
@@ -307,14 +334,16 @@ func (k *Kernel) Run() (err error) {
 				next = t
 			}
 		}
-		if next == core.TimeForever {
-			return k.deadlockError()
+		switch {
+		case next == core.TimeForever:
+			k.failure = k.deadlockError()
+		case k.maxt > 0 && next > k.maxt:
+			k.failure = fmt.Errorf("simix: simulated time %v exceeds deadline %v", next, k.maxt)
+		case next < k.now:
+			k.failure = fmt.Errorf("simix: model scheduled event in the past (%v < %v)", next, k.now)
 		}
-		if k.maxt > 0 && next > k.maxt {
-			return fmt.Errorf("simix: simulated time %v exceeds deadline %v", next, k.maxt)
-		}
-		if next < k.now {
-			return fmt.Errorf("simix: model scheduled event in the past (%v < %v)", next, k.now)
+		if k.failure != nil {
+			return nil
 		}
 		k.now = next
 		if k.Stats != nil {
@@ -354,20 +383,21 @@ func (k *Kernel) deadlockError() error {
 // errAborted unwinds an actor resumed after its run failed (see Run).
 var errAborted = errors.New("simix: run aborted")
 
-// yield suspends the actor and returns control to the kernel.
+// yield suspends the actor: it dispatches the next actor to run itself and
+// hands it the baton, then parks until it is dispatched again. When it is
+// its own successor, it continues at once, without a goroutine switch.
 func (p *Proc) yield() {
 	k := p.actor.kernel
 	if !k.aborting {
-		k.yielded <- struct{}{}
-		<-p.actor.resume
+		if next := k.dispatch(); next != p.actor {
+			k.handOff(next)
+			<-p.actor.resume
+		}
 	}
 	if k.aborting {
 		panic(errAborted)
 	}
 }
-
-// Kernel returns the kernel this actor belongs to.
-func (p *Proc) Kernel() *Kernel { return p.actor.kernel }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() core.Time { return p.actor.kernel.now }

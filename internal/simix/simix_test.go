@@ -1,6 +1,7 @@
 package simix
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -71,7 +72,7 @@ func TestFutureHandoffBetweenActors(t *testing.T) {
 	})
 	k.Spawn("producer", func(p *Proc) {
 		p.Sleep(1)
-		p.Kernel().Fulfill(f)
+		k.Fulfill(f)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -200,20 +201,43 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// faultModel panics with a typed error at its first time step, as a model
+// that finds itself unable to go on (surf.StallError) does. The step runs on
+// the goroutine of whichever actor blocked or exited last.
+type faultModel struct{}
+
+type modelFault struct{ at core.Time }
+
+func (f *modelFault) Error() string { return fmt.Sprintf("model fault at %v", f.at) }
+
+func (faultModel) NextEvent() core.Time { return 1 }
+func (faultModel) Advance(to core.Time) { panic(&modelFault{at: to}) }
+
 // TestFailedRunsLeaveNoGoroutine fails 50 runs of each kind with one actor
-// parked in Wait and one spawned but, in the panic case, never started:
-// every actor goroutine ends with its run, after its defers ran.
+// parked in Wait and one spawned but, in the actor panic case, never
+// started: every actor goroutine ends with its run, after its defers ran.
+// In the model panic cases the failing step runs on an actor's goroutine —
+// one that blocked, or one that exited — and the model's typed error stays
+// reachable from Run's.
 func TestFailedRunsLeaveNoGoroutine(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		arm  func(*Kernel)
+		name        string
+		arm         func(*Kernel)
+		modelPanics bool
 	}{
-		{"deadlock", func(*Kernel) {}},
+		{"deadlock", func(*Kernel) {}, false},
 		{"deadline", func(k *Kernel) {
 			k.SetDeadline(10)
 			k.Spawn("slow", func(p *Proc) { p.Sleep(100) })
-		}},
-		{"actor panic", func(k *Kernel) { k.Spawn("boom", func(*Proc) { panic("kaboom") }) }},
+		}, false},
+		{"actor panic", func(k *Kernel) { k.Spawn("boom", func(*Proc) { panic("kaboom") }) }, false},
+		{"model panic", func(k *Kernel) { k.AddModel(faultModel{}) }, true},
+		{"model panic on exit", func(k *Kernel) {
+			k.AddModel(faultModel{})
+			// Queued again behind "late", it is the last actor of the
+			// round: its exit runs the step that panics.
+			k.Spawn("exiting", func(p *Proc) { p.Yield() })
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
@@ -226,8 +250,13 @@ func TestFailedRunsLeaveNoGoroutine(t *testing.T) {
 				})
 				tc.arm(k)
 				k.Spawn("late", func(p *Proc) { p.Wait(NewFuture()) })
-				if err := k.Run(); err == nil {
+				err := k.Run()
+				if err == nil {
 					t.Fatal("run succeeded")
+				}
+				var fault *modelFault
+				if tc.modelPanics && (!strings.Contains(err.Error(), "simix: kernel panicked") || !errors.As(err, &fault) || fault.at != 1) {
+					t.Fatalf("want the model's fault at 1 as a kernel panic, got %v", err)
 				}
 			}
 			if unwound != 50 {

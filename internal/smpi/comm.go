@@ -77,10 +77,20 @@ func (w *World) getOrCreateComm(key string, group []int) *Comm {
 // collective: every member must call it, in the same order relative to
 // other Dup/Split calls on the same communicator.
 func (c *Comm) Dup(r *Rank) *Comm {
-	seq := r.dupSeq[c.id]
-	r.dupSeq[c.id] = seq + 1
+	seq := r.nextDupSeq(c.id)
 	key := fmt.Sprintf("dup:%d:%d", c.id, seq)
 	return c.w.getOrCreateComm(key, c.Group())
+}
+
+// nextDupSeq returns how many Dup or Split calls r has made under key, and
+// counts this one.
+func (r *Rank) nextDupSeq(key int) int {
+	if r.dupSeq == nil {
+		r.dupSeq = make(map[int]int)
+	}
+	seq := r.dupSeq[key]
+	r.dupSeq[key] = seq + 1
+	return seq
 }
 
 // Split partitions the communicator by color and orders each partition by
@@ -94,8 +104,7 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	all := make([]byte, 8*c.Size())
 	c.Allgather(r, mine, all)
 
-	seq := r.dupSeq[-1-c.id] // separate sequence space from Dup
-	r.dupSeq[-1-c.id] = seq + 1
+	seq := r.nextDupSeq(-1 - c.id) // separate sequence space from Dup
 
 	if color == Undefined {
 		return nil

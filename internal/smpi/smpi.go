@@ -156,7 +156,7 @@ type Rank struct {
 	host *platform.Host
 	rng  *core.RNG
 
-	dupSeq map[int]int // per-source-comm Dup call counters
+	dupSeq map[int]int // per-source-comm Dup call counters, made on first Dup or Split
 
 	anyScratch []*simix.Future // WaitAny's view of its requests
 }
@@ -230,11 +230,10 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 	seedRNG := core.NewRNG(cfg.Seed + 0x5eed)
 	for i := 0; i < cfg.Procs; i++ {
 		r := &Rank{
-			w:      w,
-			rank:   i,
-			host:   hosts[i],
-			rng:    seedRNG.Split(),
-			dupSeq: make(map[int]int),
+			w:    w,
+			rank: i,
+			host: hosts[i],
+			rng:  seedRNG.Split(),
 		}
 		w.ranks = append(w.ranks, r)
 		w.kernel.Spawn(fmt.Sprintf("rank-%d", i), func(p *simix.Proc) {
