@@ -39,8 +39,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"reflect"
 	"runtime/metrics"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -89,71 +89,54 @@ func runFigures(args []string) error {
 	}
 	env.Workers = *parallel
 	env.Seed = *seed
-	// Zero payloads mean each figure's default.
-	dtPayload, epM, figScale := 0, 22, 1.0
-	var sweepChunk, degradedChunk int64
-	if *fast {
-		dtPayload, epM, figScale = 512*1024, 19, 1.0/16
-		sweepChunk, degradedChunk = 64*core.KiB, 16*core.KiB
-	}
-
-	// Every figure returns a pointer to its own result struct; all of them
-	// carry the rendered table in a field named Table.
-	figures := []struct {
-		id  string
-		run func() (any, error)
-	}{
-		{"3", func() (any, error) { return experiments.Figure3(env) }},
-		{"4", func() (any, error) { return experiments.Figure4(env) }},
-		{"5", func() (any, error) { return experiments.Figure5(env) }},
-		{"7", func() (any, error) { return experiments.Figure7(env) }},
-		{"8", func() (any, error) { return experiments.Figure8(env) }},
-		{"9", func() (any, error) { return experiments.Figure9(env) }},
-		{"11", func() (any, error) { return experiments.Figure11(env) }},
-		{"12", func() (any, error) { return experiments.Figure12(env) }},
-		{"15", func() (any, error) { return experiments.Figure15(env, dtPayload) }},
-		{"16", func() (any, error) { return experiments.Figure16(env, figScale, 2*float64(core.GiB)) }},
-		{"17", func() (any, error) { return experiments.Figure17(env) }},
-		{"18", func() (any, error) { return experiments.Figure18(env, epM, 64) }},
-		{"topo", func() (any, error) { return experiments.TopoCollectives(env, sweepChunk) }},
-		{"placement", func() (any, error) { return experiments.PlacementSweep(env, sweepChunk) }},
-		{"degraded", func() (any, error) { return experiments.DegradedSweep(env, degradedChunk) }},
-	}
-
-	want := strings.Split(*fig, ",")
-	match := func(id string) bool {
-		if *fig == "all" {
-			return true
-		}
-		for _, w := range want {
-			if strings.TrimSpace(w) == id {
-				return true
-			}
-		}
-		return false
+	figures, err := selectFigures(experiments.Figures(env, *fast), *fig)
+	if err != nil {
+		return err
 	}
 	var tables []*experiments.Table
 	for _, f := range figures {
-		if !match(f.id) {
-			continue
-		}
-		r, err := f.run()
+		t, err := f.Run()
 		if err != nil {
-			return fmt.Errorf("figure %s: %w", f.id, err)
+			return fmt.Errorf("figure %s: %w", f.ID, err)
 		}
-		t := reflect.ValueOf(r).Elem().FieldByName("Table").Interface().(*experiments.Table)
 		tables = append(tables, t)
 		if !*jsonOut {
 			fmt.Println(t.String())
 		}
 	}
-	if len(tables) == 0 {
-		return fmt.Errorf("no figure matches %q", *fig)
-	}
 	if *jsonOut {
 		return emitJSON(tables)
 	}
 	return nil
+}
+
+// selectFigures returns the figures the -fig value names, in list order:
+// every one for "all", else those its comma-separated IDs name. An ID that
+// names no figure is an error, raised before any figure runs.
+func selectFigures(figures []experiments.Figure, spec string) ([]experiments.Figure, error) {
+	if spec == "all" {
+		return figures, nil
+	}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.ID
+	}
+	want := splitList(spec)
+	for _, id := range want {
+		if !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown figure %q (want %s or all)", id, strings.Join(ids, ", "))
+		}
+	}
+	var out []experiments.Figure
+	for _, f := range figures {
+		if slices.Contains(want, f.ID) {
+			out = append(out, f)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no figure matches %q", spec)
+	}
+	return out, nil
 }
 
 func runCampaign(args []string) error {
@@ -163,7 +146,7 @@ func runCampaign(args []string) error {
 	sizesArg := fs.String("sizes", "64KiB,1MiB,4MiB", "comma-separated message sizes, e.g. 64KiB,1MiB")
 	modelsArg := fs.String("models", "piecewise", "comma-separated surf models: piecewise,bestfit,default,ideal")
 	backendsArg := fs.String("backends", "surf", "comma-separated backends: surf,nocontention,openmpi,mpich2")
-	platformArg := fs.String("platform", "griffon", "target platform: griffon or gdx (ignored when -topologies is set)")
+	platformArg := fs.String("platform", "griffon", "target platform: griffon, gdx, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), or a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2); ignored when -topologies is set")
 	topologiesArg := fs.String("topologies", "", "comma-separated topology axis: griffon,gdx, presets (fattree16,fattree64,torus16,torus64,dragonfly72), or shapes (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
 	placementsArg := fs.String("placements", "", "comma-separated rank-placement axis: block,rr,random (empty = default layout)")
 	collectivesArg := fs.String("collectives", "", "collective algorithms for every job: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto from "+smpi.CollectivesUsage()+" (the first is the default)")

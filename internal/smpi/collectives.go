@@ -52,8 +52,6 @@ const (
 	tagAlltoall
 	tagReduce
 	tagAllreduce
-	tagScan
-	tagReduceScatter
 )
 
 // "ring" is a store-and-forward chain, the neighbor-friendly schedule on
@@ -61,7 +59,7 @@ const (
 var bcastVariants = variants[func(c *Comm, r *Rank, buf []byte, root int)]{
 	{name: "binomial", run: func(c *Comm, r *Rank, buf []byte, root int) { c.bcastBinomial(r, buf, root, tagBcast) }},
 	{name: "ring", auto: "torus", run: func(c *Comm, r *Rank, buf []byte, root int) {
-		me, p := c.mustRank(r), c.Size()
+		me, p := r.rank, c.Size()
 		rel := (me - root + p) % p
 		if rel > 0 {
 			r.Recv(c, buf, (me-1+p)%p, tagBcast)
@@ -71,7 +69,7 @@ var bcastVariants = variants[func(c *Comm, r *Rank, buf []byte, root int)]{
 		}
 	}},
 	{name: "flat", run: func(c *Comm, r *Rank, buf []byte, root int) {
-		if c.mustRank(r) != root {
+		if r.rank != root {
 			r.Recv(c, buf, root, tagBcast)
 			return
 		}
@@ -92,7 +90,7 @@ func (c *Comm) Bcast(r *Rank, buf []byte, root int) {
 
 // bcastBinomial is the classic binomial-tree broadcast used by MPICH2.
 func (c *Comm) bcastBinomial(r *Rank, buf []byte, root, tag int) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	rel := (me - root + p) % p
 	mask := 1
 	for mask < p {
@@ -115,7 +113,7 @@ func (c *Comm) bcastBinomial(r *Rank, buf []byte, root, tag int) {
 
 var barrierVariants = variants[func(c *Comm, r *Rank)]{
 	{name: "dissemination", run: func(c *Comm, r *Rank) {
-		me, p := c.mustRank(r), c.Size()
+		me, p := r.rank, c.Size()
 		for step := 1; step < p; step <<= 1 {
 			dst := (me + step) % p
 			src := (me - step + p) % p
@@ -145,7 +143,7 @@ var scatterVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, r
 // chunk i into recvbuf (MPI_Scatter). len(sendbuf) must equal
 // Size()*len(recvbuf) on the root and is ignored elsewhere.
 func (c *Comm) Scatter(r *Rank, sendbuf, recvbuf []byte, root int) {
-	if p, bs := c.Size(), len(recvbuf); c.mustRank(r) == root && len(sendbuf) != p*bs {
+	if p, bs := c.Size(), len(recvbuf); r.rank == root && len(sendbuf) != p*bs {
 		panic(fmt.Sprintf("smpi: Scatter sendbuf %d bytes, want %d*%d", len(sendbuf), p, bs))
 	}
 	scatterVariants.named(c.w.cfg.Algorithms.Scatter)(c, r, sendbuf, recvbuf, root)
@@ -155,7 +153,7 @@ func (c *Comm) Scatter(r *Rank, sendbuf, recvbuf []byte, root int) {
 // paper's Figure 6, where process 0 forwards 8 chunks to process 8, 4 to
 // process 4, and so on. Data volumes halve at each tree level.
 func (c *Comm) scatterBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	bs := len(recvbuf)
 	rel := (me - root + p) % p
 
@@ -204,7 +202,7 @@ var gatherVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, ro
 // Gather collects equal chunks from every rank into root's recvbuf, rank
 // i's contribution landing at chunk i (MPI_Gather).
 func (c *Comm) Gather(r *Rank, sendbuf, recvbuf []byte, root int) {
-	if p, bs := c.Size(), len(sendbuf); c.mustRank(r) == root && len(recvbuf) != p*bs {
+	if p, bs := c.Size(), len(sendbuf); r.rank == root && len(recvbuf) != p*bs {
 		panic(fmt.Sprintf("smpi: Gather recvbuf %d bytes, want %d*%d", len(recvbuf), p, bs))
 	}
 	gatherVariants.named(c.w.cfg.Algorithms.Gather)(c, r, sendbuf, recvbuf, root)
@@ -213,7 +211,7 @@ func (c *Comm) Gather(r *Rank, sendbuf, recvbuf []byte, root int) {
 // gatherBinomial mirrors scatterBinomial: subtree data flows towards the
 // root, doubling in volume at each level.
 func (c *Comm) gatherBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	bs := len(sendbuf)
 	rel := (me - root + p) % p
 
@@ -255,7 +253,7 @@ func subtreeSize(rel, p int) int {
 
 var allgatherVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte)]{
 	{name: "ring", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte) {
-		me, p := c.mustRank(r), c.Size()
+		me, p := r.rank, c.Size()
 		bs := len(sendbuf)
 		c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf)
 		right := (me + 1) % p
@@ -288,7 +286,7 @@ var alltoallVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte)]
 	// The paper's Figure 10: P steps; at step k each process exchanges
 	// with one distinct partner (including itself at step 0).
 	{name: "pairwise", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte) {
-		me, p := c.mustRank(r), c.Size()
+		me, p := r.rank, c.Size()
 		bs := len(sendbuf) / p
 		c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
 		for step := 1; step < p; step++ {
@@ -317,7 +315,7 @@ func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
 // OpenMPI for small messages: ceil(log2 P) rounds, each moving the blocks
 // whose rotated index has bit k set, followed by a local inversion.
 func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	bs := len(sendbuf) / p
 	// Phase 1: local rotation — block j of tmp is the block for rank
 	// (me+j) mod p.
@@ -364,7 +362,7 @@ var reduceVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt
 		c.reduceBinomial(r, sendbuf, recvbuf, dt, op, root, tagReduce)
 	}},
 	{name: "flat", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root int) {
-		if c.mustRank(r) != root {
+		if r.rank != root {
 			r.Send(c, sendbuf, root, tagReduce)
 			return
 		}
@@ -388,7 +386,7 @@ func (c *Comm) Reduce(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root
 
 // reduceBinomial combines up a binomial tree (commutative operators).
 func (c *Comm) reduceBinomial(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root, tag int) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	rel := (me - root + p) % p
 	acc := clone(sendbuf)
 	scratch := make([]byte, len(sendbuf))
@@ -414,7 +412,7 @@ func (c *Comm) reduceBinomial(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op 
 // element per rank; where they do not apply they run "reduce-bcast".
 var allreduceVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op)]{
 	{name: "recursive-doubling", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
-		me, p := c.mustRank(r), c.Size()
+		me, p := r.rank, c.Size()
 		if bits.OnesCount(uint(p)) != 1 {
 			c.allreduceReduceBcast(r, sendbuf, recvbuf, dt, op)
 			return
@@ -449,7 +447,7 @@ func (c *Comm) allreduceReduceBcast(r *Rank, sendbuf, recvbuf []byte, dt Datatyp
 // traffic flows between ring neighbors, which maps exactly onto torus and
 // ring interconnects (no cross-machine hops, unlike recursive doubling).
 func (c *Comm) allreduceRing(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	es := dt.Size()
 	if p == 1 || es == 0 || len(sendbuf)/es < p {
 		c.allreduceReduceBcast(r, sendbuf, recvbuf, dt, op)
@@ -490,47 +488,6 @@ func (c *Comm) allreduceRing(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op O
 	copy(recvbuf, acc)
 }
 
-// Scan computes the inclusive prefix reduction: rank i receives
-// sendbuf_0 op ... op sendbuf_i (MPI_Scan). Linear algorithm.
-func (c *Comm) Scan(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
-	me, p := c.mustRank(r), c.Size()
-	acc := clone(sendbuf)
-	if me > 0 {
-		prefix := make([]byte, len(sendbuf))
-		r.Recv(c, prefix, me-1, tagScan)
-		op.Apply(prefix, acc, dt)
-		acc = prefix
-	}
-	copy(recvbuf, acc)
-	if me < p-1 {
-		r.Send(c, acc, me+1, tagScan)
-	}
-}
-
-// ReduceScatter reduces element-wise across ranks, then scatters the result
-// so rank i keeps counts[i] bytes (MPI_Reduce_scatter). Implemented as
-// binomial reduce to rank 0 followed by Scatterv, one of MPICH2's fallback
-// algorithms.
-func (c *Comm) ReduceScatter(r *Rank, sendbuf, recvbuf []byte, counts []int, dt Datatype, op Op) {
-	me, p := c.mustRank(r), c.Size()
-	if len(counts) != p {
-		panic(fmt.Sprintf("smpi: ReduceScatter counts has %d entries for %d ranks", len(counts), p))
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != len(sendbuf) {
-		panic(fmt.Sprintf("smpi: ReduceScatter sendbuf %d bytes, counts sum %d", len(sendbuf), total))
-	}
-	var full []byte
-	if me == 0 {
-		full = make([]byte, len(sendbuf))
-	}
-	c.reduceBinomial(r, sendbuf, full, dt, op, 0, tagReduceScatter)
-	c.Scatterv(r, full, counts, recvbuf, 0)
-}
-
 // --- v-variants (per-rank counts) ---
 
 // blockLen returns counts[i], or equal when counts is nil: the whole
@@ -547,7 +504,7 @@ func blockLen(counts []int, equal, i int) int {
 // packed contiguously (MPI_Scatterv with implicit displacements); nil counts
 // mean len(recvbuf) bytes each.
 func (c *Comm) Scatterv(r *Rank, sendbuf []byte, counts []int, recvbuf []byte, root int) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	if counts != nil && len(counts) != p {
 		panic(fmt.Sprintf("smpi: Scatterv counts has %d entries for %d ranks", len(counts), p))
 	}
@@ -573,7 +530,7 @@ func (c *Comm) Scatterv(r *Rank, sendbuf []byte, counts []int, recvbuf []byte, r
 // contiguously (MPI_Gatherv with implicit displacements); nil counts mean
 // len(sendbuf) bytes each.
 func (c *Comm) Gatherv(r *Rank, sendbuf []byte, recvbuf []byte, counts []int, root int) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	if counts != nil && len(counts) != p {
 		panic(fmt.Sprintf("smpi: Gatherv counts has %d entries for %d ranks", len(counts), p))
 	}
@@ -607,7 +564,7 @@ func (c *Comm) Allgatherv(r *Rank, sendbuf []byte, recvbuf []byte, counts []int)
 // arrive from rank j, both packed contiguously; nil counts mean equal
 // blocks. Every receive is posted, then every send, then all are awaited.
 func (c *Comm) Alltoallv(r *Rank, sendbuf []byte, sendcounts []int, recvbuf []byte, recvcounts []int) {
-	me, p := c.mustRank(r), c.Size()
+	me, p := r.rank, c.Size()
 	if sendcounts != nil && len(sendcounts) != p || recvcounts != nil && len(recvcounts) != p {
 		panic(fmt.Sprintf("smpi: Alltoallv counts %d/%d entries for %d ranks", len(sendcounts), len(recvcounts), p))
 	}

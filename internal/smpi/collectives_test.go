@@ -250,45 +250,6 @@ func TestAllreduceMax(t *testing.T) {
 	})
 }
 
-func TestScanPrefixSums(t *testing.T) {
-	forEachSize(t, func(t *testing.T, p int) {
-		mustRun(t, testConfig(p), func(r *Rank) {
-			in := Int32sToBytes([]int32{int32(r.Rank() + 1)})
-			out := make([]byte, 4)
-			r.Comm().Scan(r, in, out, Int32, OpSum)
-			me := r.Rank() + 1
-			want := int32(me * (me + 1) / 2)
-			if got := BytesToInt32s(out)[0]; got != want {
-				t.Errorf("rank %d scan = %d, want %d", r.Rank(), got, want)
-			}
-		})
-	})
-}
-
-func TestReduceScatter(t *testing.T) {
-	forEachSize(t, func(t *testing.T, p int) {
-		mustRun(t, testConfig(p), func(r *Rank) {
-			// Everyone contributes a vector of p int32s valued rank+1;
-			// after sum-reduction each element is p(p+1)/2; rank i keeps
-			// element i.
-			vals := make([]int32, p)
-			for j := range vals {
-				vals[j] = int32(r.Rank() + 1)
-			}
-			counts := make([]int, p)
-			for j := range counts {
-				counts[j] = 4
-			}
-			out := make([]byte, 4)
-			r.Comm().ReduceScatter(r, Int32sToBytes(vals), out, counts, Int32, OpSum)
-			want := int32(p * (p + 1) / 2)
-			if got := BytesToInt32s(out)[0]; got != want {
-				t.Errorf("rank %d reduce_scatter = %d, want %d", r.Rank(), got, want)
-			}
-		})
-	})
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	for _, algo := range []string{"dissemination", "tree"} {
 		t.Run(algo, func(t *testing.T) {

@@ -29,17 +29,6 @@ var (
 	Float64 = Datatype{"MPI_DOUBLE", 8}
 )
 
-// Contiguous returns a user-defined datatype of n contiguous elements of
-// oldtype (MPI_Type_contiguous). Reductions treat it element-wise with the
-// underlying type's semantics only when oldtype is predefined scalar;
-// otherwise it is opaque bytes.
-func Contiguous(n int, oldtype Datatype) Datatype {
-	return Datatype{
-		name: fmt.Sprintf("contig(%d,%s)", n, oldtype.name),
-		size: n * oldtype.size,
-	}
-}
-
 // Op is a reduction operator (MPI_Op): a named binary function combining a
 // source buffer into a destination buffer element-wise.
 type Op struct {
@@ -61,11 +50,6 @@ func (o Op) Apply(dst, src []byte, dt Datatype) {
 		panic(fmt.Sprintf("smpi: op %s buffer length %d not a multiple of %s size %d", o.name, len(dst), dt.name, dt.size))
 	}
 	o.apply(dst, src, dt)
-}
-
-// NewOp returns a user-defined operator (MPI_Op_create).
-func NewOp(name string, apply func(dst, src []byte, dt Datatype)) Op {
-	return Op{name: name, apply: apply}
 }
 
 // numericOp builds an element-wise operator from per-type combiners.

@@ -1,10 +1,10 @@
 // Package smpi is the paper's primary contribution: an on-line simulator
 // for MPI applications. Applications are ordinary Go functions written
 // against an MPI-flavoured API (point-to-point operations, collectives,
-// communicators, datatypes, reduction operators); their code genuinely
-// executes — computing real data, paper Section 1's definition of on-line
-// simulation — while every communication and compute burst is timed by a
-// simulation backend:
+// datatypes, reduction operators); their code genuinely executes —
+// computing real data, paper Section 1's definition of on-line simulation —
+// while every communication and compute burst is timed by a simulation
+// backend:
 //
 //   - BackendSurf: the analytical SimGrid-style backend (package surf) with
 //     flow-level contention and the piece-wise linear point-to-point model;
@@ -26,10 +26,10 @@
 // snapshotting it, delivery skips the copy when either side is folded, and
 // collectives stage folded buffers in aliased folded scratch instead of
 // allocating. Lengths are preserved, so matching, truncation checks,
-// Status.Count, Iprobe, traffic counters, traces and every simulated time
-// are bit-identical to a run on private buffers; only the bytes are
-// undefined, and a private buffer on the other side of such a message is
-// left untouched. Private buffers keep the usual semantics: real bytes are
+// Status.Count, traffic counters, traces and every simulated time are
+// bit-identical to a run on private buffers; only the bytes are undefined,
+// and a private buffer on the other side of such a message is left
+// untouched. Private buffers keep the usual semantics: real bytes are
 // delivered. The reduction collectives combine real data and always work
 // on private accumulators. Timing-only harnesses (package experiments,
 // skampi, replay) therefore run on folded buffers; SimGrid's SMPI makes

@@ -108,15 +108,6 @@ func foldCases() []foldCase {
 				c.Allreduce(r, alloc("send", bs), alloc("recv", bs), Float64, OpSum)
 			})
 	}
-	add("scan", Algorithms{}, false,
-		func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, _ int) {
-			c.Scan(r, alloc("send", bs), alloc("recv", bs), Float64, OpSum)
-		})
-	add("reducescatter", Algorithms{}, false,
-		func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, _ int) {
-			counts, total := vCounts(c.Size(), bs)
-			c.ReduceScatter(r, alloc("send", total), alloc("recv", bs), counts, Int64, OpSum)
-		})
 	add("scatterv", Algorithms{}, true,
 		func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, root int) {
 			counts, total := vCounts(c.Size(), bs)

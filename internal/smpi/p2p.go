@@ -17,7 +17,7 @@ const (
 
 // Status describes a completed receive (MPI_Status).
 type Status struct {
-	// Source is the sender's rank in the receive's communicator.
+	// Source is the sender's rank.
 	Source int
 	// Tag is the message tag.
 	Tag int
@@ -25,28 +25,15 @@ type Status struct {
 	Count int
 }
 
-type reqKind int
-
-const (
-	sendKind reqKind = iota
-	recvKind
-)
-
 // Request is a communication handle (MPI_Request), returned by the
-// non-blocking and persistent operations and completed through Wait/Test.
+// non-blocking operations and completed through Wait/Test.
 type Request struct {
-	kind reqKind
 	done simix.Future
 	// Status is filled when the request completes (receives only).
 	Status Status
 
-	// Persistent-request state (SendInit/RecvInit/Start).
-	persistent bool
-	active     bool
-	// The operation's arguments: what Start restarts a persistent request
-	// with, and what a receive posted in its mailbox is matched and
-	// delivered by.
-	comm *Comm
+	// A receive's arguments, by which it is matched and delivered while
+	// posted in its mailbox.
 	buf  []byte
 	peer int
 	tag  int
@@ -60,11 +47,6 @@ type Request struct {
 // Done reports whether the request has completed (like a successful
 // MPI_Test without status).
 func (q *Request) Done() bool { return q != nil && q.done.Done() }
-
-type mbKey struct {
-	comm int
-	rank int // receiver's rank in the communicator
-}
 
 // envelope is a message in flight or queued as unexpected. The object
 // outlives the message: arrive puts it on the World's free list.
@@ -83,27 +65,11 @@ type envelope struct {
 	onWire func()
 }
 
+// mailbox holds one receiving rank's unmatched traffic; World.mailboxes is
+// indexed by rank.
 type mailbox struct {
-	sends   []*envelope
-	recvs   []*Request // posted receives waiting for a matching send
-	probers []*simix.Future
-}
-
-// wakeProbers releases every actor blocked in Probe on this mailbox.
-func (mb *mailbox) wakeProbers(w *World) {
-	for _, f := range mb.probers {
-		w.kernel.Fulfill(f)
-	}
-	mb.probers = nil
-}
-
-func (w *World) mailbox(key mbKey) *mailbox {
-	mb, ok := w.mailboxes[key]
-	if !ok {
-		mb = &mailbox{}
-		w.mailboxes[key] = mb
-	}
-	return mb
+	sends []*envelope // unexpected messages waiting for a matching receive
+	recvs []*Request  // posted receives waiting for a matching send
 }
 
 func matches(envSrc, envTag, wantSrc, wantTag int) bool {
@@ -176,7 +142,7 @@ func (w *World) arrive(env *envelope) {
 	if q.traceResolve != nil {
 		// Patch the recorded receive with the matched source so that
 		// wildcard receives replay deterministically.
-		q.traceResolve(q.comm.group[env.src])
+		q.traceResolve(env.src)
 	}
 	w.kernel.Fulfill(&q.done)
 	if !env.eager {
@@ -200,15 +166,14 @@ func (w *World) startRendezvous(env *envelope, q *Request) {
 }
 
 // isendInto performs the send protocol, completing req accordingly.
-func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Request) {
-	myRank := c.mustRank(r)
-	if dst < 0 || dst >= c.Size() {
-		panic(fmt.Sprintf("smpi: send to invalid rank %d in communicator of size %d", dst, c.Size()))
+func (w *World) isendInto(r *Rank, buf []byte, dst, tag int, req *Request) {
+	if dst < 0 || dst >= len(w.ranks) {
+		panic(fmt.Sprintf("smpi: send to invalid rank %d in communicator of size %d", dst, len(w.ranks)))
 	}
 	env := w.newEnvelope()
-	env.src, env.tag = myRank, tag
-	env.srcHost, env.dstHost = r.host, w.ranks[c.group[dst]].host
-	mb := w.mailbox(mbKey{comm: c.id, rank: dst})
+	env.src, env.tag = r.rank, tag
+	env.srcHost, env.dstHost = r.host, w.ranks[dst].host
+	mb := &w.mailboxes[dst]
 
 	if int64(len(buf)) < eagerThreshold {
 		// Eager: snapshot the payload, push it to the wire immediately,
@@ -226,7 +191,6 @@ func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Reque
 			w.deliver(env, q)
 		} else {
 			mb.sends = append(mb.sends, env)
-			mb.wakeProbers(w)
 		}
 		return
 	}
@@ -240,19 +204,17 @@ func (w *World) isendInto(r *Rank, c *Comm, buf []byte, dst, tag int, req *Reque
 		w.startRendezvous(env, q)
 	} else {
 		mb.sends = append(mb.sends, env)
-		mb.wakeProbers(w)
 	}
 }
 
 // irecvInto performs the receive protocol, completing req when a matching
 // message has fully arrived.
-func (w *World) irecvInto(r *Rank, c *Comm, buf []byte, src, tag int, req *Request) {
-	myRank := c.mustRank(r)
-	if src != AnySource && (src < 0 || src >= c.Size()) {
-		panic(fmt.Sprintf("smpi: receive from invalid rank %d in communicator of size %d", src, c.Size()))
+func (w *World) irecvInto(r *Rank, buf []byte, src, tag int, req *Request) {
+	if src != AnySource && (src < 0 || src >= len(w.ranks)) {
+		panic(fmt.Sprintf("smpi: receive from invalid rank %d in communicator of size %d", src, len(w.ranks)))
 	}
-	mb := w.mailbox(mbKey{comm: c.id, rank: myRank})
-	req.comm, req.buf, req.peer, req.tag = c, buf, src, tag
+	mb := &w.mailboxes[r.rank]
+	req.buf, req.peer, req.tag = buf, src, tag
 	if env := mb.takeSend(src, tag); env != nil {
 		if env.eager {
 			w.deliver(env, req)
@@ -291,36 +253,32 @@ func (mb *mailbox) takeSend(src, tag int) *envelope {
 // Isend starts a non-blocking send of buf to rank dst with the given tag
 // (MPI_Isend). The buffer must not be modified until the request completes.
 func (r *Rank) Isend(c *Comm, buf []byte, dst, tag int) *Request {
-	return r.startSend(new(Request), c, buf, dst, tag)
+	return r.startSend(new(Request), buf, dst, tag)
 }
 
 // Irecv starts a non-blocking receive into buf from rank src (or AnySource)
 // with the given tag (or AnyTag) — MPI_Irecv.
 func (r *Rank) Irecv(c *Comm, buf []byte, src, tag int) *Request {
-	return r.startRecv(new(Request), c, buf, src, tag)
+	return r.startRecv(new(Request), buf, src, tag)
 }
 
 // startSend starts a send on the blank request q.
-func (r *Rank) startSend(q *Request, c *Comm, buf []byte, dst, tag int) *Request {
-	q.kind, q.traceIdx = sendKind, -1
+func (r *Rank) startSend(q *Request, buf []byte, dst, tag int) *Request {
+	q.traceIdx = -1
 	if tr := r.w.cfg.Tracer; tr != nil {
-		q.traceIdx = tr.RecordIsend(r.rank, c.group[dst], tag, int64(len(buf)))
+		q.traceIdx = tr.RecordIsend(r.rank, dst, tag, int64(len(buf)))
 	}
-	r.w.isendInto(r, c, buf, dst, tag, q)
+	r.w.isendInto(r, buf, dst, tag, q)
 	return q
 }
 
 // startRecv starts a receive on the blank request q.
-func (r *Rank) startRecv(q *Request, c *Comm, buf []byte, src, tag int) *Request {
-	q.kind, q.traceIdx = recvKind, -1
+func (r *Rank) startRecv(q *Request, buf []byte, src, tag int) *Request {
+	q.traceIdx = -1
 	if tr := r.w.cfg.Tracer; tr != nil {
-		peer := src
-		if src >= 0 {
-			peer = c.group[src]
-		}
-		q.traceIdx, q.traceResolve = tr.RecordIrecv(r.rank, peer, tag, int64(len(buf)))
+		q.traceIdx, q.traceResolve = tr.RecordIrecv(r.rank, src, tag, int64(len(buf)))
 	}
-	r.w.irecvInto(r, c, buf, src, tag, q)
+	r.w.irecvInto(r, buf, src, tag, q)
 	return q
 }
 
@@ -342,12 +300,12 @@ func (w *World) newRequest() *Request {
 
 // isend is Isend for this package's own use; the request goes to waitFree.
 func (r *Rank) isend(c *Comm, buf []byte, dst, tag int) *Request {
-	return r.startSend(r.w.newRequest(), c, buf, dst, tag)
+	return r.startSend(r.w.newRequest(), buf, dst, tag)
 }
 
 // irecv is Irecv for this package's own use; the request goes to waitFree.
 func (r *Rank) irecv(c *Comm, buf []byte, src, tag int) *Request {
-	return r.startRecv(r.w.newRequest(), c, buf, src, tag)
+	return r.startRecv(r.w.newRequest(), buf, src, tag)
 }
 
 // waitFree is Wait for a request made by isend or irecv, which it frees.
@@ -386,7 +344,7 @@ func (r *Rank) Sendrecv(c *Comm, sendbuf []byte, dst, sendtag int,
 }
 
 // Wait blocks until the request completes and returns its status
-// (MPI_Wait). Persistent requests become inactive again.
+// (MPI_Wait).
 func (r *Rank) Wait(q *Request) Status {
 	if q == nil {
 		return Status{}
@@ -395,9 +353,6 @@ func (r *Rank) Wait(q *Request) Status {
 		tr.RecordWait(r.rank, q.traceIdx)
 	}
 	r.proc.Wait(&q.done)
-	if q.persistent {
-		q.active = false
-	}
 	return q.Status
 }
 
@@ -429,9 +384,6 @@ func (r *Rank) WaitAny(qs []*Request) (int, Status) {
 	if tr := r.w.cfg.Tracer; tr != nil && qs[i].traceIdx >= 0 {
 		tr.RecordWait(r.rank, qs[i].traceIdx)
 	}
-	if qs[i].persistent {
-		qs[i].active = false
-	}
 	return i, qs[i].Status
 }
 
@@ -445,9 +397,6 @@ func (r *Rank) WaitSome(qs []*Request) []int {
 	var done []int
 	for i, q := range qs {
 		if q != nil && q.Done() {
-			if q.persistent {
-				q.active = false
-			}
 			done = append(done, i)
 		}
 	}
@@ -459,9 +408,6 @@ func (r *Rank) WaitSome(qs []*Request) []int {
 func (r *Rank) Test(q *Request) (bool, Status) {
 	if q == nil || !q.Done() {
 		return false, Status{}
-	}
-	if q.persistent {
-		q.active = false
 	}
 	return true, q.Status
 }
@@ -475,79 +421,4 @@ func (r *Rank) TestAny(qs []*Request) (int, Status) {
 		}
 	}
 	return -1, Status{}
-}
-
-// Iprobe reports whether a message matching (src, tag) — wildcards allowed
-// — is queued for this rank, without receiving it (MPI_Iprobe). When true,
-// the returned status describes the message.
-func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
-	me := c.mustRank(r)
-	mb := r.w.mailbox(mbKey{comm: c.id, rank: me})
-	for _, env := range mb.sends {
-		if matches(env.src, env.tag, src, tag) {
-			size := len(env.data)
-			if !env.eager {
-				size = len(env.srcBuf)
-			}
-			return true, Status{Source: env.src, Tag: env.tag, Count: size}
-		}
-	}
-	return false, Status{}
-}
-
-// Probe blocks until a message matching (src, tag) is queued and returns
-// its status without receiving it (MPI_Probe).
-func (r *Rank) Probe(c *Comm, src, tag int) Status {
-	me := c.mustRank(r)
-	mb := r.w.mailbox(mbKey{comm: c.id, rank: me})
-	for {
-		if ok, st := r.Iprobe(c, src, tag); ok {
-			return st
-		}
-		f := simix.NewFuture()
-		mb.probers = append(mb.probers, f)
-		r.proc.Wait(f)
-	}
-}
-
-// --- persistent requests (MPI_Send_init / MPI_Recv_init / MPI_Start) ---
-
-// SendInit creates an inactive persistent send request.
-func (r *Rank) SendInit(c *Comm, buf []byte, dst, tag int) *Request {
-	return &Request{
-		kind: sendKind, persistent: true,
-		comm: c, buf: buf, peer: dst, tag: tag,
-	}
-}
-
-// RecvInit creates an inactive persistent receive request.
-func (r *Rank) RecvInit(c *Comm, buf []byte, src, tag int) *Request {
-	return &Request{
-		kind: recvKind, persistent: true,
-		comm: c, buf: buf, peer: src, tag: tag,
-	}
-}
-
-// Start activates a persistent request (MPI_Start).
-func (r *Rank) Start(q *Request) {
-	if q == nil || !q.persistent {
-		panic("smpi: Start on a non-persistent request")
-	}
-	if q.active {
-		panic("smpi: Start on an already-active persistent request")
-	}
-	q.active = true
-	q.done = simix.Future{}
-	if q.kind == sendKind {
-		r.startSend(q, q.comm, q.buf, q.peer, q.tag)
-	} else {
-		r.startRecv(q, q.comm, q.buf, q.peer, q.tag)
-	}
-}
-
-// StartAll activates a set of persistent requests (MPI_Startall).
-func (r *Rank) StartAll(qs []*Request) {
-	for _, q := range qs {
-		r.Start(q)
-	}
 }

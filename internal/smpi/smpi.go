@@ -59,7 +59,7 @@ type Config struct {
 	// operation in program order, producing the input of the off-line
 	// replayer (package replay). Collectives are traced as the
 	// point-to-point messages they decompose into.
-	Tracer trace.Recorder
+	Tracer *trace.Trace
 	// Stats, when non-nil, receives the kernel and model counters of the run
 	// (see internal/obs). Leaving it nil — the default — keeps every hook a
 	// nil check; the simulated outcome is identical either way.
@@ -131,9 +131,7 @@ type World struct {
 
 	ranks     []*Rank
 	world     *Comm
-	mailboxes map[mbKey]*mailbox
-	comms     map[string]*Comm
-	commSeq   int
+	mailboxes []mailbox // indexed by receiving rank
 
 	bytesOnWire int64
 	messages    int64
@@ -156,8 +154,6 @@ type Rank struct {
 	host *platform.Host
 	rng  *core.RNG
 
-	dupSeq map[int]int // per-source-comm Dup call counters, made on first Dup or Split
-
 	anyScratch []*simix.Future // WaitAny's view of its requests
 }
 
@@ -169,8 +165,7 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 	w := &World{
 		cfg:       cfg,
 		kernel:    simix.New(),
-		mailboxes: make(map[mbKey]*mailbox),
-		comms:     make(map[string]*Comm),
+		mailboxes: make([]mailbox, cfg.Procs),
 		routeBuf:  make([]*platform.Link, 0, 8),
 	}
 	w.kernel.SetDeadline(cfg.Deadline)
@@ -221,11 +216,7 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 		return nil, err
 	}
 
-	group := make([]int, cfg.Procs)
-	for i := range group {
-		group[i] = i
-	}
-	w.world = w.newComm(group)
+	w.world = &Comm{w: w}
 
 	seedRNG := core.NewRNG(cfg.Seed + 0x5eed)
 	for i := 0; i < cfg.Procs; i++ {

@@ -277,46 +277,6 @@ func TestWaitAnyAllNil(t *testing.T) {
 	})
 }
 
-func TestPersistentRequests(t *testing.T) {
-	mustRun(t, testConfig(2), func(r *Rank) {
-		c := r.Comm()
-		if r.Rank() == 0 {
-			buf := []byte{0}
-			req := r.SendInit(c, buf, 1, 0)
-			for i := 0; i < 3; i++ {
-				buf[0] = byte(10 + i)
-				r.Start(req)
-				r.Wait(req)
-			}
-		} else {
-			buf := make([]byte, 1)
-			req := r.RecvInit(c, buf, 0, 0)
-			for i := 0; i < 3; i++ {
-				r.Start(req)
-				r.Wait(req)
-				if int(buf[0]) != 10+i {
-					t.Errorf("iteration %d received %d", i, buf[0])
-				}
-			}
-		}
-	})
-}
-
-func TestStartOnActivePersistentPanics(t *testing.T) {
-	_, err := Run(testConfig(2), func(r *Rank) {
-		if r.Rank() == 0 {
-			req := r.SendInit(r.Comm(), []byte{1}, 1, 0)
-			r.Start(req)
-			r.Start(req) // must panic
-		} else {
-			r.Recv(r.Comm(), make([]byte, 1), 0, 0)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Errorf("want panic error, got %v", err)
-	}
-}
-
 func TestTruncationPanics(t *testing.T) {
 	_, err := Run(testConfig(2), func(r *Rank) {
 		c := r.Comm()
@@ -340,64 +300,6 @@ func TestDeadlockSurfacesAsError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("want deadlock error, got %v", err)
 	}
-}
-
-func TestIprobe(t *testing.T) {
-	mustRun(t, testConfig(2), func(r *Rank) {
-		c := r.Comm()
-		if r.Rank() == 0 {
-			r.Send(c, []byte{1, 2, 3}, 1, 5)
-		} else {
-			if ok, _ := r.Iprobe(c, 0, 99); ok {
-				t.Error("Iprobe matched wrong tag")
-			}
-			st := r.Probe(c, 0, 5)
-			if st.Source != 0 || st.Tag != 5 || st.Count != 3 {
-				t.Errorf("Probe status = %+v", st)
-			}
-			// Probing must not consume: the receive still works.
-			buf := make([]byte, 3)
-			r.Recv(c, buf, 0, 5)
-			if buf[2] != 3 {
-				t.Errorf("payload after probe: %v", buf)
-			}
-		}
-	})
-}
-
-func TestProbeBlocksUntilMessage(t *testing.T) {
-	var probed core.Time
-	mustRun(t, testConfig(2), func(r *Rank) {
-		c := r.Comm()
-		if r.Rank() == 0 {
-			r.Elapse(2.0)
-			r.Send(c, []byte{9}, 1, 0)
-		} else {
-			r.Probe(c, AnySource, AnyTag)
-			probed = r.Now()
-			r.Recv(c, make([]byte, 1), 0, 0)
-		}
-	})
-	if probed < 2.0 {
-		t.Errorf("Probe returned at %v, before the send at 2.0", probed)
-	}
-}
-
-func TestProbeRendezvousSize(t *testing.T) {
-	mustRun(t, testConfig(2), func(r *Rank) {
-		c := r.Comm()
-		big := int(128 * core.KiB)
-		if r.Rank() == 0 {
-			req := r.Isend(c, make([]byte, big), 1, 0)
-			defer r.Wait(req)
-		} else {
-			st := r.Probe(c, 0, 0)
-			if st.Count != big {
-				t.Errorf("probed size %d, want %d", st.Count, big)
-			}
-			r.Recv(c, make([]byte, big), 0, 0)
-		}
-	})
 }
 
 func TestComputeAdvancesSimulatedTime(t *testing.T) {

@@ -92,29 +92,17 @@ func (t *Trace) Events() int {
 	return n
 }
 
-// Recorder is the hook interface the on-line simulator calls while running
-// with tracing enabled. All methods are invoked from the sequential
-// simulation, in program order per rank.
-type Recorder interface {
-	// RecordCompute logs a charged CPU burst.
-	RecordCompute(rank int, d core.Duration)
-	// RecordIsend logs a send initiation and returns the rank-local
-	// request index assigned to it.
-	RecordIsend(rank, peer, tag int, bytes int64) int
-	// RecordIrecv logs a receive initiation and returns both the request
-	// index and a setter used to patch in the matched source when the
-	// message is delivered (wildcard resolution).
-	RecordIrecv(rank, peer, tag int, bytes int64) (int, func(actualPeer int))
-	// RecordWait logs a blocking wait on a request index.
-	RecordWait(rank, req int)
-}
+// The Record methods are the hooks the on-line simulator calls while running
+// with tracing enabled (smpi.Config.Tracer). They are invoked from the
+// sequential simulation, in program order per rank.
 
-// RecordCompute implements Recorder.
+// RecordCompute logs a charged CPU burst.
 func (t *Trace) RecordCompute(rank int, d core.Duration) {
 	t.Streams[rank] = append(t.Streams[rank], Event{Kind: Compute, Duration: d})
 }
 
-// RecordIsend implements Recorder.
+// RecordIsend logs a send initiation and returns the rank-local request
+// index assigned to it.
 func (t *Trace) RecordIsend(rank, peer, tag int, bytes int64) int {
 	t.Streams[rank] = append(t.Streams[rank], Event{Kind: Isend, Peer: peer, Tag: tag, Bytes: bytes})
 	idx := t.reqCounts[rank]
@@ -122,7 +110,9 @@ func (t *Trace) RecordIsend(rank, peer, tag int, bytes int64) int {
 	return idx
 }
 
-// RecordIrecv implements Recorder.
+// RecordIrecv logs a receive initiation and returns both the request index
+// and a setter used to patch in the matched source when the message is
+// delivered (wildcard resolution).
 func (t *Trace) RecordIrecv(rank, peer, tag int, bytes int64) (int, func(int)) {
 	t.Streams[rank] = append(t.Streams[rank], Event{Kind: Irecv, Peer: peer, Tag: tag, Bytes: bytes})
 	evIdx := len(t.Streams[rank]) - 1
@@ -133,7 +123,7 @@ func (t *Trace) RecordIrecv(rank, peer, tag int, bytes int64) (int, func(int)) {
 	}
 }
 
-// RecordWait implements Recorder.
+// RecordWait logs a blocking wait on a request index.
 func (t *Trace) RecordWait(rank, req int) {
 	t.Streams[rank] = append(t.Streams[rank], Event{Kind: Wait, Req: req})
 }
