@@ -95,7 +95,7 @@ func runFigures(args []string) error {
 	}
 	var tables []*experiments.Table
 	for _, f := range figures {
-		t, err := f.Run()
+		t, _, err := f.Run()
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", f.ID, err)
 		}

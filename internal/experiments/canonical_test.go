@@ -88,16 +88,16 @@ func TestBatchAndServiceAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Figure11(e)
+	_, runs, err := perRankFigure(e, "Figure 11", "alltoall", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range perRankColumns[:3] {
+	for j, c := range perRankColumns[:3] {
 		i := slices.IndexFunc(served.Results, func(r campaign.Result) bool { return r.Tags["backend"] == c.backend })
 		if i < 0 || served.Results[i].Outcome == nil {
 			t.Fatalf("no %s result in the served Figure 11 campaign", c.backend)
 		}
-		for rank, want := range res.Series[c.series] {
+		for rank, want := range runs[j].PerRank {
 			if got := served.Results[i].Outcome.Values[fmt.Sprintf("rank_%d", rank)]; got != want {
 				t.Errorf("%s rank %d: served %v, Figure 11 %v", c.backend, rank, got, want)
 			}

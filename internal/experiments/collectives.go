@@ -1,168 +1,179 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+	"slices"
+
 	"smpigo/internal/core"
 	"smpigo/internal/metrics"
 )
 
-// PerRankResult holds a per-rank comparison figure (Figures 7 and 11).
-type PerRankResult struct {
-	Table *Table
-	// Series maps a configuration name to its per-rank times in seconds.
-	Series map[string][]float64
-}
-
 // perRankColumns are the series of Figures 7 and 11 in table order: the
-// backend each runs on, its key in PerRankResult.Series and its header.
-var perRankColumns = []struct{ backend, series, header string }{
-	{"surf", "smpi", "smpi_contention"},
-	{"nocontention", "smpi-nocontention", "smpi_nocontention"},
-	{"openmpi", "openmpi", "openmpi"},
-	{"mpich2", "mpich2", "mpich2"},
+// backend each runs on and its header.
+var perRankColumns = []struct{ backend, header string }{
+	{"surf", "smpi_contention"},
+	{"nocontention", "smpi_nocontention"},
+	{"openmpi", "openmpi"},
+	{"mpich2", "mpich2"},
 }
 
 // perRankFigure runs op over 16 processes with 4 MiB per rank, once per
 // column, and tabulates each rank's completion: the shared body of Figures
-// 7 and 11, which add their own notes from the returned runs.
-func perRankFigure(env *Env, title, op string, columns int) (*PerRankResult, []*collectiveRun, error) {
+// 7 and 11, which add their own notes and claims from the returned runs.
+func perRankFigure(env *Env, title, op string, columns int) (*Table, []*collectiveRun, error) {
 	const procs = 16
 	spec := GridSpec{Op: op, Procs: []int{procs}, Sizes: []int64{4 * core.MiB}}
-	res := &PerRankResult{
-		Table:  &Table{Title: title, Header: []string{"rank"}},
-		Series: make(map[string][]float64, columns),
-	}
+	t := &Table{Title: title, Header: []string{"rank"}}
 	for _, c := range perRankColumns[:columns] {
 		spec.Backends = append(spec.Backends, c.backend)
-		res.Table.Header = append(res.Table.Header, c.header)
+		t.Header = append(t.Header, c.header)
 	}
 	runs, err := env.gridRuns(CampaignOptions{}, spec)
 	if err != nil {
 		return nil, nil, err
-	}
-	for i, c := range perRankColumns[:columns] {
-		res.Series[c.series] = runs[i].PerRank
 	}
 	for rank := 0; rank < procs; rank++ {
 		row := []any{rank}
 		for _, run := range runs {
 			row = append(row, run.PerRank[rank])
 		}
-		res.Table.Add(row...)
+		t.Add(row...)
 	}
-	return res, runs, nil
+	return t, runs, nil
 }
 
-// Figure7 reproduces Figure 7: per-process completion of a binomial-tree
+// figure7 reproduces Figure 7: per-process completion of a binomial-tree
 // scatter of 4 MiB chunks over 16 processes — SMPI with and without
-// contention vs emulated OpenMPI and MPICH2.
-func Figure7(env *Env) (*PerRankResult, error) {
-	res, runs, err := perRankFigure(env, "Figure 7: per-process binomial scatter, 16 procs, 4MiB chunks (seconds)", "scatter", 4)
+// contention vs emulated OpenMPI and MPICH2. The paper's claims, on the
+// slowest rank: the no-contention model always underestimates, and
+// contention-aware SMPI lands near both real implementations.
+func figure7(env *Env) (*Table, []Claim, error) {
+	t, runs, err := perRankFigure(env, "Figure 7: per-process binomial scatter, 16 procs, 4MiB chunks (seconds)", "scatter", 4)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	withC, without, om := runs[0], runs[1], runs[2]
-	res.Table.Note("no-contention underestimates completion: %.3fs vs %.3fs (contention) vs %.3fs (OpenMPI)",
+	t.Note("no-contention underestimates completion: %.3fs vs %.3fs (contention) vs %.3fs (OpenMPI)",
 		without.Total, withC.Total, om.Total)
-	res.Table.Note("SMPI(contention) vs OpenMPI per-rank: %s",
+	t.Note("SMPI(contention) vs OpenMPI per-rank: %s",
 		metrics.Summarize(nonZero(withC.PerRank), nonZero(om.PerRank)))
-	return res, nil
+	maxC, maxNoC, maxOM, maxMP := slices.Max(withC.PerRank), slices.Max(without.PerRank), slices.Max(om.PerRank), slices.Max(runs[3].PerRank)
+	return t, []Claim{
+		claim("slowest rank: no-contention < OpenMPI", maxNoC < maxOM, maxNoC, maxOM),
+		claim("slowest rank: no-contention < contention", maxNoC < maxC, maxNoC, maxC),
+		claim("slowest rank: contention within 35% of OpenMPI", spread(maxC, maxOM) <= 0.35, maxC, maxOM),
+		claim("slowest rank: OpenMPI within 35% of MPICH2", spread(maxOM, maxMP) <= 0.35, maxOM, maxMP),
+	}, nil
 }
 
-// Figure11 reproduces Figure 11: per-process pairwise all-to-all with 4 MiB
-// messages over 16 processes.
-func Figure11(env *Env) (*PerRankResult, error) {
-	res, runs, err := perRankFigure(env, "Figure 11: per-process pairwise all-to-all, 16 procs, 4MiB messages (seconds)", "alltoall", 3)
+// figure11 reproduces Figure 11: per-process pairwise all-to-all with 4 MiB
+// messages over 16 processes. Paper: ~78% error without contention, <1%
+// with it (the claim accepts 30%).
+func figure11(env *Env) (*Table, []Claim, error) {
+	t, runs, err := perRankFigure(env, "Figure 11: per-process pairwise all-to-all, 16 procs, 4MiB messages (seconds)", "alltoall", 3)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	withC, without, om := runs[0], runs[1], runs[2]
-	res.Table.Note("SMPI(contention) vs OpenMPI per-rank: %s",
+	t.Note("SMPI(contention) vs OpenMPI per-rank: %s",
 		metrics.Summarize(nonZero(withC.PerRank), nonZero(om.PerRank)))
-	res.Table.Note("no-contention vs OpenMPI per-rank: %s",
+	t.Note("no-contention vs OpenMPI per-rank: %s",
 		metrics.Summarize(nonZero(without.PerRank), nonZero(om.PerRank)))
-	return res, nil
+	maxC, maxNoC, maxOM := slices.Max(withC.PerRank), slices.Max(without.PerRank), slices.Max(om.PerRank)
+	return t, []Claim{
+		claim("slowest rank: no-contention < OpenMPI", maxNoC < maxOM, maxNoC, maxOM),
+		claim("slowest rank: contention within ±30% of OpenMPI", within(maxC, maxOM, 0.3), maxC, maxOM),
+	}, nil
 }
 
-// SweepResult holds a size- or proc-sweep accuracy figure
-// (Figures 8, 9 and 12).
-type SweepResult struct {
-	Table *Table
-	// X is the swept parameter (bytes or process count); Pred and Ref the
-	// SMPI and reference completion times.
-	X          []int64
-	Pred, Ref  []float64
-	Summary    metrics.Summary
-	RefSeries2 []float64 // optional second reference (MPICH2 in Figure 9)
-}
-
-// Figure8 reproduces Figure 8: binomial scatter accuracy vs message size,
+// figure8 reproduces Figure 8: binomial scatter accuracy vs message size,
 // 16 processes, SMPI vs OpenMPI.
-func Figure8(env *Env) (*SweepResult, error) {
-	return sweepCollective(env, "Figure 8: scatter time vs message size (16 procs)", "scatter")
+func figure8(env *Env) (*Table, []Claim, error) {
+	return sweepCollective(env, "Figure 8: scatter time vs message size (16 procs)", "scatter", 0.25)
 }
 
-// Figure12 reproduces Figure 12: pairwise all-to-all accuracy vs message
+// figure12 reproduces Figure 12: pairwise all-to-all accuracy vs message
 // size, 16 processes.
-func Figure12(env *Env) (*SweepResult, error) {
-	return sweepCollective(env, "Figure 12: all-to-all time vs message size (16 procs)", "alltoall")
+func figure12(env *Env) (*Table, []Claim, error) {
+	return sweepCollective(env, "Figure 12: all-to-all time vs message size (16 procs)", "alltoall", 0.3)
 }
 
-func sweepCollective(env *Env, title, op string) (*SweepResult, error) {
-	res := &SweepResult{Table: &Table{
+// sweepCollective runs op over a message-size sweep on SMPI and OpenMPI.
+// Its claims: messages of 1 MiB and more (the last two sizes) are predicted
+// within ±tol of OpenMPI.
+func sweepCollective(env *Env, title, op string, tol float64) (*Table, []Claim, error) {
+	t := &Table{
 		Title:  title,
 		Header: []string{"size", "smpi_s", "openmpi_s", "err_pct"},
-	}}
+	}
 	// The whole size sweep — every (size, backend) point — is one campaign.
 	sizes := []int64{64, 1024, 16 * core.KiB, 128 * core.KiB, core.MiB, 4 * core.MiB}
 	runs, err := env.gridRuns(CampaignOptions{}, GridSpec{
 		Op: op, Procs: []int{16}, Sizes: sizes, Backends: []string{"surf", "openmpi"},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var pred, ref []float64
+	var claims []Claim
 	for i, size := range sizes {
-		s, o := runs[2*i], runs[2*i+1]
-		res.X = append(res.X, size)
-		res.Pred = append(res.Pred, s.Total)
-		res.Ref = append(res.Ref, o.Total)
-		res.Table.Add(core.FormatBytes(size), s.Total, o.Total,
-			metrics.ToPercent(metrics.LogError(s.Total, o.Total)))
+		s, o := runs[2*i].Total, runs[2*i+1].Total
+		pred, ref = append(pred, s), append(ref, o)
+		t.Add(core.FormatBytes(size), s, o, metrics.ToPercent(metrics.LogError(s, o)))
+		if size >= core.MiB {
+			claims = append(claims, claim(fmt.Sprintf("%s: smpi within ±%g%% of OpenMPI", core.FormatBytes(size), tol*100),
+				within(s, o, tol), s, o))
+		}
 	}
-	res.Summary = metrics.Summarize(res.Pred, res.Ref)
-	res.Table.Note("overall: %s", res.Summary)
-	large := metrics.Summarize(res.Pred[len(res.Pred)-2:], res.Ref[len(res.Ref)-2:])
-	res.Table.Note("messages >= 1MiB: %s", large)
-	return res, nil
+	t.Note("overall: %s", metrics.Summarize(pred, ref))
+	t.Note("messages >= 1MiB: %s", metrics.Summarize(pred[len(pred)-2:], ref[len(ref)-2:]))
+	return t, claims, nil
 }
 
-// Figure9 reproduces Figure 9: binomial scatter with 4 MiB receive buffers
+// figure9 reproduces Figure 9: binomial scatter with 4 MiB receive buffers
 // and a growing number of processes (4 to 32); SMPI vs OpenMPI vs MPICH2.
-func Figure9(env *Env) (*SweepResult, error) {
-	res := &SweepResult{Table: &Table{
+// The paper shows very consistent results across process counts; the
+// total data, and so the time, grows with P.
+func figure9(env *Env) (*Table, []Claim, error) {
+	t := &Table{
 		Title:  "Figure 9: scatter time vs process count (4MiB receive buffers)",
 		Header: []string{"procs", "smpi_s", "openmpi_s", "mpich2_s", "err_pct"},
-	}}
+	}
 	procCounts := []int{4, 8, 16, 32}
 	runs, err := env.gridRuns(CampaignOptions{}, GridSpec{
 		Op: "scatter", Procs: procCounts, Sizes: []int64{4 * core.MiB},
 		Backends: []string{"surf", "openmpi", "mpich2"},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var pred, ref []float64
+	rising := true
 	for i, procs := range procCounts {
-		s, o, m := runs[3*i], runs[3*i+1], runs[3*i+2]
-		res.X = append(res.X, int64(procs))
-		res.Pred = append(res.Pred, s.Total)
-		res.Ref = append(res.Ref, o.Total)
-		res.RefSeries2 = append(res.RefSeries2, m.Total)
-		res.Table.Add(procs, s.Total, o.Total, m.Total,
-			metrics.ToPercent(metrics.LogError(s.Total, o.Total)))
+		s, o, m := runs[3*i].Total, runs[3*i+1].Total, runs[3*i+2].Total
+		if i > 0 && s <= pred[i-1] {
+			rising = false
+		}
+		pred, ref = append(pred, s), append(ref, o)
+		t.Add(procs, s, o, m, metrics.ToPercent(metrics.LogError(s, o)))
 	}
-	res.Summary = metrics.Summarize(res.Pred, res.Ref)
-	res.Table.Note("SMPI vs OpenMPI: %s", res.Summary)
-	return res, nil
+	sum := metrics.Summarize(pred, ref)
+	t.Note("SMPI vs OpenMPI: %s", sum)
+	return t, []Claim{
+		claim("smpi mean error vs OpenMPI <= 30%", sum.MeanPct() <= 30, sum.MeanPct()),
+		claim("smpi time rises with the process count", rising, pred...),
+	}, nil
 }
+
+// within reports whether pred lies within ±tol (a fraction) of ref.
+func within(pred, ref, tol float64) bool {
+	rel := pred/ref - 1
+	return rel >= -tol && rel <= tol
+}
+
+// spread is how far apart a and b are, as a fraction of the smaller one.
+func spread(a, b float64) float64 { return math.Max(a, b)/math.Min(a, b) - 1 }
 
 func nonZero(vals []float64) []float64 {
 	out := make([]float64, len(vals))

@@ -6,14 +6,6 @@ import (
 	"smpigo/internal/core"
 )
 
-// DegradedSweepResult holds the degraded-fabric experiment: how collective
-// completion responds to trunk-capacity loss per interconnect shape. Times
-// maps "<topo>/<fraction>" to the alltoall completion time in seconds.
-type DegradedSweepResult struct {
-	Table *Table
-	Times map[string]float64
-}
-
 // degradedSweepTopos pairs each swept platform with the glob matching its
 // trunk links — the cables every cross-section flow funnels through: the
 // fat-tree's top level, the torus's last dimension, the dragonfly's global
@@ -31,23 +23,23 @@ func degradedSweepTopos() []struct{ topo, trunk string } {
 // t=0.
 func degradedSweepFractions() []float64 { return []float64{1, 0.5, 0.25, 0.1} }
 
-// DegradedSweep sweeps trunk-link degradation against interconnect shape
+// degradedSweep sweeps trunk-link degradation against interconnect shape
 // for a machine-filling pairwise all-to-all: every trunk link is scaled to
 // the given fraction of its nominal bandwidth at t=0 through a dynamics
 // schedule, exactly the smpirun -dynamics path. The slowdown column shows
 // how much of the collective's time actually rides the degraded cables —
 // sub-linear slowdown means the healthy edge links absorb part of the cut,
 // linear slowdown means the trunk is the binding constraint throughout.
-// chunk is the per-rank-pair payload in bytes (0 means 64 KiB).
-func DegradedSweep(env *Env, chunk int64) (*DegradedSweepResult, error) {
-	if chunk == 0 {
-		chunk = 64 * core.KiB
-	}
+// chunk is the per-rank-pair payload in bytes. Its claims, per topology:
+// the healthy run is its own baseline (slowdown exactly 1), cutting the
+// trunk further always costs more, and the slowdown stays below 1/fraction
+// because part of the all-to-all rides healthy links.
+func degradedSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 	var specs []GridSpec
 	for _, tp := range degradedSweepTopos() {
 		plat, err := env.Platform(tp.topo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		spec := GridSpec{
 			Op: "alltoall", Procs: []int{len(plat.Hosts())}, Sizes: []int64{chunk},
@@ -64,27 +56,36 @@ func DegradedSweep(env *Env, chunk int64) (*DegradedSweepResult, error) {
 	}
 	runs, err := env.gridRuns(CampaignOptions{}, specs...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	res := &DegradedSweepResult{
-		Table: &Table{
-			Title: fmt.Sprintf("Degraded-fabric sweep: alltoall vs trunk capacity, machine-filling ranks, %s per pair (seconds)",
-				core.FormatBytes(chunk)),
-			Header: []string{"topo", "trunk", "fraction", "alltoall_s", "slowdown"},
-		},
-		Times: make(map[string]float64, len(runs)),
+	t := &Table{
+		Title: fmt.Sprintf("Degraded-fabric sweep: alltoall vs trunk capacity, machine-filling ranks, %s per pair (seconds)",
+			core.FormatBytes(chunk)),
+		Header: []string{"topo", "trunk", "fraction", "alltoall_s", "slowdown"},
 	}
+	var claims []Claim
 	fractions := degradedSweepFractions()
 	for i, tp := range degradedSweepTopos() {
 		healthy := runs[i*len(fractions)].Total
+		var slowdowns []float64
+		rising, belowInverse := true, true
 		for j, frac := range fractions {
-			t := runs[i*len(fractions)+j].Total
-			res.Times[fmt.Sprintf("%s/%g", tp.topo, frac)] = t
-			res.Table.Add(tp.topo, tp.trunk, frac, t, t/healthy)
+			total := runs[i*len(fractions)+j].Total
+			slowdown := total / healthy
+			t.Add(tp.topo, tp.trunk, frac, total, slowdown)
+			if j > 0 {
+				rising = rising && slowdown > slowdowns[j-1]
+				belowInverse = belowInverse && slowdown < 1/frac
+			}
+			slowdowns = append(slowdowns, slowdown)
 		}
+		claims = append(claims,
+			claim(tp.topo+": slowdown exactly 1 at fraction 1", slowdowns[0] == 1, slowdowns[0]),
+			claim(tp.topo+": slowdown rises strictly as the fraction falls", rising, slowdowns...),
+			claim(tp.topo+": slowdown below 1/fraction", belowInverse, slowdowns[1:]...))
 	}
-	res.Table.Note("fraction 1 runs with no dynamics armed; lower fractions scale every trunk link at t=0 via the -dynamics event path")
-	res.Table.Note("slowdown below 1/fraction means part of the collective rides links outside the degraded trunk")
-	return res, nil
+	t.Note("fraction 1 runs with no dynamics armed; lower fractions scale every trunk link at t=0 via the -dynamics event path")
+	t.Note("slowdown below 1/fraction means part of the collective rides links outside the degraded trunk")
+	return t, claims, nil
 }

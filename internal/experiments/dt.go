@@ -10,15 +10,6 @@ import (
 	"smpigo/internal/smpi"
 )
 
-// DTResult holds Figure 15: NAS DT execution times, SMPI vs emulated
-// OpenMPI, for the WH and BH graphs on classes A and B.
-type DTResult struct {
-	Table *Table
-	// Times[graph][class] -> (smpi, openmpi) seconds.
-	SMPI, OpenMPI map[string]float64
-	Summary       metrics.Summary
-}
-
 // dtJob wraps one DT instance as a campaign job with the report as
 // payload; procs must be nas.DTProcs of the instance's graph and class.
 func dtJob(id string, cfg smpi.Config, dcfg nas.DTConfig, procs int) campaign.Job {
@@ -30,33 +21,27 @@ func dtJob(id string, cfg smpi.Config, dcfg nas.DTConfig, procs int) campaign.Jo
 	}))
 }
 
-// Figure15 reproduces Figure 15: DT WH and BH for classes A and B, SMPI
-// prediction vs emulated OpenMPI. Payload can be reduced for fast test
-// runs; 0 uses the class defaults.
-func Figure15(env *Env, payload int) (*DTResult, error) {
-	res := &DTResult{
-		Table: &Table{
-			Title:  "Figure 15: NAS DT execution time (seconds)",
-			Header: []string{"graph", "class", "smpi_s", "openmpi_s", "err_pct"},
-		},
-		SMPI:    make(map[string]float64),
-		OpenMPI: make(map[string]float64),
+// figure15 reproduces Figure 15: DT WH and BH for classes A and B, SMPI
+// prediction vs emulated OpenMPI. Payload can be reduced for fast runs; 0
+// uses the class defaults. Its claims: BH is slower than WH on both back
+// ends for each class, and the mean error stays within 30% (paper: 8.11%
+// average, 23.5% worst).
+func figure15(env *Env, payload int) (*Table, []Claim, error) {
+	t := &Table{
+		Title:  "Figure 15: NAS DT execution time (seconds)",
+		Header: []string{"graph", "class", "smpi_s", "openmpi_s", "err_pct"},
 	}
 	// The per-(graph, class) payload scan fans out as one campaign: each
 	// scenario point runs on both backends concurrently.
-	type point struct {
-		graph nas.DTGraph
-		class nas.DTClass
-	}
-	var points []point
+	classes := []nas.DTClass{nas.ClassA, nas.ClassB}
+	graphs := []nas.DTGraph{nas.WH, nas.BH}
 	var jobs []campaign.Job
-	for _, class := range []nas.DTClass{nas.ClassA, nas.ClassB} {
-		for _, graph := range []nas.DTGraph{nas.WH, nas.BH} {
-			points = append(points, point{graph, class})
+	for _, class := range classes {
+		for _, graph := range graphs {
 			dcfg := nas.DTConfig{Graph: graph, Class: class, PayloadBytes: payload}
 			procs, err := nas.DTProcs(graph, class)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			id := fmt.Sprintf("fig15/%s-%c", graph, class)
 			jobs = append(jobs,
@@ -67,63 +52,50 @@ func Figure15(env *Env, payload int) (*DTResult, error) {
 	}
 	outs, err := env.runCampaign(jobs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var pred, ref []float64
-	for i, pt := range points {
-		s := outs[2*i].Payload.(*smpi.Report)
-		o := outs[2*i+1].Payload.(*smpi.Report)
-		key := fmt.Sprintf("%s-%c", pt.graph, pt.class)
-		res.SMPI[key] = float64(s.SimulatedTime)
-		res.OpenMPI[key] = float64(o.SimulatedTime)
-		pred = append(pred, float64(s.SimulatedTime))
-		ref = append(ref, float64(o.SimulatedTime))
-		res.Table.Add(string(pt.graph), string(pt.class),
-			float64(s.SimulatedTime), float64(o.SimulatedTime),
-			metrics.ToPercent(metrics.LogError(float64(s.SimulatedTime), float64(o.SimulatedTime))))
+	var claims []Claim
+	for i, class := range classes {
+		for j, graph := range graphs {
+			k := 2 * (i*len(graphs) + j)
+			s := float64(outs[k].Payload.(*smpi.Report).SimulatedTime)
+			o := float64(outs[k+1].Payload.(*smpi.Report).SimulatedTime)
+			pred, ref = append(pred, s), append(ref, o)
+			t.Add(string(graph), string(class), s, o, metrics.ToPercent(metrics.LogError(s, o)))
+		}
+		// pred and ref end with this class's WH then BH times.
+		n := len(pred)
+		claims = append(claims,
+			claim(fmt.Sprintf("class %c: BH slower than WH on OpenMPI", class), ref[n-1] > ref[n-2], ref[n-1], ref[n-2]),
+			claim(fmt.Sprintf("class %c: BH slower than WH on SMPI", class), pred[n-1] > pred[n-2], pred[n-1], pred[n-2]))
 	}
-	res.Summary = metrics.Summarize(pred, ref)
-	res.Table.Note("overall: %s", res.Summary)
-	res.Table.Note("trend check: BH slower than WH on both backends for each class")
-	return res, nil
+	sum := metrics.Summarize(pred, ref)
+	t.Note("overall: %s", sum)
+	t.Note("trend check: BH slower than WH on both backends for each class")
+	return t, append(claims, claim("smpi mean error vs OpenMPI <= 30%", sum.MeanPct() <= 30, sum.MeanPct())), nil
 }
 
-// RAMResult holds Figure 16: maximum per-rank RSS with and without RAM
-// folding, including the out-of-memory markers.
-type RAMResult struct {
-	Table *Table
-	// Plain and Folded map "graph-class" to bytes; a missing Plain entry
-	// means the unfolded run would not fit in HostRAM (the paper's "OM").
-	Plain, Folded map[string]float64
-	// HostRAM is the assumed single-node memory budget in bytes.
-	HostRAM float64
-}
+// hostRAM is Figure 16's single-node memory budget: a DT configuration
+// whose unfolded footprint exceeds it is the paper's "OM".
+const hostRAM = 2 * float64(core.GiB)
 
-// Figure16 reproduces Figure 16: per-process memory footprint of DT with
+// figure16 reproduces Figure 16: per-process memory footprint of DT with
 // and without RAM folding, classes A-C, all three graphs. Runs use the
 // no-contention analytical backend (the RSS metric does not depend on
 // network timing, and blind flows skip the O(flows²) sharing) and the class
-// payload scaled by payloadScale in (0,1] to keep test runs fast; OM
-// classification always uses the class scale.
-func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, error) {
-	if payloadScale <= 0 || payloadScale > 1 {
-		payloadScale = 1
-	}
-	if hostRAM <= 0 {
-		hostRAM = 2 * float64(core.GiB)
-	}
-	res := &RAMResult{
-		Table: &Table{
-			Title:  "Figure 16: DT max RSS per process (MiB), with and without RAM folding",
-			Header: []string{"graph", "class", "procs", "smpi_MiB", "folded_MiB", "ratio"},
-		},
-		Plain:   make(map[string]float64),
-		Folded:  make(map[string]float64),
-		HostRAM: hostRAM,
+// payload scaled by payloadScale in (0,1] to keep runs fast; OM
+// classification always uses the class scale. Its claims: folding shrinks
+// every configuration that also ran unfolded, by at least 3x on average
+// (paper: 11.9x, up to 40.5x), and SH class C (448 processes) is OM.
+func figure16(env *Env, payloadScale float64) (*Table, []Claim, error) {
+	t := &Table{
+		Title:  "Figure 16: DT max RSS per process (MiB), with and without RAM folding",
+		Header: []string{"graph", "class", "procs", "smpi_MiB", "folded_MiB", "ratio"},
 	}
 	cfgRun, err := env.Config(env.Griffon, "nocontention", "piecewise")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// One campaign covers every configuration: a folded run for each
@@ -133,6 +105,7 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 		class    nas.DTClass
 		procs    int
 		key      string
+		unscaled float64 // unfolded footprint at the class payload
 		foldIdx  int
 		plainIdx int // -1 when the unfolded run would not fit (paper's OM)
 	}
@@ -142,11 +115,12 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 		for _, graph := range []nas.DTGraph{nas.WH, nas.BH, nas.SH} {
 			procs, err := nas.DTProcs(graph, class)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			pt := cfgPoint{
-				graph: graph, class: class, procs: procs,
-				key: fmt.Sprintf("%s-%c", graph, class), plainIdx: -1,
+				graph: graph, class: class, procs: procs, plainIdx: -1,
+				key:      fmt.Sprintf("%s-%c", graph, class),
+				unscaled: float64(procs) * 2 * float64(nas.DTPayload(class)),
 			}
 			base := nas.DTConfig{Graph: graph, Class: class}
 			payload := int(payloadScale * float64(nas.DTPayload(class)))
@@ -159,7 +133,7 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 
 			// Classify OM against the unscaled footprint: only runs that fit
 			// in hostRAM execute unfolded.
-			if unscaled := float64(procs) * 2 * float64(nas.DTPayload(class)); unscaled <= hostRAM {
+			if pt.unscaled <= hostRAM {
 				plain := base
 				plain.PayloadBytes = payload
 				pt.plainIdx = len(jobs)
@@ -170,24 +144,29 @@ func Figure16(env *Env, payloadScale float64, hostRAM float64) (*RAMResult, erro
 	}
 	outs, err := env.runCampaign(jobs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var claims []Claim
+	var ratioSum float64
+	ratios := 0
 	for _, pt := range points {
-		fRep := outs[pt.foldIdx].Payload.(*smpi.Report)
-		res.Folded[pt.key] = fRep.MaxPeakRSS / payloadScale
+		folded := outs[pt.foldIdx].Payload.(*smpi.Report).MaxPeakRSS / payloadScale
+		if pt.key == "SH-C" {
+			claims = append(claims, claim("SH-C is OM: its unfolded footprint exceeds host RAM", pt.plainIdx < 0, pt.unscaled, hostRAM))
+		}
 		if pt.plainIdx < 0 {
-			res.Table.Add(string(pt.graph), string(pt.class), pt.procs, "OM",
-				res.Folded[pt.key]/float64(core.MiB), "-")
+			t.Add(string(pt.graph), string(pt.class), pt.procs, "OM", folded/float64(core.MiB), "-")
 			continue
 		}
-		pRep := outs[pt.plainIdx].Payload.(*smpi.Report)
-		res.Plain[pt.key] = pRep.MaxPeakRSS / payloadScale
-		res.Table.Add(string(pt.graph), string(pt.class), pt.procs,
-			res.Plain[pt.key]/float64(core.MiB),
-			res.Folded[pt.key]/float64(core.MiB),
-			fmt.Sprintf("%.1fx", res.Plain[pt.key]/res.Folded[pt.key]))
+		plain := outs[pt.plainIdx].Payload.(*smpi.Report).MaxPeakRSS / payloadScale
+		t.Add(string(pt.graph), string(pt.class), pt.procs,
+			plain/float64(core.MiB), folded/float64(core.MiB), fmt.Sprintf("%.1fx", plain/folded))
+		claims = append(claims, claim(pt.key+": folded footprint below unfolded", folded > 0 && folded < plain, folded, plain))
+		ratioSum += plain / folded
+		ratios++
 	}
-	res.Table.Note("host RAM budget: %s; OM = out of memory without folding (paper's OM labels)",
+	t.Note("host RAM budget: %s; OM = out of memory without folding (paper's OM labels)",
 		core.FormatBytes(int64(hostRAM)))
-	return res, nil
+	avg := ratioSum / float64(ratios)
+	return t, append(claims, claim("average folding ratio >= 3x", avg >= 3, avg)), nil
 }

@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,49 +48,6 @@ func TestEnvCalibration(t *testing.T) {
 	}
 }
 
-func TestFigure3OrderingAndAccuracy(t *testing.T) {
-	res, err := Figure3(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OrderingHolds() {
-		t.Errorf("Figure 3 model ordering violated: %v", res.Summaries)
-	}
-	// Paper: piecewise 8.63% avg on griffon. Accept a generous band.
-	if pct := res.Summaries["piecewise"].MeanPct(); pct > 20 {
-		t.Errorf("piecewise mean error %.1f%%, paper ~8.6%%", pct)
-	}
-	if pct := res.Summaries["default-affine"].MeanPct(); pct < 10 {
-		t.Errorf("default affine suspiciously accurate (%.1f%%), paper ~32%%", pct)
-	}
-}
-
-func TestFigure4CrossClusterTransfer(t *testing.T) {
-	res, err := Figure4(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.PiecewiseBest() {
-		t.Errorf("Figure 4: piecewise should stay the most accurate on gdx: %v", res.Summaries)
-	}
-	if pct := res.Summaries["piecewise"].MeanPct(); pct > 30 {
-		t.Errorf("piecewise error %.1f%% on gdx, paper ~7.9%%", pct)
-	}
-}
-
-func TestFigure5ThreeSwitches(t *testing.T) {
-	res, err := Figure5(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.PiecewiseBest() {
-		t.Errorf("Figure 5: piecewise should stay the most accurate across 3 switches: %v", res.Summaries)
-	}
-	if pct := res.Summaries["piecewise"].MeanPct(); pct > 35 {
-		t.Errorf("piecewise error %.1f%% across 3 switches, paper ~9.9%%", pct)
-	}
-}
-
 // withCampaign runs fn with the env temporarily configured for the given
 // worker count and seed, restoring the previous settings afterwards (the
 // env is shared across tests).
@@ -100,31 +58,36 @@ func withCampaign(e *Env, workers int, seed uint64, fn func()) {
 	fn()
 }
 
+// TestFigureCampaignDeterministicAcrossWorkers holds the acceptance
+// property of the campaign engine: a figure's simulated results — its table
+// and its claims' values — are bit-identical at any worker-pool size.
 func TestFigureCampaignDeterministicAcrossWorkers(t *testing.T) {
-	// The acceptance property of the campaign engine: a figure's simulated
-	// results are bit-identical at any worker-pool size.
 	e := env(t)
-	var base, wide *SweepResult
-	withCampaign(e, 1, 77, func() {
-		var err error
-		if base, err = Figure8(e); err != nil {
-			t.Fatal(err)
-		}
-	})
-	withCampaign(e, 8, 77, func() {
-		var err error
-		if wide, err = Figure8(e); err != nil {
-			t.Fatal(err)
-		}
-	})
-	for i := range base.Pred {
-		if base.Pred[i] != wide.Pred[i] || base.Ref[i] != wide.Ref[i] {
-			t.Errorf("size %d: workers=1 (%v, %v) vs workers=8 (%v, %v)",
-				base.X[i], base.Pred[i], base.Ref[i], wide.Pred[i], wide.Ref[i])
-		}
+	ids := []string{"8"}
+	if !testing.Short() {
+		ids = append(ids, "topo", "placement") // slow sweeps
 	}
-	if base.Summary != wide.Summary {
-		t.Errorf("summaries differ: %v vs %v", base.Summary, wide.Summary)
+	for _, f := range Figures(e, true) {
+		if !slices.Contains(ids, f.ID) {
+			continue
+		}
+		var tables [2]string
+		var claims [2][]Claim
+		for i, workers := range []int{1, 8} {
+			withCampaign(e, workers, 77, func() {
+				tb, cl, err := f.Run()
+				if err != nil {
+					t.Fatalf("figure %s: %v", f.ID, err)
+				}
+				tables[i], claims[i] = tb.String(), cl
+			})
+		}
+		if tables[0] != tables[1] {
+			t.Errorf("figure %s: table at workers=1\n%s\ndiffers at workers=8\n%s", f.ID, tables[0], tables[1])
+		}
+		if !reflect.DeepEqual(claims[0], claims[1]) {
+			t.Errorf("figure %s: claims at workers=1 %v differ at workers=8 %v", f.ID, claims[0], claims[1])
+		}
 	}
 }
 
@@ -198,273 +161,6 @@ func TestGridTopologyAxisDeterministic(t *testing.T) {
 	}
 }
 
-// TestTopoCollectives runs the cross-topology ring-vs-tree comparison and
-// checks the structural claims: every point simulates, results are
-// deterministic, and the topology axis actually differentiates — the same
-// collective completes in different times on different interconnects,
-// which the flat cluster alone cannot express.
-func TestTopoCollectives(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-topology comparison is slow; run without -short")
-	}
-	e := env(t)
-	var a, b *TopoCollectivesResult
-	withCampaign(e, 1, 3, func() {
-		var err error
-		if a, err = TopoCollectives(e, 64*core.KiB); err != nil {
-			t.Fatal(err)
-		}
-	})
-	withCampaign(e, 8, 3, func() {
-		var err error
-		if b, err = TopoCollectives(e, 64*core.KiB); err != nil {
-			t.Fatal(err)
-		}
-	})
-	for k, v := range a.Times {
-		if v <= 0 {
-			t.Errorf("%s: non-positive completion %v", k, v)
-		}
-		if b.Times[k] != v {
-			t.Errorf("%s differs across worker counts: %v vs %v", k, v, b.Times[k])
-		}
-	}
-	// The interconnect must matter: for each op/algo, at least two
-	// topologies disagree on completion time.
-	for _, op := range []string{"bcast/ring", "bcast/binomial", "allreduce/ring", "allreduce/recursive-doubling"} {
-		distinct := make(map[float64]bool)
-		for _, topo := range topoCollectivesTopos() {
-			distinct[a.Times[topo+"/"+op]] = true
-		}
-		if len(distinct) < 2 {
-			t.Errorf("%s: all topologies complete in identical time %v — topology axis inert", op, a.Times)
-		}
-	}
-}
-
-func TestFigure7ContentionMatters(t *testing.T) {
-	res, err := Figure7(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxOf := func(vs []float64) float64 {
-		m := 0.0
-		for _, v := range vs {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	noC := maxOf(res.Series["smpi-nocontention"])
-	withC := maxOf(res.Series["smpi"])
-	om := maxOf(res.Series["openmpi"])
-	mp := maxOf(res.Series["mpich2"])
-	// Paper: the no-contention model always underestimates.
-	if noC >= om {
-		t.Errorf("no-contention (%v) should underestimate OpenMPI (%v)", noC, om)
-	}
-	if noC >= withC {
-		t.Errorf("no-contention (%v) should be below contention (%v)", noC, withC)
-	}
-	// Contention-aware SMPI lands near both real implementations.
-	rel := func(a, b float64) float64 {
-		if a > b {
-			return a/b - 1
-		}
-		return b/a - 1
-	}
-	if rel(withC, om) > 0.35 {
-		t.Errorf("SMPI (%v) too far from OpenMPI (%v)", withC, om)
-	}
-	if rel(om, mp) > 0.35 {
-		t.Errorf("OpenMPI (%v) and MPICH2 (%v) should be close", om, mp)
-	}
-}
-
-func TestFigure8LargeMessagesAccurate(t *testing.T) {
-	res, err := Figure8(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(res.Pred)
-	// Large messages (the last two sizes, >=1MiB) must be within ~20%.
-	for i := n - 2; i < n; i++ {
-		if rel := res.Pred[i]/res.Ref[i] - 1; rel > 0.25 || rel < -0.25 {
-			t.Errorf("size %d: smpi %v vs openmpi %v", res.X[i], res.Pred[i], res.Ref[i])
-		}
-	}
-	// Small messages underestimate (the paper's known limitation).
-	if res.Pred[0] > res.Ref[0] {
-		t.Logf("note: small-message prediction above reference (paper expects underestimation)")
-	}
-}
-
-func TestFigure9ConsistentAcrossProcs(t *testing.T) {
-	res, err := Figure9(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.MeanPct() > 30 {
-		t.Errorf("Figure 9 mean error %.1f%%, paper shows very consistent results", res.Summary.MeanPct())
-	}
-	// Time grows with the process count (total data scales with P).
-	for i := 1; i < len(res.Pred); i++ {
-		if res.Pred[i] <= res.Pred[i-1] {
-			t.Errorf("scatter time should grow with procs: %v", res.Pred)
-		}
-	}
-}
-
-func TestFigure11ContentionAccuracy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("16-process 4MiB all-to-all is slow; covered by the full run")
-	}
-	res, err := Figure11(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxOf := func(vs []float64) float64 {
-		m := 0.0
-		for _, v := range vs {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	noC := maxOf(res.Series["smpi-nocontention"])
-	om := maxOf(res.Series["openmpi"])
-	withC := maxOf(res.Series["smpi"])
-	if noC >= om {
-		t.Errorf("no-contention (%v) should badly underestimate all-to-all (%v)", noC, om)
-	}
-	// Paper: ~78% error without contention, <1% with (we accept 30%).
-	if rel := withC/om - 1; rel > 0.3 || rel < -0.3 {
-		t.Errorf("SMPI all-to-all %v vs OpenMPI %v", withC, om)
-	}
-}
-
-func TestFigure12Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("all-to-all size sweep is slow; covered by the full run")
-	}
-	res, err := Figure12(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(res.Pred)
-	for i := n - 2; i < n; i++ {
-		if rel := res.Pred[i]/res.Ref[i] - 1; rel > 0.3 || rel < -0.3 {
-			t.Errorf("size %d: smpi %v vs openmpi %v", res.X[i], res.Pred[i], res.Ref[i])
-		}
-	}
-}
-
-func TestFigure15TrendAndAccuracy(t *testing.T) {
-	// Reduced payload keeps the test fast; the graph structure and
-	// contention pattern are identical.
-	res, err := Figure15(env(t), 512*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, class := range []string{"A", "B"} {
-		wh := res.OpenMPI["WH-"+class]
-		bh := res.OpenMPI["BH-"+class]
-		if bh <= wh {
-			t.Errorf("class %s: BH (%v) should be slower than WH (%v) on the testbed", class, bh, wh)
-		}
-		whS := res.SMPI["WH-"+class]
-		bhS := res.SMPI["BH-"+class]
-		if bhS <= whS {
-			t.Errorf("class %s: SMPI should predict BH slower than WH", class)
-		}
-	}
-	// Paper: 8.11% average error, 23.5% worst. Accept a generous band.
-	if res.Summary.MeanPct() > 30 {
-		t.Errorf("DT mean error %.1f%%, paper ~8.1%%", res.Summary.MeanPct())
-	}
-}
-
-func TestFigure16FoldingRatios(t *testing.T) {
-	res, err := Figure16(env(t), 1.0/16, 2*float64(core.GiB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Folding shrinks every configuration that also ran unfolded.
-	var ratios []float64
-	for key, plain := range res.Plain {
-		folded := res.Folded[key]
-		if folded <= 0 || folded >= plain {
-			t.Errorf("%s: folded %v vs plain %v", key, folded, plain)
-			continue
-		}
-		ratios = append(ratios, plain/folded)
-	}
-	if len(ratios) == 0 {
-		t.Fatal("no unfolded runs completed")
-	}
-	// Paper: 11.9x average reduction, up to 40.5x. Require >=3x average.
-	var sum float64
-	for _, r := range ratios {
-		sum += r
-	}
-	if avg := sum / float64(len(ratios)); avg < 3 {
-		t.Errorf("average folding ratio %.1fx, paper reports 11.9x", avg)
-	}
-	// Class C configurations must be flagged OM without folding.
-	if _, ran := res.Plain["SH-C"]; ran {
-		t.Error("SH class C (448 procs) should be out-of-memory without folding")
-	}
-}
-
-func TestFigure17SimulationFasterThanReal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure 17 sweeps large messages")
-	}
-	res, err := Figure17(env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, size := range res.Sizes {
-		if res.SimWall[i].Seconds() >= res.RealTime[i] {
-			t.Errorf("size %d: simulation wall %v not below real %vs", size, res.SimWall[i], res.RealTime[i])
-		}
-		// Predicted time tracks the testbed within 25% for these large sizes.
-		if rel := res.SimTime[i]/res.RealTime[i] - 1; rel > 0.25 || rel < -0.25 {
-			t.Errorf("size %d: predicted %v vs real %v", size, res.SimTime[i], res.RealTime[i])
-		}
-	}
-}
-
-func TestFigure18SamplingLinearity(t *testing.T) {
-	// Bursts of ~65k pairs (2^22/16/4) are long enough (~1ms) to time
-	// stably on a noisy CI machine; tiny bursts make the replayed means
-	// jitter-dominated.
-	res, err := Figure18(env(t), 22, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Executed bursts scale with the ratio: 16, 12, 8, 4 per rank x4.
-	want := []int64{64, 48, 32, 16}
-	for i, w := range want {
-		if res.Executed[i] != w {
-			t.Errorf("ratio %v: executed %d bursts, want %d", res.Ratios[i], res.Executed[i], w)
-		}
-	}
-	// Simulated time stays flat (within 50%: wall-clock measurement noise
-	// affects the replayed means).
-	base := res.Simulated[0]
-	if base <= 0 {
-		t.Skip("compute too fast to measure")
-	}
-	for i, s := range res.Simulated {
-		if rel := s/base - 1; rel > 0.5 || rel < -0.5 {
-			t.Errorf("ratio %v: simulated %v drifted from %v", res.Ratios[i], s, base)
-		}
-	}
-}
-
 // TestGridPlacementAxisDeterministic sweeps the placement axis — including
 // the seed-derived random mapping generated inside worker-pool jobs — and
 // checks the acceptance property: bit-identical fingerprints at any
@@ -511,77 +207,6 @@ func TestGridPlacementAxisDeterministic(t *testing.T) {
 		Backends: []string{"surf"}, Collectives: "frobnicate=yes",
 	}); err == nil {
 		t.Error("unknown collective override should fail before running")
-	}
-}
-
-// TestPlacementSweep runs the placement-vs-routing experiment and checks
-// its structural claims: deterministic across worker counts, the forced
-// ring allreduce on the oversubscribed fat-tree is strictly slower under
-// round-robin than under block placement (the D-mod-k interaction), and on
-// the torus block and rr tie exactly (vertex transitivity).
-func TestPlacementSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("placement sweep is slow; run without -short")
-	}
-	e := env(t)
-	var a, b *PlacementSweepResult
-	withCampaign(e, 1, 5, func() {
-		var err error
-		if a, err = PlacementSweep(e, 64*core.KiB); err != nil {
-			t.Fatal(err)
-		}
-	})
-	withCampaign(e, 8, 5, func() {
-		var err error
-		if b, err = PlacementSweep(e, 64*core.KiB); err != nil {
-			t.Fatal(err)
-		}
-	})
-	for k, v := range a.Times {
-		if v <= 0 {
-			t.Errorf("%s: non-positive completion %v", k, v)
-		}
-		if b.Times[k] != v {
-			t.Errorf("%s differs across worker counts: %v vs %v", k, v, b.Times[k])
-		}
-	}
-	block := a.Times["fattree64/allreduce(ring)/block"]
-	rr := a.Times["fattree64/allreduce(ring)/rr"]
-	if !(rr > block) {
-		t.Errorf("ring allreduce on fattree64: rr %v not slower than block %v — placement axis inert against D-mod-k", rr, block)
-	}
-	if tb, trr := a.Times["torus:4x4x4/allreduce(ring)/block"], a.Times["torus:4x4x4/allreduce(ring)/rr"]; tb != trr {
-		t.Errorf("torus ring allreduce: block %v vs rr %v, want an exact tie (vertex transitivity)", tb, trr)
-	}
-}
-
-// TestDegradedSweep runs the degraded-fabric experiment and checks its
-// claims on every topology: the healthy run is its own baseline (slowdown
-// exactly 1), cutting the trunk further always costs more, and the slowdown
-// stays below 1/fraction because part of the all-to-all rides healthy links.
-func TestDegradedSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("degraded-fabric sweep is slow; run without -short")
-	}
-	res, err := DegradedSweep(env(t), 16*core.KiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range degradedSweepTopos() {
-		healthy := res.Times[tp.topo+"/1"]
-		prev := 0.0
-		for _, frac := range degradedSweepFractions() {
-			slowdown := res.Times[fmt.Sprintf("%s/%g", tp.topo, frac)] / healthy
-			switch {
-			case frac == 1 && slowdown != 1:
-				t.Errorf("%s: slowdown %v at fraction 1, want exactly 1", tp.topo, slowdown)
-			case frac < 1 && slowdown <= prev:
-				t.Errorf("%s: slowdown %v at fraction %g does not exceed %v at the previous fraction", tp.topo, slowdown, frac, prev)
-			case frac < 1 && slowdown >= 1/frac:
-				t.Errorf("%s: slowdown %v at fraction %g not below 1/fraction", tp.topo, slowdown, frac)
-			}
-			prev = slowdown
-		}
 	}
 }
 

@@ -4,41 +4,82 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/figures.golden and calibration_data.go from this build")
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden, testdata/claims.golden and calibration_data.go from this build")
 
-// TestFigureTablesGolden renders the tables of the ping-pong figures (3, 4,
-// 5), the collective figures (7, 8, 9, 11, 12), the DT figures (15, 16) and
-// the topo, placement and degraded sweeps, as Figures(e, true) runs them,
-// under seed 0 and compares them with testdata/figures.golden line for line. The tables print every simulated
-// quantity the figures report, so any change that moves one fails here;
-// -update rewrites the file, which only a change that means to move a figure
-// may do.
-func TestFigureTablesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders thirteen figures; run without -short")
-	}
+// TestFigures runs every figure once, as Figures(e, true) runs them, under
+// seed 0: each must make at least one claim, and every claim must hold. A
+// full run also compares the tables of every figure but 17 and 18 (their
+// wall-clock columns are not a function of the seed) with
+// testdata/figures.golden, and every claim — name, verdict and the values
+// it was decided on — with testdata/claims.golden. The tables print every
+// simulated quantity the figures report, so any change that moves one fails
+// here; -update rewrites both files, which only a change that means to move
+// a figure may do. Under -short the slow figures skip and no golden is
+// compared.
+func TestFigures(t *testing.T) {
+	slow := map[string]bool{"11": true, "12": true, "17": true, "topo": true, "placement": true, "degraded": true}
 	e := env(t)
-	var got strings.Builder
+	figures := Figures(e, true)
+	var tables, claims strings.Builder
+	ran := 0
 	withCampaign(e, 0, 0, func() {
-		for _, f := range Figures(e, true) {
-			if f.ID == "17" || f.ID == "18" {
-				continue // their wall-clock columns are not a function of the seed
-			}
-			tb, err := f.Run()
-			if err != nil {
-				t.Fatalf("figure %s: %v", f.ID, err)
-			}
-			fmt.Fprintf(&got, "%s\n", tb)
+		for _, f := range figures {
+			t.Run(f.ID, func(t *testing.T) {
+				if testing.Short() && slow[f.ID] {
+					t.Skip("slow figure; run without -short")
+				}
+				tb, cl, err := f.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cl) == 0 {
+					t.Error("figure makes no claim")
+				}
+				for _, c := range cl {
+					if !c.Holds {
+						t.Errorf("claim fails: %s %v", c.Name, c.Values)
+					}
+					fmt.Fprintf(&claims, "%s: %s\n", f.ID, formatClaim(c))
+				}
+				if f.ID != "17" && f.ID != "18" {
+					fmt.Fprintf(&tables, "%s\n", tb)
+				}
+				ran++
+			})
 		}
 	})
+	if ran < len(figures) {
+		return // a figure was skipped, filtered out or failed: the goldens would not match
+	}
+	compareGolden(t, "testdata/figures.golden", tables.String())
+	compareGolden(t, "testdata/claims.golden", claims.String())
+}
 
-	const path = "testdata/figures.golden"
+// formatClaim renders a claim as one claims.golden line: its verdict, its
+// name and its values in the shortest form that parses back exactly.
+func formatClaim(c Claim) string {
+	verdict := "holds"
+	if !c.Holds {
+		verdict = "FAILS"
+	}
+	vals := make([]string, len(c.Values))
+	for i, v := range c.Values {
+		vals[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return fmt.Sprintf("%s: %s [%s]", verdict, c.Name, strings.Join(vals, " "))
+}
+
+// compareGolden compares got with the file at path line for line, or
+// rewrites the file under -update.
+func compareGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -47,13 +88,13 @@ func TestFigureTablesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d golden lines, this build renders %d:\n%s", len(wantLines), len(gotLines), got.String())
+		t.Fatalf("%s: %d golden lines, this build renders %d:\n%s", path, len(wantLines), len(gotLines), got)
 	}
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
-			t.Errorf("line %d:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
+			t.Errorf("%s line %d:\n got  %s\n want %s", path, i+1, gotLines[i], wantLines[i])
 		}
 	}
 }

@@ -12,34 +12,6 @@ import (
 	"smpigo/internal/surf"
 )
 
-// PingPongResult is the outcome of one of Figures 3-5: per-size
-// communication times for SKaMPI (emulated testbed) and the three SMPI
-// models, plus the per-model accuracy summaries quoted in the paper.
-type PingPongResult struct {
-	Table     *Table
-	Summaries map[string]metrics.Summary
-}
-
-// OrderingHolds reports the paper's headline claim for Figures 3-5: the
-// piece-wise linear model beats the best-fit affine model, which beats the
-// default affine model, in mean logarithmic error.
-func (r *PingPongResult) OrderingHolds() bool {
-	pwl := r.Summaries["piecewise"].MeanLog
-	fit := r.Summaries["best-fit-affine"].MeanLog
-	def := r.Summaries["default-affine"].MeanLog
-	return pwl < fit && fit < def
-}
-
-// PiecewiseBest reports the transferability claim of Figures 4 and 5: the
-// piece-wise linear model remains the most accurate when the calibration is
-// replayed on a different cluster. (The relative order of the two affine
-// models is not guaranteed to transfer and the paper does not claim it.)
-func (r *PingPongResult) PiecewiseBest() bool {
-	pwl := r.Summaries["piecewise"].MeanLog
-	return pwl < r.Summaries["best-fit-affine"].MeanLog &&
-		pwl < r.Summaries["default-affine"].MeanLog
-}
-
 // pingPongJob wraps one SKaMPI ping-pong sweep (on either backend) between
 // hosts a and b as a campaign job: one t_<size> value per sample, their sum
 // as the simulated time, the sample set as payload.
@@ -58,8 +30,9 @@ func pingPongJob(id string, base smpi.Config, a, b *platform.Host) campaign.Job 
 
 // pingPongFigure runs the SKaMPI reference on the emulator and each model
 // on the analytical backend over the same endpoint pair — four independent
-// simulations fanned out as one campaign.
-func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, title string) (*PingPongResult, error) {
+// simulations fanned out as one campaign. It returns the table and each
+// model's accuracy summary against the reference, keyed by model name.
+func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, title string) (*Table, map[string]metrics.Summary, error) {
 	models := []surf.NetModel{env.Default, env.BestFit, env.Piecewise}
 	jobs := []campaign.Job{pingPongJob(title+"/skampi", emuConfig(plat), a, b)}
 	for _, m := range models {
@@ -67,7 +40,7 @@ func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, titl
 	}
 	outs, err := env.runCampaign(jobs)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", title, err)
+		return nil, nil, fmt.Errorf("%s: %w", title, err)
 	}
 	ref := outs[0].Payload.([]calibrate.Sample)
 	predictions := make(map[string][]calibrate.Sample)
@@ -75,15 +48,12 @@ func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, titl
 		predictions[m.Name] = outs[i+1].Payload.([]calibrate.Sample)
 	}
 
-	res := &PingPongResult{
-		Table: &Table{
-			Title:  title,
-			Header: []string{"size", "skampi_us", "default_us", "bestfit_us", "pwl_us"},
-		},
-		Summaries: make(map[string]metrics.Summary),
+	t := &Table{
+		Title:  title,
+		Header: []string{"size", "skampi_us", "default_us", "bestfit_us", "pwl_us"},
 	}
 	for i, s := range ref {
-		res.Table.Add(
+		t.Add(
 			core.FormatBytes(s.Size),
 			s.Time*1e6,
 			predictions["default-affine"][i].Time*1e6,
@@ -91,6 +61,7 @@ func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, titl
 			predictions["piecewise"][i].Time*1e6,
 		)
 	}
+	summaries := make(map[string]metrics.Summary, len(models))
 	for _, m := range models {
 		var pred, refv []float64
 		for i := range ref {
@@ -98,31 +69,62 @@ func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, titl
 			refv = append(refv, ref[i].Time)
 		}
 		sum := metrics.Summarize(pred, refv)
-		res.Summaries[m.Name] = sum
-		res.Table.Note("%s: %s", m.Name, sum)
+		summaries[m.Name] = sum
+		t.Note("%s: %s", m.Name, sum)
 	}
-	return res, nil
+	return t, summaries, nil
 }
 
-// Figure3 reproduces the paper's Figure 3: ping-pong on the calibration
-// cluster (griffon), SKaMPI vs the three SMPI models.
-func Figure3(env *Env) (*PingPongResult, error) {
-	return pingPongFigure(env, env.Griffon,
+// piecewiseClaims are the claims of Figures 4 and 5, where the griffon
+// calibration is replayed on gdx: the piece-wise model stays the most
+// accurate (the relative order of the two affine models is not guaranteed
+// to transfer and the paper does not claim it), within maxPct mean error.
+func piecewiseClaims(sums map[string]metrics.Summary, maxPct float64) []Claim {
+	pwl, fit, def := sums["piecewise"].MeanLog, sums["best-fit-affine"].MeanLog, sums["default-affine"].MeanLog
+	pct := sums["piecewise"].MeanPct()
+	return []Claim{
+		claim("mean log error: piecewise < best-fit, piecewise < default", pwl < fit && pwl < def, pwl, fit, def),
+		claim(fmt.Sprintf("piecewise mean error <= %g%%", maxPct), pct <= maxPct, pct),
+	}
+}
+
+// figure3 reproduces the paper's Figure 3: ping-pong on the calibration
+// cluster (griffon), SKaMPI vs the three SMPI models. The paper's headline
+// claim: the piece-wise linear model beats the best-fit affine model, which
+// beats the default affine model, in mean logarithmic error (paper:
+// piece-wise 8.63%, default affine ~32%).
+func figure3(env *Env) (*Table, []Claim, error) {
+	t, sums, err := pingPongFigure(env, env.Griffon,
 		env.Griffon.HostByID(0), env.Griffon.HostByID(1),
 		"Figure 3: ping-pong on griffon (calibration cluster, 1 switch)")
+	if err != nil {
+		return nil, nil, err
+	}
+	pwl, fit, def := sums["piecewise"].MeanLog, sums["best-fit-affine"].MeanLog, sums["default-affine"].MeanLog
+	pwlPct, defPct := sums["piecewise"].MeanPct(), sums["default-affine"].MeanPct()
+	return t, []Claim{
+		claim("mean log error: piecewise < best-fit < default", pwl < fit && fit < def, pwl, fit, def),
+		claim("piecewise mean error <= 20%", pwlPct <= 20, pwlPct),
+		claim("default affine mean error >= 10%", defPct >= 10, defPct),
+	}, nil
 }
 
-// Figure4 reproduces Figure 4: the griffon calibration replayed on the gdx
-// cluster between two nodes behind the same switch.
-func Figure4(env *Env) (*PingPongResult, error) {
-	return pingPongFigure(env, env.Gdx,
+// figure4 reproduces Figure 4: the griffon calibration replayed on the gdx
+// cluster between two nodes behind the same switch (paper: piece-wise
+// 7.9%).
+func figure4(env *Env) (*Table, []Claim, error) {
+	t, sums, err := pingPongFigure(env, env.Gdx,
 		env.Gdx.HostByID(0), env.Gdx.HostByID(1),
 		"Figure 4: ping-pong on gdx (griffon calibration, 1 switch)")
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, piecewiseClaims(sums, 30), nil
 }
 
-// Figure5 reproduces Figure 5: same as Figure 4 but between two gdx nodes
-// three switches apart.
-func Figure5(env *Env) (*PingPongResult, error) {
+// figure5 reproduces Figure 5: same as Figure 4 but between two gdx nodes
+// three switches apart (paper: piece-wise 9.9%).
+func figure5(env *Env) (*Table, []Claim, error) {
 	a := env.Gdx.HostByID(0)
 	var b *platform.Host
 	for _, h := range env.Gdx.Hosts() {
@@ -132,11 +134,15 @@ func Figure5(env *Env) (*PingPongResult, error) {
 		}
 	}
 	if b == nil {
-		return nil, fmt.Errorf("figure 5: no cross-cabinet host on gdx")
+		return nil, nil, fmt.Errorf("figure 5: no cross-cabinet host on gdx")
 	}
 	if platform.SwitchHops(a, b) != 3 {
-		return nil, fmt.Errorf("figure 5: endpoints are not 3 switches apart")
+		return nil, nil, fmt.Errorf("figure 5: endpoints are not 3 switches apart")
 	}
-	return pingPongFigure(env, env.Gdx, a, b,
+	t, sums, err := pingPongFigure(env, env.Gdx, a, b,
 		"Figure 5: ping-pong on gdx across 3 switches (griffon calibration)")
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, piecewiseClaims(sums, 35), nil
 }

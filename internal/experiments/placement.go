@@ -2,19 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"smpigo/internal/core"
 	"smpigo/internal/smpi"
 )
-
-// PlacementSweepResult holds the placement-sweep experiment: how the
-// rank-to-host mapping interacts with the interconnect's deterministic
-// routing. Times maps "<topo>/<op>/<placement>" to the collective's
-// completion time in seconds.
-type PlacementSweepResult struct {
-	Table *Table
-	Times map[string]float64
-}
 
 // placementSweepTopos are the swept platforms: the acceptance pair — a
 // full-bisection two-level fat-tree and a 4x4x4 torus, on which the "auto"
@@ -29,7 +21,7 @@ func placementSweepTopos() []string {
 // placementSweepPolicies is the swept placement axis in display order.
 func placementSweepPolicies() []string { return []string{"block", "rr", "random"} }
 
-// PlacementSweep sweeps rank placement (block, round-robin, random) against
+// placementSweep sweeps rank placement (block, round-robin, random) against
 // interconnect shape for an auto-selected allreduce, a forced ring
 // allreduce, and a pairwise all-to-all. Every rank count fills its machine,
 // so the policies are pure permutations of the same hosts: under "block"
@@ -41,11 +33,11 @@ func placementSweepPolicies() []string { return []string{"block", "rr", "random"
 // identically — dealing ranks across rows just renames the dimensions of a
 // vertex-transitive graph — which is itself a routing fact the table
 // exposes. chunk is the per-rank payload in bytes (must be a multiple of
-// 8; 0 means 256 KiB).
-func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
-	if chunk == 0 {
-		chunk = 256 * core.KiB
-	}
+// 8). Its claims: every point completes in positive time, the forced ring
+// allreduce on the oversubscribed fat-tree is strictly slower under rr than
+// under block (the D-mod-k interaction), and on the torus block and rr tie
+// exactly.
+func placementSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 	// The ops pair the auto-selected algorithms with a forced ring
 	// allreduce: ring schedules only talk to rank neighbors, so they are
 	// maximally placement-sensitive on fat-trees — "block" keeps most hops
@@ -56,22 +48,19 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 		{"allreduce(ring)", "allreduce", "allreduce=ring"},
 		{"alltoall", "alltoall", "auto"},
 	}
-	res := &PlacementSweepResult{
-		Table: &Table{
-			Title: fmt.Sprintf("Placement sweep: block vs round-robin vs random, machine-filling ranks, %s per rank (seconds)",
-				core.FormatBytes(chunk)),
-			Header: []string{"topo", "op", "block_s", "rr_s", "random_s", "rr/block"},
-		},
-		Times: make(map[string]float64),
+	t := &Table{
+		Title: fmt.Sprintf("Placement sweep: block vs round-robin vs random, machine-filling ranks, %s per rank (seconds)",
+			core.FormatBytes(chunk)),
+		Header: []string{"topo", "op", "block_s", "rr_s", "random_s", "rr/block"},
 	}
 	var specs []GridSpec
 	for _, topo := range placementSweepTopos() {
 		plat, err := env.Platform(topo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		resolved := smpi.Auto().Resolve(plat.Topo)
-		res.Table.Note("%s: %d ranks, -collectives auto -> bcast=%s allreduce=%s",
+		t.Note("%s: %d ranks, -collectives auto -> bcast=%s allreduce=%s",
 			topo, len(plat.Hosts()), resolved.Bcast, resolved.Allreduce)
 		for _, op := range ops {
 			specs = append(specs, GridSpec{
@@ -82,22 +71,27 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 	}
 	runs, err := env.gridRuns(CampaignOptions{}, specs...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	i := 0
-	for _, topo := range placementSweepTopos() {
-		for _, op := range ops {
-			for _, place := range placementSweepPolicies() {
-				res.Times[topo+"/"+op.name+"/"+place] = runs[i].Total
-				i++
+	// Runs come in (topo, op, placement) order, placements in display
+	// order: block, rr, random.
+	minTime := math.Inf(1)
+	var claims []Claim
+	for i, topo := range placementSweepTopos() {
+		for j, op := range ops {
+			k := len(placementSweepPolicies()) * (i*len(ops) + j)
+			bl, rr, rnd := runs[k].Total, runs[k+1].Total, runs[k+2].Total
+			t.Add(topo, op.name, bl, rr, rnd, rr/bl)
+			minTime = min(minTime, bl, rr, rnd)
+			switch {
+			case topo == "fattree64" && op.name == "allreduce(ring)":
+				claims = append(claims, claim("fattree64 ring allreduce: rr slower than block", rr > bl, rr, bl))
+			case topo == "torus:4x4x4" && op.name == "allreduce(ring)":
+				claims = append(claims, claim("torus:4x4x4 ring allreduce: block and rr tie exactly", bl == rr, bl, rr))
 			}
-			bl := res.Times[topo+"/"+op.name+"/block"]
-			rr := res.Times[topo+"/"+op.name+"/rr"]
-			rnd := res.Times[topo+"/"+op.name+"/random"]
-			res.Table.Add(topo, op.name, bl, rr, rnd, rr/bl)
 		}
 	}
-	res.Table.Note("block keeps ring traffic under the leaf switches; rr forces it through the spine, where D-mod-k converges flows onto shared cables")
-	res.Table.Note("on the torus block and rr tie exactly: dealing ranks across rows only renames the dimensions of a vertex-transitive graph")
-	return res, nil
+	t.Note("block keeps ring traffic under the leaf switches; rr forces it through the spine, where D-mod-k converges flows onto shared cables")
+	t.Note("on the torus block and rr tie exactly: dealing ranks across rows only renames the dimensions of a vertex-transitive graph")
+	return t, append(claims, claim("every completion time > 0", minTime > 0, minTime)), nil
 }

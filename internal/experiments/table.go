@@ -2,15 +2,16 @@
 // (Section 7) and runs scenario grids (GridSpec) beyond them, all as
 // campaigns. The collective figures are short lists of GridSpecs whose
 // reducers read the campaign back by position; the ping-pong, DT and EP
-// figures still build their jobs directly. Each FigureN function returns a
-// Table whose rows match the series the paper plots, plus the error
-// summaries quoted in the text. cmd/experiments, smpigod and the
+// figures still build their jobs directly. Each figure (see Figures) returns
+// a Table whose rows match the series the paper plots and whose notes carry
+// the error summaries quoted in the text, plus the Claims the paper makes
+// about those numbers, decided on the same floats the table prints.
+// cmd/experiments, smpigod and the
 // repository's benchmark suite are thin wrappers around this package.
 package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 
 	"smpigo/internal/core"
@@ -78,49 +79,54 @@ func (t *Table) String() string {
 	return b.String()
 }
 
+// Claim is one checkable statement a figure makes about its own numbers
+// (piece-wise beats the affine models, folding shrinks the footprint, ...):
+// the values it was decided on, taken from the floats the figure writes
+// into its table, and whether it holds.
+type Claim struct {
+	Name   string
+	Values []float64
+	Holds  bool
+}
+
+func claim(name string, holds bool, values ...float64) Claim {
+	return Claim{Name: name, Values: values, Holds: holds}
+}
+
 // Figure is one figure or sweep of the evaluation, as cmd/experiments -fig
 // names it.
 type Figure struct {
 	ID  string
-	Run func() (*Table, error)
+	Run func() (*Table, []Claim, error)
 }
 
 // Figures lists every figure cmd/experiments regenerates, in its order. fast
-// shrinks them for quicker, shape-preserving runs: a 512 KiB DT payload,
-// EP with M = 19, Figure 16 at 1/16 scale, 64 KiB chunks in the topo and
-// placement sweeps and 16 KiB in the degraded one. Otherwise each figure
-// runs at its default size.
+// shrinks them for quicker, shape-preserving runs: a 512 KiB DT payload
+// instead of each class's own, EP with M = 19 instead of 22, Figure 16 at
+// 1/16 scale, 64 KiB chunks instead of 256 KiB in the topo and placement
+// sweeps and 16 KiB instead of 64 KiB in the degraded one.
 func Figures(env *Env, fast bool) []Figure {
-	dtPayload, epM, figScale := 0, 22, 1.0 // a zero payload or chunk means the figure's default
-	var sweepChunk, degradedChunk int64
+	dtPayload, epM, figScale := 0, 22, 1.0
+	sweepChunk, degradedChunk := 256*core.KiB, 64*core.KiB
 	if fast {
 		dtPayload, epM, figScale = 512*1024, 19, 1.0/16
 		sweepChunk, degradedChunk = 64*core.KiB, 16*core.KiB
 	}
 	return []Figure{
-		{"3", func() (*Table, error) { return tableOf(Figure3(env)) }},
-		{"4", func() (*Table, error) { return tableOf(Figure4(env)) }},
-		{"5", func() (*Table, error) { return tableOf(Figure5(env)) }},
-		{"7", func() (*Table, error) { return tableOf(Figure7(env)) }},
-		{"8", func() (*Table, error) { return tableOf(Figure8(env)) }},
-		{"9", func() (*Table, error) { return tableOf(Figure9(env)) }},
-		{"11", func() (*Table, error) { return tableOf(Figure11(env)) }},
-		{"12", func() (*Table, error) { return tableOf(Figure12(env)) }},
-		{"15", func() (*Table, error) { return tableOf(Figure15(env, dtPayload)) }},
-		{"16", func() (*Table, error) { return tableOf(Figure16(env, figScale, 2*float64(core.GiB))) }},
-		{"17", func() (*Table, error) { return tableOf(Figure17(env)) }},
-		{"18", func() (*Table, error) { return tableOf(Figure18(env, epM, 64)) }},
-		{"topo", func() (*Table, error) { return tableOf(TopoCollectives(env, sweepChunk)) }},
-		{"placement", func() (*Table, error) { return tableOf(PlacementSweep(env, sweepChunk)) }},
-		{"degraded", func() (*Table, error) { return tableOf(DegradedSweep(env, degradedChunk)) }},
+		{"3", func() (*Table, []Claim, error) { return figure3(env) }},
+		{"4", func() (*Table, []Claim, error) { return figure4(env) }},
+		{"5", func() (*Table, []Claim, error) { return figure5(env) }},
+		{"7", func() (*Table, []Claim, error) { return figure7(env) }},
+		{"8", func() (*Table, []Claim, error) { return figure8(env) }},
+		{"9", func() (*Table, []Claim, error) { return figure9(env) }},
+		{"11", func() (*Table, []Claim, error) { return figure11(env) }},
+		{"12", func() (*Table, []Claim, error) { return figure12(env) }},
+		{"15", func() (*Table, []Claim, error) { return figure15(env, dtPayload) }},
+		{"16", func() (*Table, []Claim, error) { return figure16(env, figScale) }},
+		{"17", func() (*Table, []Claim, error) { return figure17(env) }},
+		{"18", func() (*Table, []Claim, error) { return figure18(env, epM, 64) }},
+		{"topo", func() (*Table, []Claim, error) { return topoCollectives(env, sweepChunk) }},
+		{"placement", func() (*Table, []Claim, error) { return placementSweep(env, sweepChunk) }},
+		{"degraded", func() (*Table, []Claim, error) { return degradedSweep(env, degradedChunk) }},
 	}
-}
-
-// tableOf picks the rendered table off a figure result: every result type
-// carries it in a field named Table.
-func tableOf[R any](r *R, err error) (*Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return reflect.ValueOf(r).Elem().FieldByName("Table").Interface().(*Table), nil
 }

@@ -2,44 +2,36 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"smpigo/internal/core"
 	"smpigo/internal/smpi"
 	"smpigo/internal/topology"
 )
 
-// TopoCollectivesResult holds the cross-topology collectives comparison:
-// ring vs tree broadcast and allreduce on the flat griffon cluster and the
-// three generated interconnects. Times maps "<topo>/<op>/<algo>" to the
-// collective's completion time in seconds.
-type TopoCollectivesResult struct {
-	Table *Table
-	Times map[string]float64
-}
-
 // topoCollectivesTopos are the platforms the comparison sweeps: the paper's
 // flat hierarchical cluster plus one of each generated shape, all with at
-// least TopoCollectivesProcs hosts.
+// least topoCollectivesProcs hosts.
 func topoCollectivesTopos() []string {
 	return []string{"griffon", "fattree64", "torus64", "dragonfly72"}
 }
 
-// TopoCollectivesProcs is the rank count of the comparison; 64 fills
+// topoCollectivesProcs is the rank count of the comparison; 64 fills
 // fattree64 and torus64 exactly, so every host link is exercised.
-const TopoCollectivesProcs = 64
+const topoCollectivesProcs = 64
 
-// TopoCollectives compares ring against tree collectives across
+// topoCollectives compares ring against tree collectives across
 // interconnect shapes: a ring schedule only talks to neighbors (which tori
 // absorb on local cables), while binomial trees and recursive doubling jump
 // across the machine (which fat-tree spines and dragonfly global links must
 // carry). The flat cluster routes everything through the same backbone, so
 // it cannot express these differences — the point of the topology axis.
 // Every (op, algorithm) pair is one grid over the topology axis; chunk is
-// the per-rank payload in bytes (must be a multiple of 8; 0 means 256 KiB).
-func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
-	if chunk == 0 {
-		chunk = 256 * core.KiB
-	}
+// the per-rank payload in bytes (must be a multiple of 8). Its claims:
+// every point completes in positive time, and the interconnect matters —
+// for each op and algorithm, at least two topologies disagree.
+func topoCollectives(env *Env, chunk int64) (*Table, []Claim, error) {
 	// Each operation's tree variant is its default; the ring is forced.
 	def := smpi.DefaultAlgorithms()
 	ops := []struct{ name, tree string }{{"bcast", def.Bcast}, {"allreduce", def.Allreduce}}
@@ -50,45 +42,50 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 		for _, algo := range []string{op.tree, "ring"} {
 			keys = append(keys, op.name+"/"+algo)
 			specs = append(specs, GridSpec{
-				Op: op.name, Procs: []int{TopoCollectivesProcs}, Sizes: []int64{chunk},
+				Op: op.name, Procs: []int{topoCollectivesProcs}, Sizes: []int64{chunk},
 				Backends: []string{"surf"}, Topologies: topos, Collectives: op.name + "=" + algo,
 			})
 		}
 	}
 	runs, err := env.gridRuns(CampaignOptions{}, specs...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	res := &TopoCollectivesResult{
-		Table: &Table{
-			Title: fmt.Sprintf("Cross-topology collectives: ring vs tree, %d procs, %s per rank (seconds)",
-				TopoCollectivesProcs, core.FormatBytes(chunk)),
-			Header: []string{"topo", "op", "tree_s", "ring_s", "ring/tree"},
-		},
-		Times: make(map[string]float64, len(runs)),
+	t := &Table{
+		Title: fmt.Sprintf("Cross-topology collectives: ring vs tree, %d procs, %s per rank (seconds)",
+			topoCollectivesProcs, core.FormatBytes(chunk)),
+		Header: []string{"topo", "op", "tree_s", "ring_s", "ring/tree"},
 	}
-	for i, key := range keys {
-		for j, topo := range topos {
-			res.Times[topo+"/"+key] = runs[i*len(topos)+j].Total
-		}
-	}
-	for _, topo := range topos {
+	// runs[i*len(topos)+j] is keys[i] on topos[j].
+	total := func(key string, j int) float64 { return runs[slices.Index(keys, key)*len(topos)+j].Total }
+	for j, topo := range topos {
 		for _, op := range ops {
-			tt := res.Times[topo+"/"+op.name+"/"+op.tree]
-			rt := res.Times[topo+"/"+op.name+"/ring"]
-			res.Table.Add(topo, op.name, tt, rt, rt/tt)
+			tt, rt := total(op.name+"/"+op.tree, j), total(op.name+"/ring", j)
+			t.Add(topo, op.name, tt, rt, rt/tt)
 		}
 	}
 	for _, topo := range topos[1:] {
 		spec, err := topology.ParseSpec(topo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		m := spec.Metrics()
-		res.Table.Note("%s: %d hosts, %d links, diameter %d, bisection %.3g GB/s",
+		t.Note("%s: %d hosts, %d links, diameter %d, bisection %.3g GB/s",
 			topo, m.Hosts, m.Links, m.Diameter, m.BisectionBandwidth/1e9)
 	}
-	res.Table.Note("ring maps onto neighbor links (tori); trees concentrate load on spines/backbones")
-	return res, nil
+	t.Note("ring maps onto neighbor links (tori); trees concentrate load on spines/backbones")
+
+	minTime := math.Inf(1)
+	var claims []Claim
+	for _, key := range keys {
+		var times []float64
+		for j := range topos {
+			times = append(times, total(key, j))
+		}
+		minTime = min(minTime, slices.Min(times))
+		distinct := slices.Compact(slices.Sorted(slices.Values(times)))
+		claims = append(claims, claim(key+": at least two topologies disagree", len(distinct) >= 2, times...))
+	}
+	return t, append(claims, claim("every completion time > 0", minTime > 0, minTime)), nil
 }

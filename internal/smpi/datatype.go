@@ -183,21 +183,3 @@ func BytesToInt64s(buf []byte) []int64 {
 	}
 	return out
 }
-
-// Int32sToBytes encodes vs into a fresh byte buffer.
-func Int32sToBytes(vs []int32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
-	}
-	return out
-}
-
-// BytesToInt32s decodes buf (length multiple of 4) into int32s.
-func BytesToInt32s(buf []byte) []int32 {
-	out := make([]int32, len(buf)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return out
-}

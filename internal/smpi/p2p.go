@@ -411,14 +411,3 @@ func (r *Rank) Test(q *Request) (bool, Status) {
 	}
 	return true, q.Status
 }
-
-// TestAny returns the index and status of a completed request, or -1
-// (MPI_Testany).
-func (r *Rank) TestAny(qs []*Request) (int, Status) {
-	for i, q := range qs {
-		if ok, st := r.Test(q); ok {
-			return i, st
-		}
-	}
-	return -1, Status{}
-}
