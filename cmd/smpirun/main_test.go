@@ -58,6 +58,7 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		{[]string{"-app", "ep", "-np", "4", "-ratio", "NaN"}, "-ratio NaN: want a sampling ratio in (0, 1]"},
 		{[]string{"-app", "bcast", "-np", "4", "-collectives", "bcast=bogus"}, `"bogus" (want auto, binomial, flat, ring)`},
 		{[]string{"-app", "alltoall", "-np", "4", "-collectives", "scatter=Ring"}, `"Ring" (want auto, binomial, flat)`},
+		{[]string{"-app", "alltoall", "-np", "4", "-chunk", "-5"}, `"-5": negative`},
 	} {
 		var out bytes.Buffer
 		err := run(parse(t, tc.args...), &out)

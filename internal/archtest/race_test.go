@@ -1,0 +1,5 @@
+//go:build race
+
+package archtest
+
+const raceEnabled = true

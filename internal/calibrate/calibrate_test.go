@@ -103,7 +103,7 @@ func TestFitPiecewiseRecoversTruth(t *testing.T) {
 		ref = append(ref, s.Time)
 	}
 	sum := metrics.Summarize(pred, ref)
-	if sum.WorstPct() > 2 {
+	if metrics.ToPercent(sum.MaxLog) > 2 {
 		t.Errorf("piecewise fit error %v too high", sum)
 	}
 	// Boundaries should land near the truth's 1KiB and 64KiB.

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -121,14 +120,14 @@ type Summary struct {
 	// Wall is the whole campaign's wall-clock duration.
 	Wall time.Duration `json:"wall_ns"`
 	// Stats aggregates the jobs' counter maps (see Outcome.Stats and
-	// MergeStats). nil when no job reported counters. Not fingerprinted.
+	// mergeStats). nil when no job reported counters. Not fingerprinted.
 	Stats map[string]float64 `json:"stats,omitempty"`
 }
 
-// MergeStats folds one job's counter map into an aggregate: keys are summed,
+// mergeStats folds one job's counter map into an aggregate: keys are summed,
 // except high-water marks — keys with the ".max" suffix — which take the
 // maximum. Passing a nil aggregate allocates one; from may be nil.
-func MergeStats(into, from map[string]float64) map[string]float64 {
+func mergeStats(into, from map[string]float64) map[string]float64 {
 	if len(from) == 0 {
 		return into
 	}
@@ -247,7 +246,7 @@ feed:
 			if r.Outcome.SimulatedTime > sum.MaxSimulated {
 				sum.MaxSimulated = r.Outcome.SimulatedTime
 			}
-			sum.Stats = MergeStats(sum.Stats, r.Outcome.Stats)
+			sum.Stats = mergeStats(sum.Stats, r.Outcome.Stats)
 		}
 	}
 	return sum
@@ -345,9 +344,4 @@ func (s *Summary) Fingerprint() string {
 		}
 	}
 	return fmt.Sprintf("%016x", h)
-}
-
-// JSON renders the summary as indented JSON with stable field order.
-func (s *Summary) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -183,7 +184,7 @@ func TestDuplicateJobIDsRejected(t *testing.T) {
 
 func TestJSONRoundTrips(t *testing.T) {
 	sum := Run(Options{Workers: 2, Seed: 13}, noisyJobs(4))
-	data, err := sum.JSON()
+	data, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

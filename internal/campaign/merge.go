@@ -69,7 +69,7 @@ func Merge(parts ...*Summary) (*Summary, error) {
 			if r.Outcome.SimulatedTime > merged.MaxSimulated {
 				merged.MaxSimulated = r.Outcome.SimulatedTime
 			}
-			merged.Stats = MergeStats(merged.Stats, r.Outcome.Stats)
+			merged.Stats = mergeStats(merged.Stats, r.Outcome.Stats)
 		}
 	}
 	return merged, nil

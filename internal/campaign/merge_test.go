@@ -59,7 +59,7 @@ func TestMergeAcrossJSONBoundary(t *testing.T) {
 	}
 	full := Run(Options{Workers: 2, Seed: 6}, mk())
 	roundtrip := func(s *Summary) *Summary {
-		data, err := s.JSON()
+		data, err := json.MarshalIndent(s, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,22 +20,12 @@ type Time float64
 // Duration is a span of simulated time, in seconds.
 type Duration = Time
 
-// Common time constants.
-const (
-	Microsecond Duration = 1e-6
-	Millisecond Duration = 1e-3
-	Second      Duration = 1
-)
+// Microsecond is the unit of the paper's latencies and overheads.
+const Microsecond Duration = 1e-6
 
 // TimeForever is the sentinel date used by models that currently have no
 // pending event. It compares greater than every reachable simulation date.
 const TimeForever Time = math.MaxFloat64
-
-// Seconds returns t as a plain float64 number of seconds.
-func (t Time) Seconds() float64 { return float64(t) }
-
-// Micros returns t in microseconds, the unit the paper's figures use.
-func (t Time) Micros() float64 { return float64(t) * 1e6 }
 
 // String formats the time with a unit chosen for readability.
 func (t Time) String() string {

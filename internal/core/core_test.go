@@ -23,12 +23,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestTimeMicros(t *testing.T) {
-	if got := Time(0.0025).Micros(); math.Abs(got-2500) > 1e-9 {
-		t.Errorf("Micros() = %v, want 2500", got)
-	}
-}
-
 func TestFormatBytes(t *testing.T) {
 	cases := []struct {
 		in   int64
@@ -89,9 +83,9 @@ func TestParseBytes(t *testing.T) {
 	if _, err := ParseBytes(""); err == nil {
 		t.Error("ParseBytes(empty) should fail")
 	}
-	for _, in := range []string{"9223372036854775808", "1e300GB", "10000000000GiB", "-1e19"} {
+	for _, in := range []string{"9223372036854775808", "1e300GB", "10000000000GiB", "-1e19", "-5", "-1KiB"} {
 		if got, err := ParseBytes(in); err == nil {
-			t.Errorf("ParseBytes(%q) = %d, want an out-of-range error", in, got)
+			t.Errorf("ParseBytes(%q) = %d, want an error", in, got)
 		}
 	}
 }
@@ -191,25 +185,6 @@ func TestRNGIntn(t *testing.T) {
 		}
 	}()
 	r.Intn(0)
-}
-
-func TestRNGNormalMoments(t *testing.T) {
-	r := NewRNG(11)
-	const n = 20000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-10) > 0.1 {
-		t.Errorf("mean = %v, want ~10", mean)
-	}
-	if math.Abs(variance-4) > 0.3 {
-		t.Errorf("variance = %v, want ~4", variance)
-	}
 }
 
 func TestRNGSplitIndependence(t *testing.T) {

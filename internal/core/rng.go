@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // RNG is a deterministic SplitMix64 pseudo-random generator. Every source of
 // randomness in the simulator flows through a seeded RNG so that runs are
 // reproducible; the standard library's global rand is never used.
@@ -31,36 +29,10 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Range returns a uniform value in [lo, hi).
-func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
-// Normal returns a normally distributed value with the given mean and
-// standard deviation, using the Box-Muller transform.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
 // Split derives an independent child generator, useful to give each
 // simulated rank its own stream without cross-rank coupling.
 func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())
-}
-
-// Derive returns an independent child generator keyed by label, without
-// consuming any of the parent's stream: unlike Split, the parent state is
-// read but not advanced, so the derived stream depends only on (seed, label)
-// and never on how many other children were derived first. Campaign runners
-// rely on this to hand every job a seed that is identical regardless of
-// worker count or scheduling order.
-func (r *RNG) Derive(label string) *RNG {
-	return NewRNG(DeriveSeed(r.state, label))
 }
 
 // DeriveSeed mixes a seed with a label into a well-distributed child seed.

@@ -11,13 +11,16 @@ import (
 // decimal suffixes (kB/MB/GB) are powers of ten, matching SimGrid's platform
 // DTD conventions. A whole number of bytes ("1500", "1500B") parses exactly,
 // also beyond 2^53 where a float64 would round it; a count that does not
-// fit an int64 is an error.
+// fit an int64, or is negative, is an error.
 func ParseBytes(s string) (int64, error) {
 	whole := strings.TrimSpace(s)
 	if n := len(whole); n > 0 && (whole[n-1] == 'b' || whole[n-1] == 'B') {
 		whole = whole[:n-1]
 	}
 	if n, err := strconv.ParseInt(whole, 10, 64); err == nil {
+		if n < 0 {
+			return 0, fmt.Errorf("parse bytes %q: negative", s)
+		}
 		return n, nil
 	}
 	v, err := parseSuffixed(s, map[string]float64{
@@ -33,7 +36,10 @@ func ParseBytes(s string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("parse bytes %q: %w", s, err)
 	}
-	if !(v >= -1<<63 && v < 1<<63) {
+	if v < 0 {
+		return 0, fmt.Errorf("parse bytes %q: negative", s)
+	}
+	if !(v < 1<<63) {
 		return 0, fmt.Errorf("parse bytes %q: out of range", s)
 	}
 	return int64(v), nil

@@ -63,15 +63,15 @@ import (
 type Kind string
 
 const (
-	// KindLink scales the capacity of every link matching Target to
+	// kindLink scales the capacity of every link matching Target to
 	// Factor times its nominal bandwidth.
-	KindLink Kind = "link"
-	// KindHost scales the compute capacity of every host matching Target to
+	kindLink Kind = "link"
+	// kindHost scales the compute capacity of every host matching Target to
 	// Factor times its nominal speed.
-	KindHost Kind = "host"
-	// KindFlow injects a background flow of Bytes from host Src to host
+	kindHost Kind = "host"
+	// kindFlow injects a background flow of Bytes from host Src to host
 	// Dst, repeated Count times every Every.
-	KindFlow Kind = "flow"
+	kindFlow Kind = "flow"
 )
 
 // Event is one scheduled platform change. The zero value is invalid; build
@@ -101,7 +101,7 @@ func (e Event) validate() error {
 		return fmt.Errorf("dynamics: event date %v before time zero", e.At)
 	}
 	switch e.Kind {
-	case KindLink, KindHost:
+	case kindLink, kindHost:
 		if e.Target == "" {
 			return fmt.Errorf("dynamics: %s event without a target pattern", e.Kind)
 		}
@@ -116,7 +116,7 @@ func (e Event) validate() error {
 		if e.Factor < 0 || math.IsNaN(e.Factor) || math.IsInf(e.Factor, 0) {
 			return fmt.Errorf("dynamics: invalid capacity factor %v for %s %q", e.Factor, e.Kind, e.Target)
 		}
-	case KindFlow:
+	case kindFlow:
 		if e.Src < 0 || e.Dst < 0 || e.Src == e.Dst {
 			return fmt.Errorf("dynamics: flow endpoints %d->%d invalid", e.Src, e.Dst)
 		}
@@ -140,7 +140,7 @@ func (e Event) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "@%gs %s ", float64(e.At), e.Kind)
 	switch e.Kind {
-	case KindFlow:
+	case kindFlow:
 		fmt.Fprintf(&b, "%d->%d %dB", e.Src, e.Dst, e.Bytes)
 		if e.Count > 1 {
 			fmt.Fprintf(&b, " every %gs x%d", float64(e.Every), e.Count)
@@ -175,8 +175,8 @@ func (s *Schedule) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// Validate reports the first problem with any event.
-func (s *Schedule) Validate() error {
+// validate reports the first problem with any event.
+func (s *Schedule) validate() error {
 	for i, e := range s.Events {
 		if err := e.validate(); err != nil {
 			return fmt.Errorf("event %d: %w", i, err)
@@ -227,7 +227,7 @@ func parseEvent(spec string) (Event, error) {
 	e.Kind = Kind(fields[1])
 	rest := fields[2:]
 	switch e.Kind {
-	case KindLink, KindHost:
+	case kindLink, kindHost:
 		e.Target = rest[0]
 		verb := ""
 		if len(rest) > 1 {
@@ -254,7 +254,7 @@ func parseEvent(spec string) (Event, error) {
 		default:
 			return fail("unknown verb %q (want scale/degrade/restore/fail)", verb)
 		}
-	case KindFlow:
+	case kindFlow:
 		src, dst, ok := strings.Cut(rest[0], "->")
 		if !ok {
 			return fail("flow endpoints %q: want <src>-><dst>", rest[0])
@@ -292,9 +292,9 @@ func parseEvent(spec string) (Event, error) {
 	return e, nil
 }
 
-// ParseJSON parses a JSON profile: an {"events": [...]} object or a bare
+// parseJSON parses a JSON profile: an {"events": [...]} object or a bare
 // event array.
-func ParseJSON(data []byte) (*Schedule, error) {
+func parseJSON(data []byte) (*Schedule, error) {
 	trimmed := strings.TrimSpace(string(data))
 	s := &Schedule{}
 	var err error
@@ -309,7 +309,7 @@ func ParseJSON(data []byte) (*Schedule, error) {
 	if len(s.Events) == 0 {
 		return nil, fmt.Errorf("dynamics: JSON profile has no events")
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, fmt.Errorf("dynamics: JSON profile: %w", err)
 	}
 	return s, nil
@@ -326,7 +326,7 @@ func Load(arg string) (*Schedule, error) {
 	case strings.HasPrefix(trimmed, "@"):
 		return Parse(trimmed)
 	case strings.HasPrefix(trimmed, "{") || strings.HasPrefix(trimmed, "["):
-		return ParseJSON([]byte(trimmed))
+		return parseJSON([]byte(trimmed))
 	}
 	data, err := os.ReadFile(trimmed)
 	if err != nil {
@@ -336,7 +336,7 @@ func Load(arg string) (*Schedule, error) {
 	if strings.HasPrefix(content, "@") {
 		return Parse(content)
 	}
-	return ParseJSON(data)
+	return parseJSON(data)
 }
 
 // Arm resolves the schedule against plat and registers every event as a
@@ -346,13 +346,13 @@ func Load(arg string) (*Schedule, error) {
 // match nothing are errors — a silently inert schedule would be
 // indistinguishable from a typo.
 func (s *Schedule) Arm(k *simix.Kernel, plat *platform.Platform, net *surf.Network, cpu *surf.CPU) error {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return fmt.Errorf("dynamics: %w", err)
 	}
 	for i, e := range s.Events {
 		e := e
 		switch e.Kind {
-		case KindLink:
+		case kindLink:
 			if net == nil {
 				return fmt.Errorf("dynamics: event %d (%s) needs the surf network model", i, e)
 			}
@@ -368,7 +368,7 @@ func (s *Schedule) Arm(k *simix.Kernel, plat *platform.Platform, net *surf.Netwo
 					net.SetLinkBandwidth(l, e.Factor*l.Bandwidth)
 				}
 			})
-		case KindHost:
+		case kindHost:
 			if cpu == nil {
 				return fmt.Errorf("dynamics: event %d (%s) needs the surf CPU model", i, e)
 			}
@@ -381,7 +381,7 @@ func (s *Schedule) Arm(k *simix.Kernel, plat *platform.Platform, net *surf.Netwo
 					cpu.SetHostSpeed(h, e.Factor*h.Speed)
 				}
 			})
-		case KindFlow:
+		case kindFlow:
 			if net == nil {
 				return fmt.Errorf("dynamics: event %d (%s) needs the surf network model", i, e)
 			}

@@ -102,7 +102,7 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		for _, parse := range []func(string) (*Schedule, error){
 			Parse,
-			func(s string) (*Schedule, error) { return ParseJSON([]byte(s)) },
+			func(s string) (*Schedule, error) { return parseJSON([]byte(s)) },
 		} {
 			s, err := parse(in)
 			if err != nil || s == nil {
@@ -131,7 +131,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		{"at": 0.001, "kind": "flow", "src": 0, "dst": 1, "bytes": 4194304, "every": 0.001, "count": 3},
 		{"at": 0.005, "kind": "host", "target": "h-*", "factor": 0}
 	]}`
-	got, err := ParseJSON([]byte(doc))
+	got, err := parseJSON([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +144,8 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("Load(bare array): %v", err)
 	}
 	// Invalid events are rejected with the same validation as the grammar.
-	if _, err := ParseJSON([]byte(`[{"at": 0.002, "kind": "link", "target": "a-*", "factor": -1}]`)); err == nil {
-		t.Error("ParseJSON accepted a negative factor")
+	if _, err := parseJSON([]byte(`[{"at": 0.002, "kind": "link", "target": "a-*", "factor": -1}]`)); err == nil {
+		t.Error("parseJSON accepted a negative factor")
 	}
 }
 

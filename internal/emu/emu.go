@@ -182,9 +182,6 @@ func (n *Net) jitterScale() float64 {
 	return 1 + n.impl.Jitter*(n.rng.Float64()-0.5)
 }
 
-// Impl returns the emulated MPI implementation parameters.
-func (n *Net) Impl() MPIImpl { return n.impl }
-
 // InstrumentHeap attaches counters to the emulator's packet-hop heap (the
 // same actionheap the analytical models share). nil detaches; an
 // uninstrumented heap pays nothing.

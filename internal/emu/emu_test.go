@@ -82,7 +82,7 @@ func TestProtocolSwitchVisibleAtThreshold(t *testing.T) {
 	if above <= below {
 		t.Skip("rendezvous jump hidden by copy savings; acceptable")
 	}
-	if above-below > 2*core.Millisecond {
+	if above-below > 2000*core.Microsecond {
 		t.Errorf("protocol switch jump too large: %v -> %v", below, above)
 	}
 }
@@ -149,7 +149,8 @@ func TestContentionAtSourcePort(t *testing.T) {
 		f1, f2 := simix.NewFuture(), simix.NewFuture()
 		n.Transfer(p.HostByID(0), p.HostByID(1), size, f1)
 		n.Transfer(p.HostByID(0), p.HostByID(2), size, f2)
-		pr.WaitAll([]*simix.Future{f1, f2})
+		pr.Wait(f1)
+		pr.Wait(f2)
 		last = pr.Now()
 	})
 	if err := k.Run(); err != nil {

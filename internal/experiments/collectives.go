@@ -38,7 +38,7 @@ func perRankFigure(env *Env, title, op string, columns int) (*Table, []*collecti
 		for _, run := range runs {
 			row = append(row, run.PerRank[rank])
 		}
-		t.Add(row...)
+		t.add(row...)
 	}
 	return t, runs, nil
 }
@@ -54,9 +54,9 @@ func figure7(env *Env) (*Table, []Claim, error) {
 		return nil, nil, err
 	}
 	withC, without, om := runs[0], runs[1], runs[2]
-	t.Note("no-contention underestimates completion: %.3fs vs %.3fs (contention) vs %.3fs (OpenMPI)",
+	t.note("no-contention underestimates completion: %.3fs vs %.3fs (contention) vs %.3fs (OpenMPI)",
 		without.Total, withC.Total, om.Total)
-	t.Note("SMPI(contention) vs OpenMPI per-rank: %s",
+	t.note("SMPI(contention) vs OpenMPI per-rank: %s",
 		metrics.Summarize(nonZero(withC.PerRank), nonZero(om.PerRank)))
 	maxC, maxNoC, maxOM, maxMP := slices.Max(withC.PerRank), slices.Max(without.PerRank), slices.Max(om.PerRank), slices.Max(runs[3].PerRank)
 	return t, []Claim{
@@ -76,9 +76,9 @@ func figure11(env *Env) (*Table, []Claim, error) {
 		return nil, nil, err
 	}
 	withC, without, om := runs[0], runs[1], runs[2]
-	t.Note("SMPI(contention) vs OpenMPI per-rank: %s",
+	t.note("SMPI(contention) vs OpenMPI per-rank: %s",
 		metrics.Summarize(nonZero(withC.PerRank), nonZero(om.PerRank)))
-	t.Note("no-contention vs OpenMPI per-rank: %s",
+	t.note("no-contention vs OpenMPI per-rank: %s",
 		metrics.Summarize(nonZero(without.PerRank), nonZero(om.PerRank)))
 	maxC, maxNoC, maxOM := slices.Max(withC.PerRank), slices.Max(without.PerRank), slices.Max(om.PerRank)
 	return t, []Claim{
@@ -120,14 +120,14 @@ func sweepCollective(env *Env, title, op string, tol float64) (*Table, []Claim, 
 	for i, size := range sizes {
 		s, o := runs[2*i].Total, runs[2*i+1].Total
 		pred, ref = append(pred, s), append(ref, o)
-		t.Add(core.FormatBytes(size), s, o, metrics.ToPercent(metrics.LogError(s, o)))
+		t.add(core.FormatBytes(size), s, o, metrics.ToPercent(metrics.LogError(s, o)))
 		if size >= core.MiB {
 			claims = append(claims, claim(fmt.Sprintf("%s: smpi within ±%g%% of OpenMPI", core.FormatBytes(size), tol*100),
 				within(s, o, tol), s, o))
 		}
 	}
-	t.Note("overall: %s", metrics.Summarize(pred, ref))
-	t.Note("messages >= 1MiB: %s", metrics.Summarize(pred[len(pred)-2:], ref[len(ref)-2:]))
+	t.note("overall: %s", metrics.Summarize(pred, ref))
+	t.note("messages >= 1MiB: %s", metrics.Summarize(pred[len(pred)-2:], ref[len(ref)-2:]))
 	return t, claims, nil
 }
 
@@ -156,10 +156,10 @@ func figure9(env *Env) (*Table, []Claim, error) {
 			rising = false
 		}
 		pred, ref = append(pred, s), append(ref, o)
-		t.Add(procs, s, o, m, metrics.ToPercent(metrics.LogError(s, o)))
+		t.add(procs, s, o, m, metrics.ToPercent(metrics.LogError(s, o)))
 	}
 	sum := metrics.Summarize(pred, ref)
-	t.Note("SMPI vs OpenMPI: %s", sum)
+	t.note("SMPI vs OpenMPI: %s", sum)
 	return t, []Claim{
 		claim("smpi mean error vs OpenMPI <= 30%", sum.MeanPct() <= 30, sum.MeanPct()),
 		claim("smpi time rises with the process count", rising, pred...),

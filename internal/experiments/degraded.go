@@ -73,7 +73,7 @@ func degradedSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 		for j, frac := range fractions {
 			total := runs[i*len(fractions)+j].Total
 			slowdown := total / healthy
-			t.Add(tp.topo, tp.trunk, frac, total, slowdown)
+			t.add(tp.topo, tp.trunk, frac, total, slowdown)
 			if j > 0 {
 				rising = rising && slowdown > slowdowns[j-1]
 				belowInverse = belowInverse && slowdown < 1/frac
@@ -85,7 +85,7 @@ func degradedSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 			claim(tp.topo+": slowdown rises strictly as the fraction falls", rising, slowdowns...),
 			claim(tp.topo+": slowdown below 1/fraction", belowInverse, slowdowns[1:]...))
 	}
-	t.Note("fraction 1 runs with no dynamics armed; lower fractions scale every trunk link at t=0 via the -dynamics event path")
-	t.Note("slowdown below 1/fraction means part of the collective rides links outside the degraded trunk")
+	t.note("fraction 1 runs with no dynamics armed; lower fractions scale every trunk link at t=0 via the -dynamics event path")
+	t.note("slowdown below 1/fraction means part of the collective rides links outside the degraded trunk")
 	return t, claims, nil
 }

@@ -62,7 +62,7 @@ func figure15(env *Env, payload int) (*Table, []Claim, error) {
 			s := float64(outs[k].Payload.(*smpi.Report).SimulatedTime)
 			o := float64(outs[k+1].Payload.(*smpi.Report).SimulatedTime)
 			pred, ref = append(pred, s), append(ref, o)
-			t.Add(string(graph), string(class), s, o, metrics.ToPercent(metrics.LogError(s, o)))
+			t.add(string(graph), string(class), s, o, metrics.ToPercent(metrics.LogError(s, o)))
 		}
 		// pred and ref end with this class's WH then BH times.
 		n := len(pred)
@@ -71,8 +71,8 @@ func figure15(env *Env, payload int) (*Table, []Claim, error) {
 			claim(fmt.Sprintf("class %c: BH slower than WH on SMPI", class), pred[n-1] > pred[n-2], pred[n-1], pred[n-2]))
 	}
 	sum := metrics.Summarize(pred, ref)
-	t.Note("overall: %s", sum)
-	t.Note("trend check: BH slower than WH on both backends for each class")
+	t.note("overall: %s", sum)
+	t.note("trend check: BH slower than WH on both backends for each class")
 	return t, append(claims, claim("smpi mean error vs OpenMPI <= 30%", sum.MeanPct() <= 30, sum.MeanPct())), nil
 }
 
@@ -155,17 +155,17 @@ func figure16(env *Env, payloadScale float64) (*Table, []Claim, error) {
 			claims = append(claims, claim("SH-C is OM: its unfolded footprint exceeds host RAM", pt.plainIdx < 0, pt.unscaled, hostRAM))
 		}
 		if pt.plainIdx < 0 {
-			t.Add(string(pt.graph), string(pt.class), pt.procs, "OM", folded/float64(core.MiB), "-")
+			t.add(string(pt.graph), string(pt.class), pt.procs, "OM", folded/float64(core.MiB), "-")
 			continue
 		}
 		plain := outs[pt.plainIdx].Payload.(*smpi.Report).MaxPeakRSS / payloadScale
-		t.Add(string(pt.graph), string(pt.class), pt.procs,
+		t.add(string(pt.graph), string(pt.class), pt.procs,
 			plain/float64(core.MiB), folded/float64(core.MiB), fmt.Sprintf("%.1fx", plain/folded))
 		claims = append(claims, claim(pt.key+": folded footprint below unfolded", folded > 0 && folded < plain, folded, plain))
 		ratioSum += plain / folded
 		ratios++
 	}
-	t.Note("host RAM budget: %s; OM = out of memory without folding (paper's OM labels)",
+	t.note("host RAM budget: %s; OM = out of memory without folding (paper's OM labels)",
 		core.FormatBytes(int64(hostRAM)))
 	avg := ratioSum / float64(ratios)
 	return t, append(claims, claim("average folding ratio >= 3x", avg >= 3, avg)), nil

@@ -21,9 +21,9 @@ func env(t *testing.T) *Env {
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "demo", Header: []string{"a", "bb"}}
-	tb.Add(1, 2.5)
-	tb.Add("xxx", "y")
-	tb.Note("note %d", 7)
+	tb.add(1, 2.5)
+	tb.add("xxx", "y")
+	tb.note("note %d", 7)
 	s := tb.String()
 	for _, want := range []string{"demo", "a", "bb", "xxx", "2.5", "# note 7"} {
 		if !strings.Contains(s, want) {

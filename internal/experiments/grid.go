@@ -292,7 +292,8 @@ func (g *grid) points() []gridPoint {
 
 // ParseShard parses the "i/n" shard shorthand (e.g. "0/2") used by the
 // campaign CLI flag and the service API into ShardIndex/ShardCount values.
-// Range validation happens at expansion time, where the grid size is known.
+// A count below 1 is an error: a spec's count 0 means unsharded, which the
+// shorthand has no spelling for. The index is checked at expansion time.
 func ParseShard(s string) (index, count int, err error) {
 	i, n, ok := strings.Cut(s, "/")
 	if !ok {
@@ -303,6 +304,9 @@ func ParseShard(s string) (index, count int, err error) {
 	}
 	if count, err = strconv.Atoi(strings.TrimSpace(n)); err != nil {
 		return 0, 0, fmt.Errorf("shard %q: bad count: %v", s, err)
+	}
+	if count < 1 {
+		return 0, 0, fmt.Errorf("shard %q: count %d, want at least 1", s, count)
 	}
 	return index, count, nil
 }
@@ -499,21 +503,21 @@ func GridTable(spec GridSpec, sum *campaign.Summary) *Table {
 			if r.Panicked {
 				reason = "panic"
 			}
-			t.Add(topo, place, r.Tags["procs"], r.Tags["size"], r.Tags["backend"], model, reason, r.Wall.Seconds())
+			t.add(topo, place, r.Tags["procs"], r.Tags["size"], r.Tags["backend"], model, reason, r.Wall.Seconds())
 			// Surface the failure reason (first line only: panics carry a
 			// full stack) so broken sweeps are diagnosable without -json.
 			msg := r.Error
 			if i := strings.IndexByte(msg, '\n'); i >= 0 {
 				msg = msg[:i]
 			}
-			t.Note("%s: %s", r.ID, msg)
+			t.note("%s: %s", r.ID, msg)
 			continue
 		}
-		t.Add(topo, place, r.Tags["procs"], r.Tags["size"], r.Tags["backend"], model,
+		t.add(topo, place, r.Tags["procs"], r.Tags["size"], r.Tags["backend"], model,
 			float64(r.Outcome.SimulatedTime), r.Wall.Seconds())
 	}
-	t.Note("total simulated %.6gs, max %.6gs, campaign wall %.3gs, %d failed",
+	t.note("total simulated %.6gs, max %.6gs, campaign wall %.3gs, %d failed",
 		float64(sum.TotalSimulated), float64(sum.MaxSimulated), sum.Wall.Seconds(), sum.Failed)
-	t.Note("fingerprint %s (bit-identical at any -parallel)", sum.Fingerprint())
+	t.note("fingerprint %s (bit-identical at any -parallel)", sum.Fingerprint())
 	return t
 }

@@ -53,7 +53,7 @@ func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, titl
 		Header: []string{"size", "skampi_us", "default_us", "bestfit_us", "pwl_us"},
 	}
 	for i, s := range ref {
-		t.Add(
+		t.add(
 			core.FormatBytes(s.Size),
 			s.Time*1e6,
 			predictions["default-affine"][i].Time*1e6,
@@ -70,7 +70,7 @@ func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, titl
 		}
 		sum := metrics.Summarize(pred, refv)
 		summaries[m.Name] = sum
-		t.Note("%s: %s", m.Name, sum)
+		t.note("%s: %s", m.Name, sum)
 	}
 	return t, summaries, nil
 }

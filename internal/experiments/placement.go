@@ -60,7 +60,7 @@ func placementSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 			return nil, nil, err
 		}
 		resolved := smpi.Auto().Resolve(plat.Topo)
-		t.Note("%s: %d ranks, -collectives auto -> bcast=%s allreduce=%s",
+		t.note("%s: %d ranks, -collectives auto -> bcast=%s allreduce=%s",
 			topo, len(plat.Hosts()), resolved.Bcast, resolved.Allreduce)
 		for _, op := range ops {
 			specs = append(specs, GridSpec{
@@ -81,7 +81,7 @@ func placementSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 		for j, op := range ops {
 			k := len(placementSweepPolicies()) * (i*len(ops) + j)
 			bl, rr, rnd := runs[k].Total, runs[k+1].Total, runs[k+2].Total
-			t.Add(topo, op.name, bl, rr, rnd, rr/bl)
+			t.add(topo, op.name, bl, rr, rnd, rr/bl)
 			minTime = min(minTime, bl, rr, rnd)
 			switch {
 			case topo == "fattree64" && op.name == "allreduce(ring)":
@@ -91,7 +91,7 @@ func placementSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 			}
 		}
 	}
-	t.Note("block keeps ring traffic under the leaf switches; rr forces it through the spine, where D-mod-k converges flows onto shared cables")
-	t.Note("on the torus block and rr tie exactly: dealing ranks across rows only renames the dimensions of a vertex-transitive graph")
+	t.note("block keeps ring traffic under the leaf switches; rr forces it through the spine, where D-mod-k converges flows onto shared cables")
+	t.note("on the torus block and rr tie exactly: dealing ranks across rows only renames the dimensions of a vertex-transitive graph")
 	return t, append(claims, claim("every completion time > 0", minTime > 0, minTime)), nil
 }

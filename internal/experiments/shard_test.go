@@ -98,6 +98,13 @@ func TestShardExpansionEdgeCases(t *testing.T) {
 			t.Errorf("shard %d/%d: err = %v, want mention of %q", tc.index, tc.count, err, tc.want)
 		}
 	}
+	// The "i/n" shorthand has no spelling of "unsharded": a count below 1
+	// is refused before it reaches a spec, where 0 would run the whole grid.
+	for _, s := range []string{"0/0", "1/0", "0/-2"} {
+		if i, n, err := ParseShard(s); err == nil || !strings.Contains(err.Error(), "want at least 1") {
+			t.Errorf("ParseShard(%q) = %d, %d, %v; want a count error", s, i, n, err)
+		}
+	}
 }
 
 // equivalentSpecs are two spellings of one campaign: axis order, duplicates,

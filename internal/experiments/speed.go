@@ -46,12 +46,12 @@ func figure17(env *Env) (*Table, []Claim, error) {
 	var claims []Claim
 	for i, size := range sizes {
 		wall, sim, real := surfRuns[i].Wall.Seconds(), surfRuns[i].Total, emuRuns[i].Total
-		t.Add(core.FormatBytes(size), wall, sim, real, real/wall)
+		t.add(core.FormatBytes(size), wall, sim, real, real/wall)
 		claims = append(claims,
 			claim(core.FormatBytes(size)+": simulation wall-clock below real time", wall < real),
 			claim(core.FormatBytes(size)+": predicted within ±25% of real", within(sim, real, 0.25), sim, real))
 	}
-	t.Note("SMPI wall-clock stays far below the (emulated) real execution time, and the gap grows with size")
+	t.note("SMPI wall-clock stays far below the (emulated) real execution time, and the gap grows with size")
 	return t, claims, nil
 }
 
@@ -96,7 +96,7 @@ func figure18(env *Env, m, iterations int) (*Table, []Claim, error) {
 	for i, ratio := range ratios {
 		rep := outs[i].Payload.(*smpi.Report)
 		simulated := float64(rep.SimulatedTime)
-		t.Add(ratio*100, rep.WallTime.Seconds(), simulated, rep.BurstsExecuted, rep.BurstsReplayed)
+		t.add(ratio*100, rep.WallTime.Seconds(), simulated, rep.BurstsExecuted, rep.BurstsReplayed)
 		executed, want := float64(rep.BurstsExecuted), math.Round(ratio*float64(iterations))*procs
 		claims = append(claims, claim(fmt.Sprintf("ratio %g%%: bursts executed = round(ratio × iterations) × procs", ratio*100),
 			executed == want, executed, want))
@@ -105,6 +105,6 @@ func figure18(env *Env, m, iterations int) (*Table, []Claim, error) {
 				within(simulated, base, 0.5), simulated, base))
 		}
 	}
-	t.Note("simulation wall time decreases ~linearly with the sampling ratio; simulated time stays flat (EP is regular)")
+	t.note("simulation wall time decreases ~linearly with the sampling ratio; simulated time stays flat (EP is regular)")
 	return t, claims, nil
 }

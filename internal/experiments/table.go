@@ -26,8 +26,8 @@ type Table struct {
 	Notes  []string
 }
 
-// Add appends a row; values are formatted with %v.
-func (t *Table) Add(cells ...any) {
+// add appends a row; values are formatted with %v.
+func (t *Table) add(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -40,8 +40,8 @@ func (t *Table) Add(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Note appends a formatted note line.
-func (t *Table) Note(format string, args ...any) {
+// note appends a formatted note line.
+func (t *Table) note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 

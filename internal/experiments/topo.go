@@ -62,7 +62,7 @@ func topoCollectives(env *Env, chunk int64) (*Table, []Claim, error) {
 	for j, topo := range topos {
 		for _, op := range ops {
 			tt, rt := total(op.name+"/"+op.tree, j), total(op.name+"/ring", j)
-			t.Add(topo, op.name, tt, rt, rt/tt)
+			t.add(topo, op.name, tt, rt, rt/tt)
 		}
 	}
 	for _, topo := range topos[1:] {
@@ -71,10 +71,10 @@ func topoCollectives(env *Env, chunk int64) (*Table, []Claim, error) {
 			return nil, nil, err
 		}
 		m := spec.Metrics()
-		t.Note("%s: %d hosts, %d links, diameter %d, bisection %.3g GB/s",
+		t.note("%s: %d hosts, %d links, diameter %d, bisection %.3g GB/s",
 			topo, m.Hosts, m.Links, m.Diameter, m.BisectionBandwidth/1e9)
 	}
-	t.Note("ring maps onto neighbor links (tori); trees concentrate load on spines/backbones")
+	t.note("ring maps onto neighbor links (tori); trees concentrate load on spines/backbones")
 
 	minTime := math.Inf(1)
 	var claims []Claim

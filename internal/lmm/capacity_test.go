@@ -72,7 +72,7 @@ func TestSetCapacityMatchesFromScratch(t *testing.T) {
 				addVar()
 			}
 			s.Solve()
-			if err := s.Check(); err != nil {
+			if err := s.check(); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			if step%5 != 0 {
@@ -91,7 +91,7 @@ func TestSetCapacityMatchesFromScratch(t *testing.T) {
 					ref.Attach(refVars[i], refCons[h])
 				}
 			}
-			ref.SolveFull()
+			ref.solveFull()
 			for i, rec := range live {
 				if rec.v.Value != refVars[i].Value {
 					t.Fatalf("trial %d step %d: incremental value %v != from-scratch %v (var %d)",

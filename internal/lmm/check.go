@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Tolerances for Check: relative slack on capacities and bounds, plus a
+// Tolerances for check: relative slack on capacities and bounds, plus a
 // small absolute floor so zero-capacity constraints and zero bounds are
 // comparable.
 const (
@@ -13,7 +13,7 @@ const (
 	checkAbsTol = 1e-9
 )
 
-// Check validates the max-min invariants of the last solve and returns the
+// check validates the max-min invariants of the last solve and returns the
 // first violation found, or nil:
 //
 //   - no Shared constraint carries more than its capacity (within epsilon);
@@ -24,11 +24,11 @@ const (
 //     efficiency of bounded max-min fairness — nobody can grow without
 //     shrinking someone else).
 //
-// Check recomputes constraint usage from the attached variables' Values, so
+// check recomputes constraint usage from the attached variables' Values, so
 // it is meaningful after incremental solves too (where the solver's scratch
 // state only covers the components it re-solved). It is intended for tests,
 // fuzzing, and post-mortem debugging, not the per-event hot path.
-func (s *System) Check() error {
+func (s *System) check() error {
 	// Constraints are never removed, so ids densely index this table.
 	usage := make([]float64, len(s.constraints))
 	for _, c := range s.constraints {

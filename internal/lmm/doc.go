@@ -17,7 +17,7 @@
 // # Selective re-solve
 //
 // Solving is incremental, following SimGrid's "lazy/selective update"
-// design. Mutations (NewVariable, Attach, RemoveVariable, MarkDirty) record
+// design. Mutations (NewVariable, Attach, RemoveVariable, markDirty) record
 // the touched constraints and variables in a dirty set; Solve partitions the
 // dirty subgraph into connected components — variables coupled through
 // shared constraints — and re-runs progressive filling only inside those
@@ -26,7 +26,7 @@
 //
 // Because every component is always solved in isolation and its members are
 // always processed in creation order, the incremental path is bit-identical
-// to SolveFull (which just marks everything dirty): a sequence of
+// to solveFull (which just marks everything dirty): a sequence of
 // Solve calls after mutations yields the same Values as rebuilding the
 // system from scratch and solving once.
 //

@@ -37,7 +37,7 @@ func (r *fuzzReader) next() (byte, bool) {
 }
 
 // fuzzChurn replays the decoded schedule on an incrementally-solved system,
-// asserting Check after every op and full bit-identity against from-scratch
+// asserting check after every op and full bit-identity against from-scratch
 // rebuilds. A twin system takes the same mutation history with its free list
 // emptied after every removal, so it never gives a Variable a second life:
 // every Solve must resolve the same variables, in the same order, to the
@@ -133,7 +133,7 @@ func fuzzChurn(t *testing.T, data []byte) {
 				ref.Attach(refVars[i], refCons[h])
 			}
 		}
-		ref.SolveFull()
+		ref.solveFull()
 		for i, rec := range live {
 			if rec.v.Value != refVars[i].Value {
 				t.Fatalf("op %d: incremental value %v != from-scratch %v (var %d)",
@@ -145,10 +145,10 @@ func fuzzChurn(t *testing.T, data []byte) {
 		for i, rec := range live {
 			got[i] = rec.v.Value
 		}
-		s.SolveFull()
+		s.solveFull()
 		for i, rec := range live {
 			if rec.v.Value != got[i] {
-				t.Fatalf("op %d: SolveFull value %v != incremental %v (var %d)",
+				t.Fatalf("op %d: solveFull value %v != incremental %v (var %d)",
 					op, rec.v.Value, got[i], i)
 			}
 		}
@@ -193,8 +193,8 @@ func fuzzChurn(t *testing.T, data []byte) {
 			wb, _ := r.next()
 			rec := live[int(ib)%len(live)]
 			rec.v.Weight, rec.twin.Weight = weights[wb%4], weights[wb%4]
-			s.MarkVariableDirty(rec.v)
-			twin.MarkVariableDirty(rec.twin)
+			s.markVariableDirty(rec.v)
+			twin.markVariableDirty(rec.twin)
 		case 5:
 			if len(live) == 0 {
 				continue
@@ -208,11 +208,11 @@ func fuzzChurn(t *testing.T, data []byte) {
 				rec.v.Bound = float64(bb%120) / 4
 			}
 			rec.twin.Bound = rec.v.Bound
-			s.MarkVariableDirty(rec.v)
-			twin.MarkVariableDirty(rec.twin)
+			s.markVariableDirty(rec.v)
+			twin.markVariableDirty(rec.twin)
 		}
 		s.Solve()
-		if err := s.Check(); err != nil {
+		if err := s.check(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
 		twin.Solve()
@@ -251,7 +251,7 @@ var fuzzSeeds = [][]byte{
 
 // FuzzIncrementalMatchesFromScratch fuzzes the incremental solver:
 // after every decoded churn op the incremental allocation must satisfy
-// System.Check and match a from-scratch rebuild bit-for-bit. This is the
+// System.check and match a from-scratch rebuild bit-for-bit. This is the
 // property test's oracle under fuzzer-chosen schedules.
 func FuzzIncrementalMatchesFromScratch(f *testing.F) {
 	for _, s := range fuzzSeeds {

@@ -22,8 +22,8 @@ type churnRecord struct {
 // over a random constraint graph and asserts, after every incremental
 // Solve, that
 //
-//  1. System.Check() invariants hold,
-//  2. an in-place SolveFull reproduces the incremental allocations
+//  1. System.check() invariants hold,
+//  2. an in-place solveFull reproduces the incremental allocations
 //     bit-for-bit (the dirty set lost nothing), and
 //  3. a from-scratch system rebuilt with only the surviving variables
 //     solves to bit-identical allocations (long-lived registry state —
@@ -84,7 +84,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				addVar()
 			}
 			s.Solve()
-			if err := s.Check(); err != nil {
+			if err := s.check(); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			if step%7 != 0 {
@@ -103,7 +103,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 					ref.Attach(refVars[i], refCons[h])
 				}
 			}
-			ref.SolveFull()
+			ref.solveFull()
 			for i, rec := range live {
 				if rec.v.Value != refVars[i].Value {
 					t.Fatalf("trial %d step %d: incremental value %v != from-scratch %v (var %d)",
@@ -115,10 +115,10 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			for i, rec := range live {
 				got[i] = rec.v.Value
 			}
-			s.SolveFull()
+			s.solveFull()
 			for i, rec := range live {
 				if rec.v.Value != got[i] {
-					t.Fatalf("trial %d step %d: SolveFull value %v != incremental %v (var %d)",
+					t.Fatalf("trial %d step %d: solveFull value %v != incremental %v (var %d)",
 						trial, step, rec.v.Value, got[i], i)
 				}
 			}
@@ -187,7 +187,7 @@ func TestResolvedContract(t *testing.T) {
 	// A dirty variable is discovered after every dirty constraint, whatever
 	// order the mutations came in.
 	comps[0].vars[2].Bound = 1
-	s.MarkVariableDirty(comps[0].vars[2])
+	s.markVariableDirty(comps[0].vars[2])
 	s.SetCapacity(comps[2].a, 9)
 	s.Solve()
 	expect("dirty constraint before dirty variable", thirdThenFirst...)

@@ -153,7 +153,7 @@ func (s *System) NewVariable(name string, weight, bound float64) *Variable {
 	v.id, v.sysIdx = s.nextVarID, len(s.variables)
 	s.nextVarID++
 	s.variables = append(s.variables, v)
-	s.MarkVariableDirty(v)
+	s.markVariableDirty(v)
 	return v
 }
 
@@ -167,7 +167,7 @@ func (s *System) Attach(v *Variable, c *Constraint) {
 	}
 	v.cons = append(v.cons, c)
 	c.vars = append(c.vars, v)
-	s.MarkDirty(c)
+	s.markDirty(c)
 }
 
 // RemoveVariable detaches v from every constraint and removes it from the
@@ -195,7 +195,7 @@ func (s *System) RemoveVariable(v *Variable) {
 				break
 			}
 		}
-		s.MarkDirty(c)
+		s.markDirty(c)
 	}
 	v.cons = v.cons[:0]
 	last := len(s.variables) - 1
@@ -210,11 +210,11 @@ func (s *System) RemoveVariable(v *Variable) {
 	}
 }
 
-// MarkDirty records that c's capacity, policy, or attachments changed, so
-// the next Solve re-solves the component(s) touching it. Mutating an
-// exported Constraint field after creation requires calling MarkDirty;
-// Attach and RemoveVariable call it automatically.
-func (s *System) MarkDirty(c *Constraint) {
+// markDirty records that c's capacity, policy, or attachments changed, so
+// the next Solve re-solves the component(s) touching it. Attach,
+// RemoveVariable and SetCapacity call it; they are the only ways to change
+// a constraint after creation.
+func (s *System) markDirty(c *Constraint) {
 	if !c.dirty {
 		c.dirty = true
 		s.dirtyCons = append(s.dirtyCons, c)
@@ -236,22 +236,14 @@ func (s *System) SetCapacity(c *Constraint, capacity float64) {
 		return
 	}
 	c.Capacity = capacity
-	s.MarkDirty(c)
+	s.markDirty(c)
 }
 
-// MarkVariableDirty records that v's weight or bound changed, so the next
+// markVariableDirty records that v's weight or bound changed, so the next
 // Solve re-solves its component. NewVariable calls it automatically.
-func (s *System) MarkVariableDirty(v *Variable) {
+func (s *System) markVariableDirty(v *Variable) {
 	if !v.dirty {
 		v.dirty = true
 		s.dirtyVars = append(s.dirtyVars, v)
 	}
 }
-
-// Variables returns the live variables (primarily for tests and debugging).
-// The registry order is not meaningful: removals swap-fill holes.
-func (s *System) Variables() []*Variable { return s.variables }
-
-// Constraints returns all constraints in creation order (constraints are
-// never removed).
-func (s *System) Constraints() []*Constraint { return s.constraints }

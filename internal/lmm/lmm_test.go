@@ -169,8 +169,8 @@ func TestRemoveVariableRedistributes(t *testing.T) {
 	if !approx(b.Value, 100) {
 		t.Errorf("after removal b = %v, want 100", b.Value)
 	}
-	if len(s.Variables()) != 1 {
-		t.Errorf("variables left = %d, want 1", len(s.Variables()))
+	if len(s.variables) != 1 {
+		t.Errorf("variables left = %d, want 1", len(s.variables))
 	}
 }
 
@@ -294,19 +294,19 @@ func TestCheckPassesAfterSolve(t *testing.T) {
 	s.Attach(b, l2)
 	s.Attach(c, l2)
 	s.Solve()
-	if err := s.Check(); err != nil {
-		t.Fatalf("Check after solve: %v", err)
+	if err := s.check(); err != nil {
+		t.Fatalf("check after solve: %v", err)
 	}
 	s.RemoveVariable(b)
 	s.Solve()
-	if err := s.Check(); err != nil {
-		t.Fatalf("Check after removal + incremental solve: %v", err)
+	if err := s.check(); err != nil {
+		t.Fatalf("check after removal + incremental solve: %v", err)
 	}
 }
 
 // Regression for the silent clamp: the solver used to floor negative
 // remaining capacity to zero no matter how negative it went, masking
-// over-subscription. Check now surfaces a constraint carrying more than its
+// over-subscription. check now surfaces a constraint carrying more than its
 // capacity (here forged by corrupting an allocation after the solve, the
 // only way to over-commit a correct solver).
 func TestCheckDetectsOverCapacity(t *testing.T) {
@@ -318,8 +318,8 @@ func TestCheckDetectsOverCapacity(t *testing.T) {
 	s.Attach(b, l)
 	s.Solve()
 	a.Value = 80 // 80 + 50 > 100
-	if err := s.Check(); err == nil {
-		t.Error("Check missed an oversubscribed constraint")
+	if err := s.check(); err == nil {
+		t.Error("check missed an oversubscribed constraint")
 	}
 }
 
@@ -330,8 +330,8 @@ func TestCheckDetectsUnpinnedVariable(t *testing.T) {
 	s.Attach(a, l)
 	s.Solve()
 	a.Value = 10 // below capacity, not at any bound: max-min would grow it
-	if err := s.Check(); err == nil {
-		t.Error("Check missed an unpinned variable")
+	if err := s.check(); err == nil {
+		t.Error("check missed an unpinned variable")
 	}
 }
 

@@ -56,11 +56,11 @@ func (s *System) Solve() {
 	}
 }
 
-// SolveFull re-solves every component from scratch, ignoring the dirty set.
+// solveFull re-solves every component from scratch, ignoring the dirty set.
 // It produces exactly the same allocations as incremental solving (it runs
 // the same per-component routine over the same partitions); it exists as
 // the reference path for equivalence tests.
-func (s *System) SolveFull() {
+func (s *System) solveFull() {
 	if s.Stats != nil {
 		s.Stats.FullSolves++
 	}
@@ -86,7 +86,7 @@ func (s *System) SolveFull() {
 }
 
 // Resolved returns the variables whose allocations the last Solve (or
-// SolveFull) recomputed: the members of the components the dirty set
+// solveFull) recomputed: the members of the components the dirty set
 // touched. Callers propagating allocations into their own state (flow
 // rates, task rates) can walk this list instead of every live variable,
 // keeping the per-event cost proportional to the churn.

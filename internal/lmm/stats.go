@@ -5,7 +5,7 @@ package lmm
 // stats attached pays nothing — the zero-overhead contract the observability
 // layer (internal/obs) relies on.
 type Stats struct {
-	// Solves and FullSolves count Solve and SolveFull calls.
+	// Solves and FullSolves count Solve and solveFull calls.
 	Solves     uint64
 	FullSolves uint64
 	// DirtyConstraints and DirtyVariables sum the dirty-set sizes consumed

@@ -55,13 +55,13 @@ type Summary struct {
 // error overall").
 func (s Summary) MeanPct() float64 { return ToPercent(s.MeanLog) }
 
-// WorstPct returns the maximum error as a percentage (the paper's "worst
+// worstPct returns the maximum error as a percentage (the paper's "worst
 // case").
-func (s Summary) WorstPct() float64 { return ToPercent(s.MaxLog) }
+func (s Summary) worstPct() float64 { return ToPercent(s.MaxLog) }
 
 // String formats the summary the way the paper quotes errors.
 func (s Summary) String() string {
-	return fmt.Sprintf("%.2f%% avg (worst %.2f%%, n=%d)", s.MeanPct(), s.WorstPct(), s.N)
+	return fmt.Sprintf("%.2f%% avg (worst %.2f%%, n=%d)", s.MeanPct(), s.worstPct(), s.N)
 }
 
 // Summarize computes the error summary of predictions against references.

@@ -127,8 +127,8 @@ func TestSummarize(t *testing.T) {
 	if math.Abs(s.MaxLog-math.Log(4)) > 1e-12 {
 		t.Errorf("MaxLog = %v", s.MaxLog)
 	}
-	if math.Abs(s.WorstPct()-300) > 1e-9 {
-		t.Errorf("WorstPct = %v, want 300", s.WorstPct())
+	if math.Abs(s.worstPct()-300) > 1e-9 {
+		t.Errorf("worstPct = %v, want 300", s.worstPct())
 	}
 	if s.String() == "" {
 		t.Error("empty String()")

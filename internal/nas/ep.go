@@ -17,23 +17,7 @@ import (
 //
 // The real class table is M=28/30/32 random-pair exponents for classes
 // A/B/C; a simulation test suite cannot burn 2^30 real flops per run, so
-// EPConfig takes the exponent directly and documents the class mapping.
-
-// EPClassM returns the NPB pair-count exponent M for a class (2^M pairs).
-func EPClassM(class DTClass) int {
-	switch class {
-	case ClassS:
-		return 24
-	case ClassW:
-		return 25
-	case ClassA:
-		return 28
-	case ClassB:
-		return 30
-	default:
-		return 32
-	}
-}
+// EPConfig takes the exponent directly.
 
 // EPConfig parameterizes an EP run.
 type EPConfig struct {

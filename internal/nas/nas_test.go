@@ -215,9 +215,3 @@ func TestEPGlobalSampling(t *testing.T) {
 		t.Errorf("global sampling executed %d bursts, want 4", rep.BurstsExecuted)
 	}
 }
-
-func TestEPClassTable(t *testing.T) {
-	if EPClassM(ClassA) != 28 || EPClassM(ClassB) != 30 || EPClassM(ClassC) != 32 {
-		t.Error("EP class exponents do not match NPB")
-	}
-}

@@ -33,7 +33,7 @@ func testPlatform(t *testing.T) *platform.Platform {
 func TestObserverTotalsAndSpan(t *testing.T) {
 	p := testPlatform(t)
 	o := NewObserver(p)
-	if _, _, ok := o.Span(); ok {
+	if o.any {
 		t.Error("fresh observer claims a span")
 	}
 	l0, l1 := p.LinkByID(0), p.LinkByID(1)
@@ -41,13 +41,13 @@ func TestObserverTotalsAndSpan(t *testing.T) {
 	o.RecordLink(l0, 2, 3, 50)
 	o.RecordLink(l1, 0.5, 1.5, 300)
 	o.RecordHost(p.HostByID(2), 1, 4, 1e6)
-	if got := o.LinkBytes(l0); got != 150 {
+	if got := o.linkBytes[l0.ID]; got != 150 {
 		t.Errorf("l0 bytes = %v, want 150", got)
 	}
-	if got := o.HostFlops(p.HostByID(2)); got != 1e6 {
+	if got := o.hostFlops[p.HostByID(2).ID]; got != 1e6 {
 		t.Errorf("h2 flops = %v, want 1e6", got)
 	}
-	start, end, ok := o.Span()
+	start, end, ok := o.spanStart, o.spanEnd, o.any
 	if !ok || start != 0.5 || end != 4 {
 		t.Errorf("span = [%v, %v] ok=%v, want [0.5, 4]", start, end, ok)
 	}
@@ -61,7 +61,7 @@ func TestTopLinksOrderingAndUtilization(t *testing.T) {
 	o.RecordLink(p.LinkByID(2), 0, 1, 500)
 	o.RecordLink(p.LinkByID(1), 0, 1, 500)
 	o.RecordLink(p.LinkByID(0), 0, 2, 400)
-	top := o.TopLinks(4)
+	top := o.topLinks(4)
 	if len(top) != 3 {
 		t.Fatalf("got %d links, want 3", len(top))
 	}
@@ -76,8 +76,8 @@ func TestTopLinksOrderingAndUtilization(t *testing.T) {
 	if want := 500 / (2e9 * 2.0); math.Abs(top[0].Utilization-want) > 1e-15 {
 		t.Errorf("l1 utilization = %v, want %v", top[0].Utilization, want)
 	}
-	if got := o.TopLinks(1); len(got) != 1 || got[0].Link.ID != 1 {
-		t.Errorf("TopLinks(1) = %v", got)
+	if got := o.topLinks(1); len(got) != 1 || got[0].Link.ID != 1 {
+		t.Errorf("topLinks(1) = %v", got)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestMulti(t *testing.T) {
 	m.RecordLink(p.LinkByID(0), 0, 1, 10)
 	m.RecordHost(p.HostByID(0), 0, 1, 5)
 	for i, o := range []*Observer{a, b} {
-		if o.LinkBytes(p.LinkByID(0)) != 10 || o.HostFlops(p.HostByID(0)) != 5 {
+		if o.linkBytes[p.LinkByID(0).ID] != 10 || o.hostFlops[p.HostByID(0).ID] != 5 {
 			t.Errorf("recorder %d missed the fan-out", i)
 		}
 	}

@@ -65,20 +65,8 @@ func (o *Observer) RecordHost(h *platform.Host, from, to core.Time, flops float6
 	o.span(from, to)
 }
 
-// LinkBytes returns the bytes recorded on l so far.
-func (o *Observer) LinkBytes(l *platform.Link) float64 { return o.linkBytes[l.ID] }
-
-// HostFlops returns the flops recorded on h so far.
-func (o *Observer) HostFlops(h *platform.Host) float64 { return o.hostFlops[h.ID] }
-
-// Span returns the observed interval: the earliest and latest segment
-// boundary recorded. Zero times with ok == false mean nothing was recorded.
-func (o *Observer) Span() (start, end core.Time, ok bool) {
-	return o.spanStart, o.spanEnd, o.any
-}
-
-// LinkUsage is one link's aggregate load over the observed span.
-type LinkUsage struct {
+// linkUsage is one link's aggregate load over the observed span.
+type linkUsage struct {
 	Link  *platform.Link
 	Bytes float64
 	// Utilization is Bytes / (Bandwidth * span): the fraction of the link's
@@ -88,17 +76,17 @@ type LinkUsage struct {
 	Utilization float64
 }
 
-// TopLinks returns the n busiest links by byte total, descending, ties
+// topLinks returns the n busiest links by byte total, descending, ties
 // broken by link ID for determinism. Links that carried nothing are
 // omitted, so fewer than n entries may return.
-func (o *Observer) TopLinks(n int) []LinkUsage {
+func (o *Observer) topLinks(n int) []linkUsage {
 	span := float64(o.spanEnd - o.spanStart)
-	used := make([]LinkUsage, 0, n)
+	used := make([]linkUsage, 0, n)
 	for id, bytes := range o.linkBytes {
 		if bytes == 0 {
 			continue
 		}
-		u := LinkUsage{Link: o.plat.LinkByID(id), Bytes: bytes}
+		u := linkUsage{Link: o.plat.LinkByID(id), Bytes: bytes}
 		if span > 0 {
 			u.Utilization = bytes / (u.Link.Bandwidth * span)
 		}
@@ -120,7 +108,7 @@ func (o *Observer) TopLinks(n int) []LinkUsage {
 // total and utilization over the observed span. Link names materialize here
 // — on the reporting path, never during the simulation.
 func (o *Observer) HotSpots(n int) string {
-	top := o.TopLinks(n)
+	top := o.topLinks(n)
 	if len(top) == 0 {
 		return "no link traffic recorded\n"
 	}

@@ -7,7 +7,7 @@ import "sync/atomic"
 // which one single-threaded simulation owns — these are bumped from
 // concurrent HTTP handlers and the queue runner, so every field is atomic.
 // Flat keys follow the repo-wide convention: ".max" marks high-water marks
-// (campaign.MergeStats aggregates them by maximum, everything else by sum),
+// (a campaign summary merges them by maximum, everything else by sum),
 // and none of them ever enters a campaign fingerprint.
 type ServiceStats struct {
 	// Campaigns counts accepted campaign runs (cache misses that were

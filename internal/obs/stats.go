@@ -48,7 +48,7 @@ type Stats struct {
 // Flat returns the counters as a flat metric map. Keys are stable (they
 // appear in campaign summaries and in bench/'s per-op ledger); keys with
 // the ".max" suffix are high-water marks and aggregate by maximum, all
-// others by sum (see campaign.MergeStats).
+// others by sum (as a campaign summary merges them).
 func (s *Stats) Flat() map[string]float64 {
 	return map[string]float64{
 		"kernel.rounds":              float64(s.Kernel.Rounds),

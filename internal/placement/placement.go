@@ -35,8 +35,8 @@ import (
 	"smpigo/internal/platform"
 )
 
-// Names lists the supported placement policies, sorted.
-func Names() []string { return []string{"block", "random", "rr"} }
+// names lists the supported placement policies, sorted.
+func names() []string { return []string{"block", "random", "rr"} }
 
 // Generate returns the hosts for ranks 0..procs-1 under the named policy.
 // The result has exactly procs entries and is a pure function of the
@@ -82,7 +82,7 @@ func Normalize(policy string) (string, error) {
 		return "random", nil
 	}
 	return "", fmt.Errorf("placement: unknown policy %q (want %s)",
-		policy, strings.Join(Names(), ", "))
+		policy, strings.Join(names(), ", "))
 }
 
 // assign maps procs ranks onto the host permutation. With procs <= hosts,

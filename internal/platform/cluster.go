@@ -103,7 +103,7 @@ func (s *ClusterSpec) bindXML(b *XMLBinder) {
 	b.Duration("uplink_lat", &s.UplinkLatency)
 	b.Rate("bb_bw", &s.BackboneBandwidth)
 	b.Duration("bb_lat", &s.BackboneLatency)
-	b.Sharing("bb_sharing", &s.BackboneFatPipe)
+	b.sharing("bb_sharing", &s.BackboneFatPipe)
 	b.Profile("cab_speed", &s.CabinetSpeed)
 	b.Profile("cab_width", &s.CabinetUplinkWidth)
 }

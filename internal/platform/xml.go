@@ -142,10 +142,10 @@ func (b *XMLBinder) Profile(name string, v *[]float64) {
 		func(s string) (err error) { *v, err = parseList(s, ",", parse); return err })
 }
 
-// Sharing binds a link sharing policy: FATPIPE when *fatPipe, SHARED
+// sharing binds a link sharing policy: FATPIPE when *fatPipe, SHARED
 // otherwise. Reading ignores case and surrounding space, and an absent
 // attribute reads as SHARED.
-func (b *XMLBinder) Sharing(name string, fatPipe *bool) {
+func (b *XMLBinder) sharing(name string, fatPipe *bool) {
 	b.attr(name, func() string {
 		if *fatPipe {
 			return "FATPIPE"

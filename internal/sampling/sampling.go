@@ -135,16 +135,6 @@ func (r *Registry) Observe(key string, n int, fn func()) (executed bool) {
 	return false
 }
 
-// SiteMean returns the mean recorded duration for a site (0 if none) and
-// the number of samples backing it.
-func (r *Registry) SiteMean(key string) (core.Duration, int) {
-	st, ok := r.sites[key]
-	if !ok || st.samples == 0 {
-		return 0, 0
-	}
-	return st.sum / core.Duration(st.samples), st.samples
-}
-
 // --- RAM folding ---
 
 // SharedMalloc returns the shared buffer for key, allocating it on first

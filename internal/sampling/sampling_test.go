@@ -63,9 +63,8 @@ func TestSampleReplaysMean(t *testing.T) {
 	if diff := float64(d) - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("replayed mean = %v, want 20ms", d)
 	}
-	mean, n := r.SiteMean("s")
-	if n != 3 || float64(mean) != want {
-		t.Errorf("SiteMean = %v, %d", mean, n)
+	if n := r.sites["s"].samples; n != 3 {
+		t.Errorf("site has %d samples, want 3", n)
 	}
 }
 

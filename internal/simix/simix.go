@@ -74,7 +74,7 @@ type Actor struct {
 	proc   *Proc
 	done   bool
 	queued bool
-	// sleep is the future of Proc.Sleep: an actor sleeps on at most one at
+	// sleep is the future of Proc.sleep: an actor sleeps on at most one at
 	// a time, so it is re-armed per call instead of allocated.
 	sleep Future
 }
@@ -402,8 +402,8 @@ func (p *Proc) yield() {
 // Now returns the current simulated time.
 func (p *Proc) Now() core.Time { return p.actor.kernel.now }
 
-// Name returns the actor's name.
-func (p *Proc) Name() string { return p.actor.Name }
+// name returns the actor's name.
+func (p *Proc) name() string { return p.actor.Name }
 
 // Yield lets other ready actors run before this one continues; simulated
 // time does not advance. Mainly useful in tests and fairness-sensitive code.
@@ -442,8 +442,8 @@ func (p *Proc) WaitAny(fs []*Future) int {
 	}
 }
 
-// WaitAll blocks until every non-nil future in fs is fulfilled.
-func (p *Proc) WaitAll(fs []*Future) {
+// waitAll blocks until every non-nil future in fs is fulfilled.
+func (p *Proc) waitAll(fs []*Future) {
 	for _, f := range fs {
 		if f != nil {
 			p.Wait(f)
@@ -451,8 +451,8 @@ func (p *Proc) WaitAll(fs []*Future) {
 	}
 }
 
-// Sleep suspends the actor for the given simulated duration.
-func (p *Proc) Sleep(d core.Duration) {
+// sleep suspends the actor for the given simulated duration.
+func (p *Proc) sleep(d core.Duration) {
 	if d < 0 {
 		d = 0
 	}

@@ -27,7 +27,7 @@ func TestSleepAdvancesClock(t *testing.T) {
 	k := New()
 	var at core.Time
 	k.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(1.5)
+		p.sleep(1.5)
 		at = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -47,11 +47,11 @@ func TestSequentialInterleaving(t *testing.T) {
 	k := New()
 	var order []string
 	k.Spawn("late", func(p *Proc) {
-		p.Sleep(2)
+		p.sleep(2)
 		order = append(order, "late")
 	})
 	k.Spawn("early", func(p *Proc) {
-		p.Sleep(1)
+		p.sleep(1)
 		order = append(order, "early")
 	})
 	if err := k.Run(); err != nil {
@@ -71,7 +71,7 @@ func TestFutureHandoffBetweenActors(t *testing.T) {
 		woke = p.Now()
 	})
 	k.Spawn("producer", func(p *Proc) {
-		p.Sleep(1)
+		p.sleep(1)
 		k.Fulfill(f)
 	})
 	if err := k.Run(); err != nil {
@@ -107,7 +107,7 @@ func TestWaitAnyReturnsLowestReadyIndex(t *testing.T) {
 		idx = p.WaitAny([]*Future{f1, f2, f3})
 	})
 	k.Spawn("producer", func(p *Proc) {
-		p.Sleep(1)
+		p.sleep(1)
 		k.Fulfill(f3)
 		k.Fulfill(f2)
 	})
@@ -133,13 +133,13 @@ func TestWaitAllWithNils(t *testing.T) {
 	f1, f2 := NewFuture(), NewFuture()
 	done := false
 	k.Spawn("w", func(p *Proc) {
-		p.WaitAll([]*Future{f1, nil, f2})
+		p.waitAll([]*Future{f1, nil, f2})
 		done = true
 	})
 	k.Spawn("p", func(p *Proc) {
-		p.Sleep(1)
+		p.sleep(1)
 		k.Fulfill(f1)
-		p.Sleep(1)
+		p.sleep(1)
 		k.Fulfill(f2)
 	})
 	if err := k.Run(); err != nil {
@@ -177,7 +177,7 @@ func TestSpawnFromActor(t *testing.T) {
 	k.Spawn("parent", func(p *Proc) {
 		f := NewFuture()
 		k.Spawn("child", func(c *Proc) {
-			c.Sleep(1)
+			c.sleep(1)
 			childRan = true
 			k.Fulfill(f)
 		})
@@ -194,7 +194,7 @@ func TestSpawnFromActor(t *testing.T) {
 func TestDeadlineExceeded(t *testing.T) {
 	k := New()
 	k.SetDeadline(10)
-	k.Spawn("slow", func(p *Proc) { p.Sleep(100) })
+	k.Spawn("slow", func(p *Proc) { p.sleep(100) })
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Errorf("want deadline error, got %v", err)
@@ -228,7 +228,7 @@ func TestFailedRunsLeaveNoGoroutine(t *testing.T) {
 		{"deadlock", func(*Kernel) {}, false},
 		{"deadline", func(k *Kernel) {
 			k.SetDeadline(10)
-			k.Spawn("slow", func(p *Proc) { p.Sleep(100) })
+			k.Spawn("slow", func(p *Proc) { p.sleep(100) })
 		}, false},
 		{"actor panic", func(k *Kernel) { k.Spawn("boom", func(*Proc) { panic("kaboom") }) }, false},
 		{"model panic", func(k *Kernel) { k.AddModel(faultModel{}) }, true},
@@ -286,8 +286,8 @@ func TestManyActorsDeterministicOrder(t *testing.T) {
 			name := string(rune('a' + i))
 			delay := core.Time((i * 7) % 13)
 			k.Spawn(name, func(p *Proc) {
-				p.Sleep(delay)
-				order = append(order, p.Name())
+				p.sleep(delay)
+				order = append(order, p.name())
 			})
 		}
 		if err := k.Run(); err != nil {
@@ -336,7 +336,7 @@ func TestFulfillWakesInRegistrationOrderWithinTheRound(t *testing.T) {
 	for _, name := range []string{"w1", "w2", "w3"} {
 		k.Spawn(name, func(p *Proc) {
 			p.Wait(f)
-			order = append(order, p.Name())
+			order = append(order, p.name())
 		})
 	}
 	k.Spawn("a", func(p *Proc) {
@@ -370,7 +370,7 @@ func TestSleepFutureIsReused(t *testing.T) {
 	var woke []core.Time
 	a := k.Spawn("a", func(p *Proc) {
 		for _, d := range []core.Duration{3, 0, 2} {
-			p.Sleep(d)
+			p.sleep(d)
 			woke = append(woke, p.Now())
 		}
 	})
@@ -386,7 +386,7 @@ func TestFulfillAtPastClampedToNow(t *testing.T) {
 	k := New()
 	var woke core.Time
 	k.Spawn("a", func(p *Proc) {
-		p.Sleep(5)
+		p.sleep(5)
 		f := NewFuture()
 		k.FulfillAt(f, 1) // in the past
 		p.Wait(f)
@@ -409,10 +409,10 @@ func TestDoubleFulfillKeepsFirstValue(t *testing.T) {
 	k.OnFulfill(f, func() { fired = append(fired, k.Now()) })
 	k.FulfillAt(f, 5)
 	k.Spawn("a", func(p *Proc) {
-		p.Sleep(1)
+		p.sleep(1)
 		k.Fulfill(f)
 		k.Fulfill(f)
-		p.Sleep(9)
+		p.sleep(9)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -510,7 +510,7 @@ func TestDispatchOrderPinned(t *testing.T) {
 	k.AddModel(m)
 
 	var got []string
-	rec := func(p *Proc) { got = append(got, fmt.Sprintf("%g %s", float64(p.Now()), p.Name())) }
+	rec := func(p *Proc) { got = append(got, fmt.Sprintf("%g %s", float64(p.Now()), p.name())) }
 	gate, cbDone := NewFuture(), NewFuture()
 	mf := []*Future{NewFuture(), NewFuture(), NewFuture()}
 	m.schedule(mf[0], 1.5)
@@ -521,11 +521,11 @@ func TestDispatchOrderPinned(t *testing.T) {
 		rec(p)
 		k.Spawn("child0", func(p *Proc) {
 			rec(p)
-			p.Sleep(1)
+			p.sleep(1)
 			rec(p)
 			k.Spawn("grandchild", func(p *Proc) {
 				rec(p)
-				p.WaitAll([]*Future{mf[1], gate})
+				p.waitAll([]*Future{mf[1], gate})
 				rec(p)
 			})
 		})
@@ -536,7 +536,7 @@ func TestDispatchOrderPinned(t *testing.T) {
 		})
 		p.Yield()
 		rec(p)
-		p.Sleep(1)
+		p.sleep(1)
 		rec(p)
 	})
 	k.Spawn("yielder", func(p *Proc) {
@@ -549,13 +549,13 @@ func TestDispatchOrderPinned(t *testing.T) {
 	k.Spawn("sleeper", func(p *Proc) {
 		rec(p)
 		for _, d := range []core.Duration{2, 0, 5, 0} {
-			p.Sleep(d)
+			p.sleep(d)
 			rec(p)
 		}
 	})
 	k.Spawn("napper", func(p *Proc) {
 		rec(p)
-		p.Sleep(0.5)
+		p.sleep(0.5)
 		rec(p)
 	})
 	k.Spawn("any", func(p *Proc) {
@@ -566,7 +566,7 @@ func TestDispatchOrderPinned(t *testing.T) {
 	})
 	k.Spawn("all", func(p *Proc) {
 		rec(p)
-		p.WaitAll([]*Future{mf[0], nil, mf[2]})
+		p.waitAll([]*Future{mf[0], nil, mf[2]})
 		rec(p)
 	})
 	k.Spawn("model", func(p *Proc) {
@@ -592,7 +592,7 @@ func TestDispatchOrderPinned(t *testing.T) {
 				rec(p)
 				p.Yield()
 				rec(p)
-				p.Sleep(0.25)
+				p.sleep(0.25)
 				rec(p)
 			})
 			k.Fulfill(cbDone)

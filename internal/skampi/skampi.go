@@ -15,10 +15,10 @@ import (
 	"smpigo/internal/smpi"
 )
 
-// DefaultSizes returns the log-spaced message sizes of the paper's
+// defaultSizes returns the log-spaced message sizes of the paper's
 // Figures 3-5: powers of two from 1 byte to 4 MiB, with midpoints for
 // better segment-boundary resolution.
-func DefaultSizes() []int64 {
+func defaultSizes() []int64 {
 	var sizes []int64
 	for s := int64(1); s <= 4*core.MiB; s *= 2 {
 		sizes = append(sizes, s)
@@ -35,7 +35,7 @@ type PingPongConfig struct {
 	Base smpi.Config
 	// A and B are the two endpoints.
 	A, B *platform.Host
-	// Sizes to measure; DefaultSizes() if nil.
+	// Sizes to measure; defaultSizes() if nil.
 	Sizes []int64
 	// Reps per size; the minimum round-trip is kept (SKaMPI style).
 	// Defaults to 3.
@@ -50,7 +50,7 @@ func PingPong(cfg PingPongConfig) ([]calibrate.Sample, error) {
 	}
 	sizes := cfg.Sizes
 	if sizes == nil {
-		sizes = DefaultSizes()
+		sizes = defaultSizes()
 	}
 	reps := cfg.Reps
 	if reps <= 0 {

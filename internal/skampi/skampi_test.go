@@ -32,7 +32,7 @@ func summarizeModel(m surf.NetModel, info calibrate.RouteInfo, samples []calibra
 }
 
 func TestDefaultSizesShape(t *testing.T) {
-	sizes := DefaultSizes()
+	sizes := defaultSizes()
 	if sizes[0] != 1 {
 		t.Error("sizes should start at 1 byte")
 	}

@@ -11,7 +11,7 @@ import (
 // reproduction provides the main alternatives so the choice can be
 // studied. A field holds one of the names in its collective's variant list
 // (bcastVariants and so on, below; the first entry is the default and what
-// an empty field means) or AlgoAuto. Names are matched without regard to
+// an empty field means) or algoAuto. Names are matched without regard to
 // case or surrounding whitespace, and one its collective does not list
 // fails Run and ParseAlgorithms before any rank starts.
 type Algorithms struct {
@@ -59,7 +59,7 @@ const (
 var bcastVariants = variants[func(c *Comm, r *Rank, buf []byte, root int)]{
 	{name: "binomial", run: func(c *Comm, r *Rank, buf []byte, root int) { c.bcastBinomial(r, buf, root, tagBcast) }},
 	{name: "ring", auto: "torus", run: func(c *Comm, r *Rank, buf []byte, root int) {
-		me, p := r.rank, c.Size()
+		me, p := r.rank, c.size()
 		rel := (me - root + p) % p
 		if rel > 0 {
 			r.Recv(c, buf, (me-1+p)%p, tagBcast)
@@ -73,8 +73,8 @@ var bcastVariants = variants[func(c *Comm, r *Rank, buf []byte, root int)]{
 			r.Recv(c, buf, root, tagBcast)
 			return
 		}
-		reqs := make([]*Request, 0, c.Size()-1)
-		for dst := 0; dst < c.Size(); dst++ {
+		reqs := make([]*Request, 0, c.size()-1)
+		for dst := 0; dst < c.size(); dst++ {
 			if dst != root {
 				reqs = append(reqs, r.isend(c, buf, dst, tagBcast))
 			}
@@ -90,7 +90,7 @@ func (c *Comm) Bcast(r *Rank, buf []byte, root int) {
 
 // bcastBinomial is the classic binomial-tree broadcast used by MPICH2.
 func (c *Comm) bcastBinomial(r *Rank, buf []byte, root, tag int) {
-	me, p := r.rank, c.Size()
+	me, p := r.rank, c.size()
 	rel := (me - root + p) % p
 	mask := 1
 	for mask < p {
@@ -113,7 +113,7 @@ func (c *Comm) bcastBinomial(r *Rank, buf []byte, root, tag int) {
 
 var barrierVariants = variants[func(c *Comm, r *Rank)]{
 	{name: "dissemination", run: func(c *Comm, r *Rank) {
-		me, p := r.rank, c.Size()
+		me, p := r.rank, c.size()
 		for step := 1; step < p; step <<= 1 {
 			dst := (me + step) % p
 			src := (me - step + p) % p
@@ -143,7 +143,7 @@ var scatterVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, r
 // chunk i into recvbuf (MPI_Scatter). len(sendbuf) must equal
 // Size()*len(recvbuf) on the root and is ignored elsewhere.
 func (c *Comm) Scatter(r *Rank, sendbuf, recvbuf []byte, root int) {
-	if p, bs := c.Size(), len(recvbuf); r.rank == root && len(sendbuf) != p*bs {
+	if p, bs := c.size(), len(recvbuf); r.rank == root && len(sendbuf) != p*bs {
 		panic(fmt.Sprintf("smpi: Scatter sendbuf %d bytes, want %d*%d", len(sendbuf), p, bs))
 	}
 	scatterVariants.named(c.w.cfg.Algorithms.Scatter)(c, r, sendbuf, recvbuf, root)
@@ -153,7 +153,7 @@ func (c *Comm) Scatter(r *Rank, sendbuf, recvbuf []byte, root int) {
 // paper's Figure 6, where process 0 forwards 8 chunks to process 8, 4 to
 // process 4, and so on. Data volumes halve at each tree level.
 func (c *Comm) scatterBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
-	me, p := r.rank, c.Size()
+	me, p := r.rank, c.size()
 	bs := len(recvbuf)
 	rel := (me - root + p) % p
 
@@ -202,7 +202,7 @@ var gatherVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, ro
 // Gather collects equal chunks from every rank into root's recvbuf, rank
 // i's contribution landing at chunk i (MPI_Gather).
 func (c *Comm) Gather(r *Rank, sendbuf, recvbuf []byte, root int) {
-	if p, bs := c.Size(), len(sendbuf); r.rank == root && len(recvbuf) != p*bs {
+	if p, bs := c.size(), len(sendbuf); r.rank == root && len(recvbuf) != p*bs {
 		panic(fmt.Sprintf("smpi: Gather recvbuf %d bytes, want %d*%d", len(recvbuf), p, bs))
 	}
 	gatherVariants.named(c.w.cfg.Algorithms.Gather)(c, r, sendbuf, recvbuf, root)
@@ -211,7 +211,7 @@ func (c *Comm) Gather(r *Rank, sendbuf, recvbuf []byte, root int) {
 // gatherBinomial mirrors scatterBinomial: subtree data flows towards the
 // root, doubling in volume at each level.
 func (c *Comm) gatherBinomial(r *Rank, sendbuf, recvbuf []byte, root int) {
-	me, p := r.rank, c.Size()
+	me, p := r.rank, c.size()
 	bs := len(sendbuf)
 	rel := (me - root + p) % p
 
@@ -253,7 +253,7 @@ func subtreeSize(rel, p int) int {
 
 var allgatherVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte)]{
 	{name: "ring", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte) {
-		me, p := r.rank, c.Size()
+		me, p := r.rank, c.size()
 		bs := len(sendbuf)
 		c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf)
 		right := (me + 1) % p
@@ -275,7 +275,7 @@ var allgatherVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte)
 // Allgather concatenates every rank's sendbuf into everyone's recvbuf
 // (MPI_Allgather). len(recvbuf) must be Size()*len(sendbuf).
 func (c *Comm) Allgather(r *Rank, sendbuf, recvbuf []byte) {
-	if p, bs := c.Size(), len(sendbuf); len(recvbuf) != p*bs {
+	if p, bs := c.size(), len(sendbuf); len(recvbuf) != p*bs {
 		panic(fmt.Sprintf("smpi: Allgather recvbuf %d bytes, want %d*%d", len(recvbuf), p, bs))
 	}
 	allgatherVariants.named(c.w.cfg.Algorithms.Allgather)(c, r, sendbuf, recvbuf)
@@ -286,7 +286,7 @@ var alltoallVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte)]
 	// The paper's Figure 10: P steps; at step k each process exchanges
 	// with one distinct partner (including itself at step 0).
 	{name: "pairwise", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte) {
-		me, p := r.rank, c.Size()
+		me, p := r.rank, c.size()
 		bs := len(sendbuf) / p
 		c.w.move(recvbuf[me*bs:(me+1)*bs], sendbuf[me*bs:(me+1)*bs])
 		for step := 1; step < p; step++ {
@@ -305,7 +305,7 @@ var alltoallVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte)]
 // sendbuf goes to rank i, which stores it as its j-th received block
 // (MPI_Alltoall). Both buffers hold Size() blocks.
 func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
-	if p := c.Size(); len(sendbuf) != len(recvbuf) || len(sendbuf)%p != 0 {
+	if p := c.size(); len(sendbuf) != len(recvbuf) || len(sendbuf)%p != 0 {
 		panic(fmt.Sprintf("smpi: Alltoall buffers %d/%d bytes for %d ranks", len(sendbuf), len(recvbuf), p))
 	}
 	alltoallVariants.named(c.w.cfg.Algorithms.Alltoall)(c, r, sendbuf, recvbuf)
@@ -315,7 +315,7 @@ func (c *Comm) Alltoall(r *Rank, sendbuf, recvbuf []byte) {
 // OpenMPI for small messages: ceil(log2 P) rounds, each moving the blocks
 // whose rotated index has bit k set, followed by a local inversion.
 func (c *Comm) alltoallBruck(r *Rank, sendbuf, recvbuf []byte) {
-	me, p := r.rank, c.Size()
+	me, p := r.rank, c.size()
 	bs := len(sendbuf) / p
 	// Phase 1: local rotation — block j of tmp is the block for rank
 	// (me+j) mod p.
@@ -368,7 +368,7 @@ var reduceVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt
 		}
 		acc := clone(sendbuf)
 		scratch := make([]byte, len(sendbuf))
-		for src := 0; src < c.Size(); src++ {
+		for src := 0; src < c.size(); src++ {
 			if src != root {
 				r.Recv(c, scratch, src, tagReduce)
 				op.Apply(acc, scratch, dt)
@@ -386,7 +386,7 @@ func (c *Comm) Reduce(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root
 
 // reduceBinomial combines up a binomial tree (commutative operators).
 func (c *Comm) reduceBinomial(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op, root, tag int) {
-	me, p := r.rank, c.Size()
+	me, p := r.rank, c.size()
 	rel := (me - root + p) % p
 	acc := clone(sendbuf)
 	scratch := make([]byte, len(sendbuf))
@@ -412,7 +412,7 @@ func (c *Comm) reduceBinomial(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op 
 // element per rank; where they do not apply they run "reduce-bcast".
 var allreduceVariants = variants[func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op)]{
 	{name: "recursive-doubling", run: func(c *Comm, r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
-		me, p := r.rank, c.Size()
+		me, p := r.rank, c.size()
 		if bits.OnesCount(uint(p)) != 1 {
 			c.allreduceReduceBcast(r, sendbuf, recvbuf, dt, op)
 			return
@@ -447,8 +447,8 @@ func (c *Comm) allreduceReduceBcast(r *Rank, sendbuf, recvbuf []byte, dt Datatyp
 // traffic flows between ring neighbors, which maps exactly onto torus and
 // ring interconnects (no cross-machine hops, unlike recursive doubling).
 func (c *Comm) allreduceRing(r *Rank, sendbuf, recvbuf []byte, dt Datatype, op Op) {
-	me, p := r.rank, c.Size()
-	es := dt.Size()
+	me, p := r.rank, c.size()
+	es := dt.size
 	if p == 1 || es == 0 || len(sendbuf)/es < p {
 		c.allreduceReduceBcast(r, sendbuf, recvbuf, dt, op)
 		return
@@ -504,7 +504,7 @@ func blockLen(counts []int, equal, i int) int {
 // packed contiguously (MPI_Scatterv with implicit displacements); nil counts
 // mean len(recvbuf) bytes each.
 func (c *Comm) Scatterv(r *Rank, sendbuf []byte, counts []int, recvbuf []byte, root int) {
-	me, p := r.rank, c.Size()
+	me, p := r.rank, c.size()
 	if counts != nil && len(counts) != p {
 		panic(fmt.Sprintf("smpi: Scatterv counts has %d entries for %d ranks", len(counts), p))
 	}
@@ -530,7 +530,7 @@ func (c *Comm) Scatterv(r *Rank, sendbuf []byte, counts []int, recvbuf []byte, r
 // contiguously (MPI_Gatherv with implicit displacements); nil counts mean
 // len(sendbuf) bytes each.
 func (c *Comm) Gatherv(r *Rank, sendbuf []byte, recvbuf []byte, counts []int, root int) {
-	me, p := r.rank, c.Size()
+	me, p := r.rank, c.size()
 	if counts != nil && len(counts) != p {
 		panic(fmt.Sprintf("smpi: Gatherv counts has %d entries for %d ranks", len(counts), p))
 	}
@@ -564,7 +564,7 @@ func (c *Comm) Allgatherv(r *Rank, sendbuf []byte, recvbuf []byte, counts []int)
 // arrive from rank j, both packed contiguously; nil counts mean equal
 // blocks. Every receive is posted, then every send, then all are awaited.
 func (c *Comm) Alltoallv(r *Rank, sendbuf []byte, sendcounts []int, recvbuf []byte, recvcounts []int) {
-	me, p := r.rank, c.Size()
+	me, p := r.rank, c.size()
 	if sendcounts != nil && len(sendcounts) != p || recvcounts != nil && len(recvcounts) != p {
 		panic(fmt.Sprintf("smpi: Alltoallv counts %d/%d entries for %d ranks", len(sendcounts), len(recvcounts), p))
 	}

@@ -4,8 +4,8 @@ package smpi
 // Run creates it, and a rank's number in it is its world rank. The paper's
 // SMPI lists MPI_Comm_split as unsupported; nothing here derives others.
 type Comm struct {
-	w *World
+	w *world
 }
 
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.w.ranks) }
+// size returns the number of ranks in the communicator.
+func (c *Comm) size() int { return len(c.w.ranks) }

@@ -14,12 +14,6 @@ type Datatype struct {
 	size int
 }
 
-// Size returns the datatype's size in bytes.
-func (d Datatype) Size() int { return d.size }
-
-// Name returns the datatype's MPI-ish name.
-func (d Datatype) Name() string { return d.name }
-
 // Predefined datatypes.
 var (
 	Byte    = Datatype{"MPI_BYTE", 1}
@@ -35,9 +29,6 @@ type Op struct {
 	name  string
 	apply func(dst, src []byte, dt Datatype)
 }
-
-// Name returns the operator name.
-func (o Op) Name() string { return o.name }
 
 // Apply combines src into dst element-wise (dst = dst OP src).
 // It panics if the buffers disagree in length or are not a whole number of

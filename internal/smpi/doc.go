@@ -54,7 +54,7 @@
 // # Collective algorithm selection
 //
 // Each collective has several implementation variants (Algorithms), chosen
-// per operation. A field set to "auto" (AlgoAuto) is resolved at Run time
+// per operation. A field set to "auto" (algoAuto) is resolved at Run time
 // against the platform's interconnect family (platform.TopoInfo, attached
 // by the topology generators and the cluster builder): ring schedules on
 // tori, trees on fat-trees/dragonflies/clusters — see Algorithms.Resolve

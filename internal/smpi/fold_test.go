@@ -73,7 +73,7 @@ func foldCases() []foldCase {
 			func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, root int) {
 				var send []byte
 				if r.Rank() == root {
-					send = alloc("send", c.Size()*bs)
+					send = alloc("send", c.size()*bs)
 				}
 				c.Scatter(r, send, alloc("recv", bs), root)
 			})
@@ -81,7 +81,7 @@ func foldCases() []foldCase {
 			func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, root int) {
 				var recv []byte
 				if r.Rank() == root {
-					recv = alloc("recv", c.Size()*bs)
+					recv = alloc("recv", c.size()*bs)
 				}
 				c.Gather(r, alloc("send", bs), recv, root)
 			})
@@ -93,13 +93,13 @@ func foldCases() []foldCase {
 	for _, algo := range []string{"ring", "gather-bcast"} {
 		add("allgather/"+algo, Algorithms{Allgather: algo}, false,
 			func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, _ int) {
-				c.Allgather(r, alloc("send", bs), alloc("recv", c.Size()*bs))
+				c.Allgather(r, alloc("send", bs), alloc("recv", c.size()*bs))
 			})
 	}
 	for _, algo := range []string{"pairwise", "bruck", "flat"} {
 		add("alltoall/"+algo, Algorithms{Alltoall: algo}, false,
 			func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, _ int) {
-				c.Alltoall(r, alloc("send", c.Size()*bs), alloc("recv", c.Size()*bs))
+				c.Alltoall(r, alloc("send", c.size()*bs), alloc("recv", c.size()*bs))
 			})
 	}
 	for _, algo := range []string{"recursive-doubling", "ring", "reduce-bcast"} {
@@ -110,7 +110,7 @@ func foldCases() []foldCase {
 	}
 	add("scatterv", Algorithms{}, true,
 		func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, root int) {
-			counts, total := vCounts(c.Size(), bs)
+			counts, total := vCounts(c.size(), bs)
 			var send []byte
 			if r.Rank() == root {
 				send = alloc("send", total)
@@ -119,7 +119,7 @@ func foldCases() []foldCase {
 		})
 	add("gatherv", Algorithms{}, true,
 		func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, root int) {
-			counts, total := vCounts(c.Size(), bs)
+			counts, total := vCounts(c.size(), bs)
 			var recv []byte
 			if r.Rank() == root {
 				recv = alloc("recv", total)
@@ -128,13 +128,13 @@ func foldCases() []foldCase {
 		})
 	add("allgatherv", Algorithms{}, false,
 		func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, _ int) {
-			counts, total := vCounts(c.Size(), bs)
+			counts, total := vCounts(c.size(), bs)
 			c.Allgatherv(r, alloc("send", bs), alloc("recv", total), counts)
 		})
 	add("alltoallv", Algorithms{}, false,
 		func(r *Rank, c *Comm, alloc func(string, int) []byte, bs, _ int) {
 			// Rank i sends (i+j)%3 eighths of a block to rank j.
-			p, me := c.Size(), r.Rank()
+			p, me := c.size(), r.Rank()
 			scounts, rcounts := make([]int, p), make([]int, p)
 			stotal, rtotal := 0, 0
 			for j := 0; j < p; j++ {

@@ -120,7 +120,7 @@ func TestMessagePathAllocatesNoGarbage(t *testing.T) {
 // seen by the next one.
 func TestFreeListsDieWithTheirRun(t *testing.T) {
 	cfg := testConfig(8)
-	var worlds []*World
+	var worlds []*world
 	for i := 0; i < 2; i++ {
 		mustRun(t, cfg, func(r *Rank) {
 			if r.Rank() == 0 {
@@ -176,9 +176,9 @@ func TestUserRequestOutlivesItsWait(t *testing.T) {
 				if me == 1 {
 					want = Status{Source: 0, Tag: tag, Count: sizes[tag]}
 				}
-				if q := held[tag]; !q.Done() || q.Status != want {
+				if q := held[tag]; !q.done.Done() || q.Status != want {
 					t.Errorf("%s: rank %d request %d: done %v, status %+v, want %+v",
-						when, me, tag, q.Done(), q.Status, want)
+						when, me, tag, q.done.Done(), q.Status, want)
 				}
 			}
 		}
@@ -208,7 +208,7 @@ func TestUserRequestOutlivesItsWait(t *testing.T) {
 func TestRecvThenEnvelopeReuse(t *testing.T) {
 	for _, sizes := range [][2]int{{10, 20}, {128 << 10, 100 << 10}, {128 << 10, 20}} {
 		payloads := [][]byte{fill(3, sizes[0]), fill(5, sizes[1])}
-		var w *World
+		var w *world
 		mustRun(t, testConfig(2), func(r *Rank) {
 			c := r.Comm()
 			w = r.w

@@ -44,12 +44,8 @@ type Request struct {
 	traceResolve func(int)
 }
 
-// Done reports whether the request has completed (like a successful
-// MPI_Test without status).
-func (q *Request) Done() bool { return q != nil && q.done.Done() }
-
 // envelope is a message in flight or queued as unexpected. The object
-// outlives the message: arrive puts it on the World's free list.
+// outlives the message: arrive puts it on the world's free list.
 type envelope struct {
 	src, tag int
 	eager    bool
@@ -65,7 +61,7 @@ type envelope struct {
 	onWire func()
 }
 
-// mailbox holds one receiving rank's unmatched traffic; World.mailboxes is
+// mailbox holds one receiving rank's unmatched traffic; world.mailboxes is
 // indexed by rank.
 type mailbox struct {
 	sends []*envelope // unexpected messages waiting for a matching receive
@@ -88,7 +84,7 @@ func clone(buf []byte) []byte {
 // undefined by contract — SimGrid's smpi_comm_copy_buffer_callback skips
 // its memcpy on smpi_is_shared buffers the same way. Lengths, and so every
 // timing, count and status, are untouched.
-func (w *World) move(dst, src []byte) {
+func (w *world) move(dst, src []byte) {
 	if w.reg.Shared(dst) || w.reg.Shared(src) {
 		return
 	}
@@ -99,7 +95,7 @@ func (w *World) move(dst, src []byte) {
 // caller's buffer like: private zeroed memory when like is private, aliased
 // folded memory (allocating nothing once a block is large enough) when like
 // is folded.
-func (w *World) scratch(like []byte, n int) []byte {
+func (w *world) scratch(like []byte, n int) []byte {
 	if w.reg.Shared(like) {
 		return w.reg.SharedScratch(n)
 	}
@@ -107,7 +103,7 @@ func (w *World) scratch(like []byte, n int) []byte {
 }
 
 // newEnvelope returns a blank envelope, a delivered one when there is one.
-func (w *World) newEnvelope() *envelope {
+func (w *world) newEnvelope() *envelope {
 	if n := len(w.freeEnvs); n > 0 {
 		env := w.freeEnvs[n-1]
 		w.freeEnvs = w.freeEnvs[:n-1]
@@ -121,7 +117,7 @@ func (w *World) newEnvelope() *envelope {
 // deliver wires an envelope to its matched receive: when the transfer
 // completes, the payload lands in the receive buffer and both requests
 // (where applicable) complete.
-func (w *World) deliver(env *envelope, q *Request) {
+func (w *world) deliver(env *envelope, q *Request) {
 	env.recvReq = q
 	w.kernel.OnFulfill(&env.wire, env.onWire)
 }
@@ -131,7 +127,7 @@ func (w *World) deliver(env *envelope, q *Request) {
 // unexpected message already off the wire), so nothing refers to env
 // afterwards; freeing it last keeps it from a send started by anything
 // arrive wakes.
-func (w *World) arrive(env *envelope) {
+func (w *world) arrive(env *envelope) {
 	q := env.recvReq
 	if len(env.data) > len(q.buf) {
 		panic(fmt.Sprintf("smpi: message truncation: %d-byte message into %d-byte buffer (src %d, tag %d)",
@@ -158,7 +154,7 @@ func (w *World) arrive(env *envelope) {
 // completes exactly when this transfer delivers, so referencing the buffer
 // directly is safe and keeps large transfers zero-copy (one copy into the
 // receive buffer at delivery).
-func (w *World) startRendezvous(env *envelope, q *Request) {
+func (w *world) startRendezvous(env *envelope, q *Request) {
 	env.data = env.srcBuf
 	env.srcBuf = nil
 	w.transfer(env)
@@ -166,7 +162,7 @@ func (w *World) startRendezvous(env *envelope, q *Request) {
 }
 
 // isendInto performs the send protocol, completing req accordingly.
-func (w *World) isendInto(r *Rank, buf []byte, dst, tag int, req *Request) {
+func (w *world) isendInto(r *Rank, buf []byte, dst, tag int, req *Request) {
 	if dst < 0 || dst >= len(w.ranks) {
 		panic(fmt.Sprintf("smpi: send to invalid rank %d in communicator of size %d", dst, len(w.ranks)))
 	}
@@ -209,7 +205,7 @@ func (w *World) isendInto(r *Rank, buf []byte, dst, tag int, req *Request) {
 
 // irecvInto performs the receive protocol, completing req when a matching
 // message has fully arrived.
-func (w *World) irecvInto(r *Rank, buf []byte, src, tag int, req *Request) {
+func (w *world) irecvInto(r *Rank, buf []byte, src, tag int, req *Request) {
 	if src != AnySource && (src < 0 || src >= len(w.ranks)) {
 		panic(fmt.Sprintf("smpi: receive from invalid rank %d in communicator of size %d", src, len(w.ranks)))
 	}
@@ -289,7 +285,7 @@ func (r *Rank) startRecv(q *Request, buf []byte, src, tag int) *Request {
 // irecv on a recycled object, and waitFree gives it back.
 
 // newRequest returns a blank request that must not reach the application.
-func (w *World) newRequest() *Request {
+func (w *world) newRequest() *Request {
 	if n := len(w.freeReqs); n > 0 {
 		q := w.freeReqs[n-1]
 		w.freeReqs = w.freeReqs[:n-1]
@@ -396,7 +392,7 @@ func (r *Rank) WaitSome(qs []*Request) []int {
 	}
 	var done []int
 	for i, q := range qs {
-		if q != nil && q.Done() {
+		if q != nil && q.done.Done() {
 			done = append(done, i)
 		}
 	}
@@ -406,7 +402,7 @@ func (r *Rank) WaitSome(qs []*Request) []int {
 // Test reports whether the request has completed, without blocking
 // (MPI_Test).
 func (r *Rank) Test(q *Request) (bool, Status) {
-	if q == nil || !q.Done() {
+	if q == nil || !q.done.Done() {
 		return false, Status{}
 	}
 	return true, q.Status

@@ -8,13 +8,13 @@ import (
 	"smpigo/internal/platform"
 )
 
-// AlgoAuto is the sentinel algorithm name that selects a collective's
+// algoAuto is the sentinel algorithm name that selects a collective's
 // implementation from the target platform's interconnect (platform.TopoInfo)
 // at Run time. Any Algorithms field may be set to it individually — fields
 // holding a concrete algorithm name are never touched, which is the
 // per-collective override hook: Algorithms{Bcast: "auto", Allreduce: "ring"}
 // auto-selects the broadcast but forces the ring allreduce everywhere.
-const AlgoAuto = "auto"
+const algoAuto = "auto"
 
 // collective is one row of the collectives table: an operation's name, its
 // Algorithms field, its variant names (the first is the default) and what
@@ -59,16 +59,16 @@ var collectives = []collective{
 // nothing is known about the interconnect.
 func DefaultAlgorithms() Algorithms { return Auto().Resolve(nil) }
 
-// Auto returns an Algorithms with every collective set to AlgoAuto.
+// Auto returns an Algorithms with every collective set to algoAuto.
 func Auto() Algorithms {
 	var a Algorithms
 	for _, c := range collectives {
-		*c.field(&a) = AlgoAuto
+		*c.field(&a) = algoAuto
 	}
 	return a
 }
 
-// Resolve replaces every AlgoAuto field with the variant its collective's
+// Resolve replaces every algoAuto field with the variant its collective's
 // list marks for the interconnect's structural family (recorded by the
 // topology generators and the cluster builder), else with the default;
 // concrete and empty fields are left untouched. Tori select the ring
@@ -80,7 +80,7 @@ func Auto() Algorithms {
 // defaults wins; docs/ARCHITECTURE.md, "Collective selection", has more.
 func (a Algorithms) Resolve(topo *platform.TopoInfo) Algorithms {
 	for _, c := range collectives {
-		if f := c.field(&a); *f == AlgoAuto {
+		if f := c.field(&a); *f == algoAuto {
 			*f = c.variants[0]
 			if topo != nil && c.auto[topo.Kind] != "" {
 				*f = c.auto[topo.Kind]
@@ -100,8 +100,8 @@ func (a Algorithms) checked() (Algorithms, error) {
 	for _, c := range collectives {
 		f := c.field(&a)
 		name := normName(*f)
-		if name != "" && name != AlgoAuto && !slices.Contains(c.variants, name) {
-			want := slices.Sorted(slices.Values(append([]string{AlgoAuto}, c.variants...)))
+		if name != "" && name != algoAuto && !slices.Contains(c.variants, name) {
+			want := slices.Sorted(slices.Values(append([]string{algoAuto}, c.variants...)))
 			return Algorithms{}, fmt.Errorf("smpi: unknown %s algorithm %q (want %s)", c.name, *f, strings.Join(want, ", "))
 		}
 		*f = name
@@ -126,7 +126,7 @@ func ParseAlgorithms(s string) (Algorithms, error) {
 	switch normName(s) {
 	case "", "default":
 		return a, nil
-	case AlgoAuto:
+	case algoAuto:
 		return Auto(), nil
 	}
 	for _, part := range strings.Split(s, ",") {

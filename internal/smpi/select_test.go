@@ -61,7 +61,7 @@ func TestAutoSelectionTable(t *testing.T) {
 // only "auto" fields are selected, the rest are per-collective overrides.
 func TestResolveOverrideHook(t *testing.T) {
 	torus := &platform.TopoInfo{Kind: "torus"}
-	a := Algorithms{Bcast: AlgoAuto, Allreduce: "reduce-bcast"}
+	a := Algorithms{Bcast: algoAuto, Allreduce: "reduce-bcast"}
 	got := a.Resolve(torus)
 	if got.Bcast != "ring" {
 		t.Errorf("auto bcast on torus resolved to %q, want ring", got.Bcast)
@@ -133,7 +133,7 @@ func TestParseAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Bcast != "ring" || got.Allreduce != AlgoAuto || got.Barrier != "" {
+	if got.Bcast != "ring" || got.Allreduce != algoAuto || got.Barrier != "" {
 		t.Errorf("override parse = %+v", got)
 	}
 	for _, bad := range []string{"bcast", "bcast=", "frobnicate=ring"} {

@@ -120,8 +120,8 @@ type Report struct {
 	BurstsReplayed int64
 }
 
-// World is the runtime state of one simulated MPI job.
-type World struct {
+// world is the runtime state of one simulated MPI job.
+type world struct {
 	cfg    Config
 	kernel *simix.Kernel
 	cpu    *surf.CPU
@@ -137,7 +137,7 @@ type World struct {
 	messages    int64
 
 	// The message path's recycled objects. They belong to this run alone:
-	// nothing here is shared with, or survives into, another World.
+	// nothing here is shared with, or survives into, another world.
 	freeEnvs []*envelope
 	freeReqs []*Request // only requests that never reached the application
 	// routeBuf is where transfer resolves each route; StartFlow copies the
@@ -148,7 +148,7 @@ type World struct {
 // Rank is the per-process handle passed to application functions: it
 // identifies the calling rank and carries every MPI-ish operation.
 type Rank struct {
-	w    *World
+	w    *world
 	proc *simix.Proc
 	rank int
 	host *platform.Host
@@ -162,7 +162,7 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	w := &World{
+	w := &world{
 		cfg:       cfg,
 		kernel:    simix.New(),
 		mailboxes: make([]mailbox, cfg.Procs),
@@ -277,7 +277,7 @@ func validateHosts(hosts []*platform.Host, procs int, plat *platform.Platform) e
 
 // transfer starts moving env's payload between its hosts on the active
 // backend; env.wire is fulfilled at delivery.
-func (w *World) transfer(env *envelope) {
+func (w *world) transfer(env *envelope) {
 	size := int64(len(env.data))
 	w.bytesOnWire += size
 	w.messages++
@@ -306,9 +306,6 @@ func (r *Rank) Size() int { return len(r.w.ranks) }
 
 // Comm returns the world communicator (MPI_COMM_WORLD).
 func (r *Rank) Comm() *Comm { return r.w.world }
-
-// Host returns the platform host this rank is placed on.
-func (r *Rank) Host() *platform.Host { return r.host }
 
 // Now returns the current simulated time.
 func (r *Rank) Now() core.Time { return r.proc.Now() }

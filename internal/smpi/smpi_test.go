@@ -43,7 +43,7 @@ func TestRankIdentity(t *testing.T) {
 			t.Errorf("Size = %d, want 4", r.Size())
 		}
 		seen[r.Rank()] = true
-		if r.Host() == nil {
+		if r.host == nil {
 			t.Error("rank has no host")
 		}
 	})

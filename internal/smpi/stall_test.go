@@ -63,7 +63,11 @@ func TestFailedLinkSurfacesTypedStall(t *testing.T) {
 // alltoall on a fat-tree's trunk links. Every parked rank unwinds with its
 // run, so the goroutine count returns to where it was.
 func TestFailedRunsLeaveNoGoroutine(t *testing.T) {
-	fatTree, err := topology.FatTree16().Build()
+	spec, err := topology.ParseSpec("fattree16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fatTree, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func TestTableIsTheVocabulary(t *testing.T) {
 		}
 	}
 	for _, c := range collectives {
-		listed := map[string]bool{AlgoAuto: true}
+		listed := map[string]bool{algoAuto: true}
 		for _, v := range c.variants {
 			listed[v] = true
 		}

@@ -65,9 +65,6 @@ type Heap[T any] struct {
 	Stats *Stats
 }
 
-// Len reports the number of entries currently stored (for tests and stats).
-func (h *Heap[T]) Len() int { return len(h.items) }
-
 // Push schedules action at date due. If pos is non-nil the heap keeps the
 // entry's 1-based position in *pos until the entry is popped, for Update.
 func (h *Heap[T]) Push(action T, due core.Time, pos *int) {

@@ -34,7 +34,7 @@ func scanMin(live []*testAction) core.Time {
 // entry's own position, and every action outside the heap records 0.
 func checkPositions(t *testing.T, step int, h *Heap[*testAction], all []*testAction) {
 	t.Helper()
-	stored := make(map[*testAction]bool, h.Len())
+	stored := make(map[*testAction]bool, len(h.items))
 	for i, e := range h.items {
 		if e.pos != &e.action.pos || e.action.pos != i+1 {
 			t.Fatalf("step %d: entry %d of action %d records position %d", step, i+1, e.action.id, e.action.pos)
@@ -97,8 +97,8 @@ func TestHeapMatchesScanUnderChurn(t *testing.T) {
 		if got, want := h.NextDue(), scanMin(liveActions()); got != want {
 			t.Fatalf("step %d: heap NextDue %v, exhaustive scan %v", step, got, want)
 		}
-		if h.Len() != len(liveActions()) {
-			t.Fatalf("step %d: %d entries for %d live actions", step, h.Len(), len(liveActions()))
+		if len(h.items) != len(liveActions()) {
+			t.Fatalf("step %d: %d entries for %d live actions", step, len(h.items), len(liveActions()))
 		}
 	}
 }
@@ -126,8 +126,8 @@ func TestRekeyStress(t *testing.T) {
 		if got, want := h.NextDue(), scanMin(live); got != want {
 			t.Fatalf("step %d: heap NextDue %v, scan %v", step, got, want)
 		}
-		if h.Len() != population {
-			t.Fatalf("step %d: %d entries for %d actions", step, h.Len(), population)
+		if len(h.items) != population {
+			t.Fatalf("step %d: %d entries for %d actions", step, len(h.items), population)
 		}
 	}
 	// Drain: every action pops exactly once, in due order, while the
@@ -242,7 +242,7 @@ func TestPeekDoesNotConsume(t *testing.T) {
 	if a, due, ok := h.Peek(); !ok || a.id != 4 || due != 4 {
 		t.Errorf("Peek = (%+v, %v, %v), want id 4 at date 4", a, due, ok)
 	}
-	if h.Len() != 2 {
+	if len(h.items) != 2 {
 		t.Error("Peek must not consume")
 	}
 }
@@ -272,7 +272,7 @@ func TestHeapProperty(t *testing.T) {
 			}
 			last = due
 		}
-		return h.Len() == 0
+		return len(h.items) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -353,12 +353,12 @@ func TestStreamHeadsMergeLikeAFlatHeap(t *testing.T) {
 			if j := got.idx + 1; j < len(runs[got.run]) {
 				heads.PushSeq(elem{got.run, j}, runs[got.run][j], seqs[got.run][j], nil)
 			}
-			if heads.Len() > len(runs) {
-				t.Fatalf("trial %d: %d entries for %d runs", trial, heads.Len(), len(runs))
+			if len(heads.items) > len(runs) {
+				t.Fatalf("trial %d: %d entries for %d runs", trial, len(heads.items), len(runs))
 			}
 		}
-		if heads.Len() != 0 || stats.Pushes != uint64(total) {
-			t.Fatalf("trial %d: %d left over, %d pushes for %d entries", trial, heads.Len(), stats.Pushes, total)
+		if len(heads.items) != 0 || stats.Pushes != uint64(total) {
+			t.Fatalf("trial %d: %d left over, %d pushes for %d entries", trial, len(heads.items), stats.Pushes, total)
 		}
 	}
 }

@@ -69,8 +69,8 @@ func TestSetLinkBandwidthAnalytic(t *testing.T) {
 			t.Errorf("link %s carried %v bytes, want %v", l.Name(), got, float64(size))
 		}
 	}
-	if got := n.LinkBandwidth(up); got != bw/2 {
-		t.Errorf("LinkBandwidth = %v, want %v", got, bw/2)
+	if got := n.linkBandwidth(up); got != bw/2 {
+		t.Errorf("linkBandwidth = %v, want %v", got, bw/2)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestSetLinkBandwidthRestore(t *testing.T) {
 
 	var elapsed core.Duration
 	k.Spawn("sender", func(pr *simix.Proc) {
-		pr.Sleep(1) // degrade and restore both happen while idle
+		sleep(k, pr, 1) // degrade and restore both happen while idle
 		start := pr.Now()
 		f := simix.NewFuture()
 		n.StartFlow(p.Route(a, b), 1e6, f)
@@ -142,8 +142,8 @@ func TestSetHostSpeedAnalytic(t *testing.T) {
 	if want := core.Time(7); math.Abs(float64(done-want)) > 1e-9 {
 		t.Errorf("completion at %v, want %v", done, want)
 	}
-	if got := c.HostSpeed(h); got != 0.5e9 {
-		t.Errorf("HostSpeed = %v, want 0.5e9", got)
+	if got := c.hostSpeed(h); got != 0.5e9 {
+		t.Errorf("hostSpeed = %v, want 0.5e9", got)
 	}
 	if h.Speed != 1e9 {
 		t.Errorf("nominal platform speed mutated: %v", h.Speed)
@@ -168,7 +168,7 @@ func TestSetLinkBandwidthValidation(t *testing.T) {
 		}()
 	}
 	n.SetLinkBandwidth(up, 0) // zero is legal: a failed link
-	if got := n.LinkBandwidth(up); got != 0 {
+	if got := n.linkBandwidth(up); got != 0 {
 		t.Errorf("LinkBandwidth after fail = %v, want 0", got)
 	}
 	blind := NewNetwork(simix.New(), Ideal())

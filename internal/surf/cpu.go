@@ -108,10 +108,10 @@ func (c *CPU) SetHostSpeed(host *platform.Host, speed float64) {
 	c.setCapacity(c.constraint(host), speed)
 }
 
-// HostSpeed returns the compute capacity currently enforced for host: the
+// hostSpeed returns the compute capacity currently enforced for host: the
 // last SetHostSpeed value, or the platform's nominal speed if it was never
 // changed.
-func (c *CPU) HostSpeed(host *platform.Host) float64 {
+func (c *CPU) hostSpeed(host *platform.Host) float64 {
 	if con, ok := c.cons[host]; ok {
 		return con.Capacity
 	}

@@ -98,9 +98,6 @@ type engine[T drainable] struct {
 	usage UsageRecorder
 }
 
-// InFlight returns the number of active actions (for tests and stats).
-func (e *engine[T]) InFlight() int { return e.inFlight }
-
 // NextEvent implements simix.Model: an O(1) peek at the earliest entry.
 func (e *engine[T]) NextEvent() core.Time { return e.heap.NextDue() }
 

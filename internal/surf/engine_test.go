@@ -45,8 +45,8 @@ func TestOverdueTaskBelowClockResolutionCompletes(t *testing.T) {
 		flops := (1 + rng.Float64()*5) * 1e9
 		offset := core.Duration(rng.Float64() * 3)
 		k.Spawn("w", func(pr *simix.Proc) {
-			pr.Sleep(1e8)
-			pr.Sleep(offset)
+			sleep(k, pr, 1e8)
+			sleep(k, pr, offset)
 			pr.Wait(cpu.Execute(h, flops))
 		})
 	}
@@ -60,7 +60,7 @@ func TestOverdueTaskBelowClockResolutionCompletes(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("CPU.Advance spins on an overdue task it can neither complete nor move")
 	}
-	if cpu.InFlight() != 0 {
-		t.Errorf("%d tasks still in flight", cpu.InFlight())
+	if cpu.inFlight != 0 {
+		t.Errorf("%d tasks still in flight", cpu.inFlight)
 	}
 }

@@ -182,7 +182,9 @@ func churnSchedule(t *testing.T, plat *platform.Platform, mk func(*simix.Kernel)
 				p.Wait(f)
 				rec[s] = p.Now()
 				if sleeps && rng.Intn(4) == 0 {
-					p.Sleep(core.Duration(rng.Float64()) * core.Microsecond)
+					f := simix.NewFuture()
+					k.FulfillAt(f, p.Now()+core.Duration(rng.Float64())*core.Microsecond)
+					p.Wait(f)
 				}
 			}
 		})

@@ -61,7 +61,7 @@ func TestRecycledFlowHasNoEntry(t *testing.T) {
 	}
 	k.Spawn("a", func(pr *simix.Proc) {
 		transfer(pr, 0, routes[0], 1e6)
-		pr.Sleep(2.6 - pr.Now())
+		sleep(k, pr, 2.6-pr.Now())
 		// Last freed, first reused: the object of flow 0, not of flow 2.
 		first := n.free[len(n.free)-1]
 		if first.pos != 0 {
@@ -78,9 +78,9 @@ func TestRecycledFlowHasNoEntry(t *testing.T) {
 	k.Spawn("b", func(pr *simix.Proc) { transfer(pr, 1, routes[1], 2e6) })
 	k.Spawn("side", func(pr *simix.Proc) { transfer(pr, 5, side, 2699e3) })
 	k.Spawn("c", func(pr *simix.Proc) {
-		pr.Sleep(0.5)
+		sleep(k, pr, 0.5)
 		transfer(pr, 2, routes[2], 5e5)
-		pr.Sleep(2.6005 - pr.Now())
+		sleep(k, pr, 2.6005-pr.Now())
 		transfer(pr, 4, routes[2], 1e5)
 	})
 	if err := k.Run(); err != nil {
@@ -118,7 +118,8 @@ func TestFlowStartedFromCallbackGetsAnotherObject(t *testing.T) {
 		warm := []*simix.Future{simix.NewFuture(), simix.NewFuture()}
 		n.StartFlow(routes[0], 1e3, warm[0])
 		n.StartFlow(routes[0], 1e3, warm[1])
-		pr.WaitAll(warm)
+		pr.Wait(warm[0])
+		pr.Wait(warm[1])
 
 		first, second := simix.NewFuture(), simix.NewFuture()
 		n.StartFlow(routes[0], 1e6, first)

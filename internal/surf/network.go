@@ -153,10 +153,10 @@ func (n *Network) SetLinkBandwidth(l *platform.Link, bw float64) {
 	n.setCapacity(n.constraint(l), bw)
 }
 
-// LinkBandwidth returns the capacity currently enforced for l: the last
+// linkBandwidth returns the capacity currently enforced for l: the last
 // SetLinkBandwidth value, or the platform's nominal bandwidth if it was
 // never changed.
-func (n *Network) LinkBandwidth(l *platform.Link) float64 {
+func (n *Network) linkBandwidth(l *platform.Link) float64 {
 	if c, ok := n.cons[l]; ok {
 		return c.Capacity
 	}

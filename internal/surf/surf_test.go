@@ -15,6 +15,13 @@ import (
 
 // twoHostPlatform builds a minimal platform: two hosts connected by a pair
 // of directed links with the given bandwidth and one-way latency per link.
+// sleep lets d of simulated time pass on pr.
+func sleep(k *simix.Kernel, pr *simix.Proc, d core.Duration) {
+	f := simix.NewFuture()
+	k.FulfillAt(f, pr.Now()+d)
+	pr.Wait(f)
+}
+
 func twoHostPlatform(bw float64, lat core.Duration) (*platform.Platform, *platform.Host, *platform.Host) {
 	f := platformtest.New("mini")
 	a, b := f.Platform.NewHost(1e9), f.Platform.NewHost(1e9)
@@ -193,7 +200,7 @@ func TestStaggeredFlowsDynamicResharing(t *testing.T) {
 	k.Spawn("driver", func(pr *simix.Proc) {
 		fA := simix.NewFuture()
 		n.StartFlow(p.Route(a, b), 200, fA) // alone: 2s nominal
-		pr.Sleep(1)
+		sleep(k, pr, 1)
 		fB := simix.NewFuture()
 		n.StartFlow(p.Route(a, b), 100, fB)
 		pr.Wait(fA)
@@ -253,11 +260,11 @@ func TestInFlightAccounting(t *testing.T) {
 	k.Spawn("s", func(pr *simix.Proc) {
 		f := simix.NewFuture()
 		n.StartFlow(p.Route(a, b), 1000, f)
-		if n.InFlight() != 1 {
+		if n.inFlight != 1 {
 			t.Error("expected 1 in-flight flow")
 		}
 		pr.Wait(f)
-		if n.InFlight() != 0 {
+		if n.inFlight != 0 {
 			t.Error("expected 0 in-flight flows after completion")
 		}
 	})

@@ -45,8 +45,8 @@ type DragonflySpec struct {
 	GroupWidths []float64
 }
 
-// Hosts returns the number of hosts.
-func (s DragonflySpec) Hosts() int {
+// hosts returns the number of hosts.
+func (s DragonflySpec) hosts() int {
 	n, _ := hostCount(s.Groups, s.RoutersPerGroup, s.HostsPerRouter)
 	return n
 }
@@ -106,7 +106,7 @@ func (s DragonflySpec) Build() (*platform.Platform, error) {
 	}
 	p := platform.New(s.Name)
 	g, a, ph := s.Groups, s.RoutersPerGroup, s.HostsPerRouter
-	n := s.Hosts()
+	n := s.hosts()
 	p.Reserve(n, 2*n+g*a*(a-1)+g*(g-1))
 	localBase, globalBase := 2*n, 2*n+g*a*(a-1)
 	// Link names are derived on demand by inverting the three build-order
@@ -275,7 +275,7 @@ func (r *dragonflyRouter) RouteInto(buf []*platform.Link, ha, hb *platform.Host)
 // only global cables cross it, each at the width of its slower endpoint.
 func (s DragonflySpec) Metrics() platform.TopoInfo {
 	g, a := s.Groups, s.RoutersPerGroup
-	n := s.Hosts()
+	n := s.hosts()
 	m := platform.TopoInfo{
 		Kind:  "dragonfly",
 		Hosts: n,
@@ -311,10 +311,10 @@ func (s *DragonflySpec) bindXML(b *platform.XMLBinder) {
 	b.Profile("group_widths", &s.GroupWidths)
 }
 
-// Dragonfly72 is a balanced dragonfly with 9 groups of 4 routers and 2
+// dragonfly72 is a balanced dragonfly with 9 groups of 4 routers and 2
 // hosts per router (a = 2p, g = 2a + 1 in Kim et al.'s balancing rule gives
 // the 72-host configuration): 72 hosts, diameter 5.
-func Dragonfly72() DragonflySpec {
+func dragonfly72() DragonflySpec {
 	return DragonflySpec{
 		Name:              "dragonfly72",
 		Groups:            9,
@@ -338,7 +338,7 @@ func parseDragonfly(rest string) (Spec, error) {
 	if len(dims) != 3 {
 		return nil, fmt.Errorf("topology: dragonfly spec %q: want dragonfly:<groups>x<routers>x<hosts>", rest)
 	}
-	spec := Dragonfly72()
+	spec := dragonfly72()
 	spec.Name = specName("dragonfly", rest)
 	spec.Groups, spec.RoutersPerGroup, spec.HostsPerRouter = dims[0], dims[1], dims[2]
 	return spec, spec.Validate()
@@ -346,5 +346,5 @@ func parseDragonfly(rest string) (Spec, error) {
 
 func init() {
 	platform.RegisterXMLSpec("dragonfly", (*DragonflySpec).bindXML)
-	registerPreset("dragonfly72", func() Spec { return Dragonfly72() })
+	registerPreset("dragonfly72", func() Spec { return dragonfly72() })
 }

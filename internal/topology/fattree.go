@@ -40,8 +40,8 @@ type FatTreeSpec struct {
 	LeafSpeeds []float64
 }
 
-// Hosts returns the number of hosts (the product of Down).
-func (s FatTreeSpec) Hosts() int {
+// hosts returns the number of hosts (the product of Down).
+func (s FatTreeSpec) hosts() int {
 	n, _ := hostCount(s.Down...)
 	return n
 }
@@ -267,9 +267,9 @@ func (s *FatTreeSpec) bindXML(b *platform.XMLBinder) {
 	b.Profile("leaf_speeds", &s.LeafSpeeds)
 }
 
-// FatTree16 is the classic non-oversubscribed two-level fat-tree: 16 hosts
+// fatTree16 is the classic non-oversubscribed two-level fat-tree: 16 hosts
 // under 4-down-port leaf switches, 4 spine switches, full bisection.
-func FatTree16() FatTreeSpec {
+func fatTree16() FatTreeSpec {
 	return FatTreeSpec{
 		Name:          "fattree16",
 		Down:          []int{4, 4},
@@ -280,9 +280,9 @@ func FatTree16() FatTreeSpec {
 	}
 }
 
-// FatTree64 is a three-level 64-host fat-tree with 2:1 oversubscription at
+// fatTree64 is a three-level 64-host fat-tree with 2:1 oversubscription at
 // the two upper levels — a realistic mid-size cluster spine.
-func FatTree64() FatTreeSpec {
+func fatTree64() FatTreeSpec {
 	return FatTreeSpec{
 		Name:          "fattree64",
 		Down:          []int{4, 4, 4},
@@ -301,7 +301,7 @@ func parseFatTree(rest string) (Spec, error) {
 	if !found {
 		return nil, fmt.Errorf("topology: fattree spec %q: want fattree:<down ports>:<up ports>, e.g. fattree:4x4:1x4", rest)
 	}
-	spec := FatTree16()
+	spec := fatTree16()
 	spec.Name = specName("fattree", rest)
 	var err error
 	if spec.Down, err = parseIntList(strings.ReplaceAll(downs, "x", ","), ","); err != nil {
@@ -315,6 +315,6 @@ func parseFatTree(rest string) (Spec, error) {
 
 func init() {
 	platform.RegisterXMLSpec("fattree", (*FatTreeSpec).bindXML)
-	registerPreset("fattree16", func() Spec { return FatTree16() })
-	registerPreset("fattree64", func() Spec { return FatTree64() })
+	registerPreset("fattree16", func() Spec { return fatTree16() })
+	registerPreset("fattree64", func() Spec { return fatTree64() })
 }

@@ -30,8 +30,8 @@ func registerPreset(name string, build func() Spec) {
 	presets[name] = build
 }
 
-// PresetNames lists the built-in topology presets, sorted.
-func PresetNames() []string {
+// presetNames lists the built-in topology presets, sorted.
+func presetNames() []string {
 	names := make([]string, 0, len(presets))
 	for name := range presets {
 		names = append(names, name)
@@ -41,7 +41,7 @@ func PresetNames() []string {
 }
 
 // ParseSpec resolves a topology description string: either a preset name
-// (see PresetNames) or a compact shape grammar —
+// (see presetNames) or a compact shape grammar —
 //
 //	fattree:<down ports per level>:<up ports per level>   fattree:4x4:1x4
 //	torus:<dims>                                          torus:4x4x4
@@ -57,7 +57,7 @@ func ParseSpec(s string) (Spec, error) {
 	kind, rest, found := strings.Cut(s, ":")
 	if !found {
 		return nil, fmt.Errorf("topology: unknown spec %q (want a preset — %s — or fattree:..., torus:..., dragonfly:...)",
-			s, strings.Join(PresetNames(), ", "))
+			s, strings.Join(presetNames(), ", "))
 	}
 	switch kind {
 	case "fattree":

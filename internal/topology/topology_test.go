@@ -71,7 +71,7 @@ func checkDeterministic(t *testing.T, spec Spec) {
 }
 
 func TestFatTreeStructure(t *testing.T) {
-	spec := FatTree16()
+	spec := fatTree16()
 	p, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -102,13 +102,13 @@ func TestFatTreeStructure(t *testing.T) {
 }
 
 func TestFatTreeOversubscription(t *testing.T) {
-	full := FatTree16().Metrics()
-	over := FatTree16()
+	full := fatTree16().Metrics()
+	over := fatTree16()
 	over.Up = []int{1, 2} // halve the spine
 	if got := over.Metrics().BisectionBandwidth; got >= full.BisectionBandwidth {
 		t.Errorf("oversubscribed bisection %g not below full %g", got, full.BisectionBandwidth)
 	}
-	three := FatTree64()
+	three := fatTree64()
 	m := three.Metrics()
 	if m.Hosts != 64 || m.Diameter != 6 {
 		t.Errorf("fattree64 metrics %+v, want 64 hosts, diameter 6", m)
@@ -126,7 +126,7 @@ func TestFatTreeOversubscription(t *testing.T) {
 // every source outside the destination's top-level subtree reaches the
 // destination through the same spine switch, i.e. the same final descent.
 func TestFatTreeDModK(t *testing.T) {
-	spec := FatTree16()
+	spec := fatTree16()
 	p, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestTorusStructure(t *testing.T) {
 }
 
 func TestTorus3D(t *testing.T) {
-	spec := Torus64()
+	spec := torus64()
 	p, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestTorus3D(t *testing.T) {
 }
 
 func TestDragonflyStructure(t *testing.T) {
-	spec := Dragonfly72()
+	spec := dragonfly72()
 	p, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestDragonflyStructure(t *testing.T) {
 }
 
 func TestDeterministicRoutes(t *testing.T) {
-	for _, name := range PresetNames() {
+	for _, name := range presetNames() {
 		spec, err := ParseSpec(name)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +262,7 @@ func TestDeterministicRoutes(t *testing.T) {
 }
 
 func TestPresetsAndParse(t *testing.T) {
-	for _, name := range PresetNames() {
+	for _, name := range presetNames() {
 		spec, err := ParseSpec(name)
 		if err != nil {
 			t.Fatal(err)
@@ -317,7 +317,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := spec.(interface{ Hosts() int }).Hosts(); n < 2 {
+		if n := spec.(interface{ hosts() int }).hosts(); n < 2 {
 			t.Fatalf("ParseSpec(%q) accepted a shape with %d hosts", s, n)
 		}
 	})
@@ -327,7 +327,7 @@ func FuzzParseSpec(f *testing.F) {
 // cluster, reads the file back, and checks specs survive bit-exact and
 // still build.
 func TestXMLRoundTripTopologies(t *testing.T) {
-	ft, to, df := FatTree64(), Torus64(), Dragonfly72()
+	ft, to, df := fatTree64(), torus64(), dragonfly72()
 	var buf bytes.Buffer
 	if err := platform.WriteXML(&buf, platform.Griffon(), ft, to, df); err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestXMLRoundTripTopologies(t *testing.T) {
 // profile-bearing specs survive the XML dialect bit-exact.
 func TestHeterogeneousProfiles(t *testing.T) {
 	t.Run("fattree", func(t *testing.T) {
-		s := FatTree64()
+		s := fatTree64()
 		s.LevelWidths = []float64{1, 1, 0.5} // thin spine
 		s.LeafSpeeds = []float64{1, 0.5}     // alternating slow leaves
 		p, err := s.Build()
@@ -399,14 +399,14 @@ func TestHeterogeneousProfiles(t *testing.T) {
 		}
 		// The thin spine is now the bisection bottleneck: 32 top cables at
 		// half width, against 64 full-width level-1 cables.
-		homogeneous := FatTree64().Metrics().BisectionBandwidth
+		homogeneous := fatTree64().Metrics().BisectionBandwidth
 		if got := s.Metrics().BisectionBandwidth; got != homogeneous/2 {
 			t.Errorf("thin-spine bisection %v, want %v", got, homogeneous/2)
 		}
 	})
 
 	t.Run("torus", func(t *testing.T) {
-		s := Torus64()
+		s := torus64()
 		s.DimWidths = []float64{1, 1, 0.25} // weak inter-cabinet cables
 		s.RowSpeeds = []float64{2}
 		p, err := s.Build()
@@ -424,14 +424,14 @@ func TestHeterogeneousProfiles(t *testing.T) {
 			t.Errorf("d2 link bandwidth %v, want %v", got, s.LinkBandwidth/4)
 		}
 		// All extents are equal, so the weak dimension is the cut.
-		homogeneous := Torus64().Metrics().BisectionBandwidth
+		homogeneous := torus64().Metrics().BisectionBandwidth
 		if got := s.Metrics().BisectionBandwidth; got != homogeneous/4 {
 			t.Errorf("bisection %v, want %v", got, homogeneous/4)
 		}
 	})
 
 	t.Run("dragonfly", func(t *testing.T) {
-		s := Dragonfly72()
+		s := dragonfly72()
 		s.GroupSpeeds = []float64{1, 0.5}
 		s.GroupWidths = []float64{1, 0.5}
 		p, err := s.Build()
@@ -463,13 +463,13 @@ func TestHeterogeneousProfiles(t *testing.T) {
 		if !sawGlobal {
 			t.Fatal("route between groups 0 and 1 misses the g0-g1 cable")
 		}
-		if hom, got := Dragonfly72().Metrics().BisectionBandwidth, s.Metrics().BisectionBandwidth; got >= hom {
+		if hom, got := dragonfly72().Metrics().BisectionBandwidth, s.Metrics().BisectionBandwidth; got >= hom {
 			t.Errorf("heterogeneous bisection %v not below homogeneous %v", got, hom)
 		}
 	})
 
 	t.Run("xml-round-trip", func(t *testing.T) {
-		ft, to, df, cl := FatTree64(), Torus64(), Dragonfly72(), platform.Griffon()
+		ft, to, df, cl := fatTree64(), torus64(), dragonfly72(), platform.Griffon()
 		ft.LevelWidths, ft.LeafSpeeds = []float64{1, 1, 0.5}, []float64{1, 0.5}
 		to.DimWidths, to.RowSpeeds = []float64{1, 1, 0.25}, []float64{2}
 		df.GroupSpeeds, df.GroupWidths = []float64{1, 0.5}, []float64{1, 0.5}
@@ -493,11 +493,11 @@ func TestHeterogeneousProfiles(t *testing.T) {
 
 	t.Run("validation", func(t *testing.T) {
 		bad := []Spec{
-			func() Spec { s := FatTree64(); s.LevelWidths = []float64{1, 1}; return s }(),            // wrong length
-			func() Spec { s := FatTree64(); s.LeafSpeeds = []float64{0}; return s }(),                // zero entry
-			func() Spec { s := Torus64(); s.DimWidths = []float64{1}; return s }(),                   // wrong length
-			func() Spec { s := Torus64(); s.RowSpeeds = []float64{-1}; return s }(),                  // negative entry
-			func() Spec { s := Dragonfly72(); s.GroupWidths = []float64{1, math.NaN()}; return s }(), // NaN entry
+			func() Spec { s := fatTree64(); s.LevelWidths = []float64{1, 1}; return s }(),            // wrong length
+			func() Spec { s := fatTree64(); s.LeafSpeeds = []float64{0}; return s }(),                // zero entry
+			func() Spec { s := torus64(); s.DimWidths = []float64{1}; return s }(),                   // wrong length
+			func() Spec { s := torus64(); s.RowSpeeds = []float64{-1}; return s }(),                  // negative entry
+			func() Spec { s := dragonfly72(); s.GroupWidths = []float64{1, math.NaN()}; return s }(), // NaN entry
 		}
 		for i, s := range bad {
 			if err := s.Validate(); err == nil {

@@ -34,8 +34,8 @@ type TorusSpec struct {
 	RowSpeeds []float64
 }
 
-// Hosts returns the number of hosts (the product of Dims).
-func (s TorusSpec) Hosts() int {
+// hosts returns the number of hosts (the product of Dims).
+func (s TorusSpec) hosts() int {
 	n, _ := hostCount(s.Dims...)
 	return n
 }
@@ -77,7 +77,7 @@ func (s TorusSpec) Build() (*platform.Platform, error) {
 		return nil, err
 	}
 	p := platform.New(s.Name)
-	n := s.Hosts()
+	n := s.hosts()
 	ndims := len(s.Dims)
 	p.Reserve(n, 2*n*ndims)
 	// Link names are derived on demand from the build-order IDs (host i's
@@ -170,7 +170,7 @@ func (r *torusRouter) RouteInto(buf []*platform.Link, a, b *platform.Host) platf
 // wrap-around doubles the crossing cables, giving the classic 2*N/k value
 // for a homogeneous k-ary n-cube.
 func (s TorusSpec) Metrics() platform.TopoInfo {
-	n := s.Hosts()
+	n := s.hosts()
 	m := platform.TopoInfo{Kind: "torus", Hosts: n, Links: 2 * n * len(s.Dims)}
 	for d, k := range s.Dims {
 		m.Diameter += k / 2
@@ -196,8 +196,8 @@ func (s *TorusSpec) bindXML(b *platform.XMLBinder) {
 	b.Profile("row_speeds", &s.RowSpeeds)
 }
 
-// Torus64 is a 4x4x4 3D torus, 64 hosts with 6 neighbor cables each.
-func Torus64() TorusSpec {
+// torus64 is a 4x4x4 3D torus, 64 hosts with 6 neighbor cables each.
+func torus64() TorusSpec {
 	return TorusSpec{
 		Name:          "torus64",
 		Dims:          []int{4, 4, 4},
@@ -208,7 +208,7 @@ func Torus64() TorusSpec {
 }
 
 func parseTorus(rest string) (Spec, error) {
-	spec := Torus64()
+	spec := torus64()
 	spec.Name = specName("torus", rest)
 	var err error
 	if spec.Dims, err = parseIntList(rest, "x"); err != nil {
@@ -220,10 +220,10 @@ func parseTorus(rest string) (Spec, error) {
 func init() {
 	platform.RegisterXMLSpec("torus", (*TorusSpec).bindXML)
 	registerPreset("torus16", func() Spec {
-		s := Torus64()
+		s := torus64()
 		s.Name = "torus16"
 		s.Dims = []int{4, 4}
 		return s
 	})
-	registerPreset("torus64", func() Spec { return Torus64() })
+	registerPreset("torus64", func() Spec { return torus64() })
 }

@@ -19,7 +19,7 @@ var updateDialect = flag.Bool("update", false, "rewrite testdata/dialect.golden 
 func dialectSpecs(tb testing.TB) []platform.Spec {
 	tb.Helper()
 	specs := []platform.Spec{platform.Griffon(), platform.Gdx()}
-	for _, name := range PresetNames() {
+	for _, name := range presetNames() {
 		s, err := ParseSpec(name)
 		if err != nil {
 			tb.Fatal(err)
@@ -30,13 +30,13 @@ func dialectSpecs(tb testing.TB) []platform.Spec {
 	cl.Name = "griffon-mixed"
 	cl.CabinetSpeed = []float64{1, 0.5, 1.25}
 	cl.CabinetUplinkWidth = []float64{0.1, 1, 2.5e-7}
-	ft := FatTree64()
+	ft := fatTree64()
 	ft.Name = "fattree64-mixed"
 	ft.LevelWidths, ft.LeafSpeeds = []float64{1, 1, 0.5}, []float64{1, 0.3333333333333333}
-	to := Torus64()
+	to := torus64()
 	to.Name = "torus64-mixed"
 	to.DimWidths, to.RowSpeeds = []float64{1, 1, 0.25}, []float64{2}
-	df := Dragonfly72()
+	df := dragonfly72()
 	df.Name = "dragonfly72-mixed"
 	df.GroupSpeeds, df.GroupWidths = []float64{1, 0.5}, []float64{1, 0.5, 0.75}
 	return append(specs, cl, ft, to, df)

@@ -59,12 +59,12 @@ type Event struct {
 	Req int
 }
 
-// MaxProcs is the largest proc count Read accepts. Read sizes two per-rank
+// maxProcs is the largest proc count Read accepts. Read sizes two per-rank
 // slices from the header before any event line, so an unbounded count would
 // let a few bytes of input claim the machine's memory; at this bound they
 // take 32 MiB. It is sixteen times the largest platform the builders make
 // (65 536 hosts).
-const MaxProcs = 1 << 20
+const maxProcs = 1 << 20
 
 // Trace is a complete recording: one event stream per rank.
 type Trace struct {
@@ -175,8 +175,8 @@ func Read(r io.Reader) (*Trace, error) {
 	if _, err := fmt.Sscanf(header, "procs %d", &procs); err != nil {
 		return nil, fmt.Errorf("trace: bad header %q", header)
 	}
-	if procs <= 0 || procs > MaxProcs {
-		return nil, fmt.Errorf("trace: line 1: proc count %d outside [1, %d]", procs, MaxProcs)
+	if procs <= 0 || procs > maxProcs {
+		return nil, fmt.Errorf("trace: line 1: proc count %d outside [1, %d]", procs, maxProcs)
 	}
 	t := New(procs)
 	line := 1

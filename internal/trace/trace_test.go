@@ -146,17 +146,17 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 
 // TestReadBoundsProcCount: the header's proc count sizes Read's per-rank
 // slices, so a 19-byte file claiming 10^11 ranks used to take the
-// machine's memory. Read refuses counts above MaxProcs, naming line 1, and
-// still accepts MaxProcs itself.
+// machine's memory. Read refuses counts above maxProcs, naming line 1, and
+// still accepts maxProcs itself.
 func TestReadBoundsProcCount(t *testing.T) {
-	for _, in := range []string{"procs 100000000000", fmt.Sprintf("procs %d\n", MaxProcs+1), "procs 0\n", "procs -3\n"} {
+	for _, in := range []string{"procs 100000000000", fmt.Sprintf("procs %d\n", maxProcs+1), "procs 0\n", "procs -3\n"} {
 		if _, err := Read(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 1") {
 			t.Errorf("Read(%q) = %v, want an error naming line 1", in, err)
 		}
 	}
-	tr, err := Read(strings.NewReader(fmt.Sprintf("procs %d\n0 W 0\n", MaxProcs)))
-	if err != nil || tr.Procs != MaxProcs || tr.Events() != 1 {
-		t.Fatalf("Read at MaxProcs: %v", err)
+	tr, err := Read(strings.NewReader(fmt.Sprintf("procs %d\n0 W 0\n", maxProcs)))
+	if err != nil || tr.Procs != maxProcs || tr.Events() != 1 {
+		t.Fatalf("Read at maxProcs: %v", err)
 	}
 }
 
