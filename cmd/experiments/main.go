@@ -49,6 +49,7 @@ import (
 	"smpigo/internal/experiments"
 	"smpigo/internal/obs"
 	"smpigo/internal/smpi"
+	"smpigo/internal/topology"
 )
 
 func main() {
@@ -87,25 +88,48 @@ func runFigures(args []string) error {
 	if err != nil {
 		return err
 	}
-	env.Workers = *parallel
-	env.Seed = *seed
-	figures, err := selectFigures(experiments.Figures(env, *fast), *fig)
+	o := experiments.CampaignOptions{Workers: *parallel, Seed: seed}
+	figures, err := selectFigures(experiments.Figures(env, *fast, o), *fig)
 	if err != nil {
 		return err
 	}
-	var tables []*experiments.Table
+	return printFigures(figures, *jsonOut)
+}
+
+// printFigures runs the figures and prints each table with its claims, as
+// aligned text or, with jsonOut, as one JSON list. A failing claim fails
+// the command, once every figure has printed.
+func printFigures(figures []experiments.Figure, jsonOut bool) error {
+	type figureJSON struct {
+		*experiments.Table
+		Claims []experiments.Claim
+	}
+	var tables []figureJSON
+	var failing []string
 	for _, f := range figures {
-		t, _, err := f.Run()
+		t, claims, err := f.Run()
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", f.ID, err)
 		}
-		tables = append(tables, t)
-		if !*jsonOut {
-			fmt.Println(t.String())
+		tables = append(tables, figureJSON{t, claims})
+		text := t.String()
+		for _, c := range claims {
+			text += fmt.Sprintf("# claim %s\n", c)
+			if !c.Holds {
+				failing = append(failing, fmt.Sprintf("figure %s: %s", f.ID, c.Name))
+			}
+		}
+		if !jsonOut {
+			fmt.Println(text)
 		}
 	}
-	if *jsonOut {
-		return emitJSON(tables)
+	if jsonOut {
+		if err := emitJSON(tables); err != nil {
+			return err
+		}
+	}
+	if len(failing) > 0 {
+		return fmt.Errorf("%d claims fail:\n  %s", len(failing), strings.Join(failing, "\n  "))
 	}
 	return nil
 }
@@ -146,8 +170,8 @@ func runCampaign(args []string) error {
 	sizesArg := fs.String("sizes", "64KiB,1MiB,4MiB", "comma-separated message sizes, e.g. 64KiB,1MiB")
 	modelsArg := fs.String("models", "piecewise", "comma-separated surf models: piecewise,bestfit,default,ideal")
 	backendsArg := fs.String("backends", "surf", "comma-separated backends: surf,nocontention,openmpi,mpich2")
-	platformArg := fs.String("platform", "griffon", "target platform: griffon, gdx, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), or a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2); ignored when -topologies is set")
-	topologiesArg := fs.String("topologies", "", "comma-separated topology axis: griffon,gdx, presets (fattree16,fattree64,torus16,torus64,dragonfly72), or shapes (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
+	platformArg := fs.String("platform", "griffon", "target platform: griffon, gdx, a topology preset ("+strings.Join(topology.PresetNames(), ", ")+"), or a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2); ignored when -topologies is set")
+	topologiesArg := fs.String("topologies", "", "comma-separated topology axis: griffon,gdx, presets ("+strings.Join(topology.PresetNames(), ",")+"), or shapes (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
 	placementsArg := fs.String("placements", "", "comma-separated rank-placement axis: block,rr,random (empty = default layout)")
 	collectivesArg := fs.String("collectives", "", "collective algorithms for every job: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto from "+smpi.CollectivesUsage()+" (the first is the default)")
 	dynamicsArg := fs.String("dynamics", "", "comma-separated platform-event axis, each a dynamics schedule (\"none\" or \"@2ms link a-* scale 0.5; ...\"); schedules use ';' between events so they survive this comma-separated list")
@@ -206,9 +230,7 @@ func runCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	env.Workers = *parallel
-	env.Seed = *seed
-	sum, err := env.GridCampaign(spec)
+	sum, err := env.GridCampaignOpts(spec, experiments.CampaignOptions{Workers: *parallel, Seed: seed})
 	if err != nil {
 		return err
 	}

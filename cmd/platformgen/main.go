@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		topo     = flag.String("topo", "griffon", "preset or shape: griffon, gdx, custom, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), or a shape string (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
+		topo     = flag.String("topo", "griffon", "preset or shape: griffon, gdx, custom, a topology preset ("+strings.Join(topology.PresetNames(), ", ")+"), or a shape string (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
 		out      = flag.String("o", "-", "output file (- for stdout)")
 		metrics  = flag.Bool("metrics", false, "print structural metrics (hosts, links, diameter, bisection) as a trailing XML comment")
 		cabinets = flag.String("cabinets", "16,16", "custom: nodes per cabinet, comma separated")

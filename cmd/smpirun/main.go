@@ -35,6 +35,7 @@ import (
 	"smpigo/internal/platform"
 	"smpigo/internal/replay"
 	"smpigo/internal/smpi"
+	"smpigo/internal/topology"
 	"smpigo/internal/trace"
 )
 
@@ -65,7 +66,7 @@ type options struct {
 func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.app, "app", "pingpong", "application: "+strings.Join(appNames(), ", "))
 	fs.IntVar(&o.np, "np", 2, "number of MPI processes (ignored by dt, which sets it from -class)")
-	fs.StringVar(&o.platform, "platform", "griffon", "target platform: griffon, gdx, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2), or a platform XML file")
+	fs.StringVar(&o.platform, "platform", "griffon", "target platform: griffon, gdx, a topology preset ("+strings.Join(topology.PresetNames(), ", ")+"), a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2), or a platform XML file")
 	fs.StringVar(&o.backend, "backend", "surf", "timing backend: surf (analytical SMPI), nocontention (surf with link sharing off), or the packet-level testbed as openmpi (also spelled emu) or mpich2")
 	fs.StringVar(&o.model, "model", "piecewise", "surf model: ideal, default, bestfit, piecewise")
 	fs.StringVar(&o.chunk, "chunk", "4MiB", "per-rank payload for scatter/alltoall/pingpong")
@@ -211,8 +212,8 @@ func run(o options, w io.Writer) error {
 	switch name {
 	case "dt":
 		class := strings.ToUpper(strings.TrimSpace(o.class))
-		if class == "" {
-			return fmt.Errorf(`bad -class "": want S, W, A, B or C`)
+		if len(class) != 1 || !strings.Contains("SWABC", class) {
+			return fmt.Errorf("bad -class %q: want S, W, A, B or C", o.class)
 		}
 		graph := nas.DTGraph(strings.ToUpper(strings.TrimSpace(o.graph)))
 		dcfg := nas.DTConfig{Graph: graph, Class: nas.DTClass(class[0]), Fold: o.fold}

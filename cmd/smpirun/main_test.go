@@ -52,6 +52,7 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		{[]string{"-backend", "bogus"}, `"bogus"`},
 		{[]string{"-platform", "bogus"}, `"bogus"`},
 		{[]string{"-app", "dt", "-class", ""}, "-class"},
+		{[]string{"-app", "dt", "-class", "Wrong"}, `-class "Wrong": want S, W, A, B or C`},
 		{[]string{"-app", "ep", "-np", "4", "-ratio", "0"}, "-ratio 0: want a sampling ratio in (0, 1]"},
 		{[]string{"-app", "ep", "-np", "4", "-ratio", "-1"}, "-ratio -1: want a sampling ratio in (0, 1]"},
 		{[]string{"-app", "ep", "-np", "4", "-ratio", "1.5"}, "-ratio 1.5: want a sampling ratio in (0, 1]"},

@@ -44,6 +44,7 @@ type textFile struct {
 // A pkg is one non-test package of either module, type-checked.
 type pkg struct {
 	path  string // import path
+	files []*ast.File
 	types *types.Package
 	info  *types.Info
 }
@@ -110,7 +111,8 @@ var repo = sync.OnceValues(func() (*module, error) { return load(nil) })
 // load parses every .go file under root and type-checks the non-test
 // packages of both modules. overlay adds files (path relative to root,
 // source) to the module as if they were on disk; a test seeds a violation
-// with it.
+// with it. An overlay test file, like a test file on disk, is parsed but
+// not type-checked.
 func load(overlay map[string]string) (*module, error) {
 	pkgs, err := list()
 	if err != nil {
@@ -149,7 +151,9 @@ func load(overlay map[string]string) (*module, error) {
 		if err != nil {
 			return nil, err
 		}
-		extra[filepath.Dir(path)] = append(extra[filepath.Dir(path)], f)
+		if !strings.HasSuffix(path, "_test.go") {
+			extra[filepath.Dir(path)] = append(extra[filepath.Dir(path)], f)
+		}
 	}
 
 	absRoot, err := filepath.Abs(root)
@@ -184,13 +188,13 @@ func load(overlay map[string]string) (*module, error) {
 			files = append(files, parsed[dir+"/"+name])
 		}
 		files = append(files, extra[dir]...)
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 		tp, err := conf.Check(lp.ImportPath, m.fset, files, info)
 		if err != nil {
 			return nil, err
 		}
 		checked[lp.ImportPath] = tp
-		m.pkgs = append(m.pkgs, &pkg{lp.ImportPath, tp, info})
+		m.pkgs = append(m.pkgs, &pkg{lp.ImportPath, files, tp, info})
 	}
 	return m, nil
 }

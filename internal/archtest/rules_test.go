@@ -36,6 +36,7 @@ var rules = []rule{
 		"  go test ./internal/experiments/ -run CalibrationIsCurrent -update", calibrationIsData},
 	{"no benchmarks outside bench/", "time it in bench/ (workload or probe)", noBenchmarksOutsideBench},
 	{"every exported name has a caller", "delete or unexport each name, or list it in exemptions with the reason it stays exported", everyExportedNameHasACaller},
+	{"every exported field is set and read", "delete each field, or list it in fieldExemptions with the reason it stays", everyExportedFieldIsSetAndRead},
 }
 
 func TestRules(t *testing.T) {
@@ -321,20 +322,46 @@ func everyExportedNameHasACaller(m *module) []string {
 // uncalledNames returns the names uncalled reports that exempt does not
 // list, then each entry of exempt that no longer applies.
 func uncalledNames(m *module, exempt map[string]string) []string {
-	var out []string
-	flagged := map[string]bool{}
+	flagged := map[string]string{}
 	for _, name := range m.uncalled() {
-		flagged[name] = true
+		flagged[name] = "no non-test caller outside its package"
+	}
+	return unexempted(flagged, exempt, "it has a caller")
+}
+
+// everyExportedFieldIsSetAndRead: a field nothing sets is a setting no
+// one can change, and one nothing reads is a result no one looks at; both
+// are promises with no one to keep them. So every exported, non-embedded
+// field of an exported struct type under internal/ is set by a non-test
+// file and read by one (cmd/, examples/ and the bench module count), or
+// has an entry in fieldExemptions that says why it stays. Like the tenth
+// rule's list, that list only shrinks.
+func everyExportedFieldIsSetAndRead(m *module) []string {
+	return unsetOrUnreadFields(m, fieldExemptions)
+}
+
+// unsetOrUnreadFields returns the fields unsetOrUnread reports that exempt
+// does not list, then each entry of exempt that no longer applies.
+func unsetOrUnreadFields(m *module, exempt map[string]string) []string {
+	return unexempted(m.unsetOrUnread(), exempt, "it is set and read")
+}
+
+// unexempted returns "name: why" for each flagged name that exempt does not
+// list, then a line for each entry of exempt that flags no name: the name
+// is gone, or fixed (what fixed says).
+func unexempted(flagged, exempt map[string]string, fixed string) []string {
+	var out, stale []string
+	for name, why := range flagged {
 		if _, ok := exempt[name]; !ok {
-			out = append(out, name+": no non-test caller outside its package")
+			out = append(out, name+": "+why)
 		}
 	}
-	var stale []string
 	for name := range exempt {
-		if !flagged[name] {
-			stale = append(stale, name+": exempt, but it has a caller or is gone; delete the entry")
+		if _, ok := flagged[name]; !ok {
+			stale = append(stale, name+": exempt, but "+fixed+" or is gone; delete the entry")
 		}
 	}
+	slices.Sort(out)
 	slices.Sort(stale)
 	return append(out, stale...)
 }
@@ -413,6 +440,52 @@ func TestRulesRejectSeededViolations(t *testing.T) {
 			t.Errorf("%s on %v: got %q, want a violation: %v", c.rule, c.files, got, c.want)
 		}
 	}
+
+	// The field rule reads types. Each case declares a struct type name in
+	// internal/core, and package main of cmd/smpirun uses its field X
+	// through a package-level variable v<name>, in use or, in test, from a
+	// test file; one load checks them all.
+	fieldCases := []struct {
+		name, decl, use, test string
+		want                  bool
+	}{
+		{"Assigned", "struct{ X int }", "func init() { vAssigned.X = 1; println(vAssigned.X) }", "", false},
+		{"Unset", "struct{ X int }", "func init() { println(vUnset.X) }", "", true},
+		{"Unread", "struct{ X int }", "func init() { vUnread.X = 1 }", "", true},
+		{"Compound", "struct{ X int }", "func init() { vCompound.X += 1 }", "", false},
+		{"IncDec", "struct{ X int }", "func init() { vIncDec.X++ }", "", false},
+		{"Keyed", "struct{ X int }", "func init() { vKeyed = core.Keyed{X: 1}; println(vKeyed.X) }", "", false},
+		{"Positional", "struct{ X int }", "func init() { vPositional = core.Positional{1}; println(vPositional.X) }", "", false},
+		{"Elided", "struct{ X int }", "var elided = []*core.Elided{{X: 1}}\n\nfunc init() { println(elided[0].X, vElided.X) }", "", false},
+		{"Addressed", "struct{ X int }", "func init() { println(&vAddressed.X) }", "", false},
+		{"Receiver", "struct{ X atomic.Int64 }", "func init() { vReceiver.X.Add(1) }", "", false},
+		{"Element", "struct{ X [2]int }", "func init() { vElement.X[1] = 1; println(vElement.X[0]) }", "", false},
+		{"Nested", "struct{ X struct{ Y int } }", "func init() { vNested.X.Y = 1; println(vNested.X.Y) }", "", false},
+		{"Pointed", "struct{ X *struct{ Y int } }", "func init() { vPointed.X.Y = 1; println(vPointed.X.Y) }", "", true},
+		{"Tagged", "struct{ X int `json:\"x\"` }", "", "", false},
+		{"Untagged", "struct{ X int `json:\"-\"` }", "func init() { vUntagged.X = 1 }", "", true},
+		{"Commented", "struct{ X int }", "func init() {\n\t// vCommented.X = 1\n\tprintln(vCommented.X)\n}", "", true},
+		{"TestSet", "struct{ X int }", "func init() { println(vTestSet.X) }", "func init() { vTestSet.X = 1 }", true},
+	}
+	decls := "package core\n\nimport \"sync/atomic\"\n\nvar _ atomic.Int64\n"
+	uses := "package main\n\nimport \"smpigo/internal/core\"\n"
+	tests := "package main\n"
+	for _, c := range fieldCases {
+		decls += fmt.Sprintf("\ntype %s %s\n", c.name, c.decl)
+		uses += fmt.Sprintf("\nvar v%s core.%s\n\n%s\n", c.name, c.name, c.use)
+		tests += "\n" + c.test + "\n"
+	}
+	m, err := load(map[string]string{"internal/core/seeded.go": decls, "cmd/smpirun/seeded.go": uses, "cmd/smpirun/seeded_test.go": tests})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := m.unsetOrUnread()
+	for _, c := range fieldCases {
+		field := "core." + c.name + ".X"
+		if why, ok := flagged[field]; ok != c.want {
+			t.Errorf("every exported field is set and read on %s %s used as %q: got %q, want a violation: %v", c.name, c.decl, c.use, why, c.want)
+		}
+	}
 }
 
 // A re-added MPI call that nothing makes fails the MPI rule and the tenth.
@@ -432,7 +505,8 @@ func TestUncalledMPICallFails(t *testing.T) {
 }
 
 // An exemption for a name that has a caller, or for one that is gone,
-// fails the tenth rule.
+// fails the tenth rule; one for a field that is set and read, or gone,
+// fails the field rule.
 func TestStaleExemptionFails(t *testing.T) {
 	m, err := repo()
 	if err != nil {
@@ -446,6 +520,17 @@ func TestStaleExemptionFails(t *testing.T) {
 		"smpi.Rank.Send: exempt, but it has a caller or is gone; delete the entry",
 	}
 	if got := uncalledNames(m, exempt); !slices.Equal(got, want) {
+		t.Errorf("got %q, want %q", got, want)
+	}
+
+	fieldExempt := maps.Clone(fieldExemptions)
+	fieldExempt["smpi.Config.Procs"] = "is set and read"
+	fieldExempt["smpi.Config.Deadline"] = "is gone"
+	want = []string{
+		"smpi.Config.Deadline: exempt, but it is set and read or is gone; delete the entry",
+		"smpi.Config.Procs: exempt, but it is set and read or is gone; delete the entry",
+	}
+	if got := unsetOrUnreadFields(m, fieldExempt); !slices.Equal(got, want) {
 		t.Errorf("got %q, want %q", got, want)
 	}
 }

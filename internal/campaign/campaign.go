@@ -29,16 +29,12 @@ type Job struct {
 	Run func(ctx *Ctx) (*Outcome, error)
 }
 
-// Ctx is the deterministic identity handed to a running job.
+// Ctx is what a running job receives: its seed.
 type Ctx struct {
-	// ID is the job's ID.
-	ID string
 	// Seed is derived from the campaign seed and the job ID; pass it to
 	// smpi.Config.Seed (or seed any other generator) so the job's stream is
 	// independent of scheduling.
 	Seed uint64
-	// RNG is a generator pre-seeded with Seed for convenience.
-	RNG *core.RNG
 }
 
 // Outcome is what a successful job reports back.
@@ -270,8 +266,7 @@ func runOne(seed uint64, job Job, duplicate bool) (res Result) {
 			res.Err = fmt.Errorf("campaign: job %q panicked: %v\n%s", job.ID, r, debug.Stack())
 		}
 	}()
-	ctx := &Ctx{ID: job.ID, Seed: res.Seed, RNG: core.NewRNG(res.Seed)}
-	out, err := job.Run(ctx)
+	out, err := job.Run(&Ctx{Seed: res.Seed})
 	if err != nil {
 		res.Err = fmt.Errorf("campaign: job %q: %w", job.ID, err)
 		return res

@@ -21,10 +21,11 @@ func noisyJobs(n int) []Job {
 			Run: func(ctx *Ctx) (*Outcome, error) {
 				// Consume a seed-dependent amount of the stream so jobs do
 				// unequal work and finish out of submission order.
-				draws := 1 + int(ctx.RNG.Uint64()%64)
+				rng := core.NewRNG(ctx.Seed)
+				draws := 1 + int(rng.Uint64()%64)
 				var acc float64
 				for d := 0; d < draws; d++ {
-					acc += ctx.RNG.Float64()
+					acc += rng.Float64()
 				}
 				return &Outcome{
 					SimulatedTime: core.Time(acc),
@@ -93,8 +94,8 @@ func TestDifferentCampaignSeedsDiffer(t *testing.T) {
 
 func TestPanicIsolation(t *testing.T) {
 	jobs := noisyJobs(6)
-	jobs[2].Run = func(ctx *Ctx) (*Outcome, error) {
-		panic("boom at " + ctx.ID)
+	jobs[2].Run = func(*Ctx) (*Outcome, error) {
+		panic("boom at " + jobs[2].ID)
 	}
 	sum := Run(Options{Workers: 4, Seed: 3}, jobs)
 	if sum.Failed != 1 {

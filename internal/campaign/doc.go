@@ -8,8 +8,8 @@
 // described by its ID and scenario tags. Determinism is structural rather
 // than accidental:
 //
-//   - every job receives an RNG seeded by core.DeriveSeed(campaign seed,
-//     job ID), so its random stream is a pure function of the campaign seed
+//   - every job receives a seed, core.DeriveSeed(campaign seed, job ID), as
+//     its Ctx, so its random stream is a pure function of the campaign seed
 //     and the job's identity — never of worker count or scheduling order;
 //   - results are collected into a slice indexed by submission order, so
 //     aggregation never observes completion order;

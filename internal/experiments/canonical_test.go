@@ -36,7 +36,7 @@ func tableSpecs() []GridSpec {
 }
 
 // TestBatchAndServiceAgree holds a library caller's view of a spec (its
-// job count and GridCampaign on the spec as given, as the figures run it)
+// job count and GridCampaignOpts on the spec as given, as the figures run it)
 // against the front ends' (the same on its canonical form, which smpigod
 // and the batch CLI run): both accept it or both refuse it, both count the
 // same jobs, a respelled single-point spec runs the very campaign its
@@ -62,11 +62,11 @@ func TestBatchAndServiceAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		given, err := e.GridCampaign(spec)
+		given, err := e.GridCampaignOpts(spec, CampaignOptions{})
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
-		canonical, err := e.GridCampaign(c)
+		canonical, err := e.GridCampaignOpts(c, CampaignOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestBatchAndServiceAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := e.GridCampaign(fig11)
+	served, err := e.GridCampaignOpts(fig11, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runs, err := perRankFigure(e, "Figure 11", "alltoall", 3)
+	_, runs, err := perRankFigure(e, CampaignOptions{}, "Figure 11", "alltoall", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ var perRankColumns = []struct{ backend, header string }{
 // perRankFigure runs op over 16 processes with 4 MiB per rank, once per
 // column, and tabulates each rank's completion: the shared body of Figures
 // 7 and 11, which add their own notes and claims from the returned runs.
-func perRankFigure(env *Env, title, op string, columns int) (*Table, []*collectiveRun, error) {
+func perRankFigure(env *Env, o CampaignOptions, title, op string, columns int) (*Table, []*collectiveRun, error) {
 	const procs = 16
 	spec := GridSpec{Op: op, Procs: []int{procs}, Sizes: []int64{4 * core.MiB}}
 	t := &Table{Title: title, Header: []string{"rank"}}
@@ -29,7 +29,7 @@ func perRankFigure(env *Env, title, op string, columns int) (*Table, []*collecti
 		spec.Backends = append(spec.Backends, c.backend)
 		t.Header = append(t.Header, c.header)
 	}
-	runs, err := env.gridRuns(CampaignOptions{}, spec)
+	runs, err := env.gridRuns(o, spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -48,8 +48,8 @@ func perRankFigure(env *Env, title, op string, columns int) (*Table, []*collecti
 // contention vs emulated OpenMPI and MPICH2. The paper's claims, on the
 // slowest rank: the no-contention model always underestimates, and
 // contention-aware SMPI lands near both real implementations.
-func figure7(env *Env) (*Table, []Claim, error) {
-	t, runs, err := perRankFigure(env, "Figure 7: per-process binomial scatter, 16 procs, 4MiB chunks (seconds)", "scatter", 4)
+func figure7(env *Env, o CampaignOptions) (*Table, []Claim, error) {
+	t, runs, err := perRankFigure(env, o, "Figure 7: per-process binomial scatter, 16 procs, 4MiB chunks (seconds)", "scatter", 4)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -70,8 +70,8 @@ func figure7(env *Env) (*Table, []Claim, error) {
 // figure11 reproduces Figure 11: per-process pairwise all-to-all with 4 MiB
 // messages over 16 processes. Paper: ~78% error without contention, <1%
 // with it (the claim accepts 30%).
-func figure11(env *Env) (*Table, []Claim, error) {
-	t, runs, err := perRankFigure(env, "Figure 11: per-process pairwise all-to-all, 16 procs, 4MiB messages (seconds)", "alltoall", 3)
+func figure11(env *Env, o CampaignOptions) (*Table, []Claim, error) {
+	t, runs, err := perRankFigure(env, o, "Figure 11: per-process pairwise all-to-all, 16 procs, 4MiB messages (seconds)", "alltoall", 3)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -89,27 +89,27 @@ func figure11(env *Env) (*Table, []Claim, error) {
 
 // figure8 reproduces Figure 8: binomial scatter accuracy vs message size,
 // 16 processes, SMPI vs OpenMPI.
-func figure8(env *Env) (*Table, []Claim, error) {
-	return sweepCollective(env, "Figure 8: scatter time vs message size (16 procs)", "scatter", 0.25)
+func figure8(env *Env, o CampaignOptions) (*Table, []Claim, error) {
+	return sweepCollective(env, o, "Figure 8: scatter time vs message size (16 procs)", "scatter", 0.25)
 }
 
 // figure12 reproduces Figure 12: pairwise all-to-all accuracy vs message
 // size, 16 processes.
-func figure12(env *Env) (*Table, []Claim, error) {
-	return sweepCollective(env, "Figure 12: all-to-all time vs message size (16 procs)", "alltoall", 0.3)
+func figure12(env *Env, o CampaignOptions) (*Table, []Claim, error) {
+	return sweepCollective(env, o, "Figure 12: all-to-all time vs message size (16 procs)", "alltoall", 0.3)
 }
 
 // sweepCollective runs op over a message-size sweep on SMPI and OpenMPI.
 // Its claims: messages of 1 MiB and more (the last two sizes) are predicted
 // within ±tol of OpenMPI.
-func sweepCollective(env *Env, title, op string, tol float64) (*Table, []Claim, error) {
+func sweepCollective(env *Env, o CampaignOptions, title, op string, tol float64) (*Table, []Claim, error) {
 	t := &Table{
 		Title:  title,
 		Header: []string{"size", "smpi_s", "openmpi_s", "err_pct"},
 	}
 	// The whole size sweep — every (size, backend) point — is one campaign.
 	sizes := []int64{64, 1024, 16 * core.KiB, 128 * core.KiB, core.MiB, 4 * core.MiB}
-	runs, err := env.gridRuns(CampaignOptions{}, GridSpec{
+	runs, err := env.gridRuns(o, GridSpec{
 		Op: op, Procs: []int{16}, Sizes: sizes, Backends: []string{"surf", "openmpi"},
 	})
 	if err != nil {
@@ -135,13 +135,13 @@ func sweepCollective(env *Env, title, op string, tol float64) (*Table, []Claim, 
 // and a growing number of processes (4 to 32); SMPI vs OpenMPI vs MPICH2.
 // The paper shows very consistent results across process counts; the
 // total data, and so the time, grows with P.
-func figure9(env *Env) (*Table, []Claim, error) {
+func figure9(env *Env, o CampaignOptions) (*Table, []Claim, error) {
 	t := &Table{
 		Title:  "Figure 9: scatter time vs process count (4MiB receive buffers)",
 		Header: []string{"procs", "smpi_s", "openmpi_s", "mpich2_s", "err_pct"},
 	}
 	procCounts := []int{4, 8, 16, 32}
-	runs, err := env.gridRuns(CampaignOptions{}, GridSpec{
+	runs, err := env.gridRuns(o, GridSpec{
 		Op: "scatter", Procs: procCounts, Sizes: []int64{4 * core.MiB},
 		Backends: []string{"surf", "openmpi", "mpich2"},
 	})

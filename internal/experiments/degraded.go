@@ -34,7 +34,7 @@ func degradedSweepFractions() []float64 { return []float64{1, 0.5, 0.25, 0.1} }
 // the healthy run is its own baseline (slowdown exactly 1), cutting the
 // trunk further always costs more, and the slowdown stays below 1/fraction
 // because part of the all-to-all rides healthy links.
-func degradedSweep(env *Env, chunk int64) (*Table, []Claim, error) {
+func degradedSweep(env *Env, o CampaignOptions, chunk int64) (*Table, []Claim, error) {
 	var specs []GridSpec
 	for _, tp := range degradedSweepTopos() {
 		plat, err := env.Platform(tp.topo)
@@ -54,7 +54,7 @@ func degradedSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 		}
 		specs = append(specs, spec)
 	}
-	runs, err := env.gridRuns(CampaignOptions{}, specs...)
+	runs, err := env.gridRuns(o, specs...)
 	if err != nil {
 		return nil, nil, err
 	}

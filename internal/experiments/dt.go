@@ -26,7 +26,7 @@ func dtJob(id string, cfg smpi.Config, dcfg nas.DTConfig, procs int) campaign.Jo
 // uses the class defaults. Its claims: BH is slower than WH on both back
 // ends for each class, and the mean error stays within 30% (paper: 8.11%
 // average, 23.5% worst).
-func figure15(env *Env, payload int) (*Table, []Claim, error) {
+func figure15(env *Env, o CampaignOptions, payload int) (*Table, []Claim, error) {
 	t := &Table{
 		Title:  "Figure 15: NAS DT execution time (seconds)",
 		Header: []string{"graph", "class", "smpi_s", "openmpi_s", "err_pct"},
@@ -50,7 +50,7 @@ func figure15(env *Env, payload int) (*Table, []Claim, error) {
 			)
 		}
 	}
-	outs, err := env.runCampaign(jobs)
+	outs, err := o.run(jobs).Outcomes()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -88,7 +88,7 @@ const hostRAM = 2 * float64(core.GiB)
 // classification always uses the class scale. Its claims: folding shrinks
 // every configuration that also ran unfolded, by at least 3x on average
 // (paper: 11.9x, up to 40.5x), and SH class C (448 processes) is OM.
-func figure16(env *Env, payloadScale float64) (*Table, []Claim, error) {
+func figure16(env *Env, o CampaignOptions, payloadScale float64) (*Table, []Claim, error) {
 	t := &Table{
 		Title:  "Figure 16: DT max RSS per process (MiB), with and without RAM folding",
 		Header: []string{"graph", "class", "procs", "smpi_MiB", "folded_MiB", "ratio"},
@@ -142,7 +142,7 @@ func figure16(env *Env, payloadScale float64) (*Table, []Claim, error) {
 			points = append(points, pt)
 		}
 	}
-	outs, err := env.runCampaign(jobs)
+	outs, err := o.run(jobs).Outcomes()
 	if err != nil {
 		return nil, nil, err
 	}

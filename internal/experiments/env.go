@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"smpigo/internal/calibrate"
-	"smpigo/internal/campaign"
 	"smpigo/internal/platform"
 	"smpigo/internal/skampi"
 	"smpigo/internal/surf"
@@ -14,6 +13,8 @@ import (
 // Env is the shared experimental environment: both clusters and the three
 // point-to-point models. As the paper calibrates once (Section 6), the models
 // are data: Calibrate's result on the emulated griffon, in calibration_data.go.
+// Nothing sets its fields after NewEnv; a campaign's settings are its
+// CampaignOptions.
 type Env struct {
 	Griffon *platform.Platform
 	Gdx     *platform.Platform
@@ -22,13 +23,6 @@ type Env struct {
 	Default   surf.NetModel
 	BestFit   surf.NetModel
 	Piecewise surf.NetModel
-
-	// Workers bounds the worker pool every figure's campaign fans its
-	// independent simulations out over (0 = GOMAXPROCS). Simulated results
-	// are bit-identical at any setting; only wall-clock time changes.
-	Workers int
-	// Seed is the campaign seed; each job derives its own seed from it.
-	Seed uint64
 
 	// topoPlatforms caches generated topology platforms by axis name so
 	// every job of a sweep shares one instance and its route cache.
@@ -73,12 +67,4 @@ func buildEnv() (*Env, error) {
 	}
 	return &Env{Griffon: griffon, Gdx: gdx,
 		Default: calibration[0], BestFit: calibration[1], Piecewise: calibration[2]}, nil
-}
-
-// runCampaign fans the jobs out over the env's worker pool and returns
-// their outcomes in submission order (independent of completion order), so
-// figure harnesses can index results positionally.
-func (e *Env) runCampaign(jobs []campaign.Job) ([]*campaign.Outcome, error) {
-	sum := campaign.Run(campaign.Options{Workers: e.Workers, Seed: e.Seed}, jobs)
-	return sum.Outcomes()
 }

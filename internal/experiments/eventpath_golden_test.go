@@ -29,18 +29,16 @@ func TestEventPathFingerprintUnchanged(t *testing.T) {
 		Topologies: []string{"fattree:16x8x8:1x8x8"},
 	}
 	for _, workers := range []int{1, 8} {
-		withCampaign(e, workers, 7, func() {
-			sum, err := e.GridCampaign(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sum.Fingerprint(); got != solverSmokeFingerprint {
-				t.Errorf("workers=%d: solver-smoke fingerprint %s, want pre-heap golden %s — the event path changed simulated timestamps",
-					workers, got, solverSmokeFingerprint)
-			}
-		})
+		sum, err := e.GridCampaignOpts(spec, opts(workers, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sum.Fingerprint(); got != solverSmokeFingerprint {
+			t.Errorf("workers=%d: solver-smoke fingerprint %s, want pre-heap golden %s — the event path changed simulated timestamps",
+				workers, got, solverSmokeFingerprint)
+		}
 	}
 }

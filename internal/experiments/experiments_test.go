@@ -48,14 +48,9 @@ func TestEnvCalibration(t *testing.T) {
 	}
 }
 
-// withCampaign runs fn with the env temporarily configured for the given
-// worker count and seed, restoring the previous settings afterwards (the
-// env is shared across tests).
-func withCampaign(e *Env, workers int, seed uint64, fn func()) {
-	prevW, prevS := e.Workers, e.Seed
-	e.Workers, e.Seed = workers, seed
-	defer func() { e.Workers, e.Seed = prevW, prevS }()
-	fn()
+// opts is a campaign on the given worker count and seed.
+func opts(workers int, seed uint64) CampaignOptions {
+	return CampaignOptions{Workers: workers, Seed: &seed}
 }
 
 // TestFigureCampaignDeterministicAcrossWorkers holds the acceptance
@@ -67,20 +62,18 @@ func TestFigureCampaignDeterministicAcrossWorkers(t *testing.T) {
 	if !testing.Short() {
 		ids = append(ids, "topo", "placement") // slow sweeps
 	}
-	for _, f := range Figures(e, true) {
+	for j, f := range Figures(e, true, CampaignOptions{}) {
 		if !slices.Contains(ids, f.ID) {
 			continue
 		}
 		var tables [2]string
 		var claims [2][]Claim
 		for i, workers := range []int{1, 8} {
-			withCampaign(e, workers, 77, func() {
-				tb, cl, err := f.Run()
-				if err != nil {
-					t.Fatalf("figure %s: %v", f.ID, err)
-				}
-				tables[i], claims[i] = tb.String(), cl
-			})
+			tb, cl, err := Figures(e, true, opts(workers, 77))[j].Run()
+			if err != nil {
+				t.Fatalf("figure %s: %v", f.ID, err)
+			}
+			tables[i], claims[i] = tb.String(), cl
 		}
 		if tables[0] != tables[1] {
 			t.Errorf("figure %s: table at workers=1\n%s\ndiffers at workers=8\n%s", f.ID, tables[0], tables[1])
@@ -102,19 +95,17 @@ func TestGridCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 	fingerprints := make(map[string]int)
 	for _, workers := range []int{1, 4} {
-		withCampaign(e, workers, 42, func() {
-			sum, err := e.GridCampaign(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if sum.Jobs != 12 {
-				t.Fatalf("grid expanded to %d jobs, want 12", sum.Jobs)
-			}
-			fingerprints[sum.Fingerprint()]++
-		})
+		sum, err := e.GridCampaignOpts(spec, opts(workers, 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if sum.Jobs != 12 {
+			t.Fatalf("grid expanded to %d jobs, want 12", sum.Jobs)
+		}
+		fingerprints[sum.Fingerprint()]++
 	}
 	if len(fingerprints) != 1 {
 		t.Errorf("grid campaign fingerprints differ across worker counts: %v", fingerprints)
@@ -136,27 +127,25 @@ func TestGridTopologyAxisDeterministic(t *testing.T) {
 	}
 	fingerprints := make(map[string]int)
 	for _, workers := range []int{1, 4} {
-		withCampaign(e, workers, 7, func() {
-			sum, err := e.GridCampaign(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if sum.Jobs != 5 {
-				t.Fatalf("grid expanded to %d jobs, want 5", sum.Jobs)
-			}
-			fingerprints[sum.Fingerprint()]++
-		})
+		sum, err := e.GridCampaignOpts(spec, opts(workers, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if sum.Jobs != 5 {
+			t.Fatalf("grid expanded to %d jobs, want 5", sum.Jobs)
+		}
+		fingerprints[sum.Fingerprint()]++
 	}
 	if len(fingerprints) != 1 {
 		t.Errorf("topology-axis fingerprints differ across worker counts: %v", fingerprints)
 	}
-	if _, err := e.GridCampaign(GridSpec{
+	if _, err := e.GridCampaignOpts(GridSpec{
 		Op: "scatter", Procs: []int{4}, Sizes: []int64{1024},
 		Backends: []string{"surf"}, Topologies: []string{"not-a-topology"},
-	}); err == nil {
+	}, CampaignOptions{}); err == nil {
 		t.Error("unknown topology should fail expansion")
 	}
 }
@@ -179,33 +168,31 @@ func TestGridPlacementAxisDeterministic(t *testing.T) {
 	}
 	fingerprints := make(map[string]int)
 	for _, workers := range []int{1, 8} {
-		withCampaign(e, workers, 11, func() {
-			sum, err := e.GridCampaign(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if sum.Jobs != 6 {
-				t.Fatalf("grid expanded to %d jobs, want 6", sum.Jobs)
-			}
-			fingerprints[sum.Fingerprint()]++
-		})
+		sum, err := e.GridCampaignOpts(spec, opts(workers, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if sum.Jobs != 6 {
+			t.Fatalf("grid expanded to %d jobs, want 6", sum.Jobs)
+		}
+		fingerprints[sum.Fingerprint()]++
 	}
 	if len(fingerprints) != 1 {
 		t.Errorf("placement-axis fingerprints differ across worker counts: %v", fingerprints)
 	}
-	if _, err := e.GridCampaign(GridSpec{
+	if _, err := e.GridCampaignOpts(GridSpec{
 		Op: "scatter", Procs: []int{4}, Sizes: []int64{1024},
 		Backends: []string{"surf"}, Placements: []string{"zigzag"},
-	}); err == nil {
+	}, CampaignOptions{}); err == nil {
 		t.Error("unknown placement should fail expansion")
 	}
-	if _, err := e.GridCampaign(GridSpec{
+	if _, err := e.GridCampaignOpts(GridSpec{
 		Op: "scatter", Procs: []int{4}, Sizes: []int64{1024},
 		Backends: []string{"surf"}, Collectives: "frobnicate=yes",
-	}); err == nil {
+	}, CampaignOptions{}); err == nil {
 		t.Error("unknown collective override should fail before running")
 	}
 }
@@ -228,20 +215,18 @@ func TestDynamicsFingerprintDeterministic(t *testing.T) {
 	var sums []*campaign.Summary
 	fingerprints := make(map[string]int)
 	for _, workers := range []int{1, 8} {
-		withCampaign(e, workers, 23, func() {
-			sum, err := e.GridCampaign(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if sum.Jobs != 2 {
-				t.Fatalf("grid expanded to %d jobs, want 2 (static + degraded)", sum.Jobs)
-			}
-			sums = append(sums, sum)
-			fingerprints[sum.Fingerprint()]++
-		})
+		sum, err := e.GridCampaignOpts(spec, opts(workers, 23))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if sum.Jobs != 2 {
+			t.Fatalf("grid expanded to %d jobs, want 2 (static + degraded)", sum.Jobs)
+		}
+		sums = append(sums, sum)
+		fingerprints[sum.Fingerprint()]++
 	}
 	if len(fingerprints) != 1 {
 		t.Errorf("dynamics-axis fingerprints differ across worker counts: %v", fingerprints)
@@ -258,25 +243,25 @@ func TestDynamicsFingerprintDeterministic(t *testing.T) {
 
 	// Emulated backends have no LMM constraints to retune; the axis must
 	// refuse them rather than silently ignore the schedule.
-	if _, err := e.GridCampaign(GridSpec{
+	if _, err := e.GridCampaignOpts(GridSpec{
 		Op: "scatter", Procs: []int{4}, Sizes: []int64{1024},
 		Backends: []string{"openmpi"}, Dynamics: []string{"@1ms link griffon-* scale 0.5"},
-	}); err == nil {
+	}, CampaignOptions{}); err == nil {
 		t.Error("dynamics on an emulated backend should fail expansion")
 	}
 	// Contention-blind links ignore capacities, so a schedule would only fail
 	// later, inside the job: the axis refuses it at the door too.
-	if _, err := e.GridCampaign(GridSpec{
+	if _, err := e.GridCampaignOpts(GridSpec{
 		Op: "alltoall", Procs: []int{4}, Sizes: []int64{1024},
 		Backends: []string{"nocontention"}, Dynamics: []string{"@0s link griffon-* scale 0.5"},
-	}); err == nil {
+	}, CampaignOptions{}); err == nil {
 		t.Error("dynamics on the nocontention backend should fail expansion")
 	}
 	// A malformed schedule fails expansion, not the job.
-	if _, err := e.GridCampaign(GridSpec{
+	if _, err := e.GridCampaignOpts(GridSpec{
 		Op: "scatter", Procs: []int{4}, Sizes: []int64{1024},
 		Backends: []string{"surf"}, Dynamics: []string{"@wat link a-* scale 0.5"},
-	}); err == nil {
+	}, CampaignOptions{}); err == nil {
 		t.Error("malformed dynamics schedule should fail expansion")
 	}
 }

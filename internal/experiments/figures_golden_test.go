@@ -4,17 +4,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/figures.golden, testdata/claims.golden and calibration_data.go from this build")
 
-// TestFigures runs every figure once, as Figures(e, true) runs them, under
-// seed 0: each must make at least one claim, and every claim must hold. A
-// full run also compares the tables of every figure but 17 and 18 (their
-// wall-clock columns are not a function of the seed) with
+// TestFigures runs every figure once, as cmd/experiments -fast runs them,
+// under seed 0: each must make at least one claim, and every claim must
+// hold. A full run also compares the tables of every figure but 17 and 18
+// (their wall-clock columns are not a function of the seed) with
 // testdata/figures.golden, and every claim — name, verdict and the values
 // it was decided on — with testdata/claims.golden. The tables print every
 // simulated quantity the figures report, so any change that moves one fails
@@ -24,54 +23,38 @@ var update = flag.Bool("update", false, "rewrite testdata/figures.golden, testda
 func TestFigures(t *testing.T) {
 	slow := map[string]bool{"11": true, "12": true, "17": true, "topo": true, "placement": true, "degraded": true}
 	e := env(t)
-	figures := Figures(e, true)
+	figures := Figures(e, true, CampaignOptions{})
 	var tables, claims strings.Builder
 	ran := 0
-	withCampaign(e, 0, 0, func() {
-		for _, f := range figures {
-			t.Run(f.ID, func(t *testing.T) {
-				if testing.Short() && slow[f.ID] {
-					t.Skip("slow figure; run without -short")
+	for _, f := range figures {
+		t.Run(f.ID, func(t *testing.T) {
+			if testing.Short() && slow[f.ID] {
+				t.Skip("slow figure; run without -short")
+			}
+			tb, cl, err := f.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cl) == 0 {
+				t.Error("figure makes no claim")
+			}
+			for _, c := range cl {
+				if !c.Holds {
+					t.Errorf("claim fails: %s %v", c.Name, c.Values)
 				}
-				tb, cl, err := f.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(cl) == 0 {
-					t.Error("figure makes no claim")
-				}
-				for _, c := range cl {
-					if !c.Holds {
-						t.Errorf("claim fails: %s %v", c.Name, c.Values)
-					}
-					fmt.Fprintf(&claims, "%s: %s\n", f.ID, formatClaim(c))
-				}
-				if f.ID != "17" && f.ID != "18" {
-					fmt.Fprintf(&tables, "%s\n", tb)
-				}
-				ran++
-			})
-		}
-	})
+				fmt.Fprintf(&claims, "%s: %s\n", f.ID, c)
+			}
+			if f.ID != "17" && f.ID != "18" {
+				fmt.Fprintf(&tables, "%s\n", tb)
+			}
+			ran++
+		})
+	}
 	if ran < len(figures) {
 		return // a figure was skipped, filtered out or failed: the goldens would not match
 	}
 	compareGolden(t, "testdata/figures.golden", tables.String())
 	compareGolden(t, "testdata/claims.golden", claims.String())
-}
-
-// formatClaim renders a claim as one claims.golden line: its verdict, its
-// name and its values in the shortest form that parses back exactly.
-func formatClaim(c Claim) string {
-	verdict := "holds"
-	if !c.Holds {
-		verdict = "FAILS"
-	}
-	vals := make([]string, len(c.Values))
-	for i, v := range c.Values {
-		vals[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return fmt.Sprintf("%s: %s [%s]", verdict, c.Name, strings.Join(vals, " "))
 }
 
 // compareGolden compares got with the file at path line for line, or

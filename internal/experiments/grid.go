@@ -352,33 +352,40 @@ func (pt gridPoint) tags(op string) map[string]string {
 	return t
 }
 
-// CampaignOptions adjusts how GridCampaignOpts executes an expanded grid.
-// The zero value reproduces GridCampaign exactly.
+// CampaignOptions are a campaign's run settings, and their one home: the
+// Env, shared by every caller of the process, holds none. The zero value
+// runs on GOMAXPROCS workers under seed 0.
 type CampaignOptions struct {
 	// Ctx cancels the campaign mid-run (see campaign.RunAll); nil means
 	// context.Background().
 	Ctx context.Context
-	// Workers overrides Env.Workers when non-zero, so a shared Env (it is a
-	// process-wide singleton) can serve callers with different pool sizes
-	// without mutation.
+	// Workers bounds the worker pool (0 = GOMAXPROCS). Simulated results
+	// are bit-identical at any setting; only wall-clock time changes.
 	Workers int
-	// Seed overrides Env.Seed when non-nil, for the same reason.
+	// Seed is the campaign seed, from which each job derives its own; nil
+	// means 0.
 	Seed *uint64
 	// OnResult streams per-job results in completion order (see
 	// campaign.Options.OnResult).
 	OnResult func(i int, r campaign.Result)
 }
 
-// GridCampaign expands the spec into campaign jobs and runs them on the
-// env's worker pool, returning the full summary (including failures, so a
-// broken scenario point does not void the rest of the sweep).
-func (e *Env) GridCampaign(spec GridSpec) (*campaign.Summary, error) {
-	return e.GridCampaignOpts(spec, CampaignOptions{})
+// run runs the jobs as one campaign under o.
+func (o CampaignOptions) run(jobs []campaign.Job) *campaign.Summary {
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var seed uint64
+	if o.Seed != nil {
+		seed = *o.Seed
+	}
+	return campaign.RunAll(ctx, campaign.Options{Workers: o.Workers, Seed: seed, OnResult: o.OnResult}, jobs)
 }
 
-// GridCampaignOpts is GridCampaign with per-call context, worker-pool,
-// seed, and result-streaming control — the entry point the campaign service
-// uses, where one shared Env serves many concurrent requests.
+// GridCampaignOpts expands the spec into campaign jobs and runs them under
+// o, returning the full summary (including failures, so a broken scenario
+// point does not void the rest of the sweep).
 func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summary, error) {
 	g, err := spec.validate()
 	if err != nil {
@@ -391,19 +398,7 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 			return nil, err
 		}
 	}
-	ctx := o.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers := o.Workers
-	if workers == 0 {
-		workers = e.Workers
-	}
-	seed := e.Seed
-	if o.Seed != nil {
-		seed = *o.Seed
-	}
-	return campaign.RunAll(ctx, campaign.Options{Workers: workers, Seed: seed, OnResult: o.OnResult}, jobs), nil
+	return o.run(jobs), nil
 }
 
 // gridRuns runs each spec as a campaign of its own and returns every job's

@@ -32,13 +32,13 @@ func pingPongJob(id string, base smpi.Config, a, b *platform.Host) campaign.Job 
 // on the analytical backend over the same endpoint pair — four independent
 // simulations fanned out as one campaign. It returns the table and each
 // model's accuracy summary against the reference, keyed by model name.
-func pingPongFigure(env *Env, plat *platform.Platform, a, b *platform.Host, title string) (*Table, map[string]metrics.Summary, error) {
+func pingPongFigure(env *Env, o CampaignOptions, plat *platform.Platform, a, b *platform.Host, title string) (*Table, map[string]metrics.Summary, error) {
 	models := []surf.NetModel{env.Default, env.BestFit, env.Piecewise}
 	jobs := []campaign.Job{pingPongJob(title+"/skampi", emuConfig(plat), a, b)}
 	for _, m := range models {
 		jobs = append(jobs, pingPongJob(title+"/"+m.Name, surfConfig(plat, m), a, b))
 	}
-	outs, err := env.runCampaign(jobs)
+	outs, err := o.run(jobs).Outcomes()
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", title, err)
 	}
@@ -93,8 +93,8 @@ func piecewiseClaims(sums map[string]metrics.Summary, maxPct float64) []Claim {
 // claim: the piece-wise linear model beats the best-fit affine model, which
 // beats the default affine model, in mean logarithmic error (paper:
 // piece-wise 8.63%, default affine ~32%).
-func figure3(env *Env) (*Table, []Claim, error) {
-	t, sums, err := pingPongFigure(env, env.Griffon,
+func figure3(env *Env, o CampaignOptions) (*Table, []Claim, error) {
+	t, sums, err := pingPongFigure(env, o, env.Griffon,
 		env.Griffon.HostByID(0), env.Griffon.HostByID(1),
 		"Figure 3: ping-pong on griffon (calibration cluster, 1 switch)")
 	if err != nil {
@@ -112,8 +112,8 @@ func figure3(env *Env) (*Table, []Claim, error) {
 // figure4 reproduces Figure 4: the griffon calibration replayed on the gdx
 // cluster between two nodes behind the same switch (paper: piece-wise
 // 7.9%).
-func figure4(env *Env) (*Table, []Claim, error) {
-	t, sums, err := pingPongFigure(env, env.Gdx,
+func figure4(env *Env, o CampaignOptions) (*Table, []Claim, error) {
+	t, sums, err := pingPongFigure(env, o, env.Gdx,
 		env.Gdx.HostByID(0), env.Gdx.HostByID(1),
 		"Figure 4: ping-pong on gdx (griffon calibration, 1 switch)")
 	if err != nil {
@@ -124,7 +124,7 @@ func figure4(env *Env) (*Table, []Claim, error) {
 
 // figure5 reproduces Figure 5: same as Figure 4 but between two gdx nodes
 // three switches apart (paper: piece-wise 9.9%).
-func figure5(env *Env) (*Table, []Claim, error) {
+func figure5(env *Env, o CampaignOptions) (*Table, []Claim, error) {
 	a := env.Gdx.HostByID(0)
 	var b *platform.Host
 	for _, h := range env.Gdx.Hosts() {
@@ -139,7 +139,7 @@ func figure5(env *Env) (*Table, []Claim, error) {
 	if platform.SwitchHops(a, b) != 3 {
 		return nil, nil, fmt.Errorf("figure 5: endpoints are not 3 switches apart")
 	}
-	t, sums, err := pingPongFigure(env, env.Gdx, a, b,
+	t, sums, err := pingPongFigure(env, o, env.Gdx, a, b,
 		"Figure 5: ping-pong on gdx across 3 switches (griffon calibration)")
 	if err != nil {
 		return nil, nil, err

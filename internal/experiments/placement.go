@@ -37,7 +37,7 @@ func placementSweepPolicies() []string { return []string{"block", "rr", "random"
 // allreduce on the oversubscribed fat-tree is strictly slower under rr than
 // under block (the D-mod-k interaction), and on the torus block and rr tie
 // exactly.
-func placementSweep(env *Env, chunk int64) (*Table, []Claim, error) {
+func placementSweep(env *Env, o CampaignOptions, chunk int64) (*Table, []Claim, error) {
 	// The ops pair the auto-selected algorithms with a forced ring
 	// allreduce: ring schedules only talk to rank neighbors, so they are
 	// maximally placement-sensitive on fat-trees — "block" keeps most hops
@@ -69,7 +69,7 @@ func placementSweep(env *Env, chunk int64) (*Table, []Claim, error) {
 			})
 		}
 	}
-	runs, err := env.gridRuns(CampaignOptions{}, specs...)
+	runs, err := env.gridRuns(o, specs...)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -33,18 +33,16 @@ func TestImplicitRoutingFingerprintUnchanged(t *testing.T) {
 		Collectives: "auto",
 	}
 	for _, workers := range []int{1, 4} {
-		withCampaign(e, workers, 5, func() {
-			sum, err := e.GridCampaign(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sum.Fingerprint(); got != implicitRoutingFingerprint {
-				t.Errorf("workers=%d: campaign fingerprint %s, want pre-redesign golden %s — implicit routing changed simulated timestamps",
-					workers, got, implicitRoutingFingerprint)
-			}
-		})
+		sum, err := e.GridCampaignOpts(spec, opts(workers, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sum.Fingerprint(); got != implicitRoutingFingerprint {
+			t.Errorf("workers=%d: campaign fingerprint %s, want pre-redesign golden %s — implicit routing changed simulated timestamps",
+				workers, got, implicitRoutingFingerprint)
+		}
 	}
 }

@@ -70,7 +70,7 @@ func TestShardExpansionEdgeCases(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		spec := shardSpec()
 		spec.ShardIndex, spec.ShardCount = i, 6
-		sum, err := e.GridCampaign(spec)
+		sum, err := e.GridCampaignOpts(spec, CampaignOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestShardExpansionEdgeCases(t *testing.T) {
 	} {
 		spec := shardSpec()
 		spec.ShardIndex, spec.ShardCount = tc.index, tc.count
-		if _, err := e.GridCampaign(spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := e.GridCampaignOpts(spec, CampaignOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("shard %d/%d: err = %v, want mention of %q", tc.index, tc.count, err, tc.want)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // message size; with an analytical backend the speedup here is much larger
 // than the paper's 3.6-5.3x (our testbed is itself simulated). The
 // wall-clock claims carry no values: those are not a function of the seed.
-func figure17(env *Env) (*Table, []Claim, error) {
+func figure17(env *Env, o CampaignOptions) (*Table, []Claim, error) {
 	const procs = 16
 	t := &Table{
 		Title:  "Figure 17: simulation time vs simulated time vs real time (scatter, 16 procs)",
@@ -34,12 +34,13 @@ func figure17(env *Env) (*Table, []Claim, error) {
 	// on a single worker, after a GC flushes the garbage the testbed runs
 	// left behind; otherwise pool contention and GC debt are charged to the
 	// measurement.
-	emuRuns, err := env.gridRuns(CampaignOptions{}, spec("openmpi"))
+	emuRuns, err := env.gridRuns(o, spec("openmpi"))
 	if err != nil {
 		return nil, nil, err
 	}
 	runtime.GC()
-	surfRuns, err := env.gridRuns(CampaignOptions{Workers: 1}, spec("surf"))
+	o.Workers = 1
+	surfRuns, err := env.gridRuns(o, spec("surf"))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -61,7 +62,7 @@ func figure17(env *Env) (*Table, []Claim, error) {
 // linear-wall-time/flat-simulated-time shape is scale-free). Its claims:
 // each rank executes round(ratio × iterations) bursts, and the simulated
 // time stays within ±50% of the fully executed run's.
-func figure18(env *Env, m, iterations int) (*Table, []Claim, error) {
+func figure18(env *Env, o CampaignOptions, m, iterations int) (*Table, []Claim, error) {
 	const procs = 4
 	t := &Table{
 		Title:  "Figure 18: CPU sampling impact on NAS EP (4 procs)",
@@ -86,8 +87,8 @@ func figure18(env *Env, m, iterations int) (*Table, []Claim, error) {
 	// measured quantity, so the ratio sweep runs serially on one worker:
 	// concurrent EP simulations would charge each other's CPU contention
 	// to the measurement.
-	sum := campaign.Run(campaign.Options{Workers: 1, Seed: env.Seed}, jobs)
-	outs, err := sum.Outcomes()
+	o.Workers = 1
+	outs, err := o.run(jobs).Outcomes()
 	if err != nil {
 		return nil, nil, err
 	}

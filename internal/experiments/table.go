@@ -12,6 +12,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"smpigo/internal/core"
@@ -93,6 +94,21 @@ func claim(name string, holds bool, values ...float64) Claim {
 	return Claim{Name: name, Values: values, Holds: holds}
 }
 
+// String renders the claim as its verdict, name and values, each value in
+// the fewest digits that read back to the same float:
+// "holds: piecewise mean error <= 20% [1.1059798338160398]".
+func (c Claim) String() string {
+	verdict := "holds"
+	if !c.Holds {
+		verdict = "FAILS"
+	}
+	vals := make([]string, len(c.Values))
+	for i, v := range c.Values {
+		vals[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return fmt.Sprintf("%s: %s [%s]", verdict, c.Name, strings.Join(vals, " "))
+}
+
 // Figure is one figure or sweep of the evaluation, as cmd/experiments -fig
 // names it.
 type Figure struct {
@@ -105,7 +121,7 @@ type Figure struct {
 // instead of each class's own, EP with M = 19 instead of 22, Figure 16 at
 // 1/16 scale, 64 KiB chunks instead of 256 KiB in the topo and placement
 // sweeps and 16 KiB instead of 64 KiB in the degraded one.
-func Figures(env *Env, fast bool) []Figure {
+func Figures(env *Env, fast bool, o CampaignOptions) []Figure {
 	dtPayload, epM, figScale := 0, 22, 1.0
 	sweepChunk, degradedChunk := 256*core.KiB, 64*core.KiB
 	if fast {
@@ -113,20 +129,20 @@ func Figures(env *Env, fast bool) []Figure {
 		sweepChunk, degradedChunk = 64*core.KiB, 16*core.KiB
 	}
 	return []Figure{
-		{"3", func() (*Table, []Claim, error) { return figure3(env) }},
-		{"4", func() (*Table, []Claim, error) { return figure4(env) }},
-		{"5", func() (*Table, []Claim, error) { return figure5(env) }},
-		{"7", func() (*Table, []Claim, error) { return figure7(env) }},
-		{"8", func() (*Table, []Claim, error) { return figure8(env) }},
-		{"9", func() (*Table, []Claim, error) { return figure9(env) }},
-		{"11", func() (*Table, []Claim, error) { return figure11(env) }},
-		{"12", func() (*Table, []Claim, error) { return figure12(env) }},
-		{"15", func() (*Table, []Claim, error) { return figure15(env, dtPayload) }},
-		{"16", func() (*Table, []Claim, error) { return figure16(env, figScale) }},
-		{"17", func() (*Table, []Claim, error) { return figure17(env) }},
-		{"18", func() (*Table, []Claim, error) { return figure18(env, epM, 64) }},
-		{"topo", func() (*Table, []Claim, error) { return topoCollectives(env, sweepChunk) }},
-		{"placement", func() (*Table, []Claim, error) { return placementSweep(env, sweepChunk) }},
-		{"degraded", func() (*Table, []Claim, error) { return degradedSweep(env, degradedChunk) }},
+		{"3", func() (*Table, []Claim, error) { return figure3(env, o) }},
+		{"4", func() (*Table, []Claim, error) { return figure4(env, o) }},
+		{"5", func() (*Table, []Claim, error) { return figure5(env, o) }},
+		{"7", func() (*Table, []Claim, error) { return figure7(env, o) }},
+		{"8", func() (*Table, []Claim, error) { return figure8(env, o) }},
+		{"9", func() (*Table, []Claim, error) { return figure9(env, o) }},
+		{"11", func() (*Table, []Claim, error) { return figure11(env, o) }},
+		{"12", func() (*Table, []Claim, error) { return figure12(env, o) }},
+		{"15", func() (*Table, []Claim, error) { return figure15(env, o, dtPayload) }},
+		{"16", func() (*Table, []Claim, error) { return figure16(env, o, figScale) }},
+		{"17", func() (*Table, []Claim, error) { return figure17(env, o) }},
+		{"18", func() (*Table, []Claim, error) { return figure18(env, o, epM, 64) }},
+		{"topo", func() (*Table, []Claim, error) { return topoCollectives(env, o, sweepChunk) }},
+		{"placement", func() (*Table, []Claim, error) { return placementSweep(env, o, sweepChunk) }},
+		{"degraded", func() (*Table, []Claim, error) { return degradedSweep(env, o, degradedChunk) }},
 	}
 }

@@ -31,7 +31,7 @@ const topoCollectivesProcs = 64
 // the per-rank payload in bytes (must be a multiple of 8). Its claims:
 // every point completes in positive time, and the interconnect matters —
 // for each op and algorithm, at least two topologies disagree.
-func topoCollectives(env *Env, chunk int64) (*Table, []Claim, error) {
+func topoCollectives(env *Env, o CampaignOptions, chunk int64) (*Table, []Claim, error) {
 	// Each operation's tree variant is its default; the ring is forced.
 	def := smpi.DefaultAlgorithms()
 	ops := []struct{ name, tree string }{{"bcast", def.Bcast}, {"allreduce", def.Allreduce}}
@@ -47,7 +47,7 @@ func topoCollectives(env *Env, chunk int64) (*Table, []Claim, error) {
 			})
 		}
 	}
-	runs, err := env.gridRuns(CampaignOptions{}, specs...)
+	runs, err := env.gridRuns(o, specs...)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -37,7 +37,7 @@ func relClose(got, want float64) bool {
 }
 
 func TestLinkByteConservation(t *testing.T) {
-	for _, name := range []string{"dragonfly72", "fattree16", "fattree64", "torus16", "torus64"} {
+	for _, name := range topology.PresetNames() {
 		t.Run(name, func(t *testing.T) {
 			spec, err := topology.ParseSpec(name)
 			if err != nil {

@@ -29,8 +29,6 @@ type Config struct {
 	// Workers is each campaign's worker-pool size (campaign.Options);
 	// 0 means GOMAXPROCS. Results are bit-identical at any setting.
 	Workers int
-	// Stats receives the service counters; nil allocates a private one.
-	Stats *obs.ServiceStats
 }
 
 // Server is the campaign service: a bounded queue of campaign runs, a
@@ -119,14 +117,10 @@ func New(cfg Config) (*Server, error) {
 	case cfg.CacheSize < 0:
 		cfg.CacheSize = 0
 	}
-	stats := cfg.Stats
-	if stats == nil {
-		stats = new(obs.ServiceStats)
-	}
 	ctx, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		env:        env,
-		stats:      stats,
+		stats:      new(obs.ServiceStats),
 		workers:    cfg.Workers,
 		baseCtx:    ctx,
 		stop:       stop,

@@ -15,6 +15,10 @@
 // runnable, so the simulation is deterministic and safe without locks, at
 // any GOMAXPROCS.
 //
+// Run returns once every actor has terminated, or fails when an actor or a
+// model panics or the live actors deadlock; it sets no bound on simulated
+// time.
+//
 // Resource models (the analytical SURF network/CPU models, or the
 // packet-level testbed emulator) plug in through the Model interface: the
 // kernel asks each model for its next internal completion date, advances

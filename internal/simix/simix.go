@@ -66,7 +66,6 @@ func (f *Future) Done() bool { return f.done }
 // Actor is a simulated process. Application code never touches Actor
 // directly; it receives a *Proc context instead.
 type Actor struct {
-	ID   int
 	Name string
 
 	kernel *Kernel
@@ -122,8 +121,6 @@ type Kernel struct {
 	running  bool
 	aborting bool // Run returned early: a resumed actor unwinds (see yield)
 	failure  error
-	nextID   int
-	maxt     core.Time
 }
 
 // New returns an empty kernel at simulated time zero.
@@ -137,20 +134,14 @@ func (k *Kernel) Now() core.Time { return k.now }
 // AddModel registers a resource model with the kernel.
 func (k *Kernel) AddModel(m Model) { k.models = append(k.models, m) }
 
-// SetDeadline aborts Run with an error if simulated time would pass t.
-// Zero (the default) means no deadline.
-func (k *Kernel) SetDeadline(t core.Time) { k.maxt = t }
-
 // Spawn creates an actor running fn and schedules it. It may be called
 // before Run or from a running actor.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Actor {
 	a := &Actor{
-		ID:     k.nextID,
 		Name:   name,
 		kernel: k,
 		resume: make(chan struct{}),
 	}
-	k.nextID++
 	a.proc = &Proc{actor: a}
 	k.actors = append(k.actors, a)
 	k.live++
@@ -256,8 +247,8 @@ func (k *Kernel) FulfillAt(f *Future, t core.Time) {
 }
 
 // Run executes the simulation until every actor has terminated. It returns
-// an error if an actor panicked, if the deadline was exceeded, or if live
-// actors remain but no model has a pending event (deadlock).
+// an error if an actor panicked, or if live actors remain but no model has
+// a pending event (deadlock).
 //
 // There is no scheduler goroutine: the kernel loop is dispatch, run by
 // whichever goroutine holds the baton — Run to start, then each actor as it
@@ -337,8 +328,6 @@ func (k *Kernel) dispatch() *Actor {
 		switch {
 		case next == core.TimeForever:
 			k.failure = k.deadlockError()
-		case k.maxt > 0 && next > k.maxt:
-			k.failure = fmt.Errorf("simix: simulated time %v exceeds deadline %v", next, k.maxt)
 		case next < k.now:
 			k.failure = fmt.Errorf("simix: model scheduled event in the past (%v < %v)", next, k.now)
 		}

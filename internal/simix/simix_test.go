@@ -191,16 +191,6 @@ func TestSpawnFromActor(t *testing.T) {
 	}
 }
 
-func TestDeadlineExceeded(t *testing.T) {
-	k := New()
-	k.SetDeadline(10)
-	k.Spawn("slow", func(p *Proc) { p.sleep(100) })
-	err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "deadline") {
-		t.Errorf("want deadline error, got %v", err)
-	}
-}
-
 // faultModel panics with a typed error at its first time step, as a model
 // that finds itself unable to go on (surf.StallError) does. The step runs on
 // the goroutine of whichever actor blocked or exited last.
@@ -226,10 +216,6 @@ func TestFailedRunsLeaveNoGoroutine(t *testing.T) {
 		modelPanics bool
 	}{
 		{"deadlock", func(*Kernel) {}, false},
-		{"deadline", func(k *Kernel) {
-			k.SetDeadline(10)
-			k.Spawn("slow", func(p *Proc) { p.sleep(100) })
-		}, false},
 		{"actor panic", func(k *Kernel) { k.Spawn("boom", func(*Proc) { panic("kaboom") }) }, false},
 		{"model panic", func(k *Kernel) { k.AddModel(faultModel{}) }, true},
 		{"model panic on exit", func(k *Kernel) {

@@ -37,10 +37,11 @@ type PingPongConfig struct {
 	A, B *platform.Host
 	// Sizes to measure; defaultSizes() if nil.
 	Sizes []int64
-	// Reps per size; the minimum round-trip is kept (SKaMPI style).
-	// Defaults to 3.
-	Reps int
 }
+
+// reps is the number of round-trips per size; the minimum is kept (SKaMPI
+// style).
+const reps = 3
 
 // PingPong runs the benchmark and returns one calibration sample per size
 // (one-way time = best round-trip / 2, SKaMPI's methodology).
@@ -51,10 +52,6 @@ func PingPong(cfg PingPongConfig) ([]calibrate.Sample, error) {
 	sizes := cfg.Sizes
 	if sizes == nil {
 		sizes = defaultSizes()
-	}
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = 3
 	}
 	run := cfg.Base
 	run.Procs = 2

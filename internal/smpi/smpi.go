@@ -53,8 +53,6 @@ type Config struct {
 	Seed uint64
 	// Algorithms selects collective implementation variants.
 	Algorithms Algorithms
-	// Deadline aborts runs whose simulated time exceeds it (0 = none).
-	Deadline core.Time
 	// Tracer, when non-nil, records every compute burst and point-to-point
 	// operation in program order, producing the input of the off-line
 	// replayer (package replay). Collectives are traced as the
@@ -168,7 +166,6 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 		mailboxes: make([]mailbox, cfg.Procs),
 		routeBuf:  make([]*platform.Link, 0, 8),
 	}
-	w.kernel.SetDeadline(cfg.Deadline)
 	w.cpu = surf.NewCPU(w.kernel)
 	w.kernel.AddModel(w.cpu)
 	switch cfg.Backend {

@@ -30,8 +30,9 @@ func registerPreset(name string, build func() Spec) {
 	presets[name] = build
 }
 
-// presetNames lists the built-in topology presets, sorted.
-func presetNames() []string {
+// PresetNames lists the built-in topology presets, sorted: the one list
+// every help string and error message spells.
+func PresetNames() []string {
 	names := make([]string, 0, len(presets))
 	for name := range presets {
 		names = append(names, name)
@@ -41,7 +42,7 @@ func presetNames() []string {
 }
 
 // ParseSpec resolves a topology description string: either a preset name
-// (see presetNames) or a compact shape grammar —
+// (see PresetNames) or a compact shape grammar —
 //
 //	fattree:<down ports per level>:<up ports per level>   fattree:4x4:1x4
 //	torus:<dims>                                          torus:4x4x4
@@ -57,7 +58,7 @@ func ParseSpec(s string) (Spec, error) {
 	kind, rest, found := strings.Cut(s, ":")
 	if !found {
 		return nil, fmt.Errorf("topology: unknown spec %q (want a preset — %s — or fattree:..., torus:..., dragonfly:...)",
-			s, strings.Join(presetNames(), ", "))
+			s, strings.Join(PresetNames(), ", "))
 	}
 	switch kind {
 	case "fattree":

@@ -252,7 +252,7 @@ func TestDragonflyStructure(t *testing.T) {
 }
 
 func TestDeterministicRoutes(t *testing.T) {
-	for _, name := range presetNames() {
+	for _, name := range PresetNames() {
 		spec, err := ParseSpec(name)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +262,7 @@ func TestDeterministicRoutes(t *testing.T) {
 }
 
 func TestPresetsAndParse(t *testing.T) {
-	for _, name := range presetNames() {
+	for _, name := range PresetNames() {
 		spec, err := ParseSpec(name)
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ var updateDialect = flag.Bool("update", false, "rewrite testdata/dialect.golden 
 func dialectSpecs(tb testing.TB) []platform.Spec {
 	tb.Helper()
 	specs := []platform.Spec{platform.Griffon(), platform.Gdx()}
-	for _, name := range presetNames() {
+	for _, name := range PresetNames() {
 		s, err := ParseSpec(name)
 		if err != nil {
 			tb.Fatal(err)
