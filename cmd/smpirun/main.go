@@ -82,7 +82,7 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.BoolVar(&o.stats, "stats", false, "print kernel counters and the link hot-spot report after the run")
 	fs.StringVar(&o.timeline, "timeline", "", "write a per-link/per-host utilization timeline (JSON) to this file")
 	fs.StringVar(&o.timelineBucket, "timeline-bucket", "1ms", "timeline bucket width (simulated time)")
-	fs.StringVar(&o.dynamics, "dynamics", "", "platform event schedule: inline grammar (\"@2ms link a-* scale 0.5; ...\"), inline JSON, or a file; \"none\" disables")
+	fs.StringVar(&o.dynamics, "dynamics", "", "platform event schedule: inline grammar (\"@2ms link a-* scale 0.5; ...\") or a file holding it; \"none\" disables")
 }
 
 func main() {

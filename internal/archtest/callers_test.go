@@ -1,6 +1,8 @@
 package archtest
 
 import (
+	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -58,8 +60,100 @@ func (m *module) uncalled() []string {
 			}
 		}
 	}
-	// A method an interface declares is reached through the interface, on
-	// whichever type of the module implements it, promoted or not.
+	m.useImplemented(names, use)
+	for len(queue) > 0 {
+		obj := queue[0]
+		queue = queue[1:]
+		if tn, ok := obj.(*types.TypeName); ok {
+			walkDecl(tn.Type().Underlying(), use)
+		} else {
+			walk(obj.Type(), use)
+		}
+	}
+
+	var out []string
+	for obj, name := range names {
+		if !used[obj] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// uncalledUnexported returns every unexported package-level function and
+// every unexported method under internal/ that no non-test file calls,
+// spelled "pkg.name" or "pkg.Type.method" as uncalled spells names. A
+// method that implements an interface declaring it counts as called, as in
+// uncalled; a call from the function's own body does not.
+func (m *module) uncalledUnexported() []string {
+	names := map[types.Object]string{}
+	bodies := map[token.Pos][2]token.Pos{} // a declaration's name to its extent
+	for _, p := range m.pkgs {
+		if !p.internal() {
+			continue
+		}
+		prefix := strings.TrimPrefix(p.path, "smpigo/internal/") + "."
+		scope := p.types.Scope()
+		for _, n := range scope.Names() {
+			obj := scope.Lookup(n)
+			if fn, ok := obj.(*types.Func); ok && !fn.Exported() {
+				names[fn] = prefix + n
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := range named.NumMethods() {
+				if fn := named.Method(i); !fn.Exported() {
+					names[fn] = prefix + n + "." + fn.Name()
+				}
+			}
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					bodies[fd.Name.Pos()] = [2]token.Pos{fd.Pos(), fd.End()}
+				}
+			}
+		}
+	}
+
+	used := map[types.Object]bool{}
+	use := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if _, ok := names[obj]; ok {
+			used[obj] = true
+		}
+	}
+	for _, p := range m.pkgs {
+		for id, obj := range p.info.Uses {
+			if body, ok := bodies[obj.Pos()]; ok && body[0] <= id.Pos() && id.Pos() < body[1] {
+				continue
+			}
+			use(obj)
+		}
+	}
+	m.useImplemented(names, use)
+
+	var out []string
+	for obj, name := range names {
+		if !used[obj] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// useImplemented calls use on each method of names that a type of the
+// module has because an interface declares it: a method an interface
+// declares is reached through the interface, on whichever type implements
+// it, promoted or not.
+func (m *module) useImplemented(names map[types.Object]string, use func(types.Object)) {
 	methods := map[string]bool{}
 	for obj := range names {
 		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
@@ -91,30 +185,13 @@ func (m *module) uncalled() []string {
 					continue
 				}
 				for i := range iface.NumMethods() {
-					obj, _, _ := types.LookupFieldOrMethod(ptr, true, p.types, iface.Method(i).Name())
+					method := iface.Method(i)
+					obj, _, _ := types.LookupFieldOrMethod(ptr, true, method.Pkg(), method.Name())
 					use(obj)
 				}
 			}
 		}
 	}
-	for len(queue) > 0 {
-		obj := queue[0]
-		queue = queue[1:]
-		if tn, ok := obj.(*types.TypeName); ok {
-			walkDecl(tn.Type().Underlying(), use)
-		} else {
-			walk(obj.Type(), use)
-		}
-	}
-
-	var out []string
-	for obj, name := range names {
-		if !used[obj] {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // interfaces returns every method-set interface that a package of the

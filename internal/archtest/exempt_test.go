@@ -59,3 +59,10 @@ var fieldExemptions = map[string]string{
 
 	"nas.EPConfig.Global": "SMPI_SAMPLE_GLOBAL sampling of EP: TestEPGlobalSampling runs it",
 }
+
+// funcExemptions lists the unexported functions and methods under internal/
+// that stay although no non-test file calls them, each with its reason. An
+// entry that no longer applies fails the test: the list only shrinks.
+var funcExemptions = map[string]string{
+	"lmm.System.solveFull": "reference solver: FuzzIncrementalMatchesFromScratch compares every incremental solve with it",
+}

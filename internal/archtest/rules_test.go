@@ -1,6 +1,6 @@
 // Package archtest holds the module's architecture rules as one test. Each
 // rule reads the parsed source of both modules (this one and bench/), never
-// a comment, and the tenth also reads the type-checked packages. The
+// a comment, and the last three also read the type-checked packages. The
 // package has no non-test file.
 package archtest
 
@@ -37,6 +37,7 @@ var rules = []rule{
 	{"no benchmarks outside bench/", "time it in bench/ (workload or probe)", noBenchmarksOutsideBench},
 	{"every exported name has a caller", "delete or unexport each name, or list it in exemptions with the reason it stays exported", everyExportedNameHasACaller},
 	{"every exported field is set and read", "delete each field, or list it in fieldExemptions with the reason it stays", everyExportedFieldIsSetAndRead},
+	{"every unexported function has a caller", "delete each function, move it into a _test.go file of its package, or list it in funcExemptions with the reason it stays", everyUnexportedFunctionHasACaller},
 }
 
 func TestRules(t *testing.T) {
@@ -346,6 +347,26 @@ func unsetOrUnreadFields(m *module, exempt map[string]string) []string {
 	return unexempted(m.unsetOrUnread(), exempt, "it is set and read")
 }
 
+// everyUnexportedFunctionHasACaller: an unexported function or method that
+// only tests call is test code kept in the product, and one nothing calls
+// is dead. So every unexported package-level function and method under
+// internal/ has a non-test caller (itself excepted), or implements an
+// interface that declares it, or has an entry in funcExemptions that says
+// why it stays. Like the tenth rule's list, that list only shrinks.
+func everyUnexportedFunctionHasACaller(m *module) []string {
+	return uncalledFunctions(m, funcExemptions)
+}
+
+// uncalledFunctions returns the names uncalledUnexported reports that
+// exempt does not list, then each entry of exempt that no longer applies.
+func uncalledFunctions(m *module, exempt map[string]string) []string {
+	flagged := map[string]string{}
+	for _, name := range m.uncalledUnexported() {
+		flagged[name] = "no non-test caller"
+	}
+	return unexempted(flagged, exempt, "it has a caller")
+}
+
 // unexempted returns "name: why" for each flagged name that exempt does not
 // list, then a line for each entry of exempt that flags no name: the name
 // is gone, or fixed (what fixed says).
@@ -475,7 +496,32 @@ func TestRulesRejectSeededViolations(t *testing.T) {
 		uses += fmt.Sprintf("\nvar v%s core.%s\n\n%s\n", c.name, c.name, c.use)
 		tests += "\n" + c.test + "\n"
 	}
-	m, err := load(map[string]string{"internal/core/seeded.go": decls, "cmd/smpirun/seeded.go": uses, "cmd/smpirun/seeded_test.go": tests})
+	// The unexported-function rule reads types too, and shares the load:
+	// seeded.go declares one function or method per case below, and a
+	// test file of internal/core calls seededTestOnly.
+	decls += `
+func init() { seededCalled() }
+
+func seededCalled() {}
+
+func seededUncalled() {}
+
+func seededRecursive(n int) {
+	if n > 0 {
+		seededRecursive(n - 1)
+	}
+}
+
+func seededTestOnly() {}
+
+type seededIface interface{ seededMethod() }
+
+type seededImpl struct{}
+
+func (seededImpl) seededMethod() {}
+`
+	m, err := load(map[string]string{"internal/core/seeded.go": decls, "cmd/smpirun/seeded.go": uses, "cmd/smpirun/seeded_test.go": tests,
+		"internal/core/seeded_test.go": "package core\n\nfunc init() { seededTestOnly() }\n"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,6 +530,21 @@ func TestRulesRejectSeededViolations(t *testing.T) {
 		field := "core." + c.name + ".X"
 		if why, ok := flagged[field]; ok != c.want {
 			t.Errorf("every exported field is set and read on %s %s used as %q: got %q, want a violation: %v", c.name, c.decl, c.use, why, c.want)
+		}
+	}
+	uncalled := m.uncalledUnexported()
+	for _, c := range []struct {
+		name string
+		want bool
+	}{
+		{"core.seededCalled", false},
+		{"core.seededImpl.seededMethod", false}, // implements seededIface
+		{"core.seededUncalled", true},
+		{"core.seededRecursive", true}, // only calls itself
+		{"core.seededTestOnly", true},
+	} {
+		if got := slices.Contains(uncalled, c.name); got != c.want {
+			t.Errorf("every unexported function has a caller on %s: got a violation: %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -506,7 +567,8 @@ func TestUncalledMPICallFails(t *testing.T) {
 
 // An exemption for a name that has a caller, or for one that is gone,
 // fails the tenth rule; one for a field that is set and read, or gone,
-// fails the field rule.
+// fails the field rule; one for an unexported function that has a caller,
+// or is gone, fails the twelfth.
 func TestStaleExemptionFails(t *testing.T) {
 	m, err := repo()
 	if err != nil {
@@ -531,6 +593,17 @@ func TestStaleExemptionFails(t *testing.T) {
 		"smpi.Config.Procs: exempt, but it is set and read or is gone; delete the entry",
 	}
 	if got := unsetOrUnreadFields(m, fieldExempt); !slices.Equal(got, want) {
+		t.Errorf("got %q, want %q", got, want)
+	}
+
+	funcExempt := maps.Clone(funcExemptions)
+	funcExempt["simix.Kernel.dispatch"] = "has a caller"
+	funcExempt["simix.Proc.sleep"] = "is gone"
+	want = []string{
+		"simix.Kernel.dispatch: exempt, but it has a caller or is gone; delete the entry",
+		"simix.Proc.sleep: exempt, but it has a caller or is gone; delete the entry",
+	}
+	if got := uncalledFunctions(m, funcExempt); !slices.Equal(got, want) {
 		t.Errorf("got %q, want %q", got, want)
 	}
 }

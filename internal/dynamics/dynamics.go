@@ -26,9 +26,10 @@
 // survive comma-separated campaign flag lists; String renders the canonical,
 // re-parseable spelling used in campaign job IDs.
 //
-// A schedule also round-trips through JSON (an {"events": [...]} object or a
-// bare event array) for profiles too large to inline; Load dispatches on the
-// first character ("@" grammar, "{" or "[" JSON, anything else a file name).
+// The grammar is the only spelling: Load reads it inline ("@..." on the
+// command line) or from a file holding it, for schedules too long to inline.
+// An uneven machine is a schedule too: "@0s host <glob> scale f" and
+// "@0s link <glob> scale f" set capacities before any rank starts.
 //
 // # Determinism and exactness
 //
@@ -44,7 +45,6 @@
 package dynamics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -77,22 +77,22 @@ const (
 // Event is one scheduled platform change. The zero value is invalid; build
 // events through Parse or populate every field the Kind requires.
 type Event struct {
-	At   core.Time `json:"at"`
-	Kind Kind      `json:"kind"`
+	At   core.Time
+	Kind Kind
 
 	// Target is a path.Match glob over link or host names (link/host kinds).
-	Target string `json:"target,omitempty"`
+	Target string
 	// Factor is the capacity multiplier relative to the nominal platform
 	// value: 1 restores, 0 fails (link/host kinds).
-	Factor float64 `json:"factor"`
+	Factor float64
 
 	// Src/Dst/Bytes describe an injected flow; Every and Count repeat it
 	// (Count < 2 means a single injection).
-	Src   int           `json:"src,omitempty"`
-	Dst   int           `json:"dst,omitempty"`
-	Bytes int64         `json:"bytes,omitempty"`
-	Every core.Duration `json:"every,omitempty"`
-	Count int           `json:"count,omitempty"`
+	Src   int
+	Dst   int
+	Bytes int64
+	Every core.Duration
+	Count int
 }
 
 // validate reports the first problem with the event.
@@ -162,7 +162,7 @@ func (e Event) String() string {
 // Schedule is a deterministic list of platform events, fired in date order
 // (ties in list order) once armed on a kernel.
 type Schedule struct {
-	Events []Event `json:"events"`
+	Events []Event
 }
 
 // String renders the canonical, re-parseable grammar form — the spelling
@@ -292,32 +292,9 @@ func parseEvent(spec string) (Event, error) {
 	return e, nil
 }
 
-// parseJSON parses a JSON profile: an {"events": [...]} object or a bare
-// event array.
-func parseJSON(data []byte) (*Schedule, error) {
-	trimmed := strings.TrimSpace(string(data))
-	s := &Schedule{}
-	var err error
-	if strings.HasPrefix(trimmed, "[") {
-		err = json.Unmarshal(data, &s.Events)
-	} else {
-		err = json.Unmarshal(data, s)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dynamics: parsing JSON profile: %w", err)
-	}
-	if len(s.Events) == 0 {
-		return nil, fmt.Errorf("dynamics: JSON profile has no events")
-	}
-	if err := s.validate(); err != nil {
-		return nil, fmt.Errorf("dynamics: JSON profile: %w", err)
-	}
-	return s, nil
-}
-
 // Load resolves a -dynamics argument: "" and "none" mean no schedule (nil),
-// a "@"-prefixed string is inline grammar, "{" or "[" inline JSON, and
-// anything else names a file holding either format.
+// a "@"-prefixed string is inline grammar, and anything else names a file
+// holding grammar.
 func Load(arg string) (*Schedule, error) {
 	trimmed := strings.TrimSpace(arg)
 	switch {
@@ -325,18 +302,16 @@ func Load(arg string) (*Schedule, error) {
 		return nil, nil
 	case strings.HasPrefix(trimmed, "@"):
 		return Parse(trimmed)
-	case strings.HasPrefix(trimmed, "{") || strings.HasPrefix(trimmed, "["):
-		return parseJSON([]byte(trimmed))
 	}
 	data, err := os.ReadFile(trimmed)
 	if err != nil {
-		return nil, fmt.Errorf("dynamics: %q is neither inline grammar (@...), inline JSON, nor a readable file: %w", arg, err)
+		return nil, fmt.Errorf("dynamics: %q is neither inline grammar (@<date> <kind> ...) nor a readable file: %w", arg, err)
 	}
 	content := strings.TrimSpace(string(data))
-	if strings.HasPrefix(content, "@") {
-		return Parse(content)
+	if !strings.HasPrefix(content, "@") {
+		return nil, fmt.Errorf("dynamics: file %q holds no schedule grammar: want events \"@<date> <kind> ...\" separated by \";\"", arg)
 	}
-	return parseJSON(data)
+	return Parse(content)
 }
 
 // Arm resolves the schedule against plat and registers every event as a

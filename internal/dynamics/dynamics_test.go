@@ -1,10 +1,13 @@
 package dynamics
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"smpigo/internal/core"
@@ -83,9 +86,10 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// FuzzParse feeds the same bytes to both readers of a schedule: neither
-// may panic, and whatever either accepts must print as grammar that
-// re-parses to the same print.
+// FuzzParse feeds arbitrary strings to the schedule grammar: no input
+// panics, and whatever Parse accepts prints as grammar that re-parses to
+// the same print. The last two seeds and the committed corpus are JSON
+// schedules, which Parse refuses (see TestJSONIsRefused).
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		"@2ms link fattree64-l3-* degrade 0.25; @8ms link fattree64-l3-* restore",
@@ -100,53 +104,19 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		for _, parse := range []func(string) (*Schedule, error){
-			Parse,
-			func(s string) (*Schedule, error) { return parseJSON([]byte(s)) },
-		} {
-			s, err := parse(in)
-			if err != nil || s == nil {
-				continue
-			}
-			canon := s.String()
-			back, err := Parse(canon)
-			if err != nil {
-				t.Fatalf("%q was accepted, but its canonical form %q does not parse: %v", in, canon, err)
-			}
-			if again := back.String(); again != canon {
-				t.Fatalf("%q: canonical form %q re-parses as %q", in, canon, again)
-			}
+		s, err := Parse(in)
+		if err != nil || s == nil {
+			return
+		}
+		canon := s.String()
+		back, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("%q was accepted, but its canonical form %q does not parse: %v", in, canon, err)
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("%q: canonical form %q re-parses as %q", in, canon, again)
 		}
 	})
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	s, err := Parse("@2ms link a-* scale 0.25; @1ms flow 0->1 4MiB every 1ms x3; @5ms host h-* fail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Object form.
-	doc := `{"events": [
-		{"at": 0.002, "kind": "link", "target": "a-*", "factor": 0.25},
-		{"at": 0.001, "kind": "flow", "src": 0, "dst": 1, "bytes": 4194304, "every": 0.001, "count": 3},
-		{"at": 0.005, "kind": "host", "target": "h-*", "factor": 0}
-	]}`
-	got, err := parseJSON([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Errorf("JSON object decode = %+v, want %+v", got, s)
-	}
-	// Bare-array form through Load.
-	array := `[{"at": 0.002, "kind": "link", "target": "a-*", "factor": 0.25}]`
-	if _, err := Load(array); err != nil {
-		t.Errorf("Load(bare array): %v", err)
-	}
-	// Invalid events are rejected with the same validation as the grammar.
-	if _, err := parseJSON([]byte(`[{"at": 0.002, "kind": "link", "target": "a-*", "factor": -1}]`)); err == nil {
-		t.Error("parseJSON accepted a negative factor")
-	}
 }
 
 func TestLoadFromFile(t *testing.T) {
@@ -159,16 +129,50 @@ func TestLoadFromFile(t *testing.T) {
 	if err != nil || len(s.Events) != 1 {
 		t.Fatalf("Load(grammar file) = (%+v, %v)", s, err)
 	}
-	jsonFile := filepath.Join(dir, "sched.json")
-	if err := os.WriteFile(jsonFile, []byte(`{"events":[{"at":0.002,"kind":"link","target":"a-*","factor":0.5}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := Load(jsonFile)
-	if err != nil || !reflect.DeepEqual(j, s) {
-		t.Fatalf("Load(json file) = (%+v, %v), want %+v", j, err, s)
-	}
 	if _, err := Load(filepath.Join(dir, "missing")); err == nil {
 		t.Error("Load(missing file) should fail")
+	}
+}
+
+// TestJSONIsRefused checks that a schedule spelled as JSON, the dialect
+// the grammar replaced, is refused inline, from a file, and as each
+// committed fuzz corpus entry, with an error that names the grammar.
+func TestJSONIsRefused(t *testing.T) {
+	docs := []string{
+		`{"events":[{"at":0.002,"kind":"link","target":"a-*","factor":0.5}]}`,
+		`[{"at": 0.001, "kind": "flow", "src": 0, "dst": 1, "bytes": 4194304}]`,
+	}
+	corpus, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzParse", "*"))
+	if err != nil || len(corpus) != 3 {
+		t.Fatalf("corpus %v, %v: want 3 files", corpus, err)
+	}
+	for _, name := range corpus {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+		doc, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "string("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		docs = append(docs, doc)
+	}
+	dir := t.TempDir()
+	for i, doc := range docs {
+		if s, err := Parse(doc); err == nil {
+			t.Errorf("Parse(%q) accepted: %+v", doc, s)
+		}
+		if s, err := Load(doc); err == nil || !strings.Contains(err.Error(), "@<date> <kind>") {
+			t.Errorf("Load(%q) = (%+v, %v), want an error naming the grammar", doc, s, err)
+		}
+		file := filepath.Join(dir, fmt.Sprintf("sched%d.json", i))
+		if err := os.WriteFile(file, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Load(file); err == nil || !strings.Contains(err.Error(), "@<date> <kind>") {
+			t.Errorf("Load(file of %q) = (%+v, %v), want an error naming the grammar", doc, s, err)
+		}
 	}
 }
 

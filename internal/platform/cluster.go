@@ -40,15 +40,6 @@ type ClusterSpec struct {
 	// BackboneFatPipe makes the backbone a non-blocking crossbar: flows are
 	// individually capped at BackboneBandwidth but do not contend there.
 	BackboneFatPipe bool
-	// CabinetSpeed optionally scales NodeSpeed per cabinet: nodes in cabinet
-	// ci run at NodeSpeed*CabinetSpeed[ci]. Empty means homogeneous;
-	// otherwise the length must equal len(Cabinets). Real clusters mix
-	// hardware generations cabinet by cabinet, and the paper's validation
-	// machines are exactly such mixed deployments.
-	CabinetSpeed []float64
-	// CabinetUplinkWidth optionally scales each cabinet's uplink bandwidth
-	// (both directions): same length rule as CabinetSpeed.
-	CabinetUplinkWidth []float64
 }
 
 // NodeCount returns the total number of nodes across cabinets.
@@ -79,12 +70,6 @@ func (s ClusterSpec) Validate() error {
 			return fmt.Errorf("cluster spec %q: cabinet %d has %d nodes", s.Name, i, c)
 		}
 	}
-	if err := CheckProfile(s.CabinetSpeed, len(s.Cabinets)); err != nil {
-		return fmt.Errorf("cluster spec %q: cabinet speeds: %w", s.Name, err)
-	}
-	if err := CheckProfile(s.CabinetUplinkWidth, len(s.Cabinets)); err != nil {
-		return fmt.Errorf("cluster spec %q: cabinet uplink widths: %w", s.Name, err)
-	}
 	return nil
 }
 
@@ -104,8 +89,6 @@ func (s *ClusterSpec) bindXML(b *XMLBinder) {
 	b.Rate("bb_bw", &s.BackboneBandwidth)
 	b.Duration("bb_lat", &s.BackboneLatency)
 	b.sharing("bb_sharing", &s.BackboneFatPipe)
-	b.Profile("cab_speed", &s.CabinetSpeed)
-	b.Profile("cab_width", &s.CabinetUplinkWidth)
 }
 
 // Build instantiates the platform for the spec: per-node up/down links,
@@ -130,13 +113,11 @@ func (s ClusterSpec) Build() (*Platform, error) {
 	}
 	p.SetLinkNamer(s.linkNamer(prefix, 3*len(s.Cabinets)+2*n))
 	for ci, count := range s.Cabinets {
-		uplink := s.UplinkBandwidth * ProfileAt(s.CabinetUplinkWidth, ci)
-		speed := s.NodeSpeed * ProfileAt(s.CabinetSpeed, ci)
-		p.NewLink(uplink, s.UplinkLatency, lmm.Shared)                                // cab up
-		p.NewLink(uplink, s.UplinkLatency, lmm.Shared)                                // cab down
+		p.NewLink(s.UplinkBandwidth, s.UplinkLatency, lmm.Shared)                     // cab up
+		p.NewLink(s.UplinkBandwidth, s.UplinkLatency, lmm.Shared)                     // cab down
 		p.NewLink(s.CabinetBackplaneBandwidth, s.CabinetBackplaneLatency, lmm.Shared) // backplane
 		for ni := 0; ni < count; ni++ {
-			h := p.NewHost(speed)
+			h := p.NewHost(s.NodeSpeed)
 			h.Cabinet = ci
 			p.NewLink(s.NodeLinkBandwidth, s.NodeLinkLatency, lmm.Shared) // node up
 			p.NewLink(s.NodeLinkBandwidth, s.NodeLinkLatency, lmm.Shared) // node down
@@ -158,16 +139,11 @@ func (s ClusterSpec) Build() (*Platform, error) {
 	bisection := s.CabinetBackplaneBandwidth
 	if len(s.Cabinets) > 1 {
 		diameter = 7 // up, backplane, cab-up, backbone, cab-down, backplane, down
-		// The weaker half of the uplinks bounds the cut: sum the smallest
-		// floor(n/2) uplink bandwidths (all equal without a width profile).
-		uplinks := make([]float64, len(s.Cabinets))
-		for ci := range uplinks {
-			uplinks[ci] = s.UplinkBandwidth * ProfileAt(s.CabinetUplinkWidth, ci)
-		}
-		sort.Float64s(uplinks)
+		// The smaller half of the uplinks bounds the cut: floor(n/2) of
+		// them, summed (a product can round differently from the sum).
 		bisection = 0
-		for _, bw := range uplinks[:len(uplinks)/2] {
-			bisection += bw
+		for range len(s.Cabinets) / 2 {
+			bisection += s.UplinkBandwidth
 		}
 		if !s.BackboneFatPipe && s.BackboneBandwidth < bisection {
 			bisection = s.BackboneBandwidth

@@ -293,47 +293,3 @@ func TestBuildTimeValidation(t *testing.T) {
 		})
 	}
 }
-
-// TestClusterProfiles checks the per-cabinet heterogeneity multipliers:
-// node speeds and uplink bandwidths scale by their cabinet's entry, and the
-// bisection metric tracks the weaker uplink half.
-func TestClusterProfiles(t *testing.T) {
-	s := Griffon()
-	s.CabinetSpeed = []float64{1, 0.5, 2}
-	s.CabinetUplinkWidth = []float64{1, 0.25, 1}
-	p, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cabinet boundaries: 33, 27, 32 nodes.
-	for _, c := range []struct {
-		host  int
-		speed float64
-	}{{0, 1e9}, {33, 0.5e9}, {60, 2e9}} {
-		if got := p.HostByID(c.host).Speed; got != c.speed {
-			t.Errorf("host %d speed %v, want %v", c.host, got, c.speed)
-		}
-	}
-	for _, l := range p.Links() {
-		switch l.Name() {
-		case "griffon-cab1-up", "griffon-cab1-down":
-			if l.Bandwidth != s.UplinkBandwidth/4 {
-				t.Errorf("%s bandwidth %v, want %v", l.Name(), l.Bandwidth, s.UplinkBandwidth/4)
-			}
-		case "griffon-cab0-up", "griffon-cab2-up":
-			if l.Bandwidth != s.UplinkBandwidth {
-				t.Errorf("%s bandwidth %v, want %v", l.Name(), l.Bandwidth, s.UplinkBandwidth)
-			}
-		}
-	}
-	// floor(3/2) = 1 crossing uplink; the weakest (quarter width) bounds
-	// the cut, below the fat-pipe backbone.
-	if want := s.UplinkBandwidth / 4; p.Topo.BisectionBandwidth != want {
-		t.Errorf("bisection %v, want %v", p.Topo.BisectionBandwidth, want)
-	}
-	bad := Griffon()
-	bad.CabinetSpeed = []float64{1, 2} // wrong length
-	if err := bad.Validate(); err == nil {
-		t.Error("short CabinetSpeed profile validated")
-	}
-}

@@ -75,11 +75,13 @@ func RegisterXMLSpec[S Spec](element string, bind func(*S, *XMLBinder)) {
 
 // XMLBinder is the visitor a spec's bind function walks, one method per
 // attribute kind. Writing, each call formats its field as the attribute's
-// value. Reading, each call parses the attribute into its field, and the
-// first failure is kept as `<element> "<id>": attribute <name>: <cause>`.
+// value. Reading, each call consumes the attribute and parses it into its
+// field, and the first failure is kept as `<element> "<id>": attribute
+// <name>: <cause>`; an attribute no call consumed fails the element too.
 type XMLBinder struct {
 	element string
-	in      map[string]string // the element's attributes when reading; nil when writing
+	id      string            // the element's id attribute, for errors
+	in      map[string]string // the element's unconsumed attributes when reading; nil when writing
 	out     []xml.Attr
 	err     error
 }
@@ -89,8 +91,12 @@ type XMLBinder struct {
 func (b *XMLBinder) attr(name string, format func() string, parse func(string) error) {
 	if b.in == nil {
 		b.out = append(b.out, xml.Attr{Name: xml.Name{Local: name}, Value: format()})
-	} else if err := parse(b.in[name]); err != nil && b.err == nil {
-		b.err = fmt.Errorf("%s %q: attribute %s: %w", b.element, b.in["id"], name, err)
+		return
+	}
+	v := b.in[name]
+	delete(b.in, name)
+	if err := parse(v); err != nil && b.err == nil {
+		b.err = fmt.Errorf("%s %q: attribute %s: %w", b.element, b.id, name, err)
 	}
 }
 
@@ -127,19 +133,6 @@ func (b *XMLBinder) Int(name string, v *int) {
 func (b *XMLBinder) Ints(name string, v *[]int, sep string) {
 	b.attr(name, func() string { return joinList(*v, sep, strconv.Itoa) },
 		func(s string) (err error) { *v, err = parseList(s, sep, strconv.Atoi); return err })
-}
-
-// Profile binds an optional multiplier profile (see CheckProfile), joined by
-// commas. An empty profile is not written, and an absent or empty attribute
-// reads as the empty profile.
-func (b *XMLBinder) Profile(name string, v *[]float64) {
-	if b.in == nil && len(*v) == 0 || b.in != nil && b.in[name] == "" {
-		return
-	}
-	format := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-	parse := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-	b.attr(name, func() string { return joinList(*v, ",", format) },
-		func(s string) (err error) { *v, err = parseList(s, ",", parse); return err })
 }
 
 // sharing binds a link sharing policy: FATPIPE when *fatPipe, SHARED
@@ -274,7 +267,15 @@ func ReadXML(r io.Reader) ([]Spec, error) {
 		for _, a := range start.Attr {
 			b.in[a.Name.Local] = a.Value
 		}
+		b.id = b.in["id"]
 		spec := e.read(&b)
+		// A misspelt attribute leaves its spelled-right twin unset; name
+		// the misspelling, not the gap it leaves.
+		for _, a := range start.Attr {
+			if _, unread := b.in[a.Name.Local]; unread {
+				return nil, fmt.Errorf("%s %q: unknown attribute %s", b.element, b.id, a.Name.Local)
+			}
+		}
 		if b.err != nil {
 			return nil, b.err
 		}

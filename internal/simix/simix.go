@@ -73,9 +73,6 @@ type Actor struct {
 	proc   *Proc
 	done   bool
 	queued bool
-	// sleep is the future of Proc.sleep: an actor sleeps on at most one at
-	// a time, so it is re-armed per call instead of allocated.
-	sleep Future
 }
 
 // Proc is the execution context handed to actor functions. All methods must
@@ -391,9 +388,6 @@ func (p *Proc) yield() {
 // Now returns the current simulated time.
 func (p *Proc) Now() core.Time { return p.actor.kernel.now }
 
-// name returns the actor's name.
-func (p *Proc) name() string { return p.actor.Name }
-
 // Yield lets other ready actors run before this one continues; simulated
 // time does not advance. Mainly useful in tests and fairness-sensitive code.
 func (p *Proc) Yield() {
@@ -429,25 +423,4 @@ func (p *Proc) WaitAny(fs []*Future) int {
 		}
 		p.yield()
 	}
-}
-
-// waitAll blocks until every non-nil future in fs is fulfilled.
-func (p *Proc) waitAll(fs []*Future) {
-	for _, f := range fs {
-		if f != nil {
-			p.Wait(f)
-		}
-	}
-}
-
-// sleep suspends the actor for the given simulated duration.
-func (p *Proc) sleep(d core.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	f := &p.actor.sleep
-	*f = Future{}
-	k := p.actor.kernel
-	k.FulfillAt(f, k.now+d)
-	p.Wait(f)
 }

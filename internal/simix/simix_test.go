@@ -11,6 +11,27 @@ import (
 	"smpigo/internal/core"
 )
 
+// name returns the actor's name.
+func (p *Proc) name() string { return p.actor.Name }
+
+// waitAll blocks until every non-nil future in fs is fulfilled.
+func (p *Proc) waitAll(fs []*Future) {
+	for _, f := range fs {
+		if f != nil {
+			p.Wait(f)
+		}
+	}
+}
+
+// sleep suspends the actor for the given simulated duration (FulfillAt
+// clamps a negative one to now).
+func (p *Proc) sleep(d core.Duration) {
+	k := p.actor.kernel
+	f := NewFuture()
+	k.FulfillAt(f, k.now+d)
+	p.Wait(f)
+}
+
 func TestSingleActorRunsToCompletion(t *testing.T) {
 	k := New()
 	ran := false
@@ -349,12 +370,12 @@ func TestFulfillWakesInRegistrationOrderWithinTheRound(t *testing.T) {
 	}
 }
 
-// TestSleepFutureIsReused: consecutive sleeps of one actor re-arm the same
-// future, each for its own duration.
-func TestSleepFutureIsReused(t *testing.T) {
+// TestConsecutiveSleeps: consecutive sleeps of one actor each last their
+// own duration, a zero one included.
+func TestConsecutiveSleeps(t *testing.T) {
 	k := New()
 	var woke []core.Time
-	a := k.Spawn("a", func(p *Proc) {
+	k.Spawn("a", func(p *Proc) {
 		for _, d := range []core.Duration{3, 0, 2} {
 			p.sleep(d)
 			woke = append(woke, p.Now())
@@ -363,7 +384,7 @@ func TestSleepFutureIsReused(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(woke) != 3 || woke[0] != 3 || woke[1] != 3 || woke[2] != 5 || !a.sleep.Done() {
+	if len(woke) != 3 || woke[0] != 3 || woke[1] != 3 || woke[2] != 5 {
 		t.Errorf("woke at %v, want [3 3 5]", woke)
 	}
 }

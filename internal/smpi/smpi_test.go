@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"smpigo/internal/core"
+	"smpigo/internal/dynamics"
 	"smpigo/internal/platform"
 )
 
@@ -343,6 +344,43 @@ func TestEmuBackendRuns(t *testing.T) {
 	})
 	if rep.SimulatedTime <= 0 {
 		t.Error("emu backend produced zero simulated time")
+	}
+}
+
+// TestHostScheduleSlowsCompute makes a machine uneven the one way there is,
+// an "@0s" schedule: griffon-0 at half speed doubles rank 0's 1e9-flop
+// Compute and leaves rank 1's on griffon-1 alone, on both backends.
+func TestHostScheduleSlowsCompute(t *testing.T) {
+	for _, backend := range []Backend{BackendSurf, BackendEmu} {
+		sched, err := dynamics.Parse("@0s host griffon-0 scale 0.5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(2)
+		cfg.Backend, cfg.Dynamics = backend, sched
+		done := make([]core.Time, 2)
+		mustRun(t, cfg, func(r *Rank) {
+			r.Compute(1e9) // 1 s on a 1 Gf/s griffon node
+			done[r.Rank()] = r.Now()
+		})
+		if done[0] != 2 || done[1] != 1 {
+			t.Errorf("backend %d: ranks finished at %v, want [2 1]", backend, done)
+		}
+	}
+}
+
+// TestLinkScheduleFailsOnEmu checks that a link event, which only the surf
+// network model can apply, makes Run fail on the packet emulator instead of
+// running the machine at nominal capacity.
+func TestLinkScheduleFailsOnEmu(t *testing.T) {
+	sched, err := dynamics.Parse("@0s link griffon-cab0-up scale 0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(2)
+	cfg.Backend, cfg.Dynamics = BackendEmu, sched
+	if _, err := Run(cfg, func(r *Rank) { r.Compute(1e9) }); err == nil || !strings.Contains(err.Error(), "surf network model") {
+		t.Errorf("Run with a link event on BackendEmu: err %v, want a missing surf network model", err)
 	}
 }
 

@@ -9,6 +9,26 @@ import (
 	"smpigo/internal/simix"
 )
 
+// linkBandwidth returns the capacity currently enforced for l: the last
+// SetLinkBandwidth value, or the platform's nominal bandwidth if it was
+// never changed.
+func (n *Network) linkBandwidth(l *platform.Link) float64 {
+	if c, ok := n.cons[l]; ok {
+		return c.Capacity
+	}
+	return l.Bandwidth
+}
+
+// hostSpeed returns the compute capacity currently enforced for host: the
+// last SetHostSpeed value, or the platform's nominal speed if it was never
+// changed.
+func (c *CPU) hostSpeed(host *platform.Host) float64 {
+	if con, ok := c.cons[host]; ok {
+		return con.Capacity
+	}
+	return host.Speed
+}
+
 // segRecorder accumulates per-link byte totals from the drained-segment
 // stream, the minimal UsageRecorder for exactness checks.
 type segRecorder struct {

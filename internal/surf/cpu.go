@@ -108,16 +108,6 @@ func (c *CPU) SetHostSpeed(host *platform.Host, speed float64) {
 	c.setCapacity(c.constraint(host), speed)
 }
 
-// hostSpeed returns the compute capacity currently enforced for host: the
-// last SetHostSpeed value, or the platform's nominal speed if it was never
-// changed.
-func (c *CPU) hostSpeed(host *platform.Host) float64 {
-	if con, ok := c.cons[host]; ok {
-		return con.Capacity
-	}
-	return host.Speed
-}
-
 // Advance implements simix.Model: completes every task whose flops have
 // drained by date to and reshares the touched host components.
 func (c *CPU) Advance(to core.Time) {

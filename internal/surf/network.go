@@ -153,16 +153,6 @@ func (n *Network) SetLinkBandwidth(l *platform.Link, bw float64) {
 	n.setCapacity(n.constraint(l), bw)
 }
 
-// linkBandwidth returns the capacity currently enforced for l: the last
-// SetLinkBandwidth value, or the platform's nominal bandwidth if it was
-// never changed.
-func (n *Network) linkBandwidth(l *platform.Link) float64 {
-	if c, ok := n.cons[l]; ok {
-		return c.Capacity
-	}
-	return l.Bandwidth
-}
-
 // Advance implements simix.Model: promotes flows whose latency phase ends by
 // date to, completes flows whose bytes have drained, and reshares the
 // touched components.

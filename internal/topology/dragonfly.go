@@ -33,16 +33,6 @@ type DragonflySpec struct {
 	// GlobalBandwidth/GlobalLatency describe the long inter-group cables.
 	GlobalBandwidth float64
 	GlobalLatency   core.Duration
-	// GroupSpeeds optionally scales host speed per group, cyclically: hosts
-	// in group g run at HostSpeed*GroupSpeeds[g%len(GroupSpeeds)]. Groups
-	// are the deployment unit of dragonfly machines, so hardware generations
-	// mix group by group.
-	GroupSpeeds []float64
-	// GroupWidths optionally scales link bandwidth per group, cyclically:
-	// host and local links inside group g scale by width(g), and the global
-	// cable between gi and gj by min(width(gi), width(gj)) — a cable is
-	// only as fast as its slower endpoint.
-	GroupWidths []float64
 }
 
 // hosts returns the number of hosts.
@@ -70,30 +60,7 @@ func (s DragonflySpec) Validate() error {
 	if _, err := hostCount(s.Groups, s.RoutersPerGroup, s.HostsPerRouter); err != nil {
 		return fmt.Errorf("dragonfly spec %q: %w", s.Name, err)
 	}
-	if err := platform.CheckProfile(s.GroupSpeeds, -1); err != nil {
-		return fmt.Errorf("dragonfly spec %q: group speeds: %w", s.Name, err)
-	}
-	if err := platform.CheckProfile(s.GroupWidths, -1); err != nil {
-		return fmt.Errorf("dragonfly spec %q: group widths: %w", s.Name, err)
-	}
 	return nil
-}
-
-// groupWidth reads the cyclic link-width multiplier of group g (1 when the
-// profile is empty).
-func (s DragonflySpec) groupWidth(g int) float64 {
-	return platform.ProfileAt(s.GroupWidths, g)
-}
-
-// gateway returns the router index in group g holding the global cable to
-// group peer: the g-1 cables of a group are dealt round-robin over its
-// routers.
-func (s DragonflySpec) gateway(g, peer int) int {
-	idx := peer
-	if peer > g {
-		idx--
-	}
-	return idx % s.RoutersPerGroup
 }
 
 // Build implements platform.Spec: host up/down links, directed local links
@@ -145,36 +112,31 @@ func (s DragonflySpec) Build() (*platform.Platform, error) {
 		}
 	})
 	for i := 0; i < n; i++ {
-		group := i / (a * ph)
-		host := p.NewHost(s.HostSpeed * platform.ProfileAt(s.GroupSpeeds, group))
+		host := p.NewHost(s.HostSpeed)
 		// The router is the lowest-level group: its hosts reach each other
 		// in two links; placement mappers lay ranks out by it.
 		host.Cabinet = i / ph
-		hostBW := s.HostLinkBandwidth * s.groupWidth(group)
-		p.NewLink(hostBW, s.HostLinkLatency, lmm.Shared) // up
-		p.NewLink(hostBW, s.HostLinkLatency, lmm.Shared) // down
+		p.NewLink(s.HostLinkBandwidth, s.HostLinkLatency, lmm.Shared) // up
+		p.NewLink(s.HostLinkBandwidth, s.HostLinkLatency, lmm.Shared) // down
 	}
 	// Directed local links r1 -> r2 inside each group, in (group, r1, r2)
 	// order; a*(a-1) links per group.
 	for gi := 0; gi < g; gi++ {
-		localBW := s.LocalBandwidth * s.groupWidth(gi)
 		for r1 := 0; r1 < a; r1++ {
 			for r2 := 0; r2 < a; r2++ {
 				if r1 == r2 {
 					continue
 				}
-				p.NewLink(localBW, s.LocalLatency, lmm.Shared)
+				p.NewLink(s.LocalBandwidth, s.LocalLatency, lmm.Shared)
 			}
 		}
 	}
 	// Directed global links per unordered group pair (gi < gj), forward
-	// then backward, pairs in (gi, gj) lexicographic order. A cable runs at
-	// the width of its slower endpoint group.
+	// then backward, pairs in (gi, gj) lexicographic order.
 	for gi := 0; gi < g; gi++ {
 		for gj := gi + 1; gj < g; gj++ {
-			globalBW := s.GlobalBandwidth * min(s.groupWidth(gi), s.groupWidth(gj))
-			p.NewLink(globalBW, s.GlobalLatency, lmm.Shared)
-			p.NewLink(globalBW, s.GlobalLatency, lmm.Shared)
+			p.NewLink(s.GlobalBandwidth, s.GlobalLatency, lmm.Shared)
+			p.NewLink(s.GlobalBandwidth, s.GlobalLatency, lmm.Shared)
 		}
 	}
 
@@ -228,7 +190,8 @@ func (r *dragonflyRouter) globalID(gi, gj int) int {
 }
 
 // gateway returns the router index in group g holding the global cable to
-// group peer (round-robin deal, mirroring DragonflySpec.gateway).
+// group peer: the g-1 cables of a group are dealt round-robin over its
+// routers.
 func (r *dragonflyRouter) gateway(g, peer int) int {
 	idx := peer
 	if peer > g {
@@ -272,7 +235,8 @@ func (r *dragonflyRouter) RouteInto(buf []*platform.Link, ha, hb *platform.Host)
 }
 
 // Metrics implements Spec. The bisection cut splits the groups into halves;
-// only global cables cross it, each at the width of its slower endpoint.
+// only global cables cross it, one per group pair, summed (a product can
+// round differently from the sum).
 func (s DragonflySpec) Metrics() platform.TopoInfo {
 	g, a := s.Groups, s.RoutersPerGroup
 	n := s.hosts()
@@ -288,7 +252,7 @@ func (s DragonflySpec) Metrics() platform.TopoInfo {
 	half := g / 2
 	for gi := 0; gi < half; gi++ {
 		for gj := half; gj < g; gj++ {
-			m.BisectionBandwidth += s.GlobalBandwidth * min(s.groupWidth(gi), s.groupWidth(gj))
+			m.BisectionBandwidth += s.GlobalBandwidth
 		}
 	}
 	return m
@@ -307,8 +271,6 @@ func (s *DragonflySpec) bindXML(b *platform.XMLBinder) {
 	b.Duration("local_lat", &s.LocalLatency)
 	b.Rate("global_bw", &s.GlobalBandwidth)
 	b.Duration("global_lat", &s.GlobalLatency)
-	b.Profile("group_speeds", &s.GroupSpeeds)
-	b.Profile("group_widths", &s.GroupWidths)
 }
 
 // dragonfly72 is a balanced dragonfly with 9 groups of 4 routers and 2

@@ -29,21 +29,6 @@ type FatTreeSpec struct {
 	// child-parent cable is a full-duplex pair of directed links.
 	LinkBandwidth float64
 	LinkLatency   core.Duration
-	// LevelWidths optionally scales link bandwidth per switch level: the
-	// level-l cables carry LinkBandwidth*LevelWidths[l-1]. Empty means
-	// homogeneous; otherwise the length must equal len(Down). Thin spines
-	// (e.g. {1, 1, 0.5}) model oversubscription by cable width rather than
-	// cable count.
-	LevelWidths []float64
-	// LeafSpeeds optionally scales host speed per leaf switch, cyclically:
-	// hosts under leaf c run at HostSpeed*LeafSpeeds[c%len(LeafSpeeds)].
-	LeafSpeeds []float64
-}
-
-// hosts returns the number of hosts (the product of Down).
-func (s FatTreeSpec) hosts() int {
-	n, _ := hostCount(s.Down...)
-	return n
 }
 
 // Validate implements platform.Spec.
@@ -70,12 +55,6 @@ func (s FatTreeSpec) Validate() error {
 	}
 	if _, err := hostCount(s.Down...); err != nil {
 		return fmt.Errorf("fattree spec %q: %w", s.Name, err)
-	}
-	if err := platform.CheckProfile(s.LevelWidths, len(s.Down)); err != nil {
-		return fmt.Errorf("fattree spec %q: level widths: %w", s.Name, err)
-	}
-	if err := platform.CheckProfile(s.LeafSpeeds, -1); err != nil {
-		return fmt.Errorf("fattree spec %q: leaf speeds: %w", s.Name, err)
 	}
 	return nil
 }
@@ -139,22 +118,17 @@ func (s FatTreeSpec) Build() (*platform.Platform, error) {
 	})
 
 	for i := 0; i < n; i++ {
-		leaf := i / s.Down[0]
-		host := p.NewHost(s.HostSpeed * platform.ProfileAt(s.LeafSpeeds, leaf))
+		host := p.NewHost(s.HostSpeed)
 		// The leaf switch is the lowest-level group: placement mappers use
 		// it to pack ranks under (or spread them across) leaf switches.
-		host.Cabinet = leaf
+		host.Cabinet = i / s.Down[0]
 	}
 	for l := 1; l <= h; l++ {
-		bw := s.LinkBandwidth
-		if len(s.LevelWidths) > 0 {
-			bw *= s.LevelWidths[l-1]
-		}
 		children := (n / prodDown[l-1]) * prodUp[l-1]
 		for c := 0; c < children; c++ {
 			for j := 0; j < s.Up[l-1]; j++ {
-				p.NewLink(bw, s.LinkLatency, lmm.Shared) // up
-				p.NewLink(bw, s.LinkLatency, lmm.Shared) // down
+				p.NewLink(s.LinkBandwidth, s.LinkLatency, lmm.Shared) // up
+				p.NewLink(s.LinkBandwidth, s.LinkLatency, lmm.Shared) // down
 			}
 		}
 	}
@@ -232,8 +206,8 @@ func (r *fatTreeRouter) RouteInto(buf []*platform.Link, a, b *platform.Host) pla
 
 // Metrics implements Spec. The bisection cut splits the tree at the top
 // level; its capacity is half the thinnest level's aggregate up-bandwidth
-// (cable count times per-cable width), so an unoversubscribed homogeneous
-// tree reports (hosts/2)*Up[0]*LinkBandwidth.
+// (cable count times LinkBandwidth), so an unoversubscribed tree reports
+// (hosts/2)*Up[0]*LinkBandwidth.
 func (s FatTreeSpec) Metrics() platform.TopoInfo {
 	h := len(s.Down)
 	prodDown, prodUp := s.products()
@@ -244,9 +218,6 @@ func (s FatTreeSpec) Metrics() platform.TopoInfo {
 		cables := (n / prodDown[l-1]) * prodUp[l-1] * s.Up[l-1]
 		m.Links += 2 * cables
 		agg := float64(cables) * s.LinkBandwidth
-		if len(s.LevelWidths) > 0 {
-			agg *= s.LevelWidths[l-1]
-		}
 		if l == 1 || agg < minAgg {
 			minAgg = agg
 		}
@@ -263,8 +234,6 @@ func (s *FatTreeSpec) bindXML(b *platform.XMLBinder) {
 	b.Ints("up", &s.Up, ",")
 	b.Rate("bw", &s.LinkBandwidth)
 	b.Duration("lat", &s.LinkLatency)
-	b.Profile("level_widths", &s.LevelWidths)
-	b.Profile("leaf_speeds", &s.LeafSpeeds)
 }
 
 // fatTree16 is the classic non-oversubscribed two-level fat-tree: 16 hosts

@@ -26,6 +26,16 @@ func linkIndex(p *platform.Platform) map[string]*platform.Link {
 	return idx
 }
 
+// gateway returns the router index in group g holding the global cable to
+// group peer: the reference's own copy of dragonflyRouter.gateway.
+func (s DragonflySpec) gateway(g, peer int) int {
+	idx := peer
+	if peer > g {
+		idx--
+	}
+	return idx % s.RoutersPerGroup
+}
+
 // referenceRouter returns a by-name route function mirroring the routing
 // policy each generator implemented before it went implicit.
 func referenceRouter(t *testing.T, spec Spec, p *platform.Platform) func(a, b *platform.Host) []*platform.Link {

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -304,6 +303,13 @@ func TestPresetsAndParse(t *testing.T) {
 	}
 }
 
+// hosts returns the number of hosts (the product of Down), as the other
+// specs' hosts methods do.
+func (s FatTreeSpec) hosts() int {
+	n, _ := hostCount(s.Down...)
+	return n
+}
+
 // FuzzParseSpec feeds arbitrary strings to the shape grammar: no input
 // panics, and every shape it accepts has at least two hosts. (It builds
 // nothing: dragonfly Metrics is quadratic in the group count.)
@@ -356,153 +362,4 @@ func TestXMLRoundTripTopologies(t *testing.T) {
 			t.Errorf("spec %d build after roundtrip: %v", i, err)
 		}
 	}
-}
-
-// TestHeterogeneousProfiles checks the per-group/per-level speed and width
-// profiles on every builder: hosts and links come out scaled by the profile
-// entry of their structural unit, metrics track the thinnest cut, and
-// profile-bearing specs survive the XML dialect bit-exact.
-func TestHeterogeneousProfiles(t *testing.T) {
-	t.Run("fattree", func(t *testing.T) {
-		s := fatTree64()
-		s.LevelWidths = []float64{1, 1, 0.5} // thin spine
-		s.LeafSpeeds = []float64{1, 0.5}     // alternating slow leaves
-		p, err := s.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Host 0 sits under leaf 0 (full speed), host 4 under leaf 1 (half).
-		if got := p.HostByID(0).Speed; got != s.HostSpeed {
-			t.Errorf("leaf-0 host speed %v, want %v", got, s.HostSpeed)
-		}
-		if got := p.HostByID(4).Speed; got != s.HostSpeed/2 {
-			t.Errorf("leaf-1 host speed %v, want %v", got, s.HostSpeed/2)
-		}
-		// Level-1 links keep full width, level-3 links are halved.
-		seen := map[string]bool{}
-		for _, l := range p.Links() {
-			switch {
-			case strings.HasPrefix(l.Name(), "fattree64-l1-"):
-				seen["l1"] = true
-				if l.Bandwidth != s.LinkBandwidth {
-					t.Fatalf("level-1 link %s bandwidth %v, want %v", l.Name(), l.Bandwidth, s.LinkBandwidth)
-				}
-			case strings.HasPrefix(l.Name(), "fattree64-l3-"):
-				seen["l3"] = true
-				if l.Bandwidth != s.LinkBandwidth/2 {
-					t.Fatalf("level-3 link %s bandwidth %v, want %v", l.Name(), l.Bandwidth, s.LinkBandwidth/2)
-				}
-			}
-		}
-		if !seen["l1"] || !seen["l3"] {
-			t.Fatal("expected level-1 and level-3 links in the build")
-		}
-		// The thin spine is now the bisection bottleneck: 32 top cables at
-		// half width, against 64 full-width level-1 cables.
-		homogeneous := fatTree64().Metrics().BisectionBandwidth
-		if got := s.Metrics().BisectionBandwidth; got != homogeneous/2 {
-			t.Errorf("thin-spine bisection %v, want %v", got, homogeneous/2)
-		}
-	})
-
-	t.Run("torus", func(t *testing.T) {
-		s := torus64()
-		s.DimWidths = []float64{1, 1, 0.25} // weak inter-cabinet cables
-		s.RowSpeeds = []float64{2}
-		p, err := s.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := p.HostByID(0).Speed; got != 2*s.HostSpeed {
-			t.Errorf("host speed %v, want %v", got, 2*s.HostSpeed)
-		}
-		// Host 0's dimension-0 plus link is full width, dimension-2 quarter.
-		if got := p.LinkByID(0).Bandwidth; got != s.LinkBandwidth {
-			t.Errorf("d0 link bandwidth %v, want %v", got, s.LinkBandwidth)
-		}
-		if got := p.LinkByID(4).Bandwidth; got != s.LinkBandwidth/4 {
-			t.Errorf("d2 link bandwidth %v, want %v", got, s.LinkBandwidth/4)
-		}
-		// All extents are equal, so the weak dimension is the cut.
-		homogeneous := torus64().Metrics().BisectionBandwidth
-		if got := s.Metrics().BisectionBandwidth; got != homogeneous/4 {
-			t.Errorf("bisection %v, want %v", got, homogeneous/4)
-		}
-	})
-
-	t.Run("dragonfly", func(t *testing.T) {
-		s := dragonfly72()
-		s.GroupSpeeds = []float64{1, 0.5}
-		s.GroupWidths = []float64{1, 0.5}
-		p, err := s.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		hostsPerGroup := s.RoutersPerGroup * s.HostsPerRouter
-		if got := p.HostByID(0).Speed; got != s.HostSpeed {
-			t.Errorf("group-0 host speed %v, want %v", got, s.HostSpeed)
-		}
-		if got := p.HostByID(hostsPerGroup).Speed; got != s.HostSpeed/2 {
-			t.Errorf("group-1 host speed %v, want %v", got, s.HostSpeed/2)
-		}
-		// Group-1 host links are half width; the global cable between
-		// groups 0 and 1 runs at its slower endpoint's width.
-		if got := p.LinkByID(2 * hostsPerGroup).Bandwidth; got != s.HostLinkBandwidth/2 {
-			t.Errorf("group-1 host link bandwidth %v, want %v", got, s.HostLinkBandwidth/2)
-		}
-		route := p.Route(p.HostByID(0), p.HostByID(hostsPerGroup))
-		sawGlobal := false
-		for _, l := range route.Links {
-			if strings.Contains(l.Name(), "-g0-g1") {
-				sawGlobal = true
-				if l.Bandwidth != s.GlobalBandwidth/2 {
-					t.Errorf("global cable %s bandwidth %v, want %v", l.Name(), l.Bandwidth, s.GlobalBandwidth/2)
-				}
-			}
-		}
-		if !sawGlobal {
-			t.Fatal("route between groups 0 and 1 misses the g0-g1 cable")
-		}
-		if hom, got := dragonfly72().Metrics().BisectionBandwidth, s.Metrics().BisectionBandwidth; got >= hom {
-			t.Errorf("heterogeneous bisection %v not below homogeneous %v", got, hom)
-		}
-	})
-
-	t.Run("xml-round-trip", func(t *testing.T) {
-		ft, to, df, cl := fatTree64(), torus64(), dragonfly72(), platform.Griffon()
-		ft.LevelWidths, ft.LeafSpeeds = []float64{1, 1, 0.5}, []float64{1, 0.5}
-		to.DimWidths, to.RowSpeeds = []float64{1, 1, 0.25}, []float64{2}
-		df.GroupSpeeds, df.GroupWidths = []float64{1, 0.5}, []float64{1, 0.5}
-		cl.CabinetSpeed = []float64{1, 0.5, 0.75}
-		cl.CabinetUplinkWidth = []float64{1, 1, 0.5}
-		var buf bytes.Buffer
-		if err := platform.WriteXML(&buf, cl, ft, to, df); err != nil {
-			t.Fatal(err)
-		}
-		specs, err := platform.ReadXML(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("ReadXML: %v\n%s", err, buf.String())
-		}
-		want := []platform.Spec{cl, ft, to, df}
-		for i, w := range want {
-			if !reflect.DeepEqual(specs[i], w) {
-				t.Errorf("spec %d roundtrip: %+v, want %+v", i, specs[i], w)
-			}
-		}
-	})
-
-	t.Run("validation", func(t *testing.T) {
-		bad := []Spec{
-			func() Spec { s := fatTree64(); s.LevelWidths = []float64{1, 1}; return s }(),            // wrong length
-			func() Spec { s := fatTree64(); s.LeafSpeeds = []float64{0}; return s }(),                // zero entry
-			func() Spec { s := torus64(); s.DimWidths = []float64{1}; return s }(),                   // wrong length
-			func() Spec { s := torus64(); s.RowSpeeds = []float64{-1}; return s }(),                  // negative entry
-			func() Spec { s := dragonfly72(); s.GroupWidths = []float64{1, math.NaN()}; return s }(), // NaN entry
-		}
-		for i, s := range bad {
-			if err := s.Validate(); err == nil {
-				t.Errorf("bad profile %d validated", i)
-			}
-		}
-	})
 }

@@ -23,15 +23,6 @@ type TorusSpec struct {
 	// LinkBandwidth/LinkLatency apply to every neighbor link.
 	LinkBandwidth float64
 	LinkLatency   core.Duration
-	// DimWidths optionally scales link bandwidth per dimension: the
-	// dimension-d rings run at LinkBandwidth*DimWidths[d]. Empty means
-	// homogeneous; otherwise the length must equal len(Dims). Wider
-	// low-order rings match machines whose in-board wiring outruns the
-	// inter-cabinet cables.
-	DimWidths []float64
-	// RowSpeeds optionally scales host speed per dimension-0 row,
-	// cyclically: hosts in row r run at HostSpeed*RowSpeeds[r%len(RowSpeeds)].
-	RowSpeeds []float64
 }
 
 // hosts returns the number of hosts (the product of Dims).
@@ -60,12 +51,6 @@ func (s TorusSpec) Validate() error {
 	if _, err := hostCount(s.Dims...); err != nil {
 		return fmt.Errorf("torus spec %q: %w", s.Name, err)
 	}
-	if err := platform.CheckProfile(s.DimWidths, len(s.Dims)); err != nil {
-		return fmt.Errorf("torus spec %q: dim widths: %w", s.Name, err)
-	}
-	if err := platform.CheckProfile(s.RowSpeeds, -1); err != nil {
-		return fmt.Errorf("torus spec %q: row speeds: %w", s.Name, err)
-	}
 	return nil
 }
 
@@ -91,18 +76,13 @@ func (s TorusSpec) Build() (*platform.Platform, error) {
 		return fmt.Sprintf("%s-%d-d%d%s", s.Name, id/(2*ndims), rem/2, dir)
 	})
 	for i := 0; i < n; i++ {
-		row := i / s.Dims[0]
-		host := p.NewHost(s.HostSpeed * platform.ProfileAt(s.RowSpeeds, row))
+		host := p.NewHost(s.HostSpeed)
 		// The dimension-0 ring is the lowest-level group (neighbors there
 		// are one cable apart); placement mappers lay ranks out by it.
-		host.Cabinet = row
+		host.Cabinet = i / s.Dims[0]
 		for d := 0; d < ndims; d++ {
-			bw := s.LinkBandwidth
-			if len(s.DimWidths) > 0 {
-				bw *= s.DimWidths[d]
-			}
-			p.NewLink(bw, s.LinkLatency, lmm.Shared) // plus
-			p.NewLink(bw, s.LinkLatency, lmm.Shared) // minus
+			p.NewLink(s.LinkBandwidth, s.LinkLatency, lmm.Shared) // plus
+			p.NewLink(s.LinkBandwidth, s.LinkLatency, lmm.Shared) // minus
 		}
 	}
 
@@ -166,18 +146,14 @@ func (r *torusRouter) RouteInto(buf []*platform.Link, a, b *platform.Host) platf
 }
 
 // Metrics implements Spec. The bisection cut halves the dimension with the
-// least crossing bandwidth — the largest extent when widths are uniform;
-// wrap-around doubles the crossing cables, giving the classic 2*N/k value
-// for a homogeneous k-ary n-cube.
+// least crossing bandwidth — the largest extent; wrap-around doubles the
+// crossing cables, giving the classic 2*N/k value for a k-ary n-cube.
 func (s TorusSpec) Metrics() platform.TopoInfo {
 	n := s.hosts()
 	m := platform.TopoInfo{Kind: "torus", Hosts: n, Links: 2 * n * len(s.Dims)}
 	for d, k := range s.Dims {
 		m.Diameter += k / 2
 		cut := float64(2*n/k) * s.LinkBandwidth
-		if len(s.DimWidths) > 0 {
-			cut *= s.DimWidths[d]
-		}
 		if d == 0 || cut < m.BisectionBandwidth {
 			m.BisectionBandwidth = cut
 		}
@@ -192,8 +168,6 @@ func (s *TorusSpec) bindXML(b *platform.XMLBinder) {
 	b.Ints("dims", &s.Dims, "x")
 	b.Rate("bw", &s.LinkBandwidth)
 	b.Duration("lat", &s.LinkLatency)
-	b.Profile("dim_widths", &s.DimWidths)
-	b.Profile("row_speeds", &s.RowSpeeds)
 }
 
 // torus64 is a 4x4x4 3D torus, 64 hosts with 6 neighbor cables each.
