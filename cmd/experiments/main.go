@@ -235,8 +235,8 @@ func runCampaign(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		// The summary plus its fingerprint, so scripts (the CI service-smoke
-		// job) can compare batch and served runs without scraping the table.
+		// The summary plus its fingerprint, so scripts can compare batch and
+		// served runs without scraping the table.
 		out := struct {
 			*campaign.Summary
 			Fingerprint string `json:"fingerprint"`

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"smpigo/internal/core"
 	"smpigo/internal/experiments"
 )
 
@@ -60,6 +61,80 @@ func TestFailingClaimFailsTheCommand(t *testing.T) {
 		}
 		if len(tables) != 2 || tables[0].Title != "Figure a" || len(tables[0].Claims) != 1 || tables[0].Claims[0].Holds || !tables[1].Claims[0].Holds {
 			t.Errorf("JSON tables do not carry their claims: %+v", tables)
+		}
+	}
+}
+
+// TestRunCampaign runs the campaign subcommand as typed, in text and in
+// JSON: both print the fingerprint GridCampaignOpts gives the spec the
+// arguments spell, in canonical form, which is the campaign smpigod serves
+// for it (internal/service TestServedFingerprintMatchesBatch). The rows are
+// a topology axis with a shape-free preset mix, ring as a sweepable op,
+// models crossed with topologies, a respelled spec, and Figure 11's grid.
+func TestRunCampaign(t *testing.T) {
+	env, err := experiments.NewEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	surf, size := []string{"surf"}, []int64{64 * core.KiB}
+	for _, tc := range []struct {
+		args string
+		spec experiments.GridSpec
+		seed uint64
+	}{
+		{"-op pingpong -sizes 64KiB -topologies griffon,fattree16,torus16 -procs 2 -seed 1",
+			experiments.GridSpec{Op: "pingpong", Sizes: size, Backends: surf, Topologies: []string{"griffon", "fattree16", "torus16"}}, 1},
+		{"-op ring -procs 8 -sizes 64KiB -topologies torus16",
+			experiments.GridSpec{Op: "ring", Procs: []int{8}, Sizes: size, Backends: surf, Topologies: []string{"torus16"}}, 0},
+		{"-op pingpong -sizes 64KiB -models bestfit,piecewise -backends surf -topologies fattree16,torus16 -seed 11",
+			experiments.GridSpec{Op: "pingpong", Sizes: size, Models: []string{"bestfit", "piecewise"}, Backends: surf, Topologies: []string{"fattree16", "torus16"}}, 11},
+		{"-op PingPong -sizes 64KiB -backends SURF -topologies FatTree16 -seed 11",
+			experiments.GridSpec{Op: "pingpong", Sizes: size, Backends: surf, Topologies: []string{"fattree16"}}, 11},
+		{"-op alltoall -procs 16 -sizes 4MiB -backends surf,nocontention,openmpi",
+			experiments.GridSpec{Op: "alltoall", Procs: []int{16}, Sizes: []int64{4 * core.MiB}, Backends: []string{"surf", "nocontention", "openmpi"}}, 0},
+	} {
+		if testing.Short() && tc.spec.Op == "alltoall" {
+			continue // a 16-process 4 MiB all-to-all, three times
+		}
+		spec, err := tc.spec.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := env.GridCampaignOpts(spec, experiments.CampaignOptions{Seed: &tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sum.Fingerprint()
+
+		args := strings.Fields(tc.args)
+		text := captureStdout(t, func() { err = runCampaign(args) })
+		if err != nil || !strings.Contains(text, "# fingerprint "+want) {
+			t.Errorf("campaign %s: err %v, want fingerprint %s in\n%s", tc.args, err, want, text)
+		}
+		printed := captureStdout(t, func() { err = runCampaign(append(args, "-json")) })
+		var out struct{ Fingerprint string }
+		if jerr := json.Unmarshal([]byte(printed), &out); err != nil || jerr != nil || out.Fingerprint != want {
+			t.Errorf("campaign %s -json: err %v, fingerprint %q (%v), want %s", tc.args, err, out.Fingerprint, jerr, want)
+		}
+	}
+}
+
+// TestRunCampaignRefuses: an unknown collective variant, a dynamics
+// schedule on the contention-blind back-end, and a shape whose host count
+// overflows int are refused before anything runs: the error names what is
+// wanted or required, nothing is printed, and no job panicked or was
+// fingerprinted.
+func TestRunCampaignRefuses(t *testing.T) {
+	for _, args := range [][]string{
+		{"-op", "scatter", "-procs", "4", "-sizes", "1KiB", "-collectives", "scatter=bogus"},
+		{"-op", "alltoall", "-procs", "4", "-sizes", "1KiB", "-backends", "nocontention", "-dynamics", "@0s link griffon-* scale 0.5"},
+		{"-op", "pingpong", "-sizes", "1KiB", "-topologies", "torus:4294967296x4294967296"},
+	} {
+		var err error
+		printed := captureStdout(t, func() { err = runCampaign(args) })
+		if err == nil || !strings.Contains(err.Error(), "want") && !strings.Contains(err.Error(), "require") ||
+			strings.Contains(err.Error(), "panicked") || strings.Contains(err.Error(), "fingerprint") || printed != "" {
+			t.Errorf("campaign %q: err %v, printed %q; want a refusal naming what it wants, before anything runs", args, err, printed)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ func parse(t *testing.T, args ...string) options {
 }
 
 func TestRun(t *testing.T) {
-	for _, args := range [][]string{
+	runs := [][]string{
 		{"-app", "pingpong"},
 		{"-app", "alltoall", "-np", "8", "-platform", "fattree16", "-stats"},
 		{"-app", "dt", "-class", "S", "-fold"},
@@ -35,7 +36,13 @@ func TestRun(t *testing.T) {
 		// -app, -graph and -class ignore case and padding like every name.
 		{"-app", "DT", "-class", "A"},
 		{"-app", "dt", "-graph", "bh", "-class", "a"},
-	} {
+	}
+	// What platformgen -metrics writes, trailing comment and all, is a
+	// platform file smpirun reads.
+	for _, preset := range []string{"fattree16", "fattree64", "torus16", "torus64", "dragonfly72"} {
+		runs = append(runs, []string{"-app", "pingpong", "-chunk", "64KiB", "-platform", filepath.Join("..", "platformgen", "testdata", preset+".golden")})
+	}
+	for _, args := range runs {
 		if err := run(parse(t, args...), io.Discard); err != nil {
 			t.Errorf("smpirun %s: %v", strings.Join(args, " "), err)
 		}
@@ -72,13 +79,63 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 	}
 }
 
+// TestHotSpotReport runs a placed alltoall on the oversubscribed fattree64
+// with -stats and -timeline. rr placement pushes every exchange through the
+// top level and D-mod-k routing converges them there, so the ten hottest
+// links are all spine ("-l3-") links. Degrading the spine cannot move the
+// byte ranking (routes are static), so the schedule also injects background
+// flows on two same-leaf pairs: their edge ("-l1-") links out-byte part of
+// the spine. Either way no link carries more than its capacity, and the
+// timeline file is written.
+func TestHotSpotReport(t *testing.T) {
+	const args = "-app alltoall -np 32 -chunk 256KiB -platform fattree64 -placement rr -collectives auto -model ideal -stats"
+	for _, tc := range []struct {
+		name, dynamics string
+		allSpine       bool
+	}{
+		{"spine dominance", "", true},
+		{"degraded spine", "@0s link fattree64-l3-* scale 0.5; @0s flow 0->1 4MiB every 10ms x10; @0s flow 2->3 4MiB every 10ms x10", false},
+	} {
+		o := parse(t, strings.Fields(args)...)
+		o.dynamics = tc.dynamics
+		o.timeline = filepath.Join(t.TempDir(), "timeline.json")
+		var out bytes.Buffer
+		if err := run(o, &out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		report := out.String()
+		if !strings.Contains(report, "kernel counters") {
+			t.Errorf("%s: no kernel counters in\n%s", tc.name, report)
+		}
+		spine := strings.Count(report, "fattree64-l3-")
+		if edge := strings.Contains(report, "fattree64-l1-"); tc.allSpine && spine != 10 || !tc.allSpine && (spine >= 10 || !edge) {
+			t.Errorf("%s: %d spine hot spots, edge links among them: %v\n%s", tc.name, spine, edge, report)
+		}
+		for _, line := range strings.Split(report, "\n") {
+			if !strings.Contains(line, " util ") {
+				continue
+			}
+			fields := strings.Fields(line)
+			util, err := strconv.ParseFloat(strings.TrimSuffix(fields[len(fields)-1], "%"), 64)
+			if err != nil || util > 100.05 {
+				t.Errorf("%s: over capacity or unreadable: %q", tc.name, line)
+			}
+		}
+		timeline, err := os.ReadFile(o.timeline)
+		if err != nil || !bytes.Contains(timeline, []byte("bucket_width")) {
+			t.Errorf("%s: timeline %q (%v) holds no bucket_width", tc.name, timeline, err)
+		}
+	}
+}
+
 var wallLine = regexp.MustCompile(`(?m)^(simulation wall    : ).*$`)
 
-// TestGoldenOutput pins what smpirun prints for the invocations CI's
-// topology-smoke job runs (the wall-clock line masked). The goldens were
-// generated by the smpirun of the commit before the app switch, the
-// back-end switch and the placement closure moved into package experiments,
-// so they prove that move changed no output.
+// TestGoldenOutput pins what smpirun prints for the platform presets, shape
+// strings, placement and collective selection, -stats, DT and EP (the
+// wall-clock line masked). The goldens were generated by the smpirun of the
+// commit before the app switch, the back-end switch and the placement
+// closure moved into package experiments, so they prove that move changed
+// no output.
 func TestGoldenOutput(t *testing.T) {
 	cases := map[string]string{
 		"alltoall_dragonfly_shape": "-app alltoall -np 8 -chunk 64KiB -platform dragonfly:3x2x2",

@@ -1,6 +1,7 @@
 // Package archtest holds the module's architecture rules as one test. Each
 // rule reads the parsed source of both modules (this one and bench/), never
-// a comment, and the last three also read the type-checked packages. The
+// a comment, and four (calibration and the last three) also read the
+// type-checked packages. The
 // package has no non-test file.
 package archtest
 
@@ -8,6 +9,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"maps"
 	"regexp"
 	"slices"
@@ -271,28 +273,33 @@ func noSharedPools(m *module) []string {
 
 // calibrationIsData: NewEnv reads the models from calibration_data.go, and
 // only cmd/calibrate and TestCalibrationIsCurrent run the Section 6
-// procedure (docs/ARCHITECTURE.md, "The scenario path"). A call anywhere
-// else puts the emulated SKaMPI ping-pong back on some start-up path.
+// procedure (docs/ARCHITECTURE.md, "The scenario path"). A use anywhere
+// else puts the emulated SKaMPI ping-pong back on some start-up path. Uses
+// are matched by object, so an import alias cannot hide one, and a renamed
+// Calibrate fails the rule until the rule follows it.
 func calibrationIsData(m *module) []string {
+	const path, name = "smpigo/internal/experiments", "Calibrate"
+	var calibrate types.Object
+	for _, p := range m.pkgs {
+		if p.path == path {
+			calibrate = p.types.Scope().Lookup(name)
+		}
+	}
+	if calibrate == nil {
+		return []string{path + "." + name + " is gone: point this rule at what runs the calibration now"}
+	}
 	var out []string
-	m.scan(func(s *source) bool {
-		return product(s) && !strings.HasPrefix(s.path, "cmd/calibrate/")
-	}, func(s *source, n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
+	for _, p := range m.pkgs {
+		if p.path == "smpigo/cmd/calibrate" {
+			continue
 		}
-		var name string
-		switch fn := call.Fun.(type) {
-		case *ast.Ident:
-			name = fn.Name
-		case *ast.SelectorExpr:
-			name = fn.Sel.Name
+		for id, obj := range p.info.Uses {
+			if obj == calibrate {
+				out = append(out, m.at(id, name+"("))
+			}
 		}
-		if name == "Calibrate" {
-			out = append(out, m.at(n, "Calibrate("))
-		}
-	})
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -443,11 +450,6 @@ func TestRulesRejectSeededViolations(t *testing.T) {
 		{"no shared pools", map[string]string{"internal/smpi/x_test.go": "package smpi\n\nimport \"sync\"\n\nvar p sync.Pool\n"}, false},
 		{"no shared pools", map[string]string{"internal/smpi/x.go": "package smpi\n\nimport \"sync\"\n\n// Not a sync.Pool: the run owns the list.\nvar mu sync.Mutex\n"}, false},
 
-		{"calibration is data", map[string]string{"cmd/experiments/x.go": "package main\n\nfunc f() { experiments.Calibrate(p, a, b) }\n"}, true},
-		{"calibration is data", map[string]string{"cmd/calibrate/main.go": "package main\n\nfunc f() { experiments.Calibrate(p, a, b) }\n"}, false},
-		{"calibration is data", map[string]string{"internal/experiments/env.go": "package experiments\n\nfunc Calibrate() {}\n"}, false},
-		{"calibration is data", map[string]string{"internal/experiments/x.go": "package experiments\n\n// Calibrate( runs only in cmd/calibrate.\nvar x = 1\n"}, false},
-
 		{"no benchmarks outside bench/", map[string]string{"internal/lmm/x_test.go": "package lmm\n\nfunc BenchmarkSolve(b *testing.B) {}\n"}, true},
 		{"no benchmarks outside bench/", map[string]string{"bench/x_test.go": "package main\n\nfunc BenchmarkSolve(b *testing.B) {}\n"}, false},
 		{"no benchmarks outside bench/", map[string]string{"internal/lmm/x_test.go": "package lmm\n\n// func BenchmarkSolve moved to bench/.\nvar x = 1\n"}, false},
@@ -490,6 +492,13 @@ func TestRulesRejectSeededViolations(t *testing.T) {
 	}
 	decls := "package core\n\nimport \"sync/atomic\"\n\nvar _ atomic.Int64\n"
 	uses := "package main\n\nimport \"smpigo/internal/core\"\n"
+	// The calibration rule reads types too: of the two calls below only
+	// the aliased one is experiments.Calibrate, and cmd/calibrate may make
+	// it.
+	uses += "\nimport exp \"smpigo/internal/experiments\"\n\nfunc Calibrate() {}\n\n" +
+		"func seededCalibrations() {\n\texp.Calibrate(nil, nil, nil)\n\tCalibrate()\n}\n"
+	const calibrateUse = "package main\n\nimport \"smpigo/internal/experiments\"\n\n" +
+		"func seededCalibration() { experiments.Calibrate(nil, nil, nil) }\n"
 	tests := "package main\n"
 	for _, c := range fieldCases {
 		decls += fmt.Sprintf("\ntype %s %s\n", c.name, c.decl)
@@ -521,9 +530,17 @@ type seededImpl struct{}
 func (seededImpl) seededMethod() {}
 `
 	m, err := load(map[string]string{"internal/core/seeded.go": decls, "cmd/smpirun/seeded.go": uses, "cmd/smpirun/seeded_test.go": tests,
-		"internal/core/seeded_test.go": "package core\n\nfunc init() { seededTestOnly() }\n"})
+		"internal/core/seeded_test.go": "package core\n\nfunc init() { seededTestOnly() }\n",
+		"cmd/calibrate/seeded.go":      calibrateUse})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := calibrationIsData(m); len(got) != 1 || !strings.HasPrefix(got[0], "cmd/smpirun/seeded.go:") {
+		t.Errorf("calibration is data: got %q, want the one aliased call in cmd/smpirun/seeded.go", got)
+	}
+	gone := &module{fset: m.fset, pkgs: slices.DeleteFunc(slices.Clone(m.pkgs), func(p *pkg) bool { return p.path == "smpigo/internal/experiments" })}
+	if got := calibrationIsData(gone); len(got) != 1 || !strings.Contains(got[0], "experiments.Calibrate is gone") {
+		t.Errorf("calibration is data without experiments.Calibrate: got %q, want the rule to fail", got)
 	}
 	flagged := m.unsetOrUnread()
 	for _, c := range fieldCases {

@@ -205,6 +205,11 @@ func RunAll(ctx context.Context, opts Options, jobs []Job) *Summary {
 	next := 0
 feed:
 	for ; next < len(jobs); next++ {
+		// With a worker waiting, both cases below are ready and select
+		// picks at random: a canceled context must stop the feed first.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case idx <- next:
 		case <-ctx.Done():

@@ -13,8 +13,7 @@ import "fmt"
 // order — each holding a contiguous job-index range of the full grid, as
 // produced by experiments.GridSpec sharding — therefore concatenate into a
 // summary whose Fingerprint equals the unsharded run's, which is exactly
-// what the service's shard-merge endpoint and the CI service-smoke job
-// assert.
+// what the service's shard-merge endpoint asserts.
 //
 // All parts must share one campaign seed, none may be canceled (a canceled
 // shard is partial, so the merge would silently misreport skipped jobs as

@@ -8,8 +8,9 @@ import (
 
 // solverSmokeFingerprint is the campaign fingerprint of the 1k-host
 // solver-smoke grid (alltoall, 32 procs, 64KiB, fattree:16x8x8:1x8x8, seed
-// 7 — the same grid CI's solver-smoke job runs), recorded before the
-// event path moved from linear scans onto the completion-time min-heap.
+// 7, the grid of the nightly workflow's reference campaign), recorded
+// before the event path moved from linear scans onto the completion-time
+// min-heap.
 // Keeping it pinned proves the heap rewrite changed no simulated timestamp:
 // the lazy drain performs bit-for-bit the arithmetic of the former
 // every-step drain on this workload, and the fingerprint hashes every

@@ -151,14 +151,14 @@ func TestGridTopologyAxisDeterministic(t *testing.T) {
 }
 
 // TestGridPlacementAxisDeterministic sweeps the placement axis — including
-// the seed-derived random mapping generated inside worker-pool jobs — and
-// checks the acceptance property: bit-identical fingerprints at any
-// -parallel worker count.
+// the seed-derived random mapping generated inside worker-pool jobs, over
+// half the hosts and over all of them — and checks the acceptance property:
+// bit-identical fingerprints at any -parallel worker count.
 func TestGridPlacementAxisDeterministic(t *testing.T) {
 	e := env(t)
 	spec := GridSpec{
 		Op:          "allreduce",
-		Procs:       []int{8},
+		Procs:       []int{8, 16},
 		Sizes:       []int64{64 * core.KiB},
 		Models:      []string{"piecewise"},
 		Backends:    []string{"surf"},
@@ -175,8 +175,8 @@ func TestGridPlacementAxisDeterministic(t *testing.T) {
 		if err := sum.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if sum.Jobs != 6 {
-			t.Fatalf("grid expanded to %d jobs, want 6", sum.Jobs)
+		if sum.Jobs != 12 {
+			t.Fatalf("grid expanded to %d jobs, want 12", sum.Jobs)
 		}
 		fingerprints[sum.Fingerprint()]++
 	}

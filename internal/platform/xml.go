@@ -235,11 +235,12 @@ func WriteXML(w io.Writer, specs ...Spec) error {
 // ReadXML parses a platform file and returns the specs it declares, in
 // document order. Elements are decoded through the RegisterXMLSpec registry,
 // so topology elements are only recognized when their defining package is
-// linked in.
+// linked in. The root takes no attribute but version="1", a spec element
+// holds no child element, and no element follows </platform>.
 func ReadXML(r io.Reader) ([]Spec, error) {
 	dec := xml.NewDecoder(r)
 	var specs []Spec
-	sawRoot := false
+	sawRoot, closed := false, false
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -248,13 +249,25 @@ func ReadXML(r io.Reader) ([]Spec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("platform xml: %w", err)
 		}
+		if _, end := tok.(xml.EndElement); end {
+			// Spec elements are read to their end below: this is </platform>.
+			closed = true
+		}
 		start, ok := tok.(xml.StartElement)
 		if !ok {
 			continue
 		}
+		if closed {
+			return nil, fmt.Errorf("platform xml: element <%s> after </platform>", start.Name.Local)
+		}
 		if !sawRoot {
 			if start.Name.Local != "platform" {
 				return nil, fmt.Errorf("platform xml: root element is <%s>, want <platform>", start.Name.Local)
+			}
+			for _, a := range start.Attr {
+				if a.Name.Space != "" || a.Name.Local != "version" || a.Value != "1" {
+					return nil, fmt.Errorf("platform xml: <platform> attribute %s=%q, want only version=\"1\"", a.Name.Local, a.Value)
+				}
 			}
 			sawRoot = true
 			continue
@@ -283,8 +296,8 @@ func ReadXML(r io.Reader) ([]Spec, error) {
 			return nil, err
 		}
 		specs = append(specs, spec)
-		if err := dec.Skip(); err != nil {
-			return nil, fmt.Errorf("platform xml: %w", err)
+		if err := b.readEnd(dec); err != nil {
+			return nil, err
 		}
 	}
 	if !sawRoot {
@@ -294,4 +307,21 @@ func ReadXML(r io.Reader) ([]Spec, error) {
 		return nil, fmt.Errorf("platform xml: no spec element inside <platform>")
 	}
 	return specs, nil
+}
+
+// readEnd consumes a spec element up to its end tag, refusing any child
+// element: every setting of a spec is an attribute.
+func (b *XMLBinder) readEnd(dec *xml.Decoder) error {
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return fmt.Errorf("platform xml: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			return fmt.Errorf("%s %q: unexpected child element <%s>", b.element, b.id, t.Name.Local)
+		case xml.EndElement:
+			return nil
+		}
+	}
 }

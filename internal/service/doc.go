@@ -16,8 +16,8 @@
 // Sharding rides on the same contract: a spec carrying shard i/n runs the
 // grid's job-index range [i·P/n, (i+1)·P/n) with the unsharded job IDs and
 // seeds, so the merge endpoint (campaign.Merge over the shard summaries)
-// reproduces the unsharded fingerprint exactly — the property the CI
-// service-smoke job gates.
+// reproduces the unsharded fingerprint exactly — the property
+// TestShardMergeViaAPI gates.
 //
 // Concurrency model: HTTP handlers validate, key, and enqueue; one runner
 // goroutine executes campaigns in arrival order, each fanning its jobs out

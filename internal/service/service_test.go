@@ -99,34 +99,67 @@ func pollStatus(t *testing.T, h http.Handler, id string, want ...string) campaig
 	}
 }
 
+// TestServedFingerprintMatchesBatch: a served campaign reproduces the batch
+// path's fingerprint bit for bit, the property that makes the result cache
+// sound. The rows are the 4-job test grid, models crossed with topologies,
+// a respelled pingpong without procs, and Figure 11's grid
+// (cmd/experiments TestRunCampaign holds the batch CLI to the same
+// fingerprints).
 func TestServedFingerprintMatchesBatch(t *testing.T) {
 	env := testEnv(t)
 	s := newTestServer(t, Config{Env: env})
 	h := s.Handler()
 
-	w := doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(testSpec(), 31))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
+	for _, tc := range []struct {
+		spec experiments.GridSpec
+		seed uint64
+	}{
+		{testSpec(), 31},
+		{experiments.GridSpec{Op: "pingpong", Procs: []int{2}, Sizes: []int64{64 * 1024}, Models: []string{"bestfit", "piecewise"},
+			Backends: []string{"surf"}, Topologies: []string{"fattree16", "torus16"}}, 11},
+		{experiments.GridSpec{Op: "PingPong", Sizes: []int64{64 * 1024}, Backends: []string{" SURF "}, Topologies: []string{"FatTree16"}}, 11},
+		{experiments.GridSpec{Op: "alltoall", Procs: []int{16}, Sizes: []int64{4 << 20}, Backends: []string{"surf", "nocontention", "openmpi"}}, 0},
+	} {
+		if testing.Short() && tc.spec.Op == "alltoall" {
+			continue // a 16-process 4 MiB all-to-all, twice
+		}
+		w := doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(tc.spec, tc.seed))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d, body %s", w.Code, w.Body.String())
+		}
+		if got := w.Header().Get("X-Smpigod-Cache"); got != "miss" {
+			t.Errorf("%s: first submission cache header %q, want miss", tc.spec.Op, got)
+		}
+		v := decodeView(t, w)
+		canonical, err := tc.spec.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := env.GridCampaignOpts(canonical, experiments.CampaignOptions{Seed: &tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Status != statusDone || v.Jobs != sum.Jobs || v.Summary == nil {
+			t.Fatalf("unexpected view: %+v", v)
+		}
+		if got, want := v.Fingerprint, sum.Fingerprint(); got != want {
+			t.Errorf("%+v: served fingerprint %s, batch fingerprint %s — the service must reproduce the batch path bit for bit", tc.spec, got, want)
+		}
 	}
-	if got := w.Header().Get("X-Smpigod-Cache"); got != "miss" {
-		t.Errorf("first submission cache header %q, want miss", got)
-	}
-	v := decodeView(t, w)
-	if v.Status != statusDone || v.Jobs != 4 || v.Fingerprint == "" || v.Summary == nil {
-		t.Fatalf("unexpected view: %+v", v)
-	}
+}
 
-	canonical, err := testSpec().Canonicalize()
-	if err != nil {
-		t.Fatal(err)
+// TestUnmappableBlockFailsItsJob: folded memory is mapped, not allocated.
+// A block the machine cannot map (4 ranks × 256 GiB) fails its job; the
+// campaign is still answered and the service stays healthy.
+func TestUnmappableBlockFailsItsJob(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	spec := experiments.GridSpec{Op: "alltoall", Procs: []int{4}, Sizes: []int64{256 << 30}, Backends: []string{"surf"}}
+	w := doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(spec, 1))
+	if v := decodeView(t, w); w.Code != http.StatusOK || v.Summary == nil || v.Summary.Failed != 1 {
+		t.Errorf("status %d, body %s; want 200 and one failed job", w.Code, w.Body.String())
 	}
-	seed := uint64(31)
-	sum, err := env.GridCampaignOpts(canonical, experiments.CampaignOptions{Seed: &seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := v.Fingerprint, sum.Fingerprint(); got != want {
-		t.Errorf("served fingerprint %s, batch fingerprint %s — the service must reproduce the batch path bit for bit", got, want)
+	if w := doJSON(t, h, "GET", "/healthz", nil); w.Code != http.StatusOK {
+		t.Errorf("healthz after the failed job: status %d, want 200", w.Code)
 	}
 }
 

@@ -5,8 +5,8 @@ package surf_test
 // NextEvent), run on identical fuzzed churn schedules.
 //
 // When every kernel step reshares every live flow's component (single
-// shared-link platforms — and the alltoall campaigns the solver smoke
-// pins), the lazy drain performs bit-for-bit the same arithmetic as the
+// shared-link platforms — and the alltoall campaign
+// TestEventPathFingerprintUnchanged pins), the lazy drain performs bit-for-bit the same arithmetic as the
 // every-step drain, so completion times must be exactly equal. When steps
 // interleave across components or with timers, the lazy drain partitions
 // the same rate integral into fewer segments, so times agree only to

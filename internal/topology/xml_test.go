@@ -62,7 +62,9 @@ func TestDialectGolden(t *testing.T) {
 
 // unknownAttributes edits one attribute of a written spec's element: a
 // misspelling per element, then each heterogeneity-profile attribute the
-// dialect no longer binds. ReadXML must refuse each, naming it.
+// dialect no longer binds, then what the dialect has no place for around
+// the attributes (a root attribute, a child element, an element after the
+// root). ReadXML must refuse each, naming it.
 var unknownAttributes = []struct {
 	spec     platform.Spec
 	old, new string
@@ -80,6 +82,10 @@ var unknownAttributes = []struct {
 	{torus64(), `"></torus>`, `" row_speeds="2"></torus>`, `torus "torus64": unknown attribute row_speeds`},
 	{dragonfly72(), `"></dragonfly>`, `" group_speeds="1,0.5"></dragonfly>`, `dragonfly "dragonfly72": unknown attribute group_speeds`},
 	{dragonfly72(), `"></dragonfly>`, `" group_widths="1,0.5"></dragonfly>`, `dragonfly "dragonfly72": unknown attribute group_widths`},
+	{platform.Griffon(), `<platform version="1">`, `<platform version="7">`, `platform xml: <platform> attribute version="7", want only version="1"`},
+	{platform.Griffon(), `<platform version="1">`, `<platform version="1" vendor="x">`, `platform xml: <platform> attribute vendor="x", want only version="1"`},
+	{platform.Griffon(), `"></cluster>`, `"><host id="ghost" speed="1f"/></cluster>`, `cluster "griffon": unexpected child element <host>`},
+	{platform.Griffon(), `</platform>`, `</platform><cluster id="late"/>`, `platform xml: element <cluster> after </platform>`},
 }
 
 // editedFile writes spec as a platform file and replaces old with new in
