@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/figures.golden, testdata/claims.golden and calibration_data.go from this build")
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden, testdata/claims.golden, testdata/counts.golden and calibration_data.go from this build")
 
 // TestFigures runs every figure once, as cmd/experiments -fast runs them,
 // under seed 0: each must make at least one claim, and every claim must
