@@ -114,12 +114,23 @@ type Net struct {
 	// pops in exactly the order a heap of every event would: one event-path
 	// implementation and one determinism contract across backends.
 	events actionheap.Heap[hopEvent]
-	ports  []port    // by Link.ID
-	nodes  []hopNode // the ports' FIFOs; nodes[0] is the empty sentinel
-	free   int32     // unused nodes, chained through next
-	msgs   *message  // recycled messages, chained through next
-	rng    *core.RNG
+	ports  []port // by Link.ID
+	// nodes holds the ports' FIFOs in chunks of chunkNodes, each filled by
+	// append within its capacity; node 0 is the empty sentinel. A chunk is
+	// added only when free is empty and is never copied, so a run
+	// allocates its peak number of nodes in use, rounded up to one chunk.
+	nodes [][]hopNode
+	free  int32 // unused nodes, chained through next
+	// msgs holds the messages in flight, indexed by hopEvent.msg; msgs[0]
+	// is the empty sentinel. inject may grow it, so a *message into it
+	// must not be held across an inject.
+	msgs     []message
+	freeMsgs int32 // recycled messages, chained through next
+	rng      *core.RNG
 }
+
+// chunkNodes is the length of one chunk of Net.nodes: 16 KiB of hopNodes.
+const chunkNodes = 512
 
 // port is a link's output: its serialization horizon and the FIFO of
 // packets sent down the link that have not yet reached the next hop. The
@@ -129,11 +140,12 @@ type port struct {
 	head, tail int32
 }
 
-// hopNode is one event of a port's FIFO.
+// hopNode is one event of a port's FIFO. It holds no pointer, so the
+// garbage collector never scans a chunk of them.
 type hopNode struct {
-	ev   hopEvent
 	due  core.Time
 	seq  uint64
+	ev   hopEvent
 	next int32
 }
 
@@ -150,13 +162,14 @@ type message struct {
 	start              core.Time
 	ramp               bool
 	seq                uint64
-	next               *message // free list
+	next               int32 // free list
 }
 
-// hopEvent is a packet arriving at the input of route link index hop.
+// hopEvent is packet pkt of message msgs[msg] arriving at the input of
+// route link index hop. It holds no pointer, so the heap's sifts run no
+// write barrier.
 type hopEvent struct {
-	msg      *message
-	pkt, hop int32
+	msg, pkt, hop int32
 }
 
 // NewNet creates an emulated network over plat with the given MPI
@@ -167,7 +180,8 @@ func NewNet(kernel *simix.Kernel, plat *platform.Platform, impl MPIImpl) *Net {
 		plat:   plat,
 		impl:   impl,
 		ports:  make([]port, len(plat.Links())),
-		nodes:  make([]hopNode, 1),
+		nodes:  [][]hopNode{make([]hopNode, 1, chunkNodes)},
+		msgs:   make([]message, 1),
 		rng:    core.NewRNG(0x7e57bed ^ uint64(len(impl.Name))),
 	}
 }
@@ -226,17 +240,19 @@ func (n *Net) Transfer(src, dst *platform.Host, size int64, future *simix.Future
 // numbers; ramp selects whether the slow-start window ramp gates frame
 // injection.
 func (n *Net) inject(src, dst *platform.Host, size int64, start core.Time, ramp bool, onDone func(core.Time)) {
-	m := n.msgs
-	if m != nil {
-		n.msgs = m.next
+	id := n.freeMsgs
+	if id != 0 {
+		n.freeMsgs = n.msgs[id].next
 	} else {
-		m = &message{}
+		id = int32(len(n.msgs))
+		n.msgs = append(n.msgs, message{})
 	}
+	m := &n.msgs[id]
 	*m = message{route: n.plat.RouteInto(m.route.Links[:0], src, dst), size: size,
 		packets: int32(max(1, (size+n.impl.MSS-1)/n.impl.MSS)), wireScale: n.jitterScale(),
 		onDone: onDone, start: start, ramp: ramp}
 	m.seq = n.events.Reserve(int(m.packets))
-	n.events.PushSeq(hopEvent{msg: m}, n.frameDue(m, 0), m.seq, nil)
+	n.events.PushSeq(hopEvent{msg: id}, n.frameDue(m, 0), m.seq, nil)
 }
 
 // frameDue returns the date frame i of m enters the first port.
@@ -291,26 +307,30 @@ func (n *Net) Advance(to core.Time) {
 // next pushes the successor of the popped event he in its stream: the
 // message's next frame, or the next packet in its port's FIFO.
 func (n *Net) next(he hopEvent) {
-	m := he.msg
+	m := &n.msgs[he.msg]
 	if he.hop == 0 {
 		if i := he.pkt + 1; i < m.packets {
-			n.events.PushSeq(hopEvent{msg: m, pkt: i}, n.frameDue(m, i), m.seq+uint64(i), nil)
+			n.events.PushSeq(hopEvent{msg: he.msg, pkt: i}, n.frameDue(m, i), m.seq+uint64(i), nil)
 		}
 		return
 	}
 	p := &n.ports[m.route.Links[he.hop-1].ID]
 	i := p.head
-	p.head, n.nodes[i].next, n.free = n.nodes[i].next, n.free, i
+	nd := n.node(i)
+	p.head, nd.next, n.free = nd.next, n.free, i
 	if p.head == 0 {
 		p.tail = 0
 		return
 	}
-	nd := &n.nodes[p.head]
+	nd = n.node(p.head)
 	n.events.PushSeq(nd.ev, nd.due, nd.seq, nil)
 }
 
+// processHop transmits the packet of he down its link. The message's
+// onDone runs last, after the message went back to the free list: it may
+// inject, which may move n.msgs under m.
 func (n *Net) processHop(he hopEvent, at core.Time) {
-	m := he.msg
+	m := &n.msgs[he.msg]
 	link := m.route.Links[he.hop]
 	p := &n.ports[link.ID]
 	startTx := at
@@ -323,13 +343,13 @@ func (n *Net) processHop(he hopEvent, at core.Time) {
 	p.busyUntil = txEnd
 	arrive := txEnd + link.Latency
 	if int(he.hop)+1 < len(m.route.Links) {
-		n.forward(p, hopEvent{msg: m, pkt: he.pkt, hop: he.hop + 1}, arrive)
+		n.forward(p, hopEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive)
 		return
 	}
 	m.delivered++
 	if m.delivered == m.packets {
 		done := m.onDone
-		m.onDone, m.next, n.msgs = nil, n.msgs, m
+		m.onDone, m.next, n.freeMsgs = nil, n.freeMsgs, he.msg
 		done(arrive)
 	}
 }
@@ -338,19 +358,30 @@ func (n *Net) processHop(he hopEvent, at core.Time) {
 // a Push now would take. busyUntil only grows and every frame has wire time,
 // so the FIFO stays sorted.
 func (n *Net) forward(p *port, he hopEvent, at core.Time) {
-	nd := hopNode{ev: he, due: at, seq: n.events.Reserve(1)}
+	nd := hopNode{due: at, seq: n.events.Reserve(1), ev: he}
 	i := n.free
 	if i != 0 {
-		n.free, n.nodes[i] = n.nodes[i].next, nd
+		slot := n.node(i)
+		n.free, *slot = slot.next, nd
 	} else {
-		i = int32(len(n.nodes))
-		n.nodes = append(n.nodes, nd)
+		last := len(n.nodes) - 1
+		if len(n.nodes[last]) == chunkNodes {
+			n.nodes = append(n.nodes, make([]hopNode, 0, chunkNodes))
+			last++
+		}
+		i = int32(last*chunkNodes + len(n.nodes[last]))
+		n.nodes[last] = append(n.nodes[last], nd)
 	}
 	if p.tail == 0 {
 		p.head = i
 		n.events.PushSeq(he, at, nd.seq, nil)
 	} else {
-		n.nodes[p.tail].next = i
+		n.node(p.tail).next = i
 	}
 	p.tail = i
+}
+
+// node returns FIFO node i.
+func (n *Net) node(i int32) *hopNode {
+	return &n.nodes[uint32(i)/chunkNodes][uint32(i)%chunkNodes]
 }

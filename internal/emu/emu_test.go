@@ -211,7 +211,9 @@ type eagerNet struct {
 }
 
 func (r *eagerNet) inject(src, dst *platform.Host, size int64, start core.Time, ramp bool, onDone func(core.Time)) {
-	m := &message{route: r.plat.Route(src, dst), size: size, onDone: onDone, wireScale: r.jitterScale()}
+	id := int32(len(r.msgs))
+	r.msgs = append(r.msgs, message{route: r.plat.Route(src, dst), size: size, onDone: onDone, wireScale: r.jitterScale()})
+	m := &r.msgs[id]
 	m.packets = int32(max(1, (size+r.impl.MSS-1)/r.impl.MSS))
 	rtt := 2 * m.route.Latency
 	for i := range m.packets {
@@ -219,14 +221,15 @@ func (r *eagerNet) inject(src, dst *platform.Host, size int64, start core.Time, 
 		if ramp {
 			at += core.Duration(r.rampRound(int(i))) * rtt
 		}
-		r.heap.Push(hopEvent{msg: m, pkt: i}, at, nil)
+		r.heap.Push(hopEvent{msg: id, pkt: i}, at, nil)
 	}
 }
 
 func (r *eagerNet) Advance(to core.Time) {
 	for he, at, ok := r.heap.Peek(); ok && at <= to+1e-15; he, at, ok = r.heap.Peek() {
 		r.heap.Pop()
-		m, link := he.msg, he.msg.route.Links[he.hop]
+		m := &r.msgs[he.msg]
+		link := m.route.Links[he.hop]
 		startTx := at
 		if r.busy[link] > startTx {
 			startTx = r.busy[link]
@@ -234,7 +237,7 @@ func (r *eagerNet) Advance(to core.Time) {
 		payload := min(m.size-int64(he.pkt)*r.impl.MSS, r.impl.MSS)
 		r.busy[link] = startTx + core.Duration(float64(payload+r.impl.FrameOverhead)*m.wireScale/link.Bandwidth)
 		if arrive := r.busy[link] + link.Latency; int(he.hop)+1 < len(m.route.Links) {
-			r.heap.Push(hopEvent{msg: m, pkt: he.pkt, hop: he.hop + 1}, arrive, nil)
+			r.heap.Push(hopEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive, nil)
 		} else if m.delivered++; m.delivered == m.packets {
 			m.onDone(arrive)
 		}
@@ -290,7 +293,8 @@ func drive(inj injector, impl MPIImpl, sends []send) (dates []core.Time, maxActi
 // clusters and both MPI parameter sets), Net and the eager reference fire
 // every onDone at bit-identical dates after the same number of pushes, and
 // Net's heap never holds more than one entry per transfer in flight plus
-// one per link.
+// one per link. Most seeds queue more packets than one chunk of FIFO nodes
+// holds, and at least one must, so nodes are linked across chunks.
 //
 // Measured dates rarely tie, so a third cluster and parameter set make them
 // tie on purpose: with no per-frame cost, no jitter, start dates on a grid,
@@ -316,6 +320,7 @@ func TestStreamHeadsMatchEagerReference(t *testing.T) {
 		}
 		plats[i] = p
 	}
+	crossed := 0 // seeds whose FIFOs took nodes past the first chunk
 	for seed := int64(0); seed < 180; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		plat, impl := plats[seed%3], impls[seed/3%3]
@@ -364,5 +369,12 @@ func TestStreamHeadsMatchEagerReference(t *testing.T) {
 		if bound := maxActive + len(plat.Links()); netStats.MaxLen > bound {
 			t.Errorf("seed %d: heap held %d entries, want <= %d transfers in flight + %d links", seed, netStats.MaxLen, maxActive, len(plat.Links()))
 		}
+		if len(net.nodes) > 1 {
+			crossed++
+		}
+	}
+	t.Logf("%d of 180 seeds crossed a chunk boundary", crossed)
+	if crossed == 0 {
+		t.Errorf("no seed's FIFOs crossed a chunk boundary (%d nodes): the oracle never read a node past the first chunk", chunkNodes)
 	}
 }
