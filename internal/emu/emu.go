@@ -121,8 +121,8 @@ type Net struct {
 	// allocates its peak number of nodes in use, rounded up to one chunk.
 	nodes [][]hopNode
 	free  int32 // unused nodes, chained through next
-	// msgs holds the messages in flight, indexed by hopEvent.msg; msgs[0]
-	// is the empty sentinel. inject may grow it, so a *message into it
+	// msgs holds the messages, in flight or recycled, indexed by
+	// hopEvent.msg; msgs[0] is the empty sentinel. inject may grow it, so a *message into it
 	// must not be held across an inject.
 	msgs     []message
 	freeMsgs int32 // recycled messages, chained through next
@@ -358,7 +358,7 @@ func (n *Net) processHop(he hopEvent, at core.Time) {
 // a Push now would take. busyUntil only grows and every frame has wire time,
 // so the FIFO stays sorted.
 func (n *Net) forward(p *port, he hopEvent, at core.Time) {
-	nd := hopNode{due: at, seq: n.events.Reserve(1), ev: he}
+	nd := hopNode{ev: he, due: at, seq: n.events.Reserve(1)}
 	i := n.free
 	if i != 0 {
 		slot := n.node(i)
