@@ -373,7 +373,6 @@ func TestStreamHeadsMatchEagerReference(t *testing.T) {
 			crossed++
 		}
 	}
-	t.Logf("%d of 180 seeds crossed a chunk boundary", crossed)
 	if crossed == 0 {
 		t.Errorf("no seed's FIFOs crossed a chunk boundary (%d nodes): the oracle never read a node past the first chunk", chunkNodes)
 	}
