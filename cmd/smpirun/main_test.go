@@ -86,15 +86,17 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 // byte ranking (routes are static), so the schedule also injects background
 // flows on two same-leaf pairs: their edge ("-l1-") links out-byte part of
 // the spine. Either way no link carries more than its capacity, and the
-// timeline file is written.
+// timeline file is written; without dynamics it is byte for byte
+// testdata/alltoall_fattree64_timeline.golden.
 func TestHotSpotReport(t *testing.T) {
 	const args = "-app alltoall -np 32 -chunk 256KiB -platform fattree64 -placement rr -collectives auto -model ideal -stats"
 	for _, tc := range []struct {
 		name, dynamics string
 		allSpine       bool
+		golden         string
 	}{
-		{"spine dominance", "", true},
-		{"degraded spine", "@0s link fattree64-l3-* scale 0.5; @0s flow 0->1 4MiB every 10ms x10; @0s flow 2->3 4MiB every 10ms x10", false},
+		{"spine dominance", "", true, "alltoall_fattree64_timeline"},
+		{"degraded spine", "@0s link fattree64-l3-* scale 0.5; @0s flow 0->1 4MiB every 10ms x10; @0s flow 2->3 4MiB every 10ms x10", false, ""},
 	} {
 		o := parse(t, strings.Fields(args)...)
 		o.dynamics = tc.dynamics
@@ -124,6 +126,16 @@ func TestHotSpotReport(t *testing.T) {
 		timeline, err := os.ReadFile(o.timeline)
 		if err != nil || !bytes.Contains(timeline, []byte("bucket_width")) {
 			t.Errorf("%s: timeline %q (%v) holds no bucket_width", tc.name, timeline, err)
+		}
+		if tc.golden == "" {
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(timeline, want) {
+			t.Errorf("%s: timeline differs from testdata/%s.golden", tc.name, tc.golden)
 		}
 	}
 }
