@@ -152,50 +152,43 @@ func run(o options, w io.Writer) error {
 	}
 
 	// Observability is opt-in: without -stats/-timeline the simulation runs
-	// with every instrumentation hook compiled down to a nil check.
-	var st *obs.Stats
-	var observer *obs.Observer
-	var tl *obs.Timeline
+	// with every instrumentation hook compiled down to a nil check. -stats
+	// alone keeps usage totals; -timeline buckets them too.
+	var usage *obs.Usage
 	if o.stats || o.timeline != "" {
-		st = &obs.Stats{}
-		cfg.Stats = st
-		observer = obs.NewObserver(plat)
-		cfg.Usage = observer
+		var width core.Duration
 		if o.timeline != "" {
-			width, err := core.ParseDuration(o.timelineBucket)
-			if err != nil {
+			if width, err = core.ParseDuration(o.timelineBucket); err != nil {
 				return fmt.Errorf("bad -timeline-bucket %q: %v", o.timelineBucket, err)
 			}
 			if width <= 0 {
 				return fmt.Errorf("bad -timeline-bucket %q: width must be positive", o.timelineBucket)
 			}
-			tl = obs.NewTimeline(plat, width)
-			cfg.Usage = obs.Multi(observer, tl)
 		}
+		usage = obs.NewUsage(plat, width)
+		cfg.Stats = &obs.Stats{Usage: usage}
 	}
 	// finishObs emits the reports after either the app or the replay path.
 	finishObs := func() error {
-		if st == nil {
+		if o.stats {
+			fmt.Fprintf(w, "--- kernel counters ---\n%s", cfg.Stats.Report())
+			fmt.Fprintf(w, "--- link hot spots ---\n%s", usage.HotSpots(10))
+		}
+		if o.timeline == "" {
 			return nil
 		}
-		if o.stats {
-			fmt.Fprintf(w, "--- kernel counters ---\n%s", st.Report())
-			fmt.Fprintf(w, "--- link hot spots ---\n%s", observer.HotSpots(10))
+		f, err := os.Create(o.timeline)
+		if err != nil {
+			return err
 		}
-		if tl != nil {
-			f, err := os.Create(o.timeline)
-			if err != nil {
-				return err
-			}
-			if err := tl.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "timeline written   : %s\n", o.timeline)
+		if err := usage.WriteJSON(f); err != nil {
+			f.Close()
+			return err
 		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "timeline written   : %s\n", o.timeline)
 		return nil
 	}
 	if cfg.Algorithms, err = smpi.ParseAlgorithms(o.collectives); err != nil {

@@ -6,8 +6,8 @@ package obs
 // many rate changes it lives through. The test pins this on every topology
 // preset (each exercises a different routing inverse and contention
 // pattern), checks Shared-link utilization never exceeds 1 (the LMM never
-// over-commits a constraint), and round-trips the Timeline JSON to verify
-// bucketing preserves the same totals.
+// over-commits a constraint), and round-trips the bucketed JSON of the same
+// Usage to verify bucketing preserves its totals.
 
 import (
 	"bytes"
@@ -69,9 +69,8 @@ func TestLinkByteConservation(t *testing.T) {
 			k := simix.New()
 			net := surf.NewNetwork(k, surf.Ideal())
 			k.AddModel(net)
-			o := NewObserver(plat)
-			tl := NewTimeline(plat, core.Duration(100e-6))
-			net.Instrument(nil, nil, nil, Multi(o, tl))
+			o := NewUsage(plat, core.Duration(100e-6))
+			net.Instrument(nil, nil, nil, o)
 			k.Spawn("flows", func(p *simix.Proc) {
 				futs := make([]*simix.Future, n)
 				for i := range hosts {
@@ -97,11 +96,11 @@ func TestLinkByteConservation(t *testing.T) {
 				}
 			}
 
-			// Timeline bucket sums must reproduce the observer's totals:
+			// Bucket sums must reproduce the running totals:
 			// proportional distribution moves bytes between buckets, never
 			// creates or destroys them.
 			var buf bytes.Buffer
-			if err := tl.WriteJSON(&buf); err != nil {
+			if err := o.WriteJSON(&buf); err != nil {
 				t.Fatal(err)
 			}
 			var doc struct {
@@ -132,7 +131,7 @@ func TestLinkByteConservation(t *testing.T) {
 					t.Fatalf("timeline names unknown link %q", s.Name)
 				}
 				if !relClose(sum, o.linkBytes[l.ID]) {
-					t.Errorf("link %s: timeline buckets sum to %.6f B, observer total %.0f B", s.Name, sum, o.linkBytes[l.ID])
+					t.Errorf("link %s: buckets sum to %.6f B, running total %.0f B", s.Name, sum, o.linkBytes[l.ID])
 				}
 				active++
 			}
@@ -207,9 +206,8 @@ func TestConservationUnderDynamics(t *testing.T) {
 			k := simix.New()
 			net := surf.NewNetwork(k, surf.Ideal())
 			k.AddModel(net)
-			o := NewObserver(plat)
-			tl := NewTimeline(plat, core.Duration(100e-6))
-			net.Instrument(nil, nil, nil, Multi(o, tl))
+			o := NewUsage(plat, core.Duration(100e-6))
+			net.Instrument(nil, nil, nil, o)
 			sched, err := dynamics.Parse(fmt.Sprintf(
 				"@2ms link %s scale %g; @10ms link %s scale %g",
 				tc.trunk, degrade, tc.trunk, boost))
@@ -279,9 +277,9 @@ func TestConservationUnderDynamics(t *testing.T) {
 				}
 			}
 
-			// Timeline bucketing remains lossless across rate changes.
+			// Bucketing remains lossless across rate changes.
 			var buf bytes.Buffer
-			if err := tl.WriteJSON(&buf); err != nil {
+			if err := o.WriteJSON(&buf); err != nil {
 				t.Fatal(err)
 			}
 			var doc struct {
@@ -307,7 +305,7 @@ func TestConservationUnderDynamics(t *testing.T) {
 					t.Fatalf("timeline names unknown link %q", s.Name)
 				}
 				if !relClose(sum, o.linkBytes[l.ID]) {
-					t.Errorf("link %s: timeline buckets sum to %.6f B, observer total %.0f B", s.Name, sum, o.linkBytes[l.ID])
+					t.Errorf("link %s: buckets sum to %.6f B, running total %.0f B", s.Name, sum, o.linkBytes[l.ID])
 				}
 			}
 		})

@@ -1,11 +1,12 @@
 package obs
 
-// White-box unit tests for the observer, timeline bucketing, recorder
-// fan-out, and counter formatting. The cross-package conservation suite
+// White-box unit tests for the usage recorder's totals and bucketing, and
+// for counter formatting. The cross-package conservation suite
 // (conservation_test.go) covers the same machinery end-to-end against live
 // simulations; these pin the arithmetic in isolation.
 
 import (
+	"bytes"
 	"math"
 	"strconv"
 	"strings"
@@ -14,7 +15,6 @@ import (
 	"smpigo/internal/core"
 	"smpigo/internal/lmm"
 	"smpigo/internal/platform"
-	"smpigo/internal/surf"
 )
 
 func testPlatform(t *testing.T) *platform.Platform {
@@ -30,11 +30,11 @@ func testPlatform(t *testing.T) *platform.Platform {
 	return p
 }
 
-func TestObserverTotalsAndSpan(t *testing.T) {
+func TestUsageTotalsAndSpan(t *testing.T) {
 	p := testPlatform(t)
-	o := NewObserver(p)
+	o := NewUsage(p, 0)
 	if o.any {
-		t.Error("fresh observer claims a span")
+		t.Error("fresh recorder claims a span")
 	}
 	l0, l1 := p.LinkByID(0), p.LinkByID(1)
 	o.RecordLink(l0, 1, 2, 100)
@@ -51,11 +51,19 @@ func TestObserverTotalsAndSpan(t *testing.T) {
 	if !ok || start != 0.5 || end != 4 {
 		t.Errorf("span = [%v, %v] ok=%v, want [0.5, 4]", start, end, ok)
 	}
+	// Width 0 keeps totals only: no buckets, and no timeline to write.
+	if o.linkBuckets != nil || o.hostBuckets != nil {
+		t.Error("totals-only recorder allocated buckets")
+	}
+	var buf bytes.Buffer
+	if err := o.WriteJSON(&buf); err == nil || buf.Len() > 0 {
+		t.Errorf("WriteJSON on a totals-only recorder: err %v, wrote %q", err, buf.String())
+	}
 }
 
 func TestTopLinksOrderingAndUtilization(t *testing.T) {
 	p := testPlatform(t)
-	o := NewObserver(p)
+	o := NewUsage(p, 0)
 	// l1 and l2 tie on bytes (ID breaks the tie); l0 carries less and a
 	// fourth candidate slot stays empty because only three links exist.
 	o.RecordLink(p.LinkByID(2), 0, 1, 500)
@@ -82,7 +90,7 @@ func TestTopLinksOrderingAndUtilization(t *testing.T) {
 }
 
 func TestHotSpotsEmpty(t *testing.T) {
-	o := NewObserver(testPlatform(t))
+	o := NewUsage(testPlatform(t), 0)
 	if got := o.HotSpots(5); !strings.Contains(got, "no link traffic") {
 		t.Errorf("empty report = %q", got)
 	}
@@ -90,11 +98,11 @@ func TestHotSpotsEmpty(t *testing.T) {
 
 func TestTimelineBucketDistribution(t *testing.T) {
 	p := testPlatform(t)
-	tl := NewTimeline(p, 1) // 1-second buckets
+	u := NewUsage(p, 1) // 1-second buckets
 	l := p.LinkByID(0)
 	// A segment spanning (0.5, 2.5] splits 25% / 50% / 25%.
-	tl.RecordLink(l, 0.5, 2.5, 400)
-	got := tl.links[0]
+	u.RecordLink(l, 0.5, 2.5, 400)
+	got := u.linkBuckets[0]
 	want := []float64{100, 200, 100}
 	if len(got) != len(want) {
 		t.Fatalf("buckets = %v, want %v", got, want)
@@ -106,46 +114,31 @@ func TestTimelineBucketDistribution(t *testing.T) {
 	}
 	// A zero-length segment (final remainder at the last sync date) lands
 	// entirely in its bucket.
-	tl.RecordLink(l, 2, 2, 60)
-	if got := tl.links[0][2]; math.Abs(got-160) > 1e-9 {
+	u.RecordLink(l, 2, 2, 60)
+	if got := u.linkBuckets[0][2]; math.Abs(got-160) > 1e-9 {
 		t.Errorf("bucket 2 after zero-length add = %v, want 160", got)
 	}
+	// Bucketing leaves the running totals as a totals-only recorder keeps them.
+	if got := u.linkBytes[0]; got != 460 {
+		t.Errorf("l0 total = %v, want 460", got)
+	}
 	// Host series are independent.
-	tl.RecordHost(p.HostByID(1), 0, 1, 7)
-	if got := tl.hosts[1]; len(got) != 2 || got[0] != 7 {
+	u.RecordHost(p.HostByID(1), 0, 1, 7)
+	if got := u.hostBuckets[1]; len(got) != 2 || got[0] != 7 {
 		t.Errorf("host buckets = %v", got)
+	}
+	if u.linkBuckets[1] != nil || u.hostBuckets[0] != nil {
+		t.Error("unrecorded resources hold buckets")
 	}
 }
 
 func TestTimelineRejectsBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("want panic on zero width")
+			t.Error("want panic on negative width")
 		}
 	}()
-	NewTimeline(testPlatform(t), 0)
-}
-
-func TestMulti(t *testing.T) {
-	p := testPlatform(t)
-	a, b := NewObserver(p), NewObserver(p)
-	if got := Multi(); got != nil {
-		t.Errorf("Multi() = %v, want nil", got)
-	}
-	// Nil interface entries are skipped; one survivor comes back without a
-	// fan-out wrapper. (A typed-nil *Timeline in an interface is NOT nil —
-	// callers must branch before wrapping, as smpirun does.)
-	if got := Multi(nil, a, surf.UsageRecorder(nil)); got != surf.UsageRecorder(a) {
-		t.Errorf("Multi with nils = %v, want the single observer", got)
-	}
-	m := Multi(a, b)
-	m.RecordLink(p.LinkByID(0), 0, 1, 10)
-	m.RecordHost(p.HostByID(0), 0, 1, 5)
-	for i, o := range []*Observer{a, b} {
-		if o.linkBytes[p.LinkByID(0).ID] != 10 || o.hostFlops[p.HostByID(0).ID] != 5 {
-			t.Errorf("recorder %d missed the fan-out", i)
-		}
-	}
+	NewUsage(testPlatform(t), -1)
 }
 
 func TestStatsFlatAndFormat(t *testing.T) {
@@ -180,13 +173,13 @@ func TestStatsFlatAndFormat(t *testing.T) {
 	}
 }
 
-// TestTimelineWidthType pins that bucket width is a core.Duration in
-// seconds: a 100µs width buckets a 250µs segment across three bins.
+// TestTimelineWidthType pins that bucket width is a core.Duration in seconds:
+// a 100µs width buckets a 250µs segment across three bins.
 func TestTimelineWidthType(t *testing.T) {
 	p := testPlatform(t)
-	tl := NewTimeline(p, core.Duration(100e-6))
-	tl.RecordLink(p.LinkByID(0), 0, 250e-6, 250)
-	got := tl.links[0]
+	u := NewUsage(p, core.Duration(100e-6))
+	u.RecordLink(p.LinkByID(0), 0, 250e-6, 250)
+	got := u.linkBuckets[0]
 	if len(got) != 3 || math.Abs(got[0]-100) > 1e-9 || math.Abs(got[2]-50) > 1e-9 {
 		t.Errorf("buckets = %v, want [100 100 50]", got)
 	}

@@ -2,9 +2,11 @@
 // resource-utilization accounting that attach to the simix kernel and the
 // surf models through the nil-guarded hooks those packages expose
 // (simix.Stats, surf.EventStats, lmm.Stats, actionheap.Stats,
-// surf.UsageRecorder). Everything here is strictly additive: attaching the
-// layer never changes a simulation's outcome, and leaving it detached — the
-// default — costs a nil check per hook, nothing more.
+// surf.UsageRecorder). One Stats value carries all of them, and
+// smpi.Config.Stats attaches it to a run. Everything here is strictly
+// additive: attaching the layer never changes a simulation's outcome, and
+// leaving it detached — the default — costs a nil check per hook, nothing
+// more.
 //
 // The split matters for reproducibility: campaign fingerprints cover
 // simulation *results* (simulated times, sample values), never these
@@ -25,8 +27,9 @@ import (
 
 // Stats aggregates every kernel-side counter of one simulation run: the
 // simix scheduler, both surf models, their LMM solvers and completion heaps,
-// and the route-lookup count from the MPI layer. Attach its fields before
-// the run (smpi.Config.Stats wires all of them); read after.
+// and the route-lookup count from the MPI layer, plus an optional usage
+// recorder. Attach its fields before the run (smpi.Config.Stats wires all
+// of them); read after.
 type Stats struct {
 	Kernel simix.Stats
 	Net    surf.EventStats
@@ -43,6 +46,10 @@ type Stats struct {
 	CPUHeap actionheap.Stats
 	// Routes counts route lookups performed by the MPI transfer path.
 	Routes uint64
+	// Usage, when non-nil, receives the drained byte/flop segments of the
+	// surf models (per-link utilization accounting; see Usage). nil means
+	// off. The emulator backend has no drain stream and ignores it.
+	Usage surf.UsageRecorder
 }
 
 // Flat returns the counters as a flat metric map. Keys are stable (they

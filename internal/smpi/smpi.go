@@ -59,13 +59,10 @@ type Config struct {
 	// point-to-point messages they decompose into.
 	Tracer *trace.Trace
 	// Stats, when non-nil, receives the kernel and model counters of the run
+	// and, through Stats.Usage, the surf models' drained byte/flop segments
 	// (see internal/obs). Leaving it nil — the default — keeps every hook a
 	// nil check; the simulated outcome is identical either way.
 	Stats *obs.Stats
-	// Usage, when non-nil, receives the drained byte/flop segments of the
-	// surf models (per-link utilization accounting; see obs.Observer and
-	// obs.Timeline). Ignored on BackendEmu, which has no drain stream.
-	Usage surf.UsageRecorder
 	// Dynamics, when non-nil, is a deterministic schedule of platform events
 	// (link degradation/restoration, host slowdown, background-traffic
 	// injection) armed on the kernel before the ranks start. Link and flow
@@ -181,17 +178,12 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 	}
 	if st := cfg.Stats; st != nil {
 		w.kernel.Stats = &st.Kernel
-		w.cpu.Instrument(&st.CPU, &st.CPULMM, &st.CPUHeap, cfg.Usage)
+		w.cpu.Instrument(&st.CPU, &st.CPULMM, &st.CPUHeap, st.Usage)
 		if w.snet != nil {
-			w.snet.Instrument(&st.Net, &st.NetLMM, &st.NetHeap, cfg.Usage)
+			w.snet.Instrument(&st.Net, &st.NetLMM, &st.NetHeap, st.Usage)
 		}
 		if w.enet != nil {
 			w.enet.InstrumentHeap(&st.NetHeap)
-		}
-	} else if cfg.Usage != nil {
-		w.cpu.Instrument(nil, nil, nil, cfg.Usage)
-		if w.snet != nil {
-			w.snet.Instrument(nil, nil, nil, cfg.Usage)
 		}
 	}
 	if cfg.Dynamics != nil {
