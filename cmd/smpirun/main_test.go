@@ -67,6 +67,8 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		{[]string{"-app", "bcast", "-np", "4", "-collectives", "bcast=bogus"}, `"bogus" (want auto, binomial, flat, ring)`},
 		{[]string{"-app", "alltoall", "-np", "4", "-collectives", "scatter=Ring"}, `"Ring" (want auto, binomial, flat)`},
 		{[]string{"-app", "alltoall", "-np", "4", "-chunk", "-5"}, `"-5": negative`},
+		// A folded pebibyte no OS maps: the run's error, not a rank's panic.
+		{[]string{"-app", "alltoall", "-np", "4", "-chunk", "262144GiB"}, `SharedMalloc("alltoall-send", 1125899906842624 bytes)`},
 	} {
 		var out bytes.Buffer
 		err := run(parse(t, tc.args...), &out)

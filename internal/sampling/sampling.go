@@ -145,14 +145,14 @@ func (r *Registry) Observe(key string, n int, fn func()) (executed bool) {
 // Folding is the paper's contract that the application does not depend on
 // the bytes: memory handed out here is recognized by Shared, and the
 // simulator moves no payload into or out of it. A new block reads zero and
-// stays mapped until Release; a block the OS cannot map panics with key
-// and size, which a simulation reports as a failed rank.
+// stays mapped until Release; a block the OS cannot map panics with a
+// *MapError, which smpi.Run returns as the run's error.
 func (r *Registry) SharedMalloc(key string, size int) []byte {
 	i := r.lookup(key)
 	if i < 0 {
 		data, err := r.newBlock(size)
 		if err != nil {
-			panic(fmt.Sprintf("sampling: SharedMalloc(%q, %d bytes): %v", key, size, err))
+			panic(&MapError{fmt.Errorf("sampling: SharedMalloc(%q, %d bytes): %w", key, size, err)})
 		}
 		i = len(r.shared)
 		r.shared = append(r.shared, &sharedBuf{key: key, data: data})
@@ -241,11 +241,19 @@ func (r *Registry) SharedScratch(n int) []byte {
 	}
 	blk, err := r.newBlock(n)
 	if err != nil {
-		panic(fmt.Sprintf("sampling: SharedScratch(%d bytes): %v", n, err))
+		panic(&MapError{fmt.Errorf("sampling: SharedScratch(%d bytes): %w", n, err)})
 	}
 	r.scratch = append(r.scratch, blk)
 	return blk
 }
+
+// MapError is the panic value of SharedMalloc and SharedScratch when the OS
+// will not map a block. Err names the block's key and size and wraps the OS
+// error (syscall.ENOMEM on unix). The failure is the machine's, not the
+// application's, so smpi.Run returns Err as the run's error.
+type MapError struct{ Err error }
+
+func (e *MapError) Error() string { return e.Err.Error() }
 
 // newBlock maps a fresh zeroed block of n bytes and records it for Release.
 func (r *Registry) newBlock(n int) ([]byte, error) {

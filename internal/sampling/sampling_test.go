@@ -268,7 +268,7 @@ func TestMappedBlockLifetime(t *testing.T) {
 }
 
 // TestUnmappableBlockPanicsWithKeyAndSize: a block the OS refuses to map
-// is a panic naming what was asked for, not a dead process.
+// is a *MapError panic naming what was asked for, not a dead process.
 func TestUnmappableBlockPanicsWithKeyAndSize(t *testing.T) {
 	r := newTestRegistry(1, 0)
 	defer r.Release()
@@ -278,9 +278,9 @@ func TestUnmappableBlockPanicsWithKeyAndSize(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, name) {
-					t.Errorf("panic %q does not name %s", msg, name)
+				mapErr, ok := recover().(*MapError)
+				if !ok || !strings.Contains(mapErr.Error(), name) {
+					t.Errorf("panic %v is no *MapError naming %s", mapErr, name)
 				}
 			}()
 			alloc()

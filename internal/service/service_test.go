@@ -149,11 +149,12 @@ func TestServedFingerprintMatchesBatch(t *testing.T) {
 }
 
 // TestUnmappableBlockFailsItsJob: folded memory is mapped, not allocated.
-// A block the machine cannot map (4 ranks × 256 GiB) fails its job; the
+// A block no machine can map (4 ranks × 256 TiB, a pebibyte: beyond the
+// user address space whatever the overcommit setting) fails its job; the
 // campaign is still answered and the service stays healthy.
 func TestUnmappableBlockFailsItsJob(t *testing.T) {
 	h := newTestServer(t, Config{}).Handler()
-	spec := experiments.GridSpec{Op: "alltoall", Procs: []int{4}, Sizes: []int64{256 << 30}, Backends: []string{"surf"}}
+	spec := experiments.GridSpec{Op: "alltoall", Procs: []int{4}, Sizes: []int64{256 << 40}, Backends: []string{"surf"}}
 	w := doJSON(t, h, "POST", "/v1/campaigns?wait=1", submitBody(spec, 1))
 	if v := decodeView(t, w); w.Code != http.StatusOK || v.Summary == nil || v.Summary.Failed != 1 {
 		t.Errorf("status %d, body %s; want 200 and one failed job", w.Code, w.Body.String())

@@ -246,18 +246,6 @@ func TestRecvThenEnvelopeReuse(t *testing.T) {
 	}
 }
 
-// TestOversizedFoldIsAnError: a folded block the OS will not map fails the
-// job with the block's key instead of killing the process. Where the kernel
-// overcommits without limit the untouched terabyte maps and the run passes.
-func TestOversizedFoldIsAnError(t *testing.T) {
-	_, err := Run(testConfig(2), func(r *Rank) {
-		r.SharedMalloc("huge", 1<<40)
-	})
-	if err != nil && !strings.Contains(err.Error(), `"huge"`) {
-		t.Errorf("want nil or an error naming the block, got %v", err)
-	}
-}
-
 // TestFailedRunsLeaveNoMapping: the folded memory of a run is unmapped when
 // Run returns, also when a rank panicked and the others were unwound, so
 // a service running failed jobs back to back does not grow.

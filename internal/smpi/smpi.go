@@ -1,6 +1,7 @@
 package smpi
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -224,6 +225,12 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 
 	wallStart := time.Now()
 	if err := w.kernel.Run(); err != nil {
+		// A folded block the OS would not map is the machine's failure, not
+		// a rank's: report it as such, not as the rank's panic.
+		var mapErr *sampling.MapError
+		if errors.As(err, &mapErr) {
+			return nil, mapErr.Err
+		}
 		return nil, err
 	}
 	return &Report{
