@@ -234,23 +234,37 @@ feed:
 		}
 	}
 	sum.Wall = time.Since(start)
-
 	for i := range sum.Results {
-		r := &sum.Results[i]
-		if r.Err != nil {
-			sum.Failed++
+		if r := &sum.Results[i]; r.Err != nil {
 			r.Error = r.Err.Error()
+		}
+	}
+	sum.tally()
+	return sum
+}
+
+// failed reports whether the job failed. Error (the string mirror) covers
+// summaries that crossed a process boundary as JSON, where Err did not
+// survive serialization.
+func (r *Result) failed() bool { return r.Err != nil || r.Error != "" }
+
+// tally computes Failed, TotalSimulated, MaxSimulated and Stats from
+// Results, on a summary that has not counted them yet.
+func (s *Summary) tally() {
+	for i := range s.Results {
+		r := &s.Results[i]
+		if r.failed() {
+			s.Failed++
 			continue
 		}
 		if r.Outcome != nil {
-			sum.TotalSimulated += r.Outcome.SimulatedTime
-			if r.Outcome.SimulatedTime > sum.MaxSimulated {
-				sum.MaxSimulated = r.Outcome.SimulatedTime
+			s.TotalSimulated += r.Outcome.SimulatedTime
+			if r.Outcome.SimulatedTime > s.MaxSimulated {
+				s.MaxSimulated = r.Outcome.SimulatedTime
 			}
-			sum.Stats = mergeStats(sum.Stats, r.Outcome.Stats)
+			s.Stats = mergeStats(s.Stats, r.Outcome.Stats)
 		}
 	}
-	return sum
 }
 
 // runOne executes a single job with panic isolation.
@@ -323,9 +337,7 @@ func (s *Summary) Fingerprint() string {
 		r := &s.Results[i]
 		mixStr(r.ID)
 		mixU64(r.Seed)
-		// Error (the string mirror) covers summaries that crossed a process
-		// boundary as JSON, where Err did not survive serialization.
-		if r.Err != nil || r.Error != "" {
+		if r.failed() {
 			mixStr("failed")
 			continue
 		}

@@ -57,19 +57,6 @@ func Merge(parts ...*Summary) (*Summary, error) {
 		}
 	}
 	merged.Jobs = len(merged.Results)
-	for i := range merged.Results {
-		r := &merged.Results[i]
-		if r.Err != nil || r.Error != "" {
-			merged.Failed++
-			continue
-		}
-		if r.Outcome != nil {
-			merged.TotalSimulated += r.Outcome.SimulatedTime
-			if r.Outcome.SimulatedTime > merged.MaxSimulated {
-				merged.MaxSimulated = r.Outcome.SimulatedTime
-			}
-			merged.Stats = mergeStats(merged.Stats, r.Outcome.Stats)
-		}
-	}
+	merged.tally()
 	return merged, nil
 }
