@@ -202,9 +202,6 @@ type clusterRouter struct {
 	backbone int
 }
 
-// String implements fmt.Stringer for missing-route diagnostics.
-func (r *clusterRouter) String() string { return "hierarchical cluster router" }
-
 // cabBase returns the link ID of cabinet ci's up link; down and backplane
 // follow at +1 and +2.
 func (r *clusterRouter) cabBase(ci int) int { return 3*ci + 2*r.prefix[ci] }

@@ -163,9 +163,6 @@ type dragonflyRouter struct {
 	localBase, globalBase int
 }
 
-// String implements fmt.Stringer for missing-route diagnostics.
-func (r *dragonflyRouter) String() string { return "dragonfly minimal router" }
-
 // localID returns the link ID of the directed local link r1 -> r2 in group
 // gi: locals were created in (group, r1, r2) order with the r1 == r2 slot
 // skipped.

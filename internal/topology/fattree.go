@@ -160,9 +160,6 @@ type fatTreeRouter struct {
 	levelBase []int
 }
 
-// String implements fmt.Stringer for missing-route diagnostics.
-func (r *fatTreeRouter) String() string { return "fattree D-mod-k router" }
-
 // upLink returns the link ID of the up link from child c at level l-1 to
 // its j-th redundant parent; the paired down link is +1.
 func (r *fatTreeRouter) upLink(l, c, j int) int {

@@ -101,9 +101,6 @@ type torusRouter struct {
 	dims []int
 }
 
-// String implements fmt.Stringer for missing-route diagnostics.
-func (r *torusRouter) String() string { return "torus dimension-order router" }
-
 // RouteInto implements platform.Router.
 func (r *torusRouter) RouteInto(buf []*platform.Link, a, b *platform.Host) platform.Route {
 	start := len(buf)
