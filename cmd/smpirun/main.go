@@ -127,6 +127,14 @@ func run(o options, w io.Writer) error {
 	if !(o.ratio > 0 && o.ratio <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("bad -ratio %v: want a sampling ratio in (0, 1]", o.ratio)
 	}
+	// -timeline-bucket is checked even without -timeline, like every flag.
+	width, err := core.ParseDuration(o.timelineBucket)
+	if err != nil {
+		return fmt.Errorf("bad -timeline-bucket %q: %v", o.timelineBucket, err)
+	}
+	if width <= 0 {
+		return fmt.Errorf("bad -timeline-bucket %q: width must be positive", o.timelineBucket)
+	}
 	env, err := experiments.NewEnv()
 	if err != nil {
 		return fmt.Errorf("environment: %w", err)
@@ -156,14 +164,8 @@ func run(o options, w io.Writer) error {
 	// alone keeps usage totals; -timeline buckets them too.
 	var usage *obs.Usage
 	if o.stats || o.timeline != "" {
-		var width core.Duration
-		if o.timeline != "" {
-			if width, err = core.ParseDuration(o.timelineBucket); err != nil {
-				return fmt.Errorf("bad -timeline-bucket %q: %v", o.timelineBucket, err)
-			}
-			if width <= 0 {
-				return fmt.Errorf("bad -timeline-bucket %q: width must be positive", o.timelineBucket)
-			}
+		if o.timeline == "" {
+			width = 0
 		}
 		usage = obs.NewUsage(plat, width)
 		cfg.Stats = &obs.Stats{Usage: usage}
@@ -172,7 +174,13 @@ func run(o options, w io.Writer) error {
 	finishObs := func() error {
 		if o.stats {
 			fmt.Fprintf(w, "--- kernel counters ---\n%s", cfg.Stats.Report())
-			fmt.Fprintf(w, "--- link hot spots ---\n%s", usage.HotSpots(10))
+			hot := usage.HotSpots(10)
+			if cfg.Backend != smpi.BackendSurf {
+				// The packet-level emulator feeds no usage stream: an empty
+				// report would claim no traffic where bytes moved.
+				hot = "the packet-level backend records no link usage\n"
+			}
+			fmt.Fprintf(w, "--- link hot spots ---\n%s", hot)
 		}
 		if o.timeline == "" {
 			return nil

@@ -67,6 +67,9 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		{[]string{"-app", "bcast", "-np", "4", "-collectives", "bcast=bogus"}, `"bogus" (want auto, binomial, flat, ring)`},
 		{[]string{"-app", "alltoall", "-np", "4", "-collectives", "scatter=Ring"}, `"Ring" (want auto, binomial, flat)`},
 		{[]string{"-app", "alltoall", "-np", "4", "-chunk", "-5"}, `"-5": negative`},
+		// Checked even without -timeline.
+		{[]string{"-app", "pingpong", "-timeline-bucket", "bogus"}, `-timeline-bucket "bogus"`},
+		{[]string{"-app", "pingpong", "-timeline-bucket", "0s"}, `-timeline-bucket "0s": width must be positive`},
 		// A folded pebibyte no OS maps: the run's error, not a rank's panic.
 		{[]string{"-app", "alltoall", "-np", "4", "-chunk", "262144GiB"}, `SharedMalloc("alltoall-send", 1125899906842624 bytes)`},
 	} {
@@ -78,6 +81,20 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		if out.Len() > 0 {
 			t.Errorf("smpirun %s printed %q before refusing", strings.Join(tc.args, " "), out.String())
 		}
+	}
+}
+
+// TestEmuStatsRecordsNoLinkUsage pins the hot-spot section of -stats on the
+// packet-level backend, which moves bytes but feeds no usage stream: it must
+// say so instead of reporting no link traffic.
+func TestEmuStatsRecordsNoLinkUsage(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(parse(t, "-app", "scatter", "-np", "4", "-chunk", "64KiB", "-backend", "openmpi", "-stats"), &out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "--- link hot spots ---\nthe packet-level backend records no link usage\n"
+	if report := out.String(); !strings.Contains(report, want) || strings.Contains(report, "no link traffic") {
+		t.Errorf("hot-spot section of\n%s\nwant %q", report, want)
 	}
 }
 

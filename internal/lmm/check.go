@@ -38,7 +38,7 @@ func (s *System) check() error {
 		}
 		usage[c.id] = u
 		if c.Policy == Shared && u > c.Capacity*(1+checkRelTol)+checkAbsTol {
-			return fmt.Errorf("lmm: constraint %q over capacity: usage %g > capacity %g", c.Name, u, c.Capacity)
+			return fmt.Errorf("lmm: constraint %q over capacity: usage %g > capacity %g", c.name(), u, c.Capacity)
 		}
 	}
 	for _, v := range s.variables {

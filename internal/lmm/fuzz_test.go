@@ -246,6 +246,12 @@ var fuzzSeeds = [][]byte{
 	// Six variables over four constraints, then twenty times op 6 — one
 	// leaves and one arrives in the same step, on the leaver's recycled
 	// object — with a capacity retuned every fifth.
+	// Three Shared constraints. Constraint 0 loses its only variable, has
+	// its capacity retuned while empty, and is refilled by a variable that
+	// also crosses constraint 1; both are emptied and refilled again, once
+	// through op 6: an emptied constraint is no component, a refilled one
+	// is solved as before.
+	[]byte("\x00ABC\x00\x02\x01\x00\x00\x00\x02\x01\x00\x01\x02\x00\x03\x00\x14\x00\x02\x01\x01\x00\x01\x02\x01\x00\x03\x03\x00\x00\x06\x00\x02\x01\x00\x01\x02\x00\x02\x00\x00\x02\x01\x02\x00\x01\x02"),
 	[]byte("\x01bba`\x00\x02\x01\x01\x00\x01\x00\x02\x01\x01\x01\x02\x00\x02\x01\x01\x02\x03\x00\x02\x01\x01\x03\x04\x00\x02\x01\x01\x04\x05\x00\x02\x01\x01\x05\x06\x06*\x02\x01\x02\x00\x02\x03\x062\x02\x01\x02\x01\x03\x04\x06:\x02\x01\x02\x02\x04\x05\x06B\x02\x01\x02\x03\x05\x06\x06J\x02\x01\x02\x04\x06\a\x03\x04,\x06U\x02\x01\x02\x05\a\b\x06]\x02\x01\x02\x06\b\t\x06e\x02\x01\x02\a\t\n\x06m\x02\x01\x02\b\n\v\x06u\x02\x01\x02\t\v\f\x03\t1\x06\x80\x02\x01\x02\n\f\r\x06\x88\x02\x01\x02\v\r\x0e\x06\x90\x02\x01\x02\f\x0e\x0f\x06\x98\x02\x01\x02\r\x0f\x10\x06\xa0\x02\x01\x02\x0e\x10\x11\x03\x0e6\x06\xab\x02\x01\x02\x0f\x11\x12\x06\xb3\x02\x01\x02\x10\x12\x13\x06\xbb\x02\x01\x02\x11\x13\x14\x06\xc3\x02\x01\x02\x12\x14\x15\x06\xcb\x02\x01\x02\x13\x15\x16\x03\x13;"),
 }
 

@@ -216,3 +216,73 @@ func TestResolvedContract(t *testing.T) {
 		t.Errorf("fatpipe cap not applied: x=%v y=%v, want 3", x.Value, y.Value)
 	}
 }
+
+// TestEmptiedConstraintIsNoComponent pins what Solve does with a Shared
+// constraint whose last variable has left: it counts no component for it
+// and resolves nothing of it, while the component it still shares a dirty
+// set with is solved. Once a variable re-attaches, the constraint is solved
+// as before, and solveFull agrees with the incremental values in both
+// states.
+func TestEmptiedConstraintIsNoComponent(t *testing.T) {
+	s := New()
+	st := &Stats{}
+	s.Stats = st
+	a := s.NewConstraint("a", 10, Shared)
+	b := s.NewConstraint("b", 20, Shared)
+	x := s.NewVariable("x", 1, math.Inf(1))
+	s.Attach(x, a)
+	y := s.NewVariable("y", 1, math.Inf(1))
+	s.Attach(y, b)
+	s.Solve()
+
+	solve := func(what string, wantComponents uint64, want ...*Variable) {
+		t.Helper()
+		before := *st
+		s.Solve()
+		if got := st.Components - before.Components; got != wantComponents {
+			t.Errorf("%s: Solve counted %d components, want %d", what, got, wantComponents)
+		}
+		if got := s.Resolved(); !slices.Equal(got, want) {
+			t.Errorf("%s: Solve resolved %d variables, want %d", what, len(got), len(want))
+		}
+		if got := st.VarsResolved - before.VarsResolved; got != uint64(len(want)) {
+			t.Errorf("%s: VarsResolved grew by %d, want %d", what, got, len(want))
+		}
+		values := make([]float64, len(s.variables))
+		for i, v := range s.variables {
+			values[i] = v.Value
+		}
+		s.solveFull()
+		for i, v := range s.variables {
+			if v.Value != values[i] {
+				t.Errorf("%s: solveFull gives %q %v, Solve gave %v", what, v.Name, v.Value, values[i])
+			}
+		}
+	}
+
+	// a loses its only variable; y's capacity changes in the same step.
+	s.RemoveVariable(x)
+	s.SetCapacity(b, 16)
+	solve("a emptied", 1, y)
+	if y.Value != 16 {
+		t.Errorf("y = %v, want 16", y.Value)
+	}
+	// An empty constraint retuned alone is still no component.
+	s.SetCapacity(a, 6)
+	solve("empty a retuned", 0)
+
+	// z re-attaches to a and joins y's component through b: a's capacity
+	// (6) bounds z, y takes the rest of b.
+	z := s.NewVariable("z", 1, math.Inf(1))
+	s.Attach(z, a)
+	s.Attach(z, b)
+	solve("a refilled", 1, y, z)
+	if z.Value != 6 || y.Value != 10 {
+		t.Errorf("z, y = %v, %v; want 6, 10", z.Value, y.Value)
+	}
+
+	// Emptying both constraints leaves nothing to solve.
+	s.RemoveVariable(y)
+	s.RemoveVariable(z)
+	solve("both emptied", 0)
+}

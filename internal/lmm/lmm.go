@@ -3,6 +3,7 @@ package lmm
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // SharingPolicy selects how a constraint's capacity is distributed.
@@ -17,12 +18,19 @@ const (
 	FatPipe
 )
 
+// Resource is what a constraint models, as far as the solver needs it: a
+// name for error messages. The name is asked for only when a message needs
+// it, so creating a constraint formats no string.
+type Resource interface{ Name() string }
+
 // Constraint is a capacity-limited resource (a network link, a CPU).
 type Constraint struct {
 	Capacity float64
 	Policy   SharingPolicy
-	// Name is an optional label used in error messages and debug dumps.
-	Name string
+	// Resource is what the constraint models (a platform link or host).
+	// NewConstraint sets it from a non-empty name; nil leaves the
+	// constraint anonymous.
+	Resource Resource
 
 	// id is the creation serial; constraints are never removed, so it is
 	// also the dense index into System.constraints. Component members are
@@ -37,10 +45,10 @@ type Constraint struct {
 	dirty bool
 	mark  int // epoch stamp used by component collection
 
-	// scratch used by the component fill
-	remaining     float64
-	unfixedWeight float64
-	active        bool
+	// Scratch of the component fill. solveComponent resets both before
+	// fill reads them, and nothing else reads them, so a constraint that
+	// is not solved (one with no variable) may keep stale values.
+	remaining float64
 	// liveVars is the constraint's active list: the attached variables not
 	// yet fixed by the current component solve, compacted (order-preserving)
 	// as filling rounds progress so late rounds only scan surviving work.
@@ -127,9 +135,26 @@ func (s *System) NewConstraint(name string, capacity float64, policy SharingPoli
 	if capacity < 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("lmm: invalid capacity %v for constraint %q", capacity, name))
 	}
-	c := &Constraint{Capacity: capacity, Policy: policy, Name: name, id: len(s.constraints)}
+	c := &Constraint{Capacity: capacity, Policy: policy, id: len(s.constraints)}
+	if name != "" {
+		c.Resource = label(name)
+	}
 	s.constraints = append(s.constraints, c)
 	return c
+}
+
+// label is the Resource of a constraint created with a name.
+type label string
+
+func (l label) Name() string { return string(l) }
+
+// name is c's label in error messages: its Resource's name, or its creation
+// serial when it has none.
+func (c *Constraint) name() string {
+	if c.Resource == nil {
+		return "#" + strconv.Itoa(c.id)
+	}
+	return c.Resource.Name()
 }
 
 // NewVariable adds a variable with the given weight and rate bound.
@@ -230,7 +255,7 @@ func (s *System) markDirty(c *Constraint) {
 // restamp completion dates.
 func (s *System) SetCapacity(c *Constraint, capacity float64) {
 	if capacity < 0 || math.IsNaN(capacity) {
-		panic(fmt.Sprintf("lmm: invalid capacity %v for constraint %q", capacity, c.Name))
+		panic(fmt.Sprintf("lmm: invalid capacity %v for constraint %q", capacity, c.name()))
 	}
 	if capacity == c.Capacity {
 		return

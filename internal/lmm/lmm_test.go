@@ -2,8 +2,10 @@ package lmm
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 const eps = 1e-9
@@ -438,5 +440,50 @@ func TestSolveProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// countingName is a constraint Resource that counts how often its name is
+// asked for.
+type countingName struct{ calls int }
+
+func (r *countingName) Name() string { r.calls++; return "link-7" }
+
+// TestConstraintNamedOnDemand pins that a constraint's name is derived from
+// its Resource only when a message needs it: creating and solving formats
+// nothing, an error names the resource, and a constraint created without a
+// name or Resource is labelled by its creation serial.
+func TestConstraintNamedOnDemand(t *testing.T) {
+	s := New()
+	res := &countingName{}
+	l := s.NewConstraint("", 100, Shared)
+	l.Resource = res
+	anon := s.NewConstraint("", 100, Shared)
+	a := s.NewVariable("a", 1, math.Inf(1))
+	b := s.NewVariable("b", 1, math.Inf(1))
+	s.Attach(a, l)
+	s.Attach(b, anon)
+	s.Solve()
+	if err := s.check(); err != nil || res.calls != 0 {
+		t.Fatalf("check = %v after %d name calls, want nil after none", err, res.calls)
+	}
+	a.Value = 150
+	if err := s.check(); err == nil || !strings.Contains(err.Error(), `"link-7"`) {
+		t.Errorf("check = %v, want an error naming \"link-7\"", err)
+	}
+	a.Value, b.Value = 100, 150
+	if err := s.check(); err == nil || !strings.Contains(err.Error(), `"#1"`) {
+		t.Errorf("check = %v, want an error naming the anonymous constraint \"#1\"", err)
+	}
+	if named := s.NewConstraint("edge", 1, Shared); named.name() != "edge" {
+		t.Errorf("NewConstraint(\"edge\", ...) is named %q", named.name())
+	}
+}
+
+// TestConstraintSizeClass pins Constraint in the 112-byte allocator size
+// class: a surf network allocates one per link its flows use.
+func TestConstraintSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Constraint{}); got > 112 {
+		t.Errorf("Constraint is %d bytes, past the 112-byte size class", got)
 	}
 }

@@ -29,7 +29,8 @@ const overTol = 1e-9
 //
 // Solve walks the dirty set — constraints first, then variables — and for
 // each seed not yet visited collects its component, sorts the members by
-// creation serial, fills it, and appends it to Resolved().
+// creation serial, fills it, and appends it to Resolved(). A dirty Shared
+// constraint with no variable left seeds nothing.
 func (s *System) Solve() {
 	s.epoch++
 	s.resolved = s.resolved[:0]
@@ -102,9 +103,13 @@ func (s *System) Resolved() []*Variable { return s.resolved }
 // Shared constraint anchors one component; a FatPipe constraint only caps
 // its variables, so each of its still-unvisited variables seeds its own
 // component (they may well be independent of each other).
+//
+// A Shared constraint with no variable (a link whose last flow has left) is
+// no component: solving it would fix nothing and resolve nothing, and the
+// fill scratch it leaves stale is reset before any later solve reads it.
 func (s *System) solveSeedCons(c *Constraint) {
 	if c.Policy == Shared {
-		if c.mark != s.epoch {
+		if c.mark != s.epoch && len(c.vars) > 0 {
 			s.stackC = append(s.stackC, c)
 			c.mark = s.epoch
 			s.solvePending()
@@ -201,7 +206,7 @@ func charge(v *Variable) {
 		if c.remaining < 0 {
 			if c.remaining < -overTol*(c.Capacity+1) {
 				panic(fmt.Sprintf("lmm: constraint %q over capacity by %g during solve (capacity %g)",
-					c.Name, -c.remaining, c.Capacity))
+					c.name(), -c.remaining, c.Capacity))
 			}
 			c.remaining = 0
 		}
@@ -230,7 +235,6 @@ func (s *System) solveComponent(cons []*Constraint, vars []*Variable) {
 	actCons := s.actCons[:0]
 	for _, c := range cons {
 		c.remaining = c.Capacity
-		c.active = false
 		c.liveVars = c.liveVars[:0]
 		for _, v := range c.vars {
 			if !v.fixed {
@@ -260,33 +264,30 @@ func fill(actCons []*Constraint, actVars []*Variable) ([]*Constraint, []*Variabl
 		// Recompute unfixed weight per shared constraint, compacting each
 		// active list and retiring constraints with no unfixed variables
 		// left (they can never reactivate: variables only ever get fixed).
+		// Each surviving constraint offers its fair share as a rate
+		// candidate.
+		r := math.Inf(1)
 		nc := 0
 		for _, c := range actCons {
 			nv := 0
-			c.unfixedWeight = 0
+			weight := 0.0
 			for _, v := range c.liveVars {
 				if !v.fixed {
 					c.liveVars[nv] = v
 					nv++
-					c.unfixedWeight += v.Weight
+					weight += v.Weight
 				}
 			}
 			c.liveVars = c.liveVars[:nv]
-			c.active = c.unfixedWeight > 0
-			if c.active {
+			if weight > 0 {
 				actCons[nc] = c
 				nc++
+				if share := c.remaining / weight; share < r {
+					r = share
+				}
 			}
 		}
 		actCons = actCons[:nc]
-
-		// Fair-share rate candidate from constraints.
-		r := math.Inf(1)
-		for _, c := range actCons {
-			if share := c.remaining / c.unfixedWeight; share < r {
-				r = share
-			}
-		}
 		// Candidate from variable bounds (rate = bound/weight), compacting
 		// the unfixed-variable list on the way.
 		nv := 0

@@ -12,9 +12,10 @@ type Stats struct {
 	// across solves; divided by Solves they give the average churn per step.
 	DirtyConstraints uint64
 	DirtyVariables   uint64
-	// Components counts the components re-solved; VarsResolved the variables
-	// whose allocation was recomputed (the length of each Resolved() set,
-	// summed).
+	// Components counts the components re-solved, each of which holds at
+	// least one variable (a constraint left without variables is not
+	// solved); VarsResolved the variables whose allocation was recomputed
+	// (the length of each Resolved() set, summed).
 	Components   uint64
 	VarsResolved uint64
 	// MaxComponentVars and MaxComponentCons record the largest component

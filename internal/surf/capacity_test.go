@@ -13,8 +13,8 @@ import (
 // SetLinkBandwidth value, or the platform's nominal bandwidth if it was
 // never changed.
 func (n *Network) linkBandwidth(l *platform.Link) float64 {
-	if c, ok := n.cons[l]; ok {
-		return c.Capacity
+	if l.ID < len(n.cons) && n.cons[l.ID] != nil {
+		return n.cons[l.ID].Capacity
 	}
 	return l.Bandwidth
 }
@@ -23,8 +23,8 @@ func (n *Network) linkBandwidth(l *platform.Link) float64 {
 // last SetHostSpeed value, or the platform's nominal speed if it was never
 // changed.
 func (c *CPU) hostSpeed(host *platform.Host) float64 {
-	if con, ok := c.cons[host]; ok {
-		return con.Capacity
+	if host.ID < len(c.cons) && c.cons[host.ID] != nil {
+		return c.cons[host.ID].Capacity
 	}
 	return host.Speed
 }

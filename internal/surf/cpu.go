@@ -23,7 +23,6 @@ import (
 // machine.
 type CPU struct {
 	engine[*cpuTask]
-	cons map[*platform.Host]*lmm.Constraint
 }
 
 type cpuTask struct {
@@ -46,17 +45,11 @@ func (t *cpuTask) stall() *StallError {
 func NewCPU(kernel *simix.Kernel) *CPU {
 	return &CPU{
 		engine: engine[*cpuTask]{kernel: kernel, sys: lmm.New(), relTol: flopTol},
-		cons:   make(map[*platform.Host]*lmm.Constraint),
 	}
 }
 
 func (c *CPU) constraint(h *platform.Host) *lmm.Constraint {
-	con, ok := c.cons[h]
-	if !ok {
-		con = c.sys.NewConstraint(h.Name(), h.Speed, lmm.Shared)
-		c.cons[h] = con
-	}
-	return con
+	return c.engine.constraint(h.ID, h, h.Speed, lmm.Shared)
 }
 
 // Execute starts draining flops on host and returns a future fulfilled when

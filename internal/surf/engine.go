@@ -75,6 +75,11 @@ type engine[T drainable] struct {
 	kernel *simix.Kernel
 	now    core.Time
 	sys    *lmm.System
+	// cons holds the constraint of each resource (a link or a host) at its
+	// platform ID, nil until the resource is first used. It is grown to the
+	// highest ID seen, not sized to the platform: a job touches few of a
+	// large platform's links.
+	cons []*lmm.Constraint
 
 	// absTol and relTol are the completion tolerance, set once by the model:
 	// an action completes once its drained remainder is within
@@ -189,6 +194,22 @@ func (e *engine[T]) reshare(to core.Time) {
 		a.act().rate = v.Value
 		e.stamp(a, to)
 	}
+}
+
+// constraint returns the constraint of resource res, whose platform ID is
+// id, creating it with the given capacity and policy on first use.
+func (e *engine[T]) constraint(id int, res lmm.Resource, capacity float64, policy lmm.SharingPolicy) *lmm.Constraint {
+	if id >= len(e.cons) {
+		e.cons = slices.Grow(e.cons, id+1-len(e.cons))
+		e.cons = e.cons[:cap(e.cons)]
+	}
+	c := e.cons[id]
+	if c == nil {
+		c = e.sys.NewConstraint("", capacity, policy)
+		c.Resource = res
+		e.cons[id] = c
+	}
+	return c
 }
 
 // setCapacity changes the capacity the sharing system enforces for c from

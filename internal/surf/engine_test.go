@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"smpigo/internal/core"
+	"smpigo/internal/lmm"
 	"smpigo/internal/platform"
 	"smpigo/internal/simix"
 )
@@ -62,5 +63,50 @@ func TestOverdueTaskBelowClockResolutionCompletes(t *testing.T) {
 	}
 	if cpu.inFlight != 0 {
 		t.Errorf("%d tasks still in flight", cpu.inFlight)
+	}
+}
+
+// TestFreshLinksAllocateOnlyTheirConstraints pins what the first flow over
+// fresh links costs a warm Network. Each cycle starts, promotes and delivers
+// one flow over two links with an empty free list, so the flow allocates its
+// future, its object and its links storage. A link the network has not seen
+// adds its constraint: the object, its variable list and its fill list. The
+// constraint table is already grown to the highest link ID, and no link
+// name is formatted.
+func TestFreshLinksAllocateOnlyTheirConstraints(t *testing.T) {
+	const (
+		cycles   = 50
+		flowCost = 3 // future, flow, links storage
+		linkCost = 3 // constraint, its variable list, its fill list
+	)
+	p := platform.New("alloc")
+	routes := make([]platform.Route, cycles+2)
+	for i := range routes {
+		up, down := p.NewLink(1e9, 1e-6, lmm.Shared), p.NewLink(1e9, 1e-6, lmm.Shared)
+		routes[i] = platform.Route{Links: []*platform.Link{up, down}, Latency: 2e-6}
+	}
+	// The post-solve check allocates; the allocations pinned are the model's.
+	defer func(on bool) { lmm.CheckAfterSolve = on }(lmm.CheckAfterSolve)
+	lmm.CheckAfterSolve = false
+	n := NewNetwork(simix.New(), Ideal())
+	cycle := func(route platform.Route) {
+		n.StartFlow(route, 1e6, simix.NewFuture())
+		n.Advance(n.NextEvent()) // latency over: the flow joins the sharing
+		n.Advance(n.NextEvent()) // delivered
+		n.free = n.free[:0]
+	}
+	cycle(routes[len(routes)-1]) // warm: the table holds every link ID
+
+	next := 0
+	fresh := testing.AllocsPerRun(cycles, func() {
+		cycle(routes[next])
+		next++
+	})
+	if want := float64(flowCost + 2*linkCost); fresh != want {
+		t.Errorf("a flow over two fresh links makes %v allocations, want %v", fresh, want)
+	}
+	used := testing.AllocsPerRun(cycles, func() { cycle(routes[0]) })
+	if used != flowCost {
+		t.Errorf("a flow over two used links makes %v allocations, want %v", used, float64(flowCost))
 	}
 }

@@ -28,8 +28,6 @@ type Network struct {
 	// Contention selects whether concurrent flows share link bandwidth.
 	Contention bool
 
-	cons map[*platform.Link]*lmm.Constraint
-
 	// free holds delivered flows for StartFlow to reuse (see Advance).
 	free []*flow
 }
@@ -79,7 +77,6 @@ func NewNetwork(kernel *simix.Kernel, model NetModel) *Network {
 		engine:     engine[*flow]{kernel: kernel, sys: lmm.New(), absTol: byteTol},
 		model:      model,
 		Contention: true,
-		cons:       make(map[*platform.Link]*lmm.Constraint),
 	}
 }
 
@@ -124,12 +121,7 @@ func (n *Network) newFlow() *flow {
 }
 
 func (n *Network) constraint(l *platform.Link) *lmm.Constraint {
-	c, ok := n.cons[l]
-	if !ok {
-		c = n.sys.NewConstraint(l.Name(), l.Bandwidth, l.Policy)
-		n.cons[l] = c
-	}
-	return c
+	return n.engine.constraint(l.ID, l, l.Bandwidth, l.Policy)
 }
 
 // SetLinkBandwidth changes the capacity the sharing system enforces for l
