@@ -174,13 +174,7 @@ func run(o options, w io.Writer) error {
 	finishObs := func() error {
 		if o.stats {
 			fmt.Fprintf(w, "--- kernel counters ---\n%s", cfg.Stats.Report())
-			hot := usage.HotSpots(10)
-			if cfg.Backend != smpi.BackendSurf {
-				// The packet-level emulator feeds no usage stream: an empty
-				// report would claim no traffic where bytes moved.
-				hot = "the packet-level backend records no link usage\n"
-			}
-			fmt.Fprintf(w, "--- link hot spots ---\n%s", hot)
+			fmt.Fprintf(w, "--- link hot spots ---\n%s", usage.HotSpots(10))
 		}
 		if o.timeline == "" {
 			return nil

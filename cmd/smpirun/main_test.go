@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -84,17 +86,59 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 	}
 }
 
-// TestEmuStatsRecordsNoLinkUsage pins the hot-spot section of -stats on the
-// packet-level backend, which moves bytes but feeds no usage stream: it must
-// say so instead of reporting no link traffic.
-func TestEmuStatsRecordsNoLinkUsage(t *testing.T) {
+// TestEmuStatsRecordsLinkUsage runs -stats and -timeline on the
+// packet-level backend, which feeds the same usage recorder as surf: the
+// hot-spot section lists the links the scatter crossed, and each link's
+// timeline buckets sum to its reported byte total.
+func TestEmuStatsRecordsLinkUsage(t *testing.T) {
+	o := parse(t, "-app", "scatter", "-np", "4", "-chunk", "64KiB", "-backend", "openmpi", "-stats")
+	o.timeline = filepath.Join(t.TempDir(), "t.json")
 	var out bytes.Buffer
-	if err := run(parse(t, "-app", "scatter", "-np", "4", "-chunk", "64KiB", "-backend", "openmpi", "-stats"), &out); err != nil {
+	if err := run(o, &out); err != nil {
 		t.Fatal(err)
 	}
-	const want = "--- link hot spots ---\nthe packet-level backend records no link usage\n"
-	if report := out.String(); !strings.Contains(report, want) || strings.Contains(report, "no link traffic") {
-		t.Errorf("hot-spot section of\n%s\nwant %q", report, want)
+	report := out.String()
+	_, hot, ok := strings.Cut(report, "--- link hot spots ---\n")
+	if !ok {
+		t.Fatalf("no hot-spot section in\n%s", report)
+	}
+	totals := map[string]float64{}
+	for _, line := range strings.Split(hot, "\n") {
+		if fields := strings.Fields(line); len(fields) == 5 && fields[2] == "B" {
+			b, err := strconv.ParseFloat(fields[1], 64)
+			if err != nil {
+				t.Fatalf("hot-spot row %q: %v", line, err)
+			}
+			totals[fields[0]] = b
+		}
+	}
+	if len(totals) == 0 {
+		t.Fatalf("hot-spot section lists no link:\n%s", hot)
+	}
+	raw, err := os.ReadFile(o.timeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Links []struct {
+			Name    string    `json:"name"`
+			Buckets []float64 `json:"buckets"`
+		} `json:"links"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Links) != len(totals) {
+		t.Errorf("timeline has %d link series, hot spots list %d links:\n%s", len(doc.Links), len(totals), raw)
+	}
+	for _, s := range doc.Links {
+		sum := 0.0
+		for _, b := range s.Buckets {
+			sum += b
+		}
+		if want, ok := totals[s.Name]; !ok || math.Abs(sum-want) > 1e-9*want {
+			t.Errorf("link %s: buckets sum to %v B, hot spots report %v B", s.Name, sum, want)
+		}
 	}
 }
 

@@ -278,7 +278,13 @@ func walk(t types.Type, use func(types.Object)) {
 		walkDecl(t, use)
 	case *types.Interface:
 		for i := range t.NumMethods() {
-			walk(t.Method(i).Type(), use)
+			sig := t.Method(i).Signature()
+			if sig.Recv() != nil && sig.Recv().Type() == t {
+				// The method is t's own: its receiver is t, which walking
+				// again would never finish.
+				sig = types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
+			}
+			walk(sig, use)
 		}
 	}
 }

@@ -489,6 +489,7 @@ func TestRulesRejectSeededViolations(t *testing.T) {
 		{"Untagged", "struct{ X int `json:\"-\"` }", "func init() { vUntagged.X = 1 }", "", true},
 		{"Commented", "struct{ X int }", "func init() {\n\t// vCommented.X = 1\n\tprintln(vCommented.X)\n}", "", true},
 		{"TestSet", "struct{ X int }", "func init() { println(vTestSet.X) }", "func init() { vTestSet.X = 1 }", true},
+		{"Iface", "struct{ X interface{ Name() string } }", "func init() { vIface.X = nil; println(vIface.X) }", "", false},
 	}
 	decls := "package core\n\nimport \"sync/atomic\"\n\nvar _ atomic.Int64\n"
 	uses := "package main\n\nimport \"smpigo/internal/core\"\n"
@@ -548,6 +549,12 @@ func (seededImpl) seededMethod() {}
 		if why, ok := flagged[field]; ok != c.want {
 			t.Errorf("every exported field is set and read on %s %s used as %q: got %q, want a violation: %v", c.name, c.decl, c.use, why, c.want)
 		}
+	}
+	// The exported-name rule walks the types a used name shows: Iface's
+	// field is an unnamed interface, whose method's receiver is that
+	// interface again.
+	if slices.Contains(m.uncalled(), "core.Iface") {
+		t.Errorf("every exported name has a caller: core.Iface is used from cmd/smpirun, got a violation")
 	}
 	uncalled := m.uncalledUnexported()
 	for _, c := range []struct {

@@ -79,7 +79,7 @@ func BestFitAffine(samples []Sample, route RouteInfo) (surf.NetModel, error) {
 	cost := func(latF, bwF float64) float64 {
 		sum := 0.0
 		for _, s := range samples {
-			pred := latF*route.Latency + float64(s.Size)/(bwF*route.Bandwidth)
+			pred := float64(latF*route.Latency) + float64(s.Size)/(bwF*route.Bandwidth)
 			sum += metrics.LogError(pred, s.Time)
 		}
 		return sum / float64(len(samples))
@@ -97,17 +97,17 @@ func BestFitAffine(samples []Sample, route RouteInfo) (surf.NetModel, error) {
 func goldenMin(f func(float64) float64, lo, hi float64) float64 {
 	const phi = 0.6180339887498949
 	a, b := math.Log(lo), math.Log(hi)
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
+	c := b - float64(phi*(b-a))
+	d := a + float64(phi*(b-a))
 	fc, fd := f(math.Exp(c)), f(math.Exp(d))
 	for i := 0; i < 60; i++ {
 		if fc < fd {
 			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
+			c = b - float64(phi*(b-a))
 			fc = f(math.Exp(c))
 		} else {
 			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
+			d = a + float64(phi*(b-a))
 			fd = f(math.Exp(d))
 		}
 	}
@@ -136,25 +136,25 @@ func fitSegment(samples []Sample, i, j int) (segmentFit, bool) {
 		x, y := float64(s.Size), s.Time
 		w := 1 / (y * y)
 		sw += w
-		swx += w * x
-		swy += w * y
-		swxx += w * x * x
-		swxy += w * x * y
-		swyy += w * y * y
+		swx += float64(w * x)
+		swy += float64(w * y)
+		swxx += float64(w * x * x)
+		swxy += float64(w * x * y)
+		swyy += float64(w * y * y)
 	}
-	den := sw*swxx - swx*swx
+	den := float64(sw*swxx) - float64(swx*swx)
 	if den <= 0 {
 		return segmentFit{}, false
 	}
-	slope := (sw*swxy - swx*swy) / den
-	intercept := (swy - slope*swx) / sw
+	slope := (float64(sw*swxy) - float64(swx*swy)) / den
+	intercept := (swy - float64(slope*swx)) / sw
 	if slope <= 0 || intercept < 0 {
 		return segmentFit{}, false
 	}
-	varY := sw*swyy - swy*swy
+	varY := float64(sw*swyy) - float64(swy*swy)
 	r2 := 1.0
 	if varY > 0 {
-		r := (sw*swxy - swx*swy) / math.Sqrt(den*varY)
+		r := (float64(sw*swxy) - float64(swx*swy)) / math.Sqrt(den*varY)
 		r2 = r * r
 	}
 	return segmentFit{alpha: intercept, beta: 1 / slope, r2: r2}, true
@@ -225,5 +225,5 @@ func FitPiecewise(samples []Sample, route RouteInfo) (surf.NetModel, error) {
 // running a simulation).
 func Predict(m surf.NetModel, route RouteInfo, size int64) float64 {
 	seg := m.Segment(size)
-	return seg.LatFactor*route.Latency + float64(size)/(seg.BwFactor*route.Bandwidth)
+	return float64(seg.LatFactor*route.Latency) + float64(size)/(seg.BwFactor*route.Bandwidth)
 }

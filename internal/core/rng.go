@@ -16,9 +16,12 @@ func (r *RNG) Uint64() uint64 {
 	return mix64(r.state)
 }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1). The division compiles to an
+// exact multiply by 2^-53; the conversion keeps it out of a caller's fused
+// multiply-add, which would change no value but would trip
+// internal/archtest's TestNoFusedMultiplyAdd.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.

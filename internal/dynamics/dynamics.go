@@ -369,7 +369,7 @@ func (s *Schedule) Arm(k *simix.Kernel, plat *platform.Platform, net *surf.Netwo
 				count = 1
 			}
 			for rep := 0; rep < count; rep++ {
-				armAt(k, e.At+core.Time(rep)*core.Time(e.Every), func() {
+				armAt(k, e.At+core.Time(core.Time(rep)*core.Time(e.Every)), func() {
 					// Nobody waits on injected background traffic; the flow's
 					// bytes still land in the sharing system and the usage
 					// accounting like any first-class transfer.

@@ -27,6 +27,7 @@ import (
 	"smpigo/internal/core"
 	"smpigo/internal/platform"
 	"smpigo/internal/simix"
+	"smpigo/internal/surf"
 	"smpigo/internal/surf/actionheap"
 )
 
@@ -127,6 +128,7 @@ type Net struct {
 	msgs     []message
 	freeMsgs int32 // recycled messages, chained through next
 	rng      *core.RNG
+	usage    surf.UsageRecorder
 }
 
 // chunkNodes is the length of one chunk of Net.nodes: 16 KiB of hopNodes.
@@ -193,13 +195,15 @@ func (n *Net) jitterScale() float64 {
 	if n.impl.Jitter <= 0 {
 		return 1
 	}
-	return 1 + n.impl.Jitter*(n.rng.Float64()-0.5)
+	return 1 + float64(n.impl.Jitter*(n.rng.Float64()-0.5))
 }
 
-// InstrumentHeap attaches counters to the emulator's packet-hop heap (the
-// same actionheap the analytical models share). nil detaches; an
-// uninstrumented heap pays nothing.
-func (n *Net) InstrumentHeap(s *actionheap.Stats) { n.events.Stats = s }
+// Instrument attaches packet-hop heap counters and a usage recorder, as
+// surf's Instrument does; nil detaches either. The recorder receives each
+// frame's payload, not its overhead, on each link over its transmission.
+func (n *Net) Instrument(heap *actionheap.Stats, usage surf.UsageRecorder) {
+	n.events.Stats, n.usage = heap, usage
+}
 
 // Transfer emulates an MPI point-to-point payload of size bytes from src to
 // dst, fulfilling future at the time the receive completes. Must be called
@@ -257,9 +261,9 @@ func (n *Net) inject(src, dst *platform.Host, size int64, start core.Time, ramp 
 
 // frameDue returns the date frame i of m enters the first port.
 func (n *Net) frameDue(m *message, i int32) core.Time {
-	at := m.start + core.Duration(i)*n.impl.PerFrameCPU
+	at := m.start + core.Duration(core.Duration(i)*n.impl.PerFrameCPU)
 	if m.ramp {
-		at += core.Duration(n.rampRound(int(i))) * (2 * m.route.Latency)
+		at += core.Duration(core.Duration(n.rampRound(int(i))) * (2 * m.route.Latency))
 	}
 	return at
 }
@@ -341,6 +345,9 @@ func (n *Net) processHop(he hopEvent, at core.Time) {
 	wire := float64(payload+n.impl.FrameOverhead) * m.wireScale
 	txEnd := startTx + core.Duration(wire/link.Bandwidth)
 	p.busyUntil = txEnd
+	if n.usage != nil && payload > 0 {
+		n.usage.RecordLink(link, startTx, txEnd, float64(payload))
+	}
 	arrive := txEnd + link.Latency
 	if int(he.hop)+1 < len(m.route.Links) {
 		n.forward(p, hopEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive)

@@ -350,7 +350,7 @@ func TestStreamHeadsMatchEagerReference(t *testing.T) {
 
 		var netStats, refStats actionheap.Stats
 		net := NewNet(simix.New(), plat, impl)
-		net.InstrumentHeap(&netStats)
+		net.Instrument(&netStats, nil)
 		ref := &eagerNet{Net: NewNet(simix.New(), plat, impl), busy: map[*platform.Link]core.Time{}}
 		ref.heap.Stats = &refStats
 		got, maxActive := drive(net, impl, sends)

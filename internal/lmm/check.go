@@ -37,7 +37,7 @@ func (s *System) check() error {
 			u += v.Value
 		}
 		usage[c.id] = u
-		if c.Policy == Shared && u > c.Capacity*(1+checkRelTol)+checkAbsTol {
+		if c.Policy == Shared && u > float64(c.Capacity*(1+checkRelTol))+checkAbsTol {
 			return fmt.Errorf("lmm: constraint %q over capacity: usage %g > capacity %g", c.name(), u, c.Capacity)
 		}
 	}
@@ -52,13 +52,13 @@ func (s *System) check() error {
 			continue
 		}
 		b := v.effectiveBound()
-		if !math.IsInf(b, 1) && v.Value > b*(1+checkRelTol)+checkAbsTol {
+		if !math.IsInf(b, 1) && v.Value > float64(b*(1+checkRelTol))+checkAbsTol {
 			return fmt.Errorf("lmm: variable %q exceeds its bound: %g > %g", v.Name, v.Value, b)
 		}
-		atBound := !math.IsInf(b, 1) && v.Value >= b*(1-checkRelTol)-checkAbsTol
+		atBound := !math.IsInf(b, 1) && v.Value >= float64(b*(1-checkRelTol))-checkAbsTol
 		saturated := false
 		for _, c := range v.cons {
-			if c.Policy == Shared && usage[c.id] >= c.Capacity*(1-checkRelTol)-checkAbsTol {
+			if c.Policy == Shared && usage[c.id] >= float64(c.Capacity*(1-checkRelTol))-checkAbsTol {
 				saturated = true
 				break
 			}

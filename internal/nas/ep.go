@@ -90,13 +90,13 @@ func EP(cfg EPConfig) (func(*smpi.Rank), *EPResult) {
 				for i := int64(0); i < perIter; i++ {
 					x := 2*rng.Float64() - 1
 					y := 2*rng.Float64() - 1
-					t := x*x + y*y
+					t := float64(x*x) + float64(y*y)
 					if t > 1 || t == 0 {
 						continue
 					}
 					accepted++
 					f := math.Sqrt(-2 * math.Log(t) / t)
-					gx, gy := x*f, y*f
+					gx, gy := float64(x*f), float64(y*f)
 					sx += gx
 					sy += gy
 					l := int(math.Max(math.Abs(gx), math.Abs(gy)))

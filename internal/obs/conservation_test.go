@@ -3,11 +3,13 @@ package obs
 // Conservation tests: the observability layer's core guarantee is that the
 // drained-segment stream accounts for exactly the traffic injected — a flow
 // of S bytes over a k-link route contributes k*S recorded bytes, however
-// many rate changes it lives through. The test pins this on every topology
-// preset (each exercises a different routing inverse and contention
-// pattern), checks Shared-link utilization never exceeds 1 (the LMM never
-// over-commits a constraint), and round-trips the bucketed JSON of the same
-// Usage to verify bucketing preserves its totals.
+// many rate changes it lives through, and a packet-level message of S bytes
+// contributes k*S, however many frames carry it. The test pins this for both
+// network models on every topology preset (each exercises a different
+// routing inverse and contention pattern), checks that utilization never
+// exceeds 1 (the LMM never over-commits a Shared constraint; an emulated
+// port serializes its frames), and round-trips the bucketed JSON of the
+// same Usage to verify bucketing preserves its totals.
 
 import (
 	"bytes"
@@ -19,6 +21,7 @@ import (
 
 	"smpigo/internal/core"
 	"smpigo/internal/dynamics"
+	"smpigo/internal/emu"
 	"smpigo/internal/lmm"
 	"smpigo/internal/platform"
 	"smpigo/internal/simix"
@@ -66,85 +69,75 @@ func TestLinkByteConservation(t *testing.T) {
 				}
 			}
 
-			k := simix.New()
-			net := surf.NewNetwork(k, surf.Ideal())
-			k.AddModel(net)
-			o := NewUsage(plat, core.Duration(100e-6))
-			net.Instrument(nil, nil, nil, o)
-			k.Spawn("flows", func(p *simix.Proc) {
-				futs := make([]*simix.Future, n)
-				for i := range hosts {
-					futs[i] = simix.NewFuture()
-					net.StartFlow(plat.Route(hosts[i], hosts[dst(i)]), payload, futs[i])
-				}
-				for _, f := range futs {
-					p.Wait(f)
-				}
-			})
-			if err := k.Run(); err != nil {
-				t.Fatal(err)
-			}
-
-			for _, l := range plat.Links() {
-				if got := o.linkBytes[l.ID]; !relClose(got, expected[l.ID]) {
-					t.Errorf("link %s: recorded %.6f B, routes inject %.0f B", l.Name(), got, expected[l.ID])
-				}
-			}
-			for _, u := range o.topLinks(len(plat.Links())) {
-				if u.Link.Policy == lmm.Shared && u.Utilization > 1+1e-9 {
-					t.Errorf("link %s: utilization %.6f exceeds capacity", u.Link.Name(), u.Utilization)
-				}
-			}
-
-			// Bucket sums must reproduce the running totals:
-			// proportional distribution moves bytes between buckets, never
-			// creates or destroys them.
-			var buf bytes.Buffer
-			if err := o.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			var doc struct {
-				BucketWidth float64 `json:"bucket_width"`
-				Links       []struct {
-					Name    string    `json:"name"`
-					Buckets []float64 `json:"buckets"`
-				} `json:"links"`
-			}
-			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-				t.Fatal(err)
-			}
-			if doc.BucketWidth != 100e-6 {
-				t.Errorf("bucket width %v, want 100e-6", doc.BucketWidth)
-			}
-			byName := make(map[string]*platform.Link, len(plat.Links()))
-			for _, l := range plat.Links() {
-				byName[l.Name()] = l
-			}
-			active := 0
-			for _, s := range doc.Links {
-				sum := 0.0
-				for _, b := range s.Buckets {
-					sum += b
-				}
-				l := byName[s.Name]
-				if l == nil {
-					t.Fatalf("timeline names unknown link %q", s.Name)
-				}
-				if !relClose(sum, o.linkBytes[l.ID]) {
-					t.Errorf("link %s: buckets sum to %.6f B, running total %.0f B", s.Name, sum, o.linkBytes[l.ID])
-				}
-				active++
-			}
-			wantActive := 0
-			for _, e := range expected {
-				if e != 0 {
-					wantActive++
-				}
-			}
-			if active != wantActive {
-				t.Errorf("timeline has %d link series, %d links carried traffic", active, wantActive)
+			// Both network models feed the one recorder. The emulator's
+			// totals are sums of integer frame payloads, so they are exact,
+			// and its ports serialize every frame, so no link of any policy
+			// exceeds its capacity; surf's are drained floats, and only
+			// Shared links are capped.
+			for _, backend := range []string{"surf", "emu"} {
+				t.Run(backend, func(t *testing.T) {
+					k := simix.New()
+					o := NewUsage(plat, core.Duration(100e-6))
+					var transfer func(src, dst *platform.Host, f *simix.Future)
+					if backend == "surf" {
+						net := surf.NewNetwork(k, surf.Ideal())
+						k.AddModel(net)
+						net.Instrument(nil, nil, nil, o)
+						transfer = func(src, dst *platform.Host, f *simix.Future) {
+							net.StartFlow(plat.Route(src, dst), payload, f)
+						}
+					} else {
+						net := emu.NewNet(k, plat, emu.OpenMPI())
+						k.AddModel(net)
+						net.Instrument(nil, o)
+						transfer = func(src, dst *platform.Host, f *simix.Future) { net.Transfer(src, dst, payload, f) }
+					}
+					k.Spawn("flows", func(p *simix.Proc) {
+						futs := make([]*simix.Future, n)
+						for i := range hosts {
+							futs[i] = simix.NewFuture()
+							transfer(hosts[i], hosts[dst(i)], futs[i])
+						}
+						for _, f := range futs {
+							p.Wait(f)
+						}
+					})
+					if err := k.Run(); err != nil {
+						t.Fatal(err)
+					}
+					checkConservation(t, plat, o, expected, backend == "emu")
+				})
 			}
 		})
+	}
+}
+
+// checkConservation compares o's link totals with expected, exactly or
+// within relClose, bounds each link's utilization by 1 (on every link when
+// exact, as the emulator serializes every port, else on Shared links), and
+// checks that the timeline has one series per link that carried traffic.
+func checkConservation(t *testing.T, plat *platform.Platform, o *Usage, expected []float64, exact bool) {
+	t.Helper()
+	for _, l := range plat.Links() {
+		if got := o.linkBytes[l.ID]; exact && got != expected[l.ID] || !relClose(got, expected[l.ID]) {
+			t.Errorf("link %s: recorded %.6f B, routes inject %.0f B", l.Name(), got, expected[l.ID])
+		}
+	}
+	for _, u := range o.topLinks(len(plat.Links())) {
+		if (exact || u.Link.Policy == lmm.Shared) && u.Utilization > 1+1e-9 {
+			t.Errorf("link %s: utilization %.6f exceeds capacity", u.Link.Name(), u.Utilization)
+		}
+	}
+
+	active := checkTimeline(t, plat, o)
+	wantActive := 0
+	for _, e := range expected {
+		if e != 0 {
+			wantActive++
+		}
+	}
+	if active != wantActive {
+		t.Errorf("timeline has %d link series, %d links carried traffic", active, wantActive)
 	}
 }
 
@@ -278,36 +271,49 @@ func TestConservationUnderDynamics(t *testing.T) {
 			}
 
 			// Bucketing remains lossless across rate changes.
-			var buf bytes.Buffer
-			if err := o.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			var doc struct {
-				Links []struct {
-					Name    string    `json:"name"`
-					Buckets []float64 `json:"buckets"`
-				} `json:"links"`
-			}
-			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-				t.Fatal(err)
-			}
-			byName := make(map[string]*platform.Link, len(plat.Links()))
-			for _, l := range plat.Links() {
-				byName[l.Name()] = l
-			}
-			for _, s := range doc.Links {
-				sum := 0.0
-				for _, b := range s.Buckets {
-					sum += b
-				}
-				l := byName[s.Name]
-				if l == nil {
-					t.Fatalf("timeline names unknown link %q", s.Name)
-				}
-				if !relClose(sum, o.linkBytes[l.ID]) {
-					t.Errorf("link %s: buckets sum to %.6f B, running total %.0f B", s.Name, sum, o.linkBytes[l.ID])
-				}
-			}
+			checkTimeline(t, plat, o)
 		})
 	}
+}
+
+// checkTimeline checks o's bucketed JSON: bucket sums must reproduce the
+// running totals, as proportional distribution moves bytes between buckets,
+// never creates or destroys them. It returns the number of link series.
+func checkTimeline(t *testing.T, plat *platform.Platform, o *Usage) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := o.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		BucketWidth float64 `json:"bucket_width"`
+		Links       []struct {
+			Name    string    `json:"name"`
+			Buckets []float64 `json:"buckets"`
+		} `json:"links"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.BucketWidth != 100e-6 {
+		t.Errorf("bucket width %v, want 100e-6", doc.BucketWidth)
+	}
+	byName := make(map[string]*platform.Link, len(plat.Links()))
+	for _, l := range plat.Links() {
+		byName[l.Name()] = l
+	}
+	for _, s := range doc.Links {
+		sum := 0.0
+		for _, b := range s.Buckets {
+			sum += b
+		}
+		l := byName[s.Name]
+		if l == nil {
+			t.Fatalf("timeline names unknown link %q", s.Name)
+		}
+		if !relClose(sum, o.linkBytes[l.ID]) {
+			t.Errorf("link %s: buckets sum to %.6f B, running total %.0f B", s.Name, sum, o.linkBytes[l.ID])
+		}
+	}
+	return len(doc.Links)
 }

@@ -1,6 +1,6 @@
 // Package obs is the simulator's observability layer: kernel counters and
-// resource-utilization accounting that attach to the simix kernel and the
-// surf models through the nil-guarded hooks those packages expose
+// resource-utilization accounting that attach to the simix kernel, the surf
+// models and the emulator through the nil-guarded hooks those packages expose
 // (simix.Stats, surf.EventStats, lmm.Stats, actionheap.Stats,
 // surf.UsageRecorder). One Stats value carries all of them, and
 // smpi.Config.Stats attaches it to a run. Everything here is strictly
@@ -46,9 +46,9 @@ type Stats struct {
 	CPUHeap actionheap.Stats
 	// Routes counts route lookups performed by the MPI transfer path.
 	Routes uint64
-	// Usage, when non-nil, receives the drained byte/flop segments of the
-	// surf models (per-link utilization accounting; see Usage). nil means
-	// off. The emulator backend has no drain stream and ignores it.
+	// Usage, when non-nil, receives the byte/flop segments of the compute
+	// model and of either network model (per-link utilization accounting;
+	// see Usage). nil means off.
 	Usage surf.UsageRecorder
 }
 

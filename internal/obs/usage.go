@@ -13,14 +13,13 @@ import (
 	"smpigo/internal/surf"
 )
 
-// Usage records the drained-segment stream the surf models emit at their
-// lazy sync points (see surf.UsageRecorder): per-link byte and per-host
-// flop totals over the observed span, and, given a bucket width, the same
-// amounts in fixed-width time bins. Because every segment is an amount the
-// model already drained — never re-derived — the per-link totals are
-// conservative by construction: a flow of S bytes over a k-link route
-// contributes exactly k*S bytes, no matter how many rate changes it lived
-// through.
+// Usage records the segment stream the models emit (see surf.UsageRecorder):
+// per-link byte and per-host flop totals over the observed span, and, given a
+// bucket width, the same amounts in fixed-width time bins. Every segment is
+// an amount the model already moved (drained at a surf sync point, or a
+// frame's payload on the emulator), never re-derived, so the per-link totals
+// are conservative by construction: a message of S bytes over a k-link route
+// contributes exactly k*S bytes, however many rate changes or frames it took.
 //
 // Totals are indexed by resource ID, so they cost one float64 per link
 // plus one per host and each record is two array adds — cheap enough to
@@ -121,7 +120,7 @@ func (u *Usage) bucket(buckets []float64, from, to core.Time, amount float64) []
 		if bEnd > to {
 			bEnd = to
 		}
-		buckets[b] += rate * float64(bEnd-bStart)
+		buckets[b] += float64(rate * float64(bEnd-bStart))
 	}
 	return buckets
 }

@@ -184,7 +184,7 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 			w.snet.Instrument(&st.Net, &st.NetLMM, &st.NetHeap, st.Usage)
 		}
 		if w.enet != nil {
-			w.enet.InstrumentHeap(&st.NetHeap)
+			w.enet.Instrument(&st.NetHeap, st.Usage)
 		}
 	}
 	if cfg.Dynamics != nil {

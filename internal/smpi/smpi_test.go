@@ -1,11 +1,13 @@
 package smpi
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"smpigo/internal/core"
 	"smpigo/internal/dynamics"
+	"smpigo/internal/obs"
 	"smpigo/internal/platform"
 )
 
@@ -453,6 +455,48 @@ func TestDesignChoicesMoveThePrediction(t *testing.T) {
 		}
 		if slow, fast := run(tc.slow), run(tc.fast); !(slow > fast) {
 			t.Errorf("%s: simulated %v vs %v, want the first slower", tc.name, slow, fast)
+		}
+	}
+}
+
+// linkTotals is a usage recorder that sums the bytes recorded on each link,
+// by name: each run builds its own platform.
+type linkTotals map[string]float64
+
+func (l linkTotals) RecordLink(link *platform.Link, _, _ core.Time, bytes float64) {
+	l[link.Name()] += bytes
+}
+func (linkTotals) RecordHost(*platform.Host, core.Time, core.Time, float64) {}
+
+// TestEmuLinkUsageMatchesSurf runs one scatter on griffon on both network
+// models with a usage recorder attached through Config.Stats. The flow model
+// drains each message's bytes, the emulator frames them; both must put the
+// same bytes on the same links, eager and rendezvous alike (the emulator's
+// RTS/CTS record nothing).
+func TestEmuLinkUsageMatchesSurf(t *testing.T) {
+	for _, chunk := range []int{1 << 10, 64 << 10} {
+		totals := map[Backend]linkTotals{}
+		for _, backend := range []Backend{BackendSurf, BackendEmu} {
+			cfg := testConfig(8)
+			cfg.Backend = backend
+			totals[backend] = linkTotals{}
+			cfg.Stats = &obs.Stats{Usage: totals[backend]}
+			mustRun(t, cfg, func(r *Rank) {
+				var sendbuf []byte
+				if r.Rank() == 0 {
+					sendbuf = make([]byte, r.Size()*chunk)
+				}
+				r.Comm().Scatter(r, sendbuf, make([]byte, chunk), 0)
+			})
+		}
+		surf, emu := totals[BackendSurf], totals[BackendEmu]
+		if len(surf) == 0 || len(emu) != len(surf) {
+			t.Errorf("chunk %d: surf records %d links, emu %d", chunk, len(surf), len(emu))
+		}
+		for l, want := range surf {
+			if got := emu[l]; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("chunk %d: link %s carries %v B on emu, %v B on surf", chunk, l, got, want)
+			}
 		}
 	}
 }

@@ -131,9 +131,9 @@ func (e *engine[T]) drain(a T, to core.Time) {
 			a.record(e.usage, act.lastSync, to, amount)
 		}
 	}
-	// The product is spelled out again, not reused: this is the expression
-	// whose rounding (fused on some targets) every pinned timestamp has.
-	act.remaining -= act.rate * float64(to-act.lastSync)
+	// The conversion rounds the product before the subtraction, so no target
+	// fuses the two: every pinned timestamp has this rounding.
+	act.remaining -= float64(act.rate * float64(to-act.lastSync))
 	act.lastSync = to
 }
 
@@ -256,7 +256,7 @@ func (e *engine[T]) popDue(to core.Time) bool {
 		// entry completes at its own due date, at most tolerance/rate later
 		// (see ARCHITECTURE, "The event path").
 		act := a.act()
-		if act.remaining-act.rate*float64(to-act.lastSync) <= e.absTol+e.relTol*act.rate {
+		if act.remaining-float64(act.rate*float64(to-act.lastSync)) <= e.absTol+float64(e.relTol*act.rate) {
 			e.heap.Pop()
 			e.completed = append(e.completed, a)
 			continue

@@ -66,7 +66,7 @@ func (n *scanNet) StartFlow(route platform.Route, size int64, future *simix.Futu
 		route:     route,
 		bound:     seg.BwFactor * route.Bottleneck(),
 		future:    future,
-		latEnd:    n.now + core.Duration(seg.LatFactor)*route.Latency,
+		latEnd:    n.now + core.Duration(core.Duration(seg.LatFactor)*route.Latency),
 		remaining: float64(size),
 	})
 }
@@ -113,7 +113,7 @@ func (n *scanNet) Advance(to core.Time) {
 	changed := false
 	for _, f := range n.flows {
 		if f.started {
-			f.remaining -= f.rate * dt
+			f.remaining -= float64(f.rate * dt)
 		}
 	}
 	for _, f := range n.flows {
@@ -183,7 +183,7 @@ func churnSchedule(t *testing.T, plat *platform.Platform, mk func(*simix.Kernel)
 				rec[s] = p.Now()
 				if sleeps && rng.Intn(4) == 0 {
 					f := simix.NewFuture()
-					k.FulfillAt(f, p.Now()+core.Duration(rng.Float64())*core.Microsecond)
+					k.FulfillAt(f, p.Now()+core.Duration(core.Duration(rng.Float64())*core.Microsecond))
 					p.Wait(f)
 				}
 			}

@@ -104,7 +104,7 @@ func (n *Network) StartFlow(route platform.Route, size int64, future *simix.Futu
 	n.admit(f)
 	// The flow consumes no bandwidth during its latency phase; it joins the
 	// sharing system when its latency entry pops in Advance.
-	n.heap.Push(f, n.now+core.Duration(seg.LatFactor)*route.Latency, &f.pos)
+	n.heap.Push(f, n.now+core.Duration(core.Duration(seg.LatFactor)*route.Latency), &f.pos)
 }
 
 // newFlow returns a blank flow: a delivered one, with its links storage,

@@ -25,13 +25,16 @@ type EventStats struct {
 	Restamps uint64
 }
 
-// UsageRecorder receives the byte and flop segments the lazy drain already
-// computes: every time a flow or task is synced (its rate is about to
-// change) or completes, the amount drained since its last sync is reported
-// with the simulated interval it drained over. The segments for one flow
-// sum exactly to its size — recording is piggybacked on the sync points,
-// never recomputed — which is what makes per-link accounting conservative
-// by construction (see internal/obs and its conservation test).
+// UsageRecorder receives the byte and flop segments that both network
+// models and the CPU model already compute. In the surf models, every time
+// a flow or task is synced (its rate is about to change) or completes, the
+// amount drained since its last sync is reported with the simulated
+// interval it drained over. The packet-level emulator (internal/emu)
+// reports each frame's payload on each link over its transmission
+// interval. The segments for one transfer sum exactly to its size —
+// recording is piggybacked on work the model does anyway, never
+// recomputed — which is what makes per-link accounting conservative by
+// construction (see internal/obs and its conservation test).
 //
 // Implementations must not retain the link/host pointers beyond the call
 // graph of the owning model (they are stable platform handles, so retaining
