@@ -22,7 +22,9 @@
 package emu
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 
 	"smpigo/internal/core"
 	"smpigo/internal/platform"
@@ -116,12 +118,11 @@ type Net struct {
 	// implementation and one determinism contract across backends.
 	events actionheap.Heap[hopEvent]
 	ports  []port // by Link.ID
-	// nodes holds the ports' FIFOs in chunks of chunkNodes, each filled by
-	// append within its capacity; node 0 is the empty sentinel. A chunk is
-	// added only when free is empty and is never copied, so a run
-	// allocates its peak number of nodes in use, rounded up to one chunk.
-	nodes [][]hopNode
-	free  int32 // unused nodes, chained through next
+	// chunks holds the ports' FIFOs, chunk c at chunks[c-1]. A chunk is
+	// allocated only when freeChunks is empty and is never copied, so a run
+	// allocates its peak number of chunks in use.
+	chunks     []*fifoChunk
+	freeChunks int32 // empty chunks, chained through next
 	// msgs holds the messages, in flight or recycled, indexed by
 	// hopEvent.msg; msgs[0] is the empty sentinel. inject may grow it, so a *message into it
 	// must not be held across an inject.
@@ -131,24 +132,35 @@ type Net struct {
 	usage    surf.UsageRecorder
 }
 
-// chunkNodes is the length of one chunk of Net.nodes: 16 KiB of hopNodes.
-const chunkNodes = 512
-
 // port is a link's output: its serialization horizon and the FIFO of
 // packets sent down the link that have not yet reached the next hop. The
-// FIFO's head is the port's stream entry in the heap.
+// FIFO is a list of chunks, from entry first of chunk head to the entry
+// before end of chunk tail; head is 0 when it is empty. Its head entry is
+// the port's stream entry in the heap.
 type port struct {
 	busyUntil  core.Time
 	head, tail int32
+	first, end int32
 }
 
-// hopNode is one event of a port's FIFO. It holds no pointer, so the
-// garbage collector never scans a chunk of them.
-type hopNode struct {
-	due  core.Time
-	seq  uint64
-	ev   hopEvent
-	next int32
+// fifoEntry is packet pkt of message msgs[msg], due at the input of the hop
+// after its port's link under sequence number seq.
+type fifoEntry struct {
+	due      core.Time
+	seq      uint64
+	msg, pkt int32
+}
+
+// chunkEntries fills a fifoChunk to 1016 bytes, which the allocator serves
+// from its 1 KiB size class: larger chunks strand more partly used space
+// at each busy port, smaller ones cost more mallocs.
+const chunkEntries = 42
+
+// fifoChunk is a run of FIFO entries and the index of the chunk after it.
+// It holds no pointer, so the garbage collector never scans one.
+type fifoChunk struct {
+	entries [chunkEntries]fifoEntry
+	next    int32
 }
 
 // message is one wire transfer (control or payload) in flight. It is cut
@@ -168,10 +180,12 @@ type message struct {
 }
 
 // hopEvent is packet pkt of message msgs[msg] arriving at the input of
-// route link index hop. It holds no pointer, so the heap's sifts run no
-// write barrier.
+// its next hop: the first link of its route when port is 0, else the link
+// after the one of ID port-1 on it. It holds no pointer, but the heap's
+// entry around it does (the position pointer of re-keyed entries), so the
+// heap's sifts run the GC write barrier while a collection is marking.
 type hopEvent struct {
-	msg, pkt, hop int32
+	msg, pkt, port int32
 }
 
 // NewNet creates an emulated network over plat with the given MPI
@@ -182,7 +196,6 @@ func NewNet(kernel *simix.Kernel, plat *platform.Platform, impl MPIImpl) *Net {
 		plat:   plat,
 		impl:   impl,
 		ports:  make([]port, len(plat.Links())),
-		nodes:  [][]hopNode{make([]hopNode, 1, chunkNodes)},
 		msgs:   make([]message, 1),
 		rng:    core.NewRNG(0x7e57bed ^ uint64(len(impl.Name))),
 	}
@@ -242,7 +255,8 @@ func (n *Net) Transfer(src, dst *platform.Host, size int64, future *simix.Future
 // inject schedules the frames of a message from src to dst onto the first
 // port of its route starting at date start, reserving their sequence
 // numbers; ramp selects whether the slow-start window ramp gates frame
-// injection.
+// injection. It panics on a route that lists a link twice: a packet in a
+// port's FIFO finds its next hop by the port link's place on its route.
 func (n *Net) inject(src, dst *platform.Host, size int64, start core.Time, ramp bool, onDone func(core.Time)) {
 	id := n.freeMsgs
 	if id != 0 {
@@ -255,6 +269,11 @@ func (n *Net) inject(src, dst *platform.Host, size int64, start core.Time, ramp 
 	*m = message{route: n.plat.RouteInto(m.route.Links[:0], src, dst), size: size,
 		packets: int32(max(1, (size+n.impl.MSS-1)/n.impl.MSS)), wireScale: n.jitterScale(),
 		onDone: onDone, start: start, ramp: ramp}
+	for i, l := range m.route.Links {
+		if slices.Contains(m.route.Links[i+1:], l) {
+			panic(fmt.Sprintf("emu: the route from %s to %s lists link %s twice", src.Name(), dst.Name(), l.Name()))
+		}
+	}
 	m.seq = n.events.Reserve(int(m.packets))
 	n.events.PushSeq(hopEvent{msg: id}, n.frameDue(m, 0), m.seq, nil)
 }
@@ -298,7 +317,6 @@ func (n *Net) Advance(to core.Time) {
 		if !ok || at > to+1e-15 {
 			break
 		}
-		n.events.Pop()
 		n.now = at
 		n.next(he)
 		n.processHop(he, at)
@@ -308,26 +326,33 @@ func (n *Net) Advance(to core.Time) {
 	}
 }
 
-// next pushes the successor of the popped event he in its stream: the
-// message's next frame, or the next packet in its port's FIFO.
+// next takes the heap's top event he off its stream and puts the stream's
+// next event, the message's next frame or the next packet in its port's
+// FIFO, in its place with one sift; a stream that ends is popped.
 func (n *Net) next(he hopEvent) {
-	m := &n.msgs[he.msg]
-	if he.hop == 0 {
+	if he.port == 0 {
+		m := &n.msgs[he.msg]
 		if i := he.pkt + 1; i < m.packets {
-			n.events.PushSeq(hopEvent{msg: he.msg, pkt: i}, n.frameDue(m, i), m.seq+uint64(i), nil)
+			n.events.ReplaceTop(hopEvent{msg: he.msg, pkt: i}, n.frameDue(m, i), m.seq+uint64(i))
+		} else {
+			n.events.Pop()
 		}
 		return
 	}
-	p := &n.ports[m.route.Links[he.hop-1].ID]
-	i := p.head
-	nd := n.node(i)
-	p.head, nd.next, n.free = nd.next, n.free, i
-	if p.head == 0 {
-		p.tail = 0
+	p := &n.ports[he.port-1]
+	if p.first++; p.head == p.tail && p.first == p.end {
+		n.freeChunk(p.head)
+		p.head, p.tail = 0, 0
+		n.events.Pop()
 		return
 	}
-	nd = n.node(p.head)
-	n.events.PushSeq(nd.ev, nd.due, nd.seq, nil)
+	if p.first == chunkEntries {
+		c := p.head
+		p.head, p.first = n.chunks[c-1].next, 0
+		n.freeChunk(c)
+	}
+	e := &n.chunks[p.head-1].entries[p.first]
+	n.events.ReplaceTop(hopEvent{msg: e.msg, pkt: e.pkt, port: he.port}, e.due, e.seq)
 }
 
 // processHop transmits the packet of he down its link. The message's
@@ -335,7 +360,14 @@ func (n *Net) next(he hopEvent) {
 // inject, which may move n.msgs under m.
 func (n *Net) processHop(he hopEvent, at core.Time) {
 	m := &n.msgs[he.msg]
-	link := m.route.Links[he.hop]
+	hop := 0
+	if he.port != 0 { // the hop after the port's link, which inject made unique on the route
+		for m.route.Links[hop].ID != int(he.port-1) {
+			hop++
+		}
+		hop++
+	}
+	link := m.route.Links[hop]
 	p := &n.ports[link.ID]
 	startTx := at
 	if p.busyUntil > startTx {
@@ -349,8 +381,8 @@ func (n *Net) processHop(he hopEvent, at core.Time) {
 		n.usage.RecordLink(link, startTx, txEnd, float64(payload))
 	}
 	arrive := txEnd + link.Latency
-	if int(he.hop)+1 < len(m.route.Links) {
-		n.forward(p, hopEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive)
+	if hop+1 < len(m.route.Links) {
+		n.forward(link.ID, fifoEntry{due: arrive, seq: n.events.Reserve(1), msg: he.msg, pkt: he.pkt})
 		return
 	}
 	m.delivered++
@@ -361,34 +393,37 @@ func (n *Net) processHop(he hopEvent, at core.Time) {
 	}
 }
 
-// forward appends he, due at at, to port p's FIFO under the sequence number
-// a Push now would take. busyUntil only grows and every frame has wire time,
-// so the FIFO stays sorted.
-func (n *Net) forward(p *port, he hopEvent, at core.Time) {
-	nd := hopNode{ev: he, due: at, seq: n.events.Reserve(1)}
-	i := n.free
-	if i != 0 {
-		slot := n.node(i)
-		n.free, *slot = slot.next, nd
-	} else {
-		last := len(n.nodes) - 1
-		if len(n.nodes[last]) == chunkNodes {
-			n.nodes = append(n.nodes, make([]hopNode, 0, chunkNodes))
-			last++
-		}
-		i = int32(last*chunkNodes + len(n.nodes[last]))
-		n.nodes[last] = append(n.nodes[last], nd)
+// forward appends e to the FIFO of the port of link id, under the sequence
+// number a Push now would take. busyUntil only grows and every frame has
+// wire time, so the FIFO stays sorted.
+func (n *Net) forward(id int, e fifoEntry) {
+	p := &n.ports[id]
+	if p.head == 0 {
+		c := n.newChunk()
+		p.head, p.tail, p.first, p.end = c, c, 0, 0
+		n.events.PushSeq(hopEvent{msg: e.msg, pkt: e.pkt, port: int32(id + 1)}, e.due, e.seq, nil)
+	} else if p.end == chunkEntries {
+		c := n.newChunk()
+		n.chunks[p.tail-1].next = c
+		p.tail, p.end = c, 0
 	}
-	if p.tail == 0 {
-		p.head = i
-		n.events.PushSeq(he, at, nd.seq, nil)
-	} else {
-		n.node(p.tail).next = i
-	}
-	p.tail = i
+	n.chunks[p.tail-1].entries[p.end] = e
+	p.end++
 }
 
-// node returns FIFO node i.
-func (n *Net) node(i int32) *hopNode {
-	return &n.nodes[uint32(i)/chunkNodes][uint32(i)%chunkNodes]
+// newChunk returns an empty chunk, from the free list if it has one. Its
+// next is stale until forward links a chunk after it.
+func (n *Net) newChunk() int32 {
+	c := n.freeChunks
+	if c == 0 {
+		n.chunks = append(n.chunks, new(fifoChunk))
+		return int32(len(n.chunks))
+	}
+	n.freeChunks = n.chunks[c-1].next
+	return c
+}
+
+// freeChunk puts chunk c on the free list.
+func (n *Net) freeChunk(c int32) {
+	n.chunks[c-1].next, n.freeChunks = n.freeChunks, c
 }

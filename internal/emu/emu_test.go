@@ -206,8 +206,14 @@ func TestZeroByteControlMessage(t *testing.T) {
 // window ramp, and nothing of its event path.
 type eagerNet struct {
 	*Net
-	heap actionheap.Heap[hopEvent]
+	heap actionheap.Heap[refEvent]
 	busy map[*platform.Link]core.Time
+}
+
+// refEvent is packet pkt of message msgs[msg] arriving at the input of
+// route link index hop.
+type refEvent struct {
+	msg, pkt, hop int32
 }
 
 func (r *eagerNet) inject(src, dst *platform.Host, size int64, start core.Time, ramp bool, onDone func(core.Time)) {
@@ -221,7 +227,7 @@ func (r *eagerNet) inject(src, dst *platform.Host, size int64, start core.Time, 
 		if ramp {
 			at += core.Duration(r.rampRound(int(i))) * rtt
 		}
-		r.heap.Push(hopEvent{msg: id, pkt: i}, at, nil)
+		r.heap.Push(refEvent{msg: id, pkt: i}, at, nil)
 	}
 }
 
@@ -237,7 +243,7 @@ func (r *eagerNet) Advance(to core.Time) {
 		payload := min(m.size-int64(he.pkt)*r.impl.MSS, r.impl.MSS)
 		r.busy[link] = startTx + core.Duration(float64(payload+r.impl.FrameOverhead)*m.wireScale/link.Bandwidth)
 		if arrive := r.busy[link] + link.Latency; int(he.hop)+1 < len(m.route.Links) {
-			r.heap.Push(hopEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive, nil)
+			r.heap.Push(refEvent{msg: he.msg, pkt: he.pkt, hop: he.hop + 1}, arrive, nil)
 		} else if m.delivered++; m.delivered == m.packets {
 			m.onDone(arrive)
 		}
@@ -293,8 +299,8 @@ func drive(inj injector, impl MPIImpl, sends []send) (dates []core.Time, maxActi
 // clusters and both MPI parameter sets), Net and the eager reference fire
 // every onDone at bit-identical dates after the same number of pushes, and
 // Net's heap never holds more than one entry per transfer in flight plus
-// one per link. Most seeds queue more packets than one chunk of FIFO nodes
-// holds, and at least one must, so nodes are linked across chunks.
+// one per link. Some seed must hold more FIFO chunks at once than the
+// platform has ports, so some port's FIFO links one chunk to the next.
 //
 // Measured dates rarely tie, so a third cluster and parameter set make them
 // tie on purpose: with no per-frame cost, no jitter, start dates on a grid,
@@ -320,7 +326,7 @@ func TestStreamHeadsMatchEagerReference(t *testing.T) {
 		}
 		plats[i] = p
 	}
-	crossed := 0 // seeds whose FIFOs took nodes past the first chunk
+	crossed := 0 // seeds where some port's FIFO spanned chunks
 	for seed := int64(0); seed < 180; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		plat, impl := plats[seed%3], impls[seed/3%3]
@@ -369,11 +375,14 @@ func TestStreamHeadsMatchEagerReference(t *testing.T) {
 		if bound := maxActive + len(plat.Links()); netStats.MaxLen > bound {
 			t.Errorf("seed %d: heap held %d entries, want <= %d transfers in flight + %d links", seed, netStats.MaxLen, maxActive, len(plat.Links()))
 		}
-		if len(net.nodes) > 1 {
+		// A chunk is allocated only when none is free, so len(net.chunks)
+		// were in use at once: more than one per port means a port's FIFO
+		// held two.
+		if len(net.chunks) > len(plat.Links()) {
 			crossed++
 		}
 	}
 	if crossed == 0 {
-		t.Errorf("no seed's FIFOs crossed a chunk boundary (%d nodes): the oracle never read a node past the first chunk", chunkNodes)
+		t.Errorf("no seed's FIFOs crossed a chunk boundary (%d entries): the oracle never read an entry past a port's first chunk", chunkEntries)
 	}
 }

@@ -3,27 +3,35 @@ package emu
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"smpigo/internal/core"
+	"smpigo/internal/lmm"
 	"smpigo/internal/platform"
+	"smpigo/internal/platform/platformtest"
 	"smpigo/internal/simix"
 )
 
-// TestHopStorageHoldsNoPointer: the hop events the heap sifts and the FIFO
-// nodes the chunks hold carry indices, never a Go pointer, so neither the
-// heap nor a chunk costs the garbage collector a write barrier or a scan;
-// and a node is 32 bytes.
+// TestHopStorageHoldsNoPointer: hop events and the FIFO chunks carry
+// indices, never a Go pointer, so the garbage collector never scans a
+// chunk and a hop event adds no pointer to the heap's entry; an entry is
+// 24 bytes; and a chunk fills the allocator's 1 KiB size class with no
+// room left for another entry.
 func TestHopStorageHoldsNoPointer(t *testing.T) {
-	for _, v := range []any{hopEvent{}, hopNode{}} {
+	for _, v := range []any{hopEvent{}, fifoChunk{}} {
 		typ := reflect.TypeOf(v)
 		if path := pointerIn(typ, typ.Name()); path != "" {
 			t.Errorf("%s holds a pointer: %s", typ.Name(), path)
 		}
 	}
-	if size := unsafe.Sizeof(hopNode{}); size > 32 {
-		t.Errorf("hopNode is %d bytes, want <= 32", size)
+	entry := unsafe.Sizeof(fifoEntry{})
+	if entry > 24 {
+		t.Errorf("fifoEntry is %d bytes, want <= 24", entry)
+	}
+	if size := unsafe.Sizeof(fifoChunk{}); size > 1<<10 || size+entry <= 1<<10 {
+		t.Errorf("fifoChunk is %d bytes, want one %d-byte entry short of 1 KiB or closer", size, entry)
 	}
 }
 
@@ -48,13 +56,12 @@ func pointerIn(typ reflect.Type, path string) string {
 }
 
 // TestHopPoolGrowsByChunks: a 31-way 1 MiB fan-out from one griffon host
-// queues some 22 000 packets behind the host's link at once. The FIFO pool
-// takes a fresh node only when its free list is empty, so the nodes it ever
-// handed out were all in use at once; it holds them in chunks of chunkNodes
-// and allocates no more than that peak, sentinel included, rounded up to one
-// chunk. Nothing is copied as it grows: the whole run allocates the chunks
-// plus a little for its messages, closures and goroutines, where a slab grown
-// by append allocated about four times its peak.
+// queues some 22 000 packets behind the host's link at once. The Net takes
+// a fresh chunk only when its free list is empty, so the chunks it ever
+// allocated were all in use at once, and every one of them is back on the
+// free list when the run ends. Nothing is copied as the FIFOs grow: the
+// whole run allocates the chunks plus a little for its messages, closures
+// and goroutines.
 func TestHopPoolGrowsByChunks(t *testing.T) {
 	p, err := platform.Griffon().Build()
 	if err != nil {
@@ -80,35 +87,44 @@ func TestHopPoolGrowsByChunks(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 
-	last := len(n.nodes) - 1
-	handedOut := last*chunkNodes + len(n.nodes[last])
-	peak := handedOut - 1 // node 0 is the sentinel
-	if peak < 20000 {
-		t.Fatalf("the fan-out peaked at %d nodes in use, want the ~22 000 packets queued behind host 0", peak)
-	}
-	for i, c := range n.nodes {
-		if cap(c) != chunkNodes {
-			t.Errorf("chunk %d holds %d nodes, want %d", i, cap(c), chunkNodes)
-		}
-	}
-	if want := (handedOut + chunkNodes - 1) / chunkNodes; len(n.nodes) > want {
-		t.Errorf("%d chunks for a peak of %d nodes in use, want <= %d", len(n.nodes), peak, want)
+	if held := len(n.chunks) * chunkEntries; held < 20000 {
+		t.Fatalf("the fan-out peaked at %d chunks (%d entries), want room for the ~22 000 packets queued behind host 0", len(n.chunks), held)
 	}
 	free := 0
-	for i := n.free; i != 0; i = n.node(i).next {
+	for c := n.freeChunks; c != 0 && free <= len(n.chunks); c = n.chunks[c-1].next {
 		free++
 	}
-	if free != peak {
-		t.Errorf("%d nodes back on the free list after the run, want all %d", free, peak)
+	if free != len(n.chunks) {
+		t.Errorf("%d chunks back on the free list after the run, want all %d", free, len(n.chunks))
 	}
 
 	if testing.Short() {
 		return // the race detector allocates on its own account
 	}
-	chunks := uint64(len(n.nodes)) * chunkNodes * uint64(unsafe.Sizeof(hopNode{}))
+	chunks := uint64(len(n.chunks)) * uint64(unsafe.Sizeof(fifoChunk{}))
 	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("peak %d nodes in use, %d chunks of %d B, the run allocated %d B", peak, len(n.nodes), chunks, alloc)
+	t.Logf("peak %d chunks, %d B, the run allocated %d B", len(n.chunks), chunks, alloc)
 	if alloc > chunks+64<<10 {
 		t.Errorf("the run allocated %d B, want <= %d B of chunks + 64 KiB", alloc, chunks)
 	}
+}
+
+// TestRouteListingALinkTwicePanics: a packet waiting in a port's FIFO finds
+// its next hop by the port link's place on its route, so a route that
+// crosses one link twice is refused when a message takes it, naming the
+// link, rather than sending its packets down the wrong hop.
+func TestRouteListingALinkTwicePanics(t *testing.T) {
+	f := platformtest.New("loop")
+	a, b := f.Platform.NewHost(1e9), f.Platform.NewHost(1e9)
+	up := f.Link("up", 1e9, 1e-6, lmm.Shared)
+	across := f.Link("across", 1e9, 1e-6, lmm.Shared)
+	f.Route(a, b, up, across, up, across)
+	n := NewNet(simix.New(), f.Platform, OpenMPI())
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "lists link up twice") {
+			t.Errorf("inject over a route crossing link up twice: recovered %v, want a panic naming the link", r)
+		}
+	}()
+	n.inject(a, b, 1, 0, false, func(core.Time) {})
 }

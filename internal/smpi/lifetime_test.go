@@ -24,10 +24,11 @@ import (
 // what is deliberately not: the two Requests the application holds, which
 // must stay readable for as long as it keeps them. The "emu" row runs the
 // blocking exchange on the packet emulator (BackendEmu, whose default Impl
-// is OpenMPI): its hop events, FIFO nodes and messages are recycled by the
-// run, and what is left is the one closure each eager message hands the
-// emulator as its onDone (1 malloc, 32 B). Its bound catches an allocation
-// per packet hop, of which a 1 KiB message makes several.
+// is OpenMPI): its messages and the 1 KiB chunks of its port FIFOs are
+// recycled by the run, and a hop event replaces its stream's head in the
+// heap in place, so what is left is the one closure each eager message
+// hands the emulator as its onDone (1 malloc, 32 B). Its bound catches an
+// allocation per packet hop, of which a 1 KiB message makes several.
 //
 // Skipped under -short, which is what CI's race job passes: the race
 // detector allocates on its own account and the slope means nothing there.

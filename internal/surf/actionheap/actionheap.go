@@ -138,6 +138,24 @@ func (h *Heap[T]) Pop() (action T, due core.Time, ok bool) {
 	return top.action, top.due, true
 }
 
+// ReplaceTop pops the earliest entry and pushes action at date due under
+// seq, a number taken earlier from Reserve, in one sift: it overwrites the
+// root and sifts it down. It counts as one Pop and one Push. Keys are
+// unique, so later pops come in the order Pop and PushSeq would give. The
+// new entry is pushed without a position, as PushSeq with pos == nil, so it
+// cannot be re-keyed with Update. The heap must not be empty.
+func (h *Heap[T]) ReplaceTop(action T, due core.Time, seq uint64) {
+	if top := h.items[0]; top.pos != nil {
+		*top.pos = 0
+	}
+	h.items[0] = entry[T]{due: due, seq: seq, action: action}
+	h.down(0)
+	if h.Stats != nil {
+		h.Stats.Pops++
+		h.Stats.Pushes++
+	}
+}
+
 // NextDue returns the date of the earliest entry, or core.TimeForever when
 // the heap is empty — exactly the simix.Model NextEvent contract.
 func (h *Heap[T]) NextDue() core.Time {

@@ -362,3 +362,70 @@ func TestStreamHeadsMergeLikeAFlatHeap(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaceTopMatchesPopAndPush: on seeded random keys that tie on the
+// date, a heap that replaces its top in one sift pops the same (action,
+// date) sequence as one that pops and then pushes, and counts the same
+// pushes, pops and high-water length. Some replacements use a number
+// reserved well before, as the emulator's streams do.
+func TestReplaceTopMatchesPopAndPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		var replace, popPush Heap[int]
+		var rs, ps Stats
+		replace.Stats, popPush.Stats = &rs, &ps
+		var reserved []uint64 // numbers taken from both heaps, not yet pushed
+		id := 0
+		for range 1 + rng.Intn(20) {
+			due := core.Time(rng.Intn(8))
+			replace.Push(id, due, nil)
+			popPush.Push(id, due, nil)
+			id++
+		}
+		for step := 0; step < 200 && len(popPush.items) > 0; step++ {
+			if rng.Intn(4) == 0 {
+				seq := replace.Reserve(1)
+				if popPush.Reserve(1) != seq {
+					t.Fatalf("trial %d: the heaps' counters diverged", trial)
+				}
+				reserved = append(reserved, seq)
+			}
+			want, wantDue, _ := popPush.Peek()
+			got, due, _ := replace.Peek()
+			if got != want || due != wantDue {
+				t.Fatalf("trial %d step %d: ReplaceTop heap has %d at %v on top, Pop+PushSeq heap %d at %v", trial, step, got, due, want, wantDue)
+			}
+			switch rng.Intn(4) {
+			case 0: // the stream ends
+				replace.Pop()
+				popPush.Pop()
+			case 1: // an unrelated push, possibly earlier than the top
+				due := wantDue + core.Time(rng.Intn(3)-1)
+				replace.Push(id, due, nil)
+				popPush.Push(id, due, nil)
+				id++
+			default: // the stream's next entry, under a fresh or an old number
+				due := wantDue + core.Time(rng.Intn(3))
+				seq := replace.Reserve(1)
+				popPush.Reserve(1)
+				if k := len(reserved); k > 0 && rng.Intn(2) == 0 {
+					seq, reserved = reserved[k-1], reserved[:k-1]
+				}
+				replace.ReplaceTop(id, due, seq)
+				popPush.Pop()
+				popPush.PushSeq(id, due, seq, nil)
+				id++
+			}
+		}
+		for len(popPush.items) > 0 {
+			want, wantDue, _ := popPush.Pop()
+			got, due, ok := replace.Pop()
+			if !ok || got != want || due != wantDue {
+				t.Fatalf("trial %d drain: ReplaceTop heap popped %d at %v, Pop+PushSeq heap %d at %v", trial, got, due, want, wantDue)
+			}
+		}
+		if len(replace.items) != 0 || rs != ps {
+			t.Fatalf("trial %d: %d left over, stats %+v, want %+v", trial, len(replace.items), rs, ps)
+		}
+	}
+}

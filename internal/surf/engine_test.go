@@ -43,7 +43,7 @@ func TestOverdueTaskBelowClockResolutionCompletes(t *testing.T) {
 	k.AddModel(cpu)
 	rng := core.NewRNG(1)
 	for i := 0; i < 3; i++ {
-		flops := (1 + rng.Float64()*5) * 1e9
+		flops := (1 + float64(rng.Float64()*5)) * 1e9
 		offset := core.Duration(rng.Float64() * 3)
 		k.Spawn("w", func(pr *simix.Proc) {
 			sleep(k, pr, 1e8)

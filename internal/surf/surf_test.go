@@ -430,7 +430,7 @@ func TestTransferTimeFormulaProperty(t *testing.T) {
 			return NewNetwork(k, model)
 		}, p, a, b, size)
 		seg := model.Segment(size)
-		want := seg.LatFactor*20e-6 + float64(size)/(seg.BwFactor*125e6)
+		want := float64(seg.LatFactor*20e-6) + float64(size)/(seg.BwFactor*125e6)
 		return math.Abs(float64(done)-want) < 1e-6*math.Max(1, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
