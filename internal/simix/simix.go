@@ -47,13 +47,20 @@ type Model interface {
 // the kernel touches it. The first waiter and the first callback are stored
 // inline: nearly every future has at most one of each (the actor blocked on
 // it, the delivery hook of a message), so waiting on a future allocates
-// nothing, re-armed or not.
+// nothing, re-armed or not. Later ones go to an overflow allocated on the
+// second registration of either kind, which keeps a Future at 32 bytes.
 type Future struct {
-	done bool
+	done     bool
+	waiter   *Actor // first registered waiter
+	callback func() // first registered callback
+	more     *futureMore
+}
 
-	waiter    *Actor   // first registered waiter
-	waiters   []*Actor // later ones, in registration order
-	callback  func()
+// futureMore holds a future's later waiters and callbacks, each in
+// registration order. A future's waiter (callback) is nil only while its
+// waiters (callbacks) here are empty.
+type futureMore struct {
+	waiters   []*Actor
 	callbacks []func()
 }
 
@@ -191,23 +198,33 @@ func (k *Kernel) Fulfill(f *Future) {
 		return
 	}
 	f.done = true
-	if f.waiter != nil {
-		k.enqueue(f.waiter)
-		for _, a := range f.waiters {
-			k.enqueue(a)
-		}
-		f.waiter, f.waiters = nil, nil
+	// Detach everything before running any callback: the last one may
+	// recycle f's owner, f included.
+	w, cb, later := f.waiter, f.callback, futureMore{}
+	if f.more != nil {
+		later = *f.more
 	}
-	// Detach the callbacks before running any: the last one may recycle f's
-	// owner, f included.
-	cb, cbs := f.callback, f.callbacks
-	f.callback, f.callbacks = nil, nil
+	f.waiter, f.callback, f.more = nil, nil, nil
+	if w != nil {
+		k.enqueue(w)
+	}
+	for _, a := range later.waiters {
+		k.enqueue(a)
+	}
 	if cb != nil {
 		cb()
-		for _, cb := range cbs {
-			cb()
-		}
 	}
+	for _, cb := range later.callbacks {
+		cb()
+	}
+}
+
+// overflow returns f's overflow, allocating it on first use.
+func (f *Future) overflow() *futureMore {
+	if f.more == nil {
+		f.more = new(futureMore)
+	}
+	return f.more
 }
 
 // addWaiter registers a to be woken by f's Fulfill.
@@ -215,8 +232,33 @@ func (f *Future) addWaiter(a *Actor) {
 	if f.waiter == nil {
 		f.waiter = a
 	} else {
-		f.waiters = append(f.waiters, a)
+		m := f.overflow()
+		m.waiters = append(m.waiters, a)
 	}
+}
+
+// dropWaiter removes every registration of a from f, keeping the other
+// waiters in order.
+func (f *Future) dropWaiter(a *Actor) {
+	first := f.waiter
+	if first == a {
+		first = nil
+	}
+	if m := f.more; m != nil {
+		kept := m.waiters[:0]
+		for _, w := range m.waiters {
+			switch {
+			case w == a:
+			case first == nil:
+				first = w
+			default:
+				kept = append(kept, w)
+			}
+		}
+		clear(m.waiters[len(kept):])
+		m.waiters = kept
+	}
+	f.waiter = first
 }
 
 // OnFulfill registers fn to run when f is fulfilled (immediately if it
@@ -230,7 +272,8 @@ func (k *Kernel) OnFulfill(f *Future, fn func()) {
 	if f.callback == nil {
 		f.callback = fn
 	} else {
-		f.callbacks = append(f.callbacks, fn)
+		m := f.overflow()
+		m.callbacks = append(m.callbacks, fn)
 	}
 }
 
@@ -405,7 +448,8 @@ func (p *Proc) Wait(f *Future) {
 
 // WaitAny blocks until at least one future in fs is fulfilled and returns
 // the index of the first fulfilled one (lowest index wins). It panics if fs
-// is empty.
+// is empty. On return the actor is registered on none of fs: a future that
+// fires later wakes nobody on its account.
 func (p *Proc) WaitAny(fs []*Future) int {
 	if len(fs) == 0 {
 		panic("simix: WaitAny on empty set")
@@ -422,5 +466,10 @@ func (p *Proc) WaitAny(fs []*Future) int {
 			}
 		}
 		p.yield()
+		for _, f := range fs {
+			if f != nil && !f.done {
+				f.dropWaiter(p.actor)
+			}
+		}
 	}
 }

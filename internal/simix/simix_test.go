@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"smpigo/internal/core"
 )
@@ -137,6 +138,123 @@ func TestWaitAnyReturnsLowestReadyIndex(t *testing.T) {
 	}
 	if idx != 1 {
 		t.Errorf("WaitAny = %d, want 1", idx)
+	}
+}
+
+// TestWaitAnyDropsItsOtherRegistrations: once WaitAny returns, the actor is
+// registered on none of the futures that did not fire. The waiter returns on
+// f1 at t=1 and waits on f3; f2 firing at t=2 must neither wake it nor leave
+// it registered on f3 twice.
+func TestWaitAnyDropsItsOtherRegistrations(t *testing.T) {
+	k := New()
+	k.Stats = new(Stats)
+	f1, f2, f3 := NewFuture(), NewFuture(), NewFuture()
+	k.FulfillAt(f1, 1)
+	k.FulfillAt(f2, 2)
+	k.FulfillAt(f3, 3)
+	waiter := k.Spawn("waiter", func(p *Proc) {
+		if i := p.WaitAny([]*Future{f1, f2}); i != 0 {
+			t.Errorf("WaitAny = %d, want 0", i)
+		}
+		if f2.waiter != nil || f2.more != nil {
+			t.Errorf("after WaitAny the pending future still holds a registration")
+		}
+		p.Wait(f3)
+	})
+	k.Spawn("observer", func(p *Proc) {
+		p.sleep(2.5)
+		if f3.waiter != waiter || f3.more != nil {
+			t.Errorf("at 2.5, f3 holds waiter %v and overflow %v, want the waiter once", f3.waiter, f3.more)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The waiter runs at 0, 1 and 3; the observer at 0 and 2.5.
+	if k.Stats.ActorRuns != 5 {
+		t.Errorf("ActorRuns = %d, want 5", k.Stats.ActorRuns)
+	}
+}
+
+// TestWaitAnyKeepsOtherWaitersInOrder: an actor's WaitAny drops only its own
+// registrations; the other waiters of a pending future, inline or in the
+// overflow, stay and wake in their registration order.
+func TestWaitAnyKeepsOtherWaitersInOrder(t *testing.T) {
+	k := New()
+	f, quick := NewFuture(), NewFuture()
+	k.FulfillAt(quick, 1)
+	k.FulfillAt(f, 2)
+	var order []string
+	actors := map[string]*Actor{}
+	for _, name := range []string{"any", "w1", "w2"} {
+		actors[name] = k.Spawn(name, func(p *Proc) {
+			if name == "any" {
+				p.WaitAny([]*Future{f, quick, f})
+				if f.waiter != actors["w1"] || f.more == nil || len(f.more.waiters) != 1 || f.more.waiters[0] != actors["w2"] {
+					t.Errorf("after WaitAny, f holds %v then %v, want w1 then w2", f.waiter, f.more)
+				}
+			} else {
+				p.Wait(f)
+			}
+			order = append(order, fmt.Sprintf("%s@%g", name, float64(p.Now())))
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, ","), "any@1,w1@2,w2@2"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+}
+
+// TestFutureOverflowKeepsRegistrationOrder: three waiters wake and three
+// callbacks run in registration order through the inline slots and the
+// overflow. The last callback re-arms the future's owner by assignment and
+// registers on its next life, as a recycled envelope does: that life starts
+// clean, with no overflow left over and no callback of the first life.
+func TestFutureOverflowKeepsRegistrationOrder(t *testing.T) {
+	k := New()
+	var owner struct{ f Future }
+	var order []string
+	for _, name := range []string{"w1", "w2", "w3"} {
+		k.Spawn(name, func(p *Proc) {
+			p.Wait(&owner.f)
+			order = append(order, name)
+		})
+	}
+	k.Spawn("a", func(p *Proc) {
+		p.Yield() // the waiters have registered
+		if owner.f.more == nil || len(owner.f.more.waiters) != 2 {
+			t.Errorf("three waiters: overflow %v, want two of them there", owner.f.more)
+		}
+		for _, name := range []string{"cb1", "cb2"} {
+			k.OnFulfill(&owner.f, func() { order = append(order, name) })
+		}
+		k.OnFulfill(&owner.f, func() {
+			order = append(order, "cb3")
+			owner.f = Future{}
+			k.OnFulfill(&owner.f, func() { order = append(order, "next") })
+		})
+		k.Fulfill(&owner.f)
+		if owner.f.done || owner.f.waiter != nil || owner.f.callback == nil || owner.f.more != nil {
+			t.Errorf("re-armed future = %+v, want one inline callback and no overflow", owner.f)
+		}
+		order = append(order, "a")
+		k.Fulfill(&owner.f)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, ","), "cb1,cb2,cb3,a,next,w1,w2,w3"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+}
+
+// TestFutureIs32Bytes pins the Future layout: every smpi request and
+// envelope embeds one, and surf hands one out per activity.
+func TestFutureIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Future{}); got != 32 {
+		t.Errorf("Future is %d bytes, want 32", got)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"smpigo/internal/topology"
 )
@@ -22,7 +24,8 @@ import (
 // The "blocking" row goes through Alltoall's Sendrecv, where every object
 // is recycled. The "application" row posts Irecv/Isend itself and documents
 // what is deliberately not: the two Requests the application holds, which
-// must stay readable for as long as it keeps them. The "emu" row runs the
+// must stay readable for as long as it keeps them (112 B each, so 224 B a
+// message). The "emu" row runs the
 // blocking exchange on the packet emulator (BackendEmu, whose default Impl
 // is OpenMPI): its messages and the 1 KiB chunks of its port FIFOs are
 // recycled by the run, and a hop event replaces its stream's head in the
@@ -57,7 +60,7 @@ func TestMessagePathAllocatesNoGarbage(t *testing.T) {
 	}{
 		{"blocking", BackendSurf, 2, 64, blocking},
 		{"emu", BackendEmu, 1.1, 48, blocking},
-		{"application", BackendSurf, 4, 512, func(r *Rank, send, recv []byte, reqs []*Request) {
+		{"application", BackendSurf, 4, 256, func(r *Rank, send, recv []byte, reqs []*Request) {
 			c, me := r.Comm(), r.Rank()
 			for peer := 0; peer < p; peer++ {
 				if peer != me {
@@ -206,6 +209,51 @@ func TestUserRequestOutlivesItsWait(t *testing.T) {
 			r.Sendrecv(c, small, 1-me, 7, small, 1-me, 7)
 		}
 		check("after 1000 Sendrecvs", 0, 1, 2, 3)
+	})
+}
+
+// TestRequestAndEnvelopeSizeClasses pins the two objects every message
+// allocates or recycles in the 112- and 144-byte allocator size classes:
+// the application holds each Request it posts, and an envelope carries each
+// message in flight.
+func TestRequestAndEnvelopeSizeClasses(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got > 112 {
+		t.Errorf("Request is %d bytes, past the 112-byte size class", got)
+	}
+	if got := unsafe.Sizeof(envelope{}); got > 144 {
+		t.Errorf("envelope is %d bytes, past the 144-byte size class", got)
+	}
+}
+
+// TestWaitSomeLeavesNoRegistration: once WaitSome returns, the requests it
+// left pending hold no registration of the caller, so completing them later
+// wakes nobody. Rank 0 sends the second and third message only after rank 1
+// has looked.
+func TestWaitSomeLeavesNoRegistration(t *testing.T) {
+	mustRun(t, testConfig(2), func(r *Rank) {
+		c := r.Comm()
+		if r.Rank() == 0 {
+			r.Send(c, []byte{1}, 1, 0)
+			r.Recv(c, nil, 1, 99)
+			r.Send(c, []byte{2}, 1, 1)
+			r.Send(c, []byte{3}, 1, 2)
+			return
+		}
+		reqs := make([]*Request, 3)
+		for tag := range reqs {
+			reqs[tag] = r.Irecv(c, make([]byte, 1), 0, tag)
+		}
+		if done := r.WaitSome(reqs); len(done) != 1 || done[0] != 0 {
+			t.Errorf("WaitSome = %v, want [0]", done)
+		}
+		for tag, q := range reqs[1:] {
+			f := reflect.ValueOf(&q.done).Elem()
+			if q.done.Done() || !f.FieldByName("waiter").IsNil() || !f.FieldByName("more").IsNil() {
+				t.Errorf("request %d after WaitSome: done %v, still registered", tag+1, q.done.Done())
+			}
+		}
+		r.Send(c, nil, 0, 99)
+		r.WaitAll(reqs)
 	})
 }
 
