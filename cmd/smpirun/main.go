@@ -13,6 +13,7 @@
 //	smpirun -app alltoall -np 64 -platform fattree64 -placement rr -collectives auto
 //	smpirun -app dt -graph BH -class A
 //	smpirun -app ep -np 4 -ratio 0.25
+//	smpirun -app alltoall -np 8 -trace a.txt; smpirun -replay a.txt -platform gdx
 //
 // -placement lays ranks out over the platform (block, rr, random — see
 // internal/placement); -collectives selects collective algorithm variants,
@@ -65,7 +66,7 @@ type options struct {
 // bindFlags registers every flag on fs, storing into o.
 func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.app, "app", "pingpong", "application: "+strings.Join(appNames(), ", "))
-	fs.IntVar(&o.np, "np", 2, "number of MPI processes (ignored by dt, which sets it from -class)")
+	fs.IntVar(&o.np, "np", 2, "number of MPI processes (ignored by dt, which sets it from -class, and by -replay, which takes it from the trace)")
 	fs.StringVar(&o.platform, "platform", "griffon", "target platform: griffon, gdx, a topology preset ("+strings.Join(topology.PresetNames(), ", ")+"), a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2), or a platform XML file")
 	fs.StringVar(&o.backend, "backend", "surf", "timing backend: surf (analytical SMPI), nocontention (surf with link sharing off), or the packet-level testbed as openmpi (also spelled emu) or mpich2")
 	fs.StringVar(&o.model, "model", "piecewise", "surf model: ideal, default, bestfit, piecewise")
@@ -78,7 +79,7 @@ func bindFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.collectives, "collectives", "", "collective algorithms: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto from "+smpi.CollectivesUsage()+" (the first is the default)")
 	fs.Uint64Var(&o.seed, "seed", 0, "deterministic seed (per-rank RNGs, random placement)")
 	fs.StringVar(&o.traceOut, "trace", "", "record a point-to-point trace to this file (off-line simulation input)")
-	fs.StringVar(&o.replayIn, "replay", "", "replay a recorded trace instead of running an app")
+	fs.StringVar(&o.replayIn, "replay", "", "replay a recorded trace as the app, in place of -app and its flags")
 	fs.BoolVar(&o.stats, "stats", false, "print kernel counters and the link hot-spot report after the run")
 	fs.StringVar(&o.timeline, "timeline", "", "write a per-link/per-host utilization timeline (JSON) to this file")
 	fs.StringVar(&o.timelineBucket, "timeline-bucket", "1ms", "timeline bucket width (simulated time)")
@@ -122,7 +123,9 @@ func appNames() []string {
 	return slices.Sorted(slices.Values(append(experiments.AppNames(), "dt", "ep")))
 }
 
-// run executes the command, printing its report to w.
+// run executes the command in three phases: it resolves every flag and
+// the app, printing nothing, so a refusal leaves w empty; it places and
+// runs once; then it writes the output files and the report.
 func run(o options, w io.Writer) error {
 	if !(o.ratio > 0 && o.ratio <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("bad -ratio %v: want a sampling ratio in (0, 1]", o.ratio)
@@ -147,18 +150,31 @@ func run(o options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.Procs, cfg.Seed = o.np, o.seed
-	if o.dynamics != "" {
-		sched, err := dynamics.Load(o.dynamics)
-		if err != nil {
-			return fmt.Errorf("bad -dynamics: %w", err)
-		}
-		cfg.Dynamics = sched
-		if sched != nil {
-			fmt.Fprintf(w, "dynamics           : %d platform events\n", len(sched.Events))
-		}
+	cfg.Seed = o.seed
+	if cfg.Dynamics, err = dynamics.Load(o.dynamics); err != nil {
+		return fmt.Errorf("bad -dynamics: %w", err)
+	}
+	if cfg.Algorithms, err = smpi.ParseAlgorithms(o.collectives); err != nil {
+		return err
+	}
+	chunk, err := core.ParseBytes(o.chunk)
+	if err != nil {
+		return err
+	}
+	app, procs, header, err := resolveApp(o, chunk)
+	if err != nil {
+		return err
 	}
 
+	cfg.Procs = procs
+	if err := experiments.Place(&cfg, o.placement, o.seed); err != nil {
+		return err
+	}
+	var rec *trace.Trace
+	if o.traceOut != "" {
+		rec = trace.New(cfg.Procs)
+		cfg.Tracer = rec
+	}
 	// Observability is opt-in: without -stats/-timeline the simulation runs
 	// with every instrumentation hook compiled down to a nil check. -stats
 	// alone keeps usage totals; -timeline buckets them too.
@@ -170,125 +186,31 @@ func run(o options, w io.Writer) error {
 		usage = obs.NewUsage(plat, width)
 		cfg.Stats = &obs.Stats{Usage: usage}
 	}
-	// finishObs emits the reports after either the app or the replay path.
-	finishObs := func() error {
-		if o.stats {
-			fmt.Fprintf(w, "--- kernel counters ---\n%s", cfg.Stats.Report())
-			fmt.Fprintf(w, "--- link hot spots ---\n%s", usage.HotSpots(10))
-		}
-		if o.timeline == "" {
-			return nil
-		}
-		f, err := os.Create(o.timeline)
-		if err != nil {
-			return err
-		}
-		if err := usage.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "timeline written   : %s\n", o.timeline)
-		return nil
-	}
-	if cfg.Algorithms, err = smpi.ParseAlgorithms(o.collectives); err != nil {
-		return err
-	}
-	chunk, err := core.ParseBytes(o.chunk)
-	if err != nil {
-		return err
-	}
-
-	// Like every name, -app, -graph and -class ignore case and padding.
-	var app func(*smpi.Rank)
-	name := strings.ToLower(strings.TrimSpace(o.app))
-	switch name {
-	case "dt":
-		class := strings.ToUpper(strings.TrimSpace(o.class))
-		if len(class) != 1 || !strings.Contains("SWABC", class) {
-			return fmt.Errorf("bad -class %q: want S, W, A, B or C", o.class)
-		}
-		graph := nas.DTGraph(strings.ToUpper(strings.TrimSpace(o.graph)))
-		dcfg := nas.DTConfig{Graph: graph, Class: nas.DTClass(class[0]), Fold: o.fold}
-		if cfg.Procs, err = nas.DTProcs(dcfg.Graph, dcfg.Class); err != nil {
-			return err
-		}
-		app, _ = nas.DT(dcfg)
-	case "ep":
-		app, _ = nas.EP(nas.EPConfig{M: 20, Iterations: 64, SampleRatio: o.ratio})
-	default:
-		// Everything else is a name in the experiments app table, shared
-		// with the campaign grid's ops.
-		if !slices.Contains(experiments.AppNames(), name) {
-			return fmt.Errorf("unknown app %q (want %s)", o.app, strings.Join(appNames(), ", "))
-		}
-		var procs int
-		if app, procs, err = experiments.AppRank(name, chunk); err != nil {
-			return err
-		}
-		if procs != 0 {
-			cfg.Procs = procs
-		}
-	}
-	if o.collectives != "" {
-		fmt.Fprintf(w, "collectives        : %s\n", cfg.Algorithms.Resolve(plat.Topo).Summary())
-	}
-
-	if o.replayIn != "" {
-		f, err := os.Open(o.replayIn)
-		if err != nil {
-			return err
-		}
-		tr, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		// The replayed trace, not -np, says how many ranks to place.
-		cfg.Procs = tr.Procs
-		if err := experiments.Place(&cfg, o.placement, o.seed); err != nil {
-			return err
-		}
-		rep, err := replay.Run(tr, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "replayed trace     : %s (np=%d, %d events) on %s [%s backend]\n",
-			o.replayIn, tr.Procs, tr.Events(), plat.Name, o.backend)
-		fmt.Fprintf(w, "simulated time     : %v\n", rep.SimulatedTime)
-		fmt.Fprintf(w, "simulation wall    : %v\n", rep.WallTime)
-		return finishObs()
-	}
-	if err := experiments.Place(&cfg, o.placement, o.seed); err != nil {
-		return err
-	}
-	var rec *trace.Trace
-	if o.traceOut != "" {
-		rec = trace.New(cfg.Procs)
-		cfg.Tracer = rec
-	}
-
 	rep, err := smpi.Run(cfg, app)
 	if err != nil {
 		return err
 	}
 	if rec != nil {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
+		if err := writeFile(o.traceOut, rec.Write); err != nil {
 			return err
 		}
-		if err := rec.Write(f); err != nil {
-			f.Close()
+	}
+	if o.timeline != "" {
+		if err := writeFile(o.timeline, usage.WriteJSON); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	}
+
+	if cfg.Dynamics != nil {
+		fmt.Fprintf(w, "dynamics           : %d platform events\n", len(cfg.Dynamics.Events))
+	}
+	if o.collectives != "" {
+		fmt.Fprintf(w, "collectives        : %s\n", cfg.Algorithms.Resolve(plat.Topo).Summary())
+	}
+	if rec != nil {
 		fmt.Fprintf(w, "trace written      : %s (%d events)\n", o.traceOut, rec.Events())
 	}
-	fmt.Fprintf(w, "application        : %s (np=%d) on %s [%s backend]\n", name, cfg.Procs, plat.Name, o.backend)
+	fmt.Fprintf(w, "%s on %s [%s backend]\n", header, plat.Name, o.backend)
 	if o.placement != "" {
 		fmt.Fprintf(w, "placement          : %s (rank 0 on %s)\n", o.placement, cfg.Hosts[0].Name())
 	}
@@ -301,5 +223,76 @@ func run(o options, w io.Writer) error {
 	if rep.BurstsExecuted+rep.BurstsReplayed > 0 {
 		fmt.Fprintf(w, "bursts exec/replay : %d / %d\n", rep.BurstsExecuted, rep.BurstsReplayed)
 	}
-	return finishObs()
+	if o.stats {
+		fmt.Fprintf(w, "--- kernel counters ---\n%s", cfg.Stats.Report())
+		fmt.Fprintf(w, "--- link hot spots ---\n%s", usage.HotSpots(10))
+	}
+	if o.timeline != "" {
+		fmt.Fprintf(w, "timeline written   : %s\n", o.timeline)
+	}
+	return nil
+}
+
+// resolveApp resolves what the ranks run — the replayed trace, dt, ep or a
+// table app — to its rank function, its rank count (-np unless the app
+// fixes one) and the report's header line. A replayed trace is the whole
+// app, so the app flags are not read. Like every name, -app, -graph and
+// -class ignore case and padding.
+func resolveApp(o options, chunk int64) (app func(*smpi.Rank), procs int, header string, err error) {
+	if o.replayIn != "" {
+		f, err := os.Open(o.replayIn)
+		if err != nil {
+			return nil, 0, "", err
+		}
+		tr, err := trace.Read(f)
+		f.Close()
+		if err != nil {
+			return nil, 0, "", err
+		}
+		app, procs, err = replay.App(tr)
+		return app, procs, fmt.Sprintf("replayed trace     : %s (np=%d, %d events)", o.replayIn, procs, tr.Events()), err
+	}
+	procs = o.np
+	name := strings.ToLower(strings.TrimSpace(o.app))
+	switch name {
+	case "dt":
+		class, err := nas.ParseDTClass(o.class)
+		if err != nil {
+			return nil, 0, "", fmt.Errorf("bad -class %q: %w", o.class, err)
+		}
+		dcfg := nas.DTConfig{Graph: nas.DTGraph(strings.ToUpper(strings.TrimSpace(o.graph))), Class: class, Fold: o.fold}
+		if procs, err = nas.DTProcs(dcfg.Graph, dcfg.Class); err != nil {
+			return nil, 0, "", err
+		}
+		app, _ = nas.DT(dcfg)
+	case "ep":
+		app, _ = nas.EP(nas.EPConfig{M: 20, Iterations: 64, SampleRatio: o.ratio})
+	default:
+		// Everything else is a name in the experiments app table, shared
+		// with the campaign grid's ops.
+		if !slices.Contains(experiments.AppNames(), name) {
+			return nil, 0, "", fmt.Errorf("unknown app %q (want %s)", o.app, strings.Join(appNames(), ", "))
+		}
+		var fixed int
+		if app, fixed, err = experiments.AppRank(name, chunk); err != nil {
+			return nil, 0, "", err
+		}
+		if fixed != 0 {
+			procs = fixed
+		}
+	}
+	return app, procs, fmt.Sprintf("application        : %s (np=%d)", name, procs), nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

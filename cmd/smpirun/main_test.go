@@ -62,6 +62,8 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		{[]string{"-platform", "bogus"}, `"bogus"`},
 		{[]string{"-app", "dt", "-class", ""}, "-class"},
 		{[]string{"-app", "dt", "-class", "Wrong"}, `-class "Wrong": want S, W, A, B or C`},
+		// A schedule is resolved first, and still nothing is printed.
+		{[]string{"-dynamics", "@0s host griffon-* scale 0.5", "-app", "dt", "-class", "Wrong"}, `-class "Wrong": want S, W, A, B or C`},
 		{[]string{"-app", "ep", "-np", "4", "-ratio", "0"}, "-ratio 0: want a sampling ratio in (0, 1]"},
 		{[]string{"-app", "ep", "-np", "4", "-ratio", "-1"}, "-ratio -1: want a sampling ratio in (0, 1]"},
 		{[]string{"-app", "ep", "-np", "4", "-ratio", "1.5"}, "-ratio 1.5: want a sampling ratio in (0, 1]"},
@@ -82,6 +84,44 @@ func TestRunRejectsUnknownValues(t *testing.T) {
 		}
 		if out.Len() > 0 {
 			t.Errorf("smpirun %s printed %q before refusing", strings.Join(tc.args, " "), out.String())
+		}
+	}
+}
+
+var simulatedLine = regexp.MustCompile(`(?m)^simulated time     : .*$`)
+
+// TestReplayIsOneMoreApp records a trace, then replays it through the one
+// launch path: -trace records the replay too, byte for byte the recorded
+// trace, at the same simulated time. The app flags the trace replaces are
+// not read, so values they would refuse do not refuse the replay.
+func TestReplayIsOneMoreApp(t *testing.T) {
+	dir := t.TempDir()
+	recorded, rerecorded := filepath.Join(dir, "a.txt"), filepath.Join(dir, "b.txt")
+	o := parse(t, "-app", "alltoall", "-np", "8", "-chunk", "1KiB")
+	o.traceOut = recorded
+	var online bytes.Buffer
+	if err := run(o, &online); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{},
+		{"-app", "dt", "-class", "Z"},
+		{"-app", "allreduce", "-chunk", "3"},
+	} {
+		o := parse(t, args...)
+		o.replayIn, o.traceOut = recorded, rerecorded
+		var offline bytes.Buffer
+		if err := run(o, &offline); err != nil {
+			t.Errorf("smpirun -replay %s: %v", strings.Join(args, " "), err)
+			continue
+		}
+		if on, off := simulatedLine.Find(online.Bytes()), simulatedLine.Find(offline.Bytes()); on == nil || !bytes.Equal(on, off) {
+			t.Errorf("smpirun -replay %s: %q, on-line %q", strings.Join(args, " "), off, on)
+		}
+		a, errA := os.ReadFile(recorded)
+		b, errB := os.ReadFile(rerecorded)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Errorf("smpirun -replay %s: re-recorded trace differs from the recorded one (%v, %v)", strings.Join(args, " "), errA, errB)
 		}
 	}
 }

@@ -314,26 +314,40 @@ func Load(arg string) (*Schedule, error) {
 	return Parse(content)
 }
 
+// CheckNetwork is the one rule of which model a platform event needs.
+// Host events run on every backend: every backend computes on the surf CPU
+// model. Link and flow events need the surf network model with contention,
+// the one network that shares link capacities; contended says whether a
+// run has it. A refusal names the first event that needs it.
+func (s *Schedule) CheckNetwork(contended bool) error {
+	if contended {
+		return nil
+	}
+	for i, e := range s.Events {
+		if e.Kind != kindHost {
+			return fmt.Errorf("dynamics: event %d (%s) needs the surf network model with contention: link and flow events require the surf backend", i, e)
+		}
+	}
+	return nil
+}
+
 // Arm resolves the schedule against plat and registers every event as a
-// kernel timer. Link and flow events need the (contended) surf network
-// model, host events the surf CPU model; pass nil for models the simulation
-// does not use and Arm fails loudly if an event needs one. Selectors that
-// match nothing are errors — a silently inert schedule would be
-// indistinguishable from a typo.
+// kernel timer. net is the run's surf network model, nil on the packet
+// emulator, and cpu its CPU model; Arm fails loudly if an event needs a
+// model the run lacks (see CheckNetwork). Selectors that match nothing are
+// errors — a silently inert schedule would be indistinguishable from a
+// typo.
 func (s *Schedule) Arm(k *simix.Kernel, plat *platform.Platform, net *surf.Network, cpu *surf.CPU) error {
 	if err := s.validate(); err != nil {
 		return fmt.Errorf("dynamics: %w", err)
+	}
+	if err := s.CheckNetwork(net != nil && net.Contention); err != nil {
+		return err
 	}
 	for i, e := range s.Events {
 		e := e
 		switch e.Kind {
 		case kindLink:
-			if net == nil {
-				return fmt.Errorf("dynamics: event %d (%s) needs the surf network model", i, e)
-			}
-			if !net.Contention {
-				return fmt.Errorf("dynamics: event %d (%s): contention-blind flows ignore link capacities", i, e)
-			}
 			links := matchLinks(plat, e.Target)
 			if len(links) == 0 {
 				return fmt.Errorf("dynamics: event %d: pattern %q matches no link", i, e.Target)
@@ -357,9 +371,6 @@ func (s *Schedule) Arm(k *simix.Kernel, plat *platform.Platform, net *surf.Netwo
 				}
 			})
 		case kindFlow:
-			if net == nil {
-				return fmt.Errorf("dynamics: event %d (%s) needs the surf network model", i, e)
-			}
 			if n := len(plat.Hosts()); e.Src >= n || e.Dst >= n {
 				return fmt.Errorf("dynamics: event %d: flow %d->%d outside the %d-host platform", i, e.Src, e.Dst, n)
 			}

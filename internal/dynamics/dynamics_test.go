@@ -322,4 +322,7 @@ func TestArmErrors(t *testing.T) {
 	if err := mustParse("@0s link dumb-up scale 0.5").Arm(k, p, blind, nil); err == nil {
 		t.Error("link event on a contention-blind network should fail to arm")
 	}
+	if err := mustParse("@0s flow 0->1 1kB").Arm(k, p, blind, nil); err == nil {
+		t.Error("flow event on a contention-blind network should fail to arm")
+	}
 }

@@ -35,6 +35,11 @@ func figure15(env *Env, o CampaignOptions, payload int) (*Table, []Claim, error)
 	// scenario point runs on both backends concurrently.
 	classes := []nas.DTClass{nas.ClassA, nas.ClassB}
 	graphs := []nas.DTGraph{nas.WH, nas.BH}
+	smpiCfg, err := env.Config(env.Griffon, "surf", "piecewise")
+	if err != nil {
+		return nil, nil, err
+	}
+	_, emuCfg, _ := backendConfig("openmpi", env.Griffon)
 	var jobs []campaign.Job
 	for _, class := range classes {
 		for _, graph := range graphs {
@@ -45,8 +50,8 @@ func figure15(env *Env, o CampaignOptions, payload int) (*Table, []Claim, error)
 			}
 			id := fmt.Sprintf("fig15/%s-%c", graph, class)
 			jobs = append(jobs,
-				dtJob(id+"/smpi", surfConfig(env.Griffon, env.Piecewise), dcfg, procs),
-				dtJob(id+"/openmpi", emuConfig(env.Griffon), dcfg, procs),
+				dtJob(id+"/smpi", smpiCfg, dcfg, procs),
+				dtJob(id+"/openmpi", emuCfg, dcfg, procs),
 			)
 		}
 	}

@@ -41,7 +41,8 @@ func NewEnv() (*Env, error) { return envOnce() }
 // default affine, best-fit affine, piece-wise linear, in that order.
 func Calibrate(plat *platform.Platform, a, b *platform.Host) (
 	samples []calibrate.Sample, info calibrate.RouteInfo, fits [3]surf.NetModel, err error) {
-	samples, err = skampi.PingPong(skampi.PingPongConfig{Base: emuConfig(plat), A: a, B: b})
+	_, base, _ := backendConfig("openmpi", plat)
+	samples, err = skampi.PingPong(skampi.PingPongConfig{Base: base, A: a, B: b})
 	if err != nil {
 		return nil, info, fits, fmt.Errorf("calibration ping-pong: %w", err)
 	}

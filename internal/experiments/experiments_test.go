@@ -264,4 +264,16 @@ func TestDynamicsFingerprintDeterministic(t *testing.T) {
 	}, CampaignOptions{}); err == nil {
 		t.Error("malformed dynamics schedule should fail expansion")
 	}
+	// Host events run on every backend, the emulated ones included: every
+	// backend computes on the surf CPU model.
+	sum, err := e.GridCampaignOpts(GridSpec{
+		Op: "ring", Procs: []int{4}, Sizes: []int64{1024},
+		Backends: []string{"openmpi"}, Dynamics: []string{"@0s host griffon-* scale 0.5"},
+	}, CampaignOptions{})
+	if err != nil {
+		t.Fatalf("host-only dynamics on an emulated backend: %v", err)
+	}
+	if err := sum.Err(); err != nil || sum.Jobs != 1 || sum.Results[0].Tags["dynamics"] == "" {
+		t.Errorf("host-only dynamics on openmpi: %d jobs, err %v", sum.Jobs, err)
+	}
 }

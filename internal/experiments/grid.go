@@ -62,7 +62,8 @@ type GridSpec struct {
 	// dynamics schedule in the grammar of internal/dynamics ("" or "none"
 	// for a static platform), so a sweep can compare the same scenarios on
 	// healthy and degraded fabrics. Entries are canonicalized before
-	// expansion; non-empty schedules require the surf backend. Events mutate
+	// expansion; link and flow events require the surf backend
+	// (dynamics.Schedule.CheckNetwork). Events mutate
 	// only per-job solver state, never the shared platform, so fingerprints
 	// stay bit-identical at any -parallel setting.
 	Dynamics []string `json:"dynamics,omitempty"`
@@ -162,7 +163,7 @@ func (spec GridSpec) validate() (g grid, err error) {
 		modelAxis = append(modelAxis, "piecewise")
 	}
 	g.Backends, g.Models = make([]string, 0, len(spec.Backends)), nil
-	static := "" // a back-end whose links ignore platform events
+	static := "" // a back-end without the contended surf network
 	for _, b := range spec.Backends {
 		name, cfg, err := backendConfig(b, nil)
 		if err != nil {
@@ -231,9 +232,10 @@ func (spec GridSpec) validate() (g grid, err error) {
 		}
 		canonical := ""
 		if sched != nil {
-			if canonical = sched.String(); static != "" {
-				return fail("dynamics require the surf backend, got %q", static)
+			if err := sched.CheckNetwork(static == ""); err != nil {
+				return fail("%w, got %q", err, static)
 			}
+			canonical = sched.String()
 		}
 		g.Dynamics = append(g.Dynamics, canonical)
 	}

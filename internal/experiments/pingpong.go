@@ -9,7 +9,6 @@ import (
 	"smpigo/internal/metrics"
 	"smpigo/internal/platform"
 	"smpigo/internal/smpi"
-	"smpigo/internal/surf"
 )
 
 // pingPongJob wraps one SKaMPI ping-pong sweep (on either backend) between
@@ -33,10 +32,16 @@ func pingPongJob(id string, base smpi.Config, a, b *platform.Host) campaign.Job 
 // simulations fanned out as one campaign. It returns the table and each
 // model's accuracy summary against the reference, keyed by model name.
 func pingPongFigure(env *Env, o CampaignOptions, plat *platform.Platform, a, b *platform.Host, title string) (*Table, map[string]metrics.Summary, error) {
-	models := []surf.NetModel{env.Default, env.BestFit, env.Piecewise}
-	jobs := []campaign.Job{pingPongJob(title+"/skampi", emuConfig(plat), a, b)}
-	for _, m := range models {
-		jobs = append(jobs, pingPongJob(title+"/"+m.Name, surfConfig(plat, m), a, b))
+	_, emuCfg, _ := backendConfig("openmpi", plat)
+	jobs := []campaign.Job{pingPongJob(title+"/skampi", emuCfg, a, b)}
+	var models []string // model names as the fits spell them
+	for _, name := range []string{"default", "bestfit", "piecewise"} {
+		cfg, err := env.Config(plat, "surf", name)
+		if err != nil {
+			return nil, nil, err
+		}
+		models = append(models, cfg.Model.Name)
+		jobs = append(jobs, pingPongJob(title+"/"+cfg.Model.Name, cfg, a, b))
 	}
 	outs, err := o.run(jobs).Outcomes()
 	if err != nil {
@@ -45,7 +50,7 @@ func pingPongFigure(env *Env, o CampaignOptions, plat *platform.Platform, a, b *
 	ref := outs[0].Payload.([]calibrate.Sample)
 	predictions := make(map[string][]calibrate.Sample)
 	for i, m := range models {
-		predictions[m.Name] = outs[i+1].Payload.([]calibrate.Sample)
+		predictions[m] = outs[i+1].Payload.([]calibrate.Sample)
 	}
 
 	t := &Table{
@@ -65,12 +70,12 @@ func pingPongFigure(env *Env, o CampaignOptions, plat *platform.Platform, a, b *
 	for _, m := range models {
 		var pred, refv []float64
 		for i := range ref {
-			pred = append(pred, predictions[m.Name][i].Time)
+			pred = append(pred, predictions[m][i].Time)
 			refv = append(refv, ref[i].Time)
 		}
 		sum := metrics.Summarize(pred, refv)
-		summaries[m.Name] = sum
-		t.note("%s: %s", m.Name, sum)
+		summaries[m] = sum
+		t.note("%s: %s", m, sum)
 	}
 	return t, summaries, nil
 }

@@ -110,7 +110,7 @@ func backendConfig(name string, plat *platform.Platform) (string, smpi.Config, e
 	case "surf", "nocontention":
 		return name, smpi.Config{Platform: plat, Backend: smpi.BackendSurf, NoContention: name == "nocontention"}, nil
 	case "openmpi", "emu":
-		return "openmpi", emuConfig(plat), nil
+		return "openmpi", smpi.Config{Platform: plat, Backend: smpi.BackendEmu}, nil
 	case "mpich2":
 		return name, smpi.Config{Platform: plat, Backend: smpi.BackendEmu, Impl: emu.MPICH2()}, nil
 	}
@@ -131,17 +131,6 @@ func (e *Env) Config(plat *platform.Platform, backend, model string) (smpi.Confi
 	}
 	cfg.Model = pick(e)
 	return cfg, nil
-}
-
-// surfConfig returns an SMPI (analytical backend) config on plat with the
-// given model.
-func surfConfig(plat *platform.Platform, model surf.NetModel) smpi.Config {
-	return smpi.Config{Platform: plat, Backend: smpi.BackendSurf, Model: model}
-}
-
-// emuConfig returns a "real run" config on plat (emulated OpenMPI).
-func emuConfig(plat *platform.Platform) smpi.Config {
-	return smpi.Config{Platform: plat, Backend: smpi.BackendEmu}
 }
 
 // Place pins cfg's ranks to hosts under a placement policy (see package

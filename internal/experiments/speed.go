@@ -69,11 +69,14 @@ func figure18(env *Env, o CampaignOptions, m, iterations int) (*Table, []Claim, 
 		Header: []string{"ratio_pct", "sim_wall_s", "simulated_s", "bursts_executed", "bursts_replayed"},
 	}
 	ratios := []float64{1.0, 0.75, 0.5, 0.25}
+	cfg, err := env.Config(env.Griffon, "surf", "piecewise")
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Procs = procs
 	var jobs []campaign.Job
 	for _, ratio := range ratios {
 		app, _ := nas.EP(nas.EPConfig{M: m, Iterations: iterations, SampleRatio: ratio})
-		cfg := surfConfig(env.Griffon, env.Piecewise)
-		cfg.Procs = procs
 		jobs = append(jobs, simJob(fmt.Sprintf("fig18/ratio=%g", ratio),
 			map[string]string{"app": "ep", "ratio": fmt.Sprint(ratio)}, cfg, "",
 			reportRun(app, func(rep *smpi.Report) map[string]float64 {

@@ -14,6 +14,7 @@ package nas
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"smpigo/internal/core"
 	"smpigo/internal/smpi"
@@ -44,58 +45,73 @@ const (
 	ClassC DTClass = 'C'
 )
 
-// DTProcs returns the number of MPI processes the benchmark requires, per
-// the NPB class table quoted in the paper (Section 7.1.4).
-func DTProcs(graph DTGraph, class DTClass) (int, error) {
-	tree := map[DTClass]int{ClassS: 5, ClassW: 11, ClassA: 21, ClassB: 43, ClassC: 85}
-	shuffle := map[DTClass]int{ClassS: 12, ClassW: 32, ClassA: 80, ClassB: 192, ClassC: 448}
-	switch graph {
-	case BH, WH:
-		if p, ok := tree[class]; ok {
-			return p, nil
+// dtClasses is the one DT class table, smallest class first: the process
+// count of the tree graphs (WH, BH), the shuffle graph's layers×width
+// layout (whose product is its process count), and the per-edge payload.
+// The process counts follow the NPB table quoted in the paper (Section
+// 7.1.4). The payloads are the repository's scaled equivalents of NPB's
+// num_samples feature arrays: large enough that class A/B runtimes on a
+// Gigabit cluster match the paper's seconds-scale measurements.
+var dtClasses = []dtClassInfo{
+	{ClassS, 5, 3, 4, 64 * int(core.KiB)},
+	{ClassW, 11, 4, 8, 256 * int(core.KiB)},
+	{ClassA, 21, 5, 16, 4 * int(core.MiB)},
+	{ClassB, 43, 6, 32, 6 * int(core.MiB)},
+	{ClassC, 85, 7, 64, 8 * int(core.MiB)},
+}
+
+// dtClassInfo is one row of dtClasses.
+type dtClassInfo struct {
+	class                        DTClass
+	tree, layers, width, payload int
+}
+
+// dtClassOf returns class's row of dtClasses; ok is false outside it, where
+// the row is all zeros.
+func dtClassOf(class DTClass) (info dtClassInfo, ok bool) {
+	for _, c := range dtClasses {
+		if c.class == class {
+			return c, true
 		}
-	case SH:
-		if p, ok := shuffle[class]; ok {
-			return p, nil
+	}
+	return dtClassInfo{}, false
+}
+
+// ParseDTClass resolves a class name, ignoring case and padding; the error
+// lists the classes of the table.
+func ParseDTClass(name string) (DTClass, error) {
+	name = strings.ToUpper(strings.TrimSpace(name))
+	if len(name) == 1 {
+		if _, ok := dtClassOf(DTClass(name[0])); ok {
+			return DTClass(name[0]), nil
+		}
+	}
+	names := make([]string, len(dtClasses))
+	for i, c := range dtClasses {
+		names[i] = string(c.class)
+	}
+	last := len(names) - 1
+	return 0, fmt.Errorf("want %s or %s", strings.Join(names[:last], ", "), names[last])
+}
+
+// DTProcs returns the number of MPI processes the benchmark requires.
+func DTProcs(graph DTGraph, class DTClass) (int, error) {
+	if c, ok := dtClassOf(class); ok {
+		switch graph {
+		case BH, WH:
+			return c.tree, nil
+		case SH:
+			return c.layers * c.width, nil
 		}
 	}
 	return 0, fmt.Errorf("nas: no DT configuration for graph %s class %c", graph, class)
 }
 
-// DTPayload returns the per-edge payload in bytes for a class. These are
-// the repository's scaled equivalents of NPB's num_samples feature arrays:
-// large enough that class A/B runtimes on a Gigabit cluster match the
-// paper's seconds-scale measurements.
+// DTPayload returns the per-edge payload in bytes for a class, 0 for a
+// class outside the table.
 func DTPayload(class DTClass) int {
-	switch class {
-	case ClassS:
-		return 64 * int(core.KiB)
-	case ClassW:
-		return 256 * int(core.KiB)
-	case ClassA:
-		return 4 * int(core.MiB)
-	case ClassB:
-		return 6 * int(core.MiB)
-	default: // ClassC
-		return 8 * int(core.MiB)
-	}
-}
-
-// shLayout returns (layers, width) for the shuffle graph so that
-// layers*width equals the class process count: 80=5x16, 192=6x32, 448=7x64.
-func shLayout(class DTClass) (layers, width int) {
-	switch class {
-	case ClassS:
-		return 3, 4
-	case ClassW:
-		return 4, 8
-	case ClassA:
-		return 5, 16
-	case ClassB:
-		return 6, 32
-	default:
-		return 7, 64
-	}
+	c, _ := dtClassOf(class)
+	return c.payload
 }
 
 // dtVerifyFlopsPerByte is the per-byte processing charge applied when a
@@ -250,10 +266,11 @@ func dtShuffle(cfg DTConfig, res *DTResult) func(*smpi.Rank) {
 		payload = DTPayload(cfg.Class)
 	}
 	payload &^= 31 // keep quarters 8-byte aligned
+	class, _ := dtClassOf(cfg.Class)
+	layers, width := class.layers, class.width
 	return func(r *smpi.Rank) {
 		c := r.Comm()
 		me, p := r.Rank(), r.Size()
-		layers, width := shLayout(cfg.Class)
 		if layers*width != p {
 			panic(fmt.Sprintf("nas: SH layout %dx%d != %d procs", layers, width, p))
 		}

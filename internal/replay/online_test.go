@@ -45,7 +45,12 @@ func TestReplayIsOnlineOnRecordingPlatform(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						offline, err := replay.Run(tr, cfg)
+						replayed, procs, err := replay.App(tr)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.Procs, cfg.Tracer = procs, nil
+						offline, err := smpi.Run(cfg, replayed)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -4,7 +4,9 @@
 // interprets its recorded program — compute bursts become delays, sends and
 // receives become real point-to-point operations — through the same smpi
 // machinery, so replayed communications experience the full network model,
-// contention included.
+// contention included. To a launcher a replay is one more application: App
+// turns a trace into the rank function smpi.Run executes, as SimGrid runs
+// its replayer as an ordinary MPI program under smpirun.
 //
 // This is the baseline the paper argues against: a replay is faithful only
 // as long as the application's behaviour does not depend on the platform
@@ -19,24 +21,23 @@ import (
 	"smpigo/internal/trace"
 )
 
-// Run replays t on the platform/backend described by cfg and returns the
-// simulation report. cfg.Procs and cfg.Tracer are overridden.
-func Run(t *trace.Trace, cfg smpi.Config) (*smpi.Report, error) {
+// App resolves t to the rank function a launcher hands to smpi.Run, and
+// the rank count the trace fixes, t.Procs: each rank interprets its
+// recorded program. It refuses an empty or structurally unsound trace.
+func App(t *trace.Trace) (rank func(*smpi.Rank), procs int, err error) {
 	if t == nil || t.Procs <= 0 {
-		return nil, fmt.Errorf("replay: empty trace")
+		return nil, 0, fmt.Errorf("replay: empty trace")
 	}
 	if err := validate(t); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	cfg.Procs = t.Procs
-	cfg.Tracer = nil
 	var largest int64
 	for _, stream := range t.Streams {
 		for _, ev := range stream {
 			largest = max(largest, ev.Bytes)
 		}
 	}
-	app := func(r *smpi.Rank) {
+	return func(r *smpi.Rank) {
 		c := r.Comm()
 		// A trace records sizes, not payloads: every message of every rank
 		// is a prefix of one folded block, so the replay moves no bytes.
@@ -54,8 +55,7 @@ func Run(t *trace.Trace, cfg smpi.Config) (*smpi.Report, error) {
 				r.Wait(reqs[ev.Req])
 			}
 		}
-	}
-	return smpi.Run(cfg, app)
+	}, t.Procs, nil
 }
 
 // validate checks the structural soundness of a trace before replaying:

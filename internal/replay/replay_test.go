@@ -33,6 +33,17 @@ func record(t *testing.T, plat *platform.Platform, procs int, app func(*smpi.Ran
 	return tr, rep.SimulatedTime
 }
 
+// replayRun replays tr under cfg the way a launcher does: App's rank
+// function on App's rank count.
+func replayRun(tr *trace.Trace, cfg smpi.Config) (*smpi.Report, error) {
+	app, procs, err := App(tr)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Procs = procs
+	return smpi.Run(cfg, app)
+}
+
 func scatterApp(chunk int64) func(*smpi.Rank) {
 	return func(r *smpi.Rank) {
 		c := r.Comm()
@@ -50,7 +61,7 @@ func TestReplayMatchesOnlineSamePlatform(t *testing.T) {
 	// the on-line prediction almost exactly: same messages, same model.
 	plat := griffon(t)
 	tr, online := record(t, plat, 8, scatterApp(256*core.KiB))
-	rep, err := Run(tr, smpi.Config{Platform: plat})
+	rep, err := replayRun(tr, smpi.Config{Platform: plat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +82,7 @@ func TestReplayOnDifferentPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline, err := Run(tr, smpi.Config{Platform: gdx})
+	offline, err := replayRun(tr, smpi.Config{Platform: gdx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +137,7 @@ func TestTraceWildcardResolved(t *testing.T) {
 		}
 	}
 	// And the resolved trace replays without deadlock.
-	if _, err := Run(tr, smpi.Config{Platform: plat}); err != nil {
+	if _, err := replayRun(tr, smpi.Config{Platform: plat}); err != nil {
 		t.Errorf("replay of wildcard trace failed: %v", err)
 	}
 }
@@ -151,11 +162,11 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("roundtrip lost events: %d/%d vs %d/%d",
 			back.Procs, back.Events(), tr.Procs, tr.Events())
 	}
-	a, err := Run(tr, smpi.Config{Platform: plat})
+	a, err := replayRun(tr, smpi.Config{Platform: plat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(back, smpi.Config{Platform: plat})
+	b, err := replayRun(back, smpi.Config{Platform: plat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,18 +193,34 @@ func TestTraceReadErrors(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	if _, err := Run(nil, smpi.Config{}); err == nil {
+	if _, _, err := App(nil); err == nil {
 		t.Error("nil trace should fail")
 	}
 	bad := trace.New(2)
 	bad.Streams[0] = []trace.Event{{Kind: trace.Wait, Req: 0}}
-	if _, err := Run(bad, smpi.Config{Platform: griffon(t)}); err == nil {
+	if _, _, err := App(bad); err == nil {
 		t.Error("wait on unissued request should fail validation")
 	}
 	bad2 := trace.New(2)
 	bad2.Streams[0] = []trace.Event{{Kind: trace.Isend, Peer: 7, Bytes: 1}}
-	if _, err := Run(bad2, smpi.Config{Platform: griffon(t)}); err == nil {
+	if _, _, err := App(bad2); err == nil {
 		t.Error("peer out of range should fail validation")
+	}
+}
+
+// TestUnrepresentableBurstFails: a recorded burst whose flop count is not
+// finite on the replay host (1e300 s at griffon's speed overflows) fails
+// the replay, naming the host, instead of deadlocking it.
+func TestUnrepresentableBurstFails(t *testing.T) {
+	for _, burst := range []string{"NaN", "+Inf", "1e300"} {
+		tr, err := trace.Read(strings.NewReader("procs 1\n0 C " + burst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = replayRun(tr, smpi.Config{Platform: griffon(t)})
+		if err == nil || !strings.Contains(err.Error(), `host "griffon-0"`) || strings.Contains(err.Error(), "deadlock") {
+			t.Errorf("burst %s: err = %v, want one naming host griffon-0", burst, err)
+		}
 	}
 }
 
@@ -205,7 +232,7 @@ func TestComputeBurstsRecorded(t *testing.T) {
 	if online < 1 {
 		t.Fatalf("online run took %v, want >= 1s", online)
 	}
-	rep, err := Run(tr, smpi.Config{Platform: plat})
+	rep, err := replayRun(tr, smpi.Config{Platform: plat})
 	if err != nil {
 		t.Fatal(err)
 	}

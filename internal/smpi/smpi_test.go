@@ -314,6 +314,23 @@ func TestComputeAdvancesSimulatedTime(t *testing.T) {
 	}
 }
 
+// TestUnrepresentableBurstFails: a compute burst no date completes (NaN or
+// infinite flops, or an infinite delay) is the run's error, naming the
+// host and the amount, not a deadlock.
+func TestUnrepresentableBurstFails(t *testing.T) {
+	for name, burst := range map[string]func(*Rank){
+		"Compute(NaN)":  func(r *Rank) { r.Compute(math.NaN()) },
+		"Compute(+Inf)": func(r *Rank) { r.Compute(math.Inf(1)) },
+		"Elapse(NaN)":   func(r *Rank) { r.Elapse(core.Duration(math.NaN())) },
+		"Elapse(+Inf)":  func(r *Rank) { r.Elapse(core.Duration(math.Inf(1))) },
+	} {
+		_, err := Run(testConfig(1), burst)
+		if err == nil || !strings.Contains(err.Error(), `host "griffon-0"`) || strings.Contains(err.Error(), "deadlock") {
+			t.Errorf("%s: err = %v, want one naming host griffon-0", name, err)
+		}
+	}
+}
+
 func TestDeterministicSimulatedTime(t *testing.T) {
 	app := func(r *Rank) {
 		c := r.Comm()

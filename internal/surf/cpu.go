@@ -53,8 +53,13 @@ func (c *CPU) constraint(h *platform.Host) *lmm.Constraint {
 }
 
 // Execute starts draining flops on host and returns a future fulfilled when
-// the work completes. Must be called from actor context.
+// the work completes. Must be called from actor context. A NaN or infinite
+// amount panics: no date completes it, so it would otherwise surface only
+// as a deadlock.
 func (c *CPU) Execute(host *platform.Host, flops float64) *simix.Future {
+	if !(math.Abs(flops) <= math.MaxFloat64) { // NaN fails the comparison too
+		panic(fmt.Sprintf("surf: compute burst of %v flops on host %q cannot be simulated", flops, host.Name()))
+	}
 	f := simix.NewFuture()
 	c.now = c.kernel.Now()
 	if flops <= 0 {
